@@ -1,0 +1,232 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"verdictdb/internal/sqlparser"
+)
+
+// Pins the expression shapes that need scope state beyond the current row —
+// subqueries, enclosing-scope columns, aggregate and window references — and
+// the per-row timing of their errors: a query whose failing expression is
+// never evaluated (zero rows, short-circuit) succeeds.
+
+func shapeDB(t *testing.T) *Engine {
+	t.Helper()
+	e := testDB(t)
+	if _, err := e.Exec("create table empty_orders (order_id int, city varchar, price double)"); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func renderRows(rs *ResultSet) string {
+	parts := make([]string, len(rs.Rows))
+	for i, r := range rs.Rows {
+		cells := make([]string, len(r))
+		for j, v := range r {
+			cells[j] = fmt.Sprint(v)
+		}
+		parts[i] = strings.Join(cells, ",")
+	}
+	return strings.Join(parts, "; ")
+}
+
+func TestScopeShapes(t *testing.T) {
+	cases := []struct {
+		name, sql string
+		want      string // rendered rows
+		wantErr   string // exact error text; "" means success
+	}{
+		{name: "correlated scalar, two scope levels",
+			sql: `select p.product_id,
+				(select count(*) from orders o where o.product_id = p.product_id and o.price >
+					(select avg(i.price) from orders i where i.product_id = p.product_id and i.city = o.city))
+				from products p where p.product_id <= 3 order by p.product_id`,
+			want: "1,12; 2,12; 3,12"},
+		{name: "correlated scalar in WHERE feeding an aggregate",
+			sql: `select city, count(*) from orders o
+				where o.price > (select avg(price) from orders i where i.product_id = o.product_id)
+				group by city order by city`,
+			want: "ann arbor,40; chicago,40; detroit,40"},
+		{name: "IN subquery in WHERE",
+			sql:  `select count(*) from orders where product_id in (select product_id from products where category = 'food')`,
+			want: "150"},
+		{name: "NOT IN subquery in WHERE",
+			sql:  `select count(*) from orders where product_id not in (select product_id from products where category = 'food')`,
+			want: "150"},
+		{name: "correlated EXISTS and NOT EXISTS in WHERE",
+			sql: `select p.product_id from products p
+				where exists (select 1 from orders o where o.product_id = p.product_id and o.price > 58)
+				and not exists (select 1 from orders o where o.product_id = p.product_id and o.price < 11)
+				order by p.product_id`,
+			want: "10"},
+		{name: "IN subquery in join ON",
+			sql: `select count(*) from orders o inner join products p
+				on o.product_id = p.product_id and o.product_id in (select product_id from products where category = 'tools')`,
+			want: "150"},
+		{name: "correlated EXISTS in join ON",
+			sql: `select p.product_id, count(o.order_id) from products p left join orders o
+				on o.product_id = p.product_id and exists
+					(select 1 from orders x where x.product_id = p.product_id and x.price > 58)
+				group by p.product_id order by p.product_id limit 3`,
+			want: "1,0; 2,0; 3,0"},
+		{name: "subquery as a hash-join key expression",
+			sql: `select count(*) from orders o inner join products p
+				on (o.product_id in (select product_id from products where category = 'food')) = (p.category = 'food')
+				and o.product_id = p.product_id`,
+			want: "300"},
+		{name: "expression join keys under an enclosing-scope reference",
+			sql: `select p.product_id,
+				(select sum(o.quantity) from orders o inner join products q
+					on o.product_id + 0 = q.product_id * 1 and q.product_id = p.product_id
+					where p.product_id > 0)
+				from products p where p.product_id in (1, 10) order by p.product_id`,
+			want: "1,30; 10,150"},
+		{name: "HAVING and ORDER BY over aggregate references",
+			sql: `select city, count(*) from orders group by city
+				having sum(price) > min(price) * 100 and count(*) = 100 order by sum(order_id) desc`,
+			want: "chicago,100; detroit,100; ann arbor,100"},
+		{name: "ORDER BY a pre-projection expression",
+			sql:  `select order_id from orders where order_id <= 4 order by price * -1`,
+			want: "4; 3; 2; 1"},
+		{name: "subquery in GROUP BY key and aggregate argument",
+			sql: `select (select category from products p where p.product_id = o.product_id),
+				sum(price - (select min(price) from orders)) from orders o
+				group by (select category from products p where p.product_id = o.product_id) order by 1`,
+			want: "food,3300; tools,4050"},
+		{name: "window reference inside arithmetic",
+			sql: `select order_id, 100 * price / sum(price) over (partition by city) from orders
+				where order_id <= 4 order by order_id`,
+			want: "1,43.47826086956522; 2,100; 3,100; 4,56.52173913043478"},
+		{name: "window over aggregates inside arithmetic",
+			sql: `select city, sum(quantity) - sum(sum(quantity)) over (partition by 1) / 3 from orders
+				group by city order by city`,
+			want: "ann arbor,0; chicago,0; detroit,0"},
+		{name: "LIMIT expression",
+			sql:  `select order_id from orders order by order_id limit 1 + 1`,
+			want: "1; 2"},
+		{name: "LIMIT scalar subquery",
+			sql:  `select order_id from orders order by order_id limit (select count(*) from products where product_id < 4)`,
+			want: "1; 2; 3"},
+
+		{name: "unknown column", sql: `select nope from orders`,
+			wantErr: "engine: unknown column nope"},
+		{name: "unknown column, zero rows", sql: `select nope from empty_orders`, want: ""},
+		{name: "unknown column behind a short-circuit",
+			sql: `select count(*) from orders where 1 = 0 and nope = 1`, want: "0"},
+		{name: "unknown qualified column in a subquery",
+			sql:     `select (select max(i.price) from orders i where i.city = z.city) from orders o`,
+			wantErr: "engine: unknown column z.city"},
+		{name: "ambiguous column",
+			sql:     `select product_id from orders o inner join products p on o.product_id = p.product_id`,
+			wantErr: "engine: ambiguous column product_id"},
+		{name: "ambiguous column, zero rows",
+			sql:  `select product_id from orders o inner join products p on o.product_id = p.product_id where 1 = 0`,
+			want: ""},
+		{name: "ambiguous inner column does not fall through to the enclosing scope",
+			sql: `select (select count(*) from orders a inner join orders b on a.order_id = b.order_id where city = p.name)
+				from products p`,
+			wantErr: "engine: ambiguous column city"},
+		{name: "aggregate in WHERE", sql: `select city from orders where sum(price) > 1`,
+			wantErr: "engine: aggregate sum not allowed here"},
+		{name: "aggregate in WHERE, zero rows",
+			sql: `select city from empty_orders where sum(price) > 1`, want: ""},
+		{name: "aggregate in GROUP BY", sql: `select count(*) from orders group by sum(price)`,
+			wantErr: "engine: aggregate sum not allowed here"},
+		{name: "aggregate in GROUP BY, zero rows",
+			sql: `select count(*) from empty_orders group by sum(price)`, want: ""},
+		{name: "window in WHERE", sql: `select city from orders where sum(price) over (partition by city) > 1`,
+			wantErr: "engine: window function sum not available in this context"},
+		{name: "bare INTERVAL", sql: `select interval '1' day from orders`,
+			wantErr: "engine: INTERVAL outside date arithmetic"},
+		{name: "bare INTERVAL, zero rows", sql: `select interval '1' day from empty_orders`, want: ""},
+		{name: "bare INTERVAL as aggregate argument, zero rows",
+			sql: `select count(interval '1' day) from empty_orders`, want: "0"},
+		{name: "scalar subquery with several rows", sql: `select (select product_id from products) from orders`,
+			wantErr: "engine: scalar subquery returned 10 rows"},
+		{name: "scalar subquery with several rows, zero rows",
+			sql: `select (select product_id from products) from empty_orders`, want: ""},
+		{name: "IN subquery with several columns",
+			sql:     `select count(*) from orders where product_id in (select product_id, name from products)`,
+			wantErr: "engine: IN subquery must return one column"},
+		{name: "bad LIMIT", sql: `select order_id from orders limit 0 - 1`,
+			wantErr: "engine: bad LIMIT value -1"},
+		{name: "unknown function evaluates its arguments first", sql: `select nofn(nope) from orders`,
+			wantErr: "engine: unknown column nope"},
+		{name: "unknown function", sql: `select nofn(1) from orders`,
+			wantErr: "engine: unknown function nofn"},
+		{name: "unknown function, zero rows", sql: `select nofn(1) from empty_orders`, want: ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := shapeDB(t)
+			rs, err := e.Query(tc.sql)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error = %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderRows(rs); got != tc.want {
+				t.Fatalf("rows = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// An operator the parser never produces still fails per row, after both
+// operands were evaluated.
+func TestScopeShapesUnknownOperator(t *testing.T) {
+	e := shapeDB(t)
+	sel := func(table string, l sqlparser.Expr) *sqlparser.SelectStmt {
+		return &sqlparser.SelectStmt{
+			Items: []sqlparser.SelectItem{{Expr: &sqlparser.BinaryExpr{Op: "^", L: l, R: &sqlparser.Literal{Val: int64(2)}}}},
+			From:  &sqlparser.TableRef{Name: table},
+		}
+	}
+	price := &sqlparser.ColumnRef{Name: "price"}
+	if _, err := e.ExecStmt(sel("orders", price)); err == nil || err.Error() != `engine: unknown operator "^"` {
+		t.Fatalf("error = %v", err)
+	}
+	if _, err := e.ExecStmt(sel("orders", &sqlparser.ColumnRef{Name: "nope"})); err == nil || err.Error() != "engine: unknown column nope" {
+		t.Fatalf("operand error should win: %v", err)
+	}
+	if rs, err := e.ExecStmt(sel("empty_orders", price)); err != nil || len(rs.Rows) != 0 {
+		t.Fatalf("zero rows: %v, %v", rs, err)
+	}
+	neg := &sqlparser.SelectStmt{
+		Items: []sqlparser.SelectItem{{Expr: &sqlparser.UnaryExpr{Op: "~", X: price}}},
+		From:  &sqlparser.TableRef{Name: "orders"},
+	}
+	if _, err := e.ExecStmt(neg); err == nil || err.Error() != `engine: unknown unary op "~"` {
+		t.Fatalf("error = %v", err)
+	}
+}
+
+func TestScopeShapesInsertValues(t *testing.T) {
+	e := shapeDB(t)
+	if _, err := e.Exec(`insert into products values
+		(10 + 1, upper('wrench') || '-' || cast(2 * 3 as varchar), case when 1 = 1 then 'tools' else 'food' end),
+		((select max(product_id) + 2 from products), coalesce(null, 'saw'), null)`); err != nil {
+		t.Fatal(err)
+	}
+	rs := mustQuery(t, e, "select product_id, name, category from products where product_id > 10 order by product_id")
+	if got, want := renderRows(rs), "11,WRENCH-6,tools; 12,saw,<nil>"; got != want {
+		t.Fatalf("rows = %q, want %q", got, want)
+	}
+	for sql, wantErr := range map[string]string{
+		"insert into products values (product_id, 'x', 'y')":   "engine: unknown column product_id",
+		"insert into products values (sum(1), 'x', 'y')":       "engine: aggregate sum not allowed here",
+		"insert into products values (1, interval '1' day, 1)": "engine: INTERVAL outside date arithmetic",
+	} {
+		if _, err := e.Exec(sql); err == nil || err.Error() != wantErr {
+			t.Errorf("%s: error = %v, want %q", sql, err, wantErr)
+		}
+	}
+}
