@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-par bench bench-json bench-gate bench-serve bench-serve-robust bench-progressive race faultinject vet lint staticcheck
+.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest race faultinject vet lint staticcheck
 
 build:
 	$(GO) build ./...
@@ -51,15 +51,15 @@ bench-gate:
 	$(GO) run ./cmd/benchrunner -exp engine -benchout /tmp/verdict_bench_gate_engine.json
 	$(GO) run ./cmd/benchgate -kind engine -base BENCH_engine.json -cand /tmp/verdict_bench_gate_engine.json
 
-# Serving-layer throughput: concurrent clients + plan/rewrite cache.
-bench-serve:
-	$(GO) run ./cmd/benchrunner -exp serve -serveout BENCH_serve.json
-
-# Serving under pressure: per-query deadlines (degraded progressive answers)
-# plus randomly injected mid-flight cancels.
-bench-serve-robust:
-	$(GO) run ./cmd/benchrunner -exp serve -deadline 25 -cancel-rate 0.2 -serveout BENCH_serve_robust.json
-
 # Progressive execution: time-to-accuracy over block-partitioned scrambles.
 bench-progressive:
 	$(GO) run ./cmd/benchrunner -exp progressive -progout BENCH_progressive.json
+
+# The repo benchmark (BENCHMARK.json): five workloads through real
+# Conn.Query. benchmark/ is a module of its own, invisible to ./..., so
+# bench-selftest is what notices an engine or middleware API break there.
+bench-e2e:
+	sh benchmark/run.sh
+
+bench-selftest:
+	cd benchmark && $(GO) vet . && $(GO) test .

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		kind      = flag.String("kind", "engine", "report kind: engine, serve, or progressive")
+		kind      = flag.String("kind", "engine", "report kind: engine or progressive")
 		basePath  = flag.String("base", "BENCH_engine.json", "committed baseline report")
 		candPath  = flag.String("cand", "", "candidate report from a fresh run (required)")
 		maxNs     = flag.Float64("max-ns", 0, "override ns/op ratio limit (0 = default)")

@@ -21,13 +21,6 @@
 //	ablation     design-choice ablations (sample type, Lemma 1 delta, top-k)
 //	engine       engine hot-path microbenchmarks; writes BENCH_engine.json
 //	             (-benchout) so successive PRs can diff perf
-//	serve        concurrent serving layer: N goroutine clients over the
-//	             mixed TPC-H/Insta workload; QPS, p50/p99 latency, and the
-//	             plan/rewrite cache's cold-vs-warm effect; writes
-//	             BENCH_serve.json (-serveout). With -deadline/-cancel-rate
-//	             the round also measures robustness under churn: degraded
-//	             (deadline-cut progressive) answer fraction and cancelled
-//	             queries
 //	progressive  accuracy-driven progressive execution over block-partitioned
 //	             scrambles: time-to-accuracy curves and early-termination
 //	             rates per target relative error; writes
@@ -40,7 +33,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"verdictdb/internal/bench"
 )
@@ -53,12 +45,6 @@ func main() {
 	trials := flag.Int("trials", 200, "Monte Carlo trials for correctness experiments")
 	seed := flag.Int64("seed", 42, "random seed")
 	benchOut := flag.String("benchout", "BENCH_engine.json", "engine microbenchmark JSON output (empty to skip)")
-	serveOut := flag.String("serveout", "BENCH_serve.json", "serve experiment JSON output (empty to skip)")
-	serveWorkers := flag.String("serveworkers", "1,2,4,8", "comma-separated worker counts for -exp serve")
-	servePer := flag.Int("serveper", 32, "queries per worker per serve round")
-	serveLatMs := flag.Float64("servelat", 25, "simulated per-query engine overhead for serve (ms, really slept)")
-	serveDeadlineMs := flag.Float64("deadline", 0, "per-query deadline for -exp serve (ms; 0 disables); expiring deadlines return degraded progressive answers, recorded in BENCH_serve.json")
-	serveCancelRate := flag.Float64("cancel-rate", 0, "fraction of -exp serve queries cancelled mid-flight (0..1)")
 	progOut := flag.String("progout", "BENCH_progressive.json", "progressive experiment JSON output (empty to skip)")
 	progTargets := flag.String("progtargets", "0.01,0.02,0.05,0.1", "comma-separated target relative errors for -exp progressive")
 	progBlockRows := flag.Int64("progblockrows", 0, "scramble block size for -exp progressive (0 = experiment default)")
@@ -141,37 +127,6 @@ func main() {
 	})
 	run("engine", func() error {
 		_, err := bench.EngineBench(w, *benchOut, 5)
-		return err
-	})
-	run("serve", func() error {
-		// The serving workload defaults to a lighter scale than the paper
-		// experiments: throughput rounds re-execute every query dozens of
-		// times, and the scaling signal is per-query overhead, not scan size.
-		serveCfg := cfg
-		if *tpchScale == 0 {
-			serveCfg.TPCHScale = 0.05
-		}
-		if *instaScale == 0 {
-			serveCfg.InstaScale = 0.05
-		}
-		var workers []int
-		for _, part := range strings.Split(*serveWorkers, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			n, err := strconv.Atoi(part)
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -serveworkers entry %q", part)
-			}
-			workers = append(workers, n)
-		}
-		if *serveCancelRate < 0 || *serveCancelRate > 1 {
-			return fmt.Errorf("bad -cancel-rate %g (want 0..1)", *serveCancelRate)
-		}
-		_, err := bench.ServeExperiment(w, serveCfg, *serveOut, workers, *servePer,
-			time.Duration(*serveLatMs*float64(time.Millisecond)),
-			time.Duration(*serveDeadlineMs*float64(time.Millisecond)), *serveCancelRate)
 		return err
 	})
 	run("progressive", func() error {

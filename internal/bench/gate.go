@@ -15,10 +15,10 @@ import (
 // The thresholds are variance-aware, not exact-match. Single-run wall-clock
 // numbers on shared CI hardware jitter by tens of percent, so per-benchmark
 // time ratios get a generous limit, while allocation counts — which are
-// near-deterministic — get a tight one. The serve and progressive suites
-// measure dozens of per-query latencies whose individual jitter is worse
-// still; those are judged by the median of per-entry ratios, which one
-// noisy query cannot move. Metrics whose baseline sits below an absolute
+// near-deterministic — get a tight one. The progressive suite measures
+// dozens of per-query latencies whose individual jitter is worse still;
+// those are judged by the median of per-entry ratios, which one noisy
+// query cannot move. Metrics whose baseline sits below an absolute
 // floor are skipped outright: a 3µs benchmark doubling is scheduler noise,
 // not a regression.
 
@@ -29,7 +29,7 @@ type GateConfig struct {
 	MaxNsRatio     float64 // per-benchmark ns/op ratio limit
 	MaxAllocsRatio float64 // per-benchmark allocs/op ratio limit (allocs are near-deterministic)
 	MaxBytesRatio  float64 // per-benchmark bytes/op ratio limit
-	MaxMedianRatio float64 // serve/progressive median-of-latency-ratios limit
+	MaxMedianRatio float64 // progressive median-of-latency-ratios limit
 
 	NsFloor     float64 // skip ns/op comparisons when the baseline is faster than this
 	AllocsFloor float64 // skip allocs/op comparisons below this many allocations
@@ -107,37 +107,11 @@ func GateEngine(base, cand *EngineBenchReport, cfg GateConfig) []Violation {
 	return out
 }
 
-// GateServe compares the serving suite. Individual query shapes are single
-// measurements and far too noisy to gate on alone, so cold and warm
-// latencies are judged by the median of per-shape ratios — a robust
-// location estimate one outlier shape cannot drag past the limit.
-func GateServe(base, cand *ServeReport, cfg GateConfig) []Violation {
-	byID := make(map[string]ServeShape, len(cand.Shapes))
-	for _, s := range cand.Shapes {
-		byID[s.ID] = s
-	}
-	var out []Violation
-	var coldRatios, warmRatios []float64
-	for _, b := range base.Shapes {
-		c, ok := byID[b.ID]
-		if !ok {
-			out = missingViolation("shape "+b.ID, b.WarmMs, out)
-			continue
-		}
-		if b.ColdMs >= cfg.MsFloor && b.ColdMs > 0 {
-			coldRatios = append(coldRatios, c.ColdMs/b.ColdMs)
-		}
-		if b.WarmMs >= cfg.MsFloor && b.WarmMs > 0 {
-			warmRatios = append(warmRatios, c.WarmMs/b.WarmMs)
-		}
-	}
-	out = medianViolation("shapes cold_ms median ratio", coldRatios, cfg.MaxMedianRatio, out)
-	out = medianViolation("shapes warm_ms median ratio", warmRatios, cfg.MaxMedianRatio, out)
-	return out
-}
-
 // GateProgressive compares the progressive suite's end-to-end latencies,
-// keyed by (dataset, query, target), again via the median of ratios.
+// keyed by (dataset, query, target). Individual results are single
+// measurements and far too noisy to gate on alone, so they are judged by
+// the median of per-result ratios — a robust location estimate one outlier
+// cannot drag past the limit.
 func GateProgressive(base, cand *ProgressiveReport, cfg GateConfig) []Violation {
 	key := func(r ProgressiveResult) string {
 		return fmt.Sprintf("%s/%s@%g", r.Dataset, r.Query, r.Target)
@@ -187,7 +161,7 @@ func median(xs []float64) float64 {
 }
 
 // LoadGateReport reads one BENCH_*.json into the matching report type:
-// kind is "engine", "serve", or "progressive".
+// kind is "engine" or "progressive".
 func LoadGateReport(kind, path string) (any, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -197,8 +171,6 @@ func LoadGateReport(kind, path string) (any, error) {
 	switch kind {
 	case "engine":
 		rep = &EngineBenchReport{}
-	case "serve":
-		rep = &ServeReport{}
 	case "progressive":
 		rep = &ProgressiveReport{}
 	default:
@@ -216,8 +188,6 @@ func Gate(kind string, base, cand any, cfg GateConfig) ([]Violation, error) {
 	switch kind {
 	case "engine":
 		return GateEngine(base.(*EngineBenchReport), cand.(*EngineBenchReport), cfg), nil
-	case "serve":
-		return GateServe(base.(*ServeReport), cand.(*ServeReport), cfg), nil
 	case "progressive":
 		return GateProgressive(base.(*ProgressiveReport), cand.(*ProgressiveReport), cfg), nil
 	}

@@ -82,44 +82,6 @@ func TestGateEngineMissingBenchmarkFails(t *testing.T) {
 	}
 }
 
-func serveReport(warmScale float64) *ServeReport {
-	shapes := make([]ServeShape, 0, 7)
-	for _, id := range []string{"tq-1", "tq-3", "tq-5", "tq-6", "tq-9", "iq-1", "iq-2"} {
-		shapes = append(shapes, ServeShape{ID: id, ColdMs: 40, WarmMs: 30 * warmScale})
-	}
-	return &ServeReport{Shapes: shapes}
-}
-
-// TestGateServeMedianRobustToOutlier: one shape tripling while the rest
-// hold steady is per-query jitter; the median-of-ratios must absorb it.
-func TestGateServeMedianRobustToOutlier(t *testing.T) {
-	base := serveReport(1)
-	cand := serveReport(1)
-	cand.Shapes[0].WarmMs *= 3
-	cand.Shapes[0].ColdMs *= 3
-	if v := GateServe(base, cand, DefaultGateConfig()); len(v) != 0 {
-		t.Fatalf("single outlier shape should pass the median gate, got %v", v)
-	}
-}
-
-func TestGateServeCatchesBroadSlowdown(t *testing.T) {
-	base := serveReport(1)
-	v := GateServe(base, serveReport(2), DefaultGateConfig())
-	if len(v) != 1 || !strings.Contains(v[0].Metric, "warm_ms") {
-		t.Fatalf("want one warm-latency median violation, got %v", v)
-	}
-}
-
-func TestGateServeMissingShapeFails(t *testing.T) {
-	base := serveReport(1)
-	cand := serveReport(1)
-	cand.Shapes = cand.Shapes[:len(cand.Shapes)-1]
-	v := GateServe(base, cand, DefaultGateConfig())
-	if len(v) != 1 || !math.IsInf(v[0].Ratio, 1) {
-		t.Fatalf("want one missing-shape violation, got %v", v)
-	}
-}
-
 func progressiveReport(scale float64) *ProgressiveReport {
 	var rs []ProgressiveResult
 	for _, q := range []string{"tq-1", "tq-6", "iq-1"} {
@@ -143,10 +105,30 @@ func TestGateProgressive(t *testing.T) {
 
 // TestGateLoadsCommittedBaselines: the checked-in BENCH_*.json files must
 // stay parseable by the gate, and each must pass when compared to itself.
+// One result tripling while the rest hold steady is per-query jitter; the
+// median-of-ratios must absorb it.
+func TestGateProgressiveMedianRobustToOutlier(t *testing.T) {
+	base := progressiveReport(1)
+	cand := progressiveReport(1)
+	cand.Results[0].ElapsedMs *= 3
+	if v := GateProgressive(base, cand, DefaultGateConfig()); len(v) != 0 {
+		t.Fatalf("single outlier result should pass the median gate, got %v", v)
+	}
+}
+
+func TestGateProgressiveMissingResultFails(t *testing.T) {
+	base := progressiveReport(1)
+	cand := progressiveReport(1)
+	cand.Results = cand.Results[:len(cand.Results)-1]
+	v := GateProgressive(base, cand, DefaultGateConfig())
+	if len(v) != 1 || !math.IsInf(v[0].Ratio, 1) {
+		t.Fatalf("want one missing-result violation, got %v", v)
+	}
+}
+
 func TestGateLoadsCommittedBaselines(t *testing.T) {
 	for kind, file := range map[string]string{
 		"engine":      "BENCH_engine.json",
-		"serve":       "BENCH_serve.json",
 		"progressive": "BENCH_progressive.json",
 	} {
 		path := filepath.Join("..", "..", file)

@@ -7,8 +7,8 @@
 // wrap the in-memory engine substrate. The overhead model reproduces the
 // paper's observation (Section 6.2) that speedups are larger on engines
 // with small fixed query overhead (Redshift > Impala > Spark): each driver
-// reports a simulated fixed setup cost alongside real execution time rather
-// than sleeping, keeping benchmarks honest and fast.
+// adds a modeled fixed setup cost, a constant of its constructor, to the
+// real execution time it reports. Nothing ever sleeps.
 package drivers
 
 import (
@@ -41,8 +41,7 @@ type DB interface {
 	// QueryTimed runs a SELECT and reports its latency including the
 	// engine's modeled fixed overhead.
 	QueryTimed(sql string) (*engine.ResultSet, time.Duration, error)
-	// QueryTimedContext is QueryTimed honoring the caller's context; a
-	// simulated-overhead sleep is interrupted by cancellation too.
+	// QueryTimedContext is QueryTimed honoring the caller's context.
 	QueryTimedContext(ctx context.Context, sql string) (*engine.ResultSet, time.Duration, error)
 	// Columns returns the column names of a table (via a LIMIT 0 probe).
 	Columns(table string) ([]string, error)
@@ -54,19 +53,13 @@ type DB interface {
 }
 
 // Driver is a DB implementation wrapping the in-memory engine. It is safe
-// for concurrent use once configured: the engine synchronizes table access
-// internally and the Driver's own fields are read-only after construction
-// (SetOverhead must be called before sharing the driver across goroutines).
+// for concurrent use: the engine synchronizes table access internally and
+// the Driver's own fields are read-only after construction.
 type Driver struct {
 	name     string
 	eng      *engine.Engine
 	dialect  sqlparser.Dialect
 	overhead time.Duration
-	// simulate makes QueryTimed actually sleep the overhead instead of
-	// merely adding it to the reported latency — the modeled fixed cost
-	// becomes real wall-clock waiting that concurrent clients can overlap,
-	// as network round-trips and warehouse queueing would be.
-	simulate bool
 }
 
 var _ DB = (*Driver)(nil)
@@ -104,39 +97,17 @@ func (d *Driver) QueryContext(ctx context.Context, sql string) (*engine.ResultSe
 	return d.eng.QueryContext(ctx, sql)
 }
 
-// SetOverhead overrides the modeled fixed per-query overhead. When simulate
-// is true the overhead is really slept in QueryTimed (see the simulate
-// field); call before the driver is shared across goroutines.
-func (d *Driver) SetOverhead(overhead time.Duration, simulate bool) {
-	d.overhead = overhead
-	d.simulate = simulate
-}
-
 // QueryTimed implements DB.
 func (d *Driver) QueryTimed(sql string) (*engine.ResultSet, time.Duration, error) {
 	return d.QueryTimedContext(context.Background(), sql)
 }
 
-// QueryTimedContext implements DB. A simulated overhead sleep races against
-// ctx so a cancel or deadline interrupts the modeled network wait, not just
-// the engine scan.
+// QueryTimedContext implements DB: real execution time plus the modeled
+// fixed overhead.
 func (d *Driver) QueryTimedContext(ctx context.Context, sql string) (*engine.ResultSet, time.Duration, error) {
 	start := time.Now()
-	if d.simulate && d.overhead > 0 {
-		t := time.NewTimer(d.overhead)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, time.Since(start), ctx.Err()
-		}
-	}
 	rs, err := d.eng.QueryContext(ctx, sql)
-	elapsed := time.Since(start)
-	if !d.simulate {
-		elapsed += d.overhead
-	}
-	return rs, elapsed, err
+	return rs, time.Since(start) + d.overhead, err
 }
 
 // Columns implements DB with a LIMIT 0 probe — the same trick the paper's

@@ -23,7 +23,7 @@ import (
 // header under the engine lock and can then scan without coordination,
 // exactly as row snapshots used to work. The vectorized execution path
 // (vectorize.go, vecexec.go) consumes the typed vectors directly; the
-// interpreted fallback path reads rows through the chunk's lazily built,
+// row-closure path (compile.go) reads rows through the chunk's lazily built,
 // cached row view, so its semantics — including dynamic value types — are
 // byte-identical to the old row store.
 
@@ -35,7 +35,7 @@ const chunkRows = 256
 // table-storage chunks (sealed in Table.appendRow) are encoded; ephemeral
 // chunks (tail view, chunkified intermediates, join outputs) stay raw so
 // their vectors can be borrowed directly. Every encoding is transparent
-// through isNull/value/the typed accessors — the interpreted path and
+// through isNull/value/the typed accessors — the row path and
 // scramble construction read identical bytes either way — while the
 // vectorized kernels (vectorize.go) pattern-match on enc to run on the
 // compressed form.
@@ -223,7 +223,7 @@ type chunk struct {
 	// leave it nil.
 	gather *joinGather
 
-	// boxed is the lazily built row view for the interpreted fallback
+	// boxed is the lazily built row view for the row-closure
 	// path, cached so repeated fallback queries (joins, subqueries) pay
 	// the boxing cost once per chunk lifetime. Tail chunks are constructed
 	// with the live tail rows as a pre-populated view.
@@ -713,8 +713,8 @@ func (s *colSource) resolveAll(qc *queryCtx) ([]*chunk, error) {
 	return out, nil
 }
 
-// materializeCtx returns the snapshot as boxed rows for the interpreted
-// fallback path: cached chunk row views concatenated with the live tail.
+// materializeCtx returns the snapshot as boxed rows for the row-closure
+// path: cached chunk row views concatenated with the live tail.
 func (s *colSource) materializeCtx(qc *queryCtx) ([][]Value, error) {
 	if s.mat != nil || s.nrows == 0 {
 		return s.mat, nil
@@ -726,7 +726,7 @@ func (s *colSource) materializeCtx(qc *queryCtx) ([][]Value, error) {
 		return nil, err
 	}
 	out := make([][]Value, 0, s.nrows)
-	//verdict:nopoll boxing-only materialization; chunk loads poll in resolveAll and the interpreted consumers poll per row
+	//verdict:nopoll boxing-only materialization; chunk loads poll in resolveAll and the row-at-a-time consumers poll per row
 	for _, ch := range chunks {
 		out = append(out, ch.rows()...)
 	}

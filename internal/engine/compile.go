@@ -1,24 +1,29 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 
 	"verdictdb/internal/sqlparser"
 )
 
-// This file lowers sqlparser.Expr trees into closure chains once per query,
-// replacing the per-row tree walk of env.eval on the scan hot path. A
-// compiled expression resolves every column reference at compile time (so
-// row access is a direct index), bakes operators into per-op closures, and
-// records purity. Pure compiled expressions may be evaluated concurrently
-// by the morsel-parallel scan in parallel.go; impure ones (rand and
-// friends) still benefit from compilation but run on the serial path so
-// sampling stays deterministic.
+// This file lowers sqlparser.Expr trees into closure chains once per query:
+// the engine's one row-at-a-time evaluator, and the reference the vector
+// kernels in vectorize.go are tested against. A compiled expression
+// resolves every column reference at compile time (so row access is a
+// direct index), bakes operators into per-op closures, and records purity.
+// Pure compiled expressions may be evaluated concurrently by the
+// morsel-parallel scan in parallel.go.
 //
-// Anything the compiler cannot handle — subqueries (correlated or not),
-// aggregate or window references, columns that only resolve in an
-// enclosing scope — reports ok=false and execution falls back to the
-// interpreted env.eval path unchanged.
+// The compiler is total. Expressions that need more than the row — columns
+// of an enclosing scope, aggregate and window references, subqueries —
+// capture the env they were compiled in and are impure, as are rand and
+// friends: impure closures run serially, in row order, so sampling stays
+// deterministic and the captured scope has one writer. An expression that
+// cannot be evaluated at all (unknown or ambiguous column, aggregate outside
+// an aggregating clause, bare INTERVAL, unknown operator) lowers to an
+// impure closure that returns the error when called, so a query that never
+// evaluates it — zero rows, a short-circuit — still succeeds.
 
 // compiledExpr evaluates one expression against a row of the relation it
 // was compiled for. Implementations must be reentrant: pure compiled
@@ -32,33 +37,79 @@ var impureFuncs = map[string]bool{
 }
 
 type compiler struct {
-	eng  *Engine
-	rel  *relation
-	pure bool
+	scope *env
+	pure  bool
 }
 
-// compileExpr lowers e for rows of rel. ok=false means the expression needs
-// the interpreted path; pure=false means the closure draws from the engine
-// RNG and must run serially in row order.
-func compileExpr(eng *Engine, rel *relation, e sqlparser.Expr) (fn compiledExpr, pure, ok bool) {
-	c := &compiler{eng: eng, rel: rel, pure: true}
-	fn, ok = c.compile(e)
-	return fn, c.pure, ok
+// compileExpr lowers e for rows of scope.rel. pure=false means the closure
+// reads scope state or the engine RNG and must run serially in row order.
+func compileExpr(scope *env, e sqlparser.Expr) (fn compiledExpr, pure bool) {
+	c := &compiler{scope: scope, pure: true}
+	return c.compile(e), c.pure
 }
 
-func (c *compiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
+// compileExprs lowers a list of expressions against one scope.
+func compileExprs(scope *env, exprs []sqlparser.Expr) (fns []compiledExpr, pure bool) {
+	c := &compiler{scope: scope, pure: true}
+	fns = make([]compiledExpr, len(exprs))
+	for i, e := range exprs {
+		fns[i] = c.compile(e)
+	}
+	return fns, c.pure
+}
+
+// compileAggArg lowers the argument of an aggregate call; fn is nil for
+// count(*)-style star calls.
+func compileAggArg(scope *env, fc *sqlparser.FuncCall) (fn compiledExpr, pure bool) {
+	c := &compiler{scope: scope, pure: true}
+	switch {
+	case fc.Star:
+	case len(fc.Args) == 0:
+		fn = c.fail(fmt.Errorf("engine: aggregate %s requires an argument", fc.Name))
+	default:
+		fn = c.compile(fc.Args[0])
+	}
+	return fn, c.pure
+}
+
+// appendKey renders the values of fns for row into a group-key buffer.
+func appendKey(buf []byte, fns []compiledExpr, row []Value) ([]byte, error) {
+	for _, fn := range fns {
+		v, err := fn(row)
+		if err != nil {
+			return buf, err
+		}
+		buf = appendGroupKey(buf, v)
+		buf = append(buf, keySep)
+	}
+	return buf, nil
+}
+
+// fail lowers an expression that cannot be evaluated: the closure evaluates
+// operands in order (their errors win) and then reports err.
+func (c *compiler) fail(err error, operands ...compiledExpr) compiledExpr {
+	c.pure = false
+	return func(row []Value) (Value, error) {
+		for _, op := range operands {
+			if _, operr := op(row); operr != nil {
+				return nil, operr
+			}
+		}
+		return nil, err
+	}
+}
+
+func (c *compiler) compile(e sqlparser.Expr) compiledExpr {
 	switch x := e.(type) {
 	case *sqlparser.Literal:
 		v := x.Val
-		return func([]Value) (Value, error) { return v, nil }, true
+		return func([]Value) (Value, error) { return v, nil }
 	case *sqlparser.ColumnRef:
-		idx, err := c.rel.resolve(x.Table, x.Name)
+		fn, err := c.resolveColumn(x.Table, x.Name)
 		if err != nil {
-			// May resolve in an enclosing scope (or not at all: the
-			// interpreted path owns the error in either case).
-			return nil, false
+			return c.fail(err)
 		}
-		return func(row []Value) (Value, error) { return row[idx], nil }, true
+		return fn
 	case *sqlparser.BinaryExpr:
 		return c.compileBinary(x)
 	case *sqlparser.UnaryExpr:
@@ -69,13 +120,21 @@ func (c *compiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 		return c.compileCase(x)
 	case *sqlparser.InExpr:
 		return c.compileIn(x)
-	case *sqlparser.BetweenExpr:
-		xf, ok1 := c.compile(x.X)
-		lo, ok2 := c.compile(x.Lo)
-		hi, ok3 := c.compile(x.Hi)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, false
+	case *sqlparser.SubqueryExpr:
+		return c.compileScalarSubquery(x.Select)
+	case *sqlparser.ExistsExpr:
+		c.pure = false
+		scope, sel, not := c.scope, x.Select, x.Not
+		return func(row []Value) (Value, error) {
+			scope.row = row
+			rs, err := scope.execSubquery(sel)
+			if err != nil {
+				return nil, err
+			}
+			return (len(rs.Rows) > 0) != not, nil
 		}
+	case *sqlparser.BetweenExpr:
+		xf, lo, hi := c.compile(x.X), c.compile(x.Lo), c.compile(x.Hi)
 		not := x.Not
 		return func(row []Value) (Value, error) {
 			v, err := xf(row)
@@ -95,13 +154,9 @@ func (c *compiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 			}
 			in := Compare(v, lv) >= 0 && Compare(v, hv) <= 0
 			return in != not, nil
-		}, true
-	case *sqlparser.LikeExpr:
-		xf, ok1 := c.compile(x.X)
-		pf, ok2 := c.compile(x.Pattern)
-		if !ok1 || !ok2 {
-			return nil, false
 		}
+	case *sqlparser.LikeExpr:
+		xf, pf := c.compile(x.X), c.compile(x.Pattern)
 		not := x.Not
 		return func(row []Value) (Value, error) {
 			v, err := xf(row)
@@ -116,12 +171,9 @@ func (c *compiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return nil, nil
 			}
 			return likeMatch(ToStr(v), ToStr(p)) != not, nil
-		}, true
-	case *sqlparser.IsNullExpr:
-		xf, ok1 := c.compile(x.X)
-		if !ok1 {
-			return nil, false
 		}
+	case *sqlparser.IsNullExpr:
+		xf := c.compile(x.X)
 		not := x.Not
 		return func(row []Value) (Value, error) {
 			v, err := xf(row)
@@ -129,12 +181,9 @@ func (c *compiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return nil, err
 			}
 			return (v == nil) != not, nil
-		}, true
-	case *sqlparser.CastExpr:
-		xf, ok1 := c.compile(x.X)
-		if !ok1 {
-			return nil, false
 		}
+	case *sqlparser.CastExpr:
+		xf := c.compile(x.X)
 		typ := x.Type
 		return func(row []Value) (Value, error) {
 			v, err := xf(row)
@@ -142,17 +191,66 @@ func (c *compiler) compile(e sqlparser.Expr) (compiledExpr, bool) {
 				return nil, err
 			}
 			return castValue(v, typ)
-		}, true
+		}
+	case *sqlparser.IntervalExpr:
+		// A bare interval only makes sense as the right operand of date
+		// arithmetic, which compileBinary handles.
+		return c.fail(fmt.Errorf("engine: INTERVAL outside date arithmetic"))
 	}
-	// SubqueryExpr, ExistsExpr, IntervalExpr, anything unknown: interpreted.
-	return nil, false
+	return c.fail(fmt.Errorf("engine: cannot evaluate %T", e))
 }
 
-func (c *compiler) compileUnary(x *sqlparser.UnaryExpr) (compiledExpr, bool) {
-	xf, ok := c.compile(x.X)
-	if !ok {
-		return nil, false
+// resolveColumn finds the innermost scope that knows the column — once, at
+// compile time. In the compiled scope it is an index into the row argument;
+// in an enclosing scope, an index into that scope's current row. A name the
+// innermost scope finds ambiguous is an error: it must not fall through to
+// an enclosing scope (or to "unknown column").
+func (c *compiler) resolveColumn(table, name string) (compiledExpr, error) {
+	for scope := c.scope; scope != nil; scope = scope.outer {
+		if scope.rel == nil {
+			continue
+		}
+		idx, err := scope.rel.resolve(table, name)
+		switch {
+		case err == nil && scope == c.scope:
+			return func(row []Value) (Value, error) { return row[idx], nil }, nil
+		case err == nil:
+			c.pure = false
+			return func([]Value) (Value, error) { return scope.row[idx], nil }, nil
+		case idx == ambiguousIdx:
+			return nil, err
+		}
 	}
+	return nil, fmt.Errorf("engine: unknown column %s", joinName(table, name))
+}
+
+// compileScalarSubquery lowers (SELECT ...) used as a value. The subquery's
+// references to enclosing scopes are resolved here, so each row only renders
+// their current values into the memo key.
+func (c *compiler) compileScalarSubquery(sel *sqlparser.SelectStmt) compiledExpr {
+	c.pure = false
+	var memo subqueryMemo
+	if refs := collectOuterRefs(sel); len(refs) > 0 {
+		memo.correlated = true
+		memo.keyFns = make([]compiledExpr, len(refs))
+		for i, cr := range refs {
+			fn, err := c.resolveColumn(cr.Table, cr.Name)
+			if err != nil {
+				memo.keyFns = nil
+				break
+			}
+			memo.keyFns[i] = fn
+		}
+	}
+	scope := c.scope
+	return func(row []Value) (Value, error) {
+		scope.row = row
+		return scope.scalarSubquery(sel, memo)
+	}
+}
+
+func (c *compiler) compileUnary(x *sqlparser.UnaryExpr) compiledExpr {
+	xf := c.compile(x.X)
 	switch x.Op {
 	case "-":
 		return func(row []Value) (Value, error) {
@@ -169,7 +267,7 @@ func (c *compiler) compileUnary(x *sqlparser.UnaryExpr) (compiledExpr, bool) {
 				return -n, nil
 			}
 			return nil, errCannotNegate(v)
-		}, true
+		}
 	case "NOT":
 		return func(row []Value) (Value, error) {
 			v, err := xf(row)
@@ -184,19 +282,15 @@ func (c *compiler) compileUnary(x *sqlparser.UnaryExpr) (compiledExpr, bool) {
 				return nil, errNotNonBool(v)
 			}
 			return !b, nil
-		}, true
+		}
 	}
-	return nil, false
+	return c.fail(fmt.Errorf("engine: unknown unary op %q", x.Op), xf)
 }
 
-func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
+func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) compiledExpr {
 	switch x.Op {
 	case "AND", "OR":
-		lf, ok1 := c.compile(x.L)
-		rf, ok2 := c.compile(x.R)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
+		lf, rf := c.compile(x.L), c.compile(x.R)
 		if x.Op == "AND" {
 			return func(row []Value) (Value, error) {
 				l, err := lf(row)
@@ -217,7 +311,7 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
 					return nil, nil
 				}
 				return true, nil
-			}, true
+			}
 		}
 		return func(row []Value) (Value, error) {
 			l, err := lf(row)
@@ -238,15 +332,12 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
 				return nil, nil
 			}
 			return false, nil
-		}, true
+		}
 	}
 
 	// Date +/- INTERVAL.
 	if iv, ok := x.R.(*sqlparser.IntervalExpr); ok && (x.Op == "+" || x.Op == "-") {
-		lf, ok1 := c.compile(x.L)
-		if !ok1 {
-			return nil, false
-		}
+		lf := c.compile(x.L)
 		neg := x.Op == "-"
 		return func(row []Value) (Value, error) {
 			l, err := lf(row)
@@ -257,18 +348,13 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
 				return nil, nil
 			}
 			return shiftDate(ToStr(l), iv, neg)
-		}, true
+		}
 	}
 
-	lf, ok1 := c.compile(x.L)
-	rf, ok2 := c.compile(x.R)
-	if !ok1 || !ok2 {
-		return nil, false
-	}
-
+	lf, rf := c.compile(x.L), c.compile(x.R)
 	switch x.Op {
 	case "=", "<>", "<", "<=", ">", ">=":
-		return c.compileCompare(x, lf, rf), true
+		return c.compileCompare(x, lf, rf)
 	case "||":
 		return func(row []Value) (Value, error) {
 			l, err := lf(row)
@@ -283,7 +369,7 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
 				return nil, nil
 			}
 			return ToStr(l) + ToStr(r), nil
-		}, true
+		}
 	case "+", "-", "*", "/", "%":
 		op := x.Op
 		return func(row []Value) (Value, error) {
@@ -299,9 +385,9 @@ func (c *compiler) compileBinary(x *sqlparser.BinaryExpr) (compiledExpr, bool) {
 				return nil, nil
 			}
 			return arith(op, l, r)
-		}, true
+		}
 	}
-	return nil, false
+	return c.fail(fmt.Errorf("engine: unknown operator %q", x.Op), lf, rf)
 }
 
 // compileCompare builds a comparison closure. When the right side is a
@@ -328,8 +414,8 @@ func (c *compiler) compileCompare(x *sqlparser.BinaryExpr, lf, rf compiledExpr) 
 			}
 		case int64:
 			// Compare coerces int64 through float64, so the fast path must
-			// too: exact int64 comparison would diverge from the interpreted
-			// path for magnitudes >= 2^53.
+			// too: exact int64 comparison would diverge from the generic
+			// closure for magnitudes >= 2^53.
 			rfloat := float64(rv)
 			return func(row []Value) (Value, error) {
 				l, err := lf(row)
@@ -407,20 +493,35 @@ func cmpFloat64(a, b float64) int {
 	return 0
 }
 
-func (c *compiler) compileFunc(x *sqlparser.FuncCall) (compiledExpr, bool) {
-	if x.Over != nil || sqlparser.AggregateFuncs[x.Name] || x.Star {
-		return nil, false
+func (c *compiler) compileFunc(x *sqlparser.FuncCall) compiledExpr {
+	// Window and aggregate calls are computed by the executor, which points
+	// the scope at the current entry's results before calling the closure;
+	// anywhere else the scope holds none and the reference is an error.
+	scope := c.scope
+	switch {
+	case x.Over != nil:
+		c.pure = false
+		return func([]Value) (Value, error) {
+			if v, ok := scope.winVals[x]; ok {
+				return v, nil
+			}
+			return nil, errNoWindowValue(x.Name)
+		}
+	case sqlparser.AggregateFuncs[x.Name]:
+		c.pure = false
+		return func([]Value) (Value, error) {
+			if v, ok := scope.aggVals[x]; ok {
+				return v, nil
+			}
+			return nil, errNoAggregateValue(x.Name)
+		}
 	}
 	if impureFuncs[x.Name] {
 		c.pure = false
 	}
 	args := make([]compiledExpr, len(x.Args))
 	for i, a := range x.Args {
-		af, ok := c.compile(a)
-		if !ok {
-			return nil, false
-		}
-		args[i] = af
+		args[i] = c.compile(a)
 	}
 
 	// Fast paths for the hottest scan functions (substr over date columns is
@@ -449,7 +550,7 @@ func (c *compiler) compileFunc(x *sqlparser.FuncCall) (compiledExpr, bool) {
 						rest = rest[:length]
 					}
 					return rest, nil
-				}, true
+				}
 			}
 		}
 	case "year":
@@ -470,12 +571,12 @@ func (c *compiler) compileFunc(x *sqlparser.FuncCall) (compiledExpr, bool) {
 					}
 				}
 				return nil, nil
-			}, true
+			}
 		}
 	}
 
 	name := x.Name
-	eng := c.eng
+	eng := scope.qc.eng
 	return func(row []Value) (Value, error) {
 		vals := make([]Value, len(args))
 		for i, af := range args {
@@ -486,7 +587,15 @@ func (c *compiler) compileFunc(x *sqlparser.FuncCall) (compiledExpr, bool) {
 			vals[i] = v
 		}
 		return callScalar(eng, name, vals)
-	}, true
+	}
+}
+
+func errNoWindowValue(name string) error {
+	return fmt.Errorf("engine: window function %s not available in this context", name)
+}
+
+func errNoAggregateValue(name string) error {
+	return fmt.Errorf("engine: aggregate %s not allowed here", name)
 }
 
 func literalInt(e sqlparser.Expr) (int64, bool) {
@@ -498,30 +607,18 @@ func literalInt(e sqlparser.Expr) (int64, bool) {
 	return i, ok
 }
 
-func (c *compiler) compileCase(x *sqlparser.CaseExpr) (compiledExpr, bool) {
+func (c *compiler) compileCase(x *sqlparser.CaseExpr) compiledExpr {
 	type when struct{ cond, then compiledExpr }
 	whens := make([]when, len(x.Whens))
 	for i, w := range x.Whens {
-		cf, ok1 := c.compile(w.Cond)
-		tf, ok2 := c.compile(w.Then)
-		if !ok1 || !ok2 {
-			return nil, false
-		}
-		whens[i] = when{cond: cf, then: tf}
+		whens[i] = when{cond: c.compile(w.Cond), then: c.compile(w.Then)}
 	}
 	var elseF compiledExpr
 	if x.Else != nil {
-		ef, ok := c.compile(x.Else)
-		if !ok {
-			return nil, false
-		}
-		elseF = ef
+		elseF = c.compile(x.Else)
 	}
 	if x.Operand != nil {
-		opF, ok := c.compile(x.Operand)
-		if !ok {
-			return nil, false
-		}
+		opF := c.compile(x.Operand)
 		return func(row []Value) (Value, error) {
 			op, err := opF(row)
 			if err != nil {
@@ -540,7 +637,7 @@ func (c *compiler) compileCase(x *sqlparser.CaseExpr) (compiledExpr, bool) {
 				return elseF(row)
 			}
 			return nil, nil
-		}, true
+		}
 	}
 	return func(row []Value) (Value, error) {
 		for _, w := range whens {
@@ -556,43 +653,61 @@ func (c *compiler) compileCase(x *sqlparser.CaseExpr) (compiledExpr, bool) {
 			return elseF(row)
 		}
 		return nil, nil
-	}, true
+	}
 }
 
-func (c *compiler) compileIn(x *sqlparser.InExpr) (compiledExpr, bool) {
+// compileIn lowers x [NOT] IN (list | subquery). With no match, a NULL among
+// the candidates makes the answer unknown rather than false.
+func (c *compiler) compileIn(x *sqlparser.InExpr) compiledExpr {
+	xf := c.compile(x.X)
+	not := x.Not
 	if x.Subquery != nil {
-		return nil, false
-	}
-	xf, ok := c.compile(x.X)
-	if !ok {
-		return nil, false
+		c.pure = false
+		scope, sel := c.scope, x.Subquery
+		correlated := len(collectOuterRefs(sel)) > 0
+		return func(row []Value) (Value, error) {
+			v, err := xf(row)
+			if err != nil || v == nil {
+				return nil, err
+			}
+			scope.row = row
+			set, err := scope.inSubquerySet(sel, correlated)
+			if err != nil {
+				return nil, err
+			}
+			switch {
+			case set[GroupKey(v)]:
+				return !not, nil
+			case set[nullGroupKey]:
+				return nil, nil
+			}
+			return not, nil
+		}
 	}
 	list := make([]compiledExpr, len(x.List))
 	for i, le := range x.List {
-		lf, ok := c.compile(le)
-		if !ok {
-			return nil, false
-		}
-		list[i] = lf
+		list[i] = c.compile(le)
 	}
-	not := x.Not
 	return func(row []Value) (Value, error) {
 		v, err := xf(row)
-		if err != nil {
+		if err != nil || v == nil {
 			return nil, err
 		}
-		if v == nil {
-			return nil, nil
-		}
+		sawNull := false
 		for _, lf := range list {
 			lv, err := lf(row)
 			if err != nil {
 				return nil, err
 			}
-			if lv != nil && Compare(v, lv) == 0 {
+			if lv == nil {
+				sawNull = true
+			} else if Compare(v, lv) == 0 {
 				return !not, nil
 			}
 		}
+		if sawNull {
+			return nil, nil
+		}
 		return not, nil
-	}, true
+	}
 }

@@ -293,6 +293,66 @@ func TestDictKernelsMatchRowPath(t *testing.T) {
 	}
 }
 
+// IN with no match and a NULL among the candidates is unknown, not false —
+// so NOT IN filters the row — identically on the row closures and the
+// kernels, for a NULL literal, a NULL column value and a subquery yielding
+// NULL.
+func TestInNullCandidatesMatchRowPath(t *testing.T) {
+	total := chunkRows + 40
+	rows := make([][]Value, total)
+	var oddNotOne int64 // rows with a non-NULL n and k <> 1
+	for i := range rows {
+		var n Value
+		if i%2 == 1 {
+			n = int64(-1)
+			if i%5 != 1 {
+				oddNotOne++
+			}
+		}
+		rows[i] = []Value{[]string{"apple", "cherry", "mango", "pear"}[i%4], int64(i % 5), n}
+	}
+	vec, row := twinEngines(t, []Column{
+		{Name: "s", Type: TString}, {Name: "k", Type: TInt}, {Name: "n", Type: TInt},
+	}, rows)
+	for _, e := range []*Engine{vec, row} {
+		if _, err := e.Exec("create table cand (v int)"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InsertRows("cand", [][]Value{{int64(1)}, {nil}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fifth := int64(total / 5)
+	for _, tc := range []struct {
+		q    string
+		want int64
+	}{
+		{"select count(*) from t where t.k in (1, null)", fifth},
+		{"select count(*) from t where t.k not in (1, null)", 0},
+		{"select count(*) from t where t.s not in ('apple', null)", 0},
+		{"select count(*) from t where (t.s in ('apple', null)) is null", int64(total) * 3 / 4},
+		// n is NULL on even rows, which NOT IN therefore never keeps.
+		{"select count(*) from t where t.k not in (1, t.n)", oddNotOne},
+		{"select count(*) from t where t.k in (1, t.n)", fifth},
+		{"select count(*) from t where t.k in (select v from cand)", fifth},
+		{"select count(*) from t where t.k not in (select v from cand)", 0},
+		{"select count(*) from t where t.k not in (select v from cand where v is not null)", int64(total) - fifth},
+	} {
+		rsV, err := vec.Query(tc.q)
+		if err != nil {
+			t.Fatalf("vec %s: %v", tc.q, err)
+		}
+		rsR, err := row.Query(tc.q)
+		if err != nil {
+			t.Fatalf("row %s: %v", tc.q, err)
+		}
+		encRowsEqual(t, tc.q, rsR, rsV)
+		if got := rsR.Rows[0][0]; got != tc.want {
+			t.Errorf("%s = %v, want %d", tc.q, got, tc.want)
+		}
+	}
+}
+
 // String zone maps come straight from the sorted dictionary ends, so a
 // clustered string column prunes chunks exactly like a numeric one, and an
 // equality literal above every dictionary skips all sealed chunks.

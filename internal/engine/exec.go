@@ -42,7 +42,7 @@ func (e *Engine) Query(sql string) (*ResultSet, error) {
 }
 
 // QueryContext is Query under a context: execution polls ctx between chunks
-// (or every pollEvery rows on interpreted paths) and returns ctx.Err() with
+// (or every pollEvery rows on row-at-a-time paths) and returns ctx.Err() with
 // every morsel worker drained; a memory budget carried by ctx (or the
 // engine default) aborts with ErrMemoryBudget; panics anywhere below are
 // contained into *InternalError, leaving the engine usable.
@@ -183,15 +183,14 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.InsertStmt) (*Resu
 		}
 		srcRows = rs.Rows
 	} else {
-		ev := &env{qc: qc}
+		scope := &env{qc: qc}
 		for _, exprRow := range s.Rows {
-			row := make([]Value, len(exprRow))
-			for i, ex := range exprRow {
-				v, err := ev.eval(ex)
-				if err != nil {
+			fns, _ := compileExprs(scope, exprRow)
+			row := make([]Value, len(fns))
+			for i, fn := range fns {
+				if row[i], err = fn(nil); err != nil {
 					return nil, err
 				}
-				row[i] = v
 			}
 			srcRows = append(srcRows, row)
 		}
@@ -240,7 +239,7 @@ type entry struct {
 func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*ResultSet, error) {
 	// Cancellation gate per SELECT block: subqueries — including correlated
 	// ones evaluated per outer row — re-enter here, so even O(outer × inner)
-	// interpreted plans observe cancellation promptly.
+	// plans observe cancellation promptly.
 	if err := qc.pollAbort(); err != nil {
 		return nil, err
 	}
@@ -261,15 +260,11 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		baseEnv.inSetCache = outer.inSetCache
 	}
 
-	// Compile the WHERE predicate once per query; uncompilable predicates
-	// (subqueries, outer references) leave wherePred nil and use the
-	// interpreted loop.
+	// Compile the WHERE predicate once per query.
 	var wherePred compiledExpr
 	wherePure := true
 	if sel.Where != nil {
-		if fn, pure, ok := compileExpr(qc.eng, rel, sel.Where); ok {
-			wherePred, wherePure = fn, pure
-		}
+		wherePred, wherePure = compileExpr(baseEnv, sel.Where)
 	}
 
 	// Collect aggregate and window calls from the output clauses.
@@ -284,26 +279,10 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	if hasAgg {
 		// Fused compiled scan→filter→aggregate; vectorized chunk-at-a-time
 		// over columnar sources, morsel-parallel when every expression is
-		// pure, serial otherwise. Falls back to the interpreted pipeline
-		// when anything fails to compile.
-		if plan, ok := buildScanPlan(qc, rel, sel, aggCalls, wherePred, wherePure); ok {
-			entries, err = plan.run(rel)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			mat, err := qc.materialize(rel)
-			if err != nil {
-				return nil, err
-			}
-			rows, err := filterRows(qc, baseEnv, mat, sel.Where, wherePred, wherePure)
-			if err != nil {
-				return nil, err
-			}
-			entries, err = aggregate(baseEnv, rel, rows, sel, aggCalls)
-			if err != nil {
-				return nil, err
-			}
+		// pure, serial otherwise.
+		entries, err = buildScanPlan(baseEnv, sel, aggCalls, wherePred, wherePure).run()
+		if err != nil {
+			return nil, err
 		}
 	} else {
 		// Non-aggregate select over a columnar source: fused vectorized
@@ -312,22 +291,18 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// pipeline never materializes the pre-projection rows the
 		// expression form would need.
 		if rel.src != nil && rel.rows == nil && !qc.eng.noVec.Load() &&
-			len(winCalls) == 0 && sel.Having == nil &&
-			(sel.Where == nil || (wherePred != nil && wherePure)) {
+			len(winCalls) == 0 && sel.Having == nil && wherePure {
 			outCols, ocErr := deriveOutCols(rel, sel)
 			if ocErr == nil {
 				outColsPre = outCols
 			}
-			if ocErr == nil && orderByOutputsOnly(sel, outCols) {
-				if vs := buildVecSelect(qc, rel, outCols, wherePred, sel.Where); vs != nil {
+			if ocErr == nil && orderByOutputsOnly(sel, outColNames(outCols)) {
+				if vs := buildVecSelect(baseEnv, outCols, wherePred, sel.Where); vs != nil {
 					projRows, err = vs.run(rel.src)
 					if err != nil {
 						return nil, err
 					}
-					cols = make([]string, len(outCols))
-					for i, oc := range outCols {
-						cols[i] = oc.name
-					}
+					cols = outColNames(outCols)
 					projDone = true
 				}
 			}
@@ -337,7 +312,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 			if merr != nil {
 				return nil, merr
 			}
-			rows, ferr := filterRows(qc, baseEnv, mat, sel.Where, wherePred, wherePure)
+			rows, ferr := filterRows(qc, mat, wherePred, wherePure)
 			if ferr != nil {
 				return nil, ferr
 			}
@@ -350,14 +325,14 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 
 	// HAVING.
 	if sel.Having != nil {
+		having, _ := compileExpr(baseEnv, sel.Having)
 		kept := entries[:0:0]
 		for _, en := range entries {
 			if err := baseEnv.qc.tick(); err != nil {
 				return nil, err
 			}
-			baseEnv.row = en.row
 			baseEnv.aggVals = en.aggVals
-			v, err := baseEnv.eval(sel.Having)
+			v, err := having(en.row)
 			if err != nil {
 				return nil, err
 			}
@@ -413,8 +388,8 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 
 	// LIMIT.
 	if sel.Limit != nil {
-		baseEnv.row = nil
-		lv, err := baseEnv.eval(sel.Limit)
+		limit, _ := compileExpr(baseEnv, sel.Limit)
+		lv, err := limit(nil)
 		if err != nil {
 			return nil, err
 		}
@@ -466,36 +441,18 @@ func appendRowKey(buf []byte, row []Value) []byte {
 	return buf
 }
 
-// filterRows applies the WHERE clause: morsel-parallel for pure compiled
-// predicates over large snapshots, serial compiled when impure or small,
-// interpreted when the predicate did not compile.
-func filterRows(qc *queryCtx, ev *env, rows [][]Value, where sqlparser.Expr, pred compiledExpr, pure bool) ([][]Value, error) {
-	if where == nil {
+// filterRows applies the WHERE predicate (nil keeps every row):
+// morsel-parallel when pure over a large snapshot, serial otherwise.
+func filterRows(qc *queryCtx, rows [][]Value, pred compiledExpr, pure bool) ([][]Value, error) {
+	if pred == nil {
 		return rows, nil
 	}
-	if pred != nil {
-		if pure {
-			if nw := qc.eng.scanWorkers(len(rows)); nw > 1 {
-				return parallelFilter(qc, rows, pred, nw)
-			}
-		}
-		return serialFilter(qc, rows, pred)
-	}
-	filtered := rows[:0:0]
-	for _, row := range rows {
-		if err := qc.tick(); err != nil {
-			return nil, err
-		}
-		ev.row = row
-		v, err := ev.eval(where)
-		if err != nil {
-			return nil, err
-		}
-		if b, ok := ToBool(v); ok && b {
-			filtered = append(filtered, row)
+	if pure {
+		if nw := qc.eng.scanWorkers(len(rows)); nw > 1 {
+			return parallelFilter(qc, rows, pred, nw)
 		}
 	}
-	return filtered, nil
+	return serialFilter(qc, rows, pred)
 }
 
 // collectCalls gathers aggregate calls and window calls referenced by the
@@ -540,98 +497,6 @@ func collectCalls(sel *sqlparser.SelectStmt) (aggs, wins []*sqlparser.FuncCall) 
 	return aggs, wins
 }
 
-// aggregate hash-groups rows and computes every aggregate call per group.
-func aggregate(baseEnv *env, rel *relation, rows [][]Value, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall) ([]*entry, error) {
-	type group struct {
-		repr []Value
-		accs []accumulator
-	}
-	newGroup := func(repr []Value) (*group, error) {
-		g := &group{repr: repr, accs: make([]accumulator, len(aggCalls))}
-		for i, fc := range aggCalls {
-			q, err := quantileLiteralArg(fc)
-			if err != nil {
-				return nil, err
-			}
-			acc, err := newAccumulator(fc, q, baseEnv.qc)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i] = acc
-		}
-		return g, nil
-	}
-
-	groups := map[string]*group{}
-	var order []string
-	var kb []byte
-	for _, row := range rows {
-		if err := baseEnv.qc.tick(); err != nil {
-			return nil, err
-		}
-		baseEnv.row = row
-		kb = kb[:0]
-		for _, ge := range sel.GroupBy {
-			v, err := baseEnv.eval(ge)
-			if err != nil {
-				return nil, err
-			}
-			kb = appendGroupKey(kb, v)
-			kb = append(kb, keySep)
-		}
-		g, ok := groups[string(kb)]
-		if !ok {
-			var err error
-			g, err = newGroup(row)
-			if err != nil {
-				return nil, err
-			}
-			baseEnv.qc.chargeMem(bytesPerGroup + int64(len(aggCalls))*bytesPerAcc)
-			key := string(kb)
-			groups[key] = g
-			order = append(order, key)
-		}
-		for i, fc := range aggCalls {
-			acc := g.accs[i]
-			if fc.Star {
-				acc.addStar()
-				continue
-			}
-			if len(fc.Args) == 0 {
-				return nil, fmt.Errorf("engine: aggregate %s requires an argument", fc.Name)
-			}
-			v, err := baseEnv.eval(fc.Args[0])
-			if err != nil {
-				return nil, err
-			}
-			if err := acc.add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	// A global aggregate over zero rows still yields one output row.
-	if len(groups) == 0 && len(sel.GroupBy) == 0 {
-		g, err := newGroup(make([]Value, rel.width()))
-		if err != nil {
-			return nil, err
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-
-	entries := make([]*entry, 0, len(groups))
-	for _, key := range order {
-		g := groups[key]
-		av := make(map[*sqlparser.FuncCall]Value, len(aggCalls))
-		for i, fc := range aggCalls {
-			av[fc] = g.accs[i].result()
-		}
-		entries = append(entries, &entry{row: g.repr, aggVals: av})
-	}
-	return entries, nil
-}
-
 // computeWindows fills entry.winVals for every window call. Only aggregate
 // functions with OVER (PARTITION BY ...) are supported — the shape
 // VerdictDB's rewrites need.
@@ -640,6 +505,8 @@ func computeWindows(baseEnv *env, entries []*entry, winCalls []*sqlparser.FuncCa
 		if !sqlparser.AggregateFuncs[wc.Name] {
 			return fmt.Errorf("engine: window function %s not supported", wc.Name)
 		}
+		partFns, _ := compileExprs(baseEnv, wc.Over.PartitionBy)
+		argFn, _ := compileAggArg(baseEnv, wc)
 		// Partition entries.
 		parts := map[string][]*entry{}
 		var order []string
@@ -648,16 +515,10 @@ func computeWindows(baseEnv *env, entries []*entry, winCalls []*sqlparser.FuncCa
 			if err := baseEnv.qc.tick(); err != nil {
 				return err
 			}
-			baseEnv.row = en.row
 			baseEnv.aggVals = en.aggVals
-			kb = kb[:0]
-			for _, pe := range wc.Over.PartitionBy {
-				v, err := baseEnv.eval(pe)
-				if err != nil {
-					return err
-				}
-				kb = appendGroupKey(kb, v)
-				kb = append(kb, keySep)
+			var err error
+			if kb, err = appendKey(kb[:0], partFns, en.row); err != nil {
+				return err
 			}
 			k := string(kb)
 			if _, ok := parts[k]; !ok {
@@ -681,13 +542,12 @@ func computeWindows(baseEnv *env, entries []*entry, winCalls []*sqlparser.FuncCa
 				if err := baseEnv.qc.tick(); err != nil {
 					return err
 				}
-				if wc.Star {
+				if argFn == nil {
 					acc.addStar()
 					continue
 				}
-				baseEnv.row = en.row
 				baseEnv.aggVals = en.aggVals
-				v, err := baseEnv.eval(wc.Args[0])
+				v, err := argFn(en.row)
 				if err != nil {
 					return err
 				}
@@ -752,31 +612,43 @@ func deriveOutCols(rel *relation, sel *sqlparser.SelectStmt) ([]outCol, error) {
 	return outCols, nil
 }
 
-// orderByOutputsOnly reports whether every ORDER BY term is a 1-based
-// output position or an output alias — the forms orderRows can evaluate
-// from the projected rows alone, without the pre-projection entries the
-// vectorized pipeline never materializes.
-func orderByOutputsOnly(sel *sqlparser.SelectStmt, outCols []outCol) bool {
-	for _, ob := range sel.OrderBy {
-		if lit, ok := ob.Expr.(*sqlparser.Literal); ok {
-			if p, isInt := lit.Val.(int64); isInt && p >= 1 && int(p) <= len(outCols) {
-				continue
-			}
-			return false
+func outColNames(outCols []outCol) []string {
+	cols := make([]string, len(outCols))
+	for i, oc := range outCols {
+		cols[i] = oc.name
+	}
+	return cols
+}
+
+// orderOutputIndex returns the output column an ORDER BY term names — a
+// 1-based position or an output alias — or -1 when the term is an
+// expression over the pre-projection row.
+func orderOutputIndex(e sqlparser.Expr, cols []string) int {
+	switch x := e.(type) {
+	case *sqlparser.Literal:
+		if p, isInt := x.Val.(int64); isInt && p >= 1 && int(p) <= len(cols) {
+			return int(p) - 1
 		}
-		if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-			found := false
-			for _, oc := range outCols {
-				if strings.EqualFold(oc.name, cr.Name) {
-					found = true
-					break
+	case *sqlparser.ColumnRef:
+		if x.Table == "" {
+			for i, c := range cols {
+				if strings.EqualFold(c, x.Name) {
+					return i
 				}
 			}
-			if found {
-				continue
-			}
 		}
-		return false
+	}
+	return -1
+}
+
+// orderByOutputsOnly reports whether orderRows can evaluate every ORDER BY
+// term from the projected rows alone, without the pre-projection entries
+// the vectorized pipeline never materializes.
+func orderByOutputsOnly(sel *sqlparser.SelectStmt, cols []string) bool {
+	for _, ob := range sel.OrderBy {
+		if orderOutputIndex(ob.Expr, cols) < 0 {
+			return false
+		}
 	}
 	return true
 }
@@ -792,38 +664,26 @@ func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.Selec
 		}
 	}
 
-	cols := make([]string, len(outCols))
-	for i, oc := range outCols {
-		cols[i] = oc.name
-	}
-
-	// Compile each projection item once. Items referencing aggregates,
-	// windows, or subqueries stay interpreted; when every item compiles
-	// pure, large projections fan out across workers.
+	// Compile each projection item once; when every item is pure, large
+	// projections fan out across workers.
 	items := make([]projCol, len(outCols))
-	allCompiled, allPure := true, true
+	allPure := true
 	for i, oc := range outCols {
 		if oc.expr == nil {
 			items[i] = projCol{idx: oc.idx}
 			continue
 		}
-		if fn, pure, ok := compileExpr(baseEnv.qc.eng, rel, oc.expr); ok {
-			items[i] = projCol{fn: fn}
-			allPure = allPure && pure
-		} else {
-			allCompiled = false
-		}
+		fn, pure := compileExpr(baseEnv, oc.expr)
+		items[i] = projCol{fn: fn}
+		allPure = allPure && pure
 	}
 	// Projection output is freshly boxed rows: charge it up front, so a
 	// blow-up (huge unaggregated projection) aborts at the next poll.
 	baseEnv.qc.chargeMem(int64(len(entries)) * (int64(len(outCols)) + 2) * bytesPerValue)
-	if allCompiled && allPure {
+	if allPure {
 		if nw := baseEnv.qc.eng.scanWorkers(len(entries)); nw > 1 {
 			rowsOut, err := parallelProject(baseEnv.qc, entries, items, nw)
-			if err != nil {
-				return nil, nil, err
-			}
-			return cols, rowsOut, nil
+			return outColNames(outCols), rowsOut, err
 		}
 	}
 
@@ -832,34 +692,17 @@ func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.Selec
 		if err := baseEnv.qc.tick(); err != nil {
 			return nil, nil, err
 		}
-		baseEnv.row = en.row
 		baseEnv.aggVals = en.aggVals
 		baseEnv.winVals = en.winVals
-		row := make([]Value, len(outCols))
-		for i, oc := range outCols {
-			if oc.expr == nil {
-				row[i] = en.row[oc.idx]
-				continue
-			}
-			if fn := items[i].fn; fn != nil {
-				v, err := fn(en.row)
-				if err != nil {
-					return nil, nil, err
-				}
-				row[i] = v
-				continue
-			}
-			v, err := baseEnv.eval(oc.expr)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[i] = v
+		row, err := projectRow(en.row, items)
+		if err != nil {
+			return nil, nil, err
 		}
 		rowsOut[ei] = row
 	}
 	baseEnv.aggVals = nil
 	baseEnv.winVals = nil
-	return cols, rowsOut, nil
+	return outColNames(outCols), rowsOut, nil
 }
 
 func deriveColName(e sqlparser.Expr, pos int) string {
@@ -877,39 +720,28 @@ func deriveColName(e sqlparser.Expr, pos int) string {
 // the pre-projection row.
 func orderRows(baseEnv *env, sel *sqlparser.SelectStmt, cols []string, entries []*entry, projRows [][]Value) error {
 	n := len(projRows)
-	keys := make([][]Value, n)
-	aliasIdx := func(name string) int {
-		for i, c := range cols {
-			if strings.EqualFold(c, name) {
-				return i
-			}
+	// Per term: the output column it names, else its compiled expression.
+	outIdx := make([]int, len(sel.OrderBy))
+	fns := make([]compiledExpr, len(sel.OrderBy))
+	for j, ob := range sel.OrderBy {
+		if outIdx[j] = orderOutputIndex(ob.Expr, cols); outIdx[j] < 0 {
+			fns[j], _ = compileExpr(baseEnv, ob.Expr)
 		}
-		return -1
 	}
+	keys := make([][]Value, n)
 	for i := 0; i < n; i++ {
 		key := make([]Value, len(sel.OrderBy))
-		for j, ob := range sel.OrderBy {
-			// Positional: ORDER BY 2.
-			if lit, ok := ob.Expr.(*sqlparser.Literal); ok {
-				if p, isInt := lit.Val.(int64); isInt && p >= 1 && int(p) <= len(cols) {
-					key[j] = projRows[i][p-1]
-					continue
-				}
-			}
-			// Output alias.
-			if cr, ok := ob.Expr.(*sqlparser.ColumnRef); ok && cr.Table == "" {
-				if idx := aliasIdx(cr.Name); idx >= 0 {
-					key[j] = projRows[i][idx]
-					continue
-				}
+		for j := range sel.OrderBy {
+			if outIdx[j] >= 0 {
+				key[j] = projRows[i][outIdx[j]]
+				continue
 			}
 			if i >= len(entries) {
 				return fmt.Errorf("engine: cannot order by expression after DISTINCT")
 			}
-			baseEnv.row = entries[i].row
 			baseEnv.aggVals = entries[i].aggVals
 			baseEnv.winVals = entries[i].winVals
-			v, err := baseEnv.eval(ob.Expr)
+			v, err := fns[j](entries[i].row)
 			if err != nil {
 				return err
 			}

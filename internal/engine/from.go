@@ -118,12 +118,18 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 
 	leftKeys, rightKeys, residual := splitJoinCondition(left, right, on)
 
+	// Key expressions compile against their own input, the residual against
+	// the combined row; all three see the enclosing query through outer.
+	lEnv := &env{qc: qc, rel: left, outer: outer}
+	rEnv := &env{qc: qc, rel: right, outer: outer}
+	combEnv := &env{qc: qc, rel: combined, outer: outer}
+
 	// Vectorized hash join: equi-keys whose expressions (and residual)
 	// lower to pure vector kernels run chunk-at-a-time with reference-based
 	// output; everything else — impure ON, subqueries in ON, no equi-key —
 	// keeps the row path below.
 	if len(leftKeys) > 0 && !qc.eng.noVec.Load() {
-		vj, err := buildVecJoin(qc, left, right, combined, je.Type, leftKeys, rightKeys, residual)
+		vj, err := buildVecJoin(lEnv, rEnv, combEnv, je.Type, leftKeys, rightKeys, residual)
 		if err != nil {
 			return nil, err
 		}
@@ -145,19 +151,11 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		return nil, err
 	}
 
-	// Evaluation environments for key extraction.
-	lEnv := &env{qc: qc, rel: left, outer: outer}
-	rEnv := &env{qc: qc, rel: right, outer: outer}
-	combEnv := &env{qc: qc, rel: combined, outer: outer}
-
 	// The residual predicate is probed once per candidate pair: reuse one
-	// combined-row buffer instead of allocating per probe, and evaluate a
-	// compiled form when the expression supports it.
+	// combined-row buffer instead of allocating per probe.
 	var residualFn compiledExpr
 	if residual != nil {
-		if fn, _, ok := compileExpr(qc.eng, combined, residual); ok {
-			residualFn = fn
-		}
+		residualFn, _ = compileExpr(combEnv, residual)
 	}
 	combinedBuf := make([]Value, left.width()+right.width())
 	// matches is probed once per candidate pair in every row-path variant,
@@ -168,19 +166,12 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		if err := qc.tick(); err != nil {
 			return false, err
 		}
-		if residual == nil {
+		if residualFn == nil {
 			return true, nil
 		}
 		copy(combinedBuf, lrow)
 		copy(combinedBuf[left.width():], rrow)
-		var v Value
-		var err error
-		if residualFn != nil {
-			v, err = residualFn(combinedBuf)
-		} else {
-			combEnv.row = combinedBuf
-			v, err = combEnv.eval(residual)
-		}
+		v, err := residualFn(combinedBuf)
 		if err != nil {
 			return false, err
 		}
@@ -294,14 +285,14 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 	}
 
 	// Hash join: build on the right, probe from the left. Key expressions
-	// are compiled once per join when possible, and composite keys are
-	// rendered into a reusable byte buffer (the map only materializes a key
-	// string when a new bucket is inserted). RIGHT/FULL joins track matched
+	// are compiled once per join, and composite keys are rendered into a
+	// reusable byte buffer (the map only materializes a key string when a
+	// new bucket is inserted). RIGHT/FULL joins track matched
 	// flags per build-row position, so unmatched right rows — including
 	// NULL-key rows, which never enter a bucket but must still null-extend —
 	// emit in build order after the probe.
-	lKeyFns := compileKeyFns(qc.eng, left, leftKeys)
-	rKeyFns := compileKeyFns(qc.eng, right, rightKeys)
+	lKeyFns, _ := compileExprs(lEnv, leftKeys)
+	rKeyFns, _ := compileExprs(rEnv, rightKeys)
 	type bucket struct {
 		rows [][]Value
 		idx  []int // build-row positions, for the matched flags
@@ -318,7 +309,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		}
 		var null bool
 		var err error
-		kbuf, null, err = appendJoinKey(kbuf[:0], rEnv, rrow, rightKeys, rKeyFns)
+		kbuf, null, err = appendJoinKey(kbuf[:0], rrow, rKeyFns)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +332,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		}
 		var null bool
 		var err error
-		kbuf, null, err = appendJoinKey(kbuf[:0], lEnv, lrow, leftKeys, lKeyFns)
+		kbuf, null, err = appendJoinKey(kbuf[:0], lrow, lKeyFns)
 		if err != nil {
 			return nil, err
 		}
@@ -474,32 +465,11 @@ func splitJoinCondition(left, right *relation, on sqlparser.Expr) (leftKeys, rig
 	return leftKeys, rightKeys, residual
 }
 
-// compileKeyFns compiles every join-key expression against its input
-// relation, or returns nil when any of them needs the interpreted path.
-func compileKeyFns(eng *Engine, rel *relation, keys []sqlparser.Expr) []compiledExpr {
-	fns := make([]compiledExpr, len(keys))
-	for i, k := range keys {
-		fn, _, ok := compileExpr(eng, rel, k)
-		if !ok {
-			return nil
-		}
-		fns[i] = fn
-	}
-	return fns
-}
-
 // appendJoinKey renders the join-key expressions for one row into buf.
 // null is true when any component is NULL.
-func appendJoinKey(buf []byte, ev *env, row []Value, keys []sqlparser.Expr, fns []compiledExpr) ([]byte, bool, error) {
-	for i, k := range keys {
-		var v Value
-		var err error
-		if fns != nil {
-			v, err = fns[i](row)
-		} else {
-			ev.row = row
-			v, err = ev.eval(k)
-		}
+func appendJoinKey(buf []byte, row []Value, fns []compiledExpr) ([]byte, bool, error) {
+	for _, fn := range fns {
+		v, err := fn(row)
 		if err != nil {
 			return buf, false, err
 		}

@@ -10,21 +10,6 @@ import (
 	"verdictdb/internal/sqlparser"
 )
 
-// evalScalarFunc dispatches non-aggregate function calls on the interpreted
-// path: it evaluates the arguments and hands off to callScalar, which the
-// compiled path (compile.go) shares.
-func (ev *env) evalScalarFunc(x *sqlparser.FuncCall) (Value, error) {
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := ev.eval(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return callScalar(ev.qc.eng, x.Name, args)
-}
-
 // callScalar applies a scalar function to already-evaluated arguments.
 // Function names arrive lower-cased from the parser. Several aliases exist
 // so the dialect shims (Impala/Spark/Redshift spellings) all land on the

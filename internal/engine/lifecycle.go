@@ -14,7 +14,7 @@ import (
 // Every query entry point (QueryContext, ExecContext) builds a queryCtx
 // carrying the caller's context and an optional memory gauge. Execution
 // loops poll the context between chunks (vectorized paths) or every
-// pollEvery rows (interpreted paths), so a cancel or deadline expiry stops
+// pollEvery rows (row-at-a-time paths), so a cancel or deadline expiry stops
 // the scan within one chunk's worth of work; morsel workers always drain
 // through runChunks' WaitGroup, so cancellation never leaks goroutines or
 // publishes half-merged accumulator state. Allocation hot spots — group
@@ -142,7 +142,7 @@ const (
 )
 
 // pollEvery is the row granularity of cancellation/budget checks in
-// interpreted (row-at-a-time) loops. Power of two: the check compiles to a
+// row-at-a-time loops. Power of two: the check compiles to a
 // mask. Vectorized paths poll per chunk (chunkRows rows) instead.
 const pollEvery = 1024
 

@@ -21,9 +21,9 @@ import (
 // error.
 //
 // Only plans whose every expression compiled pure take this path; impure
-// plans (rand()) and uncompilable ones run serially so that RNG draws
-// happen in exactly the interpreted order — sample scrambles stay
-// byte-identical.
+// plans (rand(), subqueries, enclosing-scope references) run serially in
+// row order, so RNG draws happen in one fixed order — sample scrambles stay
+// byte-identical — and scope-capturing closures have a single caller.
 
 const (
 	// parallelMinRows is the snapshot size below which scans stay serial;
@@ -230,11 +230,10 @@ func parallelJoinProbe(vj *vecJoin, needMatched bool) ([]*chunk, []bool, error) 
 }
 
 // aggSpec is one aggregate call with its compiled argument (nil for
-// count(*)-style star calls) and the argument AST for vector lowering.
+// count(*)-style star calls).
 type aggSpec struct {
-	fc     *sqlparser.FuncCall
-	arg    compiledExpr
-	argAST sqlparser.Expr
+	fc  *sqlparser.FuncCall
+	arg compiledExpr
 }
 
 // scanPlan is a fully compiled scan→filter→aggregate pipeline for one
@@ -243,7 +242,7 @@ type aggSpec struct {
 type scanPlan struct {
 	qc       *queryCtx
 	eng      *Engine
-	rel      *relation
+	scope    *env
 	where    compiledExpr // nil when the query has no WHERE
 	whereAST sqlparser.Expr
 	keyFns   []compiledExpr
@@ -254,50 +253,26 @@ type scanPlan struct {
 	groupBytes int64 // gauge charge per created group
 }
 
-// buildScanPlan compiles WHERE, GROUP BY keys, and aggregate arguments.
-// ok=false sends the query to the interpreted path (which also owns
-// reporting any expression errors, e.g. a bad percentile fraction).
-func buildScanPlan(qc *queryCtx, rel *relation, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, wherePred compiledExpr, wherePure bool) (*scanPlan, bool) {
-	if sel.Where != nil && wherePred == nil {
-		return nil, false
-	}
-	eng := qc.eng
-	p := &scanPlan{qc: qc, eng: eng, rel: rel, where: wherePred, whereAST: sel.Where}
-	pure := sel.Where == nil || wherePure
-	for _, ge := range sel.GroupBy {
-		fn, pu, ok := compileExpr(eng, rel, ge)
-		if !ok {
-			return nil, false
-		}
-		pure = pure && pu
-		p.keyFns = append(p.keyFns, fn)   //verdict:nocharge plan-size: one entry per GROUP BY expression
-		p.keyASTs = append(p.keyASTs, ge) //verdict:nocharge plan-size: one entry per GROUP BY expression
-	}
-	for _, fc := range aggCalls {
-		if fc.Star {
-			p.specs = append(p.specs, aggSpec{fc: fc}) //verdict:nocharge plan-size: one spec per aggregate call
-			continue
-		}
-		if len(fc.Args) == 0 {
-			return nil, false
-		}
-		fn, pu, ok := compileExpr(eng, rel, fc.Args[0])
-		if !ok {
-			return nil, false
-		}
-		pure = pure && pu
-		p.specs = append(p.specs, aggSpec{fc: fc, arg: fn, argAST: fc.Args[0]}) //verdict:nocharge plan-size: one spec per aggregate call
+// buildScanPlan compiles GROUP BY keys and aggregate arguments around the
+// already compiled WHERE. Accumulators are not validated here: newAccumulator
+// errors (unknown aggregate, bad percentile fraction) surface from run() when
+// the first group is created, and validating up front would allocate sketch
+// state (reservoirs, HLL registers) just to throw it away.
+func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, wherePred compiledExpr, wherePure bool) *scanPlan {
+	p := &scanPlan{qc: scope.qc, eng: scope.qc.eng, scope: scope, where: wherePred, whereAST: sel.Where, keyASTs: sel.GroupBy}
+	var keysPure bool
+	p.keyFns, keysPure = compileExprs(scope, sel.GroupBy)
+	p.pure = wherePure && keysPure
+	p.specs = make([]aggSpec, len(aggCalls))
+	for i, fc := range aggCalls {
+		fn, pure := compileAggArg(scope, fc)
+		p.pure = p.pure && pure
+		p.specs[i] = aggSpec{fc: fc, arg: fn}
 	}
 	// Each created group costs a map entry, the accumulators, and a boxed
 	// representative row.
-	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(rel.width())*bytesPerValue
-	// No upfront accumulator validation: newAccumulator errors (unknown
-	// aggregate, bad percentile fraction) surface from run() with exactly
-	// the message the interpreted path would produce, and validating here
-	// would allocate sketch state (reservoirs, HLL registers) just to throw
-	// it away.
-	p.pure = pure
-	return p, true
+	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(scope.rel.width())*bytesPerValue
+	return p
 }
 
 func (p *scanPlan) newAccs() ([]accumulator, error) {
@@ -356,14 +331,9 @@ func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value, applyWhere bool
 				continue
 			}
 		}
-		buf = buf[:0]
-		for _, kf := range p.keyFns {
-			v, err := kf(row)
-			if err != nil {
-				return err
-			}
-			buf = appendGroupKey(buf, v)
-			buf = append(buf, keySep)
+		var err error
+		if buf, err = appendKey(buf[:0], p.keyFns, row); err != nil {
+			return err
 		}
 		g, ok := cg.m[string(buf)]
 		if !ok {
@@ -433,7 +403,7 @@ func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
 		if err != nil {
 			return nil, err
 		}
-		cg.m[""] = &groupAcc{repr: make([]Value, p.rel.width()), accs: accs}
+		cg.m[""] = &groupAcc{repr: make([]Value, p.scope.rel.width()), accs: accs}
 		cg.order = append(cg.order, "")
 	}
 	entries := make([]*entry, 0, len(cg.order))
@@ -450,10 +420,11 @@ func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
 
 // run executes the plan. Pure plans over a columnar source run vectorized,
 // chunk-at-a-time morsels (vecexec.go); pure plans over materialized rows
-// fan out row morsels; impure plans run serially with the same two-phase
-// (filter, then aggregate) structure as the interpreted path so impure
-// expressions draw from the engine RNG in the identical order.
-func (p *scanPlan) run(rel *relation) ([]*entry, error) {
+// fan out row morsels; impure plans run serially in two phases — filter
+// every row, then aggregate the survivors — which fixes the order impure
+// expressions draw from the engine RNG.
+func (p *scanPlan) run() ([]*entry, error) {
+	rel := p.scope.rel
 	if p.pure && rel.rows == nil && rel.src != nil && !p.eng.noVec.Load() {
 		if vp := buildVecPlan(p); vp != nil {
 			return vp.run(rel.src)
@@ -506,6 +477,23 @@ type projCol struct {
 	idx int
 }
 
+// projectRow computes one output row from a source row.
+func projectRow(src []Value, items []projCol) ([]Value, error) {
+	row := make([]Value, len(items))
+	for j, it := range items {
+		if it.fn == nil {
+			row[j] = src[it.idx]
+			continue
+		}
+		v, err := it.fn(src)
+		if err != nil {
+			return nil, err
+		}
+		row[j] = v
+	}
+	return row, nil
+}
+
 // parallelProject computes the output rows for all entries across workers;
 // output order is positional, so the result is identical to a serial pass.
 func parallelProject(qc *queryCtx, entries []*entry, items []projCol, nw int) ([][]Value, error) {
@@ -518,18 +506,9 @@ func parallelProject(qc *queryCtx, entries []*entry, items []projCol, nw int) ([
 					return err
 				}
 			}
-			en := entries[i]
-			row := make([]Value, len(items))
-			for j, it := range items {
-				if it.fn == nil {
-					row[j] = en.row[it.idx]
-					continue
-				}
-				v, err := it.fn(en.row)
-				if err != nil {
-					return err
-				}
-				row[j] = v
+			row, err := projectRow(entries[i].row, items)
+			if err != nil {
+				return err
 			}
 			out[i] = row
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // Tests for the compiled + morsel-parallel scan path: equivalence with the
-// serial interpreter, deterministic serial fallback for impure queries, and
+// serial row path, deterministic serial fallback for impure queries, and
 // accumulator merge correctness.
 
 // bigEngine builds a table large enough (>= parallelMinRows) that pure
@@ -303,9 +303,7 @@ func TestAccumulatorMerge(t *testing.T) {
 }
 
 // TestCompileExprParity cross-checks serial and parallel evaluation of a
-// grab-bag of compiled expression shapes (the interpreted baseline is
-// exercised by the rest of the engine test suite, whose expectations
-// predate the compiler).
+// grab-bag of compiled expression shapes.
 func TestCompileExprParity(t *testing.T) {
 	e := bigEngine(t, 41)
 	exprs := []string{

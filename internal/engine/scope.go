@@ -1,0 +1,414 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"strings"
+
+	"verdictdb/internal/sqlparser"
+)
+
+// relation is an intermediate result: a schema of (qualifier, name) columns
+// plus data. A base-table scan carries its columnar snapshot in src and
+// materializes boxed rows only when a consumer needs the row view (joins,
+// subqueries, row-at-a-time evaluation); derived tables and join outputs are
+// row-major from the start.
+type relation struct {
+	qualifiers []string // per-column table qualifier ("" if none)
+	names      []string // per-column name
+	rows       [][]Value
+	src        *colSource // columnar source for base-table scans, else nil
+
+	// lazily built resolution maps
+	qualified map[string]int // "qual.name" (lower) -> index
+	bare      map[string]int // "name" (lower) -> index; ambiguousIdx if dup
+}
+
+const ambiguousIdx = AmbiguousColIndex
+
+func newRelation(quals, names []string, rows [][]Value) *relation {
+	return &relation{qualifiers: quals, names: names, rows: rows}
+}
+
+func newColRelation(quals, names []string, src *colSource) *relation {
+	return &relation{qualifiers: quals, names: names, src: src}
+}
+
+func (r *relation) width() int { return len(r.names) }
+
+// numRows is the relation's cardinality without forcing materialization.
+func (r *relation) numRows() int {
+	if r.rows == nil && r.src != nil {
+		return r.src.nrows
+	}
+	return len(r.rows)
+}
+
+// materialize returns the relation's boxed rows. Columnar sources are
+// converted (and charged, and possibly read from disk) only through
+// queryCtx.materialize — by the time this is called on a source-backed
+// relation, that conversion has already happened.
+func (r *relation) materialize() [][]Value { return r.rows }
+
+func (r *relation) buildIndex() {
+	if r.bare != nil {
+		return
+	}
+	r.qualified = make(map[string]int, len(r.names))
+	r.bare = make(map[string]int, len(r.names))
+	//verdict:nocharge name index: one entry per schema column, not row-scale
+	for i, n := range r.names {
+		low := strings.ToLower(n)
+		if q := r.qualifiers[i]; q != "" {
+			r.qualified[strings.ToLower(q)+"."+low] = i //verdict:nocharge schema-width
+		}
+		if prev, ok := r.bare[low]; ok && prev != i {
+			r.bare[low] = ambiguousIdx //verdict:nocharge schema-width
+		} else {
+			r.bare[low] = i //verdict:nocharge schema-width
+		}
+	}
+}
+
+// resolve maps a column reference to a column index.
+func (r *relation) resolve(table, name string) (int, error) {
+	r.buildIndex()
+	low := strings.ToLower(name)
+	if table != "" {
+		if idx, ok := r.qualified[strings.ToLower(table)+"."+low]; ok {
+			return idx, nil
+		}
+		return -1, fmt.Errorf("engine: unknown column %s.%s", table, name)
+	}
+	idx, ok := r.bare[low]
+	if !ok {
+		return -1, fmt.Errorf("engine: unknown column %s", name)
+	}
+	if idx == ambiguousIdx {
+		// Keep the sentinel in the return so callers can tell ambiguity
+		// (an error even when enclosing scopes know the name) from absence.
+		return ambiguousIdx, fmt.Errorf("%w %s", ErrAmbiguousColumn, name)
+	}
+	return idx, nil
+}
+
+// canResolve reports whether the reference resolves without error.
+func (r *relation) canResolve(table, name string) bool {
+	_, err := r.resolve(table, name)
+	return err == nil
+}
+
+// queryCtx carries per-query state through execution.
+type queryCtx struct {
+	eng     *Engine
+	scanned int64 // base-table rows read
+	depth   int   // subquery nesting guard
+
+	// Lifecycle control (lifecycle.go): the caller's context, the optional
+	// memory gauge, the poll counter for serial loops (unsynchronized —
+	// morsel workers call pollAbort directly), and the SQL for InternalError
+	// provenance.
+	ctx   context.Context
+	mem   *memGauge
+	polls int
+	query string
+
+	// Correlated-subquery memoization: a correlated scalar subquery is
+	// re-evaluated for every outer row, but its result depends only on the
+	// outer values it references; corrCache memoizes results keyed by those
+	// values. This turns the O(outer x inner) naive evaluation into
+	// O(distinct keys x inner) — the difference between seconds and hours on
+	// TPC-H q17.
+	corrCache map[*sqlparser.SelectStmt]map[string]Value
+}
+
+// env is one SELECT block's scope: what a compiled expression can see
+// beyond the row it is called with. Closures that read it (enclosing-scope
+// columns, aggregate and window references, subqueries) capture the env
+// they were compiled in and are impure, so they only ever run serially, in
+// row order.
+type env struct {
+	qc  *queryCtx
+	rel *relation
+	// row is the row being evaluated, for inner scopes to read: a subquery
+	// closure stores its row here before running the subquery.
+	row     []Value
+	aggVals map[*sqlparser.FuncCall]Value // current entry's aggregate results, by AST identity
+	winVals map[*sqlparser.FuncCall]Value // current entry's window results, by AST identity
+	outer   *env                          // enclosing scope for correlated subqueries
+	// subqueryCache memoizes uncorrelated scalar/IN subquery results at the
+	// query level (shared across rows via pointer).
+	subqueryCache map[*sqlparser.SelectStmt]Value
+	inSetCache    map[*sqlparser.SelectStmt]map[string]bool
+}
+
+func errCannotNegate(v Value) error {
+	return fmt.Errorf("engine: cannot negate %T", v)
+}
+
+func errNotNonBool(v Value) error {
+	return fmt.Errorf("engine: NOT applied to non-boolean %T", v)
+}
+
+func joinName(table, name string) string {
+	if table == "" {
+		return name
+	}
+	return table + "." + name
+}
+
+// arith applies a numeric operator. Division always yields float64 (the
+// middleware's rewrites depend on exact ratios); +,-,* stay integral when
+// both operands are integers; % requires integers.
+func arith(op string, l, r Value) (Value, error) {
+	li, lIsInt := l.(int64)
+	ri, rIsInt := r.(int64)
+	if lIsInt && rIsInt && op != "/" {
+		switch op {
+		case "+":
+			return li + ri, nil
+		case "-":
+			return li - ri, nil
+		case "*":
+			return li * ri, nil
+		case "%":
+			if ri == 0 {
+				return nil, nil
+			}
+			return li % ri, nil
+		}
+	}
+	lf, lok := ToFloat(l)
+	rf, rok := ToFloat(r)
+	if !lok || !rok {
+		return nil, fmt.Errorf("engine: non-numeric operand for %q (%T, %T)", op, l, r)
+	}
+	switch op {
+	case "+":
+		return lf + rf, nil
+	case "-":
+		return lf - rf, nil
+	case "*":
+		return lf * rf, nil
+	case "/":
+		if rf == 0 {
+			return nil, nil
+		}
+		return lf / rf, nil
+	case "%":
+		// int64(rf) can be 0 for 0 < |rf| < 1; guard both so the modulo
+		// below cannot divide by zero.
+		if rf == 0 || int64(rf) == 0 {
+			return nil, nil
+		}
+		return float64(int64(lf) % int64(rf)), nil
+	}
+	return nil, fmt.Errorf("engine: unknown arithmetic op %q", op)
+}
+
+// collectOuterRefs returns the column references inside sel whose qualifier
+// is not a relation defined within sel (i.e. references to enclosing
+// scopes), in deterministic order — a conservative syntactic check. A
+// subquery with none is uncorrelated.
+func collectOuterRefs(sel *sqlparser.SelectStmt) []*sqlparser.ColumnRef {
+	local := map[string]bool{}
+	var collect func(t sqlparser.TableExpr)
+	collect = func(t sqlparser.TableExpr) {
+		switch tt := t.(type) {
+		case *sqlparser.TableRef:
+			name := tt.Alias
+			if name == "" {
+				name = tt.Name
+			}
+			local[strings.ToLower(name)] = true
+		case *sqlparser.DerivedTable:
+			local[strings.ToLower(tt.Alias)] = true
+		case *sqlparser.JoinExpr:
+			collect(tt.Left)
+			collect(tt.Right)
+		}
+	}
+	if sel.From != nil {
+		collect(sel.From)
+	}
+	var refs []*sqlparser.ColumnRef
+	visit := func(e sqlparser.Expr) {
+		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+			if cr, ok := x.(*sqlparser.ColumnRef); ok && cr.Table != "" &&
+				!local[strings.ToLower(cr.Table)] {
+				refs = append(refs, cr)
+			}
+			return true
+		})
+	}
+	for _, it := range sel.Items {
+		visit(it.Expr)
+	}
+	visit(sel.Where)
+	for _, g := range sel.GroupBy {
+		visit(g)
+	}
+	visit(sel.Having)
+	return refs
+}
+
+// execSubquery runs sel with ev as its enclosing scope; ev.row must be the
+// row the subquery expression is being evaluated for.
+func (ev *env) execSubquery(sel *sqlparser.SelectStmt) (*ResultSet, error) {
+	if ev.qc.depth > 16 {
+		return nil, fmt.Errorf("engine: subquery nesting too deep")
+	}
+	ev.qc.depth++
+	defer func() { ev.qc.depth-- }()
+	return execSelectWithOuter(ev.qc, sel, ev)
+}
+
+// subqueryMemo says how a scalar subquery's result may be reused across
+// rows: an uncorrelated one once per query; a correlated one per distinct
+// combination of the outer values it references (keyFns, compiled in the
+// scope that evaluates the subquery). A correlated subquery with a
+// reference that does not resolve there has keyFns nil and is never reused.
+type subqueryMemo struct {
+	correlated bool
+	keyFns     []compiledExpr
+}
+
+// scalarSubquery evaluates sel for the current ev.row.
+func (ev *env) scalarSubquery(sel *sqlparser.SelectStmt, memo subqueryMemo) (Value, error) {
+	var corrKey string
+	switch {
+	case !memo.correlated:
+		if v, ok := ev.subqueryCache[sel]; ok {
+			return v, nil
+		}
+	case memo.keyFns != nil:
+		kb, err := appendKey(nil, memo.keyFns, ev.row)
+		if err != nil {
+			return nil, err
+		}
+		corrKey = string(kb)
+		if v, hit := ev.qc.corrCache[sel][corrKey]; hit {
+			return v, nil
+		}
+	}
+	rs, err := ev.execSubquery(sel)
+	if err != nil {
+		return nil, err
+	}
+	var v Value
+	switch {
+	case len(rs.Rows) == 0:
+		v = nil
+	case len(rs.Rows) == 1 && len(rs.Rows[0]) == 1:
+		v = rs.Rows[0][0]
+	case len(rs.Rows[0]) != 1:
+		return nil, fmt.Errorf("engine: scalar subquery returned %d columns", len(rs.Rows[0]))
+	default:
+		return nil, fmt.Errorf("engine: scalar subquery returned %d rows", len(rs.Rows))
+	}
+	switch {
+	case !memo.correlated:
+		if ev.subqueryCache != nil {
+			ev.subqueryCache[sel] = v
+		}
+	case memo.keyFns != nil:
+		if ev.qc.corrCache == nil {
+			ev.qc.corrCache = map[*sqlparser.SelectStmt]map[string]Value{}
+		}
+		byKey := ev.qc.corrCache[sel]
+		if byKey == nil {
+			byKey = map[string]Value{}
+			ev.qc.corrCache[sel] = byKey
+		}
+		byKey[corrKey] = v
+	}
+	return v, nil
+}
+
+// inSubquerySet returns the group keys of the rows an IN subquery yields for
+// the current ev.row; a NULL among them is present as nullGroupKey.
+func (ev *env) inSubquerySet(sel *sqlparser.SelectStmt, correlated bool) (map[string]bool, error) {
+	if !correlated {
+		if s, ok := ev.inSetCache[sel]; ok {
+			return s, nil
+		}
+	}
+	rs, err := ev.execSubquery(sel)
+	if err != nil {
+		return nil, err
+	}
+	set := make(map[string]bool, len(rs.Rows))
+	for _, r := range rs.Rows {
+		if len(r) != 1 {
+			return nil, fmt.Errorf("engine: IN subquery must return one column")
+		}
+		set[GroupKey(r[0])] = true
+	}
+	if !correlated && ev.inSetCache != nil {
+		ev.inSetCache[sel] = set
+	}
+	return set, nil
+}
+
+// likeMatch implements SQL LIKE with % and _ wildcards.
+func likeMatch(s, pattern string) bool {
+	return likeMatchAt(s, pattern)
+}
+
+func likeMatchAt(s, p string) bool {
+	for len(p) > 0 {
+		switch p[0] {
+		case '%':
+			// Collapse consecutive %.
+			for len(p) > 0 && p[0] == '%' {
+				p = p[1:]
+			}
+			if len(p) == 0 {
+				return true
+			}
+			for i := 0; i <= len(s); i++ {
+				if likeMatchAt(s[i:], p) {
+					return true
+				}
+			}
+			return false
+		case '_':
+			if len(s) == 0 {
+				return false
+			}
+			s, p = s[1:], p[1:]
+		default:
+			if len(s) == 0 || s[0] != p[0] {
+				return false
+			}
+			s, p = s[1:], p[1:]
+		}
+	}
+	return len(s) == 0
+}
+
+func castValue(v Value, typ string) (Value, error) {
+	if v == nil {
+		return nil, nil
+	}
+	switch TypeFromSQL(typ) {
+	case TInt:
+		if i, ok := ToInt(v); ok {
+			return i, nil
+		}
+		return nil, nil
+	case TFloat:
+		if f, ok := ToFloat(v); ok {
+			return f, nil
+		}
+		return nil, nil
+	case TString:
+		return ToStr(v), nil
+	case TBool:
+		if b, ok := ToBool(v); ok {
+			return b, nil
+		}
+		return nil, nil
+	}
+	return v, nil
+}

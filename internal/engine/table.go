@@ -140,13 +140,13 @@ func (e *Engine) Parallelism() int {
 }
 
 // SetVectorized toggles the vectorized execution path (on by default).
-// With it off, scans read through the chunk row views exactly like the
-// interpreted fallback — the parity tests compare the two.
+// With it off, every scan evaluates the row-compiled closures over the chunk
+// row views — the reference the parity tests compare the kernels against.
 func (e *Engine) SetVectorized(on bool) { e.noVec.Store(!on) }
 
 // ParallelScans returns how many scans have run morsel-parallel since the
-// engine was created. Impure queries (rand()) and subquery-bearing ones
-// never increment it — they take the serial fallback.
+// engine was created. Impure queries (rand(), subqueries) never increment
+// it — they take the serial row path.
 func (e *Engine) ParallelScans() int64 { return e.parallelScans.Load() }
 
 type rngSource interface {

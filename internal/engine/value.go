@@ -300,13 +300,16 @@ func appendGroupKeyBool(dst []byte, x bool) []byte {
 	return append(dst, 'b', '0')
 }
 
+// nullGroupKey is GroupKey(nil); no other value renders to it.
+const nullGroupKey = "\x00N"
+
 // GroupKey renders a value into a group-by key fragment. Numeric values that
 // are integral produce identical fragments whether stored as int64 or
 // float64, so GROUP BY keys match across representations.
 func GroupKey(v Value) string {
 	switch x := v.(type) {
 	case nil:
-		return "\x00N"
+		return nullGroupKey
 	case int64:
 		return "i" + strconv.FormatInt(x, 10)
 	case float64:

@@ -29,7 +29,7 @@ type vecPlan struct {
 // buildVecPlan lowers a pure compiled scan plan to vector kernels; nil
 // when some expression cannot run on the vectorized path.
 func buildVecPlan(p *scanPlan) *vecPlan {
-	c := &vecCompiler{eng: p.eng, rel: p.rel}
+	c := &vecCompiler{scope: p.scope}
 	vp := &vecPlan{p: p}
 	if p.whereAST != nil {
 		vp.where, vp.whereConjs = c.lowerWhere(p.whereAST)
@@ -49,7 +49,7 @@ func buildVecPlan(p *scanPlan) *vecPlan {
 			vp.args = append(vp.args, nil) //verdict:nocharge plan-size: one vnode slot per aggregate call
 			continue
 		}
-		n := c.lower(sp.argAST)
+		n := c.lower(sp.fc.Args[0])
 		if n == nil {
 			return nil
 		}
@@ -331,10 +331,9 @@ type vecSelect struct {
 
 // buildVecSelect lowers the WHERE and output columns of a non-aggregate
 // SELECT; nil when any of them cannot run vectorized.
-func buildVecSelect(qc *queryCtx, rel *relation, outCols []outCol, wherePred compiledExpr, whereAST sqlparser.Expr) *vecSelect {
-	eng := qc.eng
-	c := &vecCompiler{eng: eng, rel: rel}
-	vs := &vecSelect{qc: qc, eng: eng, whereFn: wherePred}
+func buildVecSelect(scope *env, outCols []outCol, wherePred compiledExpr, whereAST sqlparser.Expr) *vecSelect {
+	c := &vecCompiler{scope: scope}
+	vs := &vecSelect{qc: scope.qc, eng: scope.qc.eng, whereFn: wherePred}
 	if whereAST != nil {
 		vs.where, vs.whereConjs = c.lowerWhere(whereAST)
 		if vs.where == nil {
@@ -353,8 +352,8 @@ func buildVecSelect(qc *queryCtx, rel *relation, outCols []outCol, wherePred com
 		if n == nil {
 			return nil
 		}
-		fn, pure, ok := compileExpr(eng, rel, oc.expr)
-		if !ok || !pure {
+		fn, pure := compileExpr(scope, oc.expr)
+		if !pure {
 			return nil
 		}
 		ci := -1
@@ -503,17 +502,9 @@ func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk) ([][]Value, erro
 				continue
 			}
 		}
-		row := make([]Value, len(vs.itemFns))
-		for j, it := range vs.itemFns {
-			if it.fn == nil {
-				row[j] = r[it.idx]
-				continue
-			}
-			v, err := it.fn(r)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = v
+		row, err := projectRow(r, vs.itemFns)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, row)
 	}

@@ -4,7 +4,7 @@ import "testing"
 
 // Row-view baselines for the E1 benchmarks: the same queries with
 // SetVectorized(false), which forces scans through the chunks' cached
-// boxed-row views — the interpreter-fallback data path. Diffing these
+// boxed-row views — the row-closure data path. Diffing these
 // against BenchmarkE1* isolates what the vectorized pipeline buys on this
 // machine (the row→columnar delta also lands in BENCH_engine.json).
 

@@ -17,17 +17,16 @@ import (
 // aggregate arguments feed accumulators through typed entry points
 // (agg.go). Every kernel replicates the row path's semantics exactly —
 // NULL propagation, numeric coercion through float64, three-valued
-// AND/OR — and shapes without a kernel (CASE, subqueries-free scalar
-// functions, string concatenation, ...) fall back to evaluating the
-// row-compiled closure per selected lane against the chunk's cached row
-// view, which by construction matches the interpreter bit for bit. If a
-// kernel reports an error the caller re-runs the whole chunk through the
-// row path, so even error behavior (e.g. short-circuit AND skipping an
-// erroring operand) is identical.
+// AND/OR — and shapes without a kernel (CASE, scalar functions, string
+// concatenation, ...) fall back to evaluating the row-compiled closure per
+// selected lane against the chunk's cached row view. If a kernel reports an
+// error the caller re-runs the whole chunk through the row path, so even
+// error behavior (e.g. short-circuit AND skipping an erroring operand) is
+// identical.
 //
 // Only pure expressions are ever vectorized: anything drawing from the
-// engine RNG keeps the serial row path so sample scrambles stay
-// byte-identical.
+// engine RNG or capturing scope state (subqueries, enclosing-scope columns)
+// keeps the serial row path, so sample scrambles stay byte-identical.
 
 // vec is a batch of values for the lanes of one chunk (or its selected
 // subset). Exactly one typed slice is populated according to kind; TAny
@@ -1275,15 +1274,24 @@ func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 			nulls[k] = true
 			continue
 		}
-		found := false
+		// No match with a NULL candidate is unknown, as on the row path.
+		found, sawNull := false, false
 		for _, lv := range lvs {
 			if lv.isNull(k) {
+				sawNull = true
 				continue
 			}
 			if lanesEqual(xv, lv, k) {
 				found = true
 				break
 			}
+		}
+		if !found && sawNull {
+			if nulls == nil {
+				nulls = vc.nullbuf(n.id, lanes)
+			}
+			nulls[k] = true
+			continue
 		}
 		ov.bools[k] = found != n.not
 	}
@@ -1430,9 +1438,8 @@ func (n *vnYear) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 // ---- lowering ----
 
 type vecCompiler struct {
-	eng  *Engine
-	rel  *relation
-	nbuf int
+	scope *env
+	nbuf  int
 }
 
 func (c *vecCompiler) newID() int {
@@ -1442,15 +1449,14 @@ func (c *vecCompiler) newID() int {
 }
 
 // lower returns a vectorized node for e: a kernel when one exists, else a
-// per-lane wrapper around the pure row-compiled closure. nil means e
-// cannot run on the vectorized path at all (impure, subqueries, columns
-// that resolve only in enclosing scopes).
+// per-lane wrapper around the pure row-compiled closure. nil means e is
+// impure and cannot run on the vectorized path at all.
 func (c *vecCompiler) lower(e sqlparser.Expr) vnode {
 	if n := c.lowerVec(e); n != nil {
 		return n
 	}
-	fn, pure, ok := compileExpr(c.eng, c.rel, e)
-	if !ok || !pure {
+	fn, pure := compileExpr(c.scope, e)
+	if !pure {
 		return nil
 	}
 	return &vnScalar{id: c.newID(), fn: fn}
@@ -1461,7 +1467,7 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 	case *sqlparser.Literal:
 		return &vnLit{id: c.newID(), val: x.Val}
 	case *sqlparser.ColumnRef:
-		idx, err := c.rel.resolve(x.Table, x.Name)
+		idx, err := c.scope.rel.resolve(x.Table, x.Name)
 		if err != nil {
 			return nil
 		}
@@ -1543,14 +1549,15 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 			list[i] = ln
 		}
 		generic := &vnIn{id: c.newID(), x: xn, list: list, not: x.Not}
-		// Column IN (all literals): dictionary LUT kernel. Only the string
-		// literals go in the probe set — nothing else can equal a string.
+		// Column IN (all non-NULL literals): dictionary LUT kernel. Only the
+		// string literals go in the probe set — nothing else can equal a
+		// string.
 		if cn, ok := xn.(*vnCol); ok {
 			var strs []string
 			allLit := true
 			for _, le := range x.List {
 				lit, ok := le.(*sqlparser.Literal)
-				if !ok {
+				if !ok || lit.Val == nil {
 					allLit = false
 					break
 				}
