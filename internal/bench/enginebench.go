@@ -59,6 +59,10 @@ var engineBenchQueries = []struct{ name, sql string }{
 		from fact f inner join dim d on f.g = d.g
 		where f.d <= '1998-09-02' and f.flag <> 'N'
 		group by d.cat`},
+	// Bounded scans: the middleware's schema probe (Driver.Columns) and a
+	// first-rows fetch. Both stop loading chunks once LIMIT is met.
+	{"E1LimitProbe", `select * from fact limit 0`},
+	{"E1LimitFirstRows", `select * from fact where x < 0.5 limit 10`},
 }
 
 // EngineBench measures the engine hot path and writes the report to

@@ -18,22 +18,23 @@ import (
 // near-deterministic — get a tight one. The progressive suite measures
 // dozens of per-query latencies whose individual jitter is worse still;
 // those are judged by the median of per-entry ratios, which one noisy
-// query cannot move. Metrics whose baseline sits below an absolute
-// floor are skipped outright: a 3µs benchmark doubling is scheduler noise,
-// not a regression.
+// query cannot move. An engine metric whose baseline sits below an absolute
+// floor is compared against the floor instead: a 3µs benchmark doubling is
+// scheduler noise, not a regression; the same benchmark reaching
+// milliseconds is. Progressive entries below MsFloor are skipped.
 
 // GateConfig holds the regression thresholds. A candidate/baseline ratio
-// above a Max*Ratio limit is a violation; baselines below the matching
-// floor are not compared at all.
+// above a Max*Ratio limit is a violation; an engine baseline below the
+// matching floor counts as the floor.
 type GateConfig struct {
 	MaxNsRatio     float64 // per-benchmark ns/op ratio limit
 	MaxAllocsRatio float64 // per-benchmark allocs/op ratio limit (allocs are near-deterministic)
 	MaxBytesRatio  float64 // per-benchmark bytes/op ratio limit
 	MaxMedianRatio float64 // progressive median-of-latency-ratios limit
 
-	NsFloor     float64 // skip ns/op comparisons when the baseline is faster than this
-	AllocsFloor float64 // skip allocs/op comparisons below this many allocations
-	BytesFloor  float64 // skip bytes/op comparisons below this many bytes
+	NsFloor     float64 // ns/op baselines faster than this count as this
+	AllocsFloor float64 // allocs/op baselines below this many allocations count as this
+	BytesFloor  float64 // bytes/op baselines below this many bytes count as this
 	MsFloor     float64 // skip per-entry latency ratios when the baseline is below this many ms
 }
 
@@ -68,14 +69,16 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %.6g -> %.6g (%.2fx, limit %.2fx)", v.Metric, v.Base, v.Cand, v.Ratio, v.Limit)
 }
 
-// ratioViolation compares one metric pair against its limit, honoring the
-// baseline floor. A zero baseline above the floor cannot yield a finite
-// ratio and is skipped (nothing meaningful to compare against).
+// ratioViolation compares one metric pair against its limit. A baseline
+// below the floor is judged as if it sat at the floor: a 3µs benchmark
+// doubling is noise, the same benchmark growing past the floor itself (a
+// bounded probe turning back into a table scan) is not.
 func ratioViolation(metric string, base, cand, floor, limit float64, out []Violation) []Violation {
-	if base < floor || base == 0 {
+	ref := max(base, floor)
+	if ref == 0 {
 		return out
 	}
-	if r := cand / base; r > limit {
+	if r := cand / ref; r > limit {
 		out = append(out, Violation{Metric: metric, Base: base, Cand: cand, Ratio: r, Limit: limit})
 	}
 	return out

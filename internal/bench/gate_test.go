@@ -67,6 +67,21 @@ func TestGateEngineFloorSkipsNoise(t *testing.T) {
 	}
 }
 
+// TestGateEngineFloorStillCatchesBlowUp: a sub-floor baseline (the bounded
+// LIMIT 0 probe) is judged against the floor, so it cannot silently turn
+// back into a table scan.
+func TestGateEngineFloorStillCatchesBlowUp(t *testing.T) {
+	base := &EngineBenchReport{Benchmarks: []EngineBenchResult{
+		{Name: "E1LimitProbe", NsPerOp: 3_000, AllocsPerOp: 20, BytesPerOp: 2048},
+	}}
+	cand := &EngineBenchReport{Benchmarks: []EngineBenchResult{
+		{Name: "E1LimitProbe", NsPerOp: 13e6, AllocsPerOp: 1650, BytesPerOp: 23e6},
+	}}
+	if v := GateEngine(base, cand, DefaultGateConfig()); len(v) != 3 {
+		t.Fatalf("want ns, allocs and bytes violations, got %v", v)
+	}
+}
+
 // TestGateEngineMissingBenchmarkFails: dropping a benchmark from the run
 // hides regressions, so lost coverage is itself a failure.
 func TestGateEngineMissingBenchmarkFails(t *testing.T) {

@@ -43,7 +43,8 @@ type DB interface {
 	QueryTimed(sql string) (*engine.ResultSet, time.Duration, error)
 	// QueryTimedContext is QueryTimed honoring the caller's context.
 	QueryTimedContext(ctx context.Context, sql string) (*engine.ResultSet, time.Duration, error)
-	// Columns returns the column names of a table (via a LIMIT 0 probe).
+	// Columns returns the column names of a table via a LIMIT 0 probe,
+	// which a backend answers from its catalog without reading rows.
 	Columns(table string) ([]string, error)
 	// RowCount returns a table's cardinality from the engine's catalog
 	// statistics (real engines expose this without scanning).
@@ -111,7 +112,9 @@ func (d *Driver) QueryTimedContext(ctx context.Context, sql string) (*engine.Res
 }
 
 // Columns implements DB with a LIMIT 0 probe — the same trick the paper's
-// middleware uses to learn schemas through a plain SQL interface.
+// middleware uses to learn schemas through a plain SQL interface. The
+// engine pushes the bound into the scan, so the probe loads no chunk and
+// costs the same whatever the table's size.
 func (d *Driver) Columns(table string) ([]string, error) {
 	rs, err := d.eng.Query("select * from " + table + " limit 0")
 	if err != nil {

@@ -1,6 +1,7 @@
 package drivers
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -109,5 +110,31 @@ func TestImpalaNoRandInWhereFlag(t *testing.T) {
 	}
 	if NewSparkSQL(e).Dialect().NoRandInWhere {
 		t.Fatal("Spark dialect should not flag rand() restriction")
+	}
+}
+
+// Columns is the paper's LIMIT 0 probe; the engine bounds the scan, so it
+// costs no row work — here it runs under a budget far smaller than the
+// table, which an unbounded scan of it exceeds.
+func TestColumnsProbeReadsNoRows(t *testing.T) {
+	e := engine.NewSeeded(1)
+	if err := e.CreateTable("wide", []engine.Column{{Name: "a", Type: engine.TInt}, {Name: "b", Type: engine.TFloat}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]engine.Value, 50_000)
+	for i := range rows {
+		rows[i] = []engine.Value{int64(i), float64(i)}
+	}
+	if err := e.InsertRows("wide", rows); err != nil {
+		t.Fatal(err)
+	}
+	e.SetMemoryBudget(64 << 10)
+	db := NewGeneric(e)
+	if _, err := db.Query("select * from wide"); !errors.Is(err, engine.ErrMemoryBudget) {
+		t.Fatalf("full scan under a 64 KiB budget: %v", err)
+	}
+	cols, err := db.Columns("wide")
+	if err != nil || strings.Join(cols, ",") != "a,b" {
+		t.Fatalf("Columns = %v, %v", cols, err)
 	}
 }

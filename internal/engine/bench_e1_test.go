@@ -127,6 +127,19 @@ func BenchmarkE1HashJoin(b *testing.B) {
 		group by d.cat`)
 }
 
+// BenchmarkE1LimitProbe is the schema probe the middleware issues through
+// Driver.Columns: LIMIT 0 is pushed into the scan, so it loads no chunk and
+// allocates per column, not per row.
+func BenchmarkE1LimitProbe(b *testing.B) {
+	benchE1Query(b, e1Engine(b), `select * from fact limit 0`)
+}
+
+// BenchmarkE1LimitFirstRows is a first-rows fetch behind a selective
+// filter: the scan stops at the chunk that yields the tenth match.
+func BenchmarkE1LimitFirstRows(b *testing.B) {
+	benchE1Query(b, e1Engine(b), `select * from fact where x < 0.5 limit 10`)
+}
+
 // e1DiskEngine flushes the benchmark dataset into a scratch data directory
 // so every sealed chunk is segment-backed (the tail stays resident).
 func e1DiskEngine(b *testing.B) *Engine {

@@ -665,6 +665,11 @@ type colSource struct {
 	tail   [][]Value
 	nrows  int
 
+	// counted marks a base-table snapshot whose nrows buildFrom added to the
+	// query's RowsScanned; a bounded scan takes back the rows of the chunks
+	// it never visited (scanChunks).
+	counted bool
+
 	slots []chunkSlot // sealed + ephemeral tail chunk slot, built on first use
 	scan  []*chunk    // resolved chunks, cached by resolveAll
 	mat   [][]Value   // cached row materialization for the fallback path

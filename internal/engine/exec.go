@@ -214,7 +214,7 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.InsertStmt) (*Resu
 	if err := qc.pollAbort(); err != nil {
 		return nil, err
 	}
-	return &ResultSet{}, nil
+	return &ResultSet{RowsScanned: qc.scanned}, nil
 }
 
 func inferColType(rows [][]Value, col int) ColType {
@@ -241,6 +241,12 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	// ones evaluated per outer row — re-enter here, so even O(outer × inner)
 	// plans observe cancellation promptly.
 	if err := qc.pollAbort(); err != nil {
+		return nil, err
+	}
+	// LIMIT is known before anything is read, so a block that streams can
+	// hand it to its scan.
+	limit, err := evalLimit(qc, sel.Limit)
+	if err != nil {
 		return nil, err
 	}
 	rel, err := buildFrom(qc, sel.From, outer, collectRangePreds(sel.Where))
@@ -271,10 +277,25 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	aggCalls, winCalls := collectCalls(sel)
 	hasAgg := len(aggCalls) > 0 || len(sel.GroupBy) > 0
 
+	// Compile the select list. A bad star qualifier is reported where
+	// projection runs, after the per-row errors of the clauses before it.
+	outCols, outErr := deriveOutCols(rel, sel)
+	items, projPure := compileProjection(baseEnv, outCols)
+	plain := !hasAgg && len(winCalls) == 0 && sel.Having == nil && wherePure && projPure
+
+	// A plain block with no DISTINCT or ORDER BY streams: its first n output
+	// rows come from the first source rows that pass WHERE, so the scan takes
+	// LIMIT as its bound and stops there. An impure block evaluates every
+	// row before truncating: the order of its RNG draws is part of every
+	// scramble.
+	bound := noLimit
+	if plain && !sel.Distinct && len(sel.OrderBy) == 0 {
+		bound = limit
+	}
+
 	var entries []*entry
 	var cols []string
 	var projRows [][]Value
-	var outColsPre []outCol // derived by the vectorized gate, reused by project
 	projDone := false
 	if hasAgg {
 		// Fused compiled scan→filter→aggregate; vectorized chunk-at-a-time
@@ -290,31 +311,21 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// restricted to output aliases/positions because the vectorized
 		// pipeline never materializes the pre-projection rows the
 		// expression form would need.
-		if rel.src != nil && rel.rows == nil && !qc.eng.noVec.Load() &&
-			len(winCalls) == 0 && sel.Having == nil && wherePure {
-			outCols, ocErr := deriveOutCols(rel, sel)
-			if ocErr == nil {
-				outColsPre = outCols
-			}
-			if ocErr == nil && orderByOutputsOnly(sel, outColNames(outCols)) {
-				if vs := buildVecSelect(baseEnv, outCols, wherePred, sel.Where); vs != nil {
-					projRows, err = vs.run(rel.src)
-					if err != nil {
-						return nil, err
-					}
-					cols = outColNames(outCols)
-					projDone = true
+		if plain && outErr == nil && rel.src != nil && rel.rows == nil && !qc.eng.noVec.Load() &&
+			orderByOutputsOnly(sel, outColNames(outCols)) {
+			if vs := buildVecSelect(baseEnv, outCols, items, wherePred, sel.Where); vs != nil {
+				projRows, err = vs.run(rel.src, bound)
+				if err != nil {
+					return nil, err
 				}
+				cols = outColNames(outCols)
+				projDone = true
 			}
 		}
 		if !projDone {
-			mat, merr := qc.materialize(rel)
-			if merr != nil {
-				return nil, merr
-			}
-			rows, ferr := filterRows(qc, mat, wherePred, wherePure)
-			if ferr != nil {
-				return nil, ferr
+			rows, err := filterRows(qc, rel, wherePred, wherePure, bound)
+			if err != nil {
+				return nil, err
 			}
 			entries = make([]*entry, len(rows))
 			for i, row := range rows {
@@ -353,7 +364,11 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		}
 
 		// Projection.
-		cols, projRows, err = project(baseEnv, rel, entries, sel, hasAgg, outColsPre)
+		if outErr != nil {
+			return nil, outErr
+		}
+		cols = outColNames(outCols)
+		projRows, err = project(baseEnv, entries, items, projPure)
 		if err != nil {
 			return nil, err
 		}
@@ -386,20 +401,8 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		}
 	}
 
-	// LIMIT.
-	if sel.Limit != nil {
-		limit, _ := compileExpr(baseEnv, sel.Limit)
-		lv, err := limit(nil)
-		if err != nil {
-			return nil, err
-		}
-		n, ok := ToInt(lv)
-		if !ok || n < 0 {
-			return nil, fmt.Errorf("engine: bad LIMIT value %v", lv)
-		}
-		if int64(len(projRows)) > n {
-			projRows = projRows[:n]
-		}
+	if len(projRows) > limit {
+		projRows = projRows[:limit]
 	}
 
 	rs := &ResultSet{Cols: cols, Rows: projRows}
@@ -441,18 +444,63 @@ func appendRowKey(buf []byte, row []Value) []byte {
 	return buf
 }
 
-// filterRows applies the WHERE predicate (nil keeps every row):
-// morsel-parallel when pure over a large snapshot, serial otherwise.
-func filterRows(qc *queryCtx, rows [][]Value, pred compiledExpr, pure bool) ([][]Value, error) {
-	if pred == nil {
-		return rows, nil
+// filterRows returns the first n rows of rel that pass the WHERE predicate
+// (nil keeps every row). A bound over a columnar source boxes and filters
+// chunk by chunk, so chunks past the bound are never loaded; otherwise the
+// whole row view is filtered — morsel-parallel when pure over a large
+// snapshot that n does not cut short, serial and stopping at n if it does.
+func filterRows(qc *queryCtx, rel *relation, pred compiledExpr, pure bool, n int) ([][]Value, error) {
+	if n != noLimit && rel.rows == nil && rel.src != nil {
+		rowBytes := (int64(rel.width()) + 2) * bytesPerValue
+		return scanChunks(qc, rel.src, n, func() chunkEmit {
+			return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
+				qc.chargeMem(int64(ch.n) * rowBytes)
+				return appendPassing(out, ch.rows(), pred, room)
+			}
+		})
 	}
-	if pure {
+	rows, err := qc.materialize(rel)
+	if err != nil {
+		return nil, err
+	}
+	if pred == nil {
+		return rows[:min(len(rows), n)], nil
+	}
+	if pure && n >= len(rows) {
 		if nw := qc.eng.scanWorkers(len(rows)); nw > 1 {
 			return parallelFilter(qc, rows, pred, nw)
 		}
 	}
-	return serialFilter(qc, rows, pred)
+	return serialFilter(qc, rows, pred, n)
+}
+
+// evalLimit evaluates a block's LIMIT (nil means noLimit) before the block
+// reads anything. LIMIT sees no relation, so a column reference makes it
+// non-constant; subqueries and coercible values (1.5, '3') are accepted.
+func evalLimit(qc *queryCtx, e sqlparser.Expr) (int, error) {
+	if e == nil {
+		return noLimit, nil
+	}
+	constant := true
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+		if _, isCol := x.(*sqlparser.ColumnRef); isCol {
+			constant = false
+		}
+		return constant
+	})
+	if !constant {
+		return 0, ErrBadLimit
+	}
+	fn, _ := compileExpr(&env{qc: qc}, e)
+	v, err := fn(nil)
+	if err != nil {
+		return 0, err
+	}
+	n, ok := ToInt(v)
+	if !ok || n < 0 {
+		return 0, fmt.Errorf("%w, got %v", ErrBadLimit, v)
+	}
+	return int(min(n, noLimit)), nil
 }
 
 // collectCalls gathers aggregate calls and window calls referenced by the
@@ -653,56 +701,51 @@ func orderByOutputsOnly(sel *sqlparser.SelectStmt, cols []string) bool {
 	return true
 }
 
-// project evaluates the select list for every entry. outCols may carry the
-// columns already derived by the caller; nil derives them here.
-func project(baseEnv *env, rel *relation, entries []*entry, sel *sqlparser.SelectStmt, hasAgg bool, outCols []outCol) ([]string, [][]Value, error) {
-	if outCols == nil {
-		var err error
-		outCols, err = deriveOutCols(rel, sel)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Compile each projection item once; when every item is pure, large
-	// projections fan out across workers.
-	items := make([]projCol, len(outCols))
-	allPure := true
+// compileProjection compiles each output column once per query; pure
+// reports whether every item is, which lets large projections fan out
+// across workers.
+func compileProjection(scope *env, outCols []outCol) (items []projCol, pure bool) {
+	items = make([]projCol, len(outCols))
+	pure = true
 	for i, oc := range outCols {
 		if oc.expr == nil {
 			items[i] = projCol{idx: oc.idx}
 			continue
 		}
-		fn, pure := compileExpr(baseEnv, oc.expr)
+		fn, p := compileExpr(scope, oc.expr)
 		items[i] = projCol{fn: fn}
-		allPure = allPure && pure
+		pure = pure && p
 	}
+	return items, pure
+}
+
+// project evaluates the compiled select list for every entry.
+func project(baseEnv *env, entries []*entry, items []projCol, allPure bool) ([][]Value, error) {
 	// Projection output is freshly boxed rows: charge it up front, so a
 	// blow-up (huge unaggregated projection) aborts at the next poll.
-	baseEnv.qc.chargeMem(int64(len(entries)) * (int64(len(outCols)) + 2) * bytesPerValue)
+	baseEnv.qc.chargeMem(int64(len(entries)) * (int64(len(items)) + 2) * bytesPerValue)
 	if allPure {
 		if nw := baseEnv.qc.eng.scanWorkers(len(entries)); nw > 1 {
-			rowsOut, err := parallelProject(baseEnv.qc, entries, items, nw)
-			return outColNames(outCols), rowsOut, err
+			return parallelProject(baseEnv.qc, entries, items, nw)
 		}
 	}
 
 	rowsOut := make([][]Value, len(entries))
 	for ei, en := range entries {
 		if err := baseEnv.qc.tick(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		baseEnv.aggVals = en.aggVals
 		baseEnv.winVals = en.winVals
 		row, err := projectRow(en.row, items)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		rowsOut[ei] = row
 	}
 	baseEnv.aggVals = nil
 	baseEnv.winVals = nil
-	return outColNames(outCols), rowsOut, nil
+	return rowsOut, nil
 }
 
 func deriveColName(e sqlparser.Expr, pos int) string {

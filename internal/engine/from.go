@@ -40,6 +40,7 @@ func buildFrom(qc *queryCtx, from sqlparser.TableExpr, outer *env, preds []range
 			}
 		}
 		qc.scanned += int64(src.nrows)
+		src.counted = true
 		quals := make([]string, len(tbl.Cols))
 		names := make([]string, len(tbl.Cols))
 		for i, c := range tbl.Cols {

@@ -1,0 +1,264 @@
+package engine
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+)
+
+// Bounded scans: a streamable block hands its LIMIT to the scan. These
+// tests pin the answers (the first n rows of the unbounded result, in every
+// execution mode), the validation that now precedes the scan, and the work
+// the bound saves: chunk loads, budget charges, RowsScanned.
+
+const limitTotal = 3*parallelMinRows + 77 // 48 sealed chunks plus a tail
+
+// limitModes is SetVectorized on/off × SetParallelism 1/4.
+var limitModes = []struct {
+	vec bool
+	par int
+}{{true, 1}, {true, 4}, {false, 1}, {false, 4}}
+
+func forEachLimitMode(t *testing.T, e *Engine, fn func(label string)) {
+	t.Helper()
+	for _, m := range limitModes {
+		e.SetVectorized(m.vec)
+		e.SetParallelism(m.par)
+		fn(fmt.Sprintf("vec=%v par=%d", m.vec, m.par))
+	}
+	e.SetVectorized(true)
+	e.SetParallelism(0)
+}
+
+// rowReference answers sql on the serial row path — the evaluator the
+// kernels are tested against — with no LIMIT anywhere in it.
+func rowReference(t *testing.T, e *Engine, sql string) *ResultSet {
+	t.Helper()
+	e.SetVectorized(false)
+	e.SetParallelism(1)
+	rs := mustQuery(t, e, sql)
+	e.SetVectorized(true)
+	e.SetParallelism(0)
+	return rs
+}
+
+func firstRows(rs *ResultSet, n int) *ResultSet {
+	return &ResultSet{Cols: rs.Cols, Rows: rs.Rows[:min(n, len(rs.Rows))]}
+}
+
+func TestLimitPushdownEquivalence(t *testing.T) {
+	e := newPersistEngine(t, limitTotal)
+	if err := e.CreateTable("dim", []Column{{Name: "k", Type: TInt}, {Name: "label", Type: TString}}); err != nil {
+		t.Fatal(err)
+	}
+	dim := make([][]Value, 200)
+	for k := range dim {
+		dim[k] = []Value{int64(k), fmt.Sprintf("k%03d", k)}
+	}
+	if err := e.InsertRows("dim", dim); err != nil {
+		t.Fatal(err)
+	}
+
+	filters := []struct{ name, where string }{
+		{"none", ""},
+		{"selectivity 0", " where d < 0"},
+		{"selectivity 1e-4", " where f = 7777.25"},
+		{"selectivity 0.5", " where d % 2 = 0"},
+		{"selectivity 1", " where d >= 0"},
+		{"zone-pruned", " where t.r >= 100"},
+	}
+	selects := []string{"select * from t", "select s, r, d * 2 as d2, f + n as fn, m from t"}
+	bounds := []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, limitTotal, limitTotal + 1}
+	for _, f := range filters {
+		for _, sel := range selects {
+			ref := rowReference(t, e, sel+f.where)
+			forEachLimitMode(t, e, func(mode string) {
+				for _, n := range bounds {
+					sql := fmt.Sprintf("%s%s limit %d", sel, f.where, n)
+					encRowsEqual(t, mode+" "+sql, firstRows(ref, n), mustQuery(t, e, sql))
+				}
+			})
+		}
+	}
+
+	// Blocks inside larger statements keep their own bound.
+	evens := rowReference(t, e, "select d, f from t where d % 2 = 0")
+	low := rowReference(t, e, "select d, f from t where d < 100")
+	high := rowReference(t, e, "select d, f from t where d >= 100")
+	union := &ResultSet{Rows: append(append([][]Value{}, low.Rows[:3]...), high.Rows[:4]...)}
+	joined := rowReference(t, e, "select a.f, b.label from t a inner join dim b on a.d = b.k where a.d % 2 = 0")
+	forEachLimitMode(t, e, func(mode string) {
+		encRowsEqual(t, mode+" derived table", firstRows(evens, 300),
+			mustQuery(t, e, "select d, f from (select d, f from t where d % 2 = 0 limit 300) x"))
+		encRowsEqual(t, mode+" bounded over a derived table", firstRows(evens, 5),
+			mustQuery(t, e, "select d, f from (select d, f from t where d % 2 = 0) x limit 5"))
+		encRowsEqual(t, mode+" union all", union, mustQuery(t, e,
+			"select d, f from t where d < 100 limit 3 union all select d, f from t where d >= 100 limit 4"))
+		encRowsEqual(t, mode+" join", firstRows(joined, 300), mustQuery(t, e,
+			"select a.f, b.label from t a inner join dim b on a.d = b.k where a.d % 2 = 0 limit 300"))
+
+		for _, stmt := range []string{
+			"drop table if exists dst", "drop table if exists ctas",
+			"create table dst (d int, f double)",
+			"insert into dst select d, f from t where d % 2 = 0 limit 300",
+			"create table ctas as select d, f from t where d % 2 = 0 limit 300",
+		} {
+			if _, err := e.Exec(stmt); err != nil {
+				t.Fatalf("%s %s: %v", mode, stmt, err)
+			}
+		}
+		encRowsEqual(t, mode+" insert select", firstRows(evens, 300), mustQuery(t, e, "select d, f from dst"))
+		encRowsEqual(t, mode+" create table as", firstRows(evens, 300), mustQuery(t, e, "select d, f from ctas"))
+	})
+
+	// An impure block is not bounded: it draws for every source row, so the
+	// engine RNG ends where it does without the LIMIT and later scrambles
+	// are unchanged.
+	for _, m := range limitModes {
+		with, without := newPersistEngine(t, limitTotal), newPersistEngine(t, limitTotal)
+		for _, x := range []*Engine{with, without} {
+			x.SetVectorized(m.vec)
+			x.SetParallelism(m.par)
+		}
+		all := mustQuery(t, without, "select d, f from t where rand() < 0.5")
+		encRowsEqual(t, "impure block", firstRows(all, 3), mustQuery(t, with, "select d, f from t where rand() < 0.5 limit 3"))
+		encRowsEqual(t, "next rand() after an impure block",
+			mustQuery(t, without, "select rand()"), mustQuery(t, with, "select rand()"))
+	}
+}
+
+func TestLimitValidation(t *testing.T) {
+	e := shapeDB(t)
+	for _, tc := range []struct {
+		limit string
+		rows  int // -1: ErrBadLimit
+	}{
+		{"1.5", 1}, {"'3'", 3}, {"(select 2)", 2}, {"1 + 1", 2}, {"0", 0},
+		{"order_id", -1}, {"orders.order_id + 1", -1}, {"-1", -1}, {"null", -1}, {"'many'", -1},
+	} {
+		rs, err := e.Query("select order_id from orders limit " + tc.limit)
+		switch {
+		case tc.rows < 0 && !errors.Is(err, ErrBadLimit):
+			t.Errorf("limit %s: error = %v, want ErrBadLimit", tc.limit, err)
+		case tc.rows >= 0 && (err != nil || len(rs.Rows) != tc.rows):
+			t.Errorf("limit %s: %d rows, error %v; want %d rows", tc.limit, len(rs.Rows), err, tc.rows)
+		}
+	}
+	_, err := e.Query("select * from orders limit order_id")
+	if err == nil || err.Error() != "engine: LIMIT must be a constant non-negative integer" {
+		t.Fatalf("error = %v", err)
+	}
+}
+
+// limitWorkEngine is a 200k-row table, large next to a 1 MiB budget.
+func limitWorkEngine(t *testing.T) *Engine {
+	t.Helper()
+	e := NewSeeded(7)
+	if err := e.CreateTable("t", []Column{{Name: "a", Type: TInt}, {Name: "b", Type: TFloat}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, e1Rows)
+	for i := range rows {
+		rows[i] = []Value{int64(i), float64(i) / 8}
+	}
+	if err := e.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+func TestLimitChargesOnlyWhatItReturns(t *testing.T) {
+	e := limitWorkEngine(t)
+	e.SetMemoryBudget(1 << 20)
+	if _, err := e.Query("select a from t"); !errors.Is(err, ErrMemoryBudget) {
+		t.Fatalf("unbounded scan under a 1 MiB budget: error = %v, want ErrMemoryBudget", err)
+	}
+	forEachLimitMode(t, e, func(mode string) {
+		for sql, want := range map[string]int{
+			"select * from t limit 0":                    0,
+			"select a from t limit 5":                    5,
+			"select a, b * 2 from t where a >= 100":      -1, // no bound: still over budget
+			"select a from t where a % 100 = 99 limit 5": 5,
+		} {
+			rs, err := e.Query(sql)
+			if want < 0 {
+				if !errors.Is(err, ErrMemoryBudget) {
+					t.Errorf("%s %s: error = %v, want ErrMemoryBudget", mode, sql, err)
+				}
+				continue
+			}
+			if err != nil || len(rs.Rows) != want {
+				t.Errorf("%s %s: error %v, want %d rows", mode, sql, err, want)
+			}
+		}
+	})
+}
+
+func TestLimitRowsScanned(t *testing.T) {
+	e := limitWorkEngine(t)
+	scanned := func(sql string) int64 { return mustQuery(t, e, sql).RowsScanned }
+	forEachLimitMode(t, e, func(mode string) {
+		if got := scanned("select * from t limit 0"); got != 0 {
+			t.Errorf("%s limit 0: RowsScanned = %d, want 0", mode, got)
+		}
+		// No bound is pushed into these: the whole table counts, as before.
+		for _, sql := range []string{
+			"select a from t",
+			"select count(*) from t limit 1",
+			"select a from t order by a limit 5",
+			"select distinct a from t limit 5",
+			"select a from t where rand() < 2 limit 5",
+		} {
+			if got := scanned(sql); got != e1Rows {
+				t.Errorf("%s %s: RowsScanned = %d, want %d", mode, sql, got, e1Rows)
+			}
+		}
+		// A zone-pruned, bounded scan counts the chunks it visited.
+		if got := scanned("select a from t where t.a >= 100000 limit 5"); got == 0 || got > 4*chunkRows+int64(e1Rows%chunkRows) {
+			t.Errorf("%s pruned bounded scan: RowsScanned = %d", mode, got)
+		}
+	})
+	// Serial scans stop at the first chunk that fills the bound; parallel
+	// ones visit one chunk per worker, the same ones every time.
+	e.SetParallelism(1)
+	if got := scanned("select * from t limit 5"); got != chunkRows {
+		t.Errorf("serial limit 5: RowsScanned = %d, want %d", got, chunkRows)
+	}
+	if got := scanned("select * from t where a >= 1000 limit 5"); got != 4*chunkRows {
+		t.Errorf("serial filtered limit 5: RowsScanned = %d, want %d", got, 4*chunkRows)
+	}
+	e.SetParallelism(4)
+	if got := scanned("select * from t limit 5"); got != 4*chunkRows {
+		t.Errorf("parallel limit 5: RowsScanned = %d, want %d", got, 4*chunkRows)
+	}
+}
+
+func TestLimitLoadsOnlyTheChunksItNeeds(t *testing.T) {
+	ownDataDir(t)
+	e := limitWorkEngine(t)
+	if _, err := e.AttachDataDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e.SetParallelism(1)
+	for _, vec := range []bool{true, false} {
+		e.SetVectorized(vec)
+		e.DropChunkCache()
+		before := e.ChunkCache()
+		for _, sql := range []string{"select * from t limit 0", "select * from t limit -1", "select * from t limit a"} {
+			_, _ = e.Query(sql)
+		}
+		if st := e.ChunkCache(); st.Misses != before.Misses || st.Hits != before.Hits {
+			t.Fatalf("vec=%v: limit 0 and rejected limits touched the chunk cache: %+v -> %+v", vec, before, st)
+		}
+		if rs := mustQuery(t, e, "select * from t limit 5"); len(rs.Rows) != 5 {
+			t.Fatalf("vec=%v: limit 5 returned %d rows", vec, len(rs.Rows))
+		}
+		if st := e.ChunkCache(); st.Entries != 1 {
+			t.Fatalf("vec=%v: limit 5 loaded %d chunks, want 1", vec, st.Entries)
+		}
+	}
+}

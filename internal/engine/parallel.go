@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"runtime/debug"
 	"sync"
 
@@ -88,19 +89,134 @@ func runChunks(nw, n int, fn func(w, lo, hi int) error) error {
 	return nil
 }
 
-// serialFilter applies a compiled predicate in row order.
-func serialFilter(qc *queryCtx, rows [][]Value, pred compiledExpr) ([][]Value, error) {
-	out := rows[:0:0]
-	for _, row := range rows {
-		if err := qc.tick(); err != nil {
-			return nil, err
+// noLimit is the bound of a scan that wants every row.
+const noLimit = math.MaxInt
+
+// chunkEmit appends one chunk's output rows to out, at most room of them.
+type chunkEmit func(out [][]Value, ch *chunk, room int) ([][]Value, error)
+
+// scanChunks drives a chunk-at-a-time row producer over src: serially, or as
+// contiguous chunk ranges per worker concatenated in chunk order, so the
+// rows equal a serial scan's. newEmit builds one worker's producer. A bound
+// below noLimit asks for the first bound rows only: each worker stops
+// loading chunks once its own range has produced bound rows, and the
+// concatenation ends at the range that completes the bound — later ranges
+// are dropped, errors included, because a serial scan would not have reached
+// them. Workers never signal each other, and the result is exactly the
+// prefix of the unbounded one; a bound of 0 loads nothing.
+func scanChunks(qc *queryCtx, src *colSource, bound int, newEmit func() chunkEmit) ([][]Value, error) {
+	type part struct {
+		rows    [][]Value
+		visited int
+		err     error
+	}
+	var slots []chunkSlot
+	if bound > 0 {
+		slots = src.scanSlots()
+	}
+	scanRange := func(lo, hi int) (p part) {
+		span := 0
+		for _, sl := range slots[lo:hi] {
+			span += sl.slotRows()
 		}
-		v, err := pred(row)
+		// Row headers up front: the filter can only shrink the output, and
+		// append-doubling over a six-figure result costs more in copies and
+		// GC scanning than the slack.
+		span = min(span, bound)
+		qc.chargeMem(int64(span) * 2 * bytesPerValue)
+		p.rows = make([][]Value, 0, span)
+		emit := newEmit()
+		for _, sl := range slots[lo:hi] {
+			if len(p.rows) >= bound {
+				break
+			}
+			if p.err = qc.pollAbort(); p.err != nil {
+				return p
+			}
+			var ch *chunk
+			if ch, p.err = sl.load(qc); p.err != nil {
+				return p
+			}
+			p.visited += ch.n
+			if p.rows, p.err = emit(p.rows, ch, bound-len(p.rows)); p.err != nil {
+				return p
+			}
+		}
+		return p
+	}
+	nw := min(qc.eng.scanWorkers(src.nrows), len(slots))
+	parts := make([]part, max(nw, 1))
+	if nw > 1 {
+		err := runChunks(nw, len(slots), func(w, lo, hi int) error {
+			parts[w] = scanRange(lo, hi)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		if b, ok := ToBool(v); ok && b {
-			out = append(out, row)
+		qc.eng.parallelScans.Add(1)
+	} else {
+		parts[0] = scanRange(0, len(slots))
+	}
+	visited, total := 0, 0
+	for _, p := range parts {
+		visited += p.visited
+		total += len(p.rows)
+	}
+	if src.counted {
+		qc.scanned -= int64(src.nrows - visited)
+	}
+	if nw <= 1 {
+		return parts[0].rows, parts[0].err
+	}
+	res := make([][]Value, 0, total)
+	for _, p := range parts {
+		if p.err != nil {
+			return nil, p.err
+		}
+		res = append(res, p.rows...)
+		if len(res) >= bound {
+			return res[:bound], nil
+		}
+	}
+	return res, nil
+}
+
+// appendPassing appends to out the rows that pass pred (nil keeps every
+// row), at most room of them. The caller polls: rows is one chunk's worth.
+func appendPassing(out, rows [][]Value, pred compiledExpr, room int) ([][]Value, error) {
+	for _, row := range rows {
+		if room == 0 {
+			break
+		}
+		if pred != nil {
+			v, err := pred(row)
+			if err != nil {
+				return nil, err
+			}
+			if b, ok := ToBool(v); !ok || !b {
+				continue
+			}
+		}
+		out = append(out, row)
+		room--
+	}
+	return out, nil
+}
+
+// serialFilter applies a compiled predicate in row order, stopping once n
+// rows passed. It polls every pollEvery rows without shared state, so a
+// morsel worker may run it over its own range.
+func serialFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, n int) ([][]Value, error) {
+	var out [][]Value
+	for lo := 0; lo < len(rows) && len(out) < n; lo += pollEvery {
+		if err := qc.pollAbort(); err != nil {
+			return nil, err
+		}
+		var err error
+		out, err = appendPassing(out, rows[lo:min(lo+pollEvery, len(rows))], pred, n-len(out))
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -110,25 +226,9 @@ func serialFilter(qc *queryCtx, rows [][]Value, pred compiledExpr) ([][]Value, e
 // preserving row order by concatenating per-chunk keeps.
 func parallelFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, nw int) ([][]Value, error) {
 	outs := make([][][]Value, nw)
-	err := runChunks(nw, len(rows), func(w, lo, hi int) error {
-		var kept [][]Value
-		poll := 0
-		for _, row := range rows[lo:hi] {
-			if poll++; poll&(pollEvery-1) == 0 {
-				if err := qc.pollAbort(); err != nil {
-					return err
-				}
-			}
-			v, err := pred(row)
-			if err != nil {
-				return err
-			}
-			if b, ok := ToBool(v); ok && b {
-				kept = append(kept, row)
-			}
-		}
-		outs[w] = kept
-		return nil
+	err := runChunks(nw, len(rows), func(w, lo, hi int) (err error) {
+		outs[w], err = serialFilter(qc, rows[lo:hi], pred, noLimit)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -457,7 +557,7 @@ func (p *scanPlan) run() ([]*entry, error) {
 	} else {
 		if p.where != nil {
 			var err error
-			rows, err = serialFilter(p.qc, rows, p.where)
+			rows, err = serialFilter(p.qc, rows, p.where, noLimit)
 			if err != nil {
 				return nil, err
 			}

@@ -11,7 +11,8 @@ import (
 // Pins the expression shapes that need scope state beyond the current row —
 // subqueries, enclosing-scope columns, aggregate and window references — and
 // the per-row timing of their errors: a query whose failing expression is
-// never evaluated (zero rows, short-circuit) succeeds.
+// never evaluated (zero rows, short-circuit, a row past a pushed-down LIMIT)
+// succeeds.
 
 func shapeDB(t *testing.T) *Engine {
 	t.Helper()
@@ -152,8 +153,13 @@ func TestScopeShapes(t *testing.T) {
 		{name: "IN subquery with several columns",
 			sql:     `select count(*) from orders where product_id in (select product_id, name from products)`,
 			wantErr: "engine: IN subquery must return one column"},
+		{name: "per-row error", sql: `select order_id, 0 - (case when order_id > 2 then city else '1' end) from orders`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "per-row error on a row the LIMIT bound never reaches",
+			sql:  `select order_id, 0 - (case when order_id > 2 then city else '1' end) from orders limit 2`,
+			want: "1,-1; 2,-1"},
 		{name: "bad LIMIT", sql: `select order_id from orders limit 0 - 1`,
-			wantErr: "engine: bad LIMIT value -1"},
+			wantErr: "engine: LIMIT must be a constant non-negative integer, got -1"},
 		{name: "unknown function evaluates its arguments first", sql: `select nofn(nope) from orders`,
 			wantErr: "engine: unknown column nope"},
 		{name: "unknown function", sql: `select nofn(1) from orders`,

@@ -315,7 +315,6 @@ func addLane(acc accumulator, v *vec, k int) error {
 // boxed rows only at the ResultSet boundary.
 type vecSelect struct {
 	qc         *queryCtx
-	eng        *Engine
 	where      vnode
 	whereConjs []vnode
 	whereFn    compiledExpr // row-path fallback predicate
@@ -330,10 +329,11 @@ type vecSelect struct {
 }
 
 // buildVecSelect lowers the WHERE and output columns of a non-aggregate
-// SELECT; nil when any of them cannot run vectorized.
-func buildVecSelect(scope *env, outCols []outCol, wherePred compiledExpr, whereAST sqlparser.Expr) *vecSelect {
+// SELECT whose compiled projection items (all pure) are itemFns; nil when
+// any of them cannot run vectorized.
+func buildVecSelect(scope *env, outCols []outCol, itemFns []projCol, wherePred compiledExpr, whereAST sqlparser.Expr) *vecSelect {
 	c := &vecCompiler{scope: scope}
-	vs := &vecSelect{qc: scope.qc, eng: scope.qc.eng, whereFn: wherePred}
+	vs := &vecSelect{qc: scope.qc, whereFn: wherePred, itemFns: itemFns}
 	if whereAST != nil {
 		vs.where, vs.whereConjs = c.lowerWhere(whereAST)
 		if vs.where == nil {
@@ -344,7 +344,6 @@ func buildVecSelect(scope *env, outCols []outCol, wherePred compiledExpr, whereA
 	for _, oc := range outCols {
 		if oc.expr == nil {
 			vs.items = append(vs.items, &vnCol{id: c.newID(), col: oc.idx}) //verdict:nocharge plan-size
-			vs.itemFns = append(vs.itemFns, projCol{idx: oc.idx})           //verdict:nocharge plan-size
 			vs.itemCols = append(vs.itemCols, oc.idx)                       //verdict:nocharge plan-size
 			continue
 		}
@@ -352,92 +351,30 @@ func buildVecSelect(scope *env, outCols []outCol, wherePred compiledExpr, whereA
 		if n == nil {
 			return nil
 		}
-		fn, pure := compileExpr(scope, oc.expr)
-		if !pure {
-			return nil
-		}
 		ci := -1
 		if cn, isCol := n.(*vnCol); isCol {
 			ci = cn.col // explicit column reference: late-materialize too
 		}
-		vs.items = append(vs.items, n)                   //verdict:nocharge plan-size
-		vs.itemFns = append(vs.itemFns, projCol{fn: fn}) //verdict:nocharge plan-size
-		vs.itemCols = append(vs.itemCols, ci)            //verdict:nocharge plan-size
+		vs.items = append(vs.items, n)        //verdict:nocharge plan-size
+		vs.itemCols = append(vs.itemCols, ci) //verdict:nocharge plan-size
 	}
 	vs.nbuf = c.nbuf
 	return vs
 }
 
-func (vs *vecSelect) run(src *colSource) ([][]Value, error) {
-	slots := src.scanSlots()
-	nw := vs.eng.scanWorkers(src.nrows)
-	if nw > len(slots) {
-		nw = len(slots)
-	}
-	if nw <= 1 {
+// run scans src through the pipeline, stopping at bound output rows.
+func (vs *vecSelect) run(src *colSource, bound int) ([][]Value, error) {
+	return scanChunks(vs.qc, src, bound, func() chunkEmit {
 		vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
-		// Row headers for every source row up front: the filter can only
-		// shrink the output, and append-doubling over a six-figure result
-		// costs more in copies and GC scanning than the slack.
-		vs.qc.chargeMem(int64(src.nrows) * 2 * bytesPerValue)
-		out := make([][]Value, 0, src.nrows)
-		for _, sl := range slots {
-			if err := vs.qc.pollAbort(); err != nil {
-				return nil, err
-			}
-			ch, err := sl.load(vs.qc)
-			if err != nil {
-				return nil, err
-			}
-			out, err = vs.projectChunk(out, vc, ch)
-			if err != nil {
-				return nil, err
-			}
+		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
+			return vs.projectChunk(out, vc, ch, room)
 		}
-		return out, nil
-	}
-	outs := make([][][]Value, nw)
-	err := runChunks(nw, len(slots), func(w, lo, hi int) error {
-		vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
-		span := 0
-		for _, sl := range slots[lo:hi] {
-			span += sl.slotRows()
-		}
-		vs.qc.chargeMem(int64(span) * 2 * bytesPerValue)
-		out := make([][]Value, 0, span)
-		for _, sl := range slots[lo:hi] {
-			if err := vs.qc.pollAbort(); err != nil {
-				return err
-			}
-			ch, err := sl.load(vs.qc)
-			if err != nil {
-				return err
-			}
-			out, err = vs.projectChunk(out, vc, ch)
-			if err != nil {
-				return err
-			}
-		}
-		outs[w] = out
-		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	res := make([][]Value, 0, total)
-	for _, o := range outs {
-		res = append(res, o...)
-	}
-	vs.eng.parallelScans.Add(1)
-	return res, nil
 }
 
-// projectChunk filters and projects one chunk, appending the output rows.
-func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Value, error) {
+// projectChunk filters and projects one chunk, appending at most room
+// output rows.
+func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int) ([][]Value, error) {
 	lanes := ch.n
 	var sel []int32
 	if vs.where != nil {
@@ -445,7 +382,7 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 		var err error
 		sel, all, err = evalFilter(vc, ch, vs.where, vs.whereConjs)
 		if err != nil {
-			return vs.projectChunkRows(out, ch)
+			return vs.projectChunkRows(out, ch, room)
 		}
 		if all {
 			sel = nil
@@ -454,6 +391,13 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 			if lanes == 0 {
 				return out, nil
 			}
+		}
+	}
+	if lanes > room {
+		// Only the first room surviving lanes are wanted.
+		lanes = room
+		if sel != nil {
+			sel = sel[:room]
 		}
 	}
 	// Kernel evaluation for computed items only; plain column references
@@ -466,7 +410,7 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 		}
 		v, err := it.eval(vc, ch, sel)
 		if err != nil {
-			return vs.projectChunkRows(out, ch)
+			return vs.projectChunkRows(out, ch, room)
 		}
 		vc.items[j] = v
 	}
@@ -491,8 +435,11 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk) ([][]Val
 
 // projectChunkRows is the per-chunk row-path fallback: filter and project
 // through the compiled closures over the cached row view.
-func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk) ([][]Value, error) {
+func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk, room int) ([][]Value, error) {
 	for _, r := range ch.rows() {
+		if room == 0 {
+			break
+		}
 		if vs.whereFn != nil {
 			v, err := vs.whereFn(r)
 			if err != nil {
@@ -507,6 +454,7 @@ func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk) ([][]Value, erro
 			return nil, err
 		}
 		out = append(out, row)
+		room--
 	}
 	return out, nil
 }

@@ -550,3 +550,110 @@ func TestAppendBatchIncrementalCountsMatchRecount(t *testing.T) {
 		}
 	}
 }
+
+// scanCountingDB sums the engine's RowsScanned over the statements a
+// builder and its catalog issue. The Columns probes go through the real
+// Driver.Columns, which discards the count; the test asserts theirs apart.
+type scanCountingDB struct {
+	*drivers.Driver
+	scanned int64
+}
+
+func (c *scanCountingDB) Exec(sql string) error {
+	rs, err := c.Engine().Exec(sql)
+	if err == nil {
+		c.scanned += rs.RowsScanned
+	}
+	return err
+}
+
+func (c *scanCountingDB) Query(sql string) (*engine.ResultSet, error) {
+	rs, err := c.Driver.Query(sql)
+	if err == nil {
+		c.scanned += rs.RowsScanned
+	}
+	return rs, err
+}
+
+// appendBatchCost builds a disk-backed base table of baseRows rows with a
+// hashed sample (its acceptance is a function of the batch alone), drops
+// the chunk cache, and appends one fixed 500-row batch under a 1 MiB memory
+// budget. It returns the chunk-cache misses and RowsScanned of that append.
+func appendBatchCost(t *testing.T, baseRows int) (misses, scanned int64) {
+	t.Helper()
+	t.Setenv("ENGINE_SPILL", "") // this engine manages its own data directory
+	e := engine.NewSeeded(11)
+	if _, err := e.AttachDataDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	cols := []engine.Column{
+		{Name: "id", Type: engine.TInt},
+		{Name: "city", Type: engine.TString},
+		{Name: "amount", Type: engine.TFloat},
+	}
+	load := func(table string, firstID, n int) {
+		rows := make([][]engine.Value, n)
+		for i := range rows {
+			id := firstID + i
+			rows[i] = []engine.Value{int64(id), fmt.Sprintf("city-%d", id%7), float64(id % 97)}
+		}
+		if err := e.CreateTable(table, cols); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.InsertRows(table, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load("sales", 1, baseRows)
+	load("batch", 1_000_001, 500)
+	db := &scanCountingDB{Driver: drivers.NewGeneric(e)}
+	cat, err := meta.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(db, cat)
+	si, err := b.CreateHashed("sales", "id", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	e.DropChunkCache()
+
+	e.SetMemoryBudget(1 << 20)
+	before := e.ChunkCache().Misses
+	if cols, err := db.Columns("sales"); err != nil || len(cols) != 3 {
+		t.Fatalf("Columns under a 1 MiB budget: %v, %v", cols, err)
+	}
+	if rs, err := e.Query("select * from sales limit 0"); err != nil || rs.RowsScanned != 0 {
+		t.Fatalf("LIMIT 0 probe: %v, %v", rs, err)
+	}
+	if st := e.ChunkCache(); st.Misses != before || st.Entries != 0 {
+		t.Fatalf("schema probes loaded chunks: %+v", st)
+	}
+	db.scanned = 0
+	after, err := b.AppendBatch(si, "batch")
+	if err != nil {
+		t.Fatalf("AppendBatch over %d base rows under a 1 MiB budget: %v", baseRows, err)
+	}
+	if after.BaseRows != si.BaseRows+500 || after.SampleRows <= si.SampleRows {
+		t.Fatalf("append did not extend the sample: %+v -> %+v", si, after)
+	}
+	return e.ChunkCache().Misses - before, db.scanned
+}
+
+// The append reads the batch, its staged sample rows and the catalog —
+// never the base table: Appendix D's O(batch) maintenance cost.
+func TestAppendBatchCostIndependentOfBaseSize(t *testing.T) {
+	smallMisses, smallScanned := appendBatchCost(t, 20_000)
+	bigMisses, bigScanned := appendBatchCost(t, 200_000)
+	if smallMisses != bigMisses || smallScanned != bigScanned {
+		t.Fatalf("AppendBatch cost grew with the base table: 20k rows -> %d chunk misses, %d rows scanned; 200k rows -> %d, %d",
+			smallMisses, smallScanned, bigMisses, bigScanned)
+	}
+	if smallScanned == 0 || smallScanned > 10*500 {
+		t.Fatalf("AppendBatch of 500 rows scanned %d rows", smallScanned)
+	}
+}
