@@ -133,3 +133,50 @@ func TestInjectedStallStaysCancellable(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectedJoinFaultsBothHashSides runs exactJoinBothSides, arming an
+// error at the join's build and probe sites in turn: the injected error must
+// come back as is, the sites must fire once per chunk of
+// the hashed and of the scanned input whichever side they are on, and the
+// connection must answer identically once disarmed.
+func TestInjectedJoinFaultsBothHashSides(t *testing.T) {
+	defer faultpoint.Reset()
+	conn := instaConn(t)
+	chunksOf := func(table string) int64 {
+		t.Helper()
+		a, err := conn.Query("bypass select count(*) as c from " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return (a.Rows[0][0].(int64) + 255) / 256
+	}
+	small, big := chunksOf("orders"), chunksOf("order_products")
+	for _, sql := range exactJoinBothSides {
+		faultpoint.Reset()
+		baseline, err := conn.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, p := faultpoint.Count(faultpoint.SiteEngineJoinBuild), faultpoint.Count(faultpoint.SiteEngineJoinProbe); b != small || p != big {
+			t.Fatalf("%s: build site hit %d times, probe site %d; want %d (hashed chunks) and %d (scanned chunks)", sql, b, p, small, big)
+		}
+		sentinel := errors.New("faultpoint: join wire test")
+		for _, arm := range []struct{ set, clear func() }{
+			{func() { faultpoint.SetError(faultpoint.SiteEngineJoinBuild, sentinel) },
+				func() { faultpoint.Clear(faultpoint.SiteEngineJoinBuild) }},
+			{func() { faultpoint.SetError(faultpoint.SiteEngineJoinProbe, sentinel) },
+				func() { faultpoint.Clear(faultpoint.SiteEngineJoinProbe) }},
+		} {
+			arm.set()
+			if _, err := conn.Query(sql); !errors.Is(err, sentinel) {
+				t.Fatalf("%s: want the injected error, got %v", sql, err)
+			}
+			arm.clear()
+			again, err := conn.Query(sql)
+			if err != nil {
+				t.Fatalf("%s after disarm: %v", sql, err)
+			}
+			assertAnswersIdentical(t, "post-fault", baseline, again)
+		}
+	}
+}

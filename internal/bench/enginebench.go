@@ -63,6 +63,13 @@ var engineBenchQueries = []struct{ name, sql string }{
 	// first-rows fetch. Both stop loading chunks once LIMIT is met.
 	{"E1LimitProbe", `select * from fact limit 0`},
 	{"E1LimitFirstRows", `select * from fact where x < 0.5 limit 10`},
+	// The rewritten-sample shape: a small left input joined to the big
+	// table. The join hashes the smaller input whichever side it is on.
+	{"E1HashJoinSmallLeft", `
+		select d.cat, sum(f.x * (1 - f.y)) as rev, avg(f.x) as ax, count(*) as c
+		from dim d inner join fact f on f.g = d.g
+		where f.d <= '1998-09-02' and f.flag <> 'N'
+		group by d.cat`},
 }
 
 // EngineBench measures the engine hot path and writes the report to

@@ -33,48 +33,28 @@ func (m *Middleware) Explain(ctx context.Context, sel *sqlparser.SelectStmt) (*A
 		return a, nil
 	}
 
-	flat, err := FlattenComparisonSubqueries(sel)
-	if err != nil {
-		return nil, err
-	}
-	if flattened := sqlparser.Format(flat) != sqlparser.Format(sel); flattened {
+	snapshot, version := m.cat.Snapshot()
+	qp := m.planSelect(ctx, sel, snapshot, version)
+	flat := qp.flat
+	if flat != nil && sqlparser.Format(flat) != sqlparser.Format(sel) {
 		add("flatten", "comparison subqueries converted to joins")
 	}
-
-	occ := map[string]*tableOccurrence{}
-	if err := collectAllOccurrences(flat, occ); err != nil {
-		return nil, err
+	if len(qp.occ) > 0 {
+		var aliases []string
+		for al, o := range qp.occ {
+			aliases = append(aliases, fmt.Sprintf("%s=%s", al, o.Base))
+		}
+		sort.Strings(aliases)
+		add("tables", strings.Join(aliases, ", "))
 	}
-	var aliases []string
-	for al, o := range occ {
-		aliases = append(aliases, fmt.Sprintf("%s=%s", al, o.Base))
-	}
-	sort.Strings(aliases)
-	add("tables", strings.Join(aliases, ", "))
-
-	all, err := m.cat.List()
-	if err != nil {
-		return nil, err
-	}
-	planner := NewPlanner(m.opts.Planner, all)
-	plans, extremeIdx, ok, err := planner.PlanQuery(flat, occ)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		add("plan", "no admissible sample plan within the I/O budget")
+	if qp.decline != "" {
+		add("plan", qp.decline)
 		add("execution", "passthrough to underlying engine")
 		a.StdErr = nanMatrix(len(a.Rows), 2)
 		return a, nil
 	}
-	if decline, err := m.groupCardinalityTooHigh(ctx, flat, plans[0].Plan); err == nil && decline {
-		add("plan", "declined: grouping cardinality too high for the sample")
-		add("execution", "passthrough to underlying engine")
-		a.StdErr = nanMatrix(len(a.Rows), 2)
-		return a, nil
-	}
+	plans, extremeIdx, multi := qp.plans, qp.extremeIdx, qp.multi
 
-	multi := len(plans) > 1 || len(extremeIdx) > 0
 	for i, cp := range plans {
 		var choices []string
 		for al, c := range cp.Plan.Choices {

@@ -2,11 +2,19 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"verdictdb/internal/drivers"
 	"verdictdb/internal/engine"
+	"verdictdb/internal/meta"
+	"verdictdb/internal/sampling"
 	"verdictdb/internal/sqlparser"
+	"verdictdb/internal/workload"
 )
 
 func TestExplainSupportedQuery(t *testing.T) {
@@ -88,5 +96,132 @@ func TestExplainExtremeDecomposition(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("extreme decomposition not explained")
+	}
+}
+
+// workloadMiddleware loads one workload dataset with the benchmark's 2 %
+// sample set (internal/bench/harness.go).
+func workloadMiddleware(t *testing.T, dataset string) *Middleware {
+	t.Helper()
+	e := engine.NewSeeded(42)
+	db := drivers.NewGeneric(e)
+	cat, err := meta.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sampling.NewBuilder(db, cat)
+	type sample struct {
+		table string
+		on    []string // nil = uniform
+		strat bool
+	}
+	var samples []sample
+	if dataset == "tpch" {
+		err = workload.LoadTPCH(e, 0.1, 42)
+		samples = []sample{
+			{table: "lineitem"}, {table: "lineitem", on: []string{"l_returnflag", "l_linestatus"}, strat: true},
+			{table: "lineitem", on: []string{"l_orderkey"}}, {table: "orders"}, {table: "orders", on: []string{"o_orderkey"}},
+			{table: "partsupp"}, {table: "partsupp", on: []string{"ps_suppkey"}},
+		}
+	} else {
+		err = workload.LoadInsta(e, 0.1, 43)
+		samples = []sample{
+			{table: "order_products"}, {table: "order_products", on: []string{"order_id"}}, {table: "orders"},
+			{table: "orders", on: []string{"user_id"}}, {table: "orders", on: []string{"order_id"}},
+			{table: "orders", on: []string{"order_dow"}, strat: true}, {table: "orders", on: []string{"order_hour"}, strat: true},
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range samples {
+		switch {
+		case s.on == nil:
+			_, err = b.CreateUniform(s.table, 0.02)
+		case s.strat:
+			_, err = b.CreateStratified(s.table, s.on, 0.02)
+		default:
+			_, err = b.CreateHashed(s.table, s.on[0], 0.02)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return New(db, cat, DefaultOptions())
+}
+
+var explainPlanRow = regexp.MustCompile(`via (.*) \(score [^,]*, cost (\d+) rows\)`)
+
+// EXPLAIN must describe the plan the query runs: for all 33 workload shapes
+// the sample tables and the cost of its "plan N" rows are those of the
+// cached plan entry, and it reports a passthrough exactly when the entry is
+// one.
+func TestExplainMatchesExecutedPlan(t *testing.T) {
+	for _, ds := range []struct {
+		name    string
+		queries []workload.Query
+	}{{"tpch", workload.TPCHQueries}, {"insta", workload.InstaQueries}} {
+		m := workloadMiddleware(t, ds.name)
+		for _, q := range ds.queries {
+			ctx := context.Background()
+			if _, err := m.QueryContext(ctx, q.SQL); err != nil {
+				t.Fatalf("%s: %v", q.ID, err)
+			}
+			entry := m.plans.lookup(normalizeSQL(q.SQL), m.cat.Version())
+			if entry == nil {
+				t.Fatalf("%s: no cached plan entry", q.ID)
+			}
+			sel, err := sqlparser.ParseSelect(q.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := m.Explain(ctx, sel)
+			if err != nil {
+				t.Fatalf("%s: explain: %v", q.ID, err)
+			}
+			passthrough := false
+			var samples [][]string
+			var minCost int64
+			for _, r := range a.Rows {
+				step, detail := engine.ToStr(r[0]), engine.ToStr(r[1])
+				if step == "execution" && strings.Contains(detail, "passthrough") {
+					passthrough = true
+				}
+				if !strings.HasPrefix(step, "plan ") {
+					continue
+				}
+				mt := explainPlanRow.FindStringSubmatch(detail)
+				if mt == nil {
+					t.Fatalf("%s: unparsable plan row %q", q.ID, detail)
+				}
+				var tables []string
+				for _, choice := range strings.Split(mt[1], ", ") {
+					if _, tbl, _ := strings.Cut(choice, "->"); tbl != "base" {
+						tables = append(tables, tbl)
+					}
+				}
+				sort.Strings(tables)
+				samples = append(samples, tables)
+				if cost, _ := strconv.ParseInt(mt[2], 10, 64); cost > 0 && (minCost == 0 || cost < minCost) {
+					minCost = cost
+				}
+			}
+			if passthrough != entry.passthrough {
+				t.Errorf("%s: explain passthrough=%v, executed entry passthrough=%v", q.ID, passthrough, entry.passthrough)
+				continue
+			}
+			var ran [][]string
+			for _, st := range entry.steps {
+				tables := append([]string(nil), st.sampleTables...)
+				sort.Strings(tables)
+				ran = append(ran, tables)
+			}
+			if !reflect.DeepEqual(samples, ran) {
+				t.Errorf("%s: explain plans read %v, the executed entry reads %v", q.ID, samples, ran)
+			}
+			if minCost != entry.planSampleRows {
+				t.Errorf("%s: explain's smallest plan costs %d rows, the executed entry's %d", q.ID, minCost, entry.planSampleRows)
+			}
+		}
 	}
 }

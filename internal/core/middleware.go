@@ -273,6 +273,59 @@ func (m *Middleware) querySelect(ctx context.Context, sel *sqlparser.SelectStmt,
 	return m.executeEntry(ctx, entry, original)
 }
 
+// queryPlan is the outcome of the planning preamble that buildEntry caches
+// and Explain describes. decline says why the query passes through to the
+// engine; when it is empty, plans holds at least one consolidated plan.
+type queryPlan struct {
+	flat       *sqlparser.SelectStmt
+	occ        map[string]*tableOccurrence
+	plans      []ConsolidatedPlan
+	extremeIdx []int
+	multi      bool // several partial plans: order/limit applied middleware-side
+	decline    string
+}
+
+// planSelect plans a supported SELECT against one catalog snapshot: flatten
+// comparison subqueries, resolve table occurrences, fill in base-table row
+// counts (plan costs and scores depend on them), plan, then apply the
+// decline rules.
+func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt, snapshot []meta.SampleInfo, version int64) *queryPlan {
+	qp := &queryPlan{occ: map[string]*tableOccurrence{}}
+	flat, err := FlattenComparisonSubqueries(sel)
+	if err != nil || flat == nil {
+		qp.decline = "comparison subqueries cannot be flattened"
+		return qp
+	}
+	qp.flat = flat
+	if err := collectAllOccurrences(flat, qp.occ); err != nil {
+		qp.decline = err.Error()
+		return qp
+	}
+	//verdict:unordered per-entry mutation keyed by the entry itself; no cross-entry effects
+	for _, o := range qp.occ {
+		if n, ok := m.rowCount(o.Base, version); ok {
+			o.Rows = n
+		}
+	}
+	var ok bool
+	qp.plans, qp.extremeIdx, ok, err = NewPlanner(m.opts.Planner, snapshot).PlanQuery(flat, qp.occ)
+	qp.multi = len(qp.plans) > 1 || len(qp.extremeIdx) > 0
+	switch {
+	case err != nil:
+		qp.decline = err.Error()
+	case !ok:
+		qp.decline = "no admissible sample plan within the I/O budget"
+	default:
+		// High-cardinality grouping check (Section 6.2: tq-3/8/15 declined).
+		if decline, err := m.groupCardinalityTooHigh(ctx, flat, qp.plans[0].Plan); err == nil && decline {
+			qp.decline = "declined: grouping cardinality too high for the sample"
+		} else if qp.multi && flat.Having != nil {
+			qp.decline = "declined: HAVING across merged partial plans is not reassembled"
+		}
+	}
+	return qp
+}
+
 // buildEntry runs the deterministic half of the pipeline — analyze,
 // flatten, plan, rewrite, render — and packages the result as a cacheable
 // planEntry. Resampling-baseline methods execute immediately and return a
@@ -287,38 +340,11 @@ func (m *Middleware) buildEntry(ctx context.Context, sel *sqlparser.SelectStmt, 
 	if status != Supported {
 		return pass(status), nil, nil
 	}
-	flat, err := FlattenComparisonSubqueries(sel)
-	if err != nil || flat == nil {
+	qp := m.planSelect(ctx, sel, snapshot, version)
+	if qp.decline != "" {
 		return pass(PassOther), nil, nil
 	}
-
-	occ := map[string]*tableOccurrence{}
-	if err := collectAllOccurrences(flat, occ); err != nil {
-		return pass(PassOther), nil, nil
-	}
-	//verdict:unordered per-entry mutation keyed by the entry itself; no cross-entry effects
-	for _, o := range occ {
-		if n, ok := m.rowCount(o.Base, version); ok {
-			o.Rows = n
-		}
-	}
-
-	planner := NewPlanner(m.opts.Planner, snapshot)
-	plans, extremeIdx, ok, err := planner.PlanQuery(flat, occ)
-	if err != nil || !ok {
-		return pass(PassOther), nil, nil
-	}
-
-	// High-cardinality grouping check (Section 6.2: tq-3/8/15 declined).
-	if decline, err := m.groupCardinalityTooHigh(ctx, flat, plans[0].Plan); err == nil && decline {
-		return pass(PassOther), nil, nil
-	}
-
-	multi := len(plans) > 1 || len(extremeIdx) > 0
-	if multi && flat.Having != nil {
-		// HAVING across merged partial plans is not reassembled; fall back.
-		return pass(PassOther), nil, nil
-	}
+	flat, plans, extremeIdx, multi := qp.flat, qp.plans, qp.extremeIdx, qp.multi
 
 	switch m.opts.Method {
 	case MethodTraditionalSubsampling, MethodConsolidatedBootstrap:

@@ -127,6 +127,18 @@ func BenchmarkE1HashJoin(b *testing.B) {
 		group by d.cat`)
 }
 
+// BenchmarkE1HashJoinSmallLeft is the same join written the way the
+// middleware rewrites a sampled query — the small input on the left, the big
+// table on the right. The join hashes the smaller input, so it costs what
+// BenchmarkE1HashJoin does.
+func BenchmarkE1HashJoinSmallLeft(b *testing.B) {
+	benchE1Query(b, e1Engine(b), `
+		select d.cat, sum(f.x * (1 - f.y)) as rev, avg(f.x) as ax, count(*) as c
+		from dim d inner join fact f on f.g = d.g
+		where f.d <= '1998-09-02' and f.flag <> 'N'
+		group by d.cat`)
+}
+
 // BenchmarkE1LimitProbe is the schema probe the middleware issues through
 // Driver.Columns: LIMIT 0 is pushed into the scan, so it loads no chunk and
 // allocates per column, not per row.

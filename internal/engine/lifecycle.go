@@ -136,9 +136,15 @@ func (e *Engine) MemoryBudget() int64 { return e.memBudget.Load() }
 // and key overhead).
 const (
 	bytesPerValue int64 = 24  // boxed Value slot (interface header + cell)
-	bytesPerRef   int64 = 16  // packed join row reference + slice slot
+	bytesPerRef   int64 = 16  // join-output row reference pair, or one gathered lane
 	bytesPerGroup int64 = 160 // map entry + rendered key + groupAcc header
 	bytesPerAcc   int64 = 96  // one accumulator's state
+
+	// The join's hash table and candidate vectors are pointer-free arrays
+	// charged at their exact sizes when they are sized (vecjoin.go).
+	joinSlotBytes int64 = 16 // joinSlot: key + chain head and tail
+	joinSpanBytes int64 = 8  // arena span of an encoded key's slot
+	joinPairBytes int64 = 12 // int32 left row + int64 right reference
 )
 
 // pollEvery is the row granularity of cancellation/budget checks in
@@ -190,6 +196,13 @@ func (qc *queryCtx) chargeMem(n int64) {
 	if qc != nil {
 		qc.mem.add(n)
 	}
+}
+
+// reserve charges n bytes and reports an overrun now, so the caller sizes a
+// structure only after the budget has admitted it.
+func (qc *queryCtx) reserve(n int64) error {
+	qc.chargeMem(n)
+	return qc.pollAbort()
 }
 
 // materialize returns the relation's boxed row view, charging the gauge

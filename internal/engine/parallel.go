@@ -245,88 +245,38 @@ func parallelFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, nw int) ([]
 	return res, nil
 }
 
-// parallelJoinProbe hands the probe side of a vectorized hash join out as
-// chunk morsels: contiguous probe-chunk ranges per worker, each probing the
-// shared (read-only) hash table with private kernel buffers, output chunks
-// concatenated in probe-chunk order — so join output order is identical to
-// a serial probe, the same contract the scan morsels keep. needMatched
-// allocates per-worker build-side matched bitmaps (RIGHT/FULL joins),
-// OR-merged after the barrier.
-func parallelJoinProbe(vj *vecJoin, needMatched bool) ([]*chunk, []bool, error) {
-	chunks := vj.probeChunks
-	nw := vj.eng.scanWorkers(vj.nProbe)
-	if nw > len(chunks) {
-		nw = len(chunks)
+// joinMorsels runs fn over a join input's chunks in order: serially, or as
+// contiguous chunk ranges per worker, each with the private state newW
+// builds. It polls once per chunk and returns the worker states in range
+// order, so anything they collected concatenates into serial scan order —
+// the same contract the scan morsels keep. The shared hash table is
+// read-only by now.
+func joinMorsels(vj *vecJoin, chunks []*chunk, nrows int, newW func() *joinWorker,
+	fn func(w *joinWorker, ci int, ch *chunk) error) ([]*joinWorker, error) {
+	nw := max(min(vj.eng.scanWorkers(nrows), len(chunks)), 1)
+	ws := make([]*joinWorker, nw)
+	for i := range ws {
+		ws[i] = newW()
 	}
-	if nw <= 1 {
-		pc := vj.newProbeCtx(needMatched)
-		var out []*chunk
-		for _, ch := range chunks {
-			if err := vj.qc.pollAbort(); err != nil {
-				return nil, nil, err
-			}
-			if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
-				return nil, nil, err
-			}
-			oc, err := vj.probeChunk(pc, ch)
-			if err != nil {
-				return nil, nil, err
-			}
-			if oc != nil {
-				out = append(out, oc)
-			}
-		}
-		return out, pc.matched, nil
-	}
-	outs := make([][]*chunk, nw)
-	bitmaps := make([][]bool, nw)
-	err := runChunks(nw, len(chunks), func(w, lo, hi int) error {
-		pc := vj.newProbeCtx(needMatched)
-		bitmaps[w] = pc.matched
-		for _, ch := range chunks[lo:hi] {
+	run := func(w, lo, hi int) error {
+		for ci := lo; ci < hi; ci++ {
 			if err := vj.qc.pollAbort(); err != nil {
 				return err
 			}
-			if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
+			if err := fn(ws[w], ci, chunks[ci]); err != nil {
 				return err
-			}
-			oc, err := vj.probeChunk(pc, ch)
-			if err != nil {
-				return err
-			}
-			if oc != nil {
-				outs[w] = append(outs[w], oc)
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
+	if nw == 1 {
+		return ws, run(0, 0, len(chunks))
 	}
-	out := make([]*chunk, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	var matched []bool
-	if needMatched {
-		matched = make([]bool, vj.nBuild)
-		for _, bm := range bitmaps {
-			if bm == nil {
-				continue
-			}
-			for i, m := range bm {
-				if m {
-					matched[i] = true
-				}
-			}
-		}
+	if err := runChunks(nw, len(chunks), run); err != nil {
+		return nil, err
 	}
 	vj.eng.parallelScans.Add(1)
-	return out, matched, nil
+	return ws, nil
 }
 
 // aggSpec is one aggregate call with its compiled argument (nil for

@@ -279,10 +279,22 @@ func appendGroupKeyInt(dst []byte, x int64) []byte {
 	return strconv.AppendInt(dst, x, 10)
 }
 
+// integralFloat reports x as an int64 when it is one exactly. The range test
+// comes first: converting a float outside int64 (or NaN) is
+// implementation-defined, and a saturating platform would fold 2^63.
+func integralFloat(x float64) (int64, bool) {
+	if x >= -(1<<63) && x < 1<<63 {
+		if i := int64(x); float64(i) == x {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
 func appendGroupKeyFloat(dst []byte, x float64) []byte {
-	if x == float64(int64(x)) {
+	if i, ok := integralFloat(x); ok {
 		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, int64(x), 10)
+		return strconv.AppendInt(dst, i, 10)
 	}
 	dst = append(dst, 'f')
 	return strconv.AppendFloat(dst, x, 'g', -1, 64)
@@ -313,8 +325,8 @@ func GroupKey(v Value) string {
 	case int64:
 		return "i" + strconv.FormatInt(x, 10)
 	case float64:
-		if x == float64(int64(x)) {
-			return "i" + strconv.FormatInt(int64(x), 10)
+		if i, ok := integralFloat(x); ok {
+			return "i" + strconv.FormatInt(i, 10)
 		}
 		return "f" + strconv.FormatFloat(x, 'g', -1, 64)
 	case string:

@@ -1,47 +1,296 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"hash/maphash"
+	"math"
 	"sync"
 
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
 )
 
-// Vectorized hash join with late materialization. The build (right) side is
-// scanned chunk-at-a-time: join-key lanes render straight from typed chunk
-// vectors into the shared group-key encoding (appendGroupKeyLane), and the
-// hash table stores packed (chunkIdx, rowIdx) references — never boxed
-// rows. The probe (left) side is scanned chunk-at-a-time too, handed out as
-// morsels by parallelJoinProbe (parallel.go) and merged in chunk order, so
-// output order is byte-identical to the serial row-at-a-time join at any
-// parallelism. Each probe chunk emits one join-output chunk holding a pair
-// of row-reference vectors (probe row index + build reference); downstream
-// WHERE, GROUP BY, and aggregate kernels read columns through those
-// references via joinGather, which copies a column into a typed vector only
-// when some kernel first touches it. Boxed rows appear only at the
-// ResultSet boundary (or per group representative), exactly like the
-// scan-path contract from the columnar storage change.
+// Vectorized hash join with late materialization.
 //
-// ON residuals (non-equi conjuncts) are evaluated with the same vector
-// kernels over a candidate join-output chunk and refine the pair selection
-// before LEFT/FULL null-extension and RIGHT/FULL matched-marking, so outer
-// join semantics match the row path bit for bit. Joins that don't fit —
-// impure ON expressions, subqueries in ON, no equi-key at all — keep the
-// row path in joinRelations, and any chunk whose kernel evaluation errors
-// is transparently re-run through the row-compiled closures before state is
-// mutated, preserving error identity with the row path.
+// Which side is hashed: the input with fewer rows (ties hash the right one)
+// goes into one joinTable; the other is scanned chunk-at-a-time as morsels
+// (joinMorsels, parallel.go). A rewritten sample ⋈ base join therefore builds
+// in O(sample), not O(base).
+//
+// Why output order does not depend on that choice: the contract is the row
+// path's — left rows in order, each left row's matches in right scan order,
+// LEFT/FULL null-extension in place, RIGHT/FULL unmatched right rows trailing
+// in right order — and a chain in the table holds the hashed rows of one key
+// in scan order. Hashed right: each left chunk is looked up and walks its
+// chains. Hashed left: the right chunks are looked up in scan order, each
+// match is recorded as a (left row, right reference) pair, and a stable
+// counting sort by left row regroups the pairs per left chunk. Either way a
+// left chunk gets one candidate list (sel, refs) and finish turns it into the
+// join-output chunk: residual refinement with the kernels a WHERE would use,
+// null-extension, matched flags. That chunk holds only the two reference
+// vectors; downstream kernels read columns through joinGather, which copies a
+// column into a typed vector when a kernel first touches it, so boxed rows
+// appear only at the ResultSet boundary.
+//
+// Key classes: key equality is GroupKey equality (1 = 1.0, -0 = 0, NULL
+// matches nothing). A lane of a single-key join whose encoding is the integer
+// form — a TInt, or a float integralFloat folds — is hashed as that int64;
+// every other lane (strings, bools, non-integral floats, composite keys) as
+// its appendGroupKeyLane bytes, kept in one arena. The two classes can never
+// equal each other, so each lane lives in exactly one of the table's two slot
+// arrays: the class is a property of the data, not a mode of the join.
+//
+// Fallbacks: joins that do not lower — impure ON, subqueries in ON, no
+// equi-key — keep the row path in joinRelations. A chunk whose key kernel
+// errors has its keys re-evaluated by the row-compiled closures into boxed
+// lanes (same encoding, same table); a chunk whose residual kernel errors
+// re-checks its candidate pairs row by row. Errors surface in the row path's
+// order: right keys first, then per left row its key and its pairs'
+// residuals. A hashed-left build that meets a left-key error cannot tell
+// whether a right-key or residual error precedes it, so the join starts over
+// hashing the right side.
 
 // nullRef marks a null-extended side in a join-output row reference.
 const nullRef = int64(-1)
 
-// packRef encodes a build-side row as chunk index << 32 | row index.
+// packRef encodes a right-side row as chunk index << 32 | row index.
 func packRef(ci, ri int) int64 { return int64(ci)<<32 | int64(ri) }
 
 func unpackRef(r int64) (ci, ri int) { return int(r >> 32), int(uint32(r)) }
 
-// joinBucket holds the build-side references sharing one join key, in build
-// scan order.
-type joinBucket struct{ refs []int64 }
+// joinSlot heads one chain of hashed rows with equal keys. Rows are numbered
+// from 1 in scan order, so the zero slot is empty and 0 ends a chain.
+type joinSlot struct {
+	key        int64 // the integer key, or the hash of the key's encoded bytes
+	head, tail int32
+}
+
+// joinTable is the join's hash table: open-addressed slots at load <= 1/2,
+// sized once for every hashed row, and one next link per hashed row. It
+// holds no pointers, allocates nothing per key, and never rehashes. The slot
+// arrays are allocated when their key class first appears.
+type joinTable struct {
+	qc     *queryCtx
+	single bool // one key expression: integer-form lanes hash as int64
+	shift  uint
+	mask   uint64
+	next   []int32 // per hashed row: the next row of its chain
+
+	intSlots  []joinSlot
+	byteSlots []joinSlot
+	spans     [][2]uint32 // per byteSlots slot: its key's [start, end) in arena
+	arena     []byte
+}
+
+const (
+	keyNull = iota
+	keyInt
+	keyBytes
+)
+
+var joinSeed = maphash.MakeSeed()
+
+func (t *joinTable) init(qc *queryCtx, rows int, single bool) error {
+	if rows >= math.MaxInt32 {
+		return fmt.Errorf("engine: join input of %d rows is too large to hash", rows)
+	}
+	bits := uint(3)
+	for 1<<bits < 2*rows {
+		bits++
+	}
+	*t = joinTable{qc: qc, single: single, shift: 64 - bits, mask: 1<<bits - 1}
+	if err := qc.reserve(int64(rows) * 4); err != nil {
+		return err
+	}
+	t.next = make([]int32, rows)
+	return nil
+}
+
+// laneKey classifies lane k of a key tuple: keyInt with the integer, keyBytes
+// with the hash of the encoding left in kbuf, or keyNull when a component is
+// NULL.
+func (t *joinTable) laneKey(keys []*vec, k int, kbuf []byte) (int, int64, []byte) {
+	if t.single {
+		kv := keys[0]
+		if kv.isNull(k) {
+			return keyNull, 0, kbuf
+		}
+		switch kv.kind {
+		case TInt:
+			return keyInt, kv.ints[k], kbuf
+		case TFloat:
+			if x, ok := integralFloat(kv.floats[k]); ok {
+				return keyInt, x, kbuf
+			}
+		case TAny:
+			switch v := kv.anys[k].(type) {
+			case int64:
+				return keyInt, v, kbuf
+			case float64:
+				if x, ok := integralFloat(v); ok {
+					return keyInt, x, kbuf
+				}
+			}
+		}
+	}
+	kbuf = kbuf[:0]
+	for _, kv := range keys {
+		if kv.isNull(k) {
+			return keyNull, 0, kbuf
+		}
+		kbuf = appendGroupKeyLane(kbuf, kv, k)
+		kbuf = append(kbuf, keySep)
+	}
+	return keyBytes, int64(maphash.Bytes(joinSeed, kbuf)), kbuf
+}
+
+// intSlot returns the slot holding key x, or the empty slot it would take.
+func (t *joinTable) intSlot(x int64) *joinSlot {
+	for i := uint64(x) * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & t.mask {
+		if s := &t.intSlots[i]; s.head == 0 || s.key == x {
+			return s
+		}
+	}
+}
+
+// bytesSlot is intSlot for an encoded key with hash h.
+func (t *joinTable) bytesSlot(h int64, key []byte) (*joinSlot, uint64) {
+	for i := uint64(h) >> t.shift; ; i = (i + 1) & t.mask {
+		s := &t.byteSlots[i]
+		if s.head == 0 {
+			return s, i
+		}
+		if sp := t.spans[i]; s.key == h && bytes.Equal(t.arena[sp[0]:sp[1]], key) {
+			return s, i
+		}
+	}
+}
+
+// insert appends one chunk's rows — lanes [0, n) of keys, numbered from base
+// — to their keys' chains. Rows with a NULL key component never enter.
+func (t *joinTable) insert(keys []*vec, n, base int, kbuf []byte) ([]byte, error) {
+	arena0 := cap(t.arena)
+	for k := 0; k < n; k++ {
+		class, x, kb := t.laneKey(keys, k, kbuf)
+		kbuf = kb
+		var s *joinSlot
+		switch class {
+		case keyNull:
+			continue
+		case keyInt:
+			if t.intSlots == nil {
+				if err := t.qc.reserve(int64(t.mask+1) * joinSlotBytes); err != nil {
+					return kbuf, err
+				}
+				t.intSlots = make([]joinSlot, t.mask+1)
+			}
+			s = t.intSlot(x)
+		case keyBytes:
+			if t.byteSlots == nil {
+				if err := t.qc.reserve(int64(t.mask+1) * (joinSlotBytes + joinSpanBytes)); err != nil {
+					return kbuf, err
+				}
+				t.byteSlots = make([]joinSlot, t.mask+1)
+				t.spans = make([][2]uint32, t.mask+1)
+			}
+			var i uint64
+			if s, i = t.bytesSlot(x, kbuf); s.head == 0 {
+				if len(t.arena)+len(kbuf) > math.MaxUint32 {
+					return kbuf, fmt.Errorf("engine: join keys exceed %d bytes", uint32(math.MaxUint32))
+				}
+				t.spans[i] = [2]uint32{uint32(len(t.arena)), uint32(len(t.arena) + len(kbuf))}
+				t.arena = append(t.arena, kbuf...)
+			}
+		}
+		row := int32(base+k) + 1
+		if s.head == 0 {
+			s.key, s.head = x, row
+		} else {
+			t.next[s.tail-1] = row
+		}
+		s.tail = row
+	}
+	t.qc.chargeMem(int64(cap(t.arena) - arena0))
+	return kbuf, nil
+}
+
+// lookup sets heads[k], for lanes [0, n) of keys, to the first hashed row
+// with an equal key, or 0.
+func (t *joinTable) lookup(keys []*vec, n int, heads []int32, kbuf []byte) []byte {
+	for k := 0; k < n; k++ {
+		class, x, kb := t.laneKey(keys, k, kbuf)
+		kbuf = kb
+		heads[k] = 0
+		switch {
+		case class == keyInt && t.intSlots != nil:
+			heads[k] = t.intSlot(x).head
+		case class == keyBytes && t.byteSlots != nil:
+			s, _ := t.bytesSlot(x, kbuf)
+			heads[k] = s.head
+		}
+	}
+	return kbuf
+}
+
+// sideKeys is one input's join-key expressions: vector kernels and their
+// row-compiled fallbacks.
+type sideKeys struct {
+	nodes []vnode
+	fns   []compiledExpr
+	nbuf  int
+}
+
+// lowerSideKeys lowers one input's key expressions, or reports false when
+// one of them needs the row path.
+func lowerSideKeys(scope *env, exprs []sqlparser.Expr) (sideKeys, bool) {
+	c := &vecCompiler{scope: scope}
+	sk := sideKeys{nodes: make([]vnode, len(exprs))}
+	for i, e := range exprs {
+		if sk.nodes[i] = c.lower(e); sk.nodes[i] == nil {
+			return sk, false
+		}
+	}
+	sk.nbuf = c.nbuf
+	sk.fns, _ = compileExprs(scope, exprs)
+	return sk, true
+}
+
+// eval computes the key vectors of ch into out, returning how many leading
+// rows have valid lanes: all of them, unless a row-fallback key errors.
+func (sk *sideKeys) eval(vc *vecCtx, out []*vec, ch *chunk) (int, error) {
+	for i, kn := range sk.nodes {
+		v, err := kn.eval(vc, ch, nil)
+		if err != nil {
+			return sk.evalRows(out, ch)
+		}
+		out[i] = v
+	}
+	return ch.n, nil
+}
+
+// evalRows is eval's fallback for a chunk whose kernel errored: the
+// row-compiled closures fill boxed lanes (the same GroupKey encoding),
+// stopping a row's keys at its first NULL as the row path does.
+func (sk *sideKeys) evalRows(out []*vec, ch *chunk) (int, error) {
+	for i := range out {
+		out[i] = &vec{kind: TAny, anys: make([]Value, ch.n)}
+	}
+	for k, row := range ch.rows() {
+		for i, fn := range sk.fns {
+			v, err := fn(row)
+			if err != nil {
+				return k, err
+			}
+			if v == nil {
+				break
+			}
+			out[i].anys[k] = v
+		}
+	}
+	return ch.n, nil
+}
 
 // vecJoin is one lowered hash join: chunked inputs, vector kernels for the
 // key and residual expressions, and their row-compiled fallbacks.
@@ -52,30 +301,35 @@ type vecJoin struct {
 	leftW  int
 	rightW int
 
-	probeChunks []*chunk
-	buildChunks []*chunk
-	nProbe      int
-	nBuild      int
-	buildStart  []int // flat row offset of each build chunk (matched bitmap index)
+	leftChunks  []*chunk
+	rightChunks []*chunk
+	nLeft       int
+	nRight      int
+	leftStart   []int // flat row offset of each chunk, plus the total
+	rightStart  []int
 
-	// buildKinds caches, per build column, the storage kind shared by every
-	// build chunk (TAny when chunks disagree), so gathers pick their typed
+	// rightKinds caches, per right column, the storage kind shared by every
+	// right chunk (TAny when chunks disagree), so gathers pick their typed
 	// path once per join instead of per chunk.
-	buildKinds []ColType
+	rightKinds []ColType
 
-	lKeyNodes []vnode
-	rKeyNodes []vnode
-	lKeyFns   []compiledExpr // row fallback, same key encoding
-	rKeyFns   []compiledExpr
-	lNbuf     int
-	rNbuf     int
+	lKeys sideKeys
+	rKeys sideKeys
 
 	resFull  vnode   // nil when the join has no residual
 	resConjs []vnode // top-level AND conjuncts of the residual
 	resFn    compiledExpr
 	resNbuf  int
 
-	buckets map[string]*joinBucket
+	hashLeft bool
+	table    joinTable
+	// Hashed right: the packed reference of each right row, by flat row.
+	rightRefs []int64
+	// Hashed left: every candidate pair regrouped left-major; left chunk ci
+	// owns [candEnd[ci], candEnd[ci+1]).
+	candSel  []int32
+	candRefs []int64
+	candEnd  []int
 }
 
 // relationChunks exposes a relation as columnar chunks: base-table scans
@@ -89,6 +343,16 @@ func relationChunks(qc *queryCtx, r *relation) ([]*chunk, error) {
 	return chunkifyRows(r.rows, r.width()), nil
 }
 
+// chunkStarts returns each chunk's flat row offset followed by the total.
+func chunkStarts(chunks []*chunk) []int {
+	starts := make([]int, len(chunks)+1)
+	//verdict:nopoll plan-time prefix sum: O(1) per chunk
+	for i, ch := range chunks {
+		starts[i+1] = starts[i] + ch.n
+	}
+	return starts
+}
+
 // buildVecJoin lowers an equi-join for the vectorized path, or returns nil
 // when anything about it (impure keys or residual) needs the row path. The
 // scopes are those of the left input, the right input and the combined row.
@@ -100,29 +364,13 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	left, right := lEnv.rel, rEnv.rel
 	vj := &vecJoin{qc: qc, eng: eng, jt: jt, leftW: left.width(), rightW: right.width()}
 
-	lc := &vecCompiler{scope: lEnv}
-	for _, k := range leftKeys {
-		n := lc.lower(k)
-		if n == nil {
-			return nil, nil
-		}
-		vj.lKeyNodes = append(vj.lKeyNodes, n) //verdict:nocharge plan-size: one vnode per join key
+	var ok bool
+	if vj.lKeys, ok = lowerSideKeys(lEnv, leftKeys); !ok {
+		return nil, nil
 	}
-	vj.lNbuf = lc.nbuf
-	rc := &vecCompiler{scope: rEnv}
-	for _, k := range rightKeys {
-		n := rc.lower(k)
-		if n == nil {
-			return nil, nil
-		}
-		vj.rKeyNodes = append(vj.rKeyNodes, n) //verdict:nocharge plan-size: one vnode per join key
+	if vj.rKeys, ok = lowerSideKeys(rEnv, rightKeys); !ok {
+		return nil, nil
 	}
-	vj.rNbuf = rc.nbuf
-
-	// Row-compiled fallbacks for chunks whose kernels error.
-	vj.lKeyFns, _ = compileExprs(lEnv, leftKeys)
-	vj.rKeyFns, _ = compileExprs(rEnv, rightKeys)
-
 	if residual != nil {
 		cc := &vecCompiler{scope: combEnv}
 		vj.resFull, vj.resConjs = cc.lowerWhere(residual)
@@ -134,22 +382,21 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	}
 
 	var err error
-	vj.probeChunks, err = relationChunks(qc, left)
+	vj.leftChunks, err = relationChunks(qc, left)
 	if err != nil {
 		return nil, err
 	}
-	vj.buildChunks, err = relationChunks(qc, right)
+	vj.rightChunks, err = relationChunks(qc, right)
 	if err != nil {
 		return nil, err
 	}
-	for _, ch := range vj.probeChunks {
-		vj.nProbe += ch.n
-	}
-	vj.buildKinds = make([]ColType, vj.rightW)
-	for j := range vj.buildKinds {
+	vj.leftStart, vj.rightStart = chunkStarts(vj.leftChunks), chunkStarts(vj.rightChunks)
+	vj.nLeft, vj.nRight = vj.leftStart[len(vj.leftChunks)], vj.rightStart[len(vj.rightChunks)]
+	vj.rightKinds = make([]ColType, vj.rightW)
+	for j := range vj.rightKinds {
 		kind := ColType(-1)
 		//verdict:nopoll plan-time lane-type resolution: O(1) colKind read per chunk
-		for _, ch := range vj.buildChunks {
+		for _, ch := range vj.rightChunks {
 			k := ch.colKind(j)
 			if kind == -1 {
 				kind = k
@@ -161,24 +408,61 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 		if kind == -1 {
 			kind = TAny
 		}
-		vj.buildKinds[j] = kind
+		vj.rightKinds[j] = kind
 	}
 	return vj, nil
 }
 
-// run executes the join: serial hash build, then morsel-parallel probe with
-// output chunks concatenated in probe-chunk order. The result is the
-// combined relation's columnar source.
+// errRehashRight aborts a hashed-left build at a left-key error.
+var errRehashRight = errors.New("engine: join must hash its right input")
+
+// run executes the join: serial hash build of the smaller input, candidate
+// generation, and the per-left-chunk finish, with output chunks in left
+// chunk order. The result is the combined relation's columnar source.
 func (vj *vecJoin) run() (*colSource, error) {
-	if err := vj.buildHash(); err != nil {
-		return nil, err
+	vj.hashLeft = vj.nLeft < vj.nRight
+	err := vj.build()
+	if errors.Is(err, errRehashRight) {
+		vj.hashLeft = false
+		err = vj.build()
 	}
-	needMatched := vj.jt == sqlparser.RightJoin || vj.jt == sqlparser.FullJoin
-	out, matched, err := parallelJoinProbe(vj, needMatched)
+	if err == nil && vj.hashLeft {
+		err = vj.scanRight()
+	}
 	if err != nil {
 		return nil, err
 	}
+	needMatched := vj.jt == sqlparser.RightJoin || vj.jt == sqlparser.FullJoin
+	var scanned *sideKeys // the left keys are looked up only when the right side is hashed
+	if !vj.hashLeft {
+		scanned = &vj.lKeys
+	}
+	ws, err := joinMorsels(vj, vj.leftChunks, vj.nLeft, func() *joinWorker {
+		w := newJoinWorker(scanned)
+		if vj.resFull != nil {
+			w.rc = newVecCtx(vj.resNbuf, 0, 0, 0)
+		}
+		if needMatched {
+			w.matched = make([]bool, vj.nRight)
+		}
+		return w
+	}, vj.joinLeftChunk)
+	if err != nil {
+		return nil, err
+	}
+	var out []*chunk
+	for _, w := range ws {
+		out = append(out, w.out...)
+	}
 	if needMatched {
+		matched := ws[0].matched
+		for _, w := range ws[1:] {
+			for i, m := range w.matched {
+				if m {
+					matched[i] = true
+				}
+			}
+		}
 		tc, err := vj.trailingChunk(matched)
 		if err != nil {
 			return nil, err
@@ -196,176 +480,236 @@ func (vj *vecJoin) run() (*colSource, error) {
 	return &colSource{sealed: slots, nrows: n}, nil
 }
 
-func (vj *vecJoin) insert(key []byte, ref int64) {
-	b, ok := vj.buckets[string(key)]
-	if !ok {
-		b = &joinBucket{}
-		vj.buckets[string(key)] = b //verdict:nocharge buildHash pre-charges bytesPerRef per build row before inserting the chunk
+// build hashes the chosen input chunk-at-a-time. A right-key error is the
+// row path's first possible error and is returned as is; a left-key error is
+// not (see the fallback contract), so it asks run to hash the right side.
+func (vj *vecJoin) build() error {
+	chunks, sk, starts := vj.rightChunks, &vj.rKeys, vj.rightStart
+	if vj.hashLeft {
+		chunks, sk, starts = vj.leftChunks, &vj.lKeys, vj.leftStart
 	}
-	b.refs = append(b.refs, ref) //verdict:nocharge covered by buildHash's per-chunk charge
-}
-
-// buildHash scans the build side chunk-at-a-time, rendering key lanes from
-// typed vectors; rows with a NULL key component never enter the table,
-// matching the row path. A chunk whose key kernel errors is re-run through
-// the row-compiled keys, so error identity matches a serial row scan.
-func (vj *vecJoin) buildHash() error {
-	vj.buckets = make(map[string]*joinBucket)
-	vc := newVecCtx(vj.rNbuf, 0, 0, 0)
-	keys := make([]*vec, len(vj.rKeyNodes))
+	if err := vj.table.init(vj.qc, starts[len(chunks)], len(sk.nodes) == 1); err != nil {
+		return err
+	}
+	if !vj.hashLeft {
+		if err := vj.qc.reserve(int64(vj.nRight) * 8); err != nil {
+			return err
+		}
+		vj.rightRefs = make([]int64, vj.nRight)
+	}
+	vc := newVecCtx(sk.nbuf, 0, 0, 0)
+	keys := make([]*vec, len(sk.nodes))
 	var kbuf []byte
-	start := 0
-	for ci, ch := range vj.buildChunks {
+	for ci, ch := range chunks {
 		if err := vj.qc.pollAbort(); err != nil {
 			return err
 		}
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinBuild); err != nil {
 			return err
 		}
-		// Build-side entries: one packed reference per non-NULL-key row,
-		// plus bucket overhead folded into the flat per-row estimate.
-		vj.qc.chargeMem(int64(ch.n) * bytesPerRef)
-		vj.buildStart = append(vj.buildStart, start)
-		kernelOK := true
-		for i, kn := range vj.rKeyNodes {
-			v, err := kn.eval(vc, ch, nil)
-			if err != nil {
-				kernelOK = false
-				break
+		n, err := sk.eval(vc, keys, ch)
+		if err != nil {
+			if vj.hashLeft {
+				return errRehashRight
 			}
-			keys[i] = v
+			return err
 		}
-		if !kernelOK {
-			if err := vj.buildChunkRows(ch, ci); err != nil {
-				return err
-			}
-			start += ch.n
-			continue
+		if kbuf, err = vj.table.insert(keys, n, starts[ci], kbuf); err != nil {
+			return err
 		}
-		for k := 0; k < ch.n; k++ {
-			kbuf = kbuf[:0]
-			null := false
-			for _, kv := range keys {
-				if kv.isNull(k) {
-					null = true
-					break
-				}
-				kbuf = appendGroupKeyLane(kbuf, kv, k)
-				kbuf = append(kbuf, keySep)
+		if !vj.hashLeft {
+			for ri := 0; ri < n; ri++ {
+				vj.rightRefs[starts[ci]+ri] = packRef(ci, ri)
 			}
-			if null {
-				continue
-			}
-			vj.insert(kbuf, packRef(ci, k))
 		}
-		start += ch.n
-	}
-	vj.nBuild = start
-	return nil
-}
-
-// buildChunkRows is the per-chunk row fallback for the hash build.
-func (vj *vecJoin) buildChunkRows(ch *chunk, ci int) error {
-	var kbuf []byte
-	for ri, row := range ch.rows() {
-		kbuf = kbuf[:0]
-		null := false
-		for _, fn := range vj.rKeyFns {
-			v, err := fn(row)
-			if err != nil {
-				return err
-			}
-			if v == nil {
-				null = true
-				break
-			}
-			kbuf = appendGroupKey(kbuf, v)
-			kbuf = append(kbuf, keySep)
-		}
-		if null {
-			continue
-		}
-		vj.insert(kbuf, packRef(ci, ri))
 	}
 	return nil
 }
 
 func (vj *vecJoin) flat(ref int64) int {
 	ci, ri := unpackRef(ref)
-	return vj.buildStart[ci] + ri
+	return vj.rightStart[ci] + ri
 }
 
-// probeCtx is one probe worker's private state.
-type probeCtx struct {
-	kc      *vecCtx // key kernel buffers
+// joinWorker is one morsel worker's private state, for the hashed-left scan
+// of the right chunks or for the pass over the left chunks.
+type joinWorker struct {
+	// Key lookup over the scanned side.
+	kc    *vecCtx
+	keys  []*vec
+	kbuf  []byte
+	heads []int32
+
+	// Hashed-left scan output: candidate pairs in right scan order.
+	lrows []int32
+	rrefs []int64
+
+	// Left pass.
 	rc      *vecCtx // residual kernel buffers
-	keys    []*vec
-	kbuf    []byte
-	matched []bool // build-side matched flags (RIGHT/FULL only)
+	matched []bool  // right-side matched flags (RIGHT/FULL only)
+	out     []*chunk
 }
 
-func (vj *vecJoin) newProbeCtx(needMatched bool) *probeCtx {
-	pc := &probeCtx{kc: newVecCtx(vj.lNbuf, 0, 0, 0), keys: make([]*vec, len(vj.lKeyNodes))}
-	if vj.resFull != nil {
-		pc.rc = newVecCtx(vj.resNbuf, 0, 0, 0)
+// newJoinWorker returns a worker that looks sk's keys up in the table (nil:
+// it never does).
+func newJoinWorker(sk *sideKeys) *joinWorker {
+	w := &joinWorker{}
+	if sk != nil {
+		w.kc = newVecCtx(sk.nbuf, 0, 0, 0)
+		w.keys = make([]*vec, len(sk.nodes))
 	}
-	if needMatched {
-		pc.matched = make([]bool, vj.nBuild)
-	}
-	return pc
+	return w
 }
 
-// probeChunk joins one probe chunk against the hash table, returning the
-// join-output chunk (nil when no output rows). Pair order replicates the
-// row path exactly: probe rows in order, matches within a probe row in
-// build insertion order, LEFT/FULL null-extension in place.
-func (vj *vecJoin) probeChunk(pc *probeCtx, ch *chunk) (*chunk, error) {
-	for i, kn := range vj.lKeyNodes {
-		v, err := kn.eval(pc.kc, ch, nil)
+// lookupChunk evaluates the scanned side's keys over ch and resolves them
+// against the table into w.heads; n and err are sideKeys.eval's.
+func (w *joinWorker) lookupChunk(vj *vecJoin, sk *sideKeys, ch *chunk) (int, error) {
+	n, err := sk.eval(w.kc, w.keys, ch)
+	if cap(w.heads) < n {
+		w.heads = make([]int32, n)
+	}
+	w.kbuf = vj.table.lookup(w.keys, n, w.heads[:n], w.kbuf)
+	return n, err
+}
+
+// scanRight is hashed-left candidate generation: morsels of right chunks
+// look their keys up in the table of left rows and record every match, then
+// a stable counting sort by left row regroups the pairs per left chunk. Pairs
+// are recorded in right scan order and the sort is stable, so each left row's
+// matches stay in right scan order.
+func (vj *vecJoin) scanRight() error {
+	next := vj.table.next
+	ws, err := joinMorsels(vj, vj.rightChunks, vj.nRight, func() *joinWorker {
+		return newJoinWorker(&vj.rKeys)
+	}, func(w *joinWorker, ci int, ch *chunk) error {
+		if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
+			return err
+		}
+		n, err := w.lookupChunk(vj, &vj.rKeys, ch)
 		if err != nil {
-			return vj.probeChunkRows(pc, ch)
+			return err
 		}
-		pc.keys[i] = v
+		cap0 := cap(w.lrows)
+		for k := 0; k < n; k++ {
+			for r := w.heads[k]; r != 0; r = next[r-1] {
+				w.lrows = append(w.lrows, r-1)
+				w.rrefs = append(w.rrefs, packRef(ci, k))
+			}
+		}
+		vj.qc.chargeMem(int64(cap(w.lrows)-cap0) * joinPairBytes)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
-	// Candidate pairs from the hash probe, pre-sized for the common
-	// at-most-one-match case.
-	sel := make([]int32, 0, ch.n)
-	refs := make([]int64, 0, ch.n)
-	for k := 0; k < ch.n; k++ {
-		pc.kbuf = pc.kbuf[:0]
-		null := false
-		for _, kv := range pc.keys {
-			if kv.isNull(k) {
-				null = true
-				break
+	total := 0
+	for _, w := range ws {
+		total += len(w.lrows)
+	}
+	if err := vj.qc.reserve(int64(vj.nLeft+1)*8 + int64(total)*joinPairBytes); err != nil {
+		return err
+	}
+	// ends[l+1] counts row l's pairs, then becomes its first output
+	// position; the scatter advances it to the end of row l's pairs, which
+	// is where row l+1's begin.
+	ends := make([]int, vj.nLeft+1)
+	vj.candSel, vj.candRefs = make([]int32, total), make([]int64, total)
+	for _, w := range ws {
+		if err := vj.qc.pollAbort(); err != nil {
+			return err
+		}
+		for _, l := range w.lrows {
+			ends[l+1]++
+		}
+	}
+	for l := 1; l <= vj.nLeft; l++ {
+		ends[l] += ends[l-1]
+	}
+	for _, w := range ws {
+		if err := vj.qc.pollAbort(); err != nil {
+			return err
+		}
+		for i, l := range w.lrows {
+			vj.candRefs[ends[l]] = w.rrefs[i]
+			ends[l]++
+		}
+	}
+	vj.candEnd = make([]int, len(vj.leftChunks)+1)
+	for ci, ch := range vj.leftChunks {
+		if err := vj.qc.pollAbort(); err != nil {
+			return err
+		}
+		lo := vj.leftStart[ci]
+		pos := vj.candEnd[ci]
+		for k := 0; k < ch.n; k++ {
+			for ; pos < ends[lo+k]; pos++ {
+				vj.candSel[pos] = int32(k)
 			}
-			pc.kbuf = appendGroupKeyLane(pc.kbuf, kv, k)
-			pc.kbuf = append(pc.kbuf, keySep)
 		}
-		if null {
-			continue
+		vj.candEnd[ci+1] = pos
+	}
+	return nil
+}
+
+// joinLeftChunk produces one left chunk's join output: its candidate pairs
+// (looked up now when the right side is hashed, regrouped by scanRight
+// otherwise), then finish. A pending left-key error is returned only after
+// the residuals of the rows before it have passed, as the row path would.
+func (vj *vecJoin) joinLeftChunk(w *joinWorker, ci int, ch *chunk) error {
+	var sel []int32
+	var refs []int64
+	var keyErr error
+	if vj.hashLeft {
+		sel = vj.candSel[vj.candEnd[ci]:vj.candEnd[ci+1]]
+		refs = vj.candRefs[vj.candEnd[ci]:vj.candEnd[ci+1]]
+	} else {
+		if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
+			return err
 		}
-		if b, ok := vj.buckets[string(pc.kbuf)]; ok {
-			for _, r := range b.refs {
+		var n int
+		n, keyErr = w.lookupChunk(vj, &vj.lKeys, ch)
+		// Pre-sized for the common at-most-one-match case.
+		sel = make([]int32, 0, n)
+		refs = make([]int64, 0, n)
+		next := vj.table.next
+		for k := 0; k < n; k++ {
+			for r := w.heads[k]; r != 0; r = next[r-1] {
 				sel = append(sel, int32(k))
-				refs = append(refs, r)
+				refs = append(refs, vj.rightRefs[r-1])
 			}
 		}
 	}
+	oc, err := vj.finish(w, ch, sel, refs)
+	if err != nil {
+		return err
+	}
+	if keyErr != nil {
+		return keyErr
+	}
+	if oc != nil {
+		w.out = append(w.out, oc)
+	}
+	return nil
+}
 
-	// Residual refinement over the candidate pairs, using the same vector
-	// kernels a downstream WHERE would. When the residual keeps every pair,
-	// the candidate chunk (with whatever columns the residual already
-	// gathered) is reused as the output chunk.
+// finish turns one left chunk's candidate pairs — left rows in order, each
+// row's matches in right scan order — into its join-output chunk (nil when
+// it has no rows): residual refinement, LEFT/FULL null-extension in place,
+// RIGHT/FULL matched flags.
+func (vj *vecJoin) finish(w *joinWorker, ch *chunk, sel []int32, refs []int64) (*chunk, error) {
+	// When the residual keeps every pair, the candidate chunk (with whatever
+	// columns the residual already gathered) is reused as the output chunk.
 	var cand *chunk
 	if vj.resFull != nil && len(sel) > 0 {
 		cand = vj.newJoinChunk(ch, sel, refs)
-		rsel, all, err := evalFilter(pc.rc, cand, vj.resFull, vj.resConjs)
+		rsel, all, err := evalFilter(w.rc, cand, vj.resFull, vj.resConjs)
 		if err != nil {
-			return vj.probeChunkRows(pc, ch)
-		}
-		if !all {
+			if sel, refs, err = vj.refineRows(ch, sel, refs); err != nil {
+				return nil, err
+			}
+			cand = nil
+		} else if !all {
 			ns := make([]int32, len(rsel))
 			nr := make([]int64, len(rsel))
 			for i, x := range rsel {
@@ -377,7 +721,7 @@ func (vj *vecJoin) probeChunk(pc *probeCtx, ch *chunk) (*chunk, error) {
 		}
 	}
 
-	// LEFT/FULL: null-extend probe rows with no surviving pair, in place.
+	// LEFT/FULL: null-extend left rows with no surviving pair, in place.
 	if vj.jt == sqlparser.LeftJoin || vj.jt == sqlparser.FullJoin {
 		ns := make([]int32, 0, len(sel)+ch.n)
 		nr := make([]int64, 0, len(refs)+ch.n)
@@ -401,10 +745,10 @@ func (vj *vecJoin) probeChunk(pc *probeCtx, ch *chunk) (*chunk, error) {
 		}
 	}
 
-	if pc.matched != nil {
+	if w.matched != nil {
 		for _, r := range refs {
 			if r >= 0 {
-				pc.matched[vj.flat(r)] = true
+				w.matched[vj.flat(r)] = true
 			}
 		}
 	}
@@ -418,69 +762,28 @@ func (vj *vecJoin) probeChunk(pc *probeCtx, ch *chunk) (*chunk, error) {
 	return vj.newJoinChunk(ch, sel, refs), nil
 }
 
-// probeChunkRows is the per-chunk row fallback for the probe: the same
-// per-row key render + bucket walk + residual loop as the row-path join,
-// emitting references instead of combined rows.
-func (vj *vecJoin) probeChunkRows(pc *probeCtx, ch *chunk) (*chunk, error) {
-	var sel []int32
-	var refs []int64
-	var combinedBuf []Value
-	if vj.resFn != nil {
-		combinedBuf = make([]Value, vj.leftW+vj.rightW)
-	}
-	for k, lrow := range ch.rows() {
-		pc.kbuf = pc.kbuf[:0]
-		null := false
-		for _, fn := range vj.lKeyFns {
-			v, err := fn(lrow)
-			if err != nil {
-				return nil, err
-			}
-			if v == nil {
-				null = true
-				break
-			}
-			pc.kbuf = appendGroupKey(pc.kbuf, v)
-			pc.kbuf = append(pc.kbuf, keySep)
+// refineRows is the residual's row fallback: the candidate pairs of one left
+// chunk re-checked in order by the row-compiled residual over combined rows,
+// so its first error is the row path's.
+func (vj *vecJoin) refineRows(ch *chunk, sel []int32, refs []int64) ([]int32, []int64, error) {
+	ns := make([]int32, 0, len(sel))
+	nr := make([]int64, 0, len(sel))
+	combined := make([]Value, vj.leftW+vj.rightW)
+	lrows := ch.rows()
+	for i, k := range sel {
+		ci, ri := unpackRef(refs[i])
+		copy(combined, lrows[k])
+		copy(combined[vj.leftW:], vj.rightChunks[ci].rows()[ri])
+		v, err := vj.resFn(combined)
+		if err != nil {
+			return nil, nil, err
 		}
-		matchedLeft := false
-		if !null {
-			if b, ok := vj.buckets[string(pc.kbuf)]; ok {
-				for _, r := range b.refs {
-					if vj.resFn != nil {
-						ci, ri := unpackRef(r)
-						copy(combinedBuf, lrow)
-						copy(combinedBuf[vj.leftW:], vj.buildChunks[ci].rows()[ri])
-						v, err := vj.resFn(combinedBuf)
-						if err != nil {
-							return nil, err
-						}
-						if ok2, isB := ToBool(v); !isB || !ok2 {
-							continue
-						}
-					}
-					matchedLeft = true
-					sel = append(sel, int32(k))
-					refs = append(refs, r)
-				}
-			}
-		}
-		if !matchedLeft && (vj.jt == sqlparser.LeftJoin || vj.jt == sqlparser.FullJoin) {
-			sel = append(sel, int32(k))
-			refs = append(refs, nullRef)
+		if b, ok := ToBool(v); ok && b {
+			ns = append(ns, k)
+			nr = append(nr, refs[i])
 		}
 	}
-	if pc.matched != nil {
-		for _, r := range refs {
-			if r >= 0 {
-				pc.matched[vj.flat(r)] = true
-			}
-		}
-	}
-	if len(sel) == 0 {
-		return nil, nil
-	}
-	return vj.newJoinChunk(ch, sel, refs), nil
+	return ns, nr, nil
 }
 
 // trailingChunk emits the unmatched build rows of a RIGHT/FULL join after
@@ -490,7 +793,7 @@ func (vj *vecJoin) probeChunkRows(pc *probeCtx, ch *chunk) (*chunk, error) {
 func (vj *vecJoin) trailingChunk(matched []bool) (*chunk, error) {
 	var refs []int64
 	flat := 0
-	for ci, ch := range vj.buildChunks {
+	for ci, ch := range vj.rightChunks {
 		if err := vj.qc.pollAbort(); err != nil {
 			return nil, err
 		}
@@ -647,7 +950,7 @@ func (g *joinGather) fillBuild(c *chunk, j int) {
 	cv := &c.cols[j]
 	n := c.n
 	bj := j - g.j.leftW
-	chs := g.j.buildChunks
+	chs := g.j.rightChunks
 	srcs := make([]*colVec, len(chs))
 	getCol := func(ci int) *colVec {
 		if srcs[ci] == nil {
@@ -655,7 +958,7 @@ func (g *joinGather) fillBuild(c *chunk, j int) {
 		}
 		return srcs[ci]
 	}
-	kind := g.j.buildKinds[bj]
+	kind := g.j.rightKinds[bj]
 	cv.kind = kind
 	switch kind {
 	case TInt:
@@ -740,7 +1043,7 @@ func (g *joinGather) kindOf(j int) ColType {
 		}
 		return g.probe.colKind(j)
 	}
-	return g.j.buildKinds[j-g.j.leftW]
+	return g.j.rightKinds[j-g.j.leftW]
 }
 
 // valueAt boxes one cell through the references.
@@ -757,5 +1060,5 @@ func (g *joinGather) valueAt(j, i int) Value {
 		return nil
 	}
 	ci, ri := unpackRef(r)
-	return g.j.buildChunks[ci].valueAt(j-g.j.leftW, ri)
+	return g.j.rightChunks[ci].valueAt(j-g.j.leftW, ri)
 }

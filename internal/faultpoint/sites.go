@@ -16,9 +16,9 @@ const (
 	SiteEngineScanChunk = "engine.scan.chunk"
 	// SiteEngineScanRows fires per morsel on the row-fallback scan path.
 	SiteEngineScanRows = "engine.scan.rows"
-	// SiteEngineJoinBuild fires per chunk while building a join hash table.
+	// SiteEngineJoinBuild fires per chunk of the input the join hashes.
 	SiteEngineJoinBuild = "engine.join.build"
-	// SiteEngineJoinProbe fires per morsel on the join probe side.
+	// SiteEngineJoinProbe fires per chunk of the input the join scans.
 	SiteEngineJoinProbe = "engine.join.probe"
 	// SiteCoreProgressivePrefix fires per block-prefix in the progressive
 	// (online-aggregation) answer loop.

@@ -107,6 +107,64 @@ func TestCancelAtRandomPointsAcrossWorkload(t *testing.T) {
 	}
 }
 
+// exactJoinBothSides is one exact join over instaConn's tables written with
+// the smaller input (orders) on the left, so the join hashes its left input
+// and scans the right, and on the right.
+var exactJoinBothSides = []string{
+	"bypass select o.order_dow, count(*) as c, sum(op.price) as r from orders o inner join order_products op on o.order_id = op.order_id group by o.order_dow order by o.order_dow",
+	"bypass select o.order_dow, count(*) as c, sum(op.price) as r from order_products op inner join orders o on o.order_id = op.order_id group by o.order_dow order by o.order_dow",
+}
+
+// TestCancelMidJoinBothHashSides cancels an exact join at random points
+// with the smaller input on the left (hashed left: build, morsel scan of the
+// right input, regroup) and on the right (hashed right: build, morsel probe).
+// Every phase polls, so the call returns promptly with context.Canceled, no
+// worker leaks, and the next run is identical to the baseline.
+func TestCancelMidJoinBothHashSides(t *testing.T) {
+	conn := instaConn(t)
+	rng := rand.New(rand.NewSource(23))
+	before := runtime.NumGoroutine()
+	for _, sql := range exactJoinBothSides {
+		start := time.Now()
+		baseline, err := conn.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dur := time.Since(start)
+		cancelled := 0
+		for rep := 0; rep < 40; rep++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			var firedAt time.Time
+			timer := time.AfterFunc(time.Duration(rng.Int63n(int64(dur)+1)), func() {
+				firedAt = time.Now()
+				cancel()
+			})
+			_, err := conn.QueryContext(ctx, sql)
+			switch {
+			case err == nil:
+			case errors.Is(err, context.Canceled):
+				cancelled++
+				if lag := time.Since(firedAt); lag > 300*time.Millisecond {
+					t.Fatalf("rep %d: cancel honored after %v", rep, lag)
+				}
+			default:
+				t.Fatalf("rep %d: want nil or context.Canceled, got %v", rep, err)
+			}
+			timer.Stop()
+			cancel()
+		}
+		if cancelled == 0 {
+			t.Errorf("%s: no cancel landed mid-query in 40 tries", sql)
+		}
+		again, err := conn.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAnswersIdentical(t, "post-cancel", baseline, again)
+	}
+	assertGoroutinesSettle(t, before)
+}
+
 // TestDeadlineDegradedProgressive lets the first block prefix complete,
 // then sleeps past the deadline inside the progressive callback: the next
 // prefix's engine call dies with DeadlineExceeded, and the middleware must
