@@ -39,16 +39,18 @@ staticcheck:
 bench:
 	$(GO) test -run=- -bench 'E1' -benchmem ./internal/engine
 
-# Machine-readable engine perf numbers for cross-PR diffs.
+# Machine-readable engine perf numbers for cross-PR diffs. Measured at
+# GOMAXPROCS=1 like the committed baseline: allocations scale with the worker
+# count, and benchgate refuses to compare reports that disagree on it.
 bench-json:
-	$(GO) run ./cmd/benchrunner -exp engine -benchout BENCH_engine.json
+	GOMAXPROCS=1 $(GO) run ./cmd/benchrunner -exp engine -benchout BENCH_engine.json
 
 # Variance-aware perf regression gate: re-measure the engine suite and
 # compare against the committed BENCH_engine.json. Wall-clock ratios get
 # generous limits (single-run jitter), allocation counts tight ones
 # (near-deterministic); see internal/bench/gate.go for the thresholds.
 bench-gate:
-	$(GO) run ./cmd/benchrunner -exp engine -benchout /tmp/verdict_bench_gate_engine.json
+	GOMAXPROCS=1 $(GO) run ./cmd/benchrunner -exp engine -benchout /tmp/verdict_bench_gate_engine.json
 	$(GO) run ./cmd/benchgate -kind engine -base BENCH_engine.json -cand /tmp/verdict_bench_gate_engine.json
 
 # Progressive execution: time-to-accuracy over block-partitioned scrambles.

@@ -180,3 +180,48 @@ func TestInjectedJoinFaultsBothHashSides(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectedFilteredJoinInputFault: the pre-filter of a join input is a scan,
+// so the scan site fires once per chunk of each filtered input (the query
+// projects, so nothing after the join scans) and the join sites only see what
+// survives; an error armed there comes back as is before any join runs, and
+// the connection answers identically once disarmed.
+func TestInjectedFilteredJoinInputFault(t *testing.T) {
+	defer faultpoint.Reset()
+	conn := instaConn(t)
+	const sql = "bypass select op.order_id, op.price, o.order_dow from order_products op inner join orders o on o.order_id = op.order_id where op.reordered = 1 and o.order_hour < 12 and op.price > 2"
+	chunks := int64(0)
+	for _, table := range []string{"orders", "order_products"} {
+		a, err := conn.Query("bypass select count(*) as c from " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks += (a.Rows[0][0].(int64) + 255) / 256
+	}
+	faultpoint.Reset()
+	baseline, err := conn.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := faultpoint.Count(faultpoint.SiteEngineScanChunk); n != chunks {
+		t.Fatalf("scan site hit %d times, want once per chunk of the two filtered inputs (%d)", n, chunks)
+	}
+	if b, p := faultpoint.Count(faultpoint.SiteEngineJoinBuild), faultpoint.Count(faultpoint.SiteEngineJoinProbe); b == 0 || p == 0 || b+p >= chunks {
+		t.Fatalf("join sites hit %d+%d times over inputs of %d chunks: the join should see filtered inputs", b, p, chunks)
+	}
+	faultpoint.Reset()
+	sentinel := errors.New("faultpoint: pre-filter wire test")
+	faultpoint.SetError(faultpoint.SiteEngineScanChunk, sentinel)
+	if _, err := conn.Query(sql); !errors.Is(err, sentinel) {
+		t.Fatalf("want the injected error, got %v", err)
+	}
+	if n := faultpoint.Count(faultpoint.SiteEngineJoinBuild); n != 0 {
+		t.Fatalf("the join ran (%d build chunks) after its input's pre-filter failed", n)
+	}
+	faultpoint.Clear(faultpoint.SiteEngineScanChunk)
+	again, err := conn.Query(sql)
+	if err != nil {
+		t.Fatalf("after disarm: %v", err)
+	}
+	assertAnswersIdentical(t, "post-fault", baseline, again)
+}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -51,6 +52,10 @@ func DefaultGateConfig() GateConfig {
 		MsFloor:        1.0,
 	}
 }
+
+// ErrProcsMismatch refuses an engine comparison: the two reports were
+// measured at different GOMAXPROCS.
+var ErrProcsMismatch = errors.New("reports were measured at different go_max_procs")
 
 // Violation is one metric that moved past its threshold (or disappeared
 // from the candidate run, which hides regressions and fails too).
@@ -190,7 +195,15 @@ func LoadGateReport(kind, path string) (any, error) {
 func Gate(kind string, base, cand any, cfg GateConfig) ([]Violation, error) {
 	switch kind {
 	case "engine":
-		return GateEngine(base.(*EngineBenchReport), cand.(*EngineBenchReport), cfg), nil
+		b, c := base.(*EngineBenchReport), cand.(*EngineBenchReport)
+		// Allocations (one set of buffers per morsel worker) and wall time
+		// both depend on the worker count: reports measured at different
+		// GOMAXPROCS are not comparable, so refuse rather than misjudge.
+		if b.GoMaxProcs != c.GoMaxProcs {
+			return nil, fmt.Errorf("%w: baseline %d, candidate %d; re-measure the candidate with GOMAXPROCS=%d",
+				ErrProcsMismatch, b.GoMaxProcs, c.GoMaxProcs, b.GoMaxProcs)
+		}
+		return GateEngine(b, c, cfg), nil
 	case "progressive":
 		return GateProgressive(base.(*ProgressiveReport), cand.(*ProgressiveReport), cfg), nil
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
@@ -138,6 +139,21 @@ func TestGateProgressiveMissingResultFails(t *testing.T) {
 	v := GateProgressive(base, cand, DefaultGateConfig())
 	if len(v) != 1 || !math.IsInf(v[0].Ratio, 1) {
 		t.Fatalf("want one missing-result violation, got %v", v)
+	}
+}
+
+// TestGateRejectsMismatchedProcs: allocations scale with the worker count, so
+// a candidate measured at another GOMAXPROCS is refused, not judged.
+func TestGateRejectsMismatchedProcs(t *testing.T) {
+	base, cand := engineReport(1), engineReport(1)
+	base.GoMaxProcs, cand.GoMaxProcs = 1, 2
+	v, err := Gate("engine", base, cand, DefaultGateConfig())
+	if !errors.Is(err, ErrProcsMismatch) {
+		t.Fatalf("want ErrProcsMismatch, got %v, %v", v, err)
+	}
+	cand.GoMaxProcs = 1
+	if v, err := Gate("engine", base, cand, DefaultGateConfig()); err != nil || len(v) != 0 {
+		t.Fatalf("matching reports should be gated and pass, got %v, %v", v, err)
 	}
 }
 

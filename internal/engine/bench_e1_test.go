@@ -139,6 +139,17 @@ func BenchmarkE1HashJoinSmallLeft(b *testing.B) {
 		group by d.cat`)
 }
 
+// BenchmarkE1JoinFilteredSide is the tq-12 shape: a WHERE that keeps about
+// 4 % of the big join input. Its conjuncts are tested on fact before the
+// join, so the join and everything after it cost O(surviving rows).
+func BenchmarkE1JoinFilteredSide(b *testing.B) {
+	benchE1Query(b, e1Engine(b), `
+		select d.cat, sum(f.x * (1 - f.y)) as rev, count(*) as c
+		from dim d inner join fact f on f.g = d.g
+		where f.flag in ('A', 'R') and f.d >= '1994-03-01' and f.d <= '1994-03-20'
+		group by d.cat`)
+}
+
 // BenchmarkE1LimitProbe is the schema probe the middleware issues through
 // Driver.Columns: LIMIT 0 is pushed into the scan, so it loads no chunk and
 // allocates per column, not per row.

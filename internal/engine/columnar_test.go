@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -127,8 +128,8 @@ func TestZonePruningSkipsChunks(t *testing.T) {
 	if err := e.InsertRows("z", rows); err != nil {
 		t.Fatal(err)
 	}
-	// Qualified column-vs-literal conjuncts push into the scan: a blk <= 1
-	// prefix keeps chunk 0 plus the always-scanned tail.
+	// Column-vs-literal conjuncts push into the scan: a blk <= 1 prefix keeps
+	// chunk 0 plus the always-scanned tail.
 	rs, err := e.Query("select count(*) from z where z.blk <= 1")
 	if err != nil {
 		t.Fatal(err)
@@ -139,17 +140,38 @@ func TestZonePruningSkipsChunks(t *testing.T) {
 	if want := int64(chunkRows + 100); rs.RowsScanned != want {
 		t.Fatalf("pruned scan read %d rows, want %d", rs.RowsScanned, want)
 	}
-	// Unqualified references never prune (could bind to either join side).
-	rs2, err := e.Query("select count(*) from z where blk <= 1")
-	if err != nil {
+	// An unqualified reference prunes the one leaf it resolves in, on either
+	// side of a join; one that resolves in two leaves prunes nothing (and is
+	// an error once a row reaches WHERE).
+	if err := e.CreateTable("z2", []Column{{Name: "blk", Type: TInt}, {Name: "y", Type: TInt}}); err != nil {
 		t.Fatal(err)
 	}
-	if rs2.RowsScanned != int64(total) {
-		t.Fatalf("unqualified conjunct pruned: scanned %d", rs2.RowsScanned)
+	if err := e.InsertRows("z2", [][]Value{{int64(1), int64(7)}}); err != nil {
+		t.Fatal(err)
 	}
-	// Pruning must not change results, only the scanned count.
-	if rs2.Rows[0][0].(int64) != chunkRows {
-		t.Fatalf("count without pruning: %v", rs2.Rows[0][0])
+	for _, c := range []struct {
+		sql     string
+		count   int64
+		scanned int64
+	}{
+		{"select count(*) from z where blk <= 1", chunkRows, chunkRows + 100},
+		{"select count(*) from z where 1 >= blk", chunkRows, chunkRows + 100},
+		{"select count(*) from z2 inner join z on z.blk = z2.blk where x < 256 and y = 7", chunkRows, 1 + chunkRows + 100},
+		{"select count(*) from z inner join z2 on z.blk = z2.blk where 300 > x", chunkRows, 1 + 2*chunkRows + 100},
+		// Pruning must not change results, only the scanned count.
+		{"select count(*) from z where blk + 0 <= 1", chunkRows, int64(total)},
+	} {
+		rs, err := e.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if got := rs.Rows[0][0].(int64); got != c.count || rs.RowsScanned != c.scanned {
+			t.Errorf("%s: count %d scanned %d, want %d and %d", c.sql, got, rs.RowsScanned, c.count, c.scanned)
+		}
+	}
+	if _, err := e.Query("select count(*) from z inner join z2 on z.x = z2.y where blk <= 1"); !errors.Is(err, ErrAmbiguousColumn) {
+		// z.x = 7 joins one row, so WHERE evaluates the ambiguous name.
+		t.Fatalf("ambiguous conjunct: %v", err)
 	}
 }
 

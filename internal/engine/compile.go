@@ -230,7 +230,9 @@ func (c *compiler) resolveColumn(table, name string) (compiledExpr, error) {
 func (c *compiler) compileScalarSubquery(sel *sqlparser.SelectStmt) compiledExpr {
 	c.pure = false
 	var memo subqueryMemo
-	if refs := collectOuterRefs(sel); len(refs) > 0 {
+	if refs, known := outerRefs(c.scope.qc, sel); !known {
+		memo.correlated = true
+	} else if len(refs) > 0 {
 		memo.correlated = true
 		memo.keyFns = make([]compiledExpr, len(refs))
 		for i, cr := range refs {
@@ -664,7 +666,8 @@ func (c *compiler) compileIn(x *sqlparser.InExpr) compiledExpr {
 	if x.Subquery != nil {
 		c.pure = false
 		scope, sel := c.scope, x.Subquery
-		correlated := len(collectOuterRefs(sel)) > 0
+		refs, known := outerRefs(c.scope.qc, sel)
+		correlated := !known || len(refs) > 0
 		return func(row []Value) (Value, error) {
 			v, err := xf(row)
 			if err != nil || v == nil {

@@ -249,7 +249,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	if err != nil {
 		return nil, err
 	}
-	rel, err := buildFrom(qc, sel.From, outer, collectRangePreds(sel.Where))
+	rel, err := buildFrom(qc, sel.From, sel.Where, outer)
 	if err != nil {
 		return nil, err
 	}

@@ -7,69 +7,54 @@ import (
 	"verdictdb/internal/sqlparser"
 )
 
-// buildFrom materializes the FROM clause into a relation. preds carries the
-// query's scan-prunable WHERE conjuncts (qualified column-vs-literal
-// comparisons): table scans whose qualifier matches use zone maps to skip
-// chunks that cannot satisfy them — partition pruning for block-clustered
-// scrambles — while the conjunct itself stays in WHERE for exactness.
-func buildFrom(qc *queryCtx, from sqlparser.TableExpr, outer *env, preds []rangePred) (*relation, error) {
+// buildFrom materializes the FROM clause into a relation. The leaves are
+// built first, in order — table snapshots and derived-table results — so the
+// WHERE analysis (planFrom, zonemap.go) can attribute conjuncts to them; then
+// the joins run bottom-up, left to right. On its way into the first join a
+// base-table leaf skips the chunks its zone predicates rule out, counts the
+// rows left as scanned, and — when WHERE pushed conjuncts to it — is replaced
+// by the rows that pass them. The conjuncts stay in WHERE for exactness.
+func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, outer *env) (*relation, error) {
 	if from == nil {
 		// FROM-less select: a single empty row.
 		return newRelation(nil, nil, [][]Value{{}}), nil
 	}
-	switch t := from.(type) {
-	case *sqlparser.TableRef:
-		tbl, src, err := qc.eng.snapshot(t.Name)
+	return planFrom(qc, from, where).build(from, outer)
+}
+
+// build joins the planned leaves under t, consuming them in order.
+func (p *fromPlan) build(t sqlparser.TableExpr, outer *env) (*relation, error) {
+	qc := p.qc
+	if j, ok := t.(*sqlparser.JoinExpr); ok {
+		left, err := p.build(j.Left, outer)
 		if err != nil {
 			return nil, err
 		}
-		qual := t.Alias
-		if qual == "" {
-			qual = baseName(t.Name)
-		}
-		if len(preds) > 0 {
-			var mine []rangePred
-			lowQual := strings.ToLower(qual)
-			for _, p := range preds {
-				if p.qual == lowQual {
-					mine = append(mine, p)
-				}
-			}
-			if len(mine) > 0 {
-				src = pruneChunks(tbl, src, mine)
-			}
-		}
-		qc.scanned += int64(src.nrows)
-		src.counted = true
-		quals := make([]string, len(tbl.Cols))
-		names := make([]string, len(tbl.Cols))
-		for i, c := range tbl.Cols {
-			quals[i] = qual
-			names[i] = c.Name
-		}
-		return newColRelation(quals, names, src), nil
-	case *sqlparser.DerivedTable:
-		rs, err := execSelectWithOuter(qc, t.Select, nil)
+		right, err := p.build(j.Right, outer)
 		if err != nil {
 			return nil, err
 		}
-		quals := make([]string, len(rs.Cols))
-		for i := range quals {
-			quals[i] = t.Alias
-		}
-		return newRelation(quals, rs.Cols, rs.Rows), nil
-	case *sqlparser.JoinExpr:
-		left, err := buildFrom(qc, t.Left, outer, preds)
-		if err != nil {
-			return nil, err
-		}
-		right, err := buildFrom(qc, t.Right, outer, preds)
-		if err != nil {
-			return nil, err
-		}
-		return joinRelations(qc, left, right, t, outer)
+		return joinRelations(qc, left, right, j, outer)
 	}
-	return nil, fmt.Errorf("engine: unsupported FROM element %T", from)
+	lf := &p.leaves[p.next]
+	p.next++
+	if lf.err != nil || lf.rel.src == nil {
+		return lf.rel, lf.err
+	}
+	src := lf.rel.src
+	if len(lf.zone) > 0 {
+		src = pruneChunks(src, lf.zone)
+	}
+	qc.scanned += int64(src.nrows)
+	src.counted = true
+	lf.rel.src = src
+	if lf.filter != nil {
+		var err error
+		if lf.rel.src, err = filterLeaf(qc, lf.rel, lf.filter); err != nil {
+			return nil, err
+		}
+	}
+	return lf.rel, nil
 }
 
 // baseName strips a schema qualifier: "verdict_meta.samples" -> "samples".
@@ -85,9 +70,7 @@ func baseName(name string) string {
 // condition lowers to kernels (vecjoin.go), row-at-a-time otherwise, and a
 // nested-loop join when no equi-join pair exists.
 func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, outer *env) (*relation, error) {
-	combinedQuals := append(append([]string{}, left.qualifiers...), right.qualifiers...)
-	combinedNames := append(append([]string{}, left.names...), right.names...)
-	combined := newRelation(combinedQuals, combinedNames, nil)
+	combined := joinedRelation(left, right)
 
 	on := je.On
 	// JOIN ... USING (c1, ...) is sugar for equality on the named columns.
@@ -109,11 +92,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 				L:  &sqlparser.ColumnRef{Table: lq, Name: c},
 				R:  &sqlparser.ColumnRef{Table: rq, Name: c},
 			}
-			if on == nil {
-				on = eq
-			} else {
-				on = &sqlparser.BinaryExpr{Op: "AND", L: on, R: eq}
-			}
+			on = andExpr(on, eq)
 		}
 	}
 
@@ -397,18 +376,6 @@ func splitJoinCondition(left, right *relation, on sqlparser.Expr) (leftKeys, rig
 	if on == nil {
 		return nil, nil, nil
 	}
-	var conjuncts []sqlparser.Expr
-	var flatten func(e sqlparser.Expr)
-	flatten = func(e sqlparser.Expr) {
-		if be, ok := e.(*sqlparser.BinaryExpr); ok && be.Op == "AND" {
-			flatten(be.L)
-			flatten(be.R)
-			return
-		}
-		conjuncts = append(conjuncts, e)
-	}
-	flatten(on)
-
 	sideOf := func(e sqlparser.Expr) int {
 		// 1 = resolves only in left, 2 = only in right, 0 = neither/both.
 		inLeft, inRight := true, true
@@ -442,7 +409,7 @@ func splitJoinCondition(left, right *relation, on sqlparser.Expr) (leftKeys, rig
 		return 0
 	}
 
-	for _, c := range conjuncts {
+	for _, c := range flattenAnd(on, nil) {
 		be, ok := c.(*sqlparser.BinaryExpr)
 		if ok && be.Op == "=" {
 			ls, rs := sideOf(be.L), sideOf(be.R)
@@ -457,11 +424,7 @@ func splitJoinCondition(left, right *relation, on sqlparser.Expr) (leftKeys, rig
 				continue
 			}
 		}
-		if residual == nil {
-			residual = c
-		} else {
-			residual = &sqlparser.BinaryExpr{Op: "AND", L: residual, R: c}
-		}
+		residual = andExpr(residual, c)
 	}
 	return leftKeys, rightKeys, residual
 }

@@ -89,6 +89,44 @@ func runChunks(nw, n int, fn func(w, lo, hi int) error) error {
 	return nil
 }
 
+// scanMorsels loads chunks — a snapshot's slots, or a join input's resident
+// chunks — and hands them to fn in order: serially, or as contiguous ranges on
+// as many workers as scanWorkers allows for nrows rows, each with the private
+// state newW builds. It polls before every chunk and returns the worker states
+// in range order, so what they collected concatenates (or merges) into serial
+// scan order. Anything the workers share is read-only by now.
+func scanMorsels[S chunkSlot, W any](qc *queryCtx, slots []S, nrows int, newW func() W,
+	fn func(w W, ci int, ch *chunk) error) ([]W, error) {
+	nw := max(min(qc.eng.scanWorkers(nrows), len(slots)), 1)
+	ws := make([]W, nw)
+	for i := range ws {
+		ws[i] = newW()
+	}
+	run := func(w, lo, hi int) error {
+		for ci := lo; ci < hi; ci++ {
+			if err := qc.pollAbort(); err != nil {
+				return err
+			}
+			ch, err := slots[ci].load(qc)
+			if err != nil {
+				return err
+			}
+			if err := fn(ws[w], ci, ch); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if nw == 1 {
+		return ws, run(0, 0, len(slots))
+	}
+	if err := runChunks(nw, len(slots), run); err != nil {
+		return nil, err
+	}
+	qc.eng.parallelScans.Add(1)
+	return ws, nil
+}
+
 // noLimit is the bound of a scan that wants every row.
 const noLimit = math.MaxInt
 
@@ -243,40 +281,6 @@ func parallelFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, nw int) ([]
 	}
 	qc.eng.parallelScans.Add(1)
 	return res, nil
-}
-
-// joinMorsels runs fn over a join input's chunks in order: serially, or as
-// contiguous chunk ranges per worker, each with the private state newW
-// builds. It polls once per chunk and returns the worker states in range
-// order, so anything they collected concatenates into serial scan order —
-// the same contract the scan morsels keep. The shared hash table is
-// read-only by now.
-func joinMorsels(vj *vecJoin, chunks []*chunk, nrows int, newW func() *joinWorker,
-	fn func(w *joinWorker, ci int, ch *chunk) error) ([]*joinWorker, error) {
-	nw := max(min(vj.eng.scanWorkers(nrows), len(chunks)), 1)
-	ws := make([]*joinWorker, nw)
-	for i := range ws {
-		ws[i] = newW()
-	}
-	run := func(w, lo, hi int) error {
-		for ci := lo; ci < hi; ci++ {
-			if err := vj.qc.pollAbort(); err != nil {
-				return err
-			}
-			if err := fn(ws[w], ci, chunks[ci]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if nw == 1 {
-		return ws, run(0, 0, len(chunks))
-	}
-	if err := runChunks(nw, len(chunks), run); err != nil {
-		return nil, err
-	}
-	vj.eng.parallelScans.Add(1)
-	return ws, nil
 }
 
 // aggSpec is one aggregate call with its compiled argument (nil for

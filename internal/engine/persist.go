@@ -497,21 +497,25 @@ func (dd *dataDir) snapshotFlush(e *Engine) ([]flushWork, []string) {
 // installSlots swaps a table's freshly flushed chunks to segment-backed
 // slots under e.mu.Lock, optionally pre-warming the cache with the chunks
 // that are already in memory (spill mode skips the warm-up so reads go
-// cold through the disk path).
+// cold through the disk path). The swap is copy-on-write: running queries
+// read their snapshot of t.sealed without the lock, so a published slot
+// slice is never written again.
 func (dd *dataDir) installSlots(e *Engine, w *flushWork, seg *storage.Segment, warmCache bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.tables[w.key] != w.t {
 		return // dropped (or replaced) while flushing; reconciled next cycle
 	}
+	sealed := append([]chunkSlot(nil), w.t.sealed...)
 	//verdict:nopoll O(#flushed chunks) pointer swaps under e.mu — no row work, must not abort half-swapped
 	for i, ch := range w.newChunks {
 		s := &segSlot{seg: seg, idx: i, cache: dd.cache}
-		w.t.sealed[w.persisted+i] = s
+		sealed[w.persisted+i] = s
 		if warmCache {
 			dd.cache.put(s, ch)
 		}
 	}
+	w.t.sealed = sealed
 	w.t.persisted = w.persisted + len(w.newChunks)
 }
 
@@ -675,12 +679,14 @@ func (dd *dataDir) swapCompacted(e *Engine, name string, nchunks int, seg *stora
 	if !ok || t.persisted != nchunks {
 		return
 	}
+	sealed := append([]chunkSlot(nil), t.sealed...) // copy-on-write, as in installSlots
 	for i := 0; i < nchunks; i++ {
-		if old, ok := t.sealed[i].(*segSlot); ok {
+		if old, ok := sealed[i].(*segSlot); ok {
 			dd.cache.drop(old)
 		}
-		t.sealed[i] = &segSlot{seg: seg, idx: i, cache: dd.cache}
+		sealed[i] = &segSlot{seg: seg, idx: i, cache: dd.cache}
 	}
+	t.sealed = sealed
 }
 
 // maybeSpill eagerly flushes after a bulk insert when ENGINE_SPILL is set,

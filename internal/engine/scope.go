@@ -30,8 +30,38 @@ func newRelation(quals, names []string, rows [][]Value) *relation {
 	return &relation{qualifiers: quals, names: names, rows: rows}
 }
 
-func newColRelation(quals, names []string, src *colSource) *relation {
-	return &relation{qualifiers: quals, names: names, src: src}
+// tableRelation is the relation of a base-table reference: the table's
+// columns under the reference's alias (or the table's base name), over src —
+// nil for a schema-only relation.
+func tableRelation(t *sqlparser.TableRef, tbl *Table, src *colSource) *relation {
+	qual := t.Alias
+	if qual == "" {
+		qual = baseName(t.Name)
+	}
+	names := make([]string, len(tbl.Cols))
+	for i, c := range tbl.Cols {
+		names[i] = c.Name
+	}
+	rel := aliasedRelation(qual, names, nil)
+	rel.src = src
+	return rel
+}
+
+// aliasedRelation is a relation whose columns all carry one qualifier: a
+// derived table's result, or a base table's columns.
+func aliasedRelation(qual string, names []string, rows [][]Value) *relation {
+	quals := make([]string, len(names))
+	for i := range quals {
+		quals[i] = qual
+	}
+	return newRelation(quals, names, rows)
+}
+
+// joinedRelation is the schema of a join's output: the left input's columns,
+// then the right's.
+func joinedRelation(l, r *relation) *relation {
+	return newRelation(append(append([]string{}, l.qualifiers...), r.qualifiers...),
+		append(append([]string{}, l.names...), r.names...), nil)
 }
 
 func (r *relation) width() int { return len(r.names) }
@@ -206,50 +236,121 @@ func arith(op string, l, r Value) (Value, error) {
 	return nil, fmt.Errorf("engine: unknown arithmetic op %q", op)
 }
 
-// collectOuterRefs returns the column references inside sel whose qualifier
-// is not a relation defined within sel (i.e. references to enclosing
-// scopes), in deterministic order — a conservative syntactic check. A
-// subquery with none is uncorrelated.
-func collectOuterRefs(sel *sqlparser.SelectStmt) []*sqlparser.ColumnRef {
-	local := map[string]bool{}
-	var collect func(t sqlparser.TableExpr)
-	collect = func(t sqlparser.TableExpr) {
-		switch tt := t.(type) {
-		case *sqlparser.TableRef:
-			name := tt.Alias
-			if name == "" {
-				name = tt.Name
+// outerRefs returns the column references of a subquery that resolve in none
+// of its own scopes — sel's FROM, or the FROM of a subquery nested in it —
+// and therefore read the scopes enclosing sel, in deterministic order. Every
+// clause that can see an enclosing scope is walked: select list, WHERE,
+// GROUP BY, HAVING, ORDER BY, join conditions, UNION branches and nested
+// subqueries (a derived table's body cannot). Names resolve with
+// relation.resolve over schema-only relations shaped like the ones execution
+// will build, so the answer is the compiler's. ok is false when a schema is
+// not known yet (a missing table): the subquery must then count as correlated.
+func outerRefs(qc *queryCtx, sel *sqlparser.SelectStmt) (refs []*sqlparser.ColumnRef, ok bool) {
+	w := &scopeWalker{qc: qc, ok: true}
+	w.selectStmt(sel, nil)
+	return w.refs, w.ok
+}
+
+// schemaScope is one open scope of the walk — a SELECT block's FROM schema, or
+// a join's while its condition is walked — linked to the scopes around it.
+type schemaScope struct {
+	rel *relation
+	up  *schemaScope
+}
+
+type scopeWalker struct {
+	qc   *queryCtx
+	refs []*sqlparser.ColumnRef
+	ok   bool
+}
+
+func (w *scopeWalker) selectStmt(sel *sqlparser.SelectStmt, up *schemaScope) {
+	for ; sel != nil && w.ok; sel = sel.Union {
+		rel := w.from(sel.From, up)
+		if rel == nil {
+			return
+		}
+		sc := &schemaScope{rel: rel, up: up}
+		for _, it := range sel.Items {
+			w.expr(it.Expr, sc)
+		}
+		w.expr(sel.Where, sc)
+		for _, g := range sel.GroupBy {
+			w.expr(g, sc)
+		}
+		w.expr(sel.Having, sc)
+		if len(sel.OrderBy) > 0 {
+			outCols, err := deriveOutCols(rel, sel)
+			w.ok = w.ok && err == nil
+			for _, ob := range sel.OrderBy {
+				if orderOutputIndex(ob.Expr, outColNames(outCols)) < 0 {
+					w.expr(ob.Expr, sc)
+				}
 			}
-			local[strings.ToLower(name)] = true
-		case *sqlparser.DerivedTable:
-			local[strings.ToLower(tt.Alias)] = true
-		case *sqlparser.JoinExpr:
-			collect(tt.Left)
-			collect(tt.Right)
 		}
 	}
-	if sel.From != nil {
-		collect(sel.From)
-	}
-	var refs []*sqlparser.ColumnRef
-	visit := func(e sqlparser.Expr) {
-		sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
-			if cr, ok := x.(*sqlparser.ColumnRef); ok && cr.Table != "" &&
-				!local[strings.ToLower(cr.Table)] {
-				refs = append(refs, cr)
+}
+
+// from returns the schema of a FROM tree as execution will build it, walking
+// the join conditions on the way; nil (and ok cleared) when it cannot tell.
+func (w *scopeWalker) from(t sqlparser.TableExpr, up *schemaScope) *relation {
+	switch t := t.(type) {
+	case nil:
+		return newRelation(nil, nil, nil)
+	case *sqlparser.TableRef:
+		if tbl, err := w.qc.eng.Lookup(t.Name); err == nil {
+			return tableRelation(t, tbl, nil)
+		}
+	case *sqlparser.DerivedTable:
+		// The body runs with no enclosing scope: only its output names matter.
+		body := &scopeWalker{qc: w.qc, ok: true}
+		if inner := body.from(t.Select.From, nil); inner != nil {
+			if outCols, err := deriveOutCols(inner, t.Select); err == nil {
+				return aliasedRelation(t.Alias, outColNames(outCols), nil)
 			}
+		}
+	case *sqlparser.JoinExpr:
+		l, r := w.from(t.Left, up), w.from(t.Right, up)
+		if l == nil || r == nil {
+			return nil
+		}
+		rel := joinedRelation(l, r)
+		w.expr(t.On, &schemaScope{rel: rel, up: up})
+		return rel
+	}
+	w.ok = false
+	return nil
+}
+
+func (w *scopeWalker) expr(e sqlparser.Expr, sc *schemaScope) {
+	sqlparser.WalkExpr(e, func(x sqlparser.Expr) bool {
+		switch x := x.(type) {
+		case *sqlparser.ColumnRef:
+			if !sc.binds(x) {
+				w.qc.chargeMem(bytesPerRef)
+				w.refs = append(w.refs, x)
+			}
+		case *sqlparser.SubqueryExpr:
+			w.selectStmt(x.Select, sc)
+		case *sqlparser.InExpr:
+			w.selectStmt(x.Subquery, sc)
+		case *sqlparser.ExistsExpr:
+			w.selectStmt(x.Select, sc)
+		}
+		return w.ok
+	})
+}
+
+// binds reports whether sc or a scope around it binds cr: it resolves there,
+// or is ambiguous there (an error that never falls through to an enclosing
+// scope).
+func (sc *schemaScope) binds(cr *sqlparser.ColumnRef) bool {
+	for ; sc != nil; sc = sc.up {
+		if idx, err := sc.rel.resolve(cr.Table, cr.Name); err == nil || idx == ambiguousIdx {
 			return true
-		})
+		}
 	}
-	for _, it := range sel.Items {
-		visit(it.Expr)
-	}
-	visit(sel.Where)
-	for _, g := range sel.GroupBy {
-		visit(g)
-	}
-	visit(sel.Having)
-	return refs
+	return false
 }
 
 // execSubquery runs sel with ev as its enclosing scope; ev.row must be the

@@ -158,6 +158,22 @@ func TestScopeShapes(t *testing.T) {
 		{name: "per-row error on a row the LIMIT bound never reaches",
 			sql:  `select order_id, 0 - (case when order_id > 2 then city else '1' end) from orders limit 2`,
 			want: "1,-1; 2,-1"},
+		{name: "per-row error after a conjunct that filters a join input",
+			sql: `select count(*) from orders o inner join products p on o.product_id = p.product_id
+				where p.category = 'food' and 0 - o.city > 0`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "per-row error after a conjunct that empties a join input",
+			sql: `select count(*) from orders o inner join products p on o.product_id = p.product_id
+				where p.category = 'none' and 0 - o.city > 0`,
+			want: "0"},
+		{name: "per-row error before a conjunct that would empty a join input",
+			sql: `select count(*) from orders o inner join products p on o.product_id = p.product_id
+				where 0 - o.city > 0 and p.category = 'none'`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "per-row error in ON under a conjunct that would empty a join input",
+			sql: `select count(*) from orders o inner join products p on o.product_id = p.product_id and 0 - o.city > 0
+				where p.category = 'none'`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
 		{name: "bad LIMIT", sql: `select order_id from orders limit 0 - 1`,
 			wantErr: "engine: LIMIT must be a constant non-negative integer, got -1"},
 		{name: "unknown function evaluates its arguments first", sql: `select nofn(nope) from orders`,

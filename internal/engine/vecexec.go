@@ -63,57 +63,32 @@ func (vp *vecPlan) newCtx() *vecCtx {
 	return newVecCtx(vp.nbuf, len(vp.keys), len(vp.args), 0)
 }
 
+// vecScanWorker is one morsel worker's private state: kernel buffers and the
+// groups of its chunk range.
+type vecScanWorker struct {
+	vc *vecCtx
+	g  *chunkGroups
+}
+
 // run executes the vectorized plan over the snapshot, morsel-parallel when
 // the snapshot is large enough.
 func (vp *vecPlan) run(src *colSource) ([]*entry, error) {
-	slots := src.scanSlots()
-	nw := vp.p.eng.scanWorkers(src.nrows)
-	if nw > len(slots) {
-		nw = len(slots)
+	ws, err := scanMorsels(vp.p.qc, src.scanSlots(), src.nrows, func() *vecScanWorker {
+		return &vecScanWorker{vc: vp.newCtx(), g: newChunkGroups()}
+	}, func(w *vecScanWorker, _ int, ch *chunk) error {
+		return vp.scanChunk(w.g, w.vc, ch)
+	})
+	if err != nil {
+		return nil, err
 	}
-	var cg *chunkGroups
-	if nw > 1 {
-		results := make([]*chunkGroups, nw)
-		err := runChunks(nw, len(slots), func(w, lo, hi int) error {
-			vc := vp.newCtx()
-			g := newChunkGroups()
-			results[w] = g
-			for _, sl := range slots[lo:hi] {
-				if err := vp.p.qc.pollAbort(); err != nil {
-					return err
-				}
-				ch, err := sl.load(vp.p.qc)
-				if err != nil {
-					return err
-				}
-				if err := vp.scanChunk(g, vc, ch); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	cg := ws[0].g
+	if len(ws) > 1 {
+		results := make([]*chunkGroups, len(ws))
+		for i, w := range ws {
+			results[i] = w.g
 		}
-		cg, err = mergeChunkGroups(results)
-		if err != nil {
+		if cg, err = mergeChunkGroups(results); err != nil {
 			return nil, err
-		}
-		vp.p.eng.parallelScans.Add(1)
-	} else {
-		cg = newChunkGroups()
-		vc := vp.newCtx()
-		for _, sl := range slots {
-			if err := vp.p.qc.pollAbort(); err != nil {
-				return nil, err
-			}
-			ch, err := sl.load(vp.p.qc)
-			if err != nil {
-				return nil, err
-			}
-			if err := vp.scanChunk(cg, vc, ch); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return vp.p.finish(cg)

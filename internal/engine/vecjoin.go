@@ -16,7 +16,7 @@ import (
 //
 // Which side is hashed: the input with fewer rows (ties hash the right one)
 // goes into one joinTable; the other is scanned chunk-at-a-time as morsels
-// (joinMorsels, parallel.go). A rewritten sample ⋈ base join therefore builds
+// (scanMorsels, parallel.go). A rewritten sample ⋈ base join therefore builds
 // in O(sample), not O(base).
 //
 // Why output order does not depend on that choice: the contract is the row
@@ -295,23 +295,15 @@ func (sk *sideKeys) evalRows(out []*vec, ch *chunk) (int, error) {
 // vecJoin is one lowered hash join: chunked inputs, vector kernels for the
 // key and residual expressions, and their row-compiled fallbacks.
 type vecJoin struct {
-	qc     *queryCtx
-	eng    *Engine
-	jt     sqlparser.JoinType
-	leftW  int
-	rightW int
+	gatherSrc // the right input: what the output chunks' references index
+	jt        sqlparser.JoinType
+	rightW    int
 
-	leftChunks  []*chunk
-	rightChunks []*chunk
-	nLeft       int
-	nRight      int
-	leftStart   []int // flat row offset of each chunk, plus the total
-	rightStart  []int
-
-	// rightKinds caches, per right column, the storage kind shared by every
-	// right chunk (TAny when chunks disagree), so gathers pick their typed
-	// path once per join instead of per chunk.
-	rightKinds []ColType
+	leftChunks []*chunk
+	nLeft      int
+	nRight     int
+	leftStart  []int // flat row offset of each chunk, plus the total
+	rightStart []int
 
 	lKeys sideKeys
 	rKeys sideKeys
@@ -360,9 +352,8 @@ func chunkStarts(chunks []*chunk) []int {
 // be loaded.
 func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	leftKeys, rightKeys []sqlparser.Expr, residual sqlparser.Expr) (*vecJoin, error) {
-	qc, eng := lEnv.qc, lEnv.qc.eng
-	left, right := lEnv.rel, rEnv.rel
-	vj := &vecJoin{qc: qc, eng: eng, jt: jt, leftW: left.width(), rightW: right.width()}
+	qc, left, right := lEnv.qc, lEnv.rel, rEnv.rel
+	vj := &vecJoin{gatherSrc: gatherSrc{qc: qc, leftW: left.width()}, jt: jt, rightW: right.width()}
 
 	var ok bool
 	if vj.lKeys, ok = lowerSideKeys(lEnv, leftKeys); !ok {
@@ -386,30 +377,13 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	if err != nil {
 		return nil, err
 	}
-	vj.rightChunks, err = relationChunks(qc, right)
+	vj.buildChunks, err = relationChunks(qc, right)
 	if err != nil {
 		return nil, err
 	}
-	vj.leftStart, vj.rightStart = chunkStarts(vj.leftChunks), chunkStarts(vj.rightChunks)
-	vj.nLeft, vj.nRight = vj.leftStart[len(vj.leftChunks)], vj.rightStart[len(vj.rightChunks)]
-	vj.rightKinds = make([]ColType, vj.rightW)
-	for j := range vj.rightKinds {
-		kind := ColType(-1)
-		//verdict:nopoll plan-time lane-type resolution: O(1) colKind read per chunk
-		for _, ch := range vj.rightChunks {
-			k := ch.colKind(j)
-			if kind == -1 {
-				kind = k
-			} else if kind != k {
-				kind = TAny
-				break
-			}
-		}
-		if kind == -1 {
-			kind = TAny
-		}
-		vj.rightKinds[j] = kind
-	}
+	vj.leftStart, vj.rightStart = chunkStarts(vj.leftChunks), chunkStarts(vj.buildChunks)
+	vj.nLeft, vj.nRight = vj.leftStart[len(vj.leftChunks)], vj.rightStart[len(vj.buildChunks)]
+	vj.buildKinds = chunkKinds(vj.buildChunks, vj.rightW)
 	return vj, nil
 }
 
@@ -437,7 +411,7 @@ func (vj *vecJoin) run() (*colSource, error) {
 	if !vj.hashLeft {
 		scanned = &vj.lKeys
 	}
-	ws, err := joinMorsels(vj, vj.leftChunks, vj.nLeft, func() *joinWorker {
+	ws, err := scanMorsels(vj.qc, vj.leftChunks, vj.nLeft, func() *joinWorker {
 		w := newJoinWorker(scanned)
 		if vj.resFull != nil {
 			w.rc = newVecCtx(vj.resNbuf, 0, 0, 0)
@@ -484,7 +458,7 @@ func (vj *vecJoin) run() (*colSource, error) {
 // row path's first possible error and is returned as is; a left-key error is
 // not (see the fallback contract), so it asks run to hash the right side.
 func (vj *vecJoin) build() error {
-	chunks, sk, starts := vj.rightChunks, &vj.rKeys, vj.rightStart
+	chunks, sk, starts := vj.buildChunks, &vj.rKeys, vj.rightStart
 	if vj.hashLeft {
 		chunks, sk, starts = vj.leftChunks, &vj.lKeys, vj.leftStart
 	}
@@ -579,7 +553,7 @@ func (w *joinWorker) lookupChunk(vj *vecJoin, sk *sideKeys, ch *chunk) (int, err
 // matches stay in right scan order.
 func (vj *vecJoin) scanRight() error {
 	next := vj.table.next
-	ws, err := joinMorsels(vj, vj.rightChunks, vj.nRight, func() *joinWorker {
+	ws, err := scanMorsels(vj.qc, vj.buildChunks, vj.nRight, func() *joinWorker {
 		return newJoinWorker(&vj.rKeys)
 	}, func(w *joinWorker, ci int, ch *chunk) error {
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
@@ -773,7 +747,7 @@ func (vj *vecJoin) refineRows(ch *chunk, sel []int32, refs []int64) ([]int32, []
 	for i, k := range sel {
 		ci, ri := unpackRef(refs[i])
 		copy(combined, lrows[k])
-		copy(combined[vj.leftW:], vj.rightChunks[ci].rows()[ri])
+		copy(combined[vj.leftW:], vj.buildChunks[ci].rows()[ri])
 		v, err := vj.resFn(combined)
 		if err != nil {
 			return nil, nil, err
@@ -793,7 +767,7 @@ func (vj *vecJoin) refineRows(ch *chunk, sel []int32, refs []int64) ([]int32, []
 func (vj *vecJoin) trailingChunk(matched []bool) (*chunk, error) {
 	var refs []int64
 	flat := 0
-	for ci, ch := range vj.rightChunks {
+	for ci, ch := range vj.buildChunks {
 		if err := vj.qc.pollAbort(); err != nil {
 			return nil, err
 		}
@@ -818,12 +792,56 @@ func (vj *vecJoin) trailingChunk(matched []bool) (*chunk, error) {
 // chunk; columns gather lazily (joinGather) when kernels touch them.
 func (vj *vecJoin) newJoinChunk(probe *chunk, sel []int32, refs []int64) *chunk {
 	vj.qc.chargeMem(int64(len(sel)) * 2 * bytesPerRef)
-	w := vj.leftW + vj.rightW
+	return vj.refChunk(probe, sel, refs)
+}
+
+// gatherSrc is what the row references of late-materialized chunks point
+// into: the build chunks, whose columns follow leftW probe-side columns in the
+// chunk's row. A join's output chunks share the one inside their vecJoin; the
+// surviving rows of a pre-filtered join input (filterLeaf, zonemap.go) are
+// chunks with no probe side over the input's own chunks.
+type gatherSrc struct {
+	qc          *queryCtx
+	leftW       int
+	buildChunks []*chunk
+	// buildKinds is chunkKinds of buildChunks, so gathers pick their typed
+	// path once per source instead of per chunk.
+	buildKinds []ColType
+}
+
+// chunkKinds returns, per column, the storage kind every chunk shares: TAny
+// when chunks disagree (or there are none).
+func chunkKinds(chunks []*chunk, w int) []ColType {
+	kinds := make([]ColType, w)
+	for j := range kinds {
+		kind := ColType(-1)
+		//verdict:nopoll plan-time lane-type resolution: O(1) colKind read per chunk
+		for _, ch := range chunks {
+			k := ch.colKind(j)
+			if kind == -1 {
+				kind = k
+			} else if kind != k {
+				kind = TAny
+				break
+			}
+		}
+		if kind == -1 {
+			kind = TAny
+		}
+		kinds[j] = kind
+	}
+	return kinds
+}
+
+// refChunk wraps row references into s as a chunk: sel picks each row's probe
+// row (unread when the source has no probe columns), refs its build row.
+func (s *gatherSrc) refChunk(probe *chunk, sel []int32, refs []int64) *chunk {
+	w := s.leftW + len(s.buildKinds)
 	return &chunk{
 		cols: make([]colVec, w),
-		n:    len(sel),
+		n:    len(refs),
 		gather: &joinGather{
-			j: vj, probe: probe, probeSel: sel, refs: refs,
+			j: s, probe: probe, probeSel: sel, refs: refs,
 			filled: make([]bool, w),
 		},
 	}
@@ -835,7 +853,7 @@ func (vj *vecJoin) newJoinChunk(probe *chunk, sel []int32, refs []int64) *chunk 
 // straight through the references (group representatives, fallback row
 // views) without gathering whole columns.
 type joinGather struct {
-	j        *vecJoin
+	j        *gatherSrc
 	probe    *chunk  // nil for the trailing unmatched-build chunk
 	probeSel []int32 // probe row per output row; -1 = null-extended probe side
 	refs     []int64 // packed build ref per output row; nullRef = null-extended build side
@@ -950,15 +968,25 @@ func (g *joinGather) fillBuild(c *chunk, j int) {
 	cv := &c.cols[j]
 	n := c.n
 	bj := j - g.j.leftW
-	chs := g.j.rightChunks
-	srcs := make([]*colVec, len(chs))
-	getCol := func(ci int) *colVec {
-		if srcs[ci] == nil {
-			srcs[ci] = chs[ci].col(bj)
+	chs := g.j.buildChunks
+	// One resolved source column per build chunk the references touch. The
+	// rows of a filtered join input reference a short run of chunks; a join's
+	// matches can reference all of them.
+	lo, hi := len(chs), 0
+	for _, r := range g.refs {
+		if r >= 0 {
+			ci, _ := unpackRef(r)
+			lo, hi = min(lo, ci), max(hi, ci+1)
 		}
-		return srcs[ci]
 	}
-	kind := g.j.rightKinds[bj]
+	srcs := make([]*colVec, max(hi-lo, 0))
+	getCol := func(ci int) *colVec {
+		if srcs[ci-lo] == nil {
+			srcs[ci-lo] = chs[ci].col(bj)
+		}
+		return srcs[ci-lo]
+	}
+	kind := g.j.buildKinds[bj]
 	cv.kind = kind
 	switch kind {
 	case TInt:
@@ -1043,7 +1071,7 @@ func (g *joinGather) kindOf(j int) ColType {
 		}
 		return g.probe.colKind(j)
 	}
-	return g.j.rightKinds[j-g.j.leftW]
+	return g.j.buildKinds[j-g.j.leftW]
 }
 
 // valueAt boxes one cell through the references.
@@ -1060,5 +1088,5 @@ func (g *joinGather) valueAt(j, i int) Value {
 		return nil
 	}
 	ci, ri := unpackRef(r)
-	return g.j.rightChunks[ci].valueAt(j-g.j.leftW, ri)
+	return g.j.buildChunks[ci].valueAt(j-g.j.leftW, ri)
 }

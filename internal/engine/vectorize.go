@@ -1620,20 +1620,12 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 // predicate could not either).
 func (c *vecCompiler) lowerConjuncts(e sqlparser.Expr) []vnode {
 	var conjs []vnode
-	var walk func(e sqlparser.Expr) bool
-	walk = func(e sqlparser.Expr) bool {
-		if be, ok := e.(*sqlparser.BinaryExpr); ok && be.Op == "AND" {
-			return walk(be.L) && walk(be.R)
-		}
-		n := c.lower(e)
+	for _, ce := range flattenAnd(e, nil) {
+		n := c.lower(ce)
 		if n == nil {
-			return false
+			return nil
 		}
 		conjs = append(conjs, n)
-		return true
-	}
-	if !walk(e) {
-		return nil
 	}
 	return conjs
 }

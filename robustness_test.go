@@ -115,16 +115,22 @@ var exactJoinBothSides = []string{
 	"bypass select o.order_dow, count(*) as c, sum(op.price) as r from order_products op inner join orders o on o.order_id = op.order_id group by o.order_dow order by o.order_dow",
 }
 
+// exactFilteredJoin is an exact join whose WHERE filters both inputs before
+// they are joined: order_products by the morsel scan of its pre-filter,
+// orders (below the fan-out threshold) serially.
+const exactFilteredJoin = "bypass select o.order_dow, count(*) as c, sum(op.price) as r from order_products op inner join orders o on o.order_id = op.order_id where op.reordered = 1 and o.order_hour < 12 and op.price > 2 group by o.order_dow order by o.order_dow"
+
 // TestCancelMidJoinBothHashSides cancels an exact join at random points
 // with the smaller input on the left (hashed left: build, morsel scan of the
-// right input, regroup) and on the right (hashed right: build, morsel probe).
-// Every phase polls, so the call returns promptly with context.Canceled, no
-// worker leaks, and the next run is identical to the baseline.
+// right input, regroup) and on the right (hashed right: build, morsel probe),
+// and with both inputs filtered before the join. Every phase polls, so the
+// call returns promptly with context.Canceled, no worker leaks, and the next
+// run is identical to the baseline.
 func TestCancelMidJoinBothHashSides(t *testing.T) {
 	conn := instaConn(t)
 	rng := rand.New(rand.NewSource(23))
 	before := runtime.NumGoroutine()
-	for _, sql := range exactJoinBothSides {
+	for _, sql := range append([]string{exactFilteredJoin}, exactJoinBothSides...) {
 		start := time.Now()
 		baseline, err := conn.Query(sql)
 		if err != nil {
