@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest race faultinject vet lint staticcheck
+.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest race faultinject vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,15 @@ faultinject:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test, non-testdata Go lines per package and in total: the number
+# ROADMAP, the issues and CHANGES entries quote. benchmark/ is a module of its
+# own and is listed after the total, not in it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path '*/.build/*' ! -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { sub("^\\./", "", $$2); sub("/?[^/]*$$", "", $$2); n[$$2 == "" ? "." : $$2] += $$1 } \
+		END { for (d in n) print n[d], d }' | sort -k2 | awk '{ if ($$2 ~ /^benchmark/) b += $$1; else { t += $$1; printf "%7d %s\n", $$1, $$2 } } \
+		END { printf "%7d total\n%7d benchmark/ (not in the total)\n", t, b }'
 
 # Project-specific analyzers (internal/lint) run through the standard vet
 # driver. Fails on any diagnostic; see README "Static analysis & invariants".

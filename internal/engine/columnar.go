@@ -210,8 +210,8 @@ func (c *colVec) value(i int) Value {
 
 // chunk is chunkRows rows (fewer only for the ephemeral tail chunk; more for
 // one-to-many join outputs) stored column-wise. Immutable after construction,
-// except that join-output chunks fill their column vectors lazily (see
-// gather below).
+// except that join-output chunks and chunks over existing rows fill their
+// column vectors lazily (see gather and fromRows below).
 type chunk struct {
 	cols []colVec
 	n    int
@@ -223,36 +223,71 @@ type chunk struct {
 	// leave it nil.
 	gather *joinGather
 
+	// fromRows is non-nil for ephemeral chunks over boxed rows that already
+	// exist — a snapshot's tail, a row source's rows: boxed holds them from
+	// the start, and a column's typed vector is packed from them only when a
+	// kernel first touches it. The row closures never do.
+	fromRows *rowFill
+
 	// boxed is the lazily built row view for the row-closure
 	// path, cached so repeated fallback queries (joins, subqueries) pay
-	// the boxing cost once per chunk lifetime. Tail chunks are constructed
-	// with the live tail rows as a pre-populated view.
+	// the boxing cost once per chunk lifetime.
 	boxOnce sync.Once
 	boxed   [][]Value
 }
 
-// col returns column j's vector, gathering it first for join-output chunks.
+// rowFill is the fill state of a chunk over existing rows: which columns
+// have been packed, and the query their vectors are charged to.
+type rowFill struct {
+	qc *queryCtx
+
+	mu     sync.Mutex
+	filled []bool //verdict:guardedby mu
+}
+
+// fill packs column j of c from its rows on first touch. Like a join gather it
+// has no error path, so the charge surfaces at the caller's next poll.
+func (f *rowFill) fill(c *chunk, j int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.filled[j] {
+		f.qc.chargeMem(int64(c.n) * bytesPerRef)
+		packCol(&c.cols[j], c.boxed, j, false)
+		f.filled[j] = true
+	}
+}
+
+// col returns column j's vector, filling it first for join-output chunks and
+// chunks over existing rows.
 func (c *chunk) col(j int) *colVec {
-	if c.gather != nil {
+	switch {
+	case c.gather != nil:
 		c.gather.fill(c, j)
+	case c.fromRows != nil:
+		c.fromRows.fill(c, j)
 	}
 	return &c.cols[j]
 }
 
-// colKind reports column j's storage kind without forcing a gather.
+// colKind reports column j's storage kind without forcing a gather (a chunk
+// over existing rows learns it by packing the column).
 func (c *chunk) colKind(j int) ColType {
 	if c.gather != nil {
 		return c.gather.kindOf(j)
 	}
-	return c.cols[j].kind
+	return c.col(j).kind
 }
 
-// valueAt boxes cell (row i, column j). For join-output chunks it reads
-// through the row references without gathering the whole column — the
-// cheap path for boxing single rows (group representatives).
+// valueAt boxes cell (row i, column j) — the cheap path for boxing single
+// rows (group representatives). Join-output chunks read through the row
+// references without gathering the whole column; chunks over existing rows
+// hand back the box they were built from.
 func (c *chunk) valueAt(j, i int) Value {
-	if c.gather != nil {
+	switch {
+	case c.gather != nil:
 		return c.gather.valueAt(j, i)
+	case c.fromRows != nil:
+		return c.boxed[i][j]
 	}
 	return c.cols[j].value(i)
 }
@@ -272,99 +307,98 @@ func storageKind(v Value) ColType {
 	return TAny
 }
 
-// buildChunk seals rows (all of width w) into a columnar chunk, computing
-// zone summaries in the same pass when withZones is set. keepRows retains
-// the source rows as the chunk's row view — used for the ephemeral tail
-// chunk and for chunkified intermediate relations, where the boxed rows
-// already exist and cost nothing to keep. Zone summaries only matter for
-// table storage (scan pruning reads them); ephemeral chunks skip the
-// per-value Compare calls.
-func buildChunk(rows [][]Value, w int, keepRows, withZones bool) *chunk {
-	n := len(rows)
-	ch := &chunk{cols: make([]colVec, w), n: n}
-	if keepRows {
-		ch.boxed = rows
-	}
-	for j := 0; j < w; j++ {
-		col := &ch.cols[j]
-		// Pass 1: storage kind (TAny on mixed types or all NULLs) and the
-		// zone summary. min/max reference the existing boxes — no boxing.
-		kind := ColType(-1)
-		hasNull := false
-		for i := 0; i < n; i++ {
-			v := rows[i][j]
-			if v == nil {
-				hasNull = true
-				continue
-			}
-			if t := storageKind(v); kind == -1 {
-				kind = t
-			} else if kind != t {
-				kind = TAny
-			}
-			if withZones {
-				if col.min == nil || Compare(v, col.min) < 0 {
-					col.min = v
-				}
-				if col.max == nil || Compare(v, col.max) > 0 {
-					col.max = v
-				}
-			}
-		}
-		if kind == -1 || kind == TAny {
-			// Boxed storage: reference the original values (NULL = nil box).
-			col.kind = TAny
-			col.anys = make([]Value, n)
-			for i := 0; i < n; i++ {
-				col.anys[i] = rows[i][j]
-			}
-			continue
-		}
-		col.kind = kind
-		if hasNull {
-			col.nulls = make([]bool, n)
-		}
-		// Pass 2: pack the typed vector.
-		switch kind {
-		case TInt:
-			col.ints = make([]int64, n)
-			for i := 0; i < n; i++ {
-				if v := rows[i][j]; v != nil {
-					col.ints[i] = v.(int64)
-				} else {
-					col.nulls[i] = true
-				}
-			}
-		case TFloat:
-			col.floats = make([]float64, n)
-			for i := 0; i < n; i++ {
-				if v := rows[i][j]; v != nil {
-					col.floats[i] = v.(float64)
-				} else {
-					col.nulls[i] = true
-				}
-			}
-		case TString:
-			col.strs = make([]string, n)
-			for i := 0; i < n; i++ {
-				if v := rows[i][j]; v != nil {
-					col.strs[i] = v.(string)
-				} else {
-					col.nulls[i] = true
-				}
-			}
-		case TBool:
-			col.bools = make([]bool, n)
-			for i := 0; i < n; i++ {
-				if v := rows[i][j]; v != nil {
-					col.bools[i] = v.(bool)
-				} else {
-					col.nulls[i] = true
-				}
-			}
-		}
+// buildChunk seals rows (all of width w) into a columnar chunk. Zone
+// summaries only matter for table storage (scan pruning reads them); the
+// flusher's staging chunk skips the per-value Compare calls.
+func buildChunk(rows [][]Value, w int, withZones bool) *chunk {
+	ch := &chunk{cols: make([]colVec, w), n: len(rows)}
+	for j := range ch.cols {
+		packCol(&ch.cols[j], rows, j, withZones)
 	}
 	return ch
+}
+
+// packCol packs column j of rows into col: a typed vector when its non-NULL
+// values share one dynamic type, the original boxes otherwise, with the zone
+// summary computed in the same pass when withZones is set.
+func packCol(col *colVec, rows [][]Value, j int, withZones bool) {
+	n := len(rows)
+	// Pass 1: storage kind (TAny on mixed types or all NULLs) and the
+	// zone summary. min/max reference the existing boxes — no boxing.
+	kind := ColType(-1)
+	hasNull := false
+	for i := 0; i < n; i++ {
+		v := rows[i][j]
+		if v == nil {
+			hasNull = true
+			continue
+		}
+		if t := storageKind(v); kind == -1 {
+			kind = t
+		} else if kind != t {
+			kind = TAny
+		}
+		if withZones {
+			if col.min == nil || Compare(v, col.min) < 0 {
+				col.min = v
+			}
+			if col.max == nil || Compare(v, col.max) > 0 {
+				col.max = v
+			}
+		}
+	}
+	if kind == -1 || kind == TAny {
+		// Boxed storage: reference the original values (NULL = nil box).
+		col.kind = TAny
+		col.anys = make([]Value, n)
+		for i := 0; i < n; i++ {
+			col.anys[i] = rows[i][j]
+		}
+		return
+	}
+	col.kind = kind
+	if hasNull {
+		col.nulls = make([]bool, n)
+	}
+	// Pass 2: pack the typed vector.
+	switch kind {
+	case TInt:
+		col.ints = make([]int64, n)
+		for i := 0; i < n; i++ {
+			if v := rows[i][j]; v != nil {
+				col.ints[i] = v.(int64)
+			} else {
+				col.nulls[i] = true
+			}
+		}
+	case TFloat:
+		col.floats = make([]float64, n)
+		for i := 0; i < n; i++ {
+			if v := rows[i][j]; v != nil {
+				col.floats[i] = v.(float64)
+			} else {
+				col.nulls[i] = true
+			}
+		}
+	case TString:
+		col.strs = make([]string, n)
+		for i := 0; i < n; i++ {
+			if v := rows[i][j]; v != nil {
+				col.strs[i] = v.(string)
+			} else {
+				col.nulls[i] = true
+			}
+		}
+	case TBool:
+		col.bools = make([]bool, n)
+		for i := 0; i < n; i++ {
+			if v := rows[i][j]; v != nil {
+				col.bools[i] = v.(bool)
+			} else {
+				col.nulls[i] = true
+			}
+		}
+	}
 }
 
 // Encoding selection. Thresholds are deliberately conservative: an encoding
@@ -610,8 +644,12 @@ func (c *colVec) encodeDelta(n, width int) int64 {
 	return int64(len(packed)) * 8
 }
 
-// materializeRow boxes one row of the chunk into a fresh slice.
+// materializeRow boxes one row of the chunk: the row itself when the chunk was
+// built over rows, a fresh slice otherwise.
 func (c *chunk) materializeRow(i int) []Value {
+	if c.fromRows != nil {
+		return c.boxed[i]
+	}
 	row := make([]Value, len(c.cols))
 	for j := range c.cols {
 		row[j] = c.valueAt(j, i)
@@ -619,23 +657,17 @@ func (c *chunk) materializeRow(i int) []Value {
 	return row
 }
 
-// chunkifyRows slices a row-major relation into ephemeral columnar chunks
-// so it can feed the vectorized join as a probe or build input. The boxed
-// rows are kept as each chunk's row view (they already exist), and no zone
-// summaries are computed (intermediate chunks are never pruned).
-func chunkifyRows(rows [][]Value, w int) []*chunk {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]*chunk, 0, (len(rows)+chunkRows-1)/chunkRows)
+// chunkifyRows appends boxed rows to dst as ephemeral chunks of at most
+// chunkRows rows, for qc. The rows are each chunk's row view (they already
+// exist); typed vectors are packed from them per column, on first touch, with
+// no zone summaries (ephemeral chunks are never pruned).
+func chunkifyRows(dst []chunkSlot, rows [][]Value, w int, qc *queryCtx) []chunkSlot {
 	for lo := 0; lo < len(rows); lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		out = append(out, buildChunk(rows[lo:hi], w, true, false))
+		part := rows[lo:min(lo+chunkRows, len(rows))]
+		dst = append(dst, &chunk{cols: make([]colVec, w), n: len(part), boxed: part,
+			fromRows: &rowFill{qc: qc, filled: make([]bool, w)}})
 	}
-	return out
+	return dst
 }
 
 // rows returns the chunk's boxed row view, building and caching it on
@@ -654,12 +686,14 @@ func (c *chunk) rows() [][]Value {
 	return c.boxed
 }
 
-// colSource is one query's snapshot of a table: the (possibly pruned)
-// sealed chunk slots plus the open tail rows. Slots are resident chunks or
-// segment-backed references (chunkslot.go); resolving a slot can therefore
-// read from disk and fail. The snapshot is created per scan, so its lazily
-// built fields need no locking — everything that touches them runs before
-// the morsel fan-out.
+// colSource is what a relation reads: one query's snapshot of a table — the
+// (possibly pruned) sealed chunk slots plus the open tail rows — or an
+// intermediate result in the same shape: a join's output chunks as sealed
+// slots, boxed rows that already exist as an all-tail source (rowSource).
+// Slots are resident chunks or segment-backed references (chunkslot.go);
+// resolving a slot can therefore read from disk and fail. The source is created
+// per scan, so its lazily built fields need no locking — everything that
+// touches them runs before the morsel fan-out.
 type colSource struct {
 	sealed []chunkSlot
 	tail   [][]Value
@@ -670,39 +704,42 @@ type colSource struct {
 	// it never visited (scanChunks).
 	counted bool
 
-	slots []chunkSlot // sealed + ephemeral tail chunk slot, built on first use
+	slots []chunkSlot // sealed + ephemeral tail chunk slots, built on first use
 	scan  []*chunk    // resolved chunks, cached by resolveAll
-	mat   [][]Value   // cached row materialization for the fallback path
+	mat   [][]Value   // the whole row view: preset by rowSource, else cached by materialize
 }
 
-// scanSlots returns the slot sequence the vectorized path iterates: every
-// sealed slot followed by an ephemeral chunk over the tail rows. Resolving
-// slots is left to the caller so parallel scans can load lazily, chunk by
-// chunk, under their own cancellation polls.
-func (s *colSource) scanSlots() []chunkSlot {
-	if s.slots != nil {
-		return s.slots
-	}
+// rowSource wraps boxed rows a block already produced (and charged) — a
+// derived table's result, the row join's output, the FROM-less single row — as
+// a source. Row consumers get the rows back as they are; kernels pack typed
+// vectors from them, a column at a time (chunkifyRows).
+func rowSource(rows [][]Value) *colSource {
+	return &colSource{tail: rows, nrows: len(rows), mat: rows}
+}
+
+// scanSlots returns the slot sequence scans iterate: every sealed slot, then
+// ephemeral chunks over the tail rows. Resolving slots is left to the caller
+// so parallel scans can load lazily, chunk by chunk, under their own
+// cancellation polls.
+func (s *colSource) scanSlots(qc *queryCtx) []chunkSlot {
 	if len(s.tail) == 0 {
-		s.slots = s.sealed
-		return s.slots
+		return s.sealed
 	}
-	w := len(s.tail[0])
-	s.slots = make([]chunkSlot, 0, len(s.sealed)+1)
-	//verdict:nocharge slot-pointer snapshot: one pointer per existing chunk, data already owned by the table
-	s.slots = append(s.slots, s.sealed...)
-	s.slots = append(s.slots, buildChunk(s.tail, w, true, false)) //verdict:nocharge one ephemeral chunk over rows the table already stores
+	if s.slots == nil {
+		s.slots = make([]chunkSlot, 0, len(s.sealed)+(len(s.tail)+chunkRows-1)/chunkRows)
+		s.slots = chunkifyRows(append(s.slots, s.sealed...), s.tail, len(s.tail[0]), qc)
+	}
 	return s.slots
 }
 
 // resolveAll loads every slot and caches the chunk sequence — the
 // all-at-once path for consumers that need the whole relation resident
-// (join inputs, fallback materialization).
+// (join inputs, the row join's materialization).
 func (s *colSource) resolveAll(qc *queryCtx) ([]*chunk, error) {
 	if s.scan != nil {
 		return s.scan, nil
 	}
-	slots := s.scanSlots()
+	slots := s.scanSlots(qc)
 	out := make([]*chunk, len(slots)) //verdict:nocharge chunk-pointer slice; loaded chunk bytes are tracked by the chunk cache
 	for i, sl := range slots {
 		if err := qc.pollAbort(); err != nil {
@@ -718,14 +755,23 @@ func (s *colSource) resolveAll(qc *queryCtx) ([]*chunk, error) {
 	return out, nil
 }
 
-// materializeCtx returns the snapshot as boxed rows for the row-closure
-// path: cached chunk row views concatenated with the live tail.
-func (s *colSource) materializeCtx(qc *queryCtx) ([][]Value, error) {
+// rowView returns ch's boxed rows for the row closures. Boxing a chunk is
+// charged to the query that asks for it; a source built around rows that
+// already exist hands them back for nothing.
+func (s *colSource) rowView(qc *queryCtx, ch *chunk) [][]Value {
+	if s.mat == nil {
+		qc.chargeMem(int64(ch.n) * (int64(len(ch.cols)) + 2) * bytesPerValue)
+	}
+	return ch.rows()
+}
+
+// materialize returns the whole source as boxed rows, for the row join: the
+// chunks' row views concatenated. It can load segment-backed chunks from
+// disk, hence the error.
+func (s *colSource) materialize(qc *queryCtx) ([][]Value, error) {
 	if s.mat != nil || s.nrows == 0 {
 		return s.mat, nil
 	}
-	// The tail needs no special casing: scanSlots appends it as an
-	// ephemeral chunk that keeps the live tail rows as its row view.
 	chunks, err := s.resolveAll(qc)
 	if err != nil {
 		return nil, err
@@ -733,7 +779,7 @@ func (s *colSource) materializeCtx(qc *queryCtx) ([][]Value, error) {
 	out := make([][]Value, 0, s.nrows)
 	//verdict:nopoll boxing-only materialization; chunk loads poll in resolveAll and the row-at-a-time consumers poll per row
 	for _, ch := range chunks {
-		out = append(out, ch.rows()...)
+		out = append(out, s.rowView(qc, ch)...)
 	}
 	s.mat = out
 	return out, nil
@@ -747,7 +793,7 @@ func (t *Table) appendRow(row []Value, qc *queryCtx) {
 	t.tail = append(t.tail, row)
 	t.nrows++
 	if len(t.tail) >= chunkRows {
-		ch := buildChunk(t.tail, len(t.Cols), false, true)
+		ch := buildChunk(t.tail, len(t.Cols), true)
 		encodeChunk(ch, qc)
 		t.sealed = append(t.sealed, ch)
 		// A fresh slice, not a truncation: concurrent readers may still

@@ -298,20 +298,20 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	var projRows [][]Value
 	projDone := false
 	if hasAgg {
-		// Fused compiled scan→filter→aggregate; vectorized chunk-at-a-time
-		// over columnar sources, morsel-parallel when every expression is
-		// pure, serial otherwise.
+		// Fused scan→filter→aggregate: vectorized chunk morsels when every
+		// expression is pure and has a kernel, the serial row closures
+		// otherwise.
 		entries, err = buildScanPlan(baseEnv, sel, aggCalls, wherePred, wherePure).run()
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		// Non-aggregate select over a columnar source: fused vectorized
-		// filter→project when every clause supports it. ORDER BY is
-		// restricted to output aliases/positions because the vectorized
-		// pipeline never materializes the pre-projection rows the
-		// expression form would need.
-		if plain && outErr == nil && rel.src != nil && rel.rows == nil && !qc.eng.noVec.Load() &&
+		// Non-aggregate select: fused vectorized filter→project when every
+		// clause supports it. ORDER BY is restricted to output
+		// aliases/positions because the vectorized pipeline never
+		// materializes the pre-projection rows the expression form would
+		// need.
+		if plain && outErr == nil && !qc.eng.noVec.Load() &&
 			orderByOutputsOnly(sel, outColNames(outCols)) {
 			if vs := buildVecSelect(baseEnv, outCols, items, wherePred, sel.Where); vs != nil {
 				projRows, err = vs.run(rel.src, bound)
@@ -323,7 +323,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 			}
 		}
 		if !projDone {
-			rows, err := filterRows(qc, rel, wherePred, wherePure, bound)
+			rows, err := filterRows(qc, rel.src, wherePred, bound)
 			if err != nil {
 				return nil, err
 			}
@@ -368,7 +368,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 			return nil, outErr
 		}
 		cols = outColNames(outCols)
-		projRows, err = project(baseEnv, entries, items, projPure)
+		projRows, err = project(baseEnv, entries, items)
 		if err != nil {
 			return nil, err
 		}
@@ -444,34 +444,31 @@ func appendRowKey(buf []byte, row []Value) []byte {
 	return buf
 }
 
-// filterRows returns the first n rows of rel that pass the WHERE predicate
-// (nil keeps every row). A bound over a columnar source boxes and filters
-// chunk by chunk, so chunks past the bound are never loaded; otherwise the
-// whole row view is filtered — morsel-parallel when pure over a large
-// snapshot that n does not cut short, serial and stopping at n if it does.
-func filterRows(qc *queryCtx, rel *relation, pred compiledExpr, pure bool, n int) ([][]Value, error) {
-	if n != noLimit && rel.rows == nil && rel.src != nil {
-		rowBytes := (int64(rel.width()) + 2) * bytesPerValue
-		return scanChunks(qc, rel.src, n, func() chunkEmit {
-			return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
-				qc.chargeMem(int64(ch.n) * rowBytes)
-				return appendPassing(out, ch.rows(), pred, room)
+// filterRows is the row closures' scan: the first n rows of src that pass the
+// WHERE predicate (nil keeps every row), read from the chunks' row views
+// serially in slot order, so chunks past the bound are never loaded.
+func filterRows(qc *queryCtx, src *colSource, pred compiledExpr, n int) ([][]Value, error) {
+	return scanChunks(qc, src, n, false, func() chunkEmit {
+		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
+			for _, row := range src.rowView(qc, ch) {
+				if room == 0 {
+					break
+				}
+				if pred != nil {
+					v, err := pred(row)
+					if err != nil {
+						return nil, err
+					}
+					if b, ok := ToBool(v); !ok || !b {
+						continue
+					}
+				}
+				out = append(out, row)
+				room--
 			}
-		})
-	}
-	rows, err := qc.materialize(rel)
-	if err != nil {
-		return nil, err
-	}
-	if pred == nil {
-		return rows[:min(len(rows), n)], nil
-	}
-	if pure && n >= len(rows) {
-		if nw := qc.eng.scanWorkers(len(rows)); nw > 1 {
-			return parallelFilter(qc, rows, pred, nw)
+			return out, nil
 		}
-	}
-	return serialFilter(qc, rows, pred, n)
+	})
 }
 
 // evalLimit evaluates a block's LIMIT (nil means noLimit) before the block
@@ -702,8 +699,7 @@ func orderByOutputsOnly(sel *sqlparser.SelectStmt, cols []string) bool {
 }
 
 // compileProjection compiles each output column once per query; pure
-// reports whether every item is, which lets large projections fan out
-// across workers.
+// reports whether every item is.
 func compileProjection(scope *env, outCols []outCol) (items []projCol, pure bool) {
 	items = make([]projCol, len(outCols))
 	pure = true
@@ -720,16 +716,10 @@ func compileProjection(scope *env, outCols []outCol) (items []projCol, pure bool
 }
 
 // project evaluates the compiled select list for every entry.
-func project(baseEnv *env, entries []*entry, items []projCol, allPure bool) ([][]Value, error) {
+func project(baseEnv *env, entries []*entry, items []projCol) ([][]Value, error) {
 	// Projection output is freshly boxed rows: charge it up front, so a
 	// blow-up (huge unaggregated projection) aborts at the next poll.
 	baseEnv.qc.chargeMem(int64(len(entries)) * (int64(len(items)) + 2) * bytesPerValue)
-	if allPure {
-		if nw := baseEnv.qc.eng.scanWorkers(len(entries)); nw > 1 {
-			return parallelProject(baseEnv.qc, entries, items, nw)
-		}
-	}
-
 	rowsOut := make([][]Value, len(entries))
 	for ei, en := range entries {
 		if err := baseEnv.qc.tick(); err != nil {

@@ -17,7 +17,7 @@ import (
 func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, outer *env) (*relation, error) {
 	if from == nil {
 		// FROM-less select: a single empty row.
-		return newRelation(nil, nil, [][]Value{{}}), nil
+		return newRelation(nil, nil, rowSource([][]Value{{}})), nil
 	}
 	return planFrom(qc, from, where).build(from, outer)
 }
@@ -38,7 +38,7 @@ func (p *fromPlan) build(t sqlparser.TableExpr, outer *env) (*relation, error) {
 	}
 	lf := &p.leaves[p.next]
 	p.next++
-	if lf.err != nil || lf.rel.src == nil {
+	if lf.err != nil || !lf.base {
 		return lf.rel, lf.err
 	}
 	src := lf.rel.src
@@ -124,10 +124,12 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 	}
 
 	// Row path: read both sides through the boxed row view.
-	if _, err := qc.materialize(left); err != nil {
+	lrows, err := left.src.materialize(qc)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := qc.materialize(right); err != nil {
+	rrows, err := right.src.materialize(qc)
+	if err != nil {
 		return nil, err
 	}
 
@@ -138,10 +140,9 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		residualFn, _ = compileExpr(combEnv, residual)
 	}
 	combinedBuf := make([]Value, left.width()+right.width())
-	// matches is probed once per candidate pair in every row-path variant,
-	// so the cancellation/budget tick here covers the O(left × right)
-	// nested-loop inner loops — the place a runaway cross join must be
-	// interruptible.
+	// matches is probed once per candidate pair, so the cancellation/budget
+	// tick here covers the O(left × right) nested-loop inner loop — the place
+	// a runaway cross join must be interruptible.
 	matches := func(lrow, rrow []Value) (bool, error) {
 		if err := qc.tick(); err != nil {
 			return false, err
@@ -174,178 +175,115 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		return append(out, row)
 	}
 
+	// Every join type keeps one deterministic order: matched pairs in (left
+	// row, right row) order, LEFT/FULL null-extensions in place, RIGHT/FULL
+	// unmatched right rows — including NULL-key rows, which never enter a
+	// bucket but must still null-extend — trailing in right order.
 	var out [][]Value
+	extendLeft := je.Type == sqlparser.LeftJoin || je.Type == sqlparser.FullJoin
+	var matchedRight []bool
+	if je.Type == sqlparser.RightJoin || je.Type == sqlparser.FullJoin {
+		matchedRight = make([]bool, len(rrows))
+	}
+	// joinLeft emits lrow's pairs with its candidate right rows; cands[i] is
+	// right row idx[i], or i itself when idx is nil.
+	joinLeft := func(lrow []Value, cands [][]Value, idx []int) error {
+		if err := qc.tick(); err != nil {
+			return err
+		}
+		matchedLeft := false
+		for i, rrow := range cands {
+			ok, err := matches(lrow, rrow)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue
+			}
+			matchedLeft = true
+			if matchedRight != nil {
+				ri := i
+				if idx != nil {
+					ri = idx[i]
+				}
+				matchedRight[ri] = true
+			}
+			out = appendJoined(out, lrow, rrow)
+		}
+		if !matchedLeft && extendLeft {
+			out = appendJoined(out, lrow, nil)
+		}
+		return nil
+	}
 
 	if len(leftKeys) == 0 {
 		// Nested-loop join (cross join or non-equi condition). A
 		// residual-free condition means every pair joins, so the output size
 		// is known up front — for CROSS JOIN and INNER JOIN alike.
 		if (je.Type == sqlparser.CrossJoin || je.Type == sqlparser.InnerJoin) && residual == nil {
-			out = make([][]Value, 0, len(left.rows)*max(1, len(right.rows)))
+			out = make([][]Value, 0, len(lrows)*max(1, len(rrows)))
 		}
-		// All four outer/inner flavors keep a deterministic order: matched
-		// pairs in (left row, right row) order, LEFT/FULL null-extensions in
-		// place, RIGHT/FULL unmatched right rows trailing in right order.
-		switch je.Type {
-		case sqlparser.InnerJoin, sqlparser.CrossJoin:
-			for _, lrow := range left.rows {
-				for _, rrow := range right.rows {
-					ok, err := matches(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						out = appendJoined(out, lrow, rrow)
-					}
-				}
-			}
-		case sqlparser.LeftJoin:
-			for _, lrow := range left.rows {
-				matched := false
-				for _, rrow := range right.rows {
-					ok, err := matches(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						out = appendJoined(out, lrow, rrow)
-					}
-				}
-				if !matched {
-					out = appendJoined(out, lrow, nil)
-				}
-			}
-		case sqlparser.RightJoin:
-			matchedR := make([]bool, len(right.rows))
-			for _, lrow := range left.rows {
-				for ri, rrow := range right.rows {
-					ok, err := matches(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matchedR[ri] = true
-						out = appendJoined(out, lrow, rrow)
-					}
-				}
-			}
-			for ri, rrow := range right.rows {
-				if !matchedR[ri] {
-					out = appendJoined(out, nil, rrow)
-				}
-			}
-		case sqlparser.FullJoin:
-			matchedR := make([]bool, len(right.rows))
-			for _, lrow := range left.rows {
-				matched := false
-				for ri, rrow := range right.rows {
-					ok, err := matches(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok {
-						matched = true
-						matchedR[ri] = true
-						out = appendJoined(out, lrow, rrow)
-					}
-				}
-				if !matched {
-					out = appendJoined(out, lrow, nil)
-				}
-			}
-			for ri, rrow := range right.rows {
-				if !matchedR[ri] {
-					out = appendJoined(out, nil, rrow)
-				}
+		for _, lrow := range lrows {
+			if err := joinLeft(lrow, rrows, nil); err != nil {
+				return nil, err
 			}
 		}
-		combined.rows = out
-		return combined, nil
-	}
-
-	// Hash join: build on the right, probe from the left. Key expressions
-	// are compiled once per join, and composite keys are rendered into a
-	// reusable byte buffer (the map only materializes a key string when a
-	// new bucket is inserted). RIGHT/FULL joins track matched
-	// flags per build-row position, so unmatched right rows — including
-	// NULL-key rows, which never enter a bucket but must still null-extend —
-	// emit in build order after the probe.
-	lKeyFns, _ := compileExprs(lEnv, leftKeys)
-	rKeyFns, _ := compileExprs(rEnv, rightKeys)
-	type bucket struct {
-		rows [][]Value
-		idx  []int // build-row positions, for the matched flags
-	}
-	build := make(map[string]*bucket, len(right.rows))
-	var matched []bool
-	if je.Type == sqlparser.RightJoin || je.Type == sqlparser.FullJoin {
-		matched = make([]bool, len(right.rows))
-	}
-	var kbuf []byte
-	for ri, rrow := range right.rows {
-		if err := qc.tick(); err != nil {
-			return nil, err
+	} else {
+		// Hash join: build on the right, probe from the left. Key expressions
+		// are compiled once per join, and composite keys are rendered into a
+		// reusable byte buffer (the map only materializes a key string when a
+		// new bucket is inserted).
+		lKeyFns, _ := compileExprs(lEnv, leftKeys)
+		rKeyFns, _ := compileExprs(rEnv, rightKeys)
+		type bucket struct {
+			rows [][]Value
+			idx  []int // build-row positions, for the matched flags
 		}
-		var null bool
-		var err error
-		kbuf, null, err = appendJoinKey(kbuf[:0], rrow, rKeyFns)
-		if err != nil {
-			return nil, err
-		}
-		if null {
-			continue // NULL join keys never match
-		}
-		qc.chargeMem(bytesPerRef * 2) // bucket slot + row reference
-		b, ok := build[string(kbuf)]
-		if !ok {
-			b = &bucket{}
-			build[string(kbuf)] = b
-		}
-		b.rows = append(b.rows, rrow)
-		b.idx = append(b.idx, ri)
-	}
-
-	for _, lrow := range left.rows {
-		if err := qc.tick(); err != nil {
-			return nil, err
-		}
-		var null bool
-		var err error
-		kbuf, null, err = appendJoinKey(kbuf[:0], lrow, lKeyFns)
-		if err != nil {
-			return nil, err
-		}
-		var matchedLeft bool
-		if !null {
-			if b, ok := build[string(kbuf)]; ok {
-				for i, rrow := range b.rows {
-					ok2, err := matches(lrow, rrow)
-					if err != nil {
-						return nil, err
-					}
-					if ok2 {
-						matchedLeft = true
-						if matched != nil {
-							matched[b.idx[i]] = true
-						}
-						out = appendJoined(out, lrow, rrow)
-					}
-				}
+		build := make(map[string]*bucket, len(rrows))
+		var kbuf []byte
+		for ri, rrow := range rrows {
+			if err := qc.tick(); err != nil {
+				return nil, err
 			}
+			var null bool
+			kbuf, null, err = appendJoinKey(kbuf[:0], rrow, rKeyFns)
+			if err != nil {
+				return nil, err
+			}
+			if null {
+				continue // NULL join keys never match
+			}
+			qc.chargeMem(bytesPerRef * 2) // bucket slot + row reference
+			b, ok := build[string(kbuf)]
+			if !ok {
+				b = &bucket{}
+				build[string(kbuf)] = b
+			}
+			b.rows = append(b.rows, rrow)
+			b.idx = append(b.idx, ri)
 		}
-		if !matchedLeft && (je.Type == sqlparser.LeftJoin || je.Type == sqlparser.FullJoin) {
-			out = appendJoined(out, lrow, nil)
-		}
-	}
-	if matched != nil {
-		for ri, rrow := range right.rows {
-			if !matched[ri] {
-				out = appendJoined(out, nil, rrow)
+		none := &bucket{}
+		for _, lrow := range lrows {
+			var null bool
+			kbuf, null, err = appendJoinKey(kbuf[:0], lrow, lKeyFns)
+			if err != nil {
+				return nil, err
+			}
+			b := build[string(kbuf)]
+			if null || b == nil {
+				b = none
+			}
+			if err := joinLeft(lrow, b.rows, b.idx); err != nil {
+				return nil, err
 			}
 		}
 	}
-	combined.rows = out
+	for ri, matched := range matchedRight {
+		if !matched {
+			out = appendJoined(out, nil, rrows[ri])
+		}
+	}
+	combined.src = rowSource(out)
 	return combined, nil
 }
 

@@ -170,6 +170,13 @@ func TestJoinPrefilterEquivalence(t *testing.T) {
 			s+" and n = 1 and x.k < 300")
 	}
 	checkPrefiltered(t, e, "select x.id, d.region from (select id, k from f where id % 2 = 0) x inner join d on x.k = d.k where d.w = 7 and x.id < 4000")
+	// A derived table on either side of every join type, beside a filtered leaf.
+	for _, jt := range []string{"inner join", "left join", "right join", "full join"} {
+		checkPrefiltered(t, e, fmt.Sprintf(
+			"select x.id, x.tag, x.amt, d.name from (select id, k, tag, amt from f where id %% 3 = 0) x %s d on x.k = d.k where d.w < 25", jt))
+		checkPrefiltered(t, e, fmt.Sprintf(
+			"select f.id, f.note, x.name, x.region from f %s (select k, name, region from d where w > 5) x on f.k = x.k where f.id < 3000", jt))
+	}
 
 	// OR of ANDs: an implied predicate for both leaves, for one, for none.
 	for _, where := range []string{
@@ -208,7 +215,8 @@ func TestJoinPrefilterEquivalence(t *testing.T) {
 }
 
 // leafFilters plans sql's FROM and WHERE and renders what each leaf is
-// filtered by before it is joined, in FROM order ("" = nothing).
+// filtered by before it is joined, in FROM order ("" = nothing). Only a
+// base-table leaf may get a filter or a zone list.
 func leafFilters(t *testing.T, e *Engine, sql string) []string {
 	t.Helper()
 	stmt, err := sqlparser.Parse(sql)
@@ -221,6 +229,9 @@ func leafFilters(t *testing.T, e *Engine, sql string) []string {
 	for i, lf := range p.leaves {
 		if lf.filter != nil {
 			out[i] = sqlparser.FormatExpr(lf.filter)
+		}
+		if !lf.base && (lf.filter != nil || lf.zone != nil) {
+			t.Errorf("%s: leaf %d is not a base table: filter %q, %d zone predicates", sql, i, out[i], len(lf.zone))
 		}
 	}
 	return out
@@ -241,6 +252,11 @@ func TestJoinPrefilterEligibility(t *testing.T) {
 		{fd + "(f.tag = 'a' and d.w < 5) or f.id < 9", []string{"((f.tag = 'a') OR (f.id < 9))", ""}},
 		{fd + "f.id = d.w and f.tag = 'a'", []string{"(f.tag = 'a')", ""}},
 		{"select count(*) from f inner join (select k from d) x on f.k = x.k where f.tag = 'a' and x.k < 9", []string{"(f.tag = 'a')", ""}},
+		// A derived-table leaf is never filtered or zone-pruned, on either side,
+		// but its names are attributed: the conjuncts after one of its are still pushed.
+		{"select count(*) from (select k, tag, id from f) x inner join d on x.k = d.k where x.tag = 'a' and x.id < 9 and d.w < 5", []string{"", "(d.w < 5)"}},
+		{"select count(*) from f inner join (select k as xk, w as xw from d) x on f.k = xk where xw < 5 and tag = 'a' and id < 9", []string{"((tag = 'a') AND (id < 9))", ""}},
+		{"select count(*) from (select k as xk from d) x inner join (select k, w from d) y on xk = y.k where w < 5 and xk > 3", []string{"", ""}},
 		{"select count(*) from f", []string{""}},
 		{"select count(*) from f where f.tag = 'a'", []string{""}}, // not a join: WHERE is the filter
 

@@ -204,19 +204,3 @@ func (qc *queryCtx) reserve(n int64) error {
 	qc.chargeMem(n)
 	return qc.pollAbort()
 }
-
-// materialize returns the relation's boxed row view, charging the gauge
-// when boxing actually happens (a columnar source boxes each chunk once;
-// row-major relations were charged when produced). Converting a columnar
-// source can load segment-backed chunks from disk, hence the error.
-func (qc *queryCtx) materialize(r *relation) ([][]Value, error) {
-	if r.rows == nil && r.src != nil {
-		qc.chargeMem(int64(r.src.nrows) * (int64(r.width()) + 2) * bytesPerValue)
-		rows, err := r.src.materializeCtx(qc)
-		if err != nil {
-			return nil, err
-		}
-		r.rows = rows
-	}
-	return r.rows, nil
-}

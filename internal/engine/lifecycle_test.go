@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"verdictdb/internal/sqlparser"
 )
 
 // bigDB builds an engine with one wide-ish table large enough that a query
@@ -170,6 +172,49 @@ func TestEngineDefaultMemoryBudget(t *testing.T) {
 	e.SetMemoryBudget(0)
 	if _, err := e.Query("select k, sum(v) from t group by k"); err != nil {
 		t.Fatalf("budget cleared: %v", err)
+	}
+}
+
+// A derived table's rows are charged once, by the block that produced them.
+// Wrapping them as a source charges nothing; reading them through it charges
+// the typed vectors the kernels pack from them — the row closures pack none —
+// and nothing for the rows again.
+func TestDerivedSourceChargedOnce(t *testing.T) {
+	const n = 50_000
+	e := bigDB(t, n)
+	e.SetParallelism(1)
+	charged := func(sql string) int64 {
+		stmt, err := sqlparser.Parse(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qc := e.newQueryCtx(WithMemoryBudget(context.Background(), 1<<40), sql)
+		if _, err := execSelectWithOuter(qc, stmt.(*sqlparser.SelectStmt), nil); err != nil {
+			t.Fatal(err)
+		}
+		return qc.mem.used.Load()
+	}
+	const inner = "select k, g, v from t"
+	const outer = "select g, count(*), sum(v) from (" + inner + ") d group by g"
+	boxed := int64(n) * (3 + 2) * bytesPerValue // the derived table's rows
+	for _, vec := range []bool{true, false} {
+		e.SetVectorized(vec)
+		vectors := int64(0)
+		if vec {
+			vectors = int64(n) * 2 * bytesPerRef // g and v; k is never touched
+		}
+		own := charged(inner) // what the derived table's block charges by itself
+		if extra := charged(outer) - own; extra < vectors || extra >= boxed {
+			t.Errorf("vectorized=%v: reading the derived table charged %d B; want the vectors (%d B) and not the rows (%d B) again",
+				vec, extra, vectors, boxed)
+		}
+		if _, err := e.QueryContext(WithMemoryBudget(context.Background(), own+boxed), outer); err != nil {
+			t.Errorf("vectorized=%v: under the block's own charge plus the table's boxed size: %v", vec, err)
+		}
+		var be *BudgetError
+		if _, err := e.QueryContext(WithMemoryBudget(context.Background(), boxed/2), outer); !errors.As(err, &be) {
+			t.Errorf("vectorized=%v: under half the table's boxed size: want *BudgetError, got %v", vec, err)
+		}
 	}
 }
 

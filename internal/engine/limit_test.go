@@ -111,6 +111,8 @@ func TestLimitPushdownEquivalence(t *testing.T) {
 		encRowsEqual(t, mode+" create table as", firstRows(evens, 300), mustQuery(t, e, "select d, f from ctas"))
 	})
 
+	derivedSourceMatrix(t, e)
+
 	// An impure block is not bounded: it draws for every source row, so the
 	// engine RNG ends where it does without the LIMIT and later scrambles
 	// are unchanged.
@@ -125,6 +127,55 @@ func TestLimitPushdownEquivalence(t *testing.T) {
 		encRowsEqual(t, "next rand() after an impure block",
 			mustQuery(t, without, "select rand()"), mustQuery(t, with, "select rand()"))
 	}
+}
+
+// derivedSourceMatrix reads a derived table — boxed rows wrapped as a chunk
+// source — through every block shape, at sizes around the chunk boundaries and
+// above parallelMinRows, with columns of every storage kind: int d and n
+// (NULLs), float f, string s, mixed-type m (stored TAny), bool b, all-NULL z.
+// Each result must equal the serial row closures' row for row, in order.
+func derivedSourceMatrix(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, n := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, 5000} {
+		x := fmt.Sprintf("(select d, f, s, m, n, d %% 2 = 0 as b, null as z from t limit %d) x", n)
+		sqls := []string{
+			"select count(*), count(z), count(m), count(b), sum(d), sum(f), avg(n), min(s), max(s) from " + x,
+			"select s, b, count(*), sum(f), count(m), count(z), max(n) from " + x + " group by s, b",
+			"select z, m is null, count(*) from " + x + " where f > 3 group by z, m is null",
+			"select d, f, s, m, n, b, z from " + x + " where d % 3 = 0",
+			"select d + 1, f * 2, s || '-', not b, z is null, coalesce(m, 'none') from " + x,
+			"select s, d from " + x + " order by f * -1, d",
+			"select distinct s, b, z from " + x,
+			"select d, sum(f) over (partition by s), count(m) over (partition by b) from " + x + " where d < 50",
+			"select d, m from " + x + " where b limit 7",
+			"select x.d, x.s, x.m, dim.label from " + x + " inner join dim on x.d = dim.k where x.f < 4000",
+			"select dim.label, x.f, x.b, x.z from dim left join " + x + " on dim.k = x.d and x.f < 300",
+			"select a.d, b.m from " + x + " inner join (select d, m from t limit 300) b on x.f = b.d + 0.25 inner join " +
+				"(select d from t limit 1) a on a.d <= x.d",
+			"select s, count(*), sum(f), count(z) from (select s, f, z from " + x + " where d % 2 = 0) y group by s",
+			fmt.Sprintf("select s, count(*), sum(d) from (select d, s from t limit %d union all select d, s from t where d > 100 limit %d) u group by s", n, n),
+		}
+		for _, sql := range sqls {
+			ref := rowReference(t, e, sql)
+			for _, m := range limitModes {
+				e.SetVectorized(m.vec)
+				e.SetParallelism(m.par)
+				label := fmt.Sprintf("vec=%v par=%d %s", m.vec, m.par, sql)
+				if got := mustQuery(t, e, sql); m.par == 1 {
+					encRowsEqual(t, label, ref, got)
+				} else {
+					assertSameResult(t, label, ref, got) // float sums reassociate across workers
+				}
+			}
+		}
+	}
+	// No FROM at all: the single empty row is a source too.
+	for _, sql := range []string{"select 1 + 1, 'a' || 'b', 2 > 1", "select (select max(d) from t), 1 where 1 = 1", "select 1 where 1 = 0"} {
+		ref := rowReference(t, e, sql)
+		forEachLimitMode(t, e, func(mode string) { encRowsEqual(t, mode+" "+sql, ref, mustQuery(t, e, sql)) })
+	}
+	e.SetVectorized(true)
+	e.SetParallelism(0)
 }
 
 func TestLimitValidation(t *testing.T) {
@@ -196,10 +247,35 @@ func TestLimitChargesOnlyWhatItReturns(t *testing.T) {
 
 func TestLimitRowsScanned(t *testing.T) {
 	e := limitWorkEngine(t)
+	if err := e.CreateTable("u", []Column{{Name: "a", Type: TInt}}); err != nil {
+		t.Fatal(err)
+	}
+	urows := make([][]Value, 1000)
+	for i := range urows {
+		urows[i] = []Value{int64(i)}
+	}
+	if err := e.InsertRows("u", urows); err != nil {
+		t.Fatal(err)
+	}
 	scanned := func(sql string) int64 { return mustQuery(t, e, sql).RowsScanned }
 	forEachLimitMode(t, e, func(mode string) {
 		if got := scanned("select * from t limit 0"); got != 0 {
 			t.Errorf("%s limit 0: RowsScanned = %d, want 0", mode, got)
+		}
+		// A derived table's rows are never counted, only the base rows its
+		// own block read (one zone-pruned chunk and the tail here), and a
+		// bound over it takes nothing back.
+		const derived = "(select * from t where a < 10) d"
+		pruned := int64(chunkRows + e1Rows%chunkRows)
+		for sql, want := range map[string]int64{
+			"select count(*) from " + derived:                                pruned,
+			"select count(*) from " + derived + " inner join u on d.a = u.a": pruned + 1000,
+			"select count(*) from u inner join " + derived + " on d.a = u.a": pruned + 1000,
+			"select * from " + derived + " limit 5":                          pruned,
+		} {
+			if got := scanned(sql); got != want {
+				t.Errorf("%s %s: RowsScanned = %d, want %d", mode, sql, got, want)
+			}
 		}
 		// No bound is pushed into these: the whole table counts, as before.
 		for _, sql := range []string{

@@ -9,22 +9,26 @@ import (
 	"verdictdb/internal/sqlparser"
 )
 
-// Morsel-parallel scan execution. The snapshot's chunk sequence is
-// partitioned into contiguous per-worker ranges; each worker runs the
-// vectorized (or compiled row-at-a-time, on fallback) filter + partial
-// aggregation over its chunks with a private group map, and the partial
-// states merge in chunk order. Because morsels are contiguous and merged in
-// order, the output group order equals the serial first-seen scan order, so
-// parallel execution is deterministic for a fixed parallelism level. Exact
-// float aggregates may differ from serial in the last bits (partial sums
+// Morsel-parallel scan execution: the engine's one parallel path. A source's
+// chunk sequence is partitioned into contiguous per-worker ranges; each worker
+// runs the vector kernels over its chunks with private state (a group map, an
+// output slice, a join worker), and the states merge or concatenate in chunk
+// order. Because morsels are contiguous and merged in order, the output equals
+// a serial scan's — group order is first-seen scan order — so parallel
+// execution is deterministic for a fixed parallelism level. Exact float
+// aggregates may differ from serial in the last bits (partial sums
 // reassociate); approximate sketch aggregates (approx_median's reservoir)
 // resample on merge and may differ from serial by up to the sketch's rank
 // error.
 //
-// Only plans whose every expression compiled pure take this path; impure
-// plans (rand(), subqueries, enclosing-scope references) run serially in
-// row order, so RNG draws happen in one fixed order — sample scrambles stay
-// byte-identical — and scope-capturing closures have a single caller.
+// The row closures (compile.go) are the reference the kernels are held to, and
+// never fan out: filterRows reads chunk row views serially in slot order, and
+// scanRowsInto aggregates what it kept. They run a whole block when it is
+// impure (rand(), subqueries, enclosing-scope references) — so RNG draws
+// happen in one fixed order, sample scrambles stay byte-identical, and
+// scope-capturing closures have a single caller — when a pure expression has
+// no kernel, and under SetVectorized(false); and one chunk when its kernel
+// errors.
 
 const (
 	// parallelMinRows is the snapshot size below which scans stay serial;
@@ -133,16 +137,16 @@ const noLimit = math.MaxInt
 // chunkEmit appends one chunk's output rows to out, at most room of them.
 type chunkEmit func(out [][]Value, ch *chunk, room int) ([][]Value, error)
 
-// scanChunks drives a chunk-at-a-time row producer over src: serially, or as
-// contiguous chunk ranges per worker concatenated in chunk order, so the
-// rows equal a serial scan's. newEmit builds one worker's producer. A bound
-// below noLimit asks for the first bound rows only: each worker stops
-// loading chunks once its own range has produced bound rows, and the
-// concatenation ends at the range that completes the bound — later ranges
+// scanChunks drives a chunk-at-a-time row producer over src: serially, or —
+// when parallel — as contiguous chunk ranges per worker concatenated in chunk
+// order, so the rows equal a serial scan's. newEmit builds one worker's
+// producer. A bound below noLimit asks for the first bound rows only: each
+// worker stops loading chunks once its own range has produced bound rows, and
+// the concatenation ends at the range that completes the bound — later ranges
 // are dropped, errors included, because a serial scan would not have reached
 // them. Workers never signal each other, and the result is exactly the
 // prefix of the unbounded one; a bound of 0 loads nothing.
-func scanChunks(qc *queryCtx, src *colSource, bound int, newEmit func() chunkEmit) ([][]Value, error) {
+func scanChunks(qc *queryCtx, src *colSource, bound int, parallel bool, newEmit func() chunkEmit) ([][]Value, error) {
 	type part struct {
 		rows    [][]Value
 		visited int
@@ -150,7 +154,7 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, newEmit func() chunkEmi
 	}
 	var slots []chunkSlot
 	if bound > 0 {
-		slots = src.scanSlots()
+		slots = src.scanSlots(qc)
 	}
 	scanRange := func(lo, hi int) (p part) {
 		span := 0
@@ -182,8 +186,11 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, newEmit func() chunkEmi
 		}
 		return p
 	}
-	nw := min(qc.eng.scanWorkers(src.nrows), len(slots))
-	parts := make([]part, max(nw, 1))
+	nw := 1
+	if parallel {
+		nw = max(min(qc.eng.scanWorkers(src.nrows), len(slots)), 1)
+	}
+	parts := make([]part, nw)
 	if nw > 1 {
 		err := runChunks(nw, len(slots), func(w, lo, hi int) error {
 			parts[w] = scanRange(lo, hi)
@@ -204,7 +211,7 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, newEmit func() chunkEmi
 	if src.counted {
 		qc.scanned -= int64(src.nrows - visited)
 	}
-	if nw <= 1 {
+	if nw == 1 {
 		return parts[0].rows, parts[0].err
 	}
 	res := make([][]Value, 0, total)
@@ -217,69 +224,6 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, newEmit func() chunkEmi
 			return res[:bound], nil
 		}
 	}
-	return res, nil
-}
-
-// appendPassing appends to out the rows that pass pred (nil keeps every
-// row), at most room of them. The caller polls: rows is one chunk's worth.
-func appendPassing(out, rows [][]Value, pred compiledExpr, room int) ([][]Value, error) {
-	for _, row := range rows {
-		if room == 0 {
-			break
-		}
-		if pred != nil {
-			v, err := pred(row)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := ToBool(v); !ok || !b {
-				continue
-			}
-		}
-		out = append(out, row)
-		room--
-	}
-	return out, nil
-}
-
-// serialFilter applies a compiled predicate in row order, stopping once n
-// rows passed. It polls every pollEvery rows without shared state, so a
-// morsel worker may run it over its own range.
-func serialFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, n int) ([][]Value, error) {
-	var out [][]Value
-	for lo := 0; lo < len(rows) && len(out) < n; lo += pollEvery {
-		if err := qc.pollAbort(); err != nil {
-			return nil, err
-		}
-		var err error
-		out, err = appendPassing(out, rows[lo:min(lo+pollEvery, len(rows))], pred, n-len(out))
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// parallelFilter applies a pure compiled predicate across workers,
-// preserving row order by concatenating per-chunk keeps.
-func parallelFilter(qc *queryCtx, rows [][]Value, pred compiledExpr, nw int) ([][]Value, error) {
-	outs := make([][][]Value, nw)
-	err := runChunks(nw, len(rows), func(w, lo, hi int) (err error) {
-		outs[w], err = serialFilter(qc, rows[lo:hi], pred, noLimit)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	res := make([][]Value, 0, total)
-	for _, o := range outs {
-		res = append(res, o...)
-	}
-	qc.eng.parallelScans.Add(1)
 	return res, nil
 }
 
@@ -361,9 +305,9 @@ type chunkGroups struct {
 
 func newChunkGroups() *chunkGroups { return &chunkGroups{m: map[string]*groupAcc{}} }
 
-// scanRowsInto filters (when applyWhere) and partially aggregates rows
-// into cg — the row-at-a-time path, used for impure/serial plans and as
-// the per-chunk fallback when a vector kernel errors.
+// scanRowsInto filters (when applyWhere) and aggregates rows into cg — the
+// row closures' aggregation, over a block's filtered rows or, with applyWhere,
+// over the row view of one chunk whose vector kernel errored.
 func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value, applyWhere bool) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanRows); err != nil {
 		return err
@@ -472,54 +416,24 @@ func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
 	return entries, nil
 }
 
-// run executes the plan. Pure plans over a columnar source run vectorized,
-// chunk-at-a-time morsels (vecexec.go); pure plans over materialized rows
-// fan out row morsels; impure plans run serially in two phases — filter
-// every row, then aggregate the survivors — which fixes the order impure
-// expressions draw from the engine RNG.
+// run executes the plan: vectorized, chunk-at-a-time morsels (vecexec.go)
+// when every expression is pure and has a kernel; otherwise the row closures,
+// serially in two phases — filter every row, then aggregate the survivors —
+// which fixes the order impure expressions draw from the engine RNG.
 func (p *scanPlan) run() ([]*entry, error) {
-	rel := p.scope.rel
-	if p.pure && rel.rows == nil && rel.src != nil && !p.eng.noVec.Load() {
+	src := p.scope.rel.src
+	if p.pure && !p.eng.noVec.Load() {
 		if vp := buildVecPlan(p); vp != nil {
-			return vp.run(rel.src)
+			return vp.run(src)
 		}
 	}
-	rows, err := p.qc.materialize(rel)
+	rows, err := filterRows(p.qc, src, p.where, noLimit)
 	if err != nil {
 		return nil, err
 	}
-	nw := 1
-	if p.pure {
-		nw = p.eng.scanWorkers(len(rows))
-	}
-	var cg *chunkGroups
-	if nw > 1 {
-		results := make([]*chunkGroups, nw)
-		err := runChunks(nw, len(rows), func(w, lo, hi int) error {
-			g := newChunkGroups()
-			results[w] = g
-			return p.scanRowsInto(g, rows[lo:hi], true)
-		})
-		if err != nil {
-			return nil, err
-		}
-		cg, err = mergeChunkGroups(results)
-		if err != nil {
-			return nil, err
-		}
-		p.eng.parallelScans.Add(1)
-	} else {
-		if p.where != nil {
-			var err error
-			rows, err = serialFilter(p.qc, rows, p.where, noLimit)
-			if err != nil {
-				return nil, err
-			}
-		}
-		cg = newChunkGroups()
-		if err := p.scanRowsInto(cg, rows, false); err != nil {
-			return nil, err
-		}
+	cg := newChunkGroups()
+	if err := p.scanRowsInto(cg, rows, false); err != nil {
+		return nil, err
 	}
 	return p.finish(cg)
 }
@@ -546,31 +460,4 @@ func projectRow(src []Value, items []projCol) ([]Value, error) {
 		row[j] = v
 	}
 	return row, nil
-}
-
-// parallelProject computes the output rows for all entries across workers;
-// output order is positional, so the result is identical to a serial pass.
-func parallelProject(qc *queryCtx, entries []*entry, items []projCol, nw int) ([][]Value, error) {
-	out := make([][]Value, len(entries))
-	err := runChunks(nw, len(entries), func(w, lo, hi int) error {
-		poll := 0
-		for i := lo; i < hi; i++ {
-			if poll++; poll&(pollEvery-1) == 0 {
-				if err := qc.pollAbort(); err != nil {
-					return err
-				}
-			}
-			row, err := projectRow(entries[i].row, items)
-			if err != nil {
-				return err
-			}
-			out[i] = row
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	qc.eng.parallelScans.Add(1)
-	return out, nil
 }

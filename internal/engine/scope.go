@@ -9,15 +9,15 @@ import (
 )
 
 // relation is an intermediate result: a schema of (qualifier, name) columns
-// plus data. A base-table scan carries its columnar snapshot in src and
-// materializes boxed rows only when a consumer needs the row view (joins,
-// subqueries, row-at-a-time evaluation); derived tables and join outputs are
-// row-major from the start.
+// over a chunk source. A base-table scan's source is its snapshot; a join's is
+// the late-materialized chunks the join emits; the three producers of boxed
+// rows — a derived table's result, the row join's output, the FROM-less single
+// row — wrap them with rowSource. Every consumer reads chunks: kernels their
+// typed vectors, the row closures their row views.
 type relation struct {
-	qualifiers []string // per-column table qualifier ("" if none)
-	names      []string // per-column name
-	rows       [][]Value
-	src        *colSource // columnar source for base-table scans, else nil
+	qualifiers []string   // per-column table qualifier ("" if none)
+	names      []string   // per-column name
+	src        *colSource // nil only for the schema-only relations scopeWalker builds
 
 	// lazily built resolution maps
 	qualified map[string]int // "qual.name" (lower) -> index
@@ -26,13 +26,12 @@ type relation struct {
 
 const ambiguousIdx = AmbiguousColIndex
 
-func newRelation(quals, names []string, rows [][]Value) *relation {
-	return &relation{qualifiers: quals, names: names, rows: rows}
+func newRelation(quals, names []string, src *colSource) *relation {
+	return &relation{qualifiers: quals, names: names, src: src}
 }
 
 // tableRelation is the relation of a base-table reference: the table's
-// columns under the reference's alias (or the table's base name), over src —
-// nil for a schema-only relation.
+// columns under the reference's alias (or the table's base name), over src.
 func tableRelation(t *sqlparser.TableRef, tbl *Table, src *colSource) *relation {
 	qual := t.Alias
 	if qual == "" {
@@ -42,19 +41,17 @@ func tableRelation(t *sqlparser.TableRef, tbl *Table, src *colSource) *relation 
 	for i, c := range tbl.Cols {
 		names[i] = c.Name
 	}
-	rel := aliasedRelation(qual, names, nil)
-	rel.src = src
-	return rel
+	return aliasedRelation(qual, names, src)
 }
 
 // aliasedRelation is a relation whose columns all carry one qualifier: a
 // derived table's result, or a base table's columns.
-func aliasedRelation(qual string, names []string, rows [][]Value) *relation {
+func aliasedRelation(qual string, names []string, src *colSource) *relation {
 	quals := make([]string, len(names))
 	for i := range quals {
 		quals[i] = qual
 	}
-	return newRelation(quals, names, rows)
+	return newRelation(quals, names, src)
 }
 
 // joinedRelation is the schema of a join's output: the left input's columns,
@@ -65,20 +62,6 @@ func joinedRelation(l, r *relation) *relation {
 }
 
 func (r *relation) width() int { return len(r.names) }
-
-// numRows is the relation's cardinality without forcing materialization.
-func (r *relation) numRows() int {
-	if r.rows == nil && r.src != nil {
-		return r.src.nrows
-	}
-	return len(r.rows)
-}
-
-// materialize returns the relation's boxed rows. Columnar sources are
-// converted (and charged, and possibly read from disk) only through
-// queryCtx.materialize — by the time this is called on a source-backed
-// relation, that conversion has already happened.
-func (r *relation) materialize() [][]Value { return r.rows }
 
 func (r *relation) buildIndex() {
 	if r.bare != nil {

@@ -174,6 +174,19 @@ func TestScopeShapes(t *testing.T) {
 			sql: `select count(*) from orders o inner join products p on o.product_id = p.product_id and 0 - o.city > 0
 				where p.category = 'none'`,
 			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "kernel error on a derived table's column",
+			sql:     `select order_id, -c from (select order_id, city as c from orders) d where order_id > 2`,
+			wantErr: "engine: cannot negate string"},
+		{name: "kernel error on a derived table's column, on a row the LIMIT bound never reaches",
+			sql: `select order_id, -(case when order_id > 2 then c else 1 end)
+				from (select order_id, city as c from orders) d limit 2`,
+			want: "1,-1; 2,-1"},
+		{name: "erroring aggregate argument over a derived table",
+			sql:     `select count(order_id > 2 and 0 - c > 0) from (select order_id, city as c from orders) d`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "erroring aggregate argument over a derived table, behind a short-circuit",
+			sql:  `select count(order_id > 1000 and 0 - c > 0) from (select order_id, city as c from orders) d`,
+			want: "300"},
 		{name: "bad LIMIT", sql: `select order_id from orders limit 0 - 1`,
 			wantErr: "engine: LIMIT must be a constant non-negative integer, got -1"},
 		{name: "unknown function evaluates its arguments first", sql: `select nofn(nope) from orders`,
@@ -185,18 +198,22 @@ func TestScopeShapes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := shapeDB(t)
-			rs, err := e.Query(tc.sql)
-			if tc.wantErr != "" {
-				if err == nil || err.Error() != tc.wantErr {
-					t.Fatalf("error = %v, want %q", err, tc.wantErr)
+			// The kernels, then the row closures they are held to.
+			for _, vec := range []bool{true, false} {
+				e.SetVectorized(vec)
+				rs, err := e.Query(tc.sql)
+				if tc.wantErr != "" {
+					if err == nil || err.Error() != tc.wantErr {
+						t.Fatalf("vectorized=%v: error = %v, want %q", vec, err, tc.wantErr)
+					}
+					continue
 				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := renderRows(rs); got != tc.want {
-				t.Fatalf("rows = %q, want %q", got, tc.want)
+				if err != nil {
+					t.Fatalf("vectorized=%v: %v", vec, err)
+				}
+				if got := renderRows(rs); got != tc.want {
+					t.Fatalf("vectorized=%v: rows = %q, want %q", vec, got, tc.want)
+				}
 			}
 		})
 	}

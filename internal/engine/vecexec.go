@@ -9,12 +9,14 @@ import (
 
 // Vectorized execution drivers: the chunk-at-a-time scan→filter→aggregate
 // pipeline and the chunk-at-a-time filter→project pipeline for
-// non-aggregate selects. Both hand out whole chunks as morsels (contiguous
-// chunk ranges per worker, merged/concatenated in chunk order), so results
-// and group order match the serial row scan. Any chunk whose vector
-// evaluation errors is transparently re-run through the row-compiled
-// closures over the chunk's cached row view before any state was mutated —
-// semantics, including error behavior, stay identical to the row path.
+// non-aggregate selects. They read a relation's chunk source whatever
+// produced it — a table snapshot, a join's output chunks, the ephemeral
+// chunks built over a derived table's rows — and hand out whole chunks as
+// morsels (contiguous chunk ranges per worker, merged/concatenated in chunk
+// order), so results and group order match the row closures' serial scan.
+// A chunk whose vector evaluation errors is re-run through the closures over
+// its row view before any state was mutated: the closures are the reference,
+// so semantics, including error text and timing, are theirs.
 
 // vecPlan is a scanPlan lowered to vector kernels.
 type vecPlan struct {
@@ -70,10 +72,10 @@ type vecScanWorker struct {
 	g  *chunkGroups
 }
 
-// run executes the vectorized plan over the snapshot, morsel-parallel when
-// the snapshot is large enough.
+// run executes the vectorized plan over src, morsel-parallel when it has
+// enough rows.
 func (vp *vecPlan) run(src *colSource) ([]*entry, error) {
-	ws, err := scanMorsels(vp.p.qc, src.scanSlots(), src.nrows, func() *vecScanWorker {
+	ws, err := scanMorsels(vp.p.qc, src.scanSlots(vp.p.qc), src.nrows, func() *vecScanWorker {
 		return &vecScanWorker{vc: vp.newCtx(), g: newChunkGroups()}
 	}, func(w *vecScanWorker, _ int, ch *chunk) error {
 		return vp.scanChunk(w.g, w.vc, ch)
@@ -339,7 +341,7 @@ func buildVecSelect(scope *env, outCols []outCol, itemFns []projCol, wherePred c
 
 // run scans src through the pipeline, stopping at bound output rows.
 func (vs *vecSelect) run(src *colSource, bound int) ([][]Value, error) {
-	return scanChunks(vs.qc, src, bound, func() chunkEmit {
+	return scanChunks(vs.qc, src, bound, true, func() chunkEmit {
 		vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
 		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
 			return vs.projectChunk(out, vc, ch, room)

@@ -324,17 +324,6 @@ type vecJoin struct {
 	candEnd  []int
 }
 
-// relationChunks exposes a relation as columnar chunks: base-table scans
-// resolve their source slots (loading segment-backed chunks); row-major
-// relations (derived tables, row path outputs) are chunkified in place,
-// keeping the boxed rows as the chunk row views.
-func relationChunks(qc *queryCtx, r *relation) ([]*chunk, error) {
-	if r.rows == nil && r.src != nil {
-		return r.src.resolveAll(qc)
-	}
-	return chunkifyRows(r.rows, r.width()), nil
-}
-
 // chunkStarts returns each chunk's flat row offset followed by the total.
 func chunkStarts(chunks []*chunk) []int {
 	starts := make([]int, len(chunks)+1)
@@ -372,13 +361,14 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 		vj.resFn, _ = compileExpr(combEnv, residual)
 	}
 
+	// Both inputs resident, whatever produced them: a snapshot's slots
+	// resolved (segment-backed ones loaded), a join's output chunks, or the
+	// chunks a row source builds over its rows.
 	var err error
-	vj.leftChunks, err = relationChunks(qc, left)
-	if err != nil {
+	if vj.leftChunks, err = left.src.resolveAll(qc); err != nil {
 		return nil, err
 	}
-	vj.buildChunks, err = relationChunks(qc, right)
-	if err != nil {
+	if vj.buildChunks, err = right.src.resolveAll(qc); err != nil {
 		return nil, err
 	}
 	vj.leftStart, vj.rightStart = chunkStarts(vj.leftChunks), chunkStarts(vj.buildChunks)

@@ -802,7 +802,7 @@ func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	if ch.gather != nil {
 		return n.fb.eval(vc, ch, sel)
 	}
-	cv := &ch.cols[n.col]
+	cv := ch.col(n.col)
 	switch cv.enc {
 	case encDict:
 		if s, ok := n.lit.(string); ok {
@@ -1048,7 +1048,7 @@ func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	if ch.gather != nil {
 		return n.fb.eval(vc, ch, sel)
 	}
-	cv := &ch.cols[n.col]
+	cv := ch.col(n.col)
 	if cv.enc != encDict {
 		return n.fb.eval(vc, ch, sel)
 	}

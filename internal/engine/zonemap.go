@@ -54,8 +54,9 @@ type rangePred struct {
 // fromLeaf is one leaf of a FROM tree, built (snapshot taken, derived table
 // executed) before any join runs so the WHERE analysis can see every leaf.
 type fromLeaf struct {
-	rel *relation // over its snapshot (rel.src) when the leaf is a base table
-	err error     // building it failed; reported when the join order reaches it
+	rel  *relation
+	base bool  // rel.src is a table snapshot: prunable, filterable, counted as scanned
+	err  error // building it failed; reported when the join order reaches it
 
 	zone    []rangePred    // prune its chunks
 	filter  sqlparser.Expr // test its rows before it is joined; nil for none
@@ -91,7 +92,7 @@ func planFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr) *fro
 			break
 		}
 		for li := range p.leaves {
-			if lf := &p.leaves[li]; lf.rel.src != nil && !lf.blocked {
+			if lf := &p.leaves[li]; lf.base && !lf.blocked {
 				lf.filter = andExpr(lf.filter, p.implied(c, li))
 			}
 		}
@@ -108,12 +109,12 @@ func (p *fromPlan) open(t sqlparser.TableExpr) bool {
 	case *sqlparser.TableRef:
 		tbl, src, err := p.qc.eng.snapshot(t.Name)
 		if lf.err = err; err == nil {
-			lf.rel = tableRelation(t, tbl, src)
+			lf.rel, lf.base = tableRelation(t, tbl, src), true
 		}
 	case *sqlparser.DerivedTable:
 		rs, err := execSelectWithOuter(p.qc, t.Select, nil)
 		if lf.err = err; err == nil {
-			lf.rel = aliasedRelation(t.Alias, rs.Cols, rs.Rows)
+			lf.rel = aliasedRelation(t.Alias, rs.Cols, rowSource(rs.Rows))
 		}
 	default:
 		lf.err = fmt.Errorf("engine: unsupported FROM element %T", t)
@@ -185,7 +186,7 @@ func (p *fromPlan) zonePred(c sqlparser.Expr) {
 	}
 	switch op {
 	case "<=", "<", ">=", ">", "=":
-		if li := p.leafOf(cr); li >= 0 && p.leaves[li].rel.src != nil {
+		if li := p.leafOf(cr); li >= 0 && p.leaves[li].base {
 			lf := &p.leaves[li]
 			col, _ := lf.rel.resolve(cr.Table, cr.Name)
 			p.qc.chargeMem(2 * bytesPerValue)
@@ -429,7 +430,7 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr) (*colSource, e
 	if full == nil {
 		return src, nil
 	}
-	slots := src.scanSlots()
+	slots := src.scanSlots(qc)
 	chunks := make([]*chunk, len(slots))
 	sels := make([][]int32, len(slots)) // surviving rows per chunk; nil keeps the whole chunk
 	// pass tests slots[:n] (skipping what an earlier pass tested) and returns

@@ -205,8 +205,7 @@ func (c *Conn) QueryContext(ctx context.Context, sql string) (*Answer, error) {
 			Confidence: c.opts.Confidence,
 		}, nil
 	case *sqlparser.BypassStmt:
-		if sel, ok := s.Inner.(*sqlparser.SelectStmt); ok {
-			_ = sel
+		if _, ok := s.Inner.(*sqlparser.SelectStmt); ok {
 			rs, err := c.db.QueryContext(ctx, s.SQL)
 			if err != nil {
 				return nil, err
