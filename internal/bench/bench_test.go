@@ -88,12 +88,25 @@ func TestNativeExperimentShape(t *testing.T) {
 	// distinct users that the universe sample clears the key floor.
 	cfg := QuickConfig()
 	cfg.InstaScale = 0.3
-	res, err := NativeExperiment(io.Discard, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("metrics: %d", len(res))
+	// Each time is the fastest of three runs: a descheduled core only ever adds
+	// to a wall-clock sample, and one sample per side failed a third of the
+	// whole-suite runs.
+	var res []NativeResult
+	for run := 0; run < 3; run++ {
+		r, err := NativeExperiment(io.Discard, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r) != 2 {
+			t.Fatalf("metrics: %d", len(r))
+		}
+		if res == nil {
+			res = r
+		}
+		for i := range r {
+			res[i].VerdictTime = min(res[i].VerdictTime, r[i].VerdictTime)
+			res[i].NativeTime = min(res[i].NativeTime, r[i].NativeTime)
+		}
 	}
 	for _, r := range res {
 		// Table 2's shape: sampling-based answers are faster than native
@@ -182,9 +195,19 @@ func TestPrepExperimentShape(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-shape assertion vs modeled costs; meaningless under -race instrumentation")
 	}
-	res, err := PrepExperiment(io.Discard, QuickConfig())
-	if err != nil {
-		t.Fatal(err)
+	// The fastest of three runs, as in TestNativeExperimentShape; the modeled
+	// transfer times are constants.
+	var res *PrepResult
+	for run := 0; run < 3; run++ {
+		r, err := PrepExperiment(io.Discard, QuickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res == nil {
+			res = r
+		}
+		res.VerdictSampling = min(res.VerdictSampling, r.VerdictSampling)
+		res.SnappySampling = min(res.SnappySampling, r.SnappySampling)
 	}
 	// Figure 11's shape: sampling is far cheaper than shipping the data to
 	// a remote cluster, and the integrated sampler beats SQL-based.

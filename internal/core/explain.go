@@ -34,7 +34,10 @@ func (m *Middleware) Explain(ctx context.Context, sel *sqlparser.SelectStmt) (*A
 	}
 
 	snapshot, version := m.cat.Snapshot()
-	qp := m.planSelect(ctx, sel, snapshot, version)
+	qp, err := m.planSelect(ctx, sel, snapshot, version)
+	if err != nil {
+		return nil, err
+	}
 	flat := qp.flat
 	if flat != nil && sqlparser.Format(flat) != sqlparser.Format(sel) {
 		add("flatten", "comparison subqueries converted to joins")

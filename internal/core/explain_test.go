@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"regexp"
 	"sort"
@@ -148,6 +149,60 @@ func workloadMiddleware(t *testing.T, dataset string) *Middleware {
 		}
 	}
 	return New(db, cat, DefaultOptions())
+}
+
+// probeDB records the backend queries that fail, and can fail the planner's
+// ndv probes itself.
+type probeDB struct {
+	drivers.DB
+	failed []string
+	ndvErr error
+}
+
+func (p *probeDB) QueryContext(ctx context.Context, sql string) (*engine.ResultSet, error) {
+	if p.ndvErr != nil && strings.HasPrefix(sql, "select ndv(") {
+		return nil, p.ndvErr
+	}
+	rs, err := p.DB.QueryContext(ctx, sql)
+	if err != nil {
+		p.failed = append(p.failed, sql)
+	}
+	return rs, err
+}
+
+// The grouping-cardinality guard finds a column's table from the schema, not by
+// probing tables until one does not fail (tq-9 groups by two output aliases no
+// table has: every probe used to be a failing full scan), and a probe's error
+// is the query's — a cancellation must not read as "guard passed".
+func TestGroupCardinalityProbe(t *testing.T) {
+	m := workloadMiddleware(t, "tpch")
+	db := &probeDB{DB: m.db}
+	m.db = db
+	ctx := context.Background()
+	for _, q := range workload.TPCHQueries {
+		if q.ID != "tq-9" {
+			continue
+		}
+		sel, err := sqlparser.ParseSelect(q.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Explain(ctx, sel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(db.failed) > 0 {
+		t.Errorf("planning tq-9 issued failing backend queries: %q", db.failed)
+	}
+	db.ndvErr = context.Canceled
+	const grouped = "select l_returnflag, count(*) from lineitem group by l_returnflag"
+	if _, err := m.QueryContext(ctx, grouped); !errors.Is(err, context.Canceled) {
+		t.Errorf("query whose ndv probe was cancelled: error = %v, want context.Canceled", err)
+	}
+	sel, _ := sqlparser.ParseSelect(grouped)
+	if _, err := m.Explain(ctx, sel); !errors.Is(err, context.Canceled) {
+		t.Errorf("explain whose ndv probe was cancelled: error = %v, want context.Canceled", err)
+	}
 }
 
 var explainPlanRow = regexp.MustCompile(`via (.*) \(score [^,]*, cost (\d+) rows\)`)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -289,17 +290,17 @@ type queryPlan struct {
 // comparison subqueries, resolve table occurrences, fill in base-table row
 // counts (plan costs and scores depend on them), plan, then apply the
 // decline rules.
-func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt, snapshot []meta.SampleInfo, version int64) *queryPlan {
+func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt, snapshot []meta.SampleInfo, version int64) (*queryPlan, error) {
 	qp := &queryPlan{occ: map[string]*tableOccurrence{}}
 	flat, err := FlattenComparisonSubqueries(sel)
 	if err != nil || flat == nil {
 		qp.decline = "comparison subqueries cannot be flattened"
-		return qp
+		return qp, nil
 	}
 	qp.flat = flat
 	if err := collectAllOccurrences(flat, qp.occ); err != nil {
 		qp.decline = err.Error()
-		return qp
+		return qp, nil
 	}
 	//verdict:unordered per-entry mutation keyed by the entry itself; no cross-entry effects
 	for _, o := range qp.occ {
@@ -317,13 +318,19 @@ func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt, 
 		qp.decline = "no admissible sample plan within the I/O budget"
 	default:
 		// High-cardinality grouping check (Section 6.2: tq-3/8/15 declined).
-		if decline, err := m.groupCardinalityTooHigh(ctx, flat, qp.plans[0].Plan); err == nil && decline {
+		// An aborted probe aborts the query; any other failure is a stale
+		// catalog (a sample dropped mid-plan) that execution falls back from.
+		decline, err := m.groupCardinalityTooHigh(ctx, flat, qp.plans[0].Plan)
+		switch {
+		case queryAborted(err):
+			return nil, err
+		case decline:
 			qp.decline = "declined: grouping cardinality too high for the sample"
-		} else if qp.multi && flat.Having != nil {
+		case qp.multi && flat.Having != nil:
 			qp.decline = "declined: HAVING across merged partial plans is not reassembled"
 		}
 	}
-	return qp
+	return qp, nil
 }
 
 // buildEntry runs the deterministic half of the pipeline — analyze,
@@ -340,7 +347,10 @@ func (m *Middleware) buildEntry(ctx context.Context, sel *sqlparser.SelectStmt, 
 	if status != Supported {
 		return pass(status), nil, nil
 	}
-	qp := m.planSelect(ctx, sel, snapshot, version)
+	qp, err := m.planSelect(ctx, sel, snapshot, version)
+	if err != nil {
+		return nil, nil, err
+	}
 	if qp.decline != "" {
 		return pass(PassOther), nil, nil
 	}
@@ -557,15 +567,18 @@ func collectAllOccurrences(sel *sqlparser.SelectStmt, out map[string]*tableOccur
 // groupCardinalityTooHigh estimates the query's group cardinality and
 // declines AQP when the chosen samples would spread too thin across groups
 // (the paper's "AQP not feasible for high-cardinality grouping attributes",
-// Section 6.2). Each simple grouping column is probed with ndv() against
+// Section 6.2). Each simple grouping column is probed with one ndv() against
 // the table chosen for the column's occurrence — the sample table when one
 // was picked, otherwise the base table (dimension tables are cheap to
-// scan). A qualified column (t.col) probes exactly its occurrence's table;
-// an unqualified one probes the occurrences in deterministic alias order
-// until one knows the column, which is the column's binding table under
-// SQL's unambiguous-reference rule. The largest per-column cardinality
-// lower-bounds the group count. Non-column grouping expressions are skipped
-// — the probe is deliberately best-effort and conservative.
+// scan). A qualified column (t.col) binds to its occurrence's table; an
+// unqualified one to the first occurrence, in deterministic alias order,
+// whose schema (db.Columns, the LIMIT 0 probe) has the column — its binding
+// table under SQL's unambiguous-reference rule. A column no table has (an
+// output alias) is not probed at all, and a probe's error is returned, not
+// read as "not in this table": planSelect tells an abort from a stale
+// catalog. The largest per-column cardinality lower-bounds the group count.
+// Non-column grouping expressions are skipped — the probe is deliberately
+// conservative.
 func (m *Middleware) groupCardinalityTooHigh(ctx context.Context, sel *sqlparser.SelectStmt, plan CandidatePlan) (bool, error) {
 	if len(sel.GroupBy) == 0 {
 		return false, nil
@@ -590,38 +603,39 @@ func (m *Middleware) groupCardinalityTooHigh(ctx context.Context, sel *sqlparser
 	if sampleRows == 0 {
 		return false, nil
 	}
-	ndvOf := func(col, tbl string) (int64, bool) {
-		rs, err := m.db.QueryContext(ctx, fmt.Sprintf("select ndv(%s) from %s", col, tbl))
-		if err != nil {
-			return 0, false // column not in this table
-		}
-		v, ok := engine.ToInt(rs.Rows[0][0])
-		return v, ok
-	}
 	maxNdv := int64(0)
 	for _, g := range sel.GroupBy {
 		cr, ok := g.(*sqlparser.ColumnRef)
 		if !ok {
 			continue
 		}
+		cands := aliases
 		if cr.Table != "" {
 			// Qualified column: only its own occurrence's table may answer —
 			// a same-named column on another occurrence has unrelated
 			// cardinality.
-			if tbl, found := probeByAlias[strings.ToLower(cr.Table)]; found {
-				if v, okV := ndvOf(cr.Name, tbl); okV && v > maxNdv {
-					maxNdv = v
-				}
-			}
-			continue
+			cands = []string{strings.ToLower(cr.Table)}
 		}
-		for _, a := range aliases {
-			if v, okV := ndvOf(cr.Name, probeByAlias[a]); okV {
-				if v > maxNdv {
-					maxNdv = v
-				}
-				break
+		for _, a := range cands {
+			tbl, found := probeByAlias[a]
+			if !found {
+				continue
 			}
+			cols, err := m.db.Columns(tbl)
+			if err != nil {
+				return false, err
+			}
+			if !slices.ContainsFunc(cols, func(c string) bool { return strings.EqualFold(c, cr.Name) }) {
+				continue
+			}
+			rs, err := m.db.QueryContext(ctx, fmt.Sprintf("select ndv(%s) from %s", cr.Name, tbl))
+			if err != nil {
+				return false, err
+			}
+			if v, okV := engine.ToInt(rs.Rows[0][0]); okV && v > maxNdv {
+				maxNdv = v
+			}
+			break
 		}
 	}
 	return float64(maxNdv) > m.opts.MaxGroupsFraction*float64(sampleRows), nil

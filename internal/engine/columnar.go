@@ -21,11 +21,13 @@ import (
 // Sealed chunks are immutable forever, which is what makes the concurrency
 // story trivial: readers snapshot the chunk-slice header and the tail-slice
 // header under the engine lock and can then scan without coordination,
-// exactly as row snapshots used to work. The vectorized execution path
-// (vectorize.go, vecexec.go) consumes the typed vectors directly; the
-// row-closure path (compile.go) reads rows through the chunk's lazily built,
-// cached row view, so its semantics — including dynamic value types — are
-// byte-identical to the old row store.
+// exactly as row snapshots used to work. The encoded columns are the only
+// stored form of a table. The vectorized execution path (vectorize.go,
+// vecexec.go) consumes the typed vectors directly; the row closures
+// (compile.go) read lanes too — the cells an expression names, boxed into a
+// scratch row (valueAt), and whole rows only for the ones that pass WHERE
+// (materializeRow) — so nothing boxed outlives the query that boxed it, and
+// dynamic value types round-trip exactly.
 
 // chunkRows is the sealed chunk size. It doubles as the zone-map pruning
 // granularity: every sealed chunk carries its own min/max summaries.
@@ -224,22 +226,17 @@ type chunk struct {
 	gather *joinGather
 
 	// fromRows is non-nil for ephemeral chunks over boxed rows that already
-	// exist — a snapshot's tail, a row source's rows: boxed holds them from
-	// the start, and a column's typed vector is packed from them only when a
-	// kernel first touches it. The row closures never do.
+	// exist — a snapshot's tail, a row source's rows: the rows are the chunk's
+	// data, and a column's typed vector is packed from them only when a kernel
+	// first touches it. The row closures never do.
 	fromRows *rowFill
-
-	// boxed is the lazily built row view for the row-closure
-	// path, cached so repeated fallback queries (joins, subqueries) pay
-	// the boxing cost once per chunk lifetime.
-	boxOnce sync.Once
-	boxed   [][]Value
 }
 
-// rowFill is the fill state of a chunk over existing rows: which columns
-// have been packed, and the query their vectors are charged to.
+// rowFill is a chunk's existing rows and the fill state over them: which
+// columns have been packed, and the query their vectors are charged to.
 type rowFill struct {
-	qc *queryCtx
+	rows [][]Value
+	qc   *queryCtx
 
 	mu     sync.Mutex
 	filled []bool //verdict:guardedby mu
@@ -252,7 +249,7 @@ func (f *rowFill) fill(c *chunk, j int) {
 	defer f.mu.Unlock()
 	if !f.filled[j] {
 		f.qc.chargeMem(int64(c.n) * bytesPerRef)
-		packCol(&c.cols[j], c.boxed, j, false)
+		packCol(&c.cols[j], f.rows, j, false)
 		f.filled[j] = true
 	}
 }
@@ -278,16 +275,17 @@ func (c *chunk) colKind(j int) ColType {
 	return c.col(j).kind
 }
 
-// valueAt boxes cell (row i, column j) — the cheap path for boxing single
-// rows (group representatives). Join-output chunks read through the row
-// references without gathering the whole column; chunks over existing rows
-// hand back the box they were built from.
+// valueAt boxes cell (row i, column j) — how the row closures read a lane, and
+// the cheap path for boxing single rows (group representatives, rows that pass
+// WHERE). Join-output chunks read through the row references without gathering
+// the whole column; chunks over existing rows hand back the box they were
+// built from.
 func (c *chunk) valueAt(j, i int) Value {
 	switch {
 	case c.gather != nil:
 		return c.gather.valueAt(j, i)
 	case c.fromRows != nil:
-		return c.boxed[i][j]
+		return c.fromRows.rows[i][j]
 	}
 	return c.cols[j].value(i)
 }
@@ -648,7 +646,7 @@ func (c *colVec) encodeDelta(n, width int) int64 {
 // built over rows, a fresh slice otherwise.
 func (c *chunk) materializeRow(i int) []Value {
 	if c.fromRows != nil {
-		return c.boxed[i]
+		return c.fromRows.rows[i]
 	}
 	row := make([]Value, len(c.cols))
 	for j := range c.cols {
@@ -658,32 +656,15 @@ func (c *chunk) materializeRow(i int) []Value {
 }
 
 // chunkifyRows appends boxed rows to dst as ephemeral chunks of at most
-// chunkRows rows, for qc. The rows are each chunk's row view (they already
-// exist); typed vectors are packed from them per column, on first touch, with
-// no zone summaries (ephemeral chunks are never pruned).
+// chunkRows rows, for qc. Typed vectors are packed from the rows per column,
+// on first touch, with no zone summaries (ephemeral chunks are never pruned).
 func chunkifyRows(dst []chunkSlot, rows [][]Value, w int, qc *queryCtx) []chunkSlot {
 	for lo := 0; lo < len(rows); lo += chunkRows {
 		part := rows[lo:min(lo+chunkRows, len(rows))]
-		dst = append(dst, &chunk{cols: make([]colVec, w), n: len(part), boxed: part,
-			fromRows: &rowFill{qc: qc, filled: make([]bool, w)}})
+		dst = append(dst, &chunk{cols: make([]colVec, w), n: len(part),
+			fromRows: &rowFill{rows: part, qc: qc, filled: make([]bool, w)}})
 	}
 	return dst
-}
-
-// rows returns the chunk's boxed row view, building and caching it on
-// first use. Safe for concurrent callers.
-func (c *chunk) rows() [][]Value {
-	c.boxOnce.Do(func() {
-		if c.boxed != nil {
-			return
-		}
-		out := make([][]Value, c.n)
-		for i := range out {
-			out[i] = c.materializeRow(i)
-		}
-		c.boxed = out
-	})
-	return c.boxed
 }
 
 // colSource is what a relation reads: one query's snapshot of a table — the
@@ -706,7 +687,6 @@ type colSource struct {
 
 	slots []chunkSlot // sealed + ephemeral tail chunk slots, built on first use
 	scan  []*chunk    // resolved chunks, cached by resolveAll
-	mat   [][]Value   // the whole row view: preset by rowSource, else cached by materialize
 }
 
 // rowSource wraps boxed rows a block already produced (and charged) — a
@@ -714,7 +694,7 @@ type colSource struct {
 // a source. Row consumers get the rows back as they are; kernels pack typed
 // vectors from them, a column at a time (chunkifyRows).
 func rowSource(rows [][]Value) *colSource {
-	return &colSource{tail: rows, nrows: len(rows), mat: rows}
+	return &colSource{tail: rows, nrows: len(rows)}
 }
 
 // scanSlots returns the slot sequence scans iterate: every sealed slot, then
@@ -755,33 +735,29 @@ func (s *colSource) resolveAll(qc *queryCtx) ([]*chunk, error) {
 	return out, nil
 }
 
-// rowView returns ch's boxed rows for the row closures. Boxing a chunk is
-// charged to the query that asks for it; a source built around rows that
-// already exist hands them back for nothing.
-func (s *colSource) rowView(qc *queryCtx, ch *chunk) [][]Value {
-	if s.mat == nil {
-		qc.chargeMem(int64(ch.n) * (int64(len(ch.cols)) + 2) * bytesPerValue)
-	}
-	return ch.rows()
-}
-
-// materialize returns the whole source as boxed rows, for the row join: the
-// chunks' row views concatenated. It can load segment-backed chunks from
-// disk, hence the error.
+// materialize boxes the whole source for the row join, per query: rows that
+// already exist are handed back, the rest are boxed and charged here. It can
+// load segment-backed chunks from disk, hence the error.
 func (s *colSource) materialize(qc *queryCtx) ([][]Value, error) {
-	if s.mat != nil || s.nrows == 0 {
-		return s.mat, nil
+	if len(s.sealed) == 0 {
+		return s.tail, nil
 	}
 	chunks, err := s.resolveAll(qc)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]Value, 0, s.nrows)
-	//verdict:nopoll boxing-only materialization; chunk loads poll in resolveAll and the row-at-a-time consumers poll per row
 	for _, ch := range chunks {
-		out = append(out, s.rowView(qc, ch)...)
+		if err := qc.pollAbort(); err != nil {
+			return nil, err
+		}
+		if ch.fromRows == nil {
+			qc.chargeMem(int64(ch.n) * boxedRowBytes(len(ch.cols)))
+		}
+		for i := 0; i < ch.n; i++ {
+			out = append(out, ch.materializeRow(i))
+		}
 	}
-	s.mat = out
 	return out, nil
 }
 

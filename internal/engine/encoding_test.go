@@ -98,7 +98,7 @@ func TestSealPicksEncodings(t *testing.T) {
 		t.Fatalf("f: enc %d, want raw", got)
 	}
 	// Read-through must reproduce the original rows bit for bit.
-	got := ch.rows()
+	got := boxRows(ch)
 	for i := 0; i < chunkRows; i++ {
 		for j := range rows[i] {
 			if got[i][j] != rows[i][j] {
@@ -228,7 +228,7 @@ func TestDeltaNegativesAndNulls(t *testing.T) {
 	if cv.min != int64(-100) {
 		t.Fatalf("x min: %v", cv.min)
 	}
-	got := mustSealed(t, vec, "t").rows()
+	got := boxRows(mustSealed(t, vec, "t"))
 	for i := 0; i < chunkRows; i++ {
 		if got[i][0] != rows[i][0] {
 			t.Fatalf("row %d: %v vs %v", i, got[i][0], rows[i][0])

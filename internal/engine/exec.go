@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -267,10 +268,10 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	}
 
 	// Compile the WHERE predicate once per query.
-	var wherePred compiledExpr
+	var wherePred *laneExpr
 	wherePure := true
 	if sel.Where != nil {
-		wherePred, wherePure = compileExpr(baseEnv, sel.Where)
+		wherePred, wherePure = compileLanes(baseEnv, sel.Where)
 	}
 
 	// Collect aggregate and window calls from the output clauses.
@@ -313,13 +314,14 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// need.
 		if plain && outErr == nil && !qc.eng.noVec.Load() &&
 			orderByOutputsOnly(sel, outColNames(outCols)) {
-			if vs := buildVecSelect(baseEnv, outCols, items, wherePred, sel.Where); vs != nil {
+			if vs := buildVecSelect(baseEnv, outCols, sel.Where); vs != nil {
 				projRows, err = vs.run(rel.src, bound)
-				if err != nil {
+				switch {
+				case err == nil:
+					cols, projDone = outColNames(outCols), true
+				case !errors.Is(err, errKernel):
 					return nil, err
 				}
-				cols = outColNames(outCols)
-				projDone = true
 			}
 		}
 		if !projDone {
@@ -445,17 +447,20 @@ func appendRowKey(buf []byte, row []Value) []byte {
 }
 
 // filterRows is the row closures' scan: the first n rows of src that pass the
-// WHERE predicate (nil keeps every row), read from the chunks' row views
-// serially in slot order, so chunks past the bound are never loaded.
-func filterRows(qc *queryCtx, src *colSource, pred compiledExpr, n int) ([][]Value, error) {
+// WHERE predicate (nil keeps every row), serially in slot order, so chunks past
+// the bound are never loaded. The predicate reads each row's lanes through one
+// scratch row; only the rows that pass are boxed, and charged, whole.
+func filterRows(qc *queryCtx, src *colSource, pred *laneExpr, n int) ([][]Value, error) {
 	return scanChunks(qc, src, n, false, func() chunkEmit {
+		var scratch []Value
 		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
-			for _, row := range src.rowView(qc, ch) {
-				if room == 0 {
-					break
-				}
+			if scratch == nil {
+				scratch = make([]Value, len(ch.cols))
+			}
+			kept := len(out)
+			for i := 0; i < ch.n && room > 0; i++ {
 				if pred != nil {
-					v, err := pred(row)
+					v, err := pred.at(ch, i, scratch)
 					if err != nil {
 						return nil, err
 					}
@@ -463,8 +468,11 @@ func filterRows(qc *queryCtx, src *colSource, pred compiledExpr, n int) ([][]Val
 						continue
 					}
 				}
-				out = append(out, row)
+				out = append(out, ch.materializeRow(i))
 				room--
+			}
+			if ch.fromRows == nil {
+				qc.chargeMem(int64(len(out)-kept) * boxedRowBytes(len(ch.cols)))
 			}
 			return out, nil
 		}
@@ -719,7 +727,7 @@ func compileProjection(scope *env, outCols []outCol) (items []projCol, pure bool
 func project(baseEnv *env, entries []*entry, items []projCol) ([][]Value, error) {
 	// Projection output is freshly boxed rows: charge it up front, so a
 	// blow-up (huge unaggregated projection) aborts at the next poll.
-	baseEnv.qc.chargeMem(int64(len(entries)) * (int64(len(items)) + 2) * bytesPerValue)
+	baseEnv.qc.chargeMem(int64(len(entries)) * boxedRowBytes(len(items)))
 	rowsOut := make([][]Value, len(entries))
 	for ei, en := range entries {
 		if err := baseEnv.qc.tick(); err != nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -115,15 +116,17 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		}
 		if vj != nil {
 			src, err := vj.run()
-			if err != nil {
+			if err == nil {
+				combined.src = src
+				return combined, nil
+			}
+			if !errors.Is(err, errKernel) {
 				return nil, err
 			}
-			combined.src = src
-			return combined, nil
 		}
 	}
 
-	// Row path: read both sides through the boxed row view.
+	// Row path, the reference join: both sides boxed for this query.
 	lrows, err := left.src.materialize(qc)
 	if err != nil {
 		return nil, err
@@ -160,7 +163,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 		return ok && b, nil
 	}
 
-	joinedRowBytes := (int64(left.width()+right.width()) + 2) * bytesPerValue
+	joinedRowBytes := boxedRowBytes(left.width() + right.width())
 	appendJoined := func(out [][]Value, lrow, rrow []Value) [][]Value {
 		qc.chargeMem(joinedRowBytes)
 		row := make([]Value, 0, left.width()+right.width())

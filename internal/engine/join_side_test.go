@@ -113,6 +113,12 @@ func TestJoinBuildSideEquivalence(t *testing.T) {
 			"select a.v, b.v, c.v from db a inner join us b on a.k = b.k %s ds c on a.k = c.k and b.v <> c.v",
 			"select d.k, d.n, r.v from (select k, count(*) as n from ds group by k) d %s ub r on d.k = r.k",
 			"select d.v, r.v from (select k, v from ub where v %% 2 = 0) d %s us r on d.k = r.k and d.v > r.v",
+			// Shapes with no kernel (vnScalar) read a join-output chunk's lanes
+			// through its row references.
+			"select case when a.v %% 2 = 0 then a.s else c.s end, coalesce(c.k, a.k, -1), a.s || '-' || coalesce(c.s, '?') " +
+				"from us a inner join ds b on a.k = b.k %s ub c on b.v = c.k where coalesce(c.v, 0) + a.v >= 0",
+			"select coalesce(c.s, 'none'), count(*), sum(case when a.v %% 2 = 0 then a.v else c.v end) " +
+				"from us a inner join ds b on a.k = b.k %s ub c on b.v = c.k group by coalesce(c.s, 'none')",
 		} {
 			sql := fmt.Sprintf(q, jt)
 			checkAgainstRowPath(t, e, sql, sql)

@@ -147,6 +147,10 @@ const (
 	joinPairBytes int64 = 12 // int32 left row + int64 right reference
 )
 
+// boxedRowBytes is the charge for one boxed row of w values: the cells plus
+// the row's slice header.
+func boxedRowBytes(w int) int64 { return (int64(w) + 2) * bytesPerValue }
+
 // pollEvery is the row granularity of cancellation/budget checks in
 // row-at-a-time loops. Power of two: the check compiles to a
 // mask. Vectorized paths poll per chunk (chunkRows rows) instead.

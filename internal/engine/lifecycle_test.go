@@ -178,7 +178,8 @@ func TestEngineDefaultMemoryBudget(t *testing.T) {
 // A derived table's rows are charged once, by the block that produced them.
 // Wrapping them as a source charges nothing; reading them through it charges
 // the typed vectors the kernels pack from them — the row closures pack none —
-// and nothing for the rows again.
+// and nothing for the rows again. The row closures' own scan charges what it
+// boxes: row headers for the table, whole rows only for the ones that pass.
 func TestDerivedSourceChargedOnce(t *testing.T) {
 	const n = 50_000
 	e := bigDB(t, n)
@@ -214,6 +215,18 @@ func TestDerivedSourceChargedOnce(t *testing.T) {
 		var be *BudgetError
 		if _, err := e.QueryContext(WithMemoryBudget(context.Background(), boxed/2), outer); !errors.As(err, &be) {
 			t.Errorf("vectorized=%v: under half the table's boxed size: want *BudgetError, got %v", vec, err)
+		}
+		// An impure 1 %-selective scan reads no lane and boxes its survivors
+		// (twice: filtered, then projected): it fits a budget of its row headers
+		// plus a tenth of the boxed table, which the table itself would not.
+		const selective = "select k, g, v from t where rand() < 0.01"
+		headers := int64(n) * 2 * bytesPerValue
+		if got := charged(selective); got <= headers || got >= headers+boxed/10 {
+			t.Errorf("vectorized=%v: selective row scan charged %d B; want above its headers (%d B) by under a tenth of the table (%d B)",
+				vec, got, headers, boxed/10)
+		}
+		if _, err := e.QueryContext(WithMemoryBudget(context.Background(), headers+boxed/10), selective); err != nil {
+			t.Errorf("vectorized=%v: selective row scan under a budget sized for its survivors: %v", vec, err)
 		}
 	}
 }

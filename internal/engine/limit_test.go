@@ -66,8 +66,15 @@ func TestLimitPushdownEquivalence(t *testing.T) {
 		{"selectivity 0.5", " where d % 2 = 0"},
 		{"selectivity 1", " where d >= 0"},
 		{"zone-pruned", " where t.r >= 100"},
+		// Impure, so every mode runs the row closures: over a scratch row with
+		// no lane filled, then with every lane filled.
+		{"reads no column", " where rand() < 2"},
+		{"reads every column", " where rand() < 2 and s <> '' and r >= 0 and d % 5 > 0 and f >= 0 and (n is null or n >= 0) and (m is null or m <> 'm1')"},
 	}
-	selects := []string{"select * from t", "select s, r, d * 2 as d2, f + n as fn, m from t"}
+	selects := []string{"select * from t", "select s, r, d * 2 as d2, f + n as fn, m from t",
+		// Shapes with no kernel (vnScalar) over dict, RLE, delta, raw and TAny lanes.
+		"select case when r % 2 = 0 then s else m end as c, coalesce(n, d) as nd, s || '-' || r as sr, upper(s) as us, " +
+			"abs(d - 100) + f as a, coalesce(m, 'none') as cm, length(s) * n as ln from t"}
 	bounds := []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, limitTotal, limitTotal + 1}
 	for _, f := range filters {
 		for _, sel := range selects {

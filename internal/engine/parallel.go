@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"runtime/debug"
 	"sync"
@@ -22,13 +23,13 @@ import (
 // error.
 //
 // The row closures (compile.go) are the reference the kernels are held to, and
-// never fan out: filterRows reads chunk row views serially in slot order, and
+// never fan out: filterRows reads chunk lanes serially in slot order, and
 // scanRowsInto aggregates what it kept. They run a whole block when it is
 // impure (rand(), subqueries, enclosing-scope references) — so RNG draws
 // happen in one fixed order, sample scrambles stay byte-identical, and
 // scope-capturing closures have a single caller — when a pure expression has
-// no kernel, and under SetVectorized(false); and one chunk when its kernel
-// errors.
+// no kernel, under SetVectorized(false), and when a kernel's evaluation errors
+// (errKernel): the vector attempt is discarded and the block starts over.
 
 const (
 	// parallelMinRows is the snapshot size below which scans stay serial;
@@ -208,21 +209,25 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, parallel bool, newEmit 
 		visited += p.visited
 		total += len(p.rows)
 	}
-	if src.counted {
-		qc.scanned -= int64(src.nrows - visited)
+	res := parts[0].rows
+	if nw > 1 {
+		res = make([][]Value, 0, total)
 	}
-	if nw == 1 {
-		return parts[0].rows, parts[0].err
-	}
-	res := make([][]Value, 0, total)
 	for _, p := range parts {
+		// A failed scan counts nothing: an errKernel caller scans src again.
 		if p.err != nil {
 			return nil, p.err
 		}
-		res = append(res, p.rows...)
-		if len(res) >= bound {
-			return res[:bound], nil
+		if nw > 1 {
+			res = append(res, p.rows...)
 		}
+		if len(res) >= bound {
+			res = res[:bound]
+			break
+		}
+	}
+	if src.counted {
+		qc.scanned -= int64(src.nrows - visited)
 	}
 	return res, nil
 }
@@ -239,9 +244,8 @@ type aggSpec struct {
 // them to chunk-at-a-time kernels.
 type scanPlan struct {
 	qc       *queryCtx
-	eng      *Engine
 	scope    *env
-	where    compiledExpr // nil when the query has no WHERE
+	where    *laneExpr // nil when the query has no WHERE
 	whereAST sqlparser.Expr
 	keyFns   []compiledExpr
 	keyASTs  []sqlparser.Expr
@@ -256,8 +260,8 @@ type scanPlan struct {
 // errors (unknown aggregate, bad percentile fraction) surface from run() when
 // the first group is created, and validating up front would allocate sketch
 // state (reservoirs, HLL registers) just to throw it away.
-func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, wherePred compiledExpr, wherePure bool) *scanPlan {
-	p := &scanPlan{qc: scope.qc, eng: scope.qc.eng, scope: scope, where: wherePred, whereAST: sel.Where, keyASTs: sel.GroupBy}
+func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, wherePred *laneExpr, wherePure bool) *scanPlan {
+	p := &scanPlan{qc: scope.qc, scope: scope, where: wherePred, whereAST: sel.Where, keyASTs: sel.GroupBy}
 	var keysPure bool
 	p.keyFns, keysPure = compileExprs(scope, sel.GroupBy)
 	p.pure = wherePure && keysPure
@@ -305,31 +309,18 @@ type chunkGroups struct {
 
 func newChunkGroups() *chunkGroups { return &chunkGroups{m: map[string]*groupAcc{}} }
 
-// scanRowsInto filters (when applyWhere) and aggregates rows into cg — the
-// row closures' aggregation, over a block's filtered rows or, with applyWhere,
-// over the row view of one chunk whose vector kernel errored.
-func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value, applyWhere bool) error {
+// scanRowsInto aggregates a block's filtered rows into cg: the row closures'
+// aggregation.
+func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanRows); err != nil {
 		return err
 	}
 	var buf []byte
-	poll := 0 // local counter: this runs inside morsel workers
 	for _, row := range rows {
-		if poll++; poll&(pollEvery-1) == 0 {
-			if err := p.qc.pollAbort(); err != nil {
-				return err
-			}
+		err := p.qc.tick()
+		if err != nil {
+			return err
 		}
-		if applyWhere && p.where != nil {
-			v, err := p.where(row)
-			if err != nil {
-				return err
-			}
-			if b, ok := ToBool(v); !ok || !b {
-				continue
-			}
-		}
-		var err error
 		if buf, err = appendKey(buf[:0], p.keyFns, row); err != nil {
 			return err
 		}
@@ -422,9 +413,11 @@ func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
 // which fixes the order impure expressions draw from the engine RNG.
 func (p *scanPlan) run() ([]*entry, error) {
 	src := p.scope.rel.src
-	if p.pure && !p.eng.noVec.Load() {
+	if p.pure && !p.qc.eng.noVec.Load() {
 		if vp := buildVecPlan(p); vp != nil {
-			return vp.run(src)
+			if entries, err := vp.run(src); !errors.Is(err, errKernel) {
+				return entries, err
+			}
 		}
 	}
 	rows, err := filterRows(p.qc, src, p.where, noLimit)
@@ -432,7 +425,7 @@ func (p *scanPlan) run() ([]*entry, error) {
 		return nil, err
 	}
 	cg := newChunkGroups()
-	if err := p.scanRowsInto(cg, rows, false); err != nil {
+	if err := p.scanRowsInto(cg, rows); err != nil {
 		return nil, err
 	}
 	return p.finish(cg)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -230,6 +231,63 @@ func TestPersistCacheEviction(t *testing.T) {
 	}
 	// A second scan is correct even though almost nothing stayed cached.
 	encRowsEqual(t, "evicting rescan", want, mustQuery(t, e, "select s, count(*), sum(d), sum(n) from t group by s order by s"))
+}
+
+// The encoded columns are the only stored form of a table: whatever the row
+// closures box — scratch lanes, the rows that pass — dies with the query. An
+// in-memory table's heap does not grow across row-path queries (a cached row
+// view roughly tripled it), and over a disk-backed table what they leave behind
+// is what the chunk cache accounts for.
+func TestRowPathRetainsNothing(t *testing.T) {
+	ownDataDir(t)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	rowPath := func(e *Engine) {
+		e.SetVectorized(false)
+		mustQuery(t, e, "select s, count(*), sum(d), avg(f), count(m) from t group by s")
+		e.SetVectorized(true)
+		mustQuery(t, e, "select count(*), sum(n) from t where rand() < 0.5")
+		mustQuery(t, e, "select count(*) from t a where a.f > (select avg(b.f) from t b where b.s = a.s)")
+	}
+	const total = 400*chunkRows + 77
+	t.Run("memory", func(t *testing.T) {
+		e := newPersistEngine(t, total)
+		before := heap()
+		rowPath(e)
+		after := heap()
+		t.Logf("heap %d B before, %d B after", before, after)
+		if float64(after) > 1.15*float64(before) {
+			t.Fatalf("heap %d B before the row-path queries, %d B after: something boxed was retained", before, after)
+		}
+		runtime.KeepAlive(e)
+	})
+	t.Run("disk", func(t *testing.T) {
+		const cacheBytes = 256 << 10
+		e := newPersistEngine(t, total)
+		if _, err := e.AttachDataDir(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		if err := e.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		e.SetChunkCacheBytes(cacheBytes)
+		e.DropChunkCache()
+		before := heap()
+		rowPath(e)
+		st := e.ChunkCache()
+		if st.Resident > cacheBytes {
+			t.Fatalf("resident %d exceeds cap %d", st.Resident, cacheBytes)
+		}
+		// Slack: the cache's estimate is per decoded chunk, not an allocator's.
+		if grew := heap() - before; grew > 2*cacheBytes {
+			t.Fatalf("row-path scans left %d B behind with %d B resident in a %d B chunk cache", grew, st.Resident, cacheBytes)
+		}
+	})
 }
 
 func TestPersistCompaction(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // the late-materialized chunks the join emits; the three producers of boxed
 // rows — a derived table's result, the row join's output, the FROM-less single
 // row — wrap them with rowSource. Every consumer reads chunks: kernels their
-// typed vectors, the row closures their row views.
+// typed vectors, the row closures the lanes an expression names.
 type relation struct {
 	qualifiers []string   // per-column table qualifier ("" if none)
 	names      []string   // per-column name

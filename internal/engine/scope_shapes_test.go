@@ -113,6 +113,42 @@ func TestScopeShapes(t *testing.T) {
 			sql:  `select order_id from orders order by order_id limit (select count(*) from products where product_id < 4)`,
 			want: "1; 2; 3"},
 
+		// The row closures read lanes through a scratch row that holds only the
+		// columns an expression names — or a subquery reads through its scope.
+		{name: "predicate that reads no column",
+			sql: `select count(*), sum(quantity) from orders where rand() < 2`, want: "300,900"},
+		{name: "literal predicate", sql: `select count(*) from orders where 1 = 1`, want: "300"},
+		{name: "predicate that reads every column",
+			sql: `select count(*) from orders where rand() < 2 and order_id > 150 and city <> 'detroit' and product_id > 2
+				and price < 50 and quantity <> 3 and order_date > '1994-03'`,
+			want: "40"},
+		{name: "EXISTS correlated on a column the outer predicate never mentions",
+			sql: `select count(*), sum(o.quantity) from orders o where o.price > 20 and exists
+				(select 1 from products p where p.product_id = o.product_id and p.category = 'tools')`,
+			want: "120,360"},
+		{name: "IN correlated on a column the outer predicate never mentions",
+			sql: `select count(*), sum(o.quantity) from orders o where o.order_id in
+				(select o.order_id from products p where p.product_id = o.product_id and p.category = 'food')`,
+			want: "150,450"},
+		{name: "scalar subquery correlated two scopes down on a column no scope between mentions",
+			sql: `select count(*), sum(o.order_id) from orders o where o.price > 10 *
+				(select min(p.product_id) from products p where exists
+					(select 1 from products q where q.product_id = o.quantity and q.product_id = p.product_id))`,
+			want: "174,27414"},
+		{name: "EXISTS two scopes down, IN one scope down, each on its own outer column",
+			sql: `select count(*) from orders o where o.order_id > 100 and exists
+				(select 1 from products p where p.product_id = o.product_id and p.product_id in
+					(select q.product_id from products q where q.category = 'food' and length(o.city) > 7))`,
+			want: "33"},
+		{name: "subquery whose schema the walk cannot tell reads the whole outer row",
+			sql: `select count(*) from orders o where exists
+				(select (select 1 from nosuch) from products p where 0 - o.city > 0)`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "subquery whose schema the walk cannot tell, no row reaching the unknown table",
+			sql: `select count(*) from orders o where exists
+				(select (select 1 from nosuch) from products p where o.product_id is null)`,
+			want: "0"},
+
 		{name: "unknown column", sql: `select nope from orders`,
 			wantErr: "engine: unknown column nope"},
 		{name: "unknown column, zero rows", sql: `select nope from empty_orders`, want: ""},

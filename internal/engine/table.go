@@ -108,8 +108,8 @@ type Engine struct {
 	parallelScans atomic.Int64
 
 	// noVec disables the vectorized chunk-at-a-time execution path,
-	// forcing every query through the row-view fallback. Test knob for
-	// columnar ≡ row-view parity checks.
+	// forcing every query through the row closures. Test knob for
+	// kernel ≡ row-closure parity checks.
 	noVec atomic.Bool
 
 	// memBudget is the default per-query memory budget in bytes (0 = none);
@@ -140,8 +140,8 @@ func (e *Engine) Parallelism() int {
 }
 
 // SetVectorized toggles the vectorized execution path (on by default).
-// With it off, every scan evaluates the row-compiled closures over the chunk
-// row views — the reference the parity tests compare the kernels against.
+// With it off, every scan evaluates the row-compiled closures over the chunks'
+// lanes — the reference the parity tests compare the kernels against.
 func (e *Engine) SetVectorized(on bool) { e.noVec.Store(!on) }
 
 // ParallelScans returns how many scans have run morsel-parallel since the

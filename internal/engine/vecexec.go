@@ -14,8 +14,8 @@ import (
 // chunks built over a derived table's rows — and hand out whole chunks as
 // morsels (contiguous chunk ranges per worker, merged/concatenated in chunk
 // order), so results and group order match the row closures' serial scan.
-// A chunk whose vector evaluation errors is re-run through the closures over
-// its row view before any state was mutated: the closures are the reference,
+// A kernel whose evaluation errors ends the attempt with errKernel, and the
+// caller runs the whole block on the closures instead: they are the reference,
 // so semantics, including error text and timing, are theirs.
 
 // vecPlan is a scanPlan lowered to vector kernels.
@@ -96,9 +96,7 @@ func (vp *vecPlan) run(src *colSource) ([]*entry, error) {
 	return vp.p.finish(cg)
 }
 
-// scanChunk filters and partially aggregates one chunk into cg. Vector
-// evaluation happens before any accumulator is touched, so an erroring
-// kernel can fall back to the row path for the whole chunk.
+// scanChunk filters and partially aggregates one chunk into cg.
 func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanChunk); err != nil {
 		return err
@@ -110,7 +108,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 		var err error
 		sel, all, err = evalFilter(vc, ch, vp.where, vp.whereConjs)
 		if err != nil {
-			return vp.p.scanRowsInto(cg, ch.rows(), true)
+			return errKernel
 		}
 		if all {
 			sel = nil
@@ -121,23 +119,11 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 			}
 		}
 	}
-	for i, kn := range vp.keys {
-		v, err := kn.eval(vc, ch, sel)
-		if err != nil {
-			return vp.p.scanRowsInto(cg, ch.rows(), true)
-		}
-		vc.keys[i] = v
+	if err := evalNodes(vc, ch, sel, vp.keys, vc.keys); err != nil {
+		return err
 	}
-	for i, an := range vp.args {
-		if an == nil {
-			vc.args[i] = nil
-			continue
-		}
-		v, err := an.eval(vc, ch, sel)
-		if err != nil {
-			return vp.p.scanRowsInto(cg, ch.rows(), true)
-		}
-		vc.args[i] = v
+	if err := evalNodes(vc, ch, sel, vp.args, vc.args); err != nil {
+		return err
 	}
 
 	// Global aggregates (no GROUP BY) hit exactly one group: find or create
@@ -294,23 +280,20 @@ type vecSelect struct {
 	qc         *queryCtx
 	where      vnode
 	whereConjs []vnode
-	whereFn    compiledExpr // row-path fallback predicate
 	items      []vnode
-	itemFns    []projCol // row-path fallback projections
-	// itemCols[j] >= 0 marks output j as a plain column reference: the
-	// kernel eval is skipped and surviving lanes late-materialize straight
-	// from chunk storage (boxcol.go) after the filter has shrunk the lane
-	// set. -1 means computed expression (eval, then bulk-box the vector).
+	// itemCols[j] >= 0 marks output j as a plain column reference: it has no
+	// node, and surviving lanes late-materialize straight from chunk storage
+	// (boxcol.go) after the filter has shrunk the lane set. -1 means
+	// computed expression (eval, then bulk-box the vector).
 	itemCols []int
 	nbuf     int
 }
 
-// buildVecSelect lowers the WHERE and output columns of a non-aggregate
-// SELECT whose compiled projection items (all pure) are itemFns; nil when
-// any of them cannot run vectorized.
-func buildVecSelect(scope *env, outCols []outCol, itemFns []projCol, wherePred compiledExpr, whereAST sqlparser.Expr) *vecSelect {
+// buildVecSelect lowers the WHERE and output columns of a pure non-aggregate
+// SELECT; nil when any of them cannot run vectorized.
+func buildVecSelect(scope *env, outCols []outCol, whereAST sqlparser.Expr) *vecSelect {
 	c := &vecCompiler{scope: scope}
-	vs := &vecSelect{qc: scope.qc, whereFn: wherePred, itemFns: itemFns}
+	vs := &vecSelect{qc: scope.qc}
 	if whereAST != nil {
 		vs.where, vs.whereConjs = c.lowerWhere(whereAST)
 		if vs.where == nil {
@@ -319,18 +302,15 @@ func buildVecSelect(scope *env, outCols []outCol, itemFns []projCol, wherePred c
 	}
 	//verdict:nocharge plan-size: one vnode per projected output column
 	for _, oc := range outCols {
-		if oc.expr == nil {
-			vs.items = append(vs.items, &vnCol{id: c.newID(), col: oc.idx}) //verdict:nocharge plan-size
-			vs.itemCols = append(vs.itemCols, oc.idx)                       //verdict:nocharge plan-size
-			continue
-		}
-		n := c.lower(oc.expr)
-		if n == nil {
-			return nil
-		}
-		ci := -1
-		if cn, isCol := n.(*vnCol); isCol {
-			ci = cn.col // explicit column reference: late-materialize too
+		ci, n := oc.idx, vnode(nil)
+		if oc.expr != nil {
+			if n = c.lower(oc.expr); n == nil {
+				return nil
+			}
+			ci = -1
+			if cn, isCol := n.(*vnCol); isCol {
+				ci, n = cn.col, nil // explicit column reference: late-materialize too
+			}
 		}
 		vs.items = append(vs.items, n)        //verdict:nocharge plan-size
 		vs.itemCols = append(vs.itemCols, ci) //verdict:nocharge plan-size
@@ -359,7 +339,7 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int
 		var err error
 		sel, all, err = evalFilter(vc, ch, vs.where, vs.whereConjs)
 		if err != nil {
-			return vs.projectChunkRows(out, ch, room)
+			return nil, errKernel
 		}
 		if all {
 			sel = nil
@@ -378,21 +358,13 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int
 		}
 	}
 	// Kernel evaluation for computed items only; plain column references
-	// skip it and late-materialize from chunk storage below, decoding only
-	// the lanes the filter kept.
-	for j, it := range vs.items {
-		if vs.itemCols[j] >= 0 {
-			vc.items[j] = nil
-			continue
-		}
-		v, err := it.eval(vc, ch, sel)
-		if err != nil {
-			return vs.projectChunkRows(out, ch, room)
-		}
-		vc.items[j] = v
+	// have no node and late-materialize from chunk storage below, decoding
+	// only the lanes the filter kept.
+	if err := evalNodes(vc, ch, sel, vs.items, vc.items); err != nil {
+		return nil, err
 	}
 	w := len(vs.items)
-	vs.qc.chargeMem(int64(lanes) * (int64(w) + 2) * bytesPerValue)
+	vs.qc.chargeMem(int64(lanes) * boxedRowBytes(w))
 	// One boxed block per chunk, sliced into rows: surviving lanes are
 	// boxed in bulk (boxcol.go), collapsing the old per-row make+box loop
 	// into a handful of allocations per chunk.
@@ -406,32 +378,6 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int
 	}
 	for k := 0; k < lanes; k++ {
 		out = append(out, block[k*w:(k+1)*w:(k+1)*w])
-	}
-	return out, nil
-}
-
-// projectChunkRows is the per-chunk row-path fallback: filter and project
-// through the compiled closures over the cached row view.
-func (vs *vecSelect) projectChunkRows(out [][]Value, ch *chunk, room int) ([][]Value, error) {
-	for _, r := range ch.rows() {
-		if room == 0 {
-			break
-		}
-		if vs.whereFn != nil {
-			v, err := vs.whereFn(r)
-			if err != nil {
-				return nil, err
-			}
-			if b, ok := ToBool(v); !ok || !b {
-				continue
-			}
-		}
-		row, err := projectRow(r, vs.itemFns)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-		room--
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -43,14 +42,11 @@ import (
 // arrays: the class is a property of the data, not a mode of the join.
 //
 // Fallbacks: joins that do not lower — impure ON, subqueries in ON, no
-// equi-key — keep the row path in joinRelations. A chunk whose key kernel
-// errors has its keys re-evaluated by the row-compiled closures into boxed
-// lanes (same encoding, same table); a chunk whose residual kernel errors
-// re-checks its candidate pairs row by row. Errors surface in the row path's
-// order: right keys first, then per left row its key and its pairs'
-// residuals. A hashed-left build that meets a left-key error cannot tell
-// whether a right-key or residual error precedes it, so the join starts over
-// hashing the right side.
+// equi-key — keep the row join in joinRelations, the reference. So does a join
+// whose key or residual kernel errors: run gives up with errKernel and
+// joinRelations joins the same inputs row by row, so the error that surfaces —
+// right keys first, then per left row its key and its pairs' residuals — is the
+// row join's own rather than an imitation of its order.
 
 // nullRef marks a null-extended side in a join-output row reference.
 const nullRef = int64(-1)
@@ -234,11 +230,9 @@ func (t *joinTable) lookup(keys []*vec, n int, heads []int32, kbuf []byte) []byt
 	return kbuf
 }
 
-// sideKeys is one input's join-key expressions: vector kernels and their
-// row-compiled fallbacks.
+// sideKeys is one input's join-key expressions, lowered to vector kernels.
 type sideKeys struct {
 	nodes []vnode
-	fns   []compiledExpr
 	nbuf  int
 }
 
@@ -253,47 +247,11 @@ func lowerSideKeys(scope *env, exprs []sqlparser.Expr) (sideKeys, bool) {
 		}
 	}
 	sk.nbuf = c.nbuf
-	sk.fns, _ = compileExprs(scope, exprs)
 	return sk, true
 }
 
-// eval computes the key vectors of ch into out, returning how many leading
-// rows have valid lanes: all of them, unless a row-fallback key errors.
-func (sk *sideKeys) eval(vc *vecCtx, out []*vec, ch *chunk) (int, error) {
-	for i, kn := range sk.nodes {
-		v, err := kn.eval(vc, ch, nil)
-		if err != nil {
-			return sk.evalRows(out, ch)
-		}
-		out[i] = v
-	}
-	return ch.n, nil
-}
-
-// evalRows is eval's fallback for a chunk whose kernel errored: the
-// row-compiled closures fill boxed lanes (the same GroupKey encoding),
-// stopping a row's keys at its first NULL as the row path does.
-func (sk *sideKeys) evalRows(out []*vec, ch *chunk) (int, error) {
-	for i := range out {
-		out[i] = &vec{kind: TAny, anys: make([]Value, ch.n)}
-	}
-	for k, row := range ch.rows() {
-		for i, fn := range sk.fns {
-			v, err := fn(row)
-			if err != nil {
-				return k, err
-			}
-			if v == nil {
-				break
-			}
-			out[i].anys[k] = v
-		}
-	}
-	return ch.n, nil
-}
-
-// vecJoin is one lowered hash join: chunked inputs, vector kernels for the
-// key and residual expressions, and their row-compiled fallbacks.
+// vecJoin is one lowered hash join: chunked inputs and vector kernels for the
+// key and residual expressions.
 type vecJoin struct {
 	gatherSrc // the right input: what the output chunks' references index
 	jt        sqlparser.JoinType
@@ -310,7 +268,6 @@ type vecJoin struct {
 
 	resFull  vnode   // nil when the join has no residual
 	resConjs []vnode // top-level AND conjuncts of the residual
-	resFn    compiledExpr
 	resNbuf  int
 
 	hashLeft bool
@@ -358,7 +315,6 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 			return nil, nil
 		}
 		vj.resNbuf = cc.nbuf
-		vj.resFn, _ = compileExpr(combEnv, residual)
 	}
 
 	// Both inputs resident, whatever produced them: a snapshot's slots
@@ -377,19 +333,12 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	return vj, nil
 }
 
-// errRehashRight aborts a hashed-left build at a left-key error.
-var errRehashRight = errors.New("engine: join must hash its right input")
-
 // run executes the join: serial hash build of the smaller input, candidate
 // generation, and the per-left-chunk finish, with output chunks in left
 // chunk order. The result is the combined relation's columnar source.
 func (vj *vecJoin) run() (*colSource, error) {
 	vj.hashLeft = vj.nLeft < vj.nRight
 	err := vj.build()
-	if errors.Is(err, errRehashRight) {
-		vj.hashLeft = false
-		err = vj.build()
-	}
 	if err == nil && vj.hashLeft {
 		err = vj.scanRight()
 	}
@@ -444,9 +393,7 @@ func (vj *vecJoin) run() (*colSource, error) {
 	return &colSource{sealed: slots, nrows: n}, nil
 }
 
-// build hashes the chosen input chunk-at-a-time. A right-key error is the
-// row path's first possible error and is returned as is; a left-key error is
-// not (see the fallback contract), so it asks run to hash the right side.
+// build hashes the chosen input chunk-at-a-time.
 func (vj *vecJoin) build() error {
 	chunks, sk, starts := vj.buildChunks, &vj.rKeys, vj.rightStart
 	if vj.hashLeft {
@@ -471,18 +418,15 @@ func (vj *vecJoin) build() error {
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinBuild); err != nil {
 			return err
 		}
-		n, err := sk.eval(vc, keys, ch)
+		err := evalNodes(vc, ch, nil, sk.nodes, keys)
 		if err != nil {
-			if vj.hashLeft {
-				return errRehashRight
-			}
 			return err
 		}
-		if kbuf, err = vj.table.insert(keys, n, starts[ci], kbuf); err != nil {
+		if kbuf, err = vj.table.insert(keys, ch.n, starts[ci], kbuf); err != nil {
 			return err
 		}
 		if !vj.hashLeft {
-			for ri := 0; ri < n; ri++ {
+			for ri := 0; ri < ch.n; ri++ {
 				vj.rightRefs[starts[ci]+ri] = packRef(ci, ri)
 			}
 		}
@@ -526,14 +470,16 @@ func newJoinWorker(sk *sideKeys) *joinWorker {
 }
 
 // lookupChunk evaluates the scanned side's keys over ch and resolves them
-// against the table into w.heads; n and err are sideKeys.eval's.
-func (w *joinWorker) lookupChunk(vj *vecJoin, sk *sideKeys, ch *chunk) (int, error) {
-	n, err := sk.eval(w.kc, w.keys, ch)
-	if cap(w.heads) < n {
-		w.heads = make([]int32, n)
+// against the table into w.heads.
+func (w *joinWorker) lookupChunk(vj *vecJoin, sk *sideKeys, ch *chunk) error {
+	if err := evalNodes(w.kc, ch, nil, sk.nodes, w.keys); err != nil {
+		return err
 	}
-	w.kbuf = vj.table.lookup(w.keys, n, w.heads[:n], w.kbuf)
-	return n, err
+	if cap(w.heads) < ch.n {
+		w.heads = make([]int32, ch.n)
+	}
+	w.kbuf = vj.table.lookup(w.keys, ch.n, w.heads[:ch.n], w.kbuf)
+	return nil
 }
 
 // scanRight is hashed-left candidate generation: morsels of right chunks
@@ -549,12 +495,11 @@ func (vj *vecJoin) scanRight() error {
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
 			return err
 		}
-		n, err := w.lookupChunk(vj, &vj.rKeys, ch)
-		if err != nil {
+		if err := w.lookupChunk(vj, &vj.rKeys, ch); err != nil {
 			return err
 		}
 		cap0 := cap(w.lrows)
-		for k := 0; k < n; k++ {
+		for k := 0; k < ch.n; k++ {
 			for r := w.heads[k]; r != 0; r = next[r-1] {
 				w.lrows = append(w.lrows, r-1)
 				w.rrefs = append(w.rrefs, packRef(ci, k))
@@ -618,12 +563,10 @@ func (vj *vecJoin) scanRight() error {
 
 // joinLeftChunk produces one left chunk's join output: its candidate pairs
 // (looked up now when the right side is hashed, regrouped by scanRight
-// otherwise), then finish. A pending left-key error is returned only after
-// the residuals of the rows before it have passed, as the row path would.
+// otherwise), then finish.
 func (vj *vecJoin) joinLeftChunk(w *joinWorker, ci int, ch *chunk) error {
 	var sel []int32
 	var refs []int64
-	var keyErr error
 	if vj.hashLeft {
 		sel = vj.candSel[vj.candEnd[ci]:vj.candEnd[ci+1]]
 		refs = vj.candRefs[vj.candEnd[ci]:vj.candEnd[ci+1]]
@@ -631,13 +574,14 @@ func (vj *vecJoin) joinLeftChunk(w *joinWorker, ci int, ch *chunk) error {
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
 			return err
 		}
-		var n int
-		n, keyErr = w.lookupChunk(vj, &vj.lKeys, ch)
+		if err := w.lookupChunk(vj, &vj.lKeys, ch); err != nil {
+			return err
+		}
 		// Pre-sized for the common at-most-one-match case.
-		sel = make([]int32, 0, n)
-		refs = make([]int64, 0, n)
+		sel = make([]int32, 0, ch.n)
+		refs = make([]int64, 0, ch.n)
 		next := vj.table.next
-		for k := 0; k < n; k++ {
+		for k := 0; k < ch.n; k++ {
 			for r := w.heads[k]; r != 0; r = next[r-1] {
 				sel = append(sel, int32(k))
 				refs = append(refs, vj.rightRefs[r-1])
@@ -647,9 +591,6 @@ func (vj *vecJoin) joinLeftChunk(w *joinWorker, ci int, ch *chunk) error {
 	oc, err := vj.finish(w, ch, sel, refs)
 	if err != nil {
 		return err
-	}
-	if keyErr != nil {
-		return keyErr
 	}
 	if oc != nil {
 		w.out = append(w.out, oc)
@@ -669,11 +610,9 @@ func (vj *vecJoin) finish(w *joinWorker, ch *chunk, sel []int32, refs []int64) (
 		cand = vj.newJoinChunk(ch, sel, refs)
 		rsel, all, err := evalFilter(w.rc, cand, vj.resFull, vj.resConjs)
 		if err != nil {
-			if sel, refs, err = vj.refineRows(ch, sel, refs); err != nil {
-				return nil, err
-			}
-			cand = nil
-		} else if !all {
+			return nil, errKernel
+		}
+		if !all {
 			ns := make([]int32, len(rsel))
 			nr := make([]int64, len(rsel))
 			for i, x := range rsel {
@@ -724,30 +663,6 @@ func (vj *vecJoin) finish(w *joinWorker, ch *chunk, sel []int32, refs []int64) (
 		return cand, nil
 	}
 	return vj.newJoinChunk(ch, sel, refs), nil
-}
-
-// refineRows is the residual's row fallback: the candidate pairs of one left
-// chunk re-checked in order by the row-compiled residual over combined rows,
-// so its first error is the row path's.
-func (vj *vecJoin) refineRows(ch *chunk, sel []int32, refs []int64) ([]int32, []int64, error) {
-	ns := make([]int32, 0, len(sel))
-	nr := make([]int64, 0, len(sel))
-	combined := make([]Value, vj.leftW+vj.rightW)
-	lrows := ch.rows()
-	for i, k := range sel {
-		ci, ri := unpackRef(refs[i])
-		copy(combined, lrows[k])
-		copy(combined[vj.leftW:], vj.buildChunks[ci].rows()[ri])
-		v, err := vj.resFn(combined)
-		if err != nil {
-			return nil, nil, err
-		}
-		if b, ok := ToBool(v); ok && b {
-			ns = append(ns, k)
-			nr = append(nr, refs[i])
-		}
-	}
-	return ns, nr, nil
 }
 
 // trailingChunk emits the unmatched build rows of a RIGHT/FULL join after
@@ -840,8 +755,8 @@ func (s *gatherSrc) refChunk(probe *chunk, sel []int32, refs []int64) *chunk {
 // joinGather is the late-materialization state of one join-output chunk:
 // per-row references into the probe chunk and the build chunks. fill copies
 // one column into a typed vector on first touch; valueAt boxes single cells
-// straight through the references (group representatives, fallback row
-// views) without gathering whole columns.
+// straight through the references (group representatives, the row closures'
+// lanes) without gathering whole columns.
 type joinGather struct {
 	j        *gatherSrc
 	probe    *chunk  // nil for the trailing unmatched-build chunk

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,10 +20,10 @@ import (
 // NULL propagation, numeric coercion through float64, three-valued
 // AND/OR — and shapes without a kernel (CASE, scalar functions, string
 // concatenation, ...) fall back to evaluating the row-compiled closure per
-// selected lane against the chunk's cached row view. If a kernel reports an
-// error the caller re-runs the whole chunk through the row path, so even
-// error behavior (e.g. short-circuit AND skipping an erroring operand) is
-// identical.
+// selected lane, against a scratch row holding the lanes it reads. If a kernel
+// reports an error the caller gives up the vector attempt (errKernel) and runs
+// the whole block, or join, on the row closures, so even error behavior (e.g.
+// short-circuit AND skipping an erroring operand) is theirs by construction.
 //
 // Only pure expressions are ever vectorized: anything drawing from the
 // engine RNG or capturing scope state (subqueries, enclosing-scope columns)
@@ -171,6 +172,7 @@ type vecCtx struct {
 	keys   []*vec
 	args   []*vec
 	items  []*vec
+	row    []Value // vnScalar's scratch row
 }
 
 func newVecCtx(nbuf, nkeys, nargs, nitems int) *vecCtx {
@@ -250,6 +252,30 @@ func laneCount(ch *chunk, sel []int32) int {
 // chunk's selected lanes (sel nil = all rows) into a context-owned buffer.
 type vnode interface {
 	eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error)
+}
+
+// errKernel stands for whatever error a kernel's evaluation returned. Whoever
+// drives the kernels — a scan block, a join — reports it instead, and its
+// caller discards the vector attempt and runs the block on the row closures,
+// whose error (text and timing) is the reference. Aborts, budget overruns,
+// faults and load errors are never evaluation errors and surface as they are.
+var errKernel = errors.New("engine: kernel evaluation error")
+
+// evalNodes evaluates nodes over ch's selected lanes into out; a nil node
+// leaves a nil vector.
+func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*vec) error {
+	for i, n := range nodes {
+		out[i] = nil
+		if n == nil {
+			continue
+		}
+		v, err := n.eval(vc, ch, sel)
+		if err != nil {
+			return errKernel
+		}
+		out[i] = v
+	}
+	return nil
 }
 
 // ---- leaves ----
@@ -520,16 +546,18 @@ func (n *vnLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	return ov, nil
 }
 
-// vnScalar evaluates a pure row-compiled closure per selected lane against
-// the chunk's cached row view — the graceful-degradation path for shapes
-// without a vector kernel (CASE, coalesce, ||, date arithmetic, ...).
+// vnScalar evaluates a pure row-compiled closure per selected lane, through
+// the worker's scratch row — the graceful-degradation path for shapes without
+// a vector kernel (CASE, coalesce, ||, date arithmetic, ...).
 type vnScalar struct {
 	id int
-	fn compiledExpr
+	x  *laneExpr
 }
 
 func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
-	rows := ch.rows()
+	if len(vc.row) < len(ch.cols) {
+		vc.row = make([]Value, len(ch.cols))
+	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TAny, lanes)
 	for k := 0; k < lanes; k++ {
@@ -537,7 +565,7 @@ func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 		if sel != nil {
 			i = int(sel[k])
 		}
-		v, err := n.fn(rows[i])
+		v, err := n.x.at(ch, i, vc.row)
 		if err != nil {
 			return nil, err
 		}
@@ -1455,11 +1483,11 @@ func (c *vecCompiler) lower(e sqlparser.Expr) vnode {
 	if n := c.lowerVec(e); n != nil {
 		return n
 	}
-	fn, pure := compileExpr(c.scope, e)
+	x, pure := compileLanes(c.scope, e)
 	if !pure {
 		return nil
 	}
-	return &vnScalar{id: c.newID(), fn: fn}
+	return &vnScalar{id: c.newID(), x: x}
 }
 
 func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
