@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest race faultinject vet lint staticcheck loc
+.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest profile race faultinject vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -47,6 +47,17 @@ staticcheck:
 # benchstat, or diff the JSON from `make bench-json`).
 bench:
 	$(GO) test -run=- -bench 'E1' -benchmem ./internal/engine
+
+# CPU and allocation profiles of one engine microbenchmark at GOMAXPROCS=1,
+# e.g. `make profile BENCH=E1DiskScanCold`. The test binary and both profiles
+# land in the git-ignored .build/; read them with
+# `go tool pprof -top .build/engine.test .build/E1DiskScanCold.cpu`
+# (add -sample_index=alloc_space for the .mem file).
+profile:
+	@test -n "$(BENCH)" || { echo "usage: make profile BENCH=<name of a BenchmarkE1... in internal/engine>"; exit 2; }
+	mkdir -p .build
+	GOMAXPROCS=1 $(GO) test -run=- -bench 'Benchmark$(BENCH)$$' -benchmem -benchtime 50x -o .build/engine.test \
+		-cpuprofile .build/$(BENCH).cpu -memprofile .build/$(BENCH).mem ./internal/engine
 
 # Machine-readable engine perf numbers for cross-PR diffs. Measured at
 # GOMAXPROCS=1 like the committed baseline: allocations scale with the worker

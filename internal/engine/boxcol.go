@@ -52,6 +52,22 @@ func efaceSlice(vs []Value) []eface {
 	return unsafe.Slice((*eface)(unsafe.Pointer(&vs[0])), len(vs))
 }
 
+// boxStrings boxes every entry of a decoded chunk's dictionary in one
+// allocation: each box aliases its entry, so a box that outlives the chunk
+// keeps the dictionary's string headers (and their shared backing string)
+// alive with it. Seal-time dictionaries box entry by entry instead
+// (encodeDict): values copied out of a table that is then flushed would pin
+// dictionaries the flush meant to free.
+func boxStrings(strs []string) []Value {
+	boxed := make([]Value, len(strs))
+	eb := efaceSlice(boxed)
+	for i := range eb {
+		eb[i].data = unsafe.Pointer(&strs[i])
+		eb[i].typ = stringTypeWord
+	}
+	return boxed
+}
+
 // boxColLanes boxes the selected lanes of a storage column into dst at the
 // given stride (dst[k*stride] receives lane k), reading through the
 // column's encoding. NULL lanes keep the zero (nil) interface the block was

@@ -20,13 +20,16 @@ type chunkSlot interface {
 	// slotZone returns the column's zone summary (min, max over non-NULL
 	// values; nil, nil for all-NULL columns).
 	slotZone(col int) (Value, Value)
-	// load returns the chunk, reading and decoding it from its segment if
-	// not resident. qc may be nil (context-free table utilities).
+	// load returns the chunk, reading and verifying its block from the segment
+	// if not resident; the chunk's columns are decoded as they are touched
+	// (chunk.col). qc may be nil (context-free table utilities).
 	load(qc *queryCtx) (*chunk, error)
 }
 
 // Resident chunks are their own slot: load is the identity, so pure
-// in-memory tables pay nothing for the indirection.
+// in-memory tables pay nothing for the indirection. (Only a table's own sealed
+// chunks sit in a slot sequence that is pruned; a chunk loaded from a segment
+// is never asked for its zone — its slot answers from the footer.)
 
 func (c *chunk) slotRows() int { return c.n }
 
@@ -40,6 +43,11 @@ func (c *chunk) load(qc *queryCtx) (*chunk, error) { return c, nil }
 // segSlot is a chunk spilled to a segment file: loads go through the data
 // directory's shared chunk cache, and a per-slot mutex collapses concurrent
 // cold loads of the same chunk into one disk read.
+//
+// A load verifies the chunk's block once (storage.OpenChunk: read, CRC,
+// structural walk — the only step that can fail) and returns a chunk that
+// decodes a column when a scan first touches it (segFill), so a query reading 3
+// of a table's 16 columns decodes, and the cache holds, those 3.
 type segSlot struct {
 	seg   *storage.Segment
 	idx   int
@@ -48,39 +56,66 @@ type segSlot struct {
 	mu sync.Mutex // serializes cold loads of this slot
 }
 
-func (s *segSlot) slotRows() int { return s.seg.Meta.Chunks[s.idx].NRows }
+// meta is the chunk's footer entry: row count and, per column, kind, encoding
+// and zone bounds — what is known of the chunk without reading its block.
+func (s *segSlot) meta() *storage.ChunkMeta { return &s.seg.Meta.Chunks[s.idx] }
+
+func (s *segSlot) slotRows() int { return s.meta().NRows }
 
 func (s *segSlot) slotZone(col int) (Value, Value) {
-	cm := &s.seg.Meta.Chunks[s.idx].Cols[col]
+	cm := &s.meta().Cols[col]
 	return cm.Min, cm.Max
 }
 
 func (s *segSlot) load(qc *queryCtx) (*chunk, error) {
-	if ch := s.cache.get(s); ch != nil {
+	if ch := s.cache.get(s, true); ch != nil {
 		return ch, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ch := s.cache.get(s); ch != nil {
+	if ch := s.cache.get(s, false); ch != nil {
 		return ch, nil // a concurrent loader beat us to it
 	}
-	sc, err := s.seg.ReadChunk(s.idx)
+	blk, err := s.seg.OpenChunk(s.idx)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading chunk %d of %s: %w", s.idx, s.seg.Path, err)
 	}
-	ch := chunkFromStorage(sc)
-	s.cache.put(s, ch)
+	w := len(s.meta().Cols)
+	ch := &chunk{n: blk.NRows(), cols: make([]colVec, w),
+		lazy: &segFill{slot: s, blk: blk}, filled: make([]atomic.Bool, w)}
+	s.cache.put(s, ch, chunkOverheadBytes+int64(blk.HeapBytes()))
 	return ch, nil
 }
 
-// chunkCache is the data directory's LRU over decoded segment chunks. Its
-// resident bytes are accounted on the same memGauge type the per-query
-// budget uses, but the policy differs deliberately: going over capacity
-// evicts the least-recently-used chunks instead of aborting anything —
-// eviction is always possible because sealed chunks are immutable and
-// reloadable. In-flight scans holding an evicted chunk keep it alive via
-// ordinary GC reachability; the cache only controls how long chunks stay
-// warm.
+// segFill fills a chunk from its verified segment block. The block refers to
+// the segment's mapping, which outlives every chunk: segments, retired ones
+// included, are closed only by Engine.Close (retireFileLocked). Decoded vectors
+// do not refer to it.
+type segFill struct {
+	slot *segSlot
+	blk  storage.Block
+}
+
+func (f *segFill) fillCol(c *chunk, j int) {
+	col := f.blk.DecodeCol(j)
+	cv := &c.cols[j]
+	cv.fromStorage(&col)
+	f.slot.cache.grow(f.slot, c, colBytes(cv))
+}
+
+func (f *segFill) kindOf(_ *chunk, j int) ColType { return ColType(f.slot.meta().Cols[j].Kind) }
+
+func (f *segFill) cellAt(c *chunk, j, i int) Value { return c.col(j).value(i) }
+
+// chunkCache is the data directory's LRU over segment chunks, bounded by
+// the bytes of the columns decoded in them: an entry starts at a chunk's fixed
+// overhead and grows as its columns are decoded. Its resident bytes are
+// accounted on the same memGauge type the per-query budget uses, but the policy
+// differs deliberately: going over capacity evicts the least-recently-used
+// chunks instead of aborting anything — eviction is always possible because
+// sealed chunks are immutable and reloadable. In-flight scans holding an
+// evicted chunk keep it alive, and keep decoding its columns, via ordinary GC
+// reachability; the cache only controls how long chunks stay warm.
 type chunkCache struct {
 	mu    sync.Mutex
 	cap   int64
@@ -92,6 +127,7 @@ type chunkCache struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
+	decoded   atomic.Int64
 }
 
 type cacheEntry struct {
@@ -100,7 +136,7 @@ type cacheEntry struct {
 	bytes int64
 }
 
-// defaultChunkCacheBytes bounds decoded chunks kept warm per data
+// defaultChunkCacheBytes bounds the decoded columns kept warm per data
 // directory when the application sets no explicit capacity.
 const defaultChunkCacheBytes = 256 << 20
 
@@ -111,7 +147,10 @@ func newChunkCache(capBytes int64) *chunkCache {
 	return &chunkCache{cap: capBytes, ll: list.New(), items: map[*segSlot]*list.Element{}}
 }
 
-func (c *chunkCache) get(s *segSlot) *chunk {
+// get returns s's resident chunk, counting a hit, or nil. countMiss is false
+// for a loader's re-check under its slot mutex: that load's miss is already
+// counted.
+func (c *chunkCache) get(s *segSlot, countMiss bool) *chunk {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[s]; ok {
@@ -119,15 +158,14 @@ func (c *chunkCache) get(s *segSlot) *chunk {
 		c.hits.Add(1)
 		return el.Value.(*cacheEntry).ch
 	}
-	c.misses.Add(1)
+	if countMiss {
+		c.misses.Add(1)
+	}
 	return nil
 }
 
-func (c *chunkCache) put(s *segSlot, ch *chunk) {
-	bytes := chunkBytes(ch)
-	if bytes > c.cap {
-		return // oversized chunk: serve it, never cache it
-	}
+// put makes ch resident for s at bytes — what of it is built now.
+func (c *chunkCache) put(s *segSlot, ch *chunk, bytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.items[s]; ok {
@@ -135,10 +173,35 @@ func (c *chunkCache) put(s *segSlot, ch *chunk) {
 	}
 	c.gauge.add(bytes)
 	c.items[s] = c.ll.PushFront(&cacheEntry{slot: s, ch: ch, bytes: bytes}) //verdict:nocharge cache residency is accounted on the cache's own gauge (the add above), evicted not aborted
+	c.shrinkLocked()
+}
+
+// grow charges bytes more to s's entry: ch just decoded a column. A chunk the
+// cache no longer holds (evicted while a scan still reads it) grows uncharged.
+func (c *chunkCache) grow(s *segSlot, ch *chunk, bytes int64) {
+	c.decoded.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[s]
+	if !ok || el.Value.(*cacheEntry).ch != ch {
+		return
+	}
+	el.Value.(*cacheEntry).bytes += bytes
+	c.gauge.add(bytes)
+	c.ll.MoveToFront(el)
+	c.shrinkLocked()
+}
+
+// shrinkLocked evicts from the cold end down to capacity. The entry just
+// inserted or grown is at the front, so it goes last, and only when it alone
+// is over capacity: such a chunk is served, never cached.
+//
+//verdict:locked mu
+func (c *chunkCache) shrinkLocked() {
 	for c.gauge.used.Load() > c.cap {
 		back := c.ll.Back()
-		if back == nil || back == c.ll.Front() {
-			break // never evict the entry just inserted
+		if back == nil {
+			break
 		}
 		c.evictLocked(back)
 	}
@@ -179,23 +242,18 @@ func (c *chunkCache) setCap(capBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.cap = capBytes
-	for c.gauge.used.Load() > c.cap {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.evictLocked(back)
-	}
+	c.shrinkLocked()
 }
 
 // ChunkCacheStats reports the chunk cache's cumulative counters and
 // current residency.
 type ChunkCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Resident  int64 // estimated decoded bytes currently cached
-	Entries   int
+	Hits           int64 // chunk lookups served from the cache
+	Misses         int64 // chunk loads: one block read, checksummed and walked
+	Evictions      int64
+	ColumnsDecoded int64 // chunk-columns decoded, each on its first touch
+	Resident       int64 // estimated bytes of the decoded columns currently cached
+	Entries        int
 }
 
 func (c *chunkCache) stats() ChunkCacheStats {
@@ -204,31 +262,42 @@ func (c *chunkCache) stats() ChunkCacheStats {
 	resident := c.gauge.used.Load()
 	c.mu.Unlock()
 	return ChunkCacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Resident:  resident,
-		Entries:   entries,
+		Hits:           c.hits.Load(),
+		Misses:         c.misses.Load(),
+		Evictions:      c.evictions.Load(),
+		ColumnsDecoded: c.decoded.Load(),
+		Resident:       resident,
+		Entries:        entries,
 	}
 }
 
-// chunkBytes estimates a decoded chunk's resident footprint for cache
-// accounting: vector backing arrays plus string bytes plus per-box
-// overhead, matching the flat-cost philosophy of the query gauge.
+// chunkOverheadBytes is what a cached chunk is charged before any column.
+const chunkOverheadBytes = 64
+
+// chunkBytes estimates a chunk's resident footprint for cache accounting: the
+// fixed overhead plus colBytes of every column. It reads cols as they are, so
+// a column not decoded yet counts nothing.
 func chunkBytes(ch *chunk) int64 {
-	b := int64(64)
+	b := int64(chunkOverheadBytes)
 	for j := range ch.cols {
-		c := &ch.cols[j]
-		b += int64(len(c.ints))*8 + int64(len(c.floats))*8 +
-			int64(len(c.bools)) + int64(len(c.nulls)) +
-			int64(len(c.codes))*4 + int64(len(c.runEnds))*4 +
-			int64(len(c.packed))*8 + int64(len(c.anys))*bytesPerValue
-		for _, s := range c.strs {
-			b += int64(len(s)) + 16
-		}
-		for _, s := range c.dict {
-			b += int64(len(s)) + 16 + bytesPerValue // entry + shared box
-		}
+		b += colBytes(&ch.cols[j])
+	}
+	return b
+}
+
+// colBytes estimates one built column's footprint: vector backing arrays
+// plus string bytes plus per-box overhead, matching the flat-cost philosophy
+// of the query gauge.
+func colBytes(c *colVec) int64 {
+	b := int64(len(c.ints))*8 + int64(len(c.floats))*8 +
+		int64(len(c.bools)) + int64(len(c.nulls)) +
+		int64(len(c.codes))*4 + int64(len(c.runEnds))*4 +
+		int64(len(c.packed))*8 + int64(len(c.anys))*bytesPerValue
+	for _, s := range c.strs {
+		b += int64(len(s)) + 16
+	}
+	for _, s := range c.dict {
+		b += int64(len(s)) + 16 + bytesPerValue // entry + shared box
 	}
 	return b
 }
@@ -251,31 +320,30 @@ func chunkToStorage(ch *chunk) *storage.Chunk {
 	return sc
 }
 
-// chunkFromStorage rebuilds the engine chunk from its stored form,
-// re-deriving the state the format deliberately omits (shared dictionary
-// boxes; dict zone bounds reuse them, byte-identical to seal time).
+// chunkFromStorage rebuilds a whole engine chunk from its stored form.
 func chunkFromStorage(sc *storage.Chunk) *chunk {
 	ch := &chunk{n: sc.NRows, cols: make([]colVec, len(sc.Cols))}
 	for j := range sc.Cols {
-		c := &sc.Cols[j]
-		cv := &ch.cols[j]
-		cv.kind = ColType(c.Kind)
-		cv.enc = colEnc(c.Enc)
-		cv.nulls = c.Nulls
-		cv.min, cv.max = c.Min, c.Max
-		cv.ints, cv.floats, cv.strs, cv.bools, cv.anys = c.Ints, c.Floats, c.Strs, c.Bools, c.Anys
-		cv.dict, cv.codes, cv.runEnds = c.Dict, c.Codes, c.RunEnds
-		cv.base, cv.width, cv.packed = c.Base, c.Width, c.Packed
-		if cv.enc == encDict {
-			boxed := make([]Value, len(cv.dict))
-			for i, s := range cv.dict {
-				boxed[i] = s
-			}
-			cv.dictBoxed = boxed
-			if len(boxed) > 0 {
-				cv.min, cv.max = boxed[0], boxed[len(boxed)-1]
-			}
-		}
+		ch.cols[j].fromStorage(&sc.Cols[j])
 	}
 	return ch
+}
+
+// fromStorage sets cv to a stored column, sharing its vectors and re-deriving
+// the state the format deliberately omits (shared dictionary boxes; dict zone
+// bounds reuse them, byte-identical to seal time).
+func (cv *colVec) fromStorage(c *storage.Col) {
+	*cv = colVec{
+		kind: ColType(c.Kind), enc: colEnc(c.Enc),
+		nulls: c.Nulls, min: c.Min, max: c.Max,
+		ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, anys: c.Anys,
+		dict: c.Dict, codes: c.Codes, runEnds: c.RunEnds,
+		base: c.Base, width: c.Width, packed: c.Packed,
+	}
+	if cv.enc == encDict {
+		cv.dictBoxed = boxStrings(cv.dict)
+		if n := len(cv.dict); n > 0 {
+			cv.min, cv.max = cv.dictBoxed[0], cv.dictBoxed[n-1]
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Columnar chunked storage. A table is an append-only sequence of sealed,
@@ -212,82 +213,103 @@ func (c *colVec) value(i int) Value {
 
 // chunk is chunkRows rows (fewer only for the ephemeral tail chunk; more for
 // one-to-many join outputs) stored column-wise. Immutable after construction,
-// except that join-output chunks and chunks over existing rows fill their
-// column vectors lazily (see gather and fromRows below).
+// except that a chunk with a filler builds its column vectors lazily.
 type chunk struct {
 	cols []colVec
 	n    int
 
-	// gather is non-nil for join-output chunks: the chunk holds row
-	// references into its probe/build source chunks, and a column vector is
-	// gathered into cols only when first touched (late materialization —
-	// columns the query never reads are never copied). Plain storage chunks
-	// leave it nil.
-	gather *joinGather
+	// lazy is non-nil for a chunk whose columns are built on first touch, each
+	// at most once, from what the filler holds: row references into a join's
+	// inputs (joinGather, vecjoin.go), boxed rows that already exist (rowFill),
+	// a verified segment block (segFill, chunkslot.go). Columns a query never
+	// reads are never gathered, packed or decoded. Resident storage chunks
+	// leave it nil and read cols directly.
+	lazy colFiller
 
-	// fromRows is non-nil for ephemeral chunks over boxed rows that already
-	// exist — a snapshot's tail, a row source's rows: the rows are the chunk's
-	// data, and a column's typed vector is packed from them only when a kernel
-	// first touches it. The row closures never do.
-	fromRows *rowFill
+	// filled[j] is set once cols[j] is built; mu serializes the builds, so a
+	// reader that sees the flag sees the column and takes no lock.
+	filled []atomic.Bool
+	mu     sync.Mutex
 }
 
-// rowFill is a chunk's existing rows and the fill state over them: which
-// columns have been packed, and the query their vectors are charged to.
+// colFiller is where a lazily filled chunk's data lives until a column of it
+// is touched. None of the methods has an error path: whatever can fail has
+// failed before the chunk exists, and a memory charge surfaces at the caller's
+// next poll.
+type colFiller interface {
+	// fillCol builds c.cols[j]; called once per column, with c.mu held.
+	fillCol(c *chunk, j int)
+	// kindOf reports column j's storage kind, without building it when the
+	// filler knows.
+	kindOf(c *chunk, j int) ColType
+	// cellAt boxes cell (row i, column j), without building the column when
+	// the filler can reach the cell another way.
+	cellAt(c *chunk, j, i int) Value
+}
+
+// rowFill fills a chunk from the boxed rows it was made over — a snapshot's
+// tail, a row source's rows: the rows are the chunk's data, and a column's
+// typed vector is packed from them, and charged to qc, only when a kernel first
+// touches it. The row closures never do.
 type rowFill struct {
 	rows [][]Value
 	qc   *queryCtx
-
-	mu     sync.Mutex
-	filled []bool //verdict:guardedby mu
 }
 
-// fill packs column j of c from its rows on first touch. Like a join gather it
-// has no error path, so the charge surfaces at the caller's next poll.
-func (f *rowFill) fill(c *chunk, j int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.filled[j] {
-		f.qc.chargeMem(int64(c.n) * bytesPerRef)
-		packCol(&c.cols[j], f.rows, j, false)
-		f.filled[j] = true
-	}
+func (f *rowFill) fillCol(c *chunk, j int) {
+	f.qc.chargeMem(int64(c.n) * bytesPerRef)
+	packCol(&c.cols[j], f.rows, j, false)
 }
 
-// col returns column j's vector, filling it first for join-output chunks and
-// chunks over existing rows.
+func (f *rowFill) kindOf(c *chunk, j int) ColType { return c.col(j).kind }
+
+func (f *rowFill) cellAt(c *chunk, j, i int) Value { return f.rows[i][j] }
+
+// col returns column j's vector, building it first if the chunk fills lazily.
 func (c *chunk) col(j int) *colVec {
-	switch {
-	case c.gather != nil:
-		c.gather.fill(c, j)
-	case c.fromRows != nil:
-		c.fromRows.fill(c, j)
+	if c.lazy != nil && !c.filled[j].Load() {
+		c.mu.Lock()
+		if !c.filled[j].Load() {
+			c.lazy.fillCol(c, j)
+			c.filled[j].Store(true)
+		}
+		c.mu.Unlock()
 	}
 	return &c.cols[j]
 }
 
-// colKind reports column j's storage kind without forcing a gather (a chunk
-// over existing rows learns it by packing the column).
+// colKind reports column j's storage kind without forcing a gather or a
+// decode (a chunk over existing rows learns it by packing the column).
 func (c *chunk) colKind(j int) ColType {
-	if c.gather != nil {
-		return c.gather.kindOf(j)
+	if c.lazy != nil {
+		return c.lazy.kindOf(c, j)
 	}
-	return c.col(j).kind
+	return c.cols[j].kind
 }
 
 // valueAt boxes cell (row i, column j) — how the row closures read a lane, and
 // the cheap path for boxing single rows (group representatives, rows that pass
 // WHERE). Join-output chunks read through the row references without gathering
 // the whole column; chunks over existing rows hand back the box they were
-// built from.
+// built from; segment chunks decode the column.
 func (c *chunk) valueAt(j, i int) Value {
-	switch {
-	case c.gather != nil:
-		return c.gather.valueAt(j, i)
-	case c.fromRows != nil:
-		return c.fromRows.rows[i][j]
+	if c.lazy != nil {
+		return c.lazy.cellAt(c, j, i)
 	}
 	return c.cols[j].value(i)
+}
+
+// overRows reports whether the chunk was made over boxed rows that already
+// exist (and were charged by whoever made them).
+func (c *chunk) overRows() bool {
+	_, ok := c.lazy.(*rowFill)
+	return ok
+}
+
+// joinOutput reports whether the chunk is row references into a join's inputs.
+func (c *chunk) joinOutput() bool {
+	_, ok := c.lazy.(*joinGather)
+	return ok
 }
 
 // storageKind classifies a non-NULL runtime value for vector storage.
@@ -645,8 +667,8 @@ func (c *colVec) encodeDelta(n, width int) int64 {
 // materializeRow boxes one row of the chunk: the row itself when the chunk was
 // built over rows, a fresh slice otherwise.
 func (c *chunk) materializeRow(i int) []Value {
-	if c.fromRows != nil {
-		return c.fromRows.rows[i]
+	if f, ok := c.lazy.(*rowFill); ok {
+		return f.rows[i]
 	}
 	row := make([]Value, len(c.cols))
 	for j := range c.cols {
@@ -662,7 +684,7 @@ func chunkifyRows(dst []chunkSlot, rows [][]Value, w int, qc *queryCtx) []chunkS
 	for lo := 0; lo < len(rows); lo += chunkRows {
 		part := rows[lo:min(lo+chunkRows, len(rows))]
 		dst = append(dst, &chunk{cols: make([]colVec, w), n: len(part),
-			fromRows: &rowFill{rows: part, qc: qc, filled: make([]bool, w)}})
+			lazy: &rowFill{rows: part, qc: qc}, filled: make([]atomic.Bool, w)})
 	}
 	return dst
 }
@@ -751,7 +773,7 @@ func (s *colSource) materialize(qc *queryCtx) ([][]Value, error) {
 		if err := qc.pollAbort(); err != nil {
 			return nil, err
 		}
-		if ch.fromRows == nil {
+		if !ch.overRows() {
 			qc.chargeMem(int64(ch.n) * boxedRowBytes(len(ch.cols)))
 		}
 		for i := 0; i < ch.n; i++ {
@@ -797,7 +819,7 @@ func (t *Table) ScanColumn(col int, fn func(v Value) error) error {
 		if err != nil {
 			return err
 		}
-		cv := &ch.cols[col]
+		cv := ch.col(col)
 		for i := 0; i < ch.n; i++ {
 			if err := fn(cv.value(i)); err != nil {
 				return err
@@ -817,15 +839,19 @@ func (t *Table) ScanColumn(col int, fn func(v Value) error) error {
 // field, iteration is not synchronized against concurrent appends.
 func (t *Table) ForEachRow(fn func(row []Value) error) error {
 	buf := make([]Value, len(t.Cols))
+	cvs := make([]*colVec, len(t.Cols))
 	//verdict:nopoll exported table utility with no query context; consumers (baselines, loaders) run outside query execution
 	for _, sl := range t.sealed {
 		ch, err := sl.load(nil)
 		if err != nil {
 			return err
 		}
+		for j := range cvs {
+			cvs[j] = ch.col(j)
+		}
 		for i := 0; i < ch.n; i++ {
-			for j := range ch.cols {
-				buf[j] = ch.cols[j].value(i)
+			for j, cv := range cvs {
+				buf[j] = cv.value(i)
 			}
 			if err := fn(buf); err != nil {
 				return err

@@ -11,15 +11,18 @@ import (
 // zone maps with chunk pruning, row-view materialization, column-name
 // ambiguity surfacing, and consistency under concurrent appends.
 
-// sealedChunk resolves table tbl's i-th sealed slot to its decoded chunk —
-// resident in memory, or loaded from a segment when ENGINE_SPILL moved it
-// to disk (white-box encoding assertions hold either way: the storage
-// layer round-trips chunk layouts byte for byte).
+// sealedChunk resolves table tbl's i-th sealed slot to its chunk with every
+// column built — resident in memory, or loaded from a segment and decoded when
+// ENGINE_SPILL moved it to disk (white-box assertions on cols hold either way:
+// the storage layer round-trips chunk layouts byte for byte).
 func sealedChunk(t testing.TB, tbl *Table, i int) *chunk {
 	t.Helper()
 	ch, err := tbl.sealed[i].load(nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for j := range ch.cols {
+		ch.col(j)
 	}
 	return ch
 }

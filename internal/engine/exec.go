@@ -281,7 +281,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	// Compile the select list. A bad star qualifier is reported where
 	// projection runs, after the per-row errors of the clauses before it.
 	outCols, outErr := deriveOutCols(rel, sel)
-	items, projPure := compileProjection(baseEnv, outCols)
+	items, itemCols, projPure := compileProjection(baseEnv, outCols)
 	plain := !hasAgg && len(winCalls) == 0 && sel.Having == nil && wherePure && projPure
 
 	// A plain block with no DISTINCT or ORDER BY streams: its first n output
@@ -302,7 +302,9 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// Fused scan→filter→aggregate: vectorized chunk morsels when every
 		// expression is pure and has a kernel, the serial row closures
 		// otherwise.
-		entries, err = buildScanPlan(baseEnv, sel, aggCalls, wherePred, wherePure).run()
+		p := buildScanPlan(baseEnv, sel, aggCalls, wherePred, wherePure)
+		p.reprCols = outputCols(baseEnv, sel, winCalls, itemCols)
+		entries, err = p.run()
 		if err != nil {
 			return nil, err
 		}
@@ -471,7 +473,7 @@ func filterRows(qc *queryCtx, src *colSource, pred *laneExpr, n int) ([][]Value,
 				out = append(out, ch.materializeRow(i))
 				room--
 			}
-			if ch.fromRows == nil {
+			if !ch.overRows() {
 				qc.chargeMem(int64(len(out)-kept) * boxedRowBytes(len(ch.cols)))
 			}
 			return out, nil
@@ -707,20 +709,48 @@ func orderByOutputsOnly(sel *sqlparser.SelectStmt, cols []string) bool {
 }
 
 // compileProjection compiles each output column once per query; pure
-// reports whether every item is.
-func compileProjection(scope *env, outCols []outCol) (items []projCol, pure bool) {
+// reports whether every compiled expression is, and reads lists the columns of
+// the row they are handed that they read.
+func compileProjection(scope *env, outCols []outCol) (items []projCol, reads []int, pure bool) {
+	c := &compiler{scope: scope, pure: true}
 	items = make([]projCol, len(outCols))
-	pure = true
 	for i, oc := range outCols {
 		if oc.expr == nil {
 			items[i] = projCol{idx: oc.idx}
+			c.read(oc.idx)
 			continue
 		}
-		fn, p := compileExpr(scope, oc.expr)
-		items[i] = projCol{fn: fn}
-		pure = pure && p
+		items[i] = projCol{fn: c.compile(oc.expr)}
 	}
-	return items, pure
+	return items, c.cols, c.pure
+}
+
+// outputCols lists the columns of an aggregated block's representative rows
+// that the clauses evaluated after aggregation read — the select list
+// (itemCols), HAVING, ORDER BY, window partitions and arguments — so the scan
+// boxes those cells of a representative and no others (scanPlan.reprRow). The
+// clauses after the select list are compiled here only for the compiler's
+// record of what they read; each is compiled for use where it runs.
+func outputCols(scope *env, sel *sqlparser.SelectStmt, winCalls []*sqlparser.FuncCall, itemCols []int) []int {
+	if sel.Having == nil && len(sel.OrderBy) == 0 && len(winCalls) == 0 {
+		return itemCols
+	}
+	c := &compiler{scope: scope, cols: itemCols}
+	if sel.Having != nil {
+		c.compile(sel.Having)
+	}
+	for _, ob := range sel.OrderBy {
+		c.compile(ob.Expr)
+	}
+	for _, wc := range winCalls {
+		for _, e := range wc.Over.PartitionBy {
+			c.compile(e)
+		}
+		for _, a := range wc.Args {
+			c.compile(a)
+		}
+	}
+	return c.cols
 }
 
 // project evaluates the compiled select list for every entry.

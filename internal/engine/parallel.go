@@ -252,6 +252,10 @@ type scanPlan struct {
 	specs    []aggSpec
 	pure     bool
 
+	// reprCols are the columns of a group's representative row that anything
+	// reads after aggregation (outputCols).
+	reprCols []int
+
 	groupBytes int64 // gauge charge per created group
 }
 
@@ -275,6 +279,20 @@ func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.
 	// representative row.
 	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(scope.rel.width())*bytesPerValue
 	return p
+}
+
+// reprRow boxes row i of ch as a group's representative: the row itself when
+// the chunk was made over rows, else a row holding the cells in reprCols — a
+// lazily filled chunk builds no column just to represent a group.
+func (p *scanPlan) reprRow(ch *chunk, i int) []Value {
+	if ch.overRows() {
+		return ch.materializeRow(i)
+	}
+	row := make([]Value, len(ch.cols))
+	for _, j := range p.reprCols {
+		row[j] = ch.valueAt(j, i)
+	}
+	return row
 }
 
 func (p *scanPlan) newAccs() ([]accumulator, error) {

@@ -512,7 +512,7 @@ func (dd *dataDir) installSlots(e *Engine, w *flushWork, seg *storage.Segment, w
 		s := &segSlot{seg: seg, idx: i, cache: dd.cache}
 		sealed[w.persisted+i] = s
 		if warmCache {
-			dd.cache.put(s, ch)
+			dd.cache.put(s, ch, chunkBytes(ch))
 		}
 	}
 	w.t.sealed = sealed
@@ -584,8 +584,10 @@ func (dd *dataDir) dropTableLocked(name string) {
 
 // retireFileLocked unlinks a data segment but keeps its handle open on the
 // retired list: query snapshots taken before the retirement may still hold
-// segSlots into it, and an open descriptor keeps the unlinked inode
-// readable until Close. Cache entries for retired slots age out via LRU.
+// segSlots into it, and chunks loaded from it decode their columns from its
+// mapping on first touch (segFill), so it stays open — an open descriptor
+// keeps the unlinked inode readable — until Engine.Close. Cache entries for
+// retired slots age out via LRU.
 //
 //verdict:locked mu
 func (dd *dataDir) retireFileLocked(file string) {
@@ -717,7 +719,7 @@ func (e *Engine) maybeSpill() {
 	_ = dd.flushAndCompact(e, nil, false)
 }
 
-// SetChunkCacheBytes bounds the decoded-chunk cache (<= 0 restores the
+// SetChunkCacheBytes bounds the chunk cache's decoded columns (<= 0 restores the
 // default). No-op without a data directory.
 func (e *Engine) SetChunkCacheBytes(n int64) {
 	if dd := e.dd.Load(); dd != nil {
@@ -733,7 +735,7 @@ func (e *Engine) ChunkCache() ChunkCacheStats {
 	return ChunkCacheStats{}
 }
 
-// DropChunkCache empties the decoded-chunk cache — the cold-scan switch
+// DropChunkCache empties the chunk cache — the cold-scan switch
 // for benchmarks and tests.
 func (e *Engine) DropChunkCache() {
 	if dd := e.dd.Load(); dd != nil {

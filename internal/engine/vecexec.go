@@ -141,7 +141,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 			if sel != nil {
 				ri = int(sel[0])
 			}
-			g = &groupAcc{repr: ch.materializeRow(ri), accs: accs}
+			g = &groupAcc{repr: vp.p.reprRow(ch, ri), accs: accs}
 			cg.m[""] = g
 			cg.order = append(cg.order, "")
 		}
@@ -194,7 +194,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 				if sel != nil {
 					ri = int(sel[k])
 				}
-				g = &groupAcc{repr: ch.materializeRow(ri), accs: accs}
+				g = &groupAcc{repr: vp.p.reprRow(ch, ri), accs: accs}
 				key := string(buf)
 				cg.m[key] = g
 				cg.order = append(cg.order, key)

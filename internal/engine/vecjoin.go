@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
@@ -743,18 +743,16 @@ func chunkKinds(chunks []*chunk, w int) []ColType {
 func (s *gatherSrc) refChunk(probe *chunk, sel []int32, refs []int64) *chunk {
 	w := s.leftW + len(s.buildKinds)
 	return &chunk{
-		cols: make([]colVec, w),
-		n:    len(refs),
-		gather: &joinGather{
-			j: s, probe: probe, probeSel: sel, refs: refs,
-			filled: make([]bool, w),
-		},
+		cols:   make([]colVec, w),
+		n:      len(refs),
+		lazy:   &joinGather{j: s, probe: probe, probeSel: sel, refs: refs},
+		filled: make([]atomic.Bool, w),
 	}
 }
 
-// joinGather is the late-materialization state of one join-output chunk:
-// per-row references into the probe chunk and the build chunks. fill copies
-// one column into a typed vector on first touch; valueAt boxes single cells
+// joinGather is the late-materialization filler of one join-output chunk:
+// per-row references into the probe chunk and the build chunks. fillCol copies
+// one column into a typed vector on first touch; cellAt boxes single cells
 // straight through the references (group representatives, the row closures'
 // lanes) without gathering whole columns.
 type joinGather struct {
@@ -762,26 +760,16 @@ type joinGather struct {
 	probe    *chunk  // nil for the trailing unmatched-build chunk
 	probeSel []int32 // probe row per output row; -1 = null-extended probe side
 	refs     []int64 // packed build ref per output row; nullRef = null-extended build side
-
-	mu     sync.Mutex
-	filled []bool //verdict:guardedby mu
 }
 
-func (g *joinGather) fill(c *chunk, j int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.filled[j] {
-		return
-	}
-	// A gathered column is one typed vector of c.n slots. fill has no error
-	// path, so the charge surfaces at the caller's next poll.
+func (g *joinGather) fillCol(c *chunk, j int) {
+	// A gathered column is one typed vector of c.n slots.
 	g.j.qc.chargeMem(int64(c.n) * bytesPerRef)
 	if j < g.j.leftW {
 		g.fillProbe(c, j)
 	} else {
 		g.fillBuild(c, j)
 	}
-	g.filled[j] = true
 }
 
 func gatherNull(cv *colVec, n, k int) {
@@ -969,7 +957,7 @@ func (g *joinGather) fillBuild(c *chunk, j int) {
 }
 
 // kindOf reports a column's storage kind without gathering it.
-func (g *joinGather) kindOf(j int) ColType {
+func (g *joinGather) kindOf(_ *chunk, j int) ColType {
 	if j < g.j.leftW {
 		if g.probe == nil {
 			return TAny
@@ -979,8 +967,8 @@ func (g *joinGather) kindOf(j int) ColType {
 	return g.j.buildKinds[j-g.j.leftW]
 }
 
-// valueAt boxes one cell through the references.
-func (g *joinGather) valueAt(j, i int) Value {
+// cellAt boxes one cell through the references.
+func (g *joinGather) cellAt(_ *chunk, j, i int) Value {
 	if j < g.j.leftW {
 		si := g.probeSel[i]
 		if si < 0 {

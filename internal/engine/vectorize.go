@@ -827,7 +827,7 @@ type vnCmpLit struct {
 }
 
 func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
-	if ch.gather != nil {
+	if ch.joinOutput() {
 		return n.fb.eval(vc, ch, sel)
 	}
 	cv := ch.col(n.col)
@@ -1073,7 +1073,7 @@ type vnInLit struct {
 }
 
 func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
-	if ch.gather != nil {
+	if ch.joinOutput() {
 		return n.fb.eval(vc, ch, sel)
 	}
 	cv := ch.col(n.col)

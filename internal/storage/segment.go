@@ -13,7 +13,8 @@ import (
 )
 
 // crcTable is the Castagnoli polynomial: hardware-accelerated on amd64 and
-// arm64, which matters because every chunk load verifies its checksum.
+// arm64, which matters because every chunk load (OpenChunk) verifies its
+// checksum.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Segment file layout (all integers little-endian):
@@ -39,6 +40,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //
 // Tagged value: [1] tag (0 nil, 1 int64, 2 float64 bits, 3 string, 4 bool)
 // followed by the payload (strings as u32 length + bytes).
+//
+// Reading a chunk is two steps. OpenChunk verifies: it reads the block, checks
+// its CRC, and walks every column without building anything (walkCol), which is
+// where each length, offset, code, run end and tag above is checked against the
+// bytes that are there — the only step that can fail. Block.DecodeCol then
+// builds one column from bytes known to be well-formed (decodeCol), so a
+// reader pays for the columns it uses. A column carries no length prefix:
+// where it ends is known only by walking it, which is why the walk covers the
+// whole block.
 
 // --- encoding helpers -------------------------------------------------------
 
@@ -108,7 +118,6 @@ func appendTagged(b []byte, v any) ([]byte, error) {
 
 // encodeChunkBlock serializes one chunk's column payloads.
 func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
-	n := ch.NRows
 	for ci := range ch.Cols {
 		c := &ch.Cols[ci]
 		flags := uint8(0)
@@ -185,7 +194,6 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("storage: unknown column encoding %d", c.Enc)
 		}
-		_ = n
 	}
 	return b, nil
 }
@@ -289,9 +297,11 @@ func WriteSegment(path string, ncols int, chunks []*Chunk) (retErr error) {
 
 // --- decoding ---------------------------------------------------------------
 
-// byteReader is a bounds-checked cursor over a decoded byte region. All
-// reads after an overrun return zero values; callers check err once at the
-// end (corrupt input degrades to an error, never a panic).
+// byteReader is a bounds-checked cursor over bytes read from a file: the footer
+// meta section, and a chunk block during OpenChunk's walk. All reads after an
+// overrun return zero values; callers check err once at the end (corrupt input
+// degrades to an error, never a panic). Nothing here allocates per value except
+// tagged, which the footer parse uses; the walk uses the skip forms.
 type byteReader struct {
 	b   []byte
 	pos int
@@ -300,12 +310,12 @@ type byteReader struct {
 
 func (r *byteReader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("truncated data at offset %d", r.pos)
+		r.err = fmt.Errorf("malformed data at offset %d", r.pos)
 	}
 }
 
 func (r *byteReader) take(n int) []byte {
-	if r.err != nil || n < 0 || r.pos+n > len(r.b) {
+	if r.err != nil || n < 0 || n > len(r.b)-r.pos {
 		r.fail()
 		return nil
 	}
@@ -335,49 +345,15 @@ func (r *byteReader) u64() uint64 {
 	return 0
 }
 
-func (r *byteReader) bitmap(n int) []bool {
-	raw := r.take((n + 7) / 8)
-	if raw == nil {
-		return nil
-	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = raw[i>>3]&(1<<(i&7)) != 0
-	}
-	return out
-}
-
-func (r *byteReader) strings() []string {
+// count reads a u32 element count that the bytes left could at least hold
+// one byte each of — the cap that keeps a flipped length from sizing anything.
+func (r *byteReader) count() int {
 	n := int(r.u32())
-	if r.err != nil || n < 0 || n > len(r.b) {
+	if n < 0 || n > len(r.b)-r.pos {
 		r.fail()
-		return nil
+		return 0
 	}
-	ends := make([]uint32, n)
-	prev := uint32(0)
-	for i := range ends {
-		ends[i] = r.u32()
-		if ends[i] < prev {
-			r.fail()
-			return nil
-		}
-		prev = ends[i]
-	}
-	var total uint32
-	if n > 0 {
-		total = ends[n-1]
-	}
-	bytes := r.take(int(total))
-	if r.err != nil {
-		return nil
-	}
-	out := make([]string, n)
-	start := uint32(0)
-	for i := range out {
-		out[i] = string(bytes[start:ends[i]])
-		start = ends[i]
-	}
-	return out
+	return n
 }
 
 func (r *byteReader) tagged() any {
@@ -402,133 +378,284 @@ func (r *byteReader) tagged() any {
 	}
 }
 
-// decodeChunkBlock parses one chunk block (already CRC-verified) back into
-// a Chunk. Zone bounds come from the footer meta, not the block.
-func decodeChunkBlock(block []byte, cm *ChunkMeta) (*Chunk, error) {
-	r := &byteReader{b: block}
-	n := cm.NRows
-	ch := &Chunk{NRows: n, Cols: make([]Col, len(cm.Cols))}
-	for ci := range ch.Cols {
-		c := &ch.Cols[ci]
-		c.Kind = r.u8()
-		c.Enc = r.u8()
-		hasNulls := r.u8()&1 != 0
-		c.Min = cm.Cols[ci].Min
-		c.Max = cm.Cols[ci].Max
-		switch c.Enc {
-		case EncNone:
-			if hasNulls {
-				c.Nulls = r.bitmap(n)
-			}
-			switch c.Kind {
-			case KindInt:
-				c.Ints = make([]int64, n)
-				for i := range c.Ints {
-					c.Ints[i] = int64(r.u64())
-				}
-			case KindFloat:
-				c.Floats = make([]float64, n)
-				for i := range c.Floats {
-					c.Floats[i] = math.Float64frombits(r.u64())
-				}
-			case KindString:
-				c.Strs = r.strings()
-				if r.err == nil && len(c.Strs) != n {
-					r.fail()
-				}
-			case KindBool:
-				c.Bools = r.bitmap(n)
-			case KindAny:
-				c.Anys = make([]any, n)
-				for i := range c.Anys {
-					c.Anys[i] = r.tagged()
-				}
-			default:
-				r.fail()
-			}
-		case EncDict:
-			if hasNulls {
-				c.Nulls = r.bitmap(n)
-			}
-			c.Dict = r.strings()
-			c.Codes = make([]uint32, n)
-			for i := range c.Codes {
-				c.Codes[i] = r.u32()
-				if r.err == nil && int(c.Codes[i]) >= len(c.Dict) {
-					r.fail()
-				}
-			}
-		case EncRLE:
-			runs := int(r.u32())
-			if r.err != nil || runs < 0 || runs > len(block) {
-				r.fail()
-				break
-			}
-			c.RunEnds = make([]int32, runs)
-			for i := range c.RunEnds {
-				c.RunEnds[i] = int32(r.u32())
-			}
-			if runs > 0 && r.err == nil && int(c.RunEnds[runs-1]) != n {
-				r.fail()
-			}
-			if hasNulls {
-				c.Nulls = r.bitmap(runs)
-			}
-			switch c.Kind {
-			case KindInt:
-				c.Ints = make([]int64, runs)
-				for i := range c.Ints {
-					c.Ints[i] = int64(r.u64())
-				}
-			case KindFloat:
-				c.Floats = make([]float64, runs)
-				for i := range c.Floats {
-					c.Floats[i] = math.Float64frombits(r.u64())
-				}
-			case KindString:
-				c.Strs = r.strings()
-				if r.err == nil && len(c.Strs) != runs {
-					r.fail()
-				}
-			case KindBool:
-				c.Bools = r.bitmap(runs)
-			default:
-				r.fail()
-			}
-		case EncDelta:
-			if hasNulls {
-				c.Nulls = r.bitmap(n)
-			}
-			c.Base = int64(r.u64())
-			c.Width = r.u8()
-			words := int(r.u32())
-			if r.err != nil || words < 0 || words > len(block) {
-				r.fail()
-				break
-			}
-			if words > 0 {
-				c.Packed = make([]uint64, words)
-				for i := range c.Packed {
-					c.Packed[i] = r.u64()
-				}
+// skipTagged steps over one tagged value, checking its tag.
+func (r *byteReader) skipTagged() {
+	switch r.u8() {
+	case tagNil:
+	case tagInt, tagFloat:
+		r.take(8)
+	case tagString:
+		r.take(int(r.u32()))
+	case tagBool:
+		r.take(1)
+	default:
+		r.fail()
+	}
+}
+
+// skipStrings steps over a string vector (appendStrings), checking that its
+// end offsets never decrease and its bytes are present, and returns its
+// length. want >= 0 is the length it must have.
+func (r *byteReader) skipStrings(want int) int {
+	n := r.count()
+	if want >= 0 && n != want {
+		r.fail()
+	}
+	ends := r.take(4 * n)
+	prev := uint32(0)
+	for i := 0; i+4 <= len(ends); i += 4 {
+		end := binary.LittleEndian.Uint32(ends[i:])
+		if end < prev {
+			r.fail()
+			return 0
+		}
+		prev = end
+	}
+	r.take(int(prev))
+	return n
+}
+
+func bitmapLen(n int) int { return (n + 7) / 8 }
+
+// walkCol steps r over one column of an n-row chunk block, making every
+// structural check there is to make, so that decodeCol over the same bytes
+// cannot index out of range and the column it builds cannot make the engine's
+// accessors do so either.
+func walkCol(r *byteReader, n int, cm *ColMeta) {
+	kind, enc, hasNulls := r.u8(), r.u8(), r.u8()&1 != 0
+	// The footer is what planning and pruning believed before the block was
+	// read (kind, encoding, zone bounds); a block that disagrees is not the
+	// one the footer describes.
+	if kind != cm.Kind || enc != cm.Enc || hasNulls != cm.HasNulls {
+		r.fail()
+	}
+	if hasNulls && enc != EncRLE {
+		r.take(bitmapLen(n))
+	}
+	switch enc {
+	case EncNone:
+		switch kind {
+		case KindInt, KindFloat:
+			r.take(8 * n)
+		case KindString:
+			r.skipStrings(n)
+		case KindBool:
+			r.take(bitmapLen(n))
+		case KindAny:
+			for i := 0; i < n && r.err == nil; i++ {
+				r.skipTagged()
 			}
 		default:
 			r.fail()
 		}
-		if r.err != nil {
-			return nil, fmt.Errorf("column %d: %w", ci, r.err)
+	case EncDict:
+		if kind != KindString {
+			r.fail()
+		}
+		dictLen := uint32(r.skipStrings(-1))
+		codes := r.take(4 * n)
+		for i := 0; i+4 <= len(codes); i += 4 {
+			if binary.LittleEndian.Uint32(codes[i:]) >= dictLen {
+				r.fail()
+				break
+			}
+		}
+	case EncRLE:
+		runs := r.count()
+		ends := r.take(4 * runs)
+		prev := int32(0)
+		for i := 0; i+4 <= len(ends); i += 4 {
+			end := int32(binary.LittleEndian.Uint32(ends[i:]))
+			if end <= prev {
+				r.fail()
+				break
+			}
+			prev = end
+		}
+		if int(prev) != n {
+			r.fail()
+		}
+		if hasNulls {
+			r.take(bitmapLen(runs))
+		}
+		switch kind {
+		case KindInt, KindFloat:
+			r.take(8 * runs)
+		case KindString:
+			r.skipStrings(runs)
+		case KindBool:
+			r.take(bitmapLen(runs))
+		default:
+			r.fail()
+		}
+	case EncDelta:
+		if kind != KindInt {
+			r.fail()
+		}
+		r.take(8) // base
+		width := int(r.u8())
+		words := r.count()
+		if width > 64 || words < (n*width+63)/64 {
+			r.fail()
+		}
+		r.take(8 * words)
+	default:
+		r.fail()
+	}
+}
+
+// colDecoder is the unchecked cursor decodeCol reads a walked column with:
+// every length it follows was checked by walkCol, and each vector it returns
+// is one allocation that shares nothing with the block.
+type colDecoder struct{ b []byte }
+
+func (d *colDecoder) take(n int) []byte {
+	out := d.b[:n]
+	d.b = d.b[n:]
+	return out
+}
+
+func (d *colDecoder) u32() uint32 { return binary.LittleEndian.Uint32(d.take(4)) }
+func (d *colDecoder) u64() uint64 { return binary.LittleEndian.Uint64(d.take(8)) }
+
+func (d *colDecoder) bitmap(n int) []bool {
+	raw := d.take(bitmapLen(n))
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = raw[i>>3]&(1<<(i&7)) != 0
+	}
+	return out
+}
+
+func (d *colDecoder) ints(n int) []int64 {
+	raw := d.take(8 * n)
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out
+}
+
+func (d *colDecoder) floats(n int) []float64 {
+	raw := d.take(8 * n)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out
+}
+
+func (d *colDecoder) u32s(n int) []uint32 {
+	raw := d.take(4 * n)
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(raw[4*i:])
+	}
+	return out
+}
+
+func (d *colDecoder) u64s(n int) []uint64 {
+	raw := d.take(8 * n)
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint64(raw[8*i:])
+	}
+	return out
+}
+
+// strings copies the vector's bytes into one string and slices every lane out
+// of it: two allocations however many lanes there are. A lane that outlives
+// its column keeps that string, not the segment, alive.
+func (d *colDecoder) strings() []string {
+	n := int(d.u32())
+	ends := d.take(4 * n)
+	total := 0
+	if n > 0 {
+		total = int(binary.LittleEndian.Uint32(ends[4*(n-1):]))
+	}
+	backing := string(d.take(total))
+	out := make([]string, n)
+	start := 0
+	for i := range out {
+		end := int(binary.LittleEndian.Uint32(ends[4*i:]))
+		out[i] = backing[start:end]
+		start = end
+	}
+	return out
+}
+
+func (d *colDecoder) tagged() any {
+	switch d.take(1)[0] {
+	case tagInt:
+		return int64(d.u64())
+	case tagFloat:
+		return math.Float64frombits(d.u64())
+	case tagString:
+		return string(d.take(int(d.u32())))
+	case tagBool:
+		return d.take(1)[0] != 0
+	}
+	return nil
+}
+
+// decodeCol builds one column of an n-row chunk from its walked bytes. Zone
+// bounds come from the footer meta, not the block.
+func decodeCol(b []byte, n int, cm *ColMeta) Col {
+	d := &colDecoder{b: b[3:]}
+	c := Col{Kind: cm.Kind, Enc: cm.Enc, Min: cm.Min, Max: cm.Max}
+	if cm.HasNulls && c.Enc != EncRLE {
+		c.Nulls = d.bitmap(n)
+	}
+	slots := n // value slots in the typed vector: one per row, or per run
+	switch c.Enc {
+	case EncDict:
+		c.Dict = d.strings()
+		c.Codes = d.u32s(n)
+		return c
+	case EncDelta:
+		c.Base = int64(d.u64())
+		c.Width = d.take(1)[0]
+		if words := int(d.u32()); words > 0 {
+			c.Packed = d.u64s(words)
+		}
+		return c
+	case EncRLE:
+		slots = int(d.u32())
+		c.RunEnds = make([]int32, slots)
+		for i, raw := 0, d.take(4*slots); i < slots; i++ {
+			c.RunEnds[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		if cm.HasNulls {
+			c.Nulls = d.bitmap(slots)
 		}
 	}
-	return ch, nil
+	switch c.Kind {
+	case KindInt:
+		c.Ints = d.ints(slots)
+	case KindFloat:
+		c.Floats = d.floats(slots)
+	case KindString:
+		c.Strs = d.strings()
+	case KindBool:
+		c.Bools = d.bitmap(slots)
+	case KindAny:
+		c.Anys = make([]any, n)
+		for i := range c.Anys {
+			c.Anys[i] = d.tagged()
+		}
+	}
+	return c
 }
 
 // --- segment reader ---------------------------------------------------------
 
 // Segment is one open segment file: parsed footer plus either an mmap of
 // the whole file (unix) or pread access. Immutable and safe for concurrent
-// ReadChunk calls. Close unmaps and closes; on Linux the file may already
-// be unlinked (compaction retires segments that way) — reads keep working
-// until Close.
+// OpenChunk/ReadChunk calls. Close unmaps and closes; on Linux the file may
+// already be unlinked (compaction retires segments that way) — reads keep
+// working until Close. A Block from OpenChunk points into the mapping, so
+// whoever closes a Segment must know that no Block of it is still in use; the
+// engine closes segments, retired ones included, only in Engine.Close.
 type Segment struct {
 	Path string
 	Meta SegMeta
@@ -543,7 +670,7 @@ type Segment struct {
 
 // OpenSegment opens and validates a segment file: both magics, the footer
 // length/CRC, and the meta section parse. Chunk payloads are NOT verified
-// here (VerifyChecksums does a full pass; ReadChunk verifies per load).
+// here (VerifyChecksums does a full pass; OpenChunk verifies per load).
 func OpenSegment(path string) (*Segment, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -650,29 +777,87 @@ func (s *Segment) parseFooter() error {
 	return nil
 }
 
-// ReadChunk loads, checksum-verifies, and decodes chunk i. Every load pays
-// the CRC pass — a segment that rots on disk after open is still detected.
-func (s *Segment) ReadChunk(i int) (*Chunk, error) {
+// Block is one chunk block after OpenChunk: read, checksummed, and walked
+// column by column, so DecodeCol cannot fail and can be called for just the
+// columns a scan touches, in any order, from any goroutine. Its bytes are a
+// window of the segment's mapping (or a private buffer where mmap is
+// unavailable), so a Block must not be used after its Segment is closed; what
+// DecodeCol returns shares nothing with it.
+type Block struct {
+	meta  *ChunkMeta
+	data  []byte
+	ends  []int // column j occupies data[ends[j-1]:ends[j]], column 0 starts at 0
+	owned bool  // data is a private buffer, not the mapping
+}
+
+// OpenChunk reads chunk i, verifies its checksum — once per call, whatever
+// number of columns is decoded afterwards, so a segment that rots on disk
+// after open is still detected whenever a chunk is (re)loaded — and walks the
+// block without allocating per value: lengths, string offsets, dictionary
+// codes, run ends and value tags are all checked here. Any violation is a
+// *CorruptError.
+func (s *Segment) OpenChunk(i int) (Block, error) {
 	if i < 0 || i >= len(s.Meta.Chunks) {
-		return nil, fmt.Errorf("storage: chunk %d out of range in %s", i, s.Path)
+		return Block{}, fmt.Errorf("storage: chunk %d out of range in %s", i, s.Path)
 	}
 	if err := faultpoint.Hit(faultpoint.SiteStorageSegmentRead); err != nil {
-		return nil, fmt.Errorf("storage: reading chunk %d of %s: %w", i, s.Path, err)
+		return Block{}, fmt.Errorf("storage: reading chunk %d of %s: %w", i, s.Path, err)
 	}
 	cm := &s.Meta.Chunks[i]
-	block, err := s.readRange(int64(cm.Offset), int(cm.Length))
+	data, err := s.readRange(int64(cm.Offset), int(cm.Length))
+	if err != nil {
+		return Block{}, err
+	}
+	if err := faultpoint.Hit(faultpoint.SiteStorageSegmentChecksum); err != nil {
+		return Block{}, corrupt(s.Path, "chunk %d checksum: %v", i, err)
+	}
+	if crc32.Checksum(data, crcTable) != cm.CRC {
+		return Block{}, corrupt(s.Path, "chunk %d checksum mismatch", i)
+	}
+	r := &byteReader{b: data}
+	ends := make([]int, len(cm.Cols))
+	for j := range cm.Cols {
+		walkCol(r, cm.NRows, &cm.Cols[j])
+		if r.err != nil {
+			return Block{}, corrupt(s.Path, "chunk %d: column %d: %v", i, j, r.err)
+		}
+		ends[j] = r.pos
+	}
+	return Block{meta: cm, data: data, ends: ends, owned: s.data == nil}, nil
+}
+
+// NRows is the chunk's row count.
+func (b *Block) NRows() int { return b.meta.NRows }
+
+// HeapBytes is the memory a Block holds beyond the segment's mapping: the
+// private copy of the block where the file could not be mapped, else zero.
+func (b *Block) HeapBytes() int {
+	if b.owned {
+		return len(b.data)
+	}
+	return 0
+}
+
+// DecodeCol builds column j: one allocation per vector (two for a string
+// vector), none of them referring to the block's bytes.
+func (b *Block) DecodeCol(j int) Col {
+	start := 0
+	if j > 0 {
+		start = b.ends[j-1]
+	}
+	return decodeCol(b.data[start:b.ends[j]], b.meta.NRows, &b.meta.Cols[j])
+}
+
+// ReadChunk is OpenChunk followed by DecodeCol of every column, for readers
+// that want the whole chunk (compaction, tail recovery).
+func (s *Segment) ReadChunk(i int) (*Chunk, error) {
+	b, err := s.OpenChunk(i)
 	if err != nil {
 		return nil, err
 	}
-	if err := faultpoint.Hit(faultpoint.SiteStorageSegmentChecksum); err != nil {
-		return nil, corrupt(s.Path, "chunk %d checksum: %v", i, err)
-	}
-	if crc32.Checksum(block, crcTable) != cm.CRC {
-		return nil, corrupt(s.Path, "chunk %d checksum mismatch", i)
-	}
-	ch, err := decodeChunkBlock(block, cm)
-	if err != nil {
-		return nil, corrupt(s.Path, "chunk %d: %v", i, err)
+	ch := &Chunk{NRows: b.NRows(), Cols: make([]Col, len(b.ends))}
+	for j := range ch.Cols {
+		ch.Cols[j] = b.DecodeCol(j)
 	}
 	return ch, nil
 }
