@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest profile race faultinject vet lint staticcheck loc
+.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest profile profile-shape race faultinject vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,18 @@ profile:
 	mkdir -p .build
 	GOMAXPROCS=1 $(GO) test -run=- -bench 'Benchmark$(BENCH)$$' -benchmem -benchtime 50x -o .build/engine.test \
 		-cpuprofile .build/$(BENCH).cpu -memprofile .build/$(BENCH).mem ./internal/engine
+
+# The same for one workload shape through Conn.Query at the repository
+# benchmark's scale and sample set (BenchmarkShape in bench_test.go), e.g.
+# `make profile-shape SHAPE=iq-14` or `SHAPE=tq-3 MODE=approx`; MODE defaults
+# to exact (the BYPASS form exact_scan times). Read with
+# `go tool pprof -top .build/verdictdb.test .build/iq-14.exact.cpu`.
+MODE ?= exact
+profile-shape:
+	@test -n "$(SHAPE)" || { echo "usage: make profile-shape SHAPE=<tq-N|iq-N> [MODE=exact|approx]"; exit 2; }
+	mkdir -p .build
+	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkShape/$(SHAPE)/$(MODE)$$' -benchmem -benchtime 100x -o .build/verdictdb.test \
+		-cpuprofile .build/$(SHAPE).$(MODE).cpu -memprofile .build/$(SHAPE).$(MODE).mem .
 
 # Machine-readable engine perf numbers for cross-PR diffs. Measured at
 # GOMAXPROCS=1 like the committed baseline: allocations scale with the worker

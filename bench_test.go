@@ -8,6 +8,7 @@ package verdictdb_test
 import (
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	verdictdb "verdictdb"
@@ -83,6 +84,40 @@ func BenchmarkFig4_IQ7_Exact(b *testing.B) {
 }
 func BenchmarkFig4_IQ7_Approx(b *testing.B) {
 	benchQuery(b, instaEnv(b), queryByID(b, "iq-7").SQL, false)
+}
+
+// --- One workload shape at the repository benchmark's size ---------------
+
+// BenchmarkShape/<id>/<exact|approx> runs one of the 33 workload shapes
+// through Conn.Query on the data the repository benchmark (benchmark/) times:
+// scale 0.2, the 2 % sample set. It is what `make profile-shape SHAPE=iq-14`
+// profiles, so a per-shape profile is a command, not a patched copy of the
+// benchmark's loop. A dataset is loaded when the first of its shapes runs.
+func BenchmarkShape(b *testing.B) {
+	cfg := bench.Config{TPCHScale: 0.2, InstaScale: 0.2, Seed: 42}
+	envs := map[bool]*bench.Env{} // by "is a TPC-H shape"
+	for _, q := range workload.AllQueries() {
+		b.Run(q.ID, func(b *testing.B) {
+			for _, mode := range []string{"exact", "approx"} {
+				b.Run(mode, func(b *testing.B) {
+					tpch := strings.HasPrefix(q.ID, "tq-")
+					if envs[tpch] == nil {
+						mk := bench.NewInstaEnv
+						if tpch {
+							mk = bench.NewTPCHEnv
+						}
+						env, err := mk(cfg, bench.DriverByName("generic"))
+						if err != nil {
+							b.Fatal(err)
+						}
+						envs[tpch] = env
+					}
+					b.ReportAllocs()
+					benchQuery(b, envs[tpch], q.SQL, mode == "exact")
+				})
+			}
+		})
+	}
 }
 
 // --- Figure 5 (E3): speedup growth with data size ------------------------

@@ -77,6 +77,57 @@ var engineBenchQueries = []struct{ name, sql string }{
 		from dim d inner join fact f on f.g = d.g
 		where f.flag in ('A', 'R') and f.d >= '1994-03-01' and f.d <= '1994-03-20'
 		group by d.cat`},
+	// The iq-14 shape: a small filtered left input and three further joins
+	// under a two-key GROUP BY. The first join hashes ord and regroups its
+	// matches; the other two probe chunk by chunk as the aggregation pulls.
+	{"E1JoinChain", `
+		select o.dow, d.name, count(*) as c
+		from ord o
+		inner join item i on o.id = i.ord_id
+		inner join prod p on i.prod_id = p.prod_id
+		inner join dept d on p.dept_id = d.dept_id
+		where o.hr between 8 and 18
+		group by o.dow, d.name`},
+	// First rows of a join: the probe side is pulled one chunk at a time, so
+	// the bound is met by fact's first chunk.
+	{"E1JoinLimitFirstRows", `
+		select f.x, f.d, d.cat from fact f inner join dim d on f.g = d.g limit 10`},
+}
+
+// loadChainTables creates the four tables of E1JoinChain, sized like the
+// repository benchmark's insta data: ord (20 000 rows), item (200 000, ten
+// per order), prod (5 000) and dept (21).
+func loadChainTables(eng *engine.Engine) error {
+	tables := []struct {
+		name string
+		cols []engine.Column
+		n    int
+		row  func(i int) []engine.Value
+	}{
+		{"ord", []engine.Column{{Name: "id", Type: engine.TInt}, {Name: "dow", Type: engine.TInt}, {Name: "hr", Type: engine.TInt}},
+			20_000, func(i int) []engine.Value { return []engine.Value{int64(i), int64(i % 7), int64(i * 7 % 24)} }},
+		{"item", []engine.Column{{Name: "ord_id", Type: engine.TInt}, {Name: "prod_id", Type: engine.TInt}, {Name: "price", Type: engine.TFloat}},
+			200_000, func(i int) []engine.Value {
+				return []engine.Value{int64(i / 10), int64(i * 7919 % 5000), float64(i%997) / 10}
+			}},
+		{"prod", []engine.Column{{Name: "prod_id", Type: engine.TInt}, {Name: "dept_id", Type: engine.TInt}},
+			5_000, func(i int) []engine.Value { return []engine.Value{int64(i), int64(i % 21)} }},
+		{"dept", []engine.Column{{Name: "dept_id", Type: engine.TInt}, {Name: "name", Type: engine.TString}},
+			21, func(i int) []engine.Value { return []engine.Value{int64(i), fmt.Sprintf("dept-%02d", i)} }},
+	}
+	for _, t := range tables {
+		if err := eng.CreateTable(t.name, t.cols); err != nil {
+			return err
+		}
+		rows := make([][]engine.Value, t.n)
+		for i := range rows {
+			rows[i] = t.row(i)
+		}
+		if err := eng.InsertRows(t.name, rows); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EngineBench measures the engine hot path and writes the report to
@@ -124,6 +175,9 @@ func EngineBench(w io.Writer, outPath string, iters int) (*EngineBenchReport, er
 	if err := eng.InsertRows("dim", drows); err != nil {
 		return nil, err
 	}
+	if err := loadChainTables(eng); err != nil {
+		return nil, err
+	}
 
 	rep := &EngineBenchReport{
 		Timestamp:   time.Now().UTC().Format(time.RFC3339),
@@ -156,7 +210,7 @@ func EngineBench(w io.Writer, outPath string, iters int) (*EngineBenchReport, er
 			Name: name, Rows: engineBenchRows, Iters: iters,
 			NsPerOp: perOp, AllocsPerOp: allocsPerOp, BytesPerOp: bytesPerOp,
 		})
-		fmt.Fprintf(w, "%-16s %12.0f ns/op %12.0f allocs/op %14.0f B/op\n",
+		fmt.Fprintf(w, "%-20s %12.0f ns/op %12.0f allocs/op %14.0f B/op\n",
 			name, perOp, allocsPerOp, bytesPerOp)
 		return nil
 	}

@@ -150,6 +150,58 @@ func BenchmarkE1JoinFilteredSide(b *testing.B) {
 		group by d.cat`)
 }
 
+// e1ChainTables adds the four tables of BenchmarkE1JoinChain, sized like the
+// repository benchmark's insta data: ord (20 000 rows), item (200 000, ten per
+// order), prod (5 000) and dept (21).
+func e1ChainTables(b *testing.B, e *Engine) {
+	b.Helper()
+	load := func(name string, cols []Column, n int, row func(i int) []Value) {
+		if err := e.CreateTable(name, cols); err != nil {
+			b.Fatal(err)
+		}
+		rows := make([][]Value, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		if err := e.InsertRows(name, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	load("ord", []Column{{Name: "id", Type: TInt}, {Name: "dow", Type: TInt}, {Name: "hr", Type: TInt}}, 20_000,
+		func(i int) []Value { return []Value{int64(i), int64(i % 7), int64(i * 7 % 24)} })
+	load("item", []Column{{Name: "ord_id", Type: TInt}, {Name: "prod_id", Type: TInt}, {Name: "price", Type: TFloat}}, 200_000,
+		func(i int) []Value { return []Value{int64(i / 10), int64(i * 7919 % 5000), float64(i%997) / 10} })
+	load("prod", []Column{{Name: "prod_id", Type: TInt}, {Name: "dept_id", Type: TInt}}, 5_000,
+		func(i int) []Value { return []Value{int64(i), int64(i % 21)} })
+	load("dept", []Column{{Name: "dept_id", Type: TInt}, {Name: "name", Type: TString}}, 21,
+		func(i int) []Value { return []Value{int64(i), fmt.Sprintf("dept-%02d", i)} })
+}
+
+// BenchmarkE1JoinChain is the iq-14 shape: a small filtered left input and
+// three further joins under a two-key GROUP BY. The first join hashes ord and
+// regroups its matches; the other two probe chunk by chunk as the aggregation
+// pulls, in buffers the scan worker reuses.
+func BenchmarkE1JoinChain(b *testing.B) {
+	e := NewSeeded(7)
+	e1ChainTables(b, e)
+	benchE1Query(b, e, `
+		select o.dow, d.name, count(*) as c
+		from ord o
+		inner join item i on o.id = i.ord_id
+		inner join prod p on i.prod_id = p.prod_id
+		inner join dept d on p.dept_id = d.dept_id
+		where o.hr between 8 and 18
+		group by o.dow, d.name`)
+}
+
+// BenchmarkE1JoinLimitFirstRows fetches the first rows of a join: the probe
+// side is pulled one chunk at a time, so the bound is met by fact's first
+// chunk.
+func BenchmarkE1JoinLimitFirstRows(b *testing.B) {
+	benchE1Query(b, e1Engine(b), `
+		select f.x, f.d, d.cat from fact f inner join dim d on f.g = d.g limit 10`)
+}
+
 // BenchmarkE1LimitProbe is the schema probe the middleware issues through
 // Driver.Columns: LIMIT 0 is pushed into the scan, so it loads no chunk and
 // allocates per column, not per row.

@@ -9,21 +9,25 @@ import (
 	"verdictdb/internal/storage"
 )
 
-// chunkSlot is one position in a table's sealed-chunk sequence: either a
-// resident *chunk or a reference into an on-disk segment loaded on demand.
-// The slot carries enough metadata (row count, per-column zone bounds) for
-// planning and pruning without touching chunk data, so zone-map pruning of
-// a terabyte table reads only manifests and footers.
+// chunkSlot is one position in a chunk sequence. In a table's sealed-chunk
+// sequence it is either a resident *chunk or a reference into an on-disk
+// segment loaded on demand; in a join's output it is a probe slot (vecjoin.go),
+// whose chunk is produced when it is loaded. A table's slot carries enough
+// metadata (row count, per-column zone bounds) for planning and pruning
+// without touching chunk data, so zone-map pruning of a terabyte table reads
+// only manifests and footers.
 type chunkSlot interface {
-	// slotRows is the chunk's row count.
+	// slotRows is the chunk's row count; a probe slot estimates it.
 	slotRows() int
 	// slotZone returns the column's zone summary (min, max over non-NULL
-	// values; nil, nil for all-NULL columns).
+	// values; nil, nil for all-NULL columns). Only a table's slots are asked.
 	slotZone(col int) (Value, Value)
 	// load returns the chunk, reading and verifying its block from the segment
 	// if not resident; the chunk's columns are decoded as they are touched
-	// (chunk.col). qc may be nil (context-free table utilities).
-	load(qc *queryCtx) (*chunk, error)
+	// (chunk.col). qc may be nil (context-free table utilities). pb is the
+	// loading worker's probe buffers, or nil: only a probe slot uses them, and
+	// unless pb.keep the chunk it returns is valid until the worker's next load.
+	load(qc *queryCtx, pb *probeBuf) (*chunk, error)
 }
 
 // Resident chunks are their own slot: load is the identity, so pure
@@ -38,7 +42,7 @@ func (c *chunk) slotZone(col int) (Value, Value) {
 	return cv.min, cv.max
 }
 
-func (c *chunk) load(qc *queryCtx) (*chunk, error) { return c, nil }
+func (c *chunk) load(*queryCtx, *probeBuf) (*chunk, error) { return c, nil }
 
 // segSlot is a chunk spilled to a segment file: loads go through the data
 // directory's shared chunk cache, and a per-slot mutex collapses concurrent
@@ -67,7 +71,7 @@ func (s *segSlot) slotZone(col int) (Value, Value) {
 	return cm.Min, cm.Max
 }
 
-func (s *segSlot) load(qc *queryCtx) (*chunk, error) {
+func (s *segSlot) load(*queryCtx, *probeBuf) (*chunk, error) {
 	if ch := s.cache.get(s, true); ch != nil {
 		return ch, nil
 	}

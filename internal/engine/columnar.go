@@ -691,16 +691,23 @@ func chunkifyRows(dst []chunkSlot, rows [][]Value, w int, qc *queryCtx) []chunkS
 
 // colSource is what a relation reads: one query's snapshot of a table — the
 // (possibly pruned) sealed chunk slots plus the open tail rows — or an
-// intermediate result in the same shape: a join's output chunks as sealed
+// intermediate result in the same shape: a join's probe slots as sealed
 // slots, boxed rows that already exist as an all-tail source (rowSource).
-// Slots are resident chunks or segment-backed references (chunkslot.go);
-// resolving a slot can therefore read from disk and fail. The source is created
-// per scan, so its lazily built fields need no locking — everything that
-// touches them runs before the morsel fan-out.
+// Slots are resident chunks, segment-backed references or probe slots
+// (chunkslot.go); resolving a slot can therefore read from disk, evaluate a
+// join's kernels, and fail. A join's output is a stream — each scan worker
+// holds the one chunk it is reading — unless something hashes or otherwise
+// retains it (resolveAll). The source is created per scan, so its lazily built
+// fields need no locking — everything that touches them runs before the morsel
+// fan-out.
 type colSource struct {
 	sealed []chunkSlot
 	tail   [][]Value
-	nrows  int
+	nrows  int // an estimate while probes is set
+
+	// probes marks a join's output that nothing has resolved: the slots are
+	// probe slots, and loading them is the join's left pass.
+	probes bool
 
 	// counted marks a base-table snapshot whose nrows buildFrom added to the
 	// query's RowsScanned; a bounded scan takes back the rows of the chunks
@@ -735,26 +742,53 @@ func (s *colSource) scanSlots(qc *queryCtx) []chunkSlot {
 }
 
 // resolveAll loads every slot and caches the chunk sequence — the
-// all-at-once path for consumers that need the whole relation resident
-// (join inputs, the row join's materialization).
+// all-at-once path for consumers that need the whole relation resident (a
+// join's hashed input, the row join's materialization). Over a join's probe
+// slots that is the join's whole left pass, morsel-parallel; the chunks it
+// produced (those with rows: only a probe slot loads an empty chunk) then are
+// the source.
 func (s *colSource) resolveAll(qc *queryCtx) ([]*chunk, error) {
 	if s.scan != nil {
 		return s.scan, nil
 	}
 	slots := s.scanSlots(qc)
 	out := make([]*chunk, len(slots)) //verdict:nocharge chunk-pointer slice; loaded chunk bytes are tracked by the chunk cache
-	for i, sl := range slots {
-		if err := qc.pollAbort(); err != nil {
-			return nil, err
-		}
-		ch, err := sl.load(qc)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ch
+	// Loading resident or cached chunks is not worth a fan-out.
+	nrows := 0
+	if s.probes {
+		nrows = s.nrows
 	}
-	s.scan = out
-	return out, nil
+	_, err := scanMorsels(qc, slots, nrows, true, func() struct{} { return struct{}{} },
+		func(_ struct{}, ci int, ch *chunk) error {
+			out[ci] = ch
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	if !s.probes {
+		s.scan = out
+		return out, nil
+	}
+	kept := out[:0]
+	for _, ch := range out {
+		if ch != nil {
+			kept = append(kept, ch)
+		}
+	}
+	s.hold(kept)
+	return kept, nil
+}
+
+// hold makes resident chunks the source.
+func (s *colSource) hold(chunks []*chunk) {
+	slots := make([]chunkSlot, len(chunks))
+	n := 0
+	for i, ch := range chunks {
+		slots[i] = ch
+		n += ch.n
+	}
+	*s = colSource{sealed: slots, nrows: n, scan: chunks}
 }
 
 // materialize boxes the whole source for the row join, per query: rows that
@@ -815,7 +849,7 @@ func (t *Table) ScanColumn(col int, fn func(v Value) error) error {
 	}
 	//verdict:nopoll exported table utility with no query context; consumers (baselines, loaders) run outside query execution
 	for _, sl := range t.sealed {
-		ch, err := sl.load(nil)
+		ch, err := sl.load(nil, nil)
 		if err != nil {
 			return err
 		}
@@ -842,7 +876,7 @@ func (t *Table) ForEachRow(fn func(row []Value) error) error {
 	cvs := make([]*colVec, len(t.Cols))
 	//verdict:nopoll exported table utility with no query context; consumers (baselines, loaders) run outside query execution
 	for _, sl := range t.sealed {
-		ch, err := sl.load(nil)
+		ch, err := sl.load(nil, nil)
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,7 @@ import (
 // the storage layer round-trips chunk layouts byte for byte).
 func sealedChunk(t testing.TB, tbl *Table, i int) *chunk {
 	t.Helper()
-	ch, err := tbl.sealed[i].load(nil)
+	ch, err := tbl.sealed[i].load(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,11 +110,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 	// output; everything else — impure ON, subqueries in ON, no equi-key —
 	// keeps the row path below.
 	if len(leftKeys) > 0 && !qc.eng.noVec.Load() {
-		vj, err := buildVecJoin(lEnv, rEnv, combEnv, je.Type, leftKeys, rightKeys, residual)
-		if err != nil {
-			return nil, err
-		}
-		if vj != nil {
+		if vj := buildVecJoin(lEnv, rEnv, combEnv, je.Type, leftKeys, rightKeys, residual); vj != nil {
 			src, err := vj.run()
 			if err == nil {
 				combined.src = src

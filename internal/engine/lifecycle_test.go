@@ -235,7 +235,7 @@ func TestDerivedSourceChargedOnce(t *testing.T) {
 // a panic in one morsel worker must surface as *InternalError with a stack,
 // after every sibling worker drained.
 func TestWorkerPanicContained(t *testing.T) {
-	err := runChunks(4, 1000, func(w, lo, hi int) error {
+	err := runChunks([]int{0, 250, 500, 750, 1000}, func(w, lo, hi int) error {
 		if lo == 0 {
 			panic("boom at chunk 0")
 		}

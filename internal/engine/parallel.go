@@ -55,24 +55,19 @@ func (e *Engine) scanWorkers(n int) int {
 	return p
 }
 
-// runChunks splits [0,n) into nw contiguous ranges and runs fn on each
+// runChunks runs fn on each non-empty range [bounds[w], bounds[w+1])
 // concurrently. The returned error is the one from the earliest range, so
 // error identity matches a serial scan. A panicking worker is recovered
 // into an *InternalError (its range's error slot) rather than crossing the
 // goroutine boundary: sibling workers finish their morsels and the
 // WaitGroup always drains, so a crash in one morsel leaks nothing.
-func runChunks(nw, n int, fn func(w, lo, hi int) error) error {
+func runChunks(bounds []int, fn func(w, lo, hi int) error) error {
 	var wg sync.WaitGroup
-	errs := make([]error, nw)
-	chunk := (n + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	errs := make([]error, len(bounds)-1)
+	for w := range errs {
+		lo, hi := bounds[w], bounds[w+1]
 		if lo >= hi {
-			break
+			continue
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
@@ -94,13 +89,41 @@ func runChunks(nw, n int, fn func(w, lo, hi int) error) error {
 	return nil
 }
 
-// scanMorsels loads chunks — a snapshot's slots, or a join input's resident
-// chunks — and hands them to fn in order: serially, or as contiguous ranges on
-// as many workers as scanWorkers allows for nrows rows, each with the private
-// state newW builds. It polls before every chunk and returns the worker states
-// in range order, so what they collected concatenates (or merges) into serial
-// scan order. Anything the workers share is read-only by now.
-func scanMorsels[S chunkSlot, W any](qc *queryCtx, slots []S, nrows int, newW func() W,
+// morselBounds cuts slots into nw contiguous ranges of about equal rows and
+// returns their nw+1 bounds: range w starts at the first slot with w/nw of the
+// rows before it. Rows, not slots: a join's output slots are uneven, and the
+// worker that drew the fat ones would finish last.
+func morselBounds(slots []chunkSlot, nw int) []int {
+	total := 0
+	//verdict:nopoll plan-time prefix sum: O(1) per slot
+	for _, sl := range slots {
+		total += sl.slotRows()
+	}
+	bounds := make([]int, nw+1)
+	w, before := 1, 0
+	//verdict:nopoll plan-time prefix sum: O(1) per slot
+	for i, sl := range slots {
+		for ; w < nw && before*nw >= w*total; w++ {
+			bounds[w] = i
+		}
+		before += sl.slotRows()
+	}
+	for ; w <= nw; w++ {
+		bounds[w] = len(slots)
+	}
+	return bounds
+}
+
+// scanMorsels loads slots — a snapshot's, or a join's probe slots — and hands
+// the chunks that have rows to fn in order: serially, or as contiguous ranges
+// on as many workers as scanWorkers allows for nrows rows, each with the
+// private state newW builds. It polls before every chunk and returns the
+// worker states in range order, so what they collected concatenates (or
+// merges) into serial scan order. Anything the workers share is read-only by
+// now. Unless keep is set, a probe slot's chunk is the worker's to reuse: fn
+// must be done with it, and with everything that points into it, when it
+// returns.
+func scanMorsels[W any](qc *queryCtx, slots []chunkSlot, nrows int, keep bool, newW func() W,
 	fn func(w W, ci int, ch *chunk) error) ([]W, error) {
 	nw := max(min(qc.eng.scanWorkers(nrows), len(slots)), 1)
 	ws := make([]W, nw)
@@ -108,13 +131,17 @@ func scanMorsels[S chunkSlot, W any](qc *queryCtx, slots []S, nrows int, newW fu
 		ws[i] = newW()
 	}
 	run := func(w, lo, hi int) error {
+		pb := &probeBuf{keep: keep}
 		for ci := lo; ci < hi; ci++ {
 			if err := qc.pollAbort(); err != nil {
 				return err
 			}
-			ch, err := slots[ci].load(qc)
+			ch, err := slots[ci].load(qc, pb)
 			if err != nil {
 				return err
+			}
+			if ch.n == 0 {
+				continue
 			}
 			if err := fn(ws[w], ci, ch); err != nil {
 				return err
@@ -125,7 +152,7 @@ func scanMorsels[S chunkSlot, W any](qc *queryCtx, slots []S, nrows int, newW fu
 	if nw == 1 {
 		return ws, run(0, 0, len(slots))
 	}
-	if err := runChunks(nw, len(slots), run); err != nil {
+	if err := runChunks(morselBounds(slots, nw), run); err != nil {
 		return nil, err
 	}
 	qc.eng.parallelScans.Add(1)
@@ -139,15 +166,20 @@ const noLimit = math.MaxInt
 type chunkEmit func(out [][]Value, ch *chunk, room int) ([][]Value, error)
 
 // scanChunks drives a chunk-at-a-time row producer over src: serially, or —
-// when parallel — as contiguous chunk ranges per worker concatenated in chunk
-// order, so the rows equal a serial scan's. newEmit builds one worker's
+// when vectors is set — as contiguous chunk ranges per worker concatenated in
+// chunk order, so the rows equal a serial scan's. newEmit builds one worker's
 // producer. A bound below noLimit asks for the first bound rows only: each
 // worker stops loading chunks once its own range has produced bound rows, and
 // the concatenation ends at the range that completes the bound — later ranges
 // are dropped, errors included, because a serial scan would not have reached
 // them. Workers never signal each other, and the result is exactly the
 // prefix of the unbounded one; a bound of 0 loads nothing.
-func scanChunks(qc *queryCtx, src *colSource, bound int, parallel bool, newEmit func() chunkEmit) ([][]Value, error) {
+//
+// vectors says emit is the vectorized projection rather than the row closures:
+// it may fan out, and the rows it returns alias the chunk's vectors
+// (boxcol.go), so the vectors gathered into a probe slot's chunk are the
+// result's, not the worker's to reuse (probeBuf.alias).
+func scanChunks(qc *queryCtx, src *colSource, bound int, vectors bool, newEmit func() chunkEmit) ([][]Value, error) {
 	type part struct {
 		rows    [][]Value
 		visited int
@@ -169,6 +201,7 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, parallel bool, newEmit 
 		qc.chargeMem(int64(span) * 2 * bytesPerValue)
 		p.rows = make([][]Value, 0, span)
 		emit := newEmit()
+		pb := &probeBuf{alias: vectors}
 		for _, sl := range slots[lo:hi] {
 			if len(p.rows) >= bound {
 				break
@@ -177,8 +210,11 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, parallel bool, newEmit 
 				return p
 			}
 			var ch *chunk
-			if ch, p.err = sl.load(qc); p.err != nil {
+			if ch, p.err = sl.load(qc, pb); p.err != nil {
 				return p
+			}
+			if ch.n == 0 {
+				continue
 			}
 			p.visited += ch.n
 			if p.rows, p.err = emit(p.rows, ch, bound-len(p.rows)); p.err != nil {
@@ -188,12 +224,12 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, parallel bool, newEmit 
 		return p
 	}
 	nw := 1
-	if parallel {
+	if vectors {
 		nw = max(min(qc.eng.scanWorkers(src.nrows), len(slots)), 1)
 	}
 	parts := make([]part, nw)
 	if nw > 1 {
-		err := runChunks(nw, len(slots), func(w, lo, hi int) error {
+		err := runChunks(morselBounds(slots, nw), func(w, lo, hi int) error {
 			parts[w] = scanRange(lo, hi)
 			return nil
 		})

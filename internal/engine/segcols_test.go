@@ -185,7 +185,7 @@ func TestSegmentColumnsConcurrentTouch(t *testing.T) {
 	disk, mem := newWideDiskEngine(t, 2)
 	dt, _ := disk.Lookup("t")
 	mt, _ := mem.Lookup("t")
-	ch, err := dt.sealed[1].load(nil)
+	ch, err := dt.sealed[1].load(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestSegmentChunkEvictedWhileHeld(t *testing.T) {
 	dt, _ := disk.Lookup("t")
 	mt, _ := mem.Lookup("t")
 	ref := mt.sealed[0].(*chunk)
-	held, err := dt.sealed[0].load(nil)
+	held, err := dt.sealed[0].load(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSegmentChunkEvictedWhileHeld(t *testing.T) {
 	if st := disk.ChunkCache(); st.Resident != 0 || st.Entries != 0 || st.ColumnsDecoded != 2 {
 		t.Fatalf("after eviction: %+v, want nothing resident and 2 columns decoded", st)
 	}
-	again, err := dt.sealed[0].load(nil)
+	again, err := dt.sealed[0].load(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestSegmentLoadAllocs(t *testing.T) {
 		{"256-lane string column", 6, encNone, 10},
 		{"dictionary string column", 5, encDict, 12},
 	} {
-		ch, err := sl.load(nil)
+		ch, err := sl.load(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func TestSegmentLoadAllocs(t *testing.T) {
 		}
 		got := testing.AllocsPerRun(20, func() {
 			disk.DropChunkCache()
-			ch, err := sl.load(nil)
+			ch, err := sl.load(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -75,7 +75,7 @@ type vecScanWorker struct {
 // run executes the vectorized plan over src, morsel-parallel when it has
 // enough rows.
 func (vp *vecPlan) run(src *colSource) ([]*entry, error) {
-	ws, err := scanMorsels(vp.p.qc, src.scanSlots(vp.p.qc), src.nrows, func() *vecScanWorker {
+	ws, err := scanMorsels(vp.p.qc, src.scanSlots(vp.p.qc), src.nrows, false, func() *vecScanWorker {
 		return &vecScanWorker{vc: vp.newCtx(), g: newChunkGroups()}
 	}, func(w *vecScanWorker, _ int, ch *chunk) error {
 		return vp.scanChunk(w.g, w.vc, ch)
@@ -170,8 +170,8 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	// group, and feed each accumulator through its typed entry point. The
 	// one-element group memo catches the global-aggregate case (one group)
 	// and runs of identical keys without a map probe.
-	buf := vc.keyBuf
-	var lastKey []byte
+	buf, lastKey := vc.keyBuf, vc.lastKey
+	defer func() { vc.keyBuf, vc.lastKey = buf, lastKey }()
 	var lastG *groupAcc
 	for k := 0; k < lanes; k++ {
 		buf = buf[:0]
@@ -186,7 +186,6 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 			if !ok {
 				accs, err := vp.p.newAccs()
 				if err != nil {
-					vc.keyBuf = buf
 					return err
 				}
 				vp.p.qc.chargeMem(vp.p.groupBytes)
@@ -209,12 +208,10 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 				continue
 			}
 			if err := addLane(g.accs[i], av, k); err != nil {
-				vc.keyBuf = buf
 				return err
 			}
 		}
 	}
-	vc.keyBuf = buf
 	return nil
 }
 

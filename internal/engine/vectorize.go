@@ -169,10 +169,13 @@ type vecCtx struct {
 	sel    []int32
 	sel2   []int32
 	keyBuf []byte
-	keys   []*vec
-	args   []*vec
-	items  []*vec
-	row    []Value // vnScalar's scratch row
+	// lastKey is the grouped scan's one-group memo key, kept across chunks
+	// for its storage only.
+	lastKey []byte
+	keys    []*vec
+	args    []*vec
+	items   []*vec
+	row     []Value // vnScalar's scratch row
 }
 
 func newVecCtx(nbuf, nkeys, nargs, nitems int) *vecCtx {

@@ -26,8 +26,9 @@ import (
 //
 // Filtered join inputs. In a join block, a base-table leaf's conjuncts are
 // tested on its rows before it is joined (filterLeaf) and the survivors
-// replace it, so the join builds, probes and gathers O(surviving rows). Three
-// rules keep that invisible except in time:
+// replace it, so the join builds, probes and gathers O(surviving rows) — and
+// holds O(hashed side + workers × one chunk): its probe side is a stream
+// (vecjoin.go). Three rules keep that invisible except in time:
 //   - the class (pushablePred): column references, non-NULL literals,
 //     comparisons, [NOT] BETWEEN, [NOT] IN (literals), [NOT] LIKE,
 //     IS [NOT] NULL, and AND/OR/NOT over those — nothing that can return an
@@ -436,7 +437,7 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr) (*colSource, e
 	// pass tests slots[:n] (skipping what an earlier pass tested) and returns
 	// how many of their rows there are and how many survive.
 	pass := func(n, nrows int) (rows, kept int, err error) {
-		_, err = scanMorsels(qc, slots[:n], nrows, func() *vecCtx {
+		_, err = scanMorsels(qc, slots[:n], nrows, true, func() *vecCtx {
 			return newVecCtx(c.nbuf, 0, 0, 0)
 		}, func(vc *vecCtx, ci int, ch *chunk) error {
 			if chunks[ci] != nil {
