@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-par bench bench-json bench-gate bench-progressive bench-e2e bench-selftest profile profile-shape race faultinject vet lint staticcheck loc
+.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest profile profile-shape vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -8,17 +8,31 @@ build:
 test: build
 	$(GO) test ./...
 
-# Same suite pinned to 4 scheduler threads, so the chunk-morsel fan-out and
-# the parallel≡serial equivalence tests actually exercise multiple workers.
-test-par: build
-	GOMAXPROCS=4 $(GO) test ./...
+# The test modes CI runs after the plain suite, one row each: a name, then the
+# command. par4 pins 4 scheduler threads so the chunk-morsel fan-out and the
+# parallel≡serial tests use several workers; faultinject fires the
+# internal/faultpoint sites; force-encodings dict/RLE/delta-encodes every
+# sealed chunk; the spill rows flush every sealed chunk to segment files.
+# `make modes` runs every row in order, printing its name, and stops at the
+# first failure; `make modes ONLY=race` runs one. A new mode is a new row.
+define MODES
+par4              | GOMAXPROCS=4 $(GO) test ./...
+race              | $(GO) test -race ./...
+faultinject       | $(GO) test -race -tags faultinject ./...
+force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$' ./internal/engine
+spill             | ENGINE_SPILL=1 $(GO) test ./internal/engine ./internal/workload ./internal/core .
+spill-race        | ENGINE_SPILL=1 $(GO) test -race ./internal/engine .
+spill-faultinject | ENGINE_SPILL=1 $(GO) test -tags faultinject -run Fault ./internal/engine
+endef
+export MODES
 
-race:
-	$(GO) test -race ./...
-
-# Deterministic fault injection (internal/faultpoint sites) under -race.
-faultinject:
-	$(GO) test -race -tags faultinject ./...
+modes: build
+	@echo "$$MODES" | while IFS='|' read -r name cmd; do \
+		name=$${name%% *}; \
+		[ -z "$(ONLY)" ] || [ "$$name" = "$(ONLY)" ] || continue; \
+		echo "== mode $$name:$$cmd"; \
+		sh -c "$$cmd" || { echo "== mode $$name FAILED"; exit 1; }; \
+	done
 
 vet:
 	$(GO) vet ./...

@@ -1,6 +1,9 @@
 package engine
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // Bulk lane boxing for the ResultSet boundary (late materialization).
 //
@@ -14,9 +17,10 @@ import "unsafe"
 // and an interior pointer into the vector. Interior pointers keep the whole
 // backing array alive, which the table does anyway.
 //
-// Kernel-computed vectors live in per-worker buffers that the next chunk
-// overwrites, so those are snapshotted into one fresh slice per chunk first
-// — a single allocation where per-row boxing paid one per value.
+// Kernel-computed vectors are the same colVec, but live in per-worker buffers
+// that the next chunk overwrites, so those are snapshotted into one fresh
+// slice per chunk first and then boxed like a column — a single allocation
+// where per-row boxing paid one per value.
 //
 // GC safety: eface's fields are unsafe.Pointer, so stores through *eface
 // are ordinary pointer stores and get the compiler's write barriers. The
@@ -68,174 +72,66 @@ func boxStrings(strs []string) []Value {
 	return boxed
 }
 
-// boxColLanes boxes the selected lanes of a storage column into dst at the
-// given stride (dst[k*stride] receives lane k), reading through the
-// column's encoding. NULL lanes keep the zero (nil) interface the block was
-// allocated with. Chunk storage is immutable, so every non-decoding path
-// boxes interior pointers and allocates nothing; only delta columns decode
-// into one fresh vector per call.
-func boxColLanes(dst []Value, stride int, cv *colVec, sel []int32, lanes int) {
-	switch cv.enc {
-	case encDict:
-		for k := 0; k < lanes; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			if cv.nulls != nil && cv.nulls[i] {
-				continue
-			}
-			dst[k*stride] = cv.dictBoxed[cv.codes[i]]
-		}
-		return
-	case encRLE:
-		eb := efaceSlice(dst)
-		r := 0
-		for k := 0; k < lanes; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			for int(cv.runEnds[r]) <= i {
-				r++
-			}
-			if cv.nulls != nil && cv.nulls[r] {
-				continue
-			}
-			s := k * stride
-			switch cv.kind {
-			case TInt:
-				eb[s].data = unsafe.Pointer(&cv.ints[r])
-				eb[s].typ = int64TypeWord
-			case TFloat:
-				eb[s].data = unsafe.Pointer(&cv.floats[r])
-				eb[s].typ = float64TypeWord
-			case TString:
-				eb[s].data = unsafe.Pointer(&cv.strs[r])
-				eb[s].typ = stringTypeWord
-			case TBool:
-				eb[s].data = unsafe.Pointer(&cv.bools[r])
-				eb[s].typ = boolTypeWord
-			}
-		}
-		return
-	case encDelta:
-		vals := make([]int64, lanes)
-		eb := efaceSlice(dst)
-		for k := 0; k < lanes; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			if cv.nulls != nil && cv.nulls[i] {
-				continue
-			}
-			vals[k] = cv.deltaAt(i)
-			s := k * stride
-			eb[s].data = unsafe.Pointer(&vals[k])
-			eb[s].typ = int64TypeWord
-		}
-		return
-	}
-	if cv.kind == TAny {
-		for k := 0; k < lanes; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			dst[k*stride] = cv.anys[i] // original box (nil = NULL)
-		}
-		return
-	}
+// boxColLanes boxes rows idx of a column into dst at the given stride
+// (dst[k*stride] receives row idx[k]), reading through the column's encoding.
+// NULL lanes keep the zero (nil) interface the block was allocated with.
+// Chunk storage is immutable, so a box is an interior pointer into the
+// column's typed slots, a dictionary's shared entry box or a TAny column's
+// own box, and allocates nothing; only a delta column decodes, into one fresh
+// vector per call.
+func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 	eb := efaceSlice(dst)
-	for k := 0; k < lanes; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
+	var decoded []int64
+	if cv.enc == encDelta {
+		decoded = make([]int64, len(idx))
+	}
+	r := 0
+	for k, x := range idx {
+		i, slot := int(x), int(x)
+		if cv.enc == encRLE {
+			r = cv.runFrom(r, i)
+			slot = r
 		}
-		if cv.nulls != nil && cv.nulls[i] {
+		if len(cv.nulls) > 0 && cv.nulls[slot] {
 			continue
 		}
 		s := k * stride
-		switch cv.kind {
-		case TInt:
-			eb[s].data = unsafe.Pointer(&cv.ints[i])
-			eb[s].typ = int64TypeWord
-		case TFloat:
-			eb[s].data = unsafe.Pointer(&cv.floats[i])
-			eb[s].typ = float64TypeWord
-		case TString:
-			eb[s].data = unsafe.Pointer(&cv.strs[i])
-			eb[s].typ = stringTypeWord
-		case TBool:
-			eb[s].data = unsafe.Pointer(&cv.bools[i])
-			eb[s].typ = boolTypeWord
+		switch {
+		case cv.kind == TAny:
+			dst[s] = cv.anys[i] // original box (nil = NULL)
+		case cv.enc == encDict:
+			dst[s] = cv.dictBoxed[cv.codes[i]]
+		case cv.enc == encDelta:
+			decoded[k] = cv.deltaAt(i)
+			eb[s].data, eb[s].typ = unsafe.Pointer(&decoded[k]), int64TypeWord
+		case cv.kind == TInt:
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.ints[slot]), int64TypeWord
+		case cv.kind == TFloat:
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.floats[slot]), float64TypeWord
+		case cv.kind == TString:
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.strs[slot]), stringTypeWord
+		default:
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.bools[slot]), boolTypeWord
 		}
 	}
 }
 
-// boxVecLanes boxes all lanes of a kernel-computed vector into dst at the
-// given stride. The vector's typed storage belongs to a reused per-worker
-// buffer, so it is snapshotted into one fresh slice the boxes can alias
-// (one allocation per chunk-column). Dictionary vectors reuse the shared
-// pre-boxed entries and TAny lanes are already boxed — both zero-alloc.
-func boxVecLanes(dst []Value, stride int, v *vec, lanes int) {
-	if v.kind == TAny {
-		for k := 0; k < lanes; k++ {
-			dst[k*stride] = v.anys[k]
-		}
-		return
+// boxVecLanes boxes the lanes idx of a kernel's output, which a reused
+// per-worker buffer holds only until the next chunk: its typed slice is
+// snapshotted once (one allocation per chunk-column) and the snapshot boxed
+// like a stored column. Dictionary and TAny outputs hold shared boxes already.
+func boxVecLanes(dst []Value, stride int, v *colVec, idx []int32) {
+	snap, n := *v, len(idx)
+	switch {
+	case v.enc == encDict:
+	case v.kind == TInt:
+		snap.ints = slices.Clone(v.ints[:n])
+	case v.kind == TFloat:
+		snap.floats = slices.Clone(v.floats[:n])
+	case v.kind == TString:
+		snap.strs = slices.Clone(v.strs[:n])
+	case v.kind == TBool:
+		snap.bools = slices.Clone(v.bools[:n])
 	}
-	if v.dict != nil {
-		for k := 0; k < lanes; k++ {
-			if v.isNull(k) {
-				continue
-			}
-			dst[k*stride] = v.dictBoxed[v.codes[k]]
-		}
-		return
-	}
-	eb := efaceSlice(dst)
-	switch v.kind {
-	case TInt:
-		vals := append([]int64(nil), v.ints...)
-		for k := 0; k < lanes; k++ {
-			if v.nulls != nil && v.nulls[k] {
-				continue
-			}
-			s := k * stride
-			eb[s].data = unsafe.Pointer(&vals[k])
-			eb[s].typ = int64TypeWord
-		}
-	case TFloat:
-		vals := append([]float64(nil), v.floats...)
-		for k := 0; k < lanes; k++ {
-			if v.nulls != nil && v.nulls[k] {
-				continue
-			}
-			s := k * stride
-			eb[s].data = unsafe.Pointer(&vals[k])
-			eb[s].typ = float64TypeWord
-		}
-	case TString:
-		vals := append([]string(nil), v.strs...)
-		for k := 0; k < lanes; k++ {
-			if v.nulls != nil && v.nulls[k] {
-				continue
-			}
-			s := k * stride
-			eb[s].data = unsafe.Pointer(&vals[k])
-			eb[s].typ = stringTypeWord
-		}
-	case TBool:
-		vals := append([]bool(nil), v.bools...)
-		for k := 0; k < lanes; k++ {
-			if v.nulls != nil && v.nulls[k] {
-				continue
-			}
-			s := k * stride
-			eb[s].data = unsafe.Pointer(&vals[k])
-			eb[s].typ = boolTypeWord
-		}
-	}
+	boxColLanes(dst, stride, &snap, idx)
 }

@@ -24,7 +24,8 @@ import (
 // header under the engine lock and can then scan without coordination,
 // exactly as row snapshots used to work. The encoded columns are the only
 // stored form of a table. The vectorized execution path (vectorize.go,
-// vecexec.go) consumes the typed vectors directly; the row closures
+// vecexec.go) consumes the typed vectors directly, and what its kernels
+// produce and a join gathers is the same type, colVec; the row closures
 // (compile.go) read lanes too — the cells an expression names, boxed into a
 // scratch row (valueAt), and whole rows only for the ones that pass WHERE
 // (materializeRow) — so nothing boxed outlives the query that boxed it, and
@@ -34,12 +35,12 @@ import (
 // granularity: every sealed chunk carries its own min/max summaries.
 const chunkRows = 256
 
-// colEnc identifies the physical encoding of a sealed chunk-column. Only
-// table-storage chunks (sealed in Table.appendRow) are encoded; ephemeral
-// chunks (tail view, chunkified intermediates, join outputs) stay raw so
-// their vectors can be borrowed directly. Every encoding is transparent
-// through isNull/value/the typed accessors — the row path and
-// scramble construction read identical bytes either way — while the
+// colEnc identifies the physical encoding of a column. Only table-storage
+// chunks (sealed in Table.appendRow) take every encoding; kernel outputs and
+// gathered join columns are raw or dict (a dictionary column's codes gathered,
+// its dictionary shared), and ephemeral chunks over rows stay raw. Every
+// encoding is transparent through isNull/value/the typed accessors — the row
+// path and scramble construction read identical bytes either way — while the
 // vectorized kernels (vectorize.go) pattern-match on enc to run on the
 // compressed form.
 type colEnc uint8
@@ -51,8 +52,11 @@ const (
 	encDelta               // int64 offsets from the chunk minimum, bit-packed
 )
 
-// colVec is one column of one sealed chunk: a typed vector plus null flags
-// and the zone summary computed at seal time.
+// colVec is the engine's one vector of lanes: one column of a chunk (a typed
+// vector plus null flags and, when sealed, the zone summary computed at seal
+// time), a gathered join column, or a kernel's output. The last two are reset
+// for every chunk and keep their storage (reset), so their flags, like their
+// typed lanes, are resliced rather than remade.
 type colVec struct {
 	// kind is the storage representation of this chunk-column. A column
 	// whose values in this chunk all share one dynamic type is stored
@@ -66,11 +70,11 @@ type colVec struct {
 	bools  []bool
 	anys   []Value
 
-	// nulls flags NULL rows; nil when the chunk-column has no NULLs. Null
-	// slots of the typed vectors hold zero values. Under encRLE the flags
-	// are per RUN, not per row (a null-flag change always starts a new run,
-	// so runs are uniformly null or non-null); every other encoding keeps
-	// per-row flags.
+	// nulls flags NULL rows; empty when the column has no NULLs. Null slots
+	// of a stored column's typed vectors hold zero values; a reset vector's
+	// hold whatever its storage held. Under encRLE the flags are per RUN, not
+	// per row (a null-flag change always starts a new run, so runs are
+	// uniformly null or non-null); every other encoding keeps per-row flags.
 	nulls []bool
 
 	// min/max are the zone summary over non-NULL values (nil when every
@@ -103,18 +107,29 @@ type colVec struct {
 	packed []uint64
 }
 
-// isNull reports whether row i of the chunk-column is NULL.
+// isNull reports whether row i of the column is NULL. (Kept small enough to
+// inline: kernels call it per lane.)
 func (c *colVec) isNull(i int) bool {
-	if c.kind == TAny {
-		return c.anys[i] == nil
-	}
-	if c.nulls == nil {
-		return false
+	if len(c.nulls) == 0 {
+		return c.kind == TAny && c.anys[i] == nil
 	}
 	if c.enc == encRLE {
-		return c.nulls[c.runIdx(i)]
+		i = c.runIdx(i)
 	}
 	return c.nulls[i]
+}
+
+// runFrom returns the run holding row i of an encRLE column, walking forward
+// from run r, the previous row's: O(rows + runs) over ascending rows, a binary
+// search when i is behind run r.
+func (c *colVec) runFrom(r, i int) int {
+	if r > 0 && int(c.runEnds[r-1]) > i {
+		return c.runIdx(i)
+	}
+	for int(c.runEnds[r]) <= i {
+		r++
+	}
+	return r
 }
 
 // runIdx returns the run holding row i of an encRLE column: the first run
@@ -150,27 +165,8 @@ func (c *colVec) deltaAt(i int) int64 {
 	return int64(uint64(c.base) + v)
 }
 
-// intAt/floatAt/strAt/boolAt read one typed lane through the encoding.
-// Callers have already excluded NULL rows and checked the kind; the encNone
-// branch is the plain vector read.
-
-func (c *colVec) intAt(i int) int64 {
-	switch c.enc {
-	case encDelta:
-		return c.deltaAt(i)
-	case encRLE:
-		return c.ints[c.runIdx(i)]
-	}
-	return c.ints[i]
-}
-
-func (c *colVec) floatAt(i int) float64 {
-	if c.enc == encRLE {
-		return c.floats[c.runIdx(i)]
-	}
-	return c.floats[i]
-}
-
+// strAt reads string row i through the encoding (callers have excluded NULL
+// rows and checked the kind).
 func (c *colVec) strAt(i int) string {
 	switch c.enc {
 	case encDict:
@@ -181,34 +177,83 @@ func (c *colVec) strAt(i int) string {
 	return c.strs[i]
 }
 
-func (c *colVec) boolAt(i int) bool {
-	if c.enc == encRLE {
-		return c.bools[c.runIdx(i)]
+// value boxes row i back into a dynamic Value: every read of a column that is
+// not a typed kernel loop goes through it. The box is freshly allocated for
+// typed vectors (dictionary columns return the shared pre-boxed entry); TAny
+// columns return the original box.
+func (c *colVec) value(i int) Value {
+	if c.kind == TAny {
+		return c.anys[i]
 	}
-	return c.bools[i]
+	slot := i // a run-length column keeps one slot, and one flag, per run
+	if c.enc == encRLE {
+		slot = c.runIdx(i)
+	}
+	switch {
+	case len(c.nulls) > 0 && c.nulls[slot]:
+		return nil
+	case c.enc == encDict:
+		return c.dictBoxed[c.codes[i]]
+	case c.enc == encDelta:
+		return c.deltaAt(i)
+	case c.kind == TInt:
+		return c.ints[slot]
+	case c.kind == TFloat:
+		return c.floats[slot]
+	case c.kind == TString:
+		return c.strs[slot]
+	}
+	return c.bools[slot]
 }
 
-// value boxes row i back into a dynamic Value. The box is freshly
-// allocated for typed vectors (dictionary columns return the shared
-// pre-boxed entry); TAny columns return the original box.
-func (c *colVec) value(i int) Value {
-	if c.isNull(i) {
-		return nil
-	}
-	switch c.kind {
+// reset makes cv n raw lanes of kind, no NULLs, over the storage its previous
+// lanes left: a kernel's output buffer or a column a join gathers into a
+// reused chunk. Every lane is the caller's to write. Growth is charged to qc —
+// a gathered column is, a worker's kernel buffers (qc nil) are not.
+func (cv *colVec) reset(qc *queryCtx, kind ColType, n int) {
+	*cv = colVec{kind: kind, ints: cv.ints[:0], floats: cv.floats[:0], strs: cv.strs[:0],
+		bools: cv.bools[:0], anys: cv.anys[:0], codes: cv.codes[:0], nulls: cv.nulls[:0]}
+	switch kind {
 	case TInt:
-		return c.intAt(i)
+		cv.ints = lanes(qc, cv.ints, n)
 	case TFloat:
-		return c.floatAt(i)
+		cv.floats = lanes(qc, cv.floats, n)
 	case TString:
-		if c.enc == encDict {
-			return c.dictBoxed[c.codes[i]]
-		}
-		return c.strAt(i)
+		cv.strs = lanes(qc, cv.strs, n)
 	case TBool:
-		return c.boolAt(i)
+		cv.bools = lanes(qc, cv.bools, n)
+	default:
+		cv.anys = lanes(qc, cv.anys, n)
 	}
-	return c.anys[i]
+}
+
+// setNull makes lane k of a reset vector of n lanes NULL: a nil box for TAny,
+// else a flag, the flags made over the vector's storage on its first NULL.
+func (cv *colVec) setNull(k, n int) {
+	if cv.kind == TAny {
+		cv.anys[k] = nil
+		return
+	}
+	if len(cv.nulls) == 0 {
+		cv.nulls = lanes(nil, cv.nulls, n)
+		clear(cv.nulls)
+	}
+	cv.nulls[k] = true
+}
+
+// lanes returns buf with n lanes: what a previous chunk left, or a new
+// vector, charged, when that is too small. Every lane is the caller's to
+// overwrite.
+func lanes[T any](qc *queryCtx, buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	size := n
+	if cap(buf) > 0 {
+		size += n / 4 // a worker's chunks vary in size: do not regrow for each new largest
+	}
+	qc.chargeMem(int64(size) * bytesPerRef)
+	return make([]T, size)[:n]
 }
 
 // chunk is chunkRows rows (fewer only for the ephemeral tail chunk; more for

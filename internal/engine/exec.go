@@ -317,11 +317,14 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		if plain && outErr == nil && !qc.eng.noVec.Load() &&
 			orderByOutputsOnly(sel, outColNames(outCols)) {
 			if vs := buildVecSelect(baseEnv, outCols, sel.Where); vs != nil {
+				refund := qc.markMem()
 				projRows, err = vs.run(rel.src, bound)
 				switch {
 				case err == nil:
 					cols, projDone = outColNames(outCols), true
-				case !errors.Is(err, errKernel):
+				case errors.Is(err, errKernel):
+					refund()
+				default:
 					return nil, err
 				}
 			}

@@ -111,6 +111,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 	// keeps the row path below.
 	if len(leftKeys) > 0 && !qc.eng.noVec.Load() {
 		if vj := buildVecJoin(lEnv, rEnv, combEnv, je.Type, leftKeys, rightKeys, residual); vj != nil {
+			refund := qc.markMem()
 			src, err := vj.run()
 			if err == nil {
 				combined.src = src
@@ -119,6 +120,7 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 			if !errors.Is(err, errKernel) {
 				return nil, err
 			}
+			refund()
 		}
 	}
 

@@ -231,6 +231,52 @@ func TestDerivedSourceChargedOnce(t *testing.T) {
 	}
 }
 
+// A vector attempt discarded on a kernel error (errKernel) leaves nothing on
+// the gauge, so the row closures that re-run the block are budgeted alone. The
+// grouped scan below errors only in its last chunk — `not s` on the one
+// non-NULL string, which the row path's OR never evaluates — by when the
+// vector attempt has charged nearly every group.
+func TestDiscardedVectorAttemptRefunded(t *testing.T) {
+	const n = 50_000
+	e := NewSeeded(7)
+	e.SetParallelism(1)
+	if err := e.CreateTable("t", []Column{{Name: "k", Type: TInt}, {Name: "s", Type: TString}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, n)
+	for i := range rows {
+		rows[i] = []Value{int64(i), nil}
+	}
+	rows[n-1][1] = "x"
+	if err := e.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	const q = "select k, count(*) from t where k >= 0 or not s group by k"
+	stmt, err := sqlparser.Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	charged := func(vec bool) int64 {
+		e.SetVectorized(vec)
+		qc := e.newQueryCtx(WithMemoryBudget(context.Background(), 1<<40), q)
+		if _, err := execSelectWithOuter(qc, stmt.(*sqlparser.SelectStmt), nil); err != nil {
+			t.Fatal(err)
+		}
+		return qc.mem.used.Load()
+	}
+	rowOnly := charged(false)
+	if got := charged(true); got != rowOnly {
+		t.Errorf("after a discarded vector attempt the gauge reads %d B; the row closures alone charge %d B", got, rowOnly)
+	}
+	rs, err := e.QueryContext(WithMemoryBudget(context.Background(), rowOnly+rowOnly/8), q)
+	if err != nil {
+		t.Fatalf("under a budget the row closures fit: %v", err)
+	}
+	if len(rs.Rows) != n {
+		t.Fatalf("%d groups, want %d", len(rs.Rows), n)
+	}
+}
+
 // TestWorkerPanicContained exercises the runChunks recovery path white-box:
 // a panic in one morsel worker must surface as *InternalError with a stack,
 // after every sibling worker drained.

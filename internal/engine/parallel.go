@@ -469,9 +469,11 @@ func (p *scanPlan) run() ([]*entry, error) {
 	src := p.scope.rel.src
 	if p.pure && !p.qc.eng.noVec.Load() {
 		if vp := buildVecPlan(p); vp != nil {
+			refund := p.qc.markMem()
 			if entries, err := vp.run(src); !errors.Is(err, errKernel) {
 				return entries, err
 			}
+			refund()
 		}
 	}
 	rows, err := filterRows(p.qc, src, p.where, noLimit)

@@ -217,7 +217,7 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 
 // appendGroupKeyLane renders lane k of a key vector with the same encoding
 // as appendGroupKey, reading typed storage directly.
-func appendGroupKeyLane(dst []byte, v *vec, k int) []byte {
+func appendGroupKeyLane(dst []byte, v *colVec, k int) []byte {
 	if v.isNull(k) {
 		return appendGroupKeyNull(dst)
 	}
@@ -227,7 +227,7 @@ func appendGroupKeyLane(dst []byte, v *vec, k int) []byte {
 	case TFloat:
 		return appendGroupKeyFloat(dst, v.floats[k])
 	case TString:
-		return appendGroupKeyStr(dst, v.str(k))
+		return appendGroupKeyStr(dst, v.strAt(k))
 	case TBool:
 		return appendGroupKeyBool(dst, v.bools[k])
 	}
@@ -237,7 +237,7 @@ func appendGroupKeyLane(dst []byte, v *vec, k int) []byte {
 // addLane feeds lane k of an argument vector into an accumulator, using
 // the typed entry points when the accumulator provides them so numeric
 // scans never box.
-func addLane(acc accumulator, v *vec, k int) error {
+func addLane(acc accumulator, v *colVec, k int) error {
 	if v.isNull(k) {
 		return acc.add(nil)
 	}
@@ -247,26 +247,20 @@ func addLane(acc accumulator, v *vec, k int) error {
 			ta.addInt(v.ints[k])
 			return nil
 		}
-		return acc.add(v.ints[k])
 	case TFloat:
 		if ta, ok := acc.(typedAdder); ok {
 			ta.addFloat(v.floats[k])
 			return nil
 		}
-		return acc.add(v.floats[k])
 	case TString:
 		if sa, ok := acc.(stringAdder); ok {
-			sa.addStr(v.str(k))
+			sa.addStr(v.strAt(k))
 			return nil
 		}
-		if v.dict != nil {
-			return acc.add(v.dictBoxed[v.codes[k]]) // shared box, no allocation
-		}
-		return acc.add(v.strs[k])
-	case TBool:
-		return acc.add(v.bools[k]) // bool boxes are interned
 	}
-	return acc.add(v.anys[k])
+	// Dictionary entries are boxed once per dictionary and bool boxes are
+	// interned: those lanes add without allocating.
+	return acc.add(v.value(k))
 }
 
 // vecSelect is a non-aggregate SELECT lowered to a fused vectorized
@@ -354,6 +348,7 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int
 			sel = sel[:room]
 		}
 	}
+	rows := vc.lanesOf(ch, sel)[:lanes]
 	// Kernel evaluation for computed items only; plain column references
 	// have no node and late-materialize from chunk storage below, decoding
 	// only the lanes the filter kept.
@@ -368,9 +363,9 @@ func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int
 	block := make([]Value, lanes*w)
 	for j := range vs.items {
 		if ci := vs.itemCols[j]; ci >= 0 {
-			boxColLanes(block[j:], w, ch.col(ci), sel, lanes)
+			boxColLanes(block[j:], w, ch.col(ci), rows)
 		} else {
-			boxVecLanes(block[j:], w, vc.items[j], lanes)
+			boxVecLanes(block[j:], w, vc.items[j], vc.lanesOf(ch, nil)[:lanes])
 		}
 	}
 	for k := 0; k < lanes; k++ {

@@ -40,8 +40,9 @@ import (
 // it into the join-output chunk: residual refinement with the kernels a WHERE
 // would use, null-extension. That chunk holds only the two reference vectors;
 // downstream kernels read columns through joinGather, which copies a column
-// into a typed vector when a kernel first touches it, so boxed rows appear only
-// at the ResultSet boundary.
+// into a colVec when a kernel first touches it — raw lanes, or a probe-side
+// dictionary column's codes — with the same gathers a kernel's column leaf (vnCol) uses, so
+// boxed rows appear only at the ResultSet boundary.
 //
 // Key classes: key equality is GroupKey equality (1 = 1.0, -0 = 0, NULL
 // matches nothing). A lane of a single-key join whose encoding is the integer
@@ -119,7 +120,7 @@ func (t *joinTable) init(qc *queryCtx, rows int, single bool) error {
 // laneKey classifies lane k of a key tuple: keyInt with the integer, keyBytes
 // with the hash of the encoding left in kbuf, or keyNull when a component is
 // NULL.
-func (t *joinTable) laneKey(keys []*vec, k int, kbuf []byte) (int, int64, []byte) {
+func (t *joinTable) laneKey(keys []*colVec, k int, kbuf []byte) (int, int64, []byte) {
 	if t.single {
 		kv := keys[0]
 		if kv.isNull(k) {
@@ -178,7 +179,7 @@ func (t *joinTable) bytesSlot(h int64, key []byte) (*joinSlot, uint64) {
 
 // insert appends one chunk's rows — lanes [0, n) of keys, numbered from base
 // — to their keys' chains. Rows with a NULL key component never enter.
-func (t *joinTable) insert(keys []*vec, n, base int, kbuf []byte) ([]byte, error) {
+func (t *joinTable) insert(keys []*colVec, n, base int, kbuf []byte) ([]byte, error) {
 	arena0 := cap(t.arena)
 	for k := 0; k < n; k++ {
 		class, x, kb := t.laneKey(keys, k, kbuf)
@@ -227,7 +228,7 @@ func (t *joinTable) insert(keys []*vec, n, base int, kbuf []byte) ([]byte, error
 
 // lookup sets heads[k], for lanes [0, n) of keys, to the first hashed row
 // with an equal key, or 0.
-func (t *joinTable) lookup(keys []*vec, n int, heads []int32, kbuf []byte) []byte {
+func (t *joinTable) lookup(keys []*colVec, n int, heads []int32, kbuf []byte) []byte {
 	for k := 0; k < n; k++ {
 		class, x, kb := t.laneKey(keys, k, kbuf)
 		kbuf = kb
@@ -429,7 +430,7 @@ func (vj *vecJoin) build(chunks []*chunk, sk *sideKeys, starts []int) error {
 		return err
 	}
 	vc := newVecCtx(sk.nbuf, 0, 0, 0)
-	keys := make([]*vec, len(sk.nodes))
+	keys := make([]*colVec, len(sk.nodes))
 	var kbuf []byte
 	for ci, ch := range chunks {
 		if err := vj.qc.pollAbort(); err != nil {
@@ -458,13 +459,13 @@ func (vj *vecJoin) flat(ref int64) int {
 // the table.
 type keyProbe struct {
 	kc    *vecCtx
-	keys  []*vec
+	keys  []*colVec
 	kbuf  []byte
 	heads []int32
 }
 
 func newKeyProbe(sk *sideKeys) keyProbe {
-	return keyProbe{kc: newVecCtx(sk.nbuf, 0, 0, 0), keys: make([]*vec, len(sk.nodes))}
+	return keyProbe{kc: newVecCtx(sk.nbuf, 0, 0, 0), keys: make([]*colVec, len(sk.nodes))}
 }
 
 // lookup evaluates sk, the scanned side's keys, over ch and returns each row's
@@ -975,67 +976,6 @@ type joinGather struct {
 	refs     []int64 // packed build ref per output row; nullRef = null-extended build side
 }
 
-// lanes returns buf with n lanes: the vector the chunk's previous rows left
-// in a worker's reused chunk, or a new one, charged, when that is too small.
-// Every lane is the caller's to overwrite.
-func lanes[T any](qc *queryCtx, buf []T, n int) []T {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	size := n
-	if cap(buf) > 0 {
-		size += n / 4 // a worker's chunks vary in size: do not regrow for each new largest
-	}
-	qc.chargeMem(int64(size) * bytesPerRef)
-	return make([]T, size)[:n]
-}
-
-// regather empties cv for a gather of n lanes of kind, keeping what storage a
-// previous gather left in it.
-func (cv *colVec) regather(qc *queryCtx, kind ColType, n int) {
-	*cv = colVec{kind: kind, ints: cv.ints[:0], floats: cv.floats[:0], strs: cv.strs[:0],
-		bools: cv.bools[:0], anys: cv.anys[:0], codes: cv.codes[:0]}
-	switch kind {
-	case TInt:
-		cv.ints = lanes(qc, cv.ints, n)
-	case TFloat:
-		cv.floats = lanes(qc, cv.floats, n)
-	case TString:
-		cv.strs = lanes(qc, cv.strs, n)
-	case TBool:
-		cv.bools = lanes(qc, cv.bools, n)
-	default:
-		cv.anys = lanes(qc, cv.anys, n)
-	}
-}
-
-// nullLanes makes lanes [lo, hi) of a gathered column of n lanes NULL.
-func (cv *colVec) nullLanes(n, lo, hi int) {
-	switch cv.kind {
-	case TInt:
-		clear(cv.ints[lo:hi])
-	case TFloat:
-		clear(cv.floats[lo:hi])
-	case TString:
-		if cv.enc == encDict {
-			clear(cv.codes[lo:hi])
-		} else {
-			clear(cv.strs[lo:hi])
-		}
-	case TBool:
-		clear(cv.bools[lo:hi])
-	default:
-		clear(cv.anys[lo:hi])
-		return
-	}
-	if cv.nulls == nil {
-		cv.nulls = make([]bool, n)
-	}
-	for k := lo; k < hi; k++ {
-		cv.nulls[k] = true
-	}
-}
-
 func (g *joinGather) fillCol(c *chunk, j int) {
 	if j < g.j.leftW {
 		g.fillProbe(c, &c.cols[j], j)
@@ -1049,32 +989,16 @@ func (g *joinGather) fillCol(c *chunk, j int) {
 func (g *joinGather) fillProbe(c *chunk, cv *colVec, j int) {
 	qc, n := g.j.qc, c.n
 	if g.probe == nil {
-		cv.regather(qc, TAny, n)
+		cv.reset(qc, TAny, n)
 		clear(cv.anys)
 		return
 	}
 	scv := g.probe.col(j)
-	if scv.kind == TString && scv.enc == encDict {
-		// Share the source dictionary and gather only codes: the
-		// join-output column stays coded, so downstream group-by/filter
-		// kernels keep their code-comparison fast paths.
-		cv.regather(qc, TString, 0)
-		cv.enc, cv.dict, cv.dictBoxed = encDict, scv.dict, scv.dictBoxed
-		cv.codes = lanes(qc, cv.codes, n)
-		if scv.nulls == nil {
-			gatherRaw(cv.codes, scv.codes, g.probeSel)
-			return
-		}
-		for k, i := range g.probeSel {
-			if scv.nulls[i] {
-				cv.nullLanes(n, k, k+1)
-			} else {
-				cv.codes[k] = scv.codes[i]
-			}
-		}
+	if scv.enc == encDict {
+		cv.gatherCodes(qc, scv, g.probeSel)
 		return
 	}
-	cv.regather(qc, scv.kind, n)
+	cv.reset(qc, scv.kind, n)
 	gatherLanes(cv, n, 0, scv, g.probeSel)
 }
 
@@ -1086,7 +1010,7 @@ func (g *joinGather) fillProbe(c *chunk, cv *colVec, j int) {
 func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
 	n, chs, refs := c.n, g.j.buildChunks, g.refs
 	kind := g.j.buildKinds[bj]
-	cv.regather(g.j.qc, kind, n)
+	cv.reset(g.j.qc, kind, n)
 	for k := 0; k < n; {
 		r := refs[k]
 		e := k + 1
@@ -1095,7 +1019,9 @@ func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
 		}
 		switch {
 		case r < 0:
-			cv.nullLanes(n, k, e)
+			for i := k; i < e; i++ {
+				cv.setNull(i, n)
+			}
 		case kind == TAny:
 			ch := chs[r>>32]
 			for i, r := range refs[k:e] {
@@ -1108,74 +1034,102 @@ func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
 	}
 }
 
-// gatherRaw copies src's rows idx (a row index, or a packed reference's low
-// half) into dst.
+// Gathers: the one way lanes are copied out of a column into a reset colVec —
+// a join's gathered columns, and a kernel reading a column under a selection
+// or through an encoding (vnCol). A row index is an int32 selection entry or
+// the low half of a packed join reference.
+
+// gatherCodes makes cv rows idx of the dictionary column scv, codes only: the
+// dictionary is shared, so the gathered column stays coded and code-comparing
+// kernels keep their fast paths. A NULL row's code is 0, a valid one.
+func (cv *colVec) gatherCodes(qc *queryCtx, scv *colVec, idx []int32) {
+	n := len(idx)
+	cv.reset(qc, TString, 0)
+	cv.enc, cv.dict, cv.dictBoxed = encDict, scv.dict, scv.dictBoxed
+	cv.codes = lanes(qc, cv.codes, n)
+	gatherRaw(cv.codes, scv.codes, idx)
+	if len(scv.nulls) > 0 {
+		for k, i := range idx {
+			if scv.nulls[i] {
+				cv.setNull(k, n)
+			}
+		}
+	}
+}
+
+// gatherRaw copies src's rows idx into dst.
 func gatherRaw[T any, I int32 | int64](dst, src []T, idx []I) {
 	for k, i := range idx {
 		dst[k] = src[uint32(i)]
 	}
 }
 
-// gatherVia is gatherRaw through scv's encoding and NULL flags, one accessor
-// call per lane.
-func gatherVia[T any, I int32 | int64](cv *colVec, n, k0 int, dst []T, scv *colVec, idx []I, at func(*colVec, int) T) {
-	for k, x := range idx {
-		if i := int(uint32(x)); scv.isNull(i) {
-			cv.nullLanes(n, k0+k, k0+k+1)
-		} else {
-			dst[k] = at(scv, i)
+// gatherLanes copies rows idx of scv, a source column of cv's kind, into
+// lanes [k0, k0+len(idx)) of cv (of n lanes), decoding: dictionary strings
+// are materialized, delta integers unpacked, and run-length slots read by a
+// forward walk over the runs. The loop is picked once per call; raw vectors
+// without NULLs — every gathered column, most stored floats — are flat copies.
+func gatherLanes[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
+	switch cv.kind {
+	case TInt:
+		if scv.enc != encDelta {
+			gatherSlots(cv, n, k0, cv.ints, scv.ints, scv, idx)
+			return
 		}
+		dst := cv.ints[k0 : k0+len(idx)]
+		for k, x := range idx {
+			if i := int(uint32(x)); len(scv.nulls) > 0 && scv.nulls[i] {
+				cv.setNull(k0+k, n)
+			} else {
+				dst[k] = scv.deltaAt(i)
+			}
+		}
+	case TFloat:
+		gatherSlots(cv, n, k0, cv.floats, scv.floats, scv, idx)
+	case TString:
+		if scv.enc != encDict {
+			gatherSlots(cv, n, k0, cv.strs, scv.strs, scv, idx)
+			return
+		}
+		dst := cv.strs[k0 : k0+len(idx)]
+		for k, x := range idx {
+			if i := uint32(x); len(scv.nulls) > 0 && scv.nulls[i] {
+				cv.setNull(k0+k, n)
+			} else {
+				dst[k] = scv.dict[scv.codes[i]]
+			}
+		}
+	case TBool:
+		gatherSlots(cv, n, k0, cv.bools, scv.bools, scv, idx)
+	default:
+		gatherRaw(cv.anys[k0:k0+len(idx)], scv.anys, idx)
 	}
 }
 
-// gatherLanes copies rows idx of scv, a source column of cv's kind, into
-// lanes [k0, k0+len(idx)) of the gathered column cv (of n lanes). The loop is
-// picked once per call on the source's encoding and whether it has NULLs: raw
-// vectors without NULLs — every gathered column, most stored floats — are flat
-// copies.
-func gatherLanes[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
-	plain := scv.nulls == nil && scv.enc != encRLE
-	switch cv.kind {
-	case TInt:
-		dst := cv.ints[k0 : k0+len(idx)]
-		switch {
-		case !plain:
-			gatherVia(cv, n, k0, dst, scv, idx, (*colVec).intAt)
-		case scv.enc == encDelta:
-			for k, i := range idx {
-				dst[k] = scv.deltaAt(int(uint32(i)))
+// gatherSlots is gatherLanes from vals, the typed slots of a raw or
+// run-length column scv.
+func gatherSlots[T any, I int32 | int64](cv *colVec, n, k0 int, dst, vals []T, scv *colVec, idx []I) {
+	dst = dst[k0 : k0+len(idx)]
+	switch {
+	case scv.enc == encRLE:
+		r := 0
+		for k, x := range idx {
+			if r = scv.runFrom(r, int(uint32(x))); len(scv.nulls) > 0 && scv.nulls[r] {
+				cv.setNull(k0+k, n)
+			} else {
+				dst[k] = vals[r]
 			}
-		default:
-			gatherRaw(dst, scv.ints, idx)
 		}
-	case TFloat:
-		dst := cv.floats[k0 : k0+len(idx)]
-		if plain {
-			gatherRaw(dst, scv.floats, idx)
-		} else {
-			gatherVia(cv, n, k0, dst, scv, idx, (*colVec).floatAt)
-		}
-	case TString:
-		dst := cv.strs[k0 : k0+len(idx)]
-		switch {
-		case !plain:
-			gatherVia(cv, n, k0, dst, scv, idx, (*colVec).strAt)
-		case scv.enc == encDict:
-			for k, i := range idx {
-				dst[k] = scv.dict[scv.codes[uint32(i)]]
+	case len(scv.nulls) > 0:
+		for k, x := range idx {
+			if i := uint32(x); scv.nulls[i] {
+				cv.setNull(k0+k, n)
+			} else {
+				dst[k] = vals[i]
 			}
-		default:
-			gatherRaw(dst, scv.strs, idx)
-		}
-	case TBool:
-		dst := cv.bools[k0 : k0+len(idx)]
-		if plain {
-			gatherRaw(dst, scv.bools, idx)
-		} else {
-			gatherVia(cv, n, k0, dst, scv, idx, (*colVec).boolAt)
 		}
 	default:
-		gatherRaw(cv.anys[k0:k0+len(idx)], scv.anys, idx)
+		gatherRaw(dst, vals, idx)
 	}
 }
 

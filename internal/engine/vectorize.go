@@ -11,91 +11,32 @@ import (
 
 // Chunk-at-a-time vectorized expression evaluation. The row compiler in
 // compile.go lowers an expression to a per-row closure; this file lowers
-// the same ASTs to vector kernels that consume a sealed chunk's typed
-// columns directly and produce typed output vectors, so the scan hot path
-// never boxes values. WHERE predicates produce a selection vector; GROUP BY
-// keys render straight from typed lanes into the reusable key buffer;
-// aggregate arguments feed accumulators through typed entry points
-// (agg.go). Every kernel replicates the row path's semantics exactly —
-// NULL propagation, numeric coercion through float64, three-valued
-// AND/OR — and shapes without a kernel (CASE, scalar functions, string
-// concatenation, ...) fall back to evaluating the row-compiled closure per
-// selected lane, against a scratch row holding the lanes it reads. If a kernel
-// reports an error the caller gives up the vector attempt (errKernel) and runs
-// the whole block, or join, on the row closures, so even error behavior (e.g.
-// short-circuit AND skipping an erroring operand) is theirs by construction.
+// the same ASTs to vector kernels that consume a sealed chunk's columns
+// directly and produce typed output vectors, so the scan hot path never boxes
+// values. A kernel's input and output are the one lane vector the engine has,
+// colVec (columnar.go): a column reference hands a raw or dictionary column
+// over as it is stored, and every kernel output is raw or dictionary-coded —
+// run-length and delta columns are decoded by the same gather a join uses
+// (gatherLanes, vecjoin.go). WHERE predicates produce a selection vector;
+// GROUP BY keys render straight from typed lanes into the reusable key buffer;
+// aggregate arguments feed accumulators through typed entry points (agg.go).
+// Every kernel replicates the row path's semantics exactly — NULL propagation,
+// numeric coercion through float64, three-valued AND/OR — and shapes without a
+// kernel (CASE, scalar functions, string concatenation, ...) fall back to
+// evaluating the row-compiled closure per selected lane, against a scratch row
+// holding the lanes it reads. If a kernel reports an error the caller gives up
+// the vector attempt (errKernel) and runs the whole block, or join, on the row
+// closures, so even error behavior (e.g. short-circuit AND skipping an erroring
+// operand) is theirs by construction.
 //
 // Only pure expressions are ever vectorized: anything drawing from the
 // engine RNG or capturing scope state (subqueries, enclosing-scope columns)
 // keeps the serial row path, so sample scrambles stay byte-identical.
 
-// vec is a batch of values for the lanes of one chunk (or its selected
-// subset). Exactly one typed slice is populated according to kind; TAny
-// means boxed values in anys, where a nil box is NULL. For typed kinds,
-// nulls flags NULL lanes (nil when none).
-type vec struct {
-	kind   ColType
-	ints   []int64
-	floats []float64
-	strs   []string
-	bools  []bool
-	anys   []Value
-	nulls  []bool
-
-	// dict is non-nil for a dictionary-coded string vector: kind is
-	// TString, strs is nil, and lane k holds dict[codes[k]] (dictBoxed
-	// pre-boxes each entry; nulls stays per-lane). Borrowed straight from
-	// an encDict chunk-column, so equality/range kernels can compare codes
-	// instead of bytes; everything else reads through str/laneValue.
-	dict      []string
-	dictBoxed []Value
-	codes     []uint32
-}
-
-func (v *vec) isNull(k int) bool {
-	if v.kind == TAny {
-		return v.anys[k] == nil
-	}
-	return v.nulls != nil && v.nulls[k]
-}
-
-// str returns string lane k (callers have excluded NULL lanes and non-string
-// kinds), reading through the dictionary when the vector is coded.
-func (v *vec) str(k int) string {
-	if v.dict != nil {
-		return v.dict[v.codes[k]]
-	}
-	return v.strs[k]
-}
-
-// laneValue boxes lane k back into a dynamic Value.
-func laneValue(v *vec, k int) Value {
-	if v.kind == TAny {
-		return v.anys[k]
-	}
-	if v.nulls != nil && v.nulls[k] {
-		return nil
-	}
-	switch v.kind {
-	case TInt:
-		return v.ints[k]
-	case TFloat:
-		return v.floats[k]
-	case TString:
-		if v.dict != nil {
-			return v.dictBoxed[v.codes[k]]
-		}
-		return v.strs[k]
-	case TBool:
-		return v.bools[k]
-	}
-	return nil
-}
-
-// laneFloat extracts lane k as float64 for Compare-style numeric
-// comparison. ok is false for non-numeric kinds (bools are not numeric in
-// Compare, matching the row path).
-func laneFloat(v *vec, k int) (float64, bool) {
+// laneFloat extracts lane k of a kernel output as float64 for Compare-style
+// numeric comparison. ok is false for non-numeric kinds (bools are not numeric
+// in Compare, matching the row path).
+func laneFloat(v *colVec, k int) (float64, bool) {
 	switch v.kind {
 	case TInt:
 		return float64(v.ints[k]), true
@@ -106,10 +47,10 @@ func laneFloat(v *vec, k int) (float64, bool) {
 }
 
 // laneStr renders lane k like ToStr (callers have excluded NULL lanes).
-func laneStr(v *vec, k int) string {
+func laneStr(v *colVec, k int) string {
 	switch v.kind {
 	case TString:
-		return v.str(k)
+		return v.strAt(k)
 	case TInt:
 		return strconv.FormatInt(v.ints[k], 10)
 	case TFloat:
@@ -124,7 +65,7 @@ func laneStr(v *vec, k int) string {
 }
 
 // laneBool mirrors ToBool on lane k: b/ok like ToBool, null for NULL lanes.
-func laneBool(v *vec, k int) (b, ok, null bool) {
+func laneBool(v *colVec, k int) (b, ok, null bool) {
 	if v.isNull(k) {
 		return false, false, true
 	}
@@ -142,19 +83,12 @@ func laneBool(v *vec, k int) (b, ok, null bool) {
 	return b, ok, false
 }
 
-// vbuf owns one node's output storage across chunks, so steady-state
-// evaluation allocates nothing. The v field is the current view — it may
-// alias chunk storage (column references with a full selection), which is
-// safe because every kernel writes only its own buffer.
+// vbuf is one node's output vector, reset (storage kept) for every chunk, so
+// steady-state evaluation allocates nothing. A node's result may instead be a
+// chunk's own column (vnCol), which is safe because every kernel writes only
+// its own buffer.
 type vbuf struct {
-	v      vec
-	ints   []int64
-	floats []float64
-	strs   []string
-	bools  []bool
-	anys   []Value
-	nulls  []bool
-	codes  []uint32
+	colVec
 
 	// litLanes caches how many lanes a vnLit has already broadcast into
 	// this buffer: the constant never changes, so later chunks reslice
@@ -168,80 +102,59 @@ type vecCtx struct {
 	bufs   []vbuf
 	sel    []int32
 	sel2   []int32
+	ident  []int32 // every lane of a chunk longer than allLanes
 	keyBuf []byte
 	// lastKey is the grouped scan's one-group memo key, kept across chunks
 	// for its storage only.
 	lastKey []byte
-	keys    []*vec
-	args    []*vec
-	items   []*vec
+	keys    []*colVec
+	args    []*colVec
+	items   []*colVec
 	row     []Value // vnScalar's scratch row
 }
 
 func newVecCtx(nbuf, nkeys, nargs, nitems int) *vecCtx {
 	return &vecCtx{
 		bufs:  make([]vbuf, nbuf),
-		keys:  make([]*vec, nkeys),
-		args:  make([]*vec, nargs),
-		items: make([]*vec, nitems),
+		keys:  make([]*colVec, nkeys),
+		args:  make([]*colVec, nargs),
+		items: make([]*colVec, nitems),
 	}
 }
 
-// out prepares node id's buffer for lanes values of the given kind and
-// returns the view to fill.
-func (vc *vecCtx) out(id int, kind ColType, lanes int) *vec {
-	b := &vc.bufs[id]
-	b.v.kind = kind
-	b.v.ints, b.v.floats, b.v.strs, b.v.bools, b.v.anys, b.v.nulls = nil, nil, nil, nil, nil, nil
-	// Clear any dictionary view a previous chunk left behind: the buffer is
-	// reused across chunks and a stale dict would silently re-code lanes.
-	b.v.dict, b.v.dictBoxed, b.v.codes = nil, nil, nil
-	switch kind {
-	case TInt:
-		if cap(b.ints) < lanes {
-			b.ints = make([]int64, lanes)
-		}
-		b.v.ints = b.ints[:lanes]
-	case TFloat:
-		if cap(b.floats) < lanes {
-			b.floats = make([]float64, lanes)
-		}
-		b.v.floats = b.floats[:lanes]
-	case TString:
-		if cap(b.strs) < lanes {
-			b.strs = make([]string, lanes)
-		}
-		b.v.strs = b.strs[:lanes]
-	case TBool:
-		if cap(b.bools) < lanes {
-			b.bools = make([]bool, lanes)
-		}
-		b.v.bools = b.bools[:lanes]
-	case TAny:
-		if cap(b.anys) < lanes {
-			b.anys = make([]Value, lanes)
-		}
-		b.v.anys = b.anys[:lanes]
-		for i := range b.v.anys {
-			b.v.anys[i] = nil
-		}
-	}
-	return &b.v
+// out resets node id's buffer to n lanes of kind and returns it to fill.
+// Kernel buffers are per worker and not charged to the query.
+func (vc *vecCtx) out(id int, kind ColType, n int) *colVec {
+	b := &vc.bufs[id].colVec
+	b.reset(nil, kind, n)
+	return b
 }
 
-// nullbuf returns node id's cleared null-flag slice, attaching it to the
-// current view. Kernels call it on the first NULL they produce.
-func (vc *vecCtx) nullbuf(id, lanes int) []bool {
-	b := &vc.bufs[id]
-	if cap(b.nulls) < lanes {
-		b.nulls = make([]bool, lanes)
+// allLanes selects every row of a chunk of up to chunkRows rows. Every context
+// shares it, and nothing writes to it.
+var allLanes = identitySel(chunkRows)
+
+func identitySel(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	n := b.nulls[:lanes]
-	for i := range n {
-		n[i] = false
+	return sel
+}
+
+// lanesOf returns the chunk rows a kernel reads: sel, or every row of ch
+// through an identity selection. (Between kernels sel == nil still means
+// every lane; this is for the loops that read a stored column.)
+func (vc *vecCtx) lanesOf(ch *chunk, sel []int32) []int32 {
+	switch {
+	case sel != nil:
+		return sel
+	case ch.n <= len(allLanes):
+		return allLanes[:ch.n]
+	case len(vc.ident) < ch.n: // a one-to-many join's output chunk
+		vc.ident = identitySel(ch.n)
 	}
-	b.v.nulls = n
-	return n
+	return vc.ident[:ch.n]
 }
 
 func laneCount(ch *chunk, sel []int32) int {
@@ -254,7 +167,7 @@ func laneCount(ch *chunk, sel []int32) int {
 // vnode is one vectorized expression node. eval computes the node over the
 // chunk's selected lanes (sel nil = all rows) into a context-owned buffer.
 type vnode interface {
-	eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error)
+	eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error)
 }
 
 // errKernel stands for whatever error a kernel's evaluation returned. Whoever
@@ -266,7 +179,7 @@ var errKernel = errors.New("engine: kernel evaluation error")
 
 // evalNodes evaluates nodes over ch's selected lanes into out; a nil node
 // leaves a nil vector.
-func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*vec) error {
+func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*colVec) error {
 	for i, n := range nodes {
 		out[i] = nil
 		if n == nil {
@@ -287,197 +200,27 @@ type vnCol struct {
 	id, col int
 }
 
-func (n *vnCol) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+// eval hands a raw or dictionary column over as it is when every lane is
+// read. Otherwise it gathers the selected lanes into its buffer — codes only
+// for a dictionary column, which keeps its dictionary — and decodes
+// run-length and delta columns, with the gather a join uses.
+func (n *vnCol) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	// col() gathers the column first on join-output chunks — the point
 	// where late materialization actually copies values, and only for
 	// columns some kernel references.
 	cv := ch.col(n.col)
-	switch cv.enc {
-	case encDict:
-		return n.evalDict(vc, cv, sel, laneCount(ch, sel)), nil
-	case encRLE:
-		return n.evalRLE(vc, cv, sel, laneCount(ch, sel)), nil
-	case encDelta:
-		return n.evalDelta(vc, cv, sel, laneCount(ch, sel)), nil
+	if sel == nil && (cv.enc == encNone || cv.enc == encDict) {
+		return cv, nil
 	}
-	if sel == nil {
-		// Borrow the chunk's storage wholesale — zero copies.
-		b := &vc.bufs[n.id]
-		b.v = vec{kind: cv.kind, ints: cv.ints, floats: cv.floats,
-			strs: cv.strs, bools: cv.bools, anys: cv.anys, nulls: cv.nulls}
-		return &b.v, nil
+	ov := &vc.bufs[n.id].colVec
+	idx := vc.lanesOf(ch, sel)
+	if cv.enc == encDict {
+		ov.gatherCodes(nil, cv, idx)
+		return ov, nil
 	}
-	lanes := len(sel)
-	ov := vc.out(n.id, cv.kind, lanes)
-	switch cv.kind {
-	case TInt:
-		for k, i := range sel {
-			ov.ints[k] = cv.ints[i]
-		}
-	case TFloat:
-		for k, i := range sel {
-			ov.floats[k] = cv.floats[i]
-		}
-	case TString:
-		for k, i := range sel {
-			ov.strs[k] = cv.strs[i]
-		}
-	case TBool:
-		for k, i := range sel {
-			ov.bools[k] = cv.bools[i]
-		}
-	case TAny:
-		for k, i := range sel {
-			ov.anys[k] = cv.anys[i]
-		}
-	}
-	if cv.nulls != nil && cv.kind != TAny {
-		var nulls []bool
-		for k, i := range sel {
-			if cv.nulls[i] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[k] = true
-			}
-		}
-	}
+	ov.reset(nil, cv.kind, len(idx))
+	gatherLanes(ov, len(idx), 0, cv, idx)
 	return ov, nil
-}
-
-// evalDict surfaces an encDict column as a dictionary-coded vector: the
-// dict is shared and only codes are gathered under a selection, so a string
-// column costs 4 bytes/lane to touch regardless of string length.
-func (n *vnCol) evalDict(vc *vecCtx, cv *colVec, sel []int32, lanes int) *vec {
-	b := &vc.bufs[n.id]
-	if sel == nil {
-		b.v = vec{kind: TString, nulls: cv.nulls,
-			dict: cv.dict, dictBoxed: cv.dictBoxed, codes: cv.codes}
-		return &b.v
-	}
-	if cap(b.codes) < lanes {
-		b.codes = make([]uint32, lanes)
-	}
-	codes := b.codes[:lanes]
-	b.v = vec{kind: TString, dict: cv.dict, dictBoxed: cv.dictBoxed, codes: codes}
-	for k, i := range sel {
-		codes[k] = cv.codes[i]
-	}
-	if cv.nulls != nil {
-		var nulls []bool
-		for k, i := range sel {
-			if cv.nulls[i] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[k] = true
-			}
-		}
-	}
-	return &b.v
-}
-
-// evalRLE decodes an encRLE column for generic kernels. The selection walk
-// exploits that sel is always ascending: one forward run pointer serves the
-// whole gather, O(lanes + runs) instead of a binary search per lane.
-func (n *vnCol) evalRLE(vc *vecCtx, cv *colVec, sel []int32, lanes int) *vec {
-	ov := vc.out(n.id, cv.kind, lanes)
-	var nulls []bool
-	if sel == nil {
-		start := 0
-		for r := 0; r < len(cv.runEnds); r++ {
-			end := int(cv.runEnds[r])
-			if cv.nulls != nil && cv.nulls[r] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				for i := start; i < end; i++ {
-					nulls[i] = true
-				}
-				start = end
-				continue
-			}
-			switch cv.kind {
-			case TInt:
-				v := cv.ints[r]
-				for i := start; i < end; i++ {
-					ov.ints[i] = v
-				}
-			case TFloat:
-				v := cv.floats[r]
-				for i := start; i < end; i++ {
-					ov.floats[i] = v
-				}
-			case TString:
-				v := cv.strs[r]
-				for i := start; i < end; i++ {
-					ov.strs[i] = v
-				}
-			case TBool:
-				v := cv.bools[r]
-				for i := start; i < end; i++ {
-					ov.bools[i] = v
-				}
-			}
-			start = end
-		}
-		return ov
-	}
-	r := 0
-	for k := 0; k < lanes; k++ {
-		i := int(sel[k])
-		for int(cv.runEnds[r]) <= i {
-			r++
-		}
-		if cv.nulls != nil && cv.nulls[r] {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
-			continue
-		}
-		switch cv.kind {
-		case TInt:
-			ov.ints[k] = cv.ints[r]
-		case TFloat:
-			ov.floats[k] = cv.floats[r]
-		case TString:
-			ov.strs[k] = cv.strs[r]
-		case TBool:
-			ov.bools[k] = cv.bools[r]
-		}
-	}
-	return ov
-}
-
-// evalDelta unpacks an encDelta column into a dense int vector.
-func (n *vnCol) evalDelta(vc *vecCtx, cv *colVec, sel []int32, lanes int) *vec {
-	ov := vc.out(n.id, TInt, lanes)
-	var nulls []bool
-	if sel == nil {
-		for i := 0; i < lanes; i++ {
-			if cv.nulls != nil && cv.nulls[i] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[i] = true
-				continue
-			}
-			ov.ints[i] = cv.deltaAt(i)
-		}
-		return ov
-	}
-	for k, i := range sel {
-		if cv.nulls != nil && cv.nulls[i] {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
-			continue
-		}
-		ov.ints[k] = cv.deltaAt(int(i))
-	}
-	return ov
 }
 
 type vnLit struct {
@@ -485,68 +228,34 @@ type vnLit struct {
 	val Value
 }
 
-func (n *vnLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lanes := laneCount(ch, sel)
 	b := &vc.bufs[n.id]
-	if b.litLanes >= lanes {
-		// Already broadcast at least this wide: reslice the cached fill.
-		v := &b.v
-		switch v.kind {
-		case TInt:
-			v.ints = b.ints[:lanes]
-		case TFloat:
-			v.floats = b.floats[:lanes]
-		case TString:
-			v.strs = b.strs[:lanes]
-		case TBool:
-			v.bools = b.bools[:lanes]
-		case TAny:
-			v.anys = b.anys[:lanes]
+	kind := storageKind(n.val)
+	if b.litLanes < lanes {
+		b.litLanes = max(lanes, chunkRows) // broadcast once at full width for later chunks
+		b.reset(nil, kind, b.litLanes)
+		switch x := n.val.(type) {
+		case int64:
+			fill(b.ints, x)
+		case float64:
+			fill(b.floats, x)
+		case string:
+			fill(b.strs, x)
+		case bool:
+			fill(b.bools, x)
+		default:
+			fill(b.anys, n.val) // NULL (or exotic) literal: boxed lanes
 		}
-		return v, nil
 	}
-	fill := lanes
-	if fill < chunkRows {
-		fill = chunkRows // broadcast once at full width for later chunks
+	b.reset(nil, kind, lanes) // reslices the broadcast
+	return &b.colVec, nil
+}
+
+func fill[T any](dst []T, x T) {
+	for k := range dst {
+		dst[k] = x
 	}
-	var ov *vec
-	switch x := n.val.(type) {
-	case int64:
-		ov = vc.out(n.id, TInt, fill)
-		for k := range ov.ints {
-			ov.ints[k] = x
-		}
-		ov.ints = ov.ints[:lanes]
-	case float64:
-		ov = vc.out(n.id, TFloat, fill)
-		for k := range ov.floats {
-			ov.floats[k] = x
-		}
-		ov.floats = ov.floats[:lanes]
-	case string:
-		ov = vc.out(n.id, TString, fill)
-		for k := range ov.strs {
-			ov.strs[k] = x
-		}
-		ov.strs = ov.strs[:lanes]
-	case bool:
-		ov = vc.out(n.id, TBool, fill)
-		for k := range ov.bools {
-			ov.bools[k] = x
-		}
-		ov.bools = ov.bools[:lanes]
-	default:
-		// NULL (or exotic) literal: boxed lanes.
-		ov = vc.out(n.id, TAny, fill)
-		if n.val != nil {
-			for k := range ov.anys {
-				ov.anys[k] = n.val
-			}
-		}
-		ov.anys = ov.anys[:lanes]
-	}
-	b.litLanes = fill
-	return ov, nil
 }
 
 // vnScalar evaluates a pure row-compiled closure per selected lane, through
@@ -557,18 +266,14 @@ type vnScalar struct {
 	x  *laneExpr
 }
 
-func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	if len(vc.row) < len(ch.cols) {
 		vc.row = make([]Value, len(ch.cols))
 	}
-	lanes := laneCount(ch, sel)
-	ov := vc.out(n.id, TAny, lanes)
-	for k := 0; k < lanes; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		v, err := n.x.at(ch, i, vc.row)
+	idx := vc.lanesOf(ch, sel)
+	ov := vc.out(n.id, TAny, len(idx))
+	for k, i := range idx {
+		v, err := n.x.at(ch, int(i), vc.row)
 		if err != nil {
 			return nil, err
 		}
@@ -585,7 +290,7 @@ type vnArith struct {
 	l, r vnode
 }
 
-func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lv, err := n.l.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
@@ -600,16 +305,9 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 
 	if lv.kind == TInt && rv.kind == TInt && n.op != "/" {
 		ov := vc.out(n.id, TInt, lanes)
-		var nulls []bool
-		setNull := func(k int) {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
-		}
 		for k := 0; k < lanes; k++ {
 			if lv.isNull(k) || rv.isNull(k) {
-				setNull(k)
+				ov.setNull(k, lanes)
 				continue
 			}
 			a, b := lv.ints[k], rv.ints[k]
@@ -622,7 +320,7 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 				ov.ints[k] = a * b
 			case "%":
 				if b == 0 {
-					setNull(k)
+					ov.setNull(k, lanes)
 					continue
 				}
 				ov.ints[k] = a % b
@@ -633,16 +331,9 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 
 	if lNum && rNum {
 		ov := vc.out(n.id, TFloat, lanes)
-		var nulls []bool
-		setNull := func(k int) {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
-		}
 		for k := 0; k < lanes; k++ {
 			if lv.isNull(k) || rv.isNull(k) {
-				setNull(k)
+				ov.setNull(k, lanes)
 				continue
 			}
 			lf, _ := laneFloat(lv, k)
@@ -656,13 +347,13 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 				ov.floats[k] = lf * rf
 			case "/":
 				if rf == 0 {
-					setNull(k)
+					ov.setNull(k, lanes)
 					continue
 				}
 				ov.floats[k] = lf / rf
 			case "%":
 				if rf == 0 || int64(rf) == 0 {
-					setNull(k)
+					ov.setNull(k, lanes)
 					continue
 				}
 				ov.floats[k] = float64(int64(lf) % int64(rf))
@@ -675,9 +366,10 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	ov := vc.out(n.id, TAny, lanes)
 	for k := 0; k < lanes; k++ {
 		if lv.isNull(k) || rv.isNull(k) {
-			continue // nil box = NULL
+			ov.setNull(k, lanes)
+			continue
 		}
-		res, err := arith(n.op, laneValue(lv, k), laneValue(rv, k))
+		res, err := arith(n.op, lv.value(k), rv.value(k))
 		if err != nil {
 			return nil, err
 		}
@@ -691,54 +383,36 @@ type vnNeg struct {
 	x  vnode
 }
 
-func (n *vnNeg) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnNeg) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
 	}
 	lanes := laneCount(ch, sel)
-	switch xv.kind {
-	case TInt:
-		ov := vc.out(n.id, TInt, lanes)
-		var nulls []bool
-		for k := 0; k < lanes; k++ {
-			if xv.isNull(k) {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[k] = true
-				continue
-			}
-			ov.ints[k] = -xv.ints[k]
-		}
-		return ov, nil
-	case TFloat:
-		ov := vc.out(n.id, TFloat, lanes)
-		var nulls []bool
-		for k := 0; k < lanes; k++ {
-			if xv.isNull(k) {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[k] = true
-				continue
-			}
-			ov.floats[k] = -xv.floats[k]
-		}
-		return ov, nil
+	kind := xv.kind
+	if kind != TInt && kind != TFloat {
+		kind = TAny
 	}
-	ov := vc.out(n.id, TAny, lanes)
+	ov := vc.out(n.id, kind, lanes)
 	for k := 0; k < lanes; k++ {
 		if xv.isNull(k) {
+			ov.setNull(k, lanes)
 			continue
 		}
-		switch x := laneValue(xv, k).(type) {
-		case int64:
-			ov.anys[k] = -x //verdict:alloc TAny fallback lane: input is already boxed, typed lanes take the branches above
-		case float64:
-			ov.anys[k] = -x //verdict:alloc TAny fallback lane: input is already boxed, typed lanes take the branches above
+		switch kind {
+		case TInt:
+			ov.ints[k] = -xv.ints[k]
+		case TFloat:
+			ov.floats[k] = -xv.floats[k]
 		default:
-			return nil, errCannotNegate(x)
+			switch x := xv.value(k).(type) {
+			case int64:
+				ov.anys[k] = -x //verdict:alloc TAny fallback lane: input is already boxed, typed lanes take the branches above
+			case float64:
+				ov.anys[k] = -x //verdict:alloc TAny fallback lane: input is already boxed, typed lanes take the branches above
+			default:
+				return nil, errCannotNegate(x)
+			}
 		}
 	}
 	return ov, nil
@@ -752,7 +426,7 @@ type vnCmp struct {
 	l, r vnode
 }
 
-func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lv, err := n.l.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
@@ -764,49 +438,22 @@ func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
 	test := cmpTest(n.op)
-	var nulls []bool
-	setNull := func(k int) {
-		if nulls == nil {
-			nulls = vc.nullbuf(n.id, lanes)
-		}
-		nulls[k] = true
-	}
 	lNum := lv.kind == TInt || lv.kind == TFloat
 	rNum := rv.kind == TInt || rv.kind == TFloat
-	switch {
-	case lNum && rNum:
-		for k := 0; k < lanes; k++ {
-			if lv.isNull(k) || rv.isNull(k) {
-				setNull(k)
-				continue
-			}
+	for k := 0; k < lanes; k++ {
+		if lv.isNull(k) || rv.isNull(k) {
+			ov.setNull(k, lanes)
+			continue
+		}
+		switch {
+		case lNum && rNum:
 			lf, _ := laneFloat(lv, k)
 			rf, _ := laneFloat(rv, k)
 			ov.bools[k] = test(cmpFloat64(lf, rf))
-		}
-	case lv.kind == TString && rv.kind == TString:
-		for k := 0; k < lanes; k++ {
-			if lv.isNull(k) || rv.isNull(k) {
-				setNull(k)
-				continue
-			}
-			a, b := lv.str(k), rv.str(k)
-			switch {
-			case a < b:
-				ov.bools[k] = test(-1)
-			case a > b:
-				ov.bools[k] = test(1)
-			default:
-				ov.bools[k] = test(0)
-			}
-		}
-	default:
-		for k := 0; k < lanes; k++ {
-			if lv.isNull(k) || rv.isNull(k) {
-				setNull(k)
-				continue
-			}
-			ov.bools[k] = test(Compare(laneValue(lv, k), laneValue(rv, k)))
+		case lv.kind == TString && rv.kind == TString:
+			ov.bools[k] = test(strings.Compare(lv.strAt(k), rv.strAt(k)))
+		default:
+			ov.bools[k] = test(Compare(lv.value(k), rv.value(k)))
 		}
 	}
 	return ov, nil
@@ -829,23 +476,24 @@ type vnCmpLit struct {
 	fb   vnode
 }
 
-func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	if ch.joinOutput() {
 		return n.fb.eval(vc, ch, sel)
 	}
 	cv := ch.col(n.col)
+	idx := vc.lanesOf(ch, sel)
 	switch cv.enc {
 	case encDict:
 		if s, ok := n.lit.(string); ok {
-			return n.evalDict(vc, cv, ch, sel, s), nil
+			return n.evalDict(vc, cv, idx, s), nil
 		}
 	case encRLE:
-		if ov, ok := n.evalRLE(vc, cv, ch, sel); ok {
+		if ov, ok := n.evalRLE(vc, cv, idx); ok {
 			return ov, nil
 		}
 	case encDelta:
 		if f, ok := numeric(n.lit); ok {
-			return n.evalDelta(vc, cv, ch, sel, f), nil
+			return n.evalDelta(vc, cv, idx, f), nil
 		}
 	}
 	return n.fb.eval(vc, ch, sel)
@@ -875,8 +523,8 @@ func codeBounds(op string, lb, ub uint32) (lo, hi uint32, neg bool) {
 	return lb, top, false // ">="
 }
 
-func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, ch *chunk, sel []int32, s string) *vec {
-	lanes := laneCount(ch, sel)
+func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, idx []int32, s string) *colVec {
+	lanes := len(idx)
 	ov := vc.out(n.id, TBool, lanes)
 	lb := sort.SearchStrings(cv.dict, s)
 	ub := lb
@@ -884,28 +532,10 @@ func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, ch *chunk, sel []int32, s st
 		ub++
 	}
 	lo, hi, neg := codeBounds(n.op, uint32(lb), uint32(ub))
-	var nulls []bool
-	hasNull := cv.nulls != nil
-	if sel == nil {
-		for i := 0; i < lanes; i++ {
-			if hasNull && cv.nulls[i] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[i] = true
-				continue
-			}
-			c := cv.codes[i]
-			ov.bools[i] = (c >= lo && c < hi) != neg
-		}
-		return ov
-	}
-	for k, i := range sel {
+	hasNull := len(cv.nulls) > 0
+	for k, i := range idx {
 		if hasNull && cv.nulls[i] {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		c := cv.codes[i]
@@ -917,7 +547,7 @@ func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, ch *chunk, sel []int32, s st
 // evalRLE evaluates the comparison once per run — O(runs + lanes) however
 // long the runs are. ok is false (delegate to the generic node) when the
 // column kind and literal kind do not compare through the plain typed path.
-func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, ch *chunk, sel []int32) (*vec, bool) {
+func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) {
 	var litF float64
 	var litS string
 	var litB bool
@@ -948,7 +578,7 @@ func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, ch *chunk, sel []int32) (*vec
 	var rres [chunkRows]uint8
 	test := n.test
 	for r := 0; r < len(cv.runEnds); r++ {
-		if cv.nulls != nil && cv.nulls[r] {
+		if len(cv.nulls) > 0 && cv.nulls[r] {
 			rres[r] = 2
 			continue
 		}
@@ -967,82 +597,27 @@ func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, ch *chunk, sel []int32) (*vec
 			rres[r] = 1
 		}
 	}
-	lanes := laneCount(ch, sel)
+	lanes := len(idx)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
-	// The output buffer is reused across chunks, so every lane must be
-	// written — false runs included.
-	if sel == nil {
-		start := 0
-		for r := 0; r < len(cv.runEnds); r++ {
-			end := int(cv.runEnds[r])
-			switch rres[r] {
-			case 1:
-				for i := start; i < end; i++ {
-					ov.bools[i] = true
-				}
-			case 2:
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				for i := start; i < end; i++ {
-					nulls[i] = true
-				}
-			default:
-				for i := start; i < end; i++ {
-					ov.bools[i] = false
-				}
-			}
-			start = end
-		}
-		return ov, true
-	}
 	r := 0
-	for k := 0; k < lanes; k++ {
-		i := int(sel[k])
-		for int(cv.runEnds[r]) <= i {
-			r++
+	for k, i := range idx {
+		r = cv.runFrom(r, int(i))
+		if rres[r] == 2 {
+			ov.setNull(k, lanes)
 		}
-		switch rres[r] {
-		case 1:
-			ov.bools[k] = true
-		case 2:
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
-		default:
-			ov.bools[k] = false
-		}
+		ov.bools[k] = rres[r] == 1
 	}
 	return ov, true
 }
 
-func (n *vnCmpLit) evalDelta(vc *vecCtx, cv *colVec, ch *chunk, sel []int32, litF float64) *vec {
-	lanes := laneCount(ch, sel)
+func (n *vnCmpLit) evalDelta(vc *vecCtx, cv *colVec, idx []int32, litF float64) *colVec {
+	lanes := len(idx)
 	ov := vc.out(n.id, TBool, lanes)
 	test := n.test
-	var nulls []bool
-	hasNull := cv.nulls != nil
-	if sel == nil {
-		for i := 0; i < lanes; i++ {
-			if hasNull && cv.nulls[i] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[i] = true
-				continue
-			}
-			ov.bools[i] = test(cmpFloat64(float64(cv.deltaAt(i)), litF))
-		}
-		return ov
-	}
-	for k, i := range sel {
+	hasNull := len(cv.nulls) > 0
+	for k, i := range idx {
 		if hasNull && cv.nulls[i] {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		ov.bools[k] = test(cmpFloat64(float64(cv.deltaAt(int(i))), litF))
@@ -1075,7 +650,7 @@ type vnInLit struct {
 	fb   vnode
 }
 
-func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	if ch.joinOutput() {
 		return n.fb.eval(vc, ch, sel)
 	}
@@ -1090,29 +665,13 @@ func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 			lut[c] = true
 		}
 	}
-	lanes := laneCount(ch, sel)
+	idx := vc.lanesOf(ch, sel)
+	lanes := len(idx)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
-	hasNull := cv.nulls != nil
-	if sel == nil {
-		for i := 0; i < lanes; i++ {
-			if hasNull && cv.nulls[i] {
-				if nulls == nil {
-					nulls = vc.nullbuf(n.id, lanes)
-				}
-				nulls[i] = true
-				continue
-			}
-			ov.bools[i] = lut[cv.codes[i]] != n.not
-		}
-		return ov, nil
-	}
-	for k, i := range sel {
+	hasNull := len(cv.nulls) > 0
+	for k, i := range idx {
 		if hasNull && cv.nulls[i] {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		ov.bools[k] = lut[cv.codes[i]] != n.not
@@ -1128,7 +687,7 @@ type vnLogic struct {
 	l, r vnode
 }
 
-func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lv, err := n.l.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
@@ -1139,39 +698,22 @@ func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
-	setNull := func(k int) {
-		if nulls == nil {
-			nulls = vc.nullbuf(n.id, lanes)
-		}
-		nulls[k] = true
-	}
 	// Replicates the row path's three-valued logic exactly, including its
-	// treatment of unconvertible (non-bool, non-numeric) operands.
+	// treatment of unconvertible (non-bool, non-numeric) operands: AND is
+	// false on a false operand, OR true on a true one, NULL otherwise when
+	// an operand is.
 	for k := 0; k < lanes; k++ {
 		lb, lok, lnull := laneBool(lv, k)
 		rb, rok, rnull := laneBool(rv, k)
+		decided := (lok && lb) || (rok && rb)
 		if n.and {
-			if (lok && !lb) || (rok && !rb) {
-				ov.bools[k] = false
-				continue
-			}
-			if lnull || rnull {
-				setNull(k)
-				continue
-			}
-			ov.bools[k] = true
-		} else {
-			if (lok && lb) || (rok && rb) {
-				ov.bools[k] = true
-				continue
-			}
-			if lnull || rnull {
-				setNull(k)
-				continue
-			}
-			ov.bools[k] = false
+			decided = (lok && !lb) || (rok && !rb)
 		}
+		if !decided && (lnull || rnull) {
+			ov.setNull(k, lanes)
+			continue
+		}
+		ov.bools[k] = decided != n.and
 	}
 	return ov, nil
 }
@@ -1181,25 +723,21 @@ type vnNot struct {
 	x  vnode
 }
 
-func (n *vnNot) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnNot) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
 	for k := 0; k < lanes; k++ {
 		if xv.isNull(k) {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		b, ok, _ := laneBool(xv, k)
 		if !ok {
-			return nil, errNotNonBool(laneValue(xv, k))
+			return nil, errNotNonBool(xv.value(k))
 		}
 		ov.bools[k] = !b
 	}
@@ -1214,7 +752,7 @@ type vnBetween struct {
 	not       bool
 }
 
-func (n *vnBetween) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnBetween) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
@@ -1229,47 +767,29 @@ func (n *vnBetween) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
-	setNull := func(k int) {
-		if nulls == nil {
-			nulls = vc.nullbuf(n.id, lanes)
+	num := func(v *colVec) bool { return v.kind == TInt || v.kind == TFloat }
+	allNum := num(xv) && num(lo) && num(hi)
+	allStr := xv.kind == TString && lo.kind == TString && hi.kind == TString
+	for k := 0; k < lanes; k++ {
+		if xv.isNull(k) || lo.isNull(k) || hi.isNull(k) {
+			ov.setNull(k, lanes)
+			continue
 		}
-		nulls[k] = true
-	}
-	num := func(v *vec) bool { return v.kind == TInt || v.kind == TFloat }
-	switch {
-	case num(xv) && num(lo) && num(hi):
-		for k := 0; k < lanes; k++ {
-			if xv.isNull(k) || lo.isNull(k) || hi.isNull(k) {
-				setNull(k)
-				continue
-			}
+		var in bool
+		switch {
+		case allNum:
 			xf, _ := laneFloat(xv, k)
 			lf, _ := laneFloat(lo, k)
 			hf, _ := laneFloat(hi, k)
-			in := cmpFloat64(xf, lf) >= 0 && cmpFloat64(xf, hf) <= 0
-			ov.bools[k] = in != n.not
+			in = cmpFloat64(xf, lf) >= 0 && cmpFloat64(xf, hf) <= 0
+		case allStr:
+			s := xv.strAt(k)
+			in = s >= lo.strAt(k) && s <= hi.strAt(k)
+		default:
+			x := xv.value(k)
+			in = Compare(x, lo.value(k)) >= 0 && Compare(x, hi.value(k)) <= 0
 		}
-	case xv.kind == TString && lo.kind == TString && hi.kind == TString:
-		for k := 0; k < lanes; k++ {
-			if xv.isNull(k) || lo.isNull(k) || hi.isNull(k) {
-				setNull(k)
-				continue
-			}
-			s := xv.str(k)
-			in := s >= lo.str(k) && s <= hi.str(k)
-			ov.bools[k] = in != n.not
-		}
-	default:
-		for k := 0; k < lanes; k++ {
-			if xv.isNull(k) || lo.isNull(k) || hi.isNull(k) {
-				setNull(k)
-				continue
-			}
-			x := laneValue(xv, k)
-			in := Compare(x, laneValue(lo, k)) >= 0 && Compare(x, laneValue(hi, k)) <= 0
-			ov.bools[k] = in != n.not
-		}
+		ov.bools[k] = in != n.not
 	}
 	return ov, nil
 }
@@ -1281,12 +801,12 @@ type vnIn struct {
 	not  bool
 }
 
-func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
 	}
-	lvs := make([]*vec, len(n.list))
+	lvs := make([]*colVec, len(n.list))
 	for i, ln := range n.list {
 		lv, err := ln.eval(vc, ch, sel)
 		if err != nil {
@@ -1296,13 +816,9 @@ func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
 	for k := 0; k < lanes; k++ {
 		if xv.isNull(k) {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		// No match with a NULL candidate is unknown, as on the row path.
@@ -1318,10 +834,7 @@ func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 			}
 		}
 		if !found && sawNull {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		ov.bools[k] = found != n.not
@@ -1330,16 +843,16 @@ func (n *vnIn) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 }
 
 // lanesEqual mirrors Compare(a, b) == 0 for two non-NULL lanes.
-func lanesEqual(a, b *vec, k int) bool {
+func lanesEqual(a, b *colVec, k int) bool {
 	af, aok := laneFloat(a, k)
 	bf, bok := laneFloat(b, k)
 	if aok && bok {
 		return cmpFloat64(af, bf) == 0
 	}
 	if a.kind == TString && b.kind == TString {
-		return a.str(k) == b.str(k)
+		return a.strAt(k) == b.strAt(k)
 	}
-	return Compare(laneValue(a, k), laneValue(b, k)) == 0
+	return Compare(a.value(k), b.value(k)) == 0
 }
 
 type vnLike struct {
@@ -1348,7 +861,7 @@ type vnLike struct {
 	not    bool
 }
 
-func (n *vnLike) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnLike) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
@@ -1359,13 +872,9 @@ func (n *vnLike) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
-	var nulls []bool
 	for k := 0; k < lanes; k++ {
 		if xv.isNull(k) || pv.isNull(k) {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		ov.bools[k] = likeMatch(laneStr(xv, k), laneStr(pv, k)) != n.not
@@ -1379,7 +888,7 @@ type vnIsNull struct {
 	not bool
 }
 
-func (n *vnIsNull) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnIsNull) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
@@ -1400,20 +909,16 @@ type vnSubstr struct {
 	start, length int64
 }
 
-func (n *vnSubstr) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnSubstr) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TString, lanes)
-	var nulls []bool
 	for k := 0; k < lanes; k++ {
 		if xv.isNull(k) {
-			if nulls == nil {
-				nulls = vc.nullbuf(n.id, lanes)
-			}
-			nulls[k] = true
+			ov.setNull(k, lanes)
 			continue
 		}
 		s := laneStr(xv, k)
@@ -1435,33 +940,23 @@ type vnYear struct {
 	x  vnode
 }
 
-func (n *vnYear) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
+func (n *vnYear) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	xv, err := n.x.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TInt, lanes)
-	var nulls []bool
-	setNull := func(k int) {
-		if nulls == nil {
-			nulls = vc.nullbuf(n.id, lanes)
-		}
-		nulls[k] = true
-	}
 	for k := 0; k < lanes; k++ {
-		if xv.isNull(k) {
-			setNull(k)
-			continue
-		}
-		s := laneStr(xv, k)
-		if len(s) >= 4 {
-			if y, ok := ToInt(s[:4]); ok {
-				ov.ints[k] = y
-				continue
+		if !xv.isNull(k) {
+			if s := laneStr(xv, k); len(s) >= 4 {
+				if y, ok := ToInt(s[:4]); ok {
+					ov.ints[k] = y
+					continue
+				}
 			}
 		}
-		setNull(k)
+		ov.setNull(k, lanes)
 	}
 	return ov, nil
 }
@@ -1694,21 +1189,20 @@ func evalFilter(vc *vecCtx, ch *chunk, full vnode, conjs []vnode) (sel []int32, 
 		if err != nil {
 			return nil, false, err
 		}
-		lanes := laneCount(ch, sel)
-		next, ok := refineSel(vc, v, sel, lanes)
-		if !ok {
-			// Unconvertible conjunct value: bail to the un-split predicate.
+		idx := vc.lanesOf(ch, sel)
+		next, bad := keepTrue(vc, v, idx)
+		if bad {
+			// Unconvertible conjunct value: the un-split predicate decides.
 			wv, err := full.eval(vc, ch, nil)
 			if err != nil {
 				return nil, false, err
 			}
-			sel, all = buildSel(vc, wv, ch.n)
-			if all {
-				sel = nil
+			if sel, _ = keepTrue(vc, wv, vc.lanesOf(ch, nil)); len(sel) == ch.n {
+				return nil, true, nil
 			}
-			return sel, all, nil
+			return sel, false, nil
 		}
-		if len(next) == lanes {
+		if len(next) == len(idx) {
 			continue // every candidate lane passed; selection unchanged
 		}
 		all = false
@@ -1720,113 +1214,44 @@ func evalFilter(vc *vecCtx, ch *chunk, full vnode, conjs []vnode) (sel []int32, 
 	return sel, all, nil
 }
 
-// refineSel keeps the lanes of cur (nil = all chunk lanes) where v is
-// ToBool-true. ok is false when a non-NULL lane cannot convert to bool —
-// the caller must re-evaluate the full predicate instead.
-func refineSel(vc *vecCtx, v *vec, cur []int32, lanes int) (next []int32, ok bool) {
-	if cap(vc.sel2) < lanes {
-		vc.sel2 = make([]int32, 0, lanes)
+// keepTrue returns the rows idx[k] whose lane k of v is ToBool-true, in the
+// context's spare selection buffer (the two swap, so the next conjunct's
+// keepTrue does not overwrite the selection it iterates). bad reports a
+// non-NULL lane that does not convert to bool.
+func keepTrue(vc *vecCtx, v *colVec, idx []int32) (next []int32, bad bool) {
+	if cap(vc.sel2) < len(idx) {
+		vc.sel2 = make([]int32, len(idx))
 	}
-	out := vc.sel2[:0]
-	keep := func(k int) {
-		if cur != nil {
-			out = append(out, cur[k])
-		} else {
-			out = append(out, int32(k))
+	out, n := vc.sel2[:len(idx)], 0
+	// Locals, as the stores to out could alias v. A kernel output is raw or
+	// dict, so its flags are per lane.
+	kind, bools, nulls := v.kind, v.bools, v.nulls
+	for k, i := range idx {
+		var t bool
+		switch {
+		case len(nulls) > 0 && nulls[k]:
+		case kind == TBool:
+			t = bools[k]
+		case kind == TInt:
+			t = v.ints[k] != 0
+		case kind == TFloat:
+			t = v.floats[k] != 0
+		case kind == TString:
+			bad = true
+		case v.anys[k] != nil:
+			var ok bool
+			t, ok = ToBool(v.anys[k])
+			bad = bad || !ok
 		}
-	}
-	switch v.kind {
-	case TBool:
-		for k := 0; k < lanes; k++ {
-			if !v.isNull(k) && v.bools[k] {
-				keep(k)
-			}
-		}
-	case TInt:
-		for k := 0; k < lanes; k++ {
-			if !v.isNull(k) && v.ints[k] != 0 {
-				keep(k)
-			}
-		}
-	case TFloat:
-		for k := 0; k < lanes; k++ {
-			if !v.isNull(k) && v.floats[k] != 0 {
-				keep(k)
-			}
-		}
-	case TString:
-		for k := 0; k < lanes; k++ {
-			if !v.isNull(k) {
-				return nil, false
-			}
-		}
-	default:
-		for k := 0; k < lanes; k++ {
-			x := v.anys[k]
-			if x == nil {
-				continue
-			}
-			b, bok := ToBool(x)
-			if !bok {
-				return nil, false
-			}
-			if b {
-				keep(k)
-			}
+		// Written whether it passes or not, kept by advancing n: no branch
+		// on the data.
+		out[n] = i
+		if t {
+			n++
 		}
 	}
-	// Swap buffers so the next conjunct's refine does not overwrite the
-	// selection it is iterating.
+	out = out[:n]
 	vc.sel2 = vc.sel[:0]
 	vc.sel = out
-	return out, true
-}
-
-// buildSel collects the lanes a WHERE vector keeps (ToBool semantics: keep
-// when the value converts to true) into the context's reusable selection
-// buffer. all reports that every lane passed, letting callers keep the
-// full-chunk fast path.
-func buildSel(vc *vecCtx, v *vec, lanes int) (sel []int32, all bool) {
-	if cap(vc.sel) < lanes {
-		vc.sel = make([]int32, 0, lanes)
-	}
-	out := vc.sel[:0]
-	switch v.kind {
-	case TBool:
-		if v.nulls == nil {
-			for k := 0; k < lanes; k++ {
-				if v.bools[k] {
-					out = append(out, int32(k))
-				}
-			}
-		} else {
-			for k := 0; k < lanes; k++ {
-				if !v.nulls[k] && v.bools[k] {
-					out = append(out, int32(k))
-				}
-			}
-		}
-	case TInt:
-		for k := 0; k < lanes; k++ {
-			if !v.isNull(k) && v.ints[k] != 0 {
-				out = append(out, int32(k))
-			}
-		}
-	case TFloat:
-		for k := 0; k < lanes; k++ {
-			if !v.isNull(k) && v.floats[k] != 0 {
-				out = append(out, int32(k))
-			}
-		}
-	case TString:
-		// ToBool fails on strings: nothing passes.
-	default:
-		for k := 0; k < lanes; k++ {
-			if b, ok := ToBool(v.anys[k]); ok && b {
-				out = append(out, int32(k))
-			}
-		}
-	}
-	vc.sel = out
-	return out, len(out) == lanes
+	return out, bad
 }

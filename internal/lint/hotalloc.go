@@ -6,7 +6,7 @@ import (
 )
 
 // HotAlloc bans per-lane allocation in the engine's hottest code: the
-// bodies of vectorized kernels (eval methods returning (*vec, error)),
+// bodies of vectorized kernels (eval methods returning (*colVec, error)),
 // compiled row closures (func([]Value) (Value, error)), and selection-
 // vector loops (`for ... range sel` over []int32) that the morsel workers
 // drive once per surviving lane. An allocation there is multiplied by the
@@ -48,11 +48,9 @@ func runHotAlloc(pass *Pass) error {
 					return false
 				}
 			case *ast.FuncDecl:
-				if x.Recv != nil && x.Name.Name == "eval" && x.Body != nil {
-					if fn, ok := pass.Info.Defs[x.Name].(*types.Func); ok && isVecKernelSig(fn.Type().(*types.Signature)) {
-						checkKernelLoops(pass, x.Body, "vector kernel")
-						return false
-					}
+				if isVecKernel(pass, x) {
+					checkKernelLoops(pass, x.Body, "vector kernel")
+					return false
 				}
 			case *ast.RangeStmt:
 				if isSelectionRange(pass, x) {
@@ -69,7 +67,7 @@ func runHotAlloc(pass *Pass) error {
 
 // checkKernelLoops applies the per-lane rules to every loop body inside a
 // vector kernel. Straight-line kernel code runs once per batch and may
-// allocate (the output vec itself, for one); only the loops are per-lane.
+// allocate (the output vector itself, for one); only the loops are per-lane.
 func checkKernelLoops(pass *Pass, body *ast.BlockStmt, kind string) {
 	prepared := preparedSlices(pass, body)
 	ast.Inspect(body, func(n ast.Node) bool {

@@ -19,7 +19,7 @@ import (
 //
 // Kernel bodies are recognized structurally: function literals with the
 // compiledExpr shape func(row []Value) (Value, error), and eval methods with
-// the vector-node shape returning (*vec, error). Suppress a finding with
+// the vector-node shape returning (*colVec, error). Suppress a finding with
 // //verdict:impure <why>.
 var PureKernel = &Analyzer{
 	Name: "purekernel",
@@ -43,11 +43,9 @@ func runPureKernel(pass *Pass) error {
 					return false // inner literals are checked as part of this body
 				}
 			case *ast.FuncDecl:
-				if x.Recv != nil && x.Name.Name == "eval" && x.Body != nil {
-					if fn, ok := pass.Info.Defs[x.Name].(*types.Func); ok && isVecKernelSig(fn.Type().(*types.Signature)) {
-						checkKernelBody(pass, x.Body, "vector kernel")
-						return false
-					}
+				if isVecKernel(pass, x) {
+					checkKernelBody(pass, x.Body, "vector kernel")
+					return false
 				}
 			}
 			return true
@@ -67,13 +65,23 @@ func isCompiledExprSig(sig *types.Signature) bool {
 	return isNamed(sig.Results().At(0).Type(), "Value") && implementsError(sig.Results().At(1).Type())
 }
 
-// isVecKernelSig matches the vnode eval shape: results (*vec, error).
-func isVecKernelSig(sig *types.Signature) bool {
+// isVecKernel matches a vector kernel: an eval method of the vnode shape,
+// results (*colVec, error). Both kernel rules find kernels by this shape
+// alone; TestKernelsMatchEngine fails if it stops matching the engine's.
+func isVecKernel(pass *Pass, fd *ast.FuncDecl) bool {
+	if fd.Recv == nil || fd.Name.Name != "eval" || fd.Body == nil {
+		return false
+	}
+	fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
+	if !ok {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
 	if sig.Results().Len() != 2 {
 		return false
 	}
 	res0, ok := sig.Results().At(0).Type().(*types.Pointer)
-	return ok && isNamed(res0, "vec") && implementsError(sig.Results().At(1).Type())
+	return ok && isNamed(res0, "colVec") && implementsError(sig.Results().At(1).Type())
 }
 
 func checkKernelBody(pass *Pass, body *ast.BlockStmt, kind string) {

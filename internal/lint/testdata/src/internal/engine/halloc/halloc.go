@@ -4,7 +4,7 @@ package halloc
 
 type Value any
 
-type vec struct {
+type colVec struct {
 	i64  []int64
 	anys []Value
 }
@@ -14,8 +14,8 @@ type pair struct{ a, b int64 }
 // vnAdd is allocation-clean: output presized once, loop writes typed lanes.
 type vnAdd struct{ x []int64 }
 
-func (n *vnAdd) eval(sel []int32) (*vec, error) {
-	out := &vec{i64: make([]int64, len(n.x))}
+func (n *vnAdd) eval(sel []int32) (*colVec, error) {
+	out := &colVec{i64: make([]int64, len(n.x))}
 	for _, k := range sel {
 		out.i64[k] = n.x[k] + 1
 	}
@@ -29,8 +29,8 @@ type vnDirty struct {
 	pfx string
 }
 
-func (n *vnDirty) eval(sel []int32) (*vec, error) {
-	out := &vec{i64: make([]int64, len(n.x)), anys: make([]Value, len(n.x))}
+func (n *vnDirty) eval(sel []int32) (*colVec, error) {
+	out := &colVec{i64: make([]int64, len(n.x)), anys: make([]Value, len(n.x))}
 	for _, k := range sel {
 		p := pair{a: n.x[k]} // want "composite literal inside a vector kernel loop"
 		out.i64[k] = p.a + p.b
@@ -44,41 +44,41 @@ func (n *vnDirty) eval(sel []int32) (*vec, error) {
 // vnGrow appends to an unprepared slice: reallocation mid-batch.
 type vnGrow struct{ x []int64 }
 
-func (n *vnGrow) eval(sel []int32) (*vec, error) {
+func (n *vnGrow) eval(sel []int32) (*colVec, error) {
 	var hits []int64
 	for _, k := range sel {
 		hits = append(hits, n.x[k]) // want "append inside a vector kernel loop without make"
 	}
-	return &vec{i64: hits}, nil
+	return &colVec{i64: hits}, nil
 }
 
 // vnSized presizes its output; the loop appends within prepared capacity.
 type vnSized struct{ x []int64 }
 
-func (n *vnSized) eval(sel []int32) (*vec, error) {
+func (n *vnSized) eval(sel []int32) (*colVec, error) {
 	hits := make([]int64, 0, len(sel))
 	for _, k := range sel {
 		hits = append(hits, n.x[k])
 	}
-	return &vec{i64: hits}, nil
+	return &colVec{i64: hits}, nil
 }
 
 // vnBoxAppend boxes every lane into the interface-element output.
 type vnBoxAppend struct{ x []int64 }
 
-func (n *vnBoxAppend) eval(sel []int32) (*vec, error) {
+func (n *vnBoxAppend) eval(sel []int32) (*colVec, error) {
 	anys := make([]Value, 0, len(sel))
 	for _, k := range sel {
 		anys = append(anys, n.x[k]) // want "appending concrete int64 into .*Value inside a vector kernel loop"
 	}
-	return &vec{anys: anys}, nil
+	return &colVec{anys: anys}, nil
 }
 
 // vnFallback deliberately boxes into the TAny lane: annotated, no finding.
 type vnFallback struct{ x []int64 }
 
-func (n *vnFallback) eval(sel []int32) (*vec, error) {
-	out := &vec{anys: make([]Value, len(n.x))}
+func (n *vnFallback) eval(sel []int32) (*colVec, error) {
+	out := &colVec{anys: make([]Value, len(n.x))}
 	for _, k := range sel {
 		out.anys[k] = n.x[k] //verdict:alloc golden fixture: TAny fallback lane
 	}

@@ -8,10 +8,10 @@ import (
 
 // Minimal mirrors of the engine's kernel types: purekernel keys on the
 // compiledExpr shape func([]Value) (Value, error) and on eval methods
-// returning (*vec, error).
+// returning (*colVec, error).
 type Value any
 
-type vec struct{ i64 []int64 }
+type colVec struct{ i64 []int64 }
 
 type vecCtx struct{}
 
@@ -71,8 +71,8 @@ func compileAnnotated(weights map[string]int64) compiledExpr {
 
 type vnClock struct{}
 
-func (n *vnClock) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
-	out := &vec{i64: make([]int64, ch.n)}
+func (n *vnClock) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
+	out := &colVec{i64: make([]int64, ch.n)}
 	for i := range out.i64 {
 		out.i64[i] = time.Now().UnixNano() // want "time.Now inside a vector kernel"
 	}
@@ -81,8 +81,8 @@ func (n *vnClock) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
 
 type vnPure struct{}
 
-func (n *vnPure) eval(vc *vecCtx, ch *chunk, sel []int32) (*vec, error) {
-	out := &vec{i64: make([]int64, ch.n)}
+func (n *vnPure) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
+	out := &colVec{i64: make([]int64, ch.n)}
 	for i := range out.i64 {
 		out.i64[i] = int64(i)
 	}
