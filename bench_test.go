@@ -14,7 +14,6 @@ import (
 	verdictdb "verdictdb"
 	"verdictdb/internal/bench"
 	"verdictdb/internal/core"
-	"verdictdb/internal/meta"
 	"verdictdb/internal/stats"
 	"verdictdb/internal/workload"
 )
@@ -159,14 +158,13 @@ func benchEstimatorMethod(b *testing.B, method core.ErrorMethod, sql string) {
 	}
 	opts := verdictdb.Defaults()
 	opts.Method = method
-	cat, err := meta.Open(env.DB)
+	conn, err := verdictdb.Open(env.DB, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	mw := core.New(env.DB, cat, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a, err := mw.Query(sql)
+		a, err := conn.Query(sql)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,7 +8,8 @@
 //
 // Experiments (DESIGN.md experiment index):
 //
-//	speedup      Figures 4, 9, 10 (per-query speedups and errors; -engine)
+//	speedup      Figures 4, 9, 10 (per-query speedups and errors; -engine
+//	             picks the SQL dialect, all over the same in-memory engine)
 //	scaling      Figure 5  (speedup vs data size, fixed sample)
 //	snappy       Figure 6  (integrated AQP comparison)
 //	native       Table 2   (native approximate aggregates)
@@ -39,7 +40,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (see doc comment)")
-	engineName := flag.String("engine", "all", "engine for speedup: impala|sparksql|redshift|generic|all")
+	engineName := flag.String("engine", "all", "SQL dialect for speedup, each over the same in-memory engine: impala|sparksql|redshift|generic|all (all = the first three)")
 	tpchScale := flag.Float64("tpch", 0, "TPC-H scale override (1.0 = 600k lineitem)")
 	instaScale := flag.Float64("insta", 0, "insta scale override (1.0 = 1M order_products)")
 	trials := flag.Int("trials", 200, "Monte Carlo trials for correctness experiments")

@@ -1,6 +1,8 @@
 // TPC-H speedups: runs a subset of the paper's tq-* queries exactly and
-// approximately on each simulated engine dialect (Impala, Spark SQL,
-// Redshift), printing the per-query speedups — a miniature Figure 4.
+// approximately through each engine dialect (Impala, Spark SQL, Redshift) on
+// the in-memory engine, printing the per-query speedups — a miniature
+// Figure 4. Both sides are timed alike (bench.RunQueryPair): one warm-up,
+// then the wall clock around one Conn.Query.
 package main
 
 import (
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	verdictdb "verdictdb"
+	"verdictdb/internal/bench"
 	"verdictdb/internal/drivers"
 	"verdictdb/internal/engine"
 	"verdictdb/internal/workload"
@@ -29,7 +32,8 @@ func main() {
 		if err := workload.LoadTPCH(eng, scale, 11); err != nil {
 			log.Fatal(err)
 		}
-		conn, err := verdictdb.Open(mk.make(eng), verdictdb.Defaults())
+		db := mk.make(eng)
+		conn, err := verdictdb.Open(db, verdictdb.Defaults())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,20 +56,13 @@ func main() {
 			default:
 				continue // keep the example fast; benchrunner runs all 33
 			}
-			exactStart := time.Now()
-			if _, err := conn.Query("bypass " + q.SQL); err != nil {
-				log.Fatalf("%s exact: %v", q.ID, err)
-			}
-			exactDur := time.Since(exactStart)
-
-			a, err := conn.Query(q.SQL)
+			r, err := bench.RunQueryPair(&bench.Env{Eng: eng, Conn: conn, DB: db}, q)
 			if err != nil {
-				log.Fatalf("%s approx: %v", q.ID, err)
+				log.Fatal(err)
 			}
-			approxDur := time.Duration(a.ElapsedNanos)
 			fmt.Printf("%-7s %12v %12v %8.1fx %8v\n",
-				q.ID, exactDur.Round(time.Microsecond), approxDur.Round(time.Microsecond),
-				float64(exactDur)/float64(approxDur), a.Approximate)
+				q.ID, r.ExactTime.Round(time.Microsecond), r.ApproxTime.Round(time.Microsecond),
+				r.Speedup, r.Approximate)
 		}
 	}
 }

@@ -19,7 +19,9 @@ import (
 	"verdictdb/internal/workload"
 )
 
-// DriverByName returns the simulated engine constructor for a name.
+// DriverByName returns the driver constructor for a dialect name; every
+// dialect runs on the same in-memory engine. Unknown names get the generic
+// dialect.
 func DriverByName(name string) func(*engine.Engine) *drivers.Driver {
 	switch name {
 	case "impala":
@@ -215,8 +217,7 @@ func NativeExperiment(w io.Writer, cfg Config) ([]NativeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := env.DB.(*drivers.Driver)
-	native := baselines.NewNativeApprox(d.Engine())
+	native := baselines.NewNativeApprox(env.Eng)
 
 	exactUsers, err := env.Conn.Query("bypass select count(distinct user_id) as d from orders")
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 type Env struct {
 	Eng  *engine.Engine
 	Conn *verdictdb.Conn
-	DB   drivers.DB
+	DB   *drivers.Driver
 }
 
 // Config controls dataset sizes so tests can shrink them.
@@ -115,26 +115,18 @@ type QueryResult struct {
 	MaxRelErrTrue float64
 }
 
-// RunQueryPair measures the exact and approximate execution of one query.
-// One untimed exact warmup run stabilizes allocator and cache effects.
+// RunQueryPair measures the exact and approximate execution of one query
+// the same way: each side runs once untimed (allocator and cache warm-up;
+// the approximate side's also fills the plan cache), then once under the
+// caller's wall clock.
 func RunQueryPair(env *Env, q workload.Query) (QueryResult, error) {
-	if _, err := env.Conn.Query("bypass " + q.SQL); err != nil {
-		return QueryResult{}, fmt.Errorf("%s warmup: %w", q.ID, err)
-	}
-	exStart := time.Now()
-	exact, err := env.Conn.Query("bypass " + q.SQL)
+	exact, exactDur, err := timeQuery(env.Conn, "bypass "+q.SQL)
 	if err != nil {
 		return QueryResult{}, fmt.Errorf("%s exact: %w", q.ID, err)
 	}
-	exactDur := time.Since(exStart) + env.DB.Overhead()
-
-	approx, err := env.Conn.Query(q.SQL)
+	approx, approxDur, err := timeQuery(env.Conn, q.SQL)
 	if err != nil {
 		return QueryResult{}, fmt.Errorf("%s approx: %w", q.ID, err)
-	}
-	approxDur := time.Duration(approx.ElapsedNanos)
-	if approxDur <= 0 {
-		approxDur = time.Nanosecond
 	}
 	res := QueryResult{
 		ID:          q.ID,
@@ -147,6 +139,16 @@ func RunQueryPair(env *Env, q workload.Query) (QueryResult, error) {
 		res.MaxRelErrTrue = trueRelativeError(exact, approx)
 	}
 	return res, nil
+}
+
+// timeQuery runs sql once untimed, then once timed by the wall clock.
+func timeQuery(conn *verdictdb.Conn, sql string) (*verdictdb.Answer, time.Duration, error) {
+	if _, err := conn.Query(sql); err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	a, err := conn.Query(sql)
+	return a, time.Since(start), err
 }
 
 // trueRelativeError compares approximate aggregate cells to exact ones,

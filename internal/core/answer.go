@@ -30,7 +30,8 @@ type Answer struct {
 	HACFallback bool
 	// Confidence is the confidence level used for intervals.
 	Confidence float64
-	// ElapsedNanos is the total engine time (including modeled overhead).
+	// ElapsedNanos is the measured wall time of the backend calls that
+	// produced the answer (0 when nothing executed, as for EXPLAIN).
 	ElapsedNanos int64
 	// RowsScanned totals base/sample rows read by the engine.
 	RowsScanned int64

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -15,7 +16,7 @@ import (
 
 // testEnv is a loaded database with samples and a middleware.
 type testEnv struct {
-	db  drivers.DB
+	db  *drivers.Driver
 	m   *Middleware
 	cat *meta.Catalog
 }
@@ -96,11 +97,24 @@ func (env *testEnv) exact(t testing.TB, sql string) *engine.ResultSet {
 
 func (env *testEnv) approx(t testing.TB, sql string) *Answer {
 	t.Helper()
-	a, err := env.m.Query(sql)
+	a, err := query(context.Background(), env.m, sql)
 	if err != nil {
 		t.Fatalf("approx %q: %v", sql, err)
 	}
 	return a
+}
+
+// query runs a SELECT the way verdictdb.Conn does: from the plan cache when
+// it holds the shape, through the full pipeline otherwise.
+func query(ctx context.Context, m *Middleware, sql string) (*Answer, error) {
+	if a, handled, err := m.QueryCached(ctx, sql, nil); handled {
+		return a, err
+	}
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		return nil, err
+	}
+	return m.QuerySelect(ctx, sel, sql, nil)
 }
 
 func relDiff(a, b float64) float64 {
@@ -430,7 +444,7 @@ func TestErrorEstimateIsCalibrated(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := New(db, cat, DefaultOptions())
-		a, err := m.Query("select sum(x) as s from t")
+		a, err := query(context.Background(), m, "select sum(x) as s from t")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,20 +623,6 @@ func TestVarStddevApprox(t *testing.T) {
 	}
 	if relDiff(a.Float(0, "v"), wantV) > 0.1 {
 		t.Errorf("var %v want %v", a.Float(0, "v"), wantV)
-	}
-}
-
-func TestDDLPassthrough(t *testing.T) {
-	env := newEnv(t, Options{})
-	a, err := env.m.Query("create table scratch (a int)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Approximate {
-		t.Fatal("DDL approximated?!")
-	}
-	if _, err := env.db.Query("select count(*) from scratch"); err != nil {
-		t.Fatalf("DDL not executed: %v", err)
 	}
 }
 

@@ -30,11 +30,6 @@ var resampleSeq atomic.Int64
 // variational subsampling avoids; benchmarks (Figure 7) measure exactly
 // that gap.
 
-// ResamplingParams tunes the baselines.
-type ResamplingParams struct {
-	B int // number of subsamples / resamples (default 100)
-}
-
 // runResamplingBaseline answers a query using traditional subsampling or
 // consolidated bootstrap. Only plain aggregate items (count/sum/avg) are
 // supported — the baselines exist for the Figure 7 comparison.
@@ -340,7 +335,7 @@ func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.S
 		answer.Rows = append(answer.Rows, row)
 		answer.StdErr = append(answer.StdErr, errs)
 	}
-	answer.ElapsedNanos = time.Since(start).Nanoseconds() + m.db.Overhead().Nanoseconds()
+	answer.ElapsedNanos = time.Since(start).Nanoseconds()
 	answer.RowsScanned = totalScanned
 	if err := m.applyOrderLimit(sel, answer); err != nil {
 		return answer, nil //nolint:nilerr // ordering best-effort for baselines

@@ -196,7 +196,7 @@ func TestGroupCardinalityProbe(t *testing.T) {
 	}
 	db.ndvErr = context.Canceled
 	const grouped = "select l_returnflag, count(*) from lineitem group by l_returnflag"
-	if _, err := m.QueryContext(ctx, grouped); !errors.Is(err, context.Canceled) {
+	if _, err := query(ctx, m, grouped); !errors.Is(err, context.Canceled) {
 		t.Errorf("query whose ndv probe was cancelled: error = %v, want context.Canceled", err)
 	}
 	sel, _ := sqlparser.ParseSelect(grouped)
@@ -219,7 +219,7 @@ func TestExplainMatchesExecutedPlan(t *testing.T) {
 		m := workloadMiddleware(t, ds.name)
 		for _, q := range ds.queries {
 			ctx := context.Background()
-			if _, err := m.QueryContext(ctx, q.SQL); err != nil {
+			if _, err := query(ctx, m, q.SQL); err != nil {
 				t.Fatalf("%s: %v", q.ID, err)
 			}
 			entry := m.plans.lookup(normalizeSQL(q.SQL), m.cat.Version())

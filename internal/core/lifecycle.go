@@ -56,7 +56,7 @@ func containPanic(errp *error, query string) {
 // query's context wins over the middleware-wide default).
 func (m *Middleware) budgetCtx(ctx context.Context) context.Context {
 	if ctx == nil {
-		ctx = context.Background() //verdict:ctx-shim nil-ctx guard: context-free Query/Explain entry points delegate here with nil
+		ctx = context.Background() //verdict:ctx-shim nil-ctx guard: a caller's nil ctx reads as Background, as in the engine
 	}
 	if m.opts.MemoryBudgetBytes > 0 && engine.MemoryBudgetFrom(ctx, -1) < 0 {
 		ctx = engine.WithMemoryBudget(ctx, m.opts.MemoryBudgetBytes)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"verdictdb/internal/drivers"
 	"verdictdb/internal/engine"
@@ -53,9 +54,6 @@ type Options struct {
 	// exceeds this fraction of the sample size (the paper's "AQP not
 	// feasible due to high-cardinality grouping attributes").
 	MaxGroupsFraction float64
-	// DisablePlanCache turns off the plan/rewrite cache (every query runs
-	// the full parse→plan→rewrite pipeline; used by ablations).
-	DisablePlanCache bool
 	// MemoryBudgetBytes bounds each query's estimated engine-side memory
 	// (group hash tables, join build sides, materialized rows). Overruns
 	// abort the query with engine.ErrMemoryBudget instead of OOMing the
@@ -84,7 +82,7 @@ type Middleware struct {
 	cat  *meta.Catalog
 	opts Options
 
-	plans *planCache // nil when DisablePlanCache
+	plans *planCache
 	stats rowStats
 }
 
@@ -116,41 +114,25 @@ func New(db drivers.DB, cat *meta.Catalog, opts Options) *Middleware {
 		opts.MaxGroupsFraction = 0.08
 	}
 	opts.Planner.IOBudget = opts.IOBudget
-	m := &Middleware{db: db, cat: cat, opts: opts}
-	if !opts.DisablePlanCache {
-		m.plans = newPlanCache(defaultPlanCacheCap)
-	}
+	m := &Middleware{db: db, cat: cat, opts: opts, plans: newPlanCache(defaultPlanCacheCap)}
 	m.stats.rows = map[string]int64{} //verdict:unguarded construction: m is not shared until New returns
 	return m
 }
 
-// Options returns the middleware's effective options.
-func (m *Middleware) Options() Options { return m.opts }
-
-// DB returns the underlying database handle.
-func (m *Middleware) DB() drivers.DB { return m.db }
-
-// CacheStats reports cumulative plan-cache hits and misses (both zero when
-// the cache is disabled).
-func (m *Middleware) CacheStats() (hits, misses int64) {
-	if m.plans == nil {
-		return 0, 0
-	}
-	return m.plans.stats()
-}
+// CacheStats reports cumulative plan-cache hits and misses.
+func (m *Middleware) CacheStats() (hits, misses int64) { return m.plans.stats() }
 
 // InvalidateStats drops the cached base-table row counts and every cached
 // plan. Call it after changing base data behind the middleware's back
-// (loads or DML not issued through Query). DML routed through Query and
-// sample DDL routed through the catalog invalidate automatically.
+// (loads, or DML not issued through verdictdb.Conn, which calls it for the
+// DML it passes through). Sample DDL routed through the catalog bumps its
+// version, which invalidates on its own.
 func (m *Middleware) InvalidateStats() {
 	m.stats.mu.Lock()
 	m.stats.rows = map[string]int64{}
 	m.stats.gen++
 	m.stats.mu.Unlock()
-	if m.plans != nil {
-		m.plans.flush()
-	}
+	m.plans.flush()
 }
 
 // rowCount returns a base table's cardinality from the stats cache,
@@ -182,96 +164,70 @@ func (m *Middleware) rowCount(table string, version int64) (int64, bool) {
 	return n, true
 }
 
-// Query runs one SQL statement through the AQP pipeline.
-func (m *Middleware) Query(sql string) (*Answer, error) {
-	return m.QueryContext(context.Background(), sql)
-}
-
-// QueryContext runs one SQL statement through the AQP pipeline under ctx:
-// the query observes cancellation and deadlines at every engine poll point,
-// and any memory budget (Options.MemoryBudgetBytes or WithMemoryBudget on
-// ctx) bounds its engine-side allocations.
-func (m *Middleware) QueryContext(ctx context.Context, sql string) (a *Answer, err error) {
-	ctx = m.budgetCtx(ctx)
-	defer containPanic(&err, sql)
-	if a, handled, err := m.queryCached(ctx, sql); handled {
-		return a, err
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := stmt.(*sqlparser.SelectStmt)
-	if !ok {
-		// DDL/DML pass straight through; base data may have changed, so
-		// cached plans and row counts are stale.
-		if err := m.db.ExecContext(ctx, sql); err != nil {
-			return nil, err
-		}
-		m.InvalidateStats()
-		return &Answer{Status: PassNoAggregates, Confidence: m.opts.Confidence}, nil
-	}
-	return m.querySelect(ctx, sel, sql)
+// Progressive requests accuracy-driven execution block prefix by block
+// prefix (progressive.go). A nil *Progressive runs a plan single-shot.
+type Progressive struct {
+	// Target is the relative error at which the scan stops early; <= 0
+	// scans the whole sample.
+	Target float64
+	// Callback, when non-nil, receives every prefix's answer and then the
+	// final one; returning false accepts the current prefix.
+	Callback ProgressiveCallback
 }
 
 // QueryCached answers sql from the plan/rewrite cache, skipping parse,
 // analysis, planning, and rewriting entirely. handled is false on a cache
-// miss (the caller should run the full pipeline, which repopulates the
-// cache). Only statements previously built by QuerySelect can hit.
-func (m *Middleware) QueryCached(sql string) (a *Answer, handled bool, err error) {
-	return m.QueryCachedContext(context.Background(), sql)
-}
-
-// QueryCachedContext is QueryCached honoring the caller's context.
-func (m *Middleware) QueryCachedContext(ctx context.Context, sql string) (a *Answer, handled bool, err error) {
+// miss: the caller parses sql and, for a SELECT, runs QuerySelect, which
+// repopulates the cache. Only statements QuerySelect built can hit.
+//
+// Both entry points honor ctx at every engine poll point, and a memory
+// budget (Options.MemoryBudgetBytes, or WithMemoryBudget on ctx) bounds the
+// query's engine-side allocations. Under prog, a deadline expiring after at
+// least one block prefix completed returns that prefix's unbiased partial
+// answer with DeadlineDegraded set instead of an error, and sample DDL
+// racing the query surfaces as ErrCatalogChanged between prefixes.
+func (m *Middleware) QueryCached(ctx context.Context, sql string, prog *Progressive) (a *Answer, handled bool, err error) {
 	ctx = m.budgetCtx(ctx)
 	defer containPanic(&err, sql)
-	return m.queryCached(ctx, sql)
-}
-
-func (m *Middleware) queryCached(ctx context.Context, sql string) (a *Answer, handled bool, err error) {
-	if m.plans == nil {
-		return nil, false, nil
-	}
 	e := m.plans.lookup(normalizeSQL(sql), m.cat.Version())
 	if e == nil {
 		return nil, false, nil
 	}
-	a, err = m.executeEntry(ctx, e, sql)
+	a, err = m.execute(ctx, e, sql, prog)
 	return a, true, err
 }
 
-// QuerySelect runs a parsed SELECT through the AQP pipeline. original is
-// the user's SQL for passthrough execution (it must be the SQL sel was
-// parsed from — the plan cache maps original to sel's plan).
-func (m *Middleware) QuerySelect(sel *sqlparser.SelectStmt, original string) (*Answer, error) {
-	return m.QuerySelectContext(context.Background(), sel, original)
-}
-
-// QuerySelectContext is QuerySelect honoring the caller's context.
-func (m *Middleware) QuerySelectContext(ctx context.Context, sel *sqlparser.SelectStmt, original string) (a *Answer, err error) {
+// QuerySelect runs a parsed SELECT through the AQP pipeline and caches its
+// plan. original must be the SQL sel was parsed from: the cache keys on it,
+// and a passthrough executes it.
+func (m *Middleware) QuerySelect(ctx context.Context, sel *sqlparser.SelectStmt, original string, prog *Progressive) (a *Answer, err error) {
 	ctx = m.budgetCtx(ctx)
 	defer containPanic(&err, original)
-	return m.querySelect(ctx, sel, original)
-}
-
-func (m *Middleware) querySelect(ctx context.Context, sel *sqlparser.SelectStmt, original string) (*Answer, error) {
-	var gen int64
-	if m.plans != nil {
-		m.plans.countMiss() // a SELECT running the full pipeline
-		gen = m.plans.generation()
-	}
+	m.plans.countMiss() // a SELECT running the full pipeline
+	gen := m.plans.generation()
 	entry, direct, err := m.buildEntry(ctx, sel, original)
 	if err != nil {
 		return nil, err
 	}
 	if direct != nil {
-		return direct, nil // resampling baselines bypass the cache
+		finalUpdate(prog, direct) // resampling baselines bypass the cache
+		return direct, nil
 	}
-	if m.plans != nil {
-		m.plans.put(normalizeSQL(original), entry, gen)
+	m.plans.put(normalizeSQL(original), entry, gen)
+	return m.execute(ctx, entry, original, prog)
+}
+
+// execute runs a plan entry block-prefix by block-prefix when prog asks for
+// it and the plan allows it, and single-shot otherwise.
+func (m *Middleware) execute(ctx context.Context, e *planEntry, original string, prog *Progressive) (*Answer, error) {
+	if prog != nil && e.prog != nil {
+		return m.executeProgressive(ctx, e, original, prog)
 	}
-	return m.executeEntry(ctx, entry, original)
+	a, err := m.executeEntry(ctx, e, original)
+	if err == nil {
+		finalUpdate(prog, a)
+	}
+	return a, err
 }
 
 // queryPlan is the outcome of the planning preamble that buildEntry caches
@@ -425,7 +381,7 @@ func (m *Middleware) executeEntry(ctx context.Context, e *planEntry, original st
 	}
 	mg := newMerger(len(e.names))
 	for _, st := range e.steps {
-		rs, elapsed, err := m.db.QueryTimedContext(ctx, st.sql)
+		rs, elapsed, err := m.timedQuery(ctx, st.sql)
 		if err != nil {
 			// An aborted query (cancel, deadline, memory budget, contained
 			// panic) propagates: re-running it as a full exact scan would
@@ -440,19 +396,19 @@ func (m *Middleware) executeEntry(ctx context.Context, e *planEntry, original st
 		}
 		answer.RewrittenSQL = append(answer.RewrittenSQL, st.sql)
 		answer.SampleTables = append(answer.SampleTables, st.sampleTables...)
-		answer.ElapsedNanos += elapsed.Nanoseconds()
+		answer.ElapsedNanos += elapsed
 		answer.RowsScanned += rs.RowsScanned
 		mg.add(rs, st.columns)
 	}
 	if e.extreme != nil {
-		rs, elapsed, err := m.db.QueryTimedContext(ctx, e.extreme.sql)
+		rs, elapsed, err := m.timedQuery(ctx, e.extreme.sql)
 		if err != nil {
 			if queryAborted(err) {
 				return nil, err
 			}
 			return m.passthrough(ctx, original, PassOther)
 		}
-		answer.ElapsedNanos += elapsed.Nanoseconds()
+		answer.ElapsedNanos += elapsed
 		answer.RowsScanned += rs.RowsScanned
 		mg.add(rs, e.extreme.columns)
 	}
@@ -510,13 +466,21 @@ func (m *Middleware) finishEntryAnswer(ctx context.Context, e *planEntry, answer
 
 // passthrough executes the original SQL unchanged.
 func (m *Middleware) passthrough(ctx context.Context, sql string, status SupportStatus) (*Answer, error) {
-	rs, elapsed, err := m.db.QueryTimedContext(ctx, sql)
+	rs, elapsed, err := m.timedQuery(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
 	a := exactAnswer(rs, status, m.opts.Confidence)
-	a.ElapsedNanos = elapsed.Nanoseconds()
+	a.ElapsedNanos = elapsed
 	return a, nil
+}
+
+// timedQuery runs one backend query and measures it in nanoseconds: the
+// clock behind every Answer.ElapsedNanos the middleware reports.
+func (m *Middleware) timedQuery(ctx context.Context, sql string) (*engine.ResultSet, int64, error) {
+	start := time.Now()
+	rs, err := m.db.QueryContext(ctx, sql)
+	return rs, time.Since(start).Nanoseconds(), err
 }
 
 // OccurrencesOf collects a query's table occurrences for callers that drive

@@ -37,7 +37,7 @@ type progressiveInfo struct {
 }
 
 // ProgressiveUpdate is one block prefix's worth of progressive execution,
-// delivered to the QueryProgressive callback. Final marks the answer the
+// delivered to a Progressive request's callback. Final marks the answer the
 // call also returns (after guard rails ran).
 type ProgressiveUpdate struct {
 	Answer        *Answer
@@ -50,77 +50,11 @@ type ProgressiveUpdate struct {
 // execution early (the current prefix's answer becomes final).
 type ProgressiveCallback func(ProgressiveUpdate) bool
 
-// QueryCachedProgressive answers sql progressively from the plan cache,
-// mirroring QueryCached's contract: handled is false on a miss.
-func (m *Middleware) QueryCachedProgressive(sql string, targetRelErr float64, cb ProgressiveCallback) (a *Answer, handled bool, err error) {
-	return m.QueryCachedProgressiveContext(context.Background(), sql, targetRelErr, cb)
-}
-
-// QueryCachedProgressiveContext is QueryCachedProgressive honoring the
-// caller's context; see QuerySelectProgressiveContext for the deadline and
-// catalog-drift contract.
-func (m *Middleware) QueryCachedProgressiveContext(ctx context.Context, sql string, targetRelErr float64, cb ProgressiveCallback) (a *Answer, handled bool, err error) {
-	ctx = m.budgetCtx(ctx)
-	defer containPanic(&err, sql)
-	if m.plans == nil {
-		return nil, false, nil
-	}
-	e := m.plans.lookup(normalizeSQL(sql), m.cat.Version())
-	if e == nil {
-		return nil, false, nil
-	}
-	a, err = m.executeProgressive(ctx, e, sql, targetRelErr, cb)
-	return a, true, err
-}
-
-// QuerySelectProgressive runs a parsed SELECT through the AQP pipeline with
-// progressive execution. original must be the SQL sel was parsed from.
-func (m *Middleware) QuerySelectProgressive(sel *sqlparser.SelectStmt, original string, targetRelErr float64, cb ProgressiveCallback) (*Answer, error) {
-	return m.QuerySelectProgressiveContext(context.Background(), sel, original, targetRelErr, cb)
-}
-
-// QuerySelectProgressiveContext is QuerySelectProgressive honoring the
-// caller's context. Cancellation aborts with ctx.Err(). A deadline expiring
-// after at least one block prefix completed degrades gracefully: the last
-// completed prefix's unbiased partial answer is returned with
-// DeadlineDegraded set instead of an error (the anytime contract — a partial
-// answer with honest error bars beats no answer). Sample DDL racing the
-// query surfaces as ErrCatalogChanged between prefixes.
-func (m *Middleware) QuerySelectProgressiveContext(ctx context.Context, sel *sqlparser.SelectStmt, original string, targetRelErr float64, cb ProgressiveCallback) (a *Answer, err error) {
-	ctx = m.budgetCtx(ctx)
-	defer containPanic(&err, original)
-	var gen int64
-	if m.plans != nil {
-		m.plans.countMiss()
-		gen = m.plans.generation()
-	}
-	entry, direct, err := m.buildEntry(ctx, sel, original)
-	if err != nil {
-		return nil, err
-	}
-	if direct != nil {
-		finalUpdate(cb, direct)
-		return direct, nil
-	}
-	if m.plans != nil {
-		m.plans.put(normalizeSQL(original), entry, gen)
-	}
-	return m.executeProgressive(ctx, entry, original, targetRelErr, cb)
-}
-
-// executeProgressive runs a plan entry block-prefix by block-prefix,
-// stopping once the target relative error is met. Entries without a
-// progressive handle run single-shot.
-func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, original string, target float64, cb ProgressiveCallback) (*Answer, error) {
-	p := e.prog
-	if p == nil {
-		a, err := m.executeEntry(ctx, e, original)
-		if err == nil {
-			finalUpdate(cb, a)
-		}
-		return a, err
-	}
-
+// executeProgressive runs a plan entry with a progressive handle
+// block-prefix by block-prefix, stopping once prog's target relative error
+// is met.
+func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, original string, prog *Progressive) (*Answer, error) {
+	p, target := e.prog, prog.Target
 	total := len(p.blockCounts)
 	schedule := blockSchedule(total, target)
 	var cumRows, cumNanos int64
@@ -147,14 +81,14 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 			return m.passthrough(ctx, original, PassOther)
 		}
 		sqlText := drivers.Render(m.db, ro.Stmt)
-		rs, elapsed, err := m.db.QueryTimedContext(ctx, sqlText)
+		rs, elapsed, err := m.timedQuery(ctx, sqlText)
 		if err != nil {
 			// A deadline expiring mid-ramp degrades gracefully when at least
 			// one prefix completed: that prefix's answer is unbiased (its
 			// Horvitz-Thompson weights already fold in the prefix fraction),
 			// so returning it flagged beats returning nothing.
 			if errors.Is(err, context.DeadlineExceeded) && lastPartial != nil {
-				return m.degradeAnswer(lastPartial, cb), nil
+				return m.degradeAnswer(lastPartial, prog), nil
 			}
 			if queryAborted(err) {
 				return nil, err
@@ -163,7 +97,7 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 			// corner case falls back to exact execution.
 			return m.passthrough(ctx, original, PassOther)
 		}
-		cumNanos += elapsed.Nanoseconds()
+		cumNanos += elapsed
 		cumRows += rs.RowsScanned
 		rewritten = append(rewritten, sqlText)
 
@@ -191,7 +125,7 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 		met := target > 0 && minSubsamples(rs, ro.Columns) >= minStopSubsamples &&
 			accuracyMet(answer, p.itemIdx, target)
 		stop := last || met
-		if !stop && cb != nil && !cb(ProgressiveUpdate{
+		if !stop && prog.Callback != nil && !prog.Callback(ProgressiveUpdate{
 			Answer: answer, BlocksScanned: bound, BlocksTotal: total,
 		}) {
 			stop = true // caller accepted this prefix's accuracy
@@ -201,10 +135,10 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 			if err != nil && errors.Is(err, context.DeadlineExceeded) {
 				// The guard rails' exact re-run ran out of time; the
 				// completed prefix itself is still a valid partial.
-				return m.degradeAnswer(answer, cb), nil
+				return m.degradeAnswer(answer, prog), nil
 			}
 			if err == nil {
-				finalUpdate(cb, final)
+				finalUpdate(prog, final)
 			}
 			return final, err
 		}
@@ -228,12 +162,12 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 // error columns are applied — the guard rails (group-cardinality check,
 // accuracy contract) are skipped because both can demand an exact re-run
 // there is no time left to pay for.
-func (m *Middleware) degradeAnswer(partial *Answer, cb ProgressiveCallback) *Answer {
+func (m *Middleware) degradeAnswer(partial *Answer, prog *Progressive) *Answer {
 	partial.DeadlineDegraded = true
 	if m.opts.ErrorColumns {
 		appendErrorColumns(partial)
 	}
-	finalUpdate(cb, partial)
+	finalUpdate(prog, partial)
 	return partial
 }
 
@@ -320,9 +254,11 @@ func prefixRows(counts []int64, bound int) int64 {
 	return n
 }
 
-func finalUpdate(cb ProgressiveCallback, a *Answer) {
-	if cb != nil && a != nil {
-		cb(ProgressiveUpdate{
+// finalUpdate delivers the answer a progressive request returns to its
+// callback, if it has one.
+func finalUpdate(prog *Progressive, a *Answer) {
+	if prog != nil && prog.Callback != nil && a != nil {
+		prog.Callback(ProgressiveUpdate{
 			Answer:        a,
 			BlocksScanned: a.BlocksScanned,
 			BlocksTotal:   a.BlocksTotal,

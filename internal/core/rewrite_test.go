@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -186,7 +187,7 @@ func TestStoredAndOnTheFlySidAgree(t *testing.T) {
 	opts := DefaultOptions()
 	opts.IOBudget = 0.2 // the test sample is 10% of the base
 	mw := New(db, cat, opts)
-	a, err := mw.Query("select avg(x) as m from t")
+	a, err := query(context.Background(), mw, "select avg(x) as m from t")
 	if err != nil {
 		t.Fatal(err)
 	}

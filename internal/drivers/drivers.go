@@ -1,14 +1,12 @@
 // Package drivers contains the thin per-engine shims the paper describes in
 // Section 2.1: each driver knows one backend's SQL dialect (identifier
 // quoting, function spellings, dialect quirks such as Impala's ban on
-// rand() in WHERE) and its fixed per-query overhead.
+// rand() in WHERE) and nothing else.
 //
 // In the paper these wrap JDBC/ODBC connections to real clusters; here they
-// wrap the in-memory engine substrate. The overhead model reproduces the
-// paper's observation (Section 6.2) that speedups are larger on engines
-// with small fixed query overhead (Redshift > Impala > Spark): each driver
-// adds a modeled fixed setup cost, a constant of its constructor, to the
-// real execution time it reports. Nothing ever sleeps.
+// wrap the in-memory engine substrate, so every dialect runs on the same
+// engine at the same cost. The drivers differ only in the SQL they accept,
+// and a caller that wants a latency times its own calls.
 package drivers
 
 import (
@@ -29,38 +27,27 @@ type DB interface {
 	Name() string
 	// Dialect returns the SQL dialect used when rendering statements.
 	Dialect() sqlparser.Dialect
-	// Exec runs a DDL/DML statement.
-	Exec(sql string) error
-	// ExecContext is Exec honoring the caller's context: the statement
-	// observes cancellation, deadlines, and any memory budget ctx carries.
+	// ExecContext runs a DDL/DML statement honoring the caller's context:
+	// the statement observes cancellation, deadlines, and any memory budget
+	// ctx carries.
 	ExecContext(ctx context.Context, sql string) error
-	// Query runs a SELECT and returns its result set.
-	Query(sql string) (*engine.ResultSet, error)
-	// QueryContext is Query honoring the caller's context.
+	// QueryContext runs a SELECT under ctx and returns its result set.
 	QueryContext(ctx context.Context, sql string) (*engine.ResultSet, error)
-	// QueryTimed runs a SELECT and reports its latency including the
-	// engine's modeled fixed overhead.
-	QueryTimed(sql string) (*engine.ResultSet, time.Duration, error)
-	// QueryTimedContext is QueryTimed honoring the caller's context.
-	QueryTimedContext(ctx context.Context, sql string) (*engine.ResultSet, time.Duration, error)
 	// Columns returns the column names of a table via a LIMIT 0 probe,
 	// which a backend answers from its catalog without reading rows.
 	Columns(table string) ([]string, error)
 	// RowCount returns a table's cardinality from the engine's catalog
 	// statistics (real engines expose this without scanning).
 	RowCount(table string) (int64, error)
-	// Overhead is the modeled fixed per-query overhead of this engine.
-	Overhead() time.Duration
 }
 
 // Driver is a DB implementation wrapping the in-memory engine. It is safe
 // for concurrent use: the engine synchronizes table access internally and
 // the Driver's own fields are read-only after construction.
 type Driver struct {
-	name     string
-	eng      *engine.Engine
-	dialect  sqlparser.Dialect
-	overhead time.Duration
+	name    string
+	eng     *engine.Engine
+	dialect sqlparser.Dialect
 }
 
 var _ DB = (*Driver)(nil)
@@ -74,10 +61,8 @@ func (d *Driver) Name() string { return d.name }
 // Dialect implements DB.
 func (d *Driver) Dialect() sqlparser.Dialect { return d.dialect }
 
-// Overhead implements DB.
-func (d *Driver) Overhead() time.Duration { return d.overhead }
-
-// Exec implements DB.
+// Exec is ExecContext without a context, for callers holding the concrete
+// driver (tests, data loaders).
 func (d *Driver) Exec(sql string) error {
 	return d.ExecContext(context.Background(), sql)
 }
@@ -88,7 +73,8 @@ func (d *Driver) ExecContext(ctx context.Context, sql string) error {
 	return err
 }
 
-// Query implements DB.
+// Query is QueryContext without a context, for callers holding the concrete
+// driver.
 func (d *Driver) Query(sql string) (*engine.ResultSet, error) {
 	return d.eng.Query(sql)
 }
@@ -98,17 +84,18 @@ func (d *Driver) QueryContext(ctx context.Context, sql string) (*engine.ResultSe
 	return d.eng.QueryContext(ctx, sql)
 }
 
-// QueryTimed implements DB.
+// QueryTimed is QueryTimedContext without a context.
 func (d *Driver) QueryTimed(sql string) (*engine.ResultSet, time.Duration, error) {
 	return d.QueryTimedContext(context.Background(), sql)
 }
 
-// QueryTimedContext implements DB: real execution time plus the modeled
-// fixed overhead.
+// QueryTimedContext runs a SELECT and reports its measured latency. Only the
+// repository benchmark's seam wrapper calls it; the middleware times its own
+// backend calls.
 func (d *Driver) QueryTimedContext(ctx context.Context, sql string) (*engine.ResultSet, time.Duration, error) {
 	start := time.Now()
 	rs, err := d.eng.QueryContext(ctx, sql)
-	return rs, time.Since(start) + d.overhead, err
+	return rs, time.Since(start), err
 }
 
 // Columns implements DB with a LIMIT 0 probe — the same trick the paper's
@@ -131,14 +118,13 @@ func (d *Driver) RowCount(table string) (int64, error) {
 	return int64(d.eng.RowCount(table)), nil
 }
 
-// NewGeneric wraps an engine with the canonical dialect and zero overhead.
+// NewGeneric wraps an engine with the canonical dialect.
 func NewGeneric(e *engine.Engine) *Driver {
 	return &Driver{name: "generic", eng: e, dialect: sqlparser.DefaultDialect}
 }
 
-// NewImpala models Apache Impala: backtick identifier quoting, rand()
-// disallowed in WHERE predicates, low fixed overhead (Impala daemons keep
-// catalogs warm).
+// NewImpala speaks Apache Impala's dialect: backtick identifier quoting,
+// rand() disallowed in WHERE predicates, the hash spelled via crc32.
 func NewImpala(e *engine.Engine) *Driver {
 	return &Driver{
 		name: "impala",
@@ -154,25 +140,17 @@ func NewImpala(e *engine.Engine) *Driver {
 				return f
 			},
 		},
-		overhead: 3 * time.Millisecond,
 	}
 }
 
-// NewSparkSQL models Spark SQL: unquoted identifiers, rand() everywhere,
-// high fixed overhead (job scheduling, catalog access dominate short
-// queries — the paper's reason Spark shows the smallest speedups).
+// NewSparkSQL speaks Spark SQL's dialect: unquoted identifiers, rand()
+// everywhere.
 func NewSparkSQL(e *engine.Engine) *Driver {
-	return &Driver{
-		name:     "sparksql",
-		eng:      e,
-		dialect:  sqlparser.Dialect{Name: "sparksql"},
-		overhead: 12 * time.Millisecond,
-	}
+	return &Driver{name: "sparksql", eng: e, dialect: sqlparser.Dialect{Name: "sparksql"}}
 }
 
-// NewRedshift models Amazon Redshift: double-quote identifier quoting,
-// random() instead of rand(), minimal fixed overhead (the paper reports the
-// largest speedups on Redshift).
+// NewRedshift speaks Amazon Redshift's dialect: double-quote identifier
+// quoting, random() instead of rand(), the hash spelled via md5.
 func NewRedshift(e *engine.Engine) *Driver {
 	return &Driver{
 		name: "redshift",
@@ -190,7 +168,6 @@ func NewRedshift(e *engine.Engine) *Driver {
 				return f
 			},
 		},
-		overhead: 1 * time.Millisecond,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"verdictdb/internal/engine"
 	"verdictdb/internal/sqlparser"
@@ -58,7 +57,7 @@ func TestDialectRoundTripThroughEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, db := range []DB{NewImpala(e), NewRedshift(e), NewSparkSQL(e), NewGeneric(e)} {
+	for _, db := range []*Driver{NewImpala(e), NewRedshift(e), NewSparkSQL(e), NewGeneric(e)} {
 		rs, err := db.Query(Render(db, stmt))
 		if err != nil {
 			t.Fatalf("%s: %v", db.Name(), err)
@@ -69,22 +68,24 @@ func TestDialectRoundTripThroughEngine(t *testing.T) {
 	}
 }
 
-func TestOverheadModel(t *testing.T) {
-	e := newEngine(t)
-	spark := NewSparkSQL(e)
-	redshift := NewRedshift(e)
-	if spark.Overhead() <= redshift.Overhead() {
-		t.Error("Spark should model more fixed overhead than Redshift (Section 6.2)")
-	}
-	_, dur, err := spark.QueryTimed("select count(*) from t")
+// The engine drivers differ in their dialect and in nothing else: each is
+// named after its dialect, and no two render the same statement alike.
+func TestEngineDialects(t *testing.T) {
+	stmt, err := sqlparser.Parse("select a from t where rand() < 0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dur < spark.Overhead() {
-		t.Errorf("QueryTimed %v below modeled overhead %v", dur, spark.Overhead())
-	}
-	if dur > spark.Overhead()+5*time.Second {
-		t.Errorf("QueryTimed suspiciously slow: %v", dur)
+	e := newEngine(t)
+	seen := map[string]string{}
+	for _, db := range []*Driver{NewImpala(e), NewSparkSQL(e), NewRedshift(e)} {
+		if db.Dialect().Name != db.Name() {
+			t.Errorf("driver %q speaks dialect %q", db.Name(), db.Dialect().Name)
+		}
+		out := Render(db, stmt)
+		if prev, dup := seen[out]; dup {
+			t.Errorf("%s and %s render alike: %q", prev, db.Name(), out)
+		}
+		seen[out] = db.Name()
 	}
 }
 

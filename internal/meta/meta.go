@@ -11,6 +11,7 @@
 package meta
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -109,7 +110,7 @@ type Catalog struct {
 // and loading any previously registered samples into the snapshot.
 func Open(db drivers.DB) (*Catalog, error) {
 	c := &Catalog{db: db}
-	err := db.Exec(fmt.Sprintf(`create table if not exists %s (
+	err := db.ExecContext(context.Background(), fmt.Sprintf(`create table if not exists %s (
 		sample_table string, base_table string, sample_type string,
 		ratio double, on_columns string, sample_rows bigint,
 		base_rows bigint, subsamples bigint, universe_keys bigint,
@@ -183,7 +184,7 @@ func (c *Catalog) Register(si SampleInfo) error {
 	if !replacing {
 		// Fast path for a brand-new sample: a single durable INSERT, which
 		// leaves the SQL table untouched on failure (no rewrite needed).
-		if err := c.db.Exec(insertRowSQL(si)); err != nil {
+		if err := c.db.ExecContext(context.Background(), insertRowSQL(si)); err != nil {
 			return err
 		}
 		c.state.Store(&catalogState{version: st.version + 1, infos: next})
@@ -227,7 +228,7 @@ func (c *Catalog) Drop(sampleTable string) error {
 func (c *Catalog) Reconcile(blockCol string) error {
 	infos, _ := c.Snapshot()
 	for _, si := range infos {
-		rs, err := c.db.Query("select count(*) from " + si.SampleTable)
+		rs, err := c.db.QueryContext(context.Background(), "select count(*) from "+si.SampleTable)
 		if err != nil {
 			// The sample table did not survive (dropped behind our back or
 			// lost to recovery): retire its record rather than serving plans
@@ -259,7 +260,7 @@ func (c *Catalog) Reconcile(blockCol string) error {
 // recountBlocks reads per-block row counts back from a sample table
 // (1-based block ids; ids the random assignment left empty report 0).
 func (c *Catalog) recountBlocks(table, blockCol string) ([]int64, error) {
-	rs, err := c.db.Query(fmt.Sprintf("select %s, count(*) from %s group by %s",
+	rs, err := c.db.QueryContext(context.Background(), fmt.Sprintf("select %s, count(*) from %s group by %s",
 		blockCol, table, blockCol))
 	if err != nil {
 		return nil, err
@@ -308,10 +309,10 @@ func (c *Catalog) Reload() error {
 //verdict:locked mu
 func (c *Catalog) commitLocked(version int64, infos []SampleInfo) error {
 	persist := func() error {
-		if err := c.db.Exec("drop table if exists " + MetaTable); err != nil {
+		if err := c.db.ExecContext(context.Background(), "drop table if exists "+MetaTable); err != nil {
 			return err
 		}
-		err := c.db.Exec(fmt.Sprintf(`create table %s (
+		err := c.db.ExecContext(context.Background(), fmt.Sprintf(`create table %s (
 			sample_table string, base_table string, sample_type string,
 			ratio double, on_columns string, sample_rows bigint,
 			base_rows bigint, subsamples bigint, universe_keys bigint,
@@ -320,7 +321,7 @@ func (c *Catalog) commitLocked(version int64, infos []SampleInfo) error {
 			return fmt.Errorf("meta: recreating catalog table: %w", err)
 		}
 		for _, si := range infos {
-			if err := c.db.Exec(insertRowSQL(si)); err != nil {
+			if err := c.db.ExecContext(context.Background(), insertRowSQL(si)); err != nil {
 				return err
 			}
 		}
@@ -377,7 +378,7 @@ func decodeBlockCounts(s string) []int64 {
 
 // load reads the SQL metadata table into a fresh info slice.
 func (c *Catalog) load() ([]SampleInfo, error) {
-	rs, err := c.db.Query("select sample_table, base_table, sample_type, ratio, on_columns, sample_rows, base_rows, subsamples, universe_keys, block_rows, block_counts from " + MetaTable)
+	rs, err := c.db.QueryContext(context.Background(), "select sample_table, base_table, sample_type, ratio, on_columns, sample_rows, base_rows, subsamples, universe_keys, block_rows, block_counts from "+MetaTable)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -47,7 +48,7 @@ func (b *Builder) AppendBatch(si meta.SampleInfo, batchTable string) (meta.Sampl
 
 	// The batch size feeds the block-extension estimate and the metadata
 	// refresh, so count it before inserting.
-	rsB, err := b.db.Query("select count(*) from " + batchTable)
+	rsB, err := b.db.QueryContext(context.Background(), "select count(*) from "+batchTable)
 	if err != nil {
 		return si, err
 	}

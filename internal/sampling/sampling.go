@@ -16,6 +16,7 @@
 package sampling
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -100,7 +101,7 @@ func SampleName(base string, typ sqlparser.SampleType, cols []string) string {
 }
 
 func (b *Builder) baseRows(table string) (int64, error) {
-	rs, err := b.db.Query("select count(*) from " + table)
+	rs, err := b.db.QueryContext(context.Background(), "select count(*) from "+table)
 	if err != nil {
 		return 0, err
 	}
@@ -123,7 +124,7 @@ func (b *Builder) exec(canonical string) error {
 	if err != nil {
 		return err
 	}
-	return b.db.Exec(sql)
+	return b.db.ExecContext(context.Background(), sql)
 }
 
 // subsampleCount picks b = sqrt(n) (Appendix B.3: ns = sqrt(n) minimizes
@@ -253,7 +254,7 @@ func (b *Builder) createHashed(table, column string, tau float64) (meta.SampleIn
 	// Record how many distinct hash keys the universe holds: the planner
 	// refuses degenerate universes (Appendix F builds hashed samples only
 	// on high-cardinality columns).
-	rsKeys, err := b.db.Query(fmt.Sprintf("select count(distinct %s) from %s", column, name))
+	rsKeys, err := b.db.QueryContext(context.Background(), fmt.Sprintf("select count(distinct %s) from %s", column, name))
 	if err != nil {
 		return meta.SampleInfo{}, err
 	}
@@ -307,7 +308,7 @@ func (b *Builder) createStratified(table string, columns []string, tau float64) 
 	}
 
 	// Stratum statistics for the staircase.
-	rs, err := b.db.Query(fmt.Sprintf("select count(*), max(strata_size) from %s", sizesTable))
+	rs, err := b.db.QueryContext(context.Background(), fmt.Sprintf("select count(*), max(strata_size) from %s", sizesTable))
 	if err != nil {
 		return meta.SampleInfo{}, err
 	}
@@ -324,7 +325,7 @@ func (b *Builder) createStratified(table string, columns []string, tau float64) 
 	caseExpr := stats.StaircaseCaseSQL(steps, "verdict_g.strata_size")
 
 	// Expected sample size (for choosing the subsample count b).
-	rs2, err := b.db.Query(fmt.Sprintf(
+	rs2, err := b.db.QueryContext(context.Background(), fmt.Sprintf(
 		"select sum(strata_size * (%s)) from %s",
 		stats.StaircaseCaseSQL(steps, "strata_size"), sizesTable))
 	if err != nil {
@@ -384,7 +385,7 @@ func (b *Builder) createStratified(table string, columns []string, tau float64) 
 // it in the catalog. Block counts are always recounted from the table itself
 // so creation and append maintenance share one source of truth.
 func (b *Builder) register(si meta.SampleInfo) (meta.SampleInfo, error) {
-	rs, err := b.db.Query("select count(*) from " + si.SampleTable)
+	rs, err := b.db.QueryContext(context.Background(), "select count(*) from "+si.SampleTable)
 	if err != nil {
 		return si, err
 	}
@@ -405,7 +406,7 @@ func (b *Builder) register(si meta.SampleInfo) (meta.SampleInfo, error) {
 // blockCounts reads per-block row counts (1-based block ids; blocks the
 // random assignment left empty report 0).
 func (b *Builder) blockCounts(table string) ([]int64, error) {
-	rs, err := b.db.Query(fmt.Sprintf("select %s, count(*) from %s group by %s",
+	rs, err := b.db.QueryContext(context.Background(), fmt.Sprintf("select %s, count(*) from %s group by %s",
 		BlockCol, table, BlockCol))
 	if err != nil {
 		return nil, err
@@ -461,7 +462,7 @@ func (b *Builder) CreateAuto(table string) ([]meta.SampleInfo, error) {
 	}
 	cards := make([]card, 0, len(cols))
 	for _, c := range cols {
-		rs, err := b.db.Query(fmt.Sprintf("select ndv(%s) from %s", c, table))
+		rs, err := b.db.QueryContext(context.Background(), fmt.Sprintf("select ndv(%s) from %s", c, table))
 		if err != nil {
 			return nil, err
 		}

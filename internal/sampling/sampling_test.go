@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // newTestDB loads a base table with skewed group sizes.
-func newTestDB(t testing.TB, driver func(*engine.Engine) *drivers.Driver) (drivers.DB, *Builder) {
+func newTestDB(t testing.TB, driver func(*engine.Engine) *drivers.Driver) (*drivers.Driver, *Builder) {
 	t.Helper()
 	e := engine.NewSeeded(11)
 	if err := e.CreateTable("sales", []engine.Column{
@@ -559,16 +560,16 @@ type scanCountingDB struct {
 	scanned int64
 }
 
-func (c *scanCountingDB) Exec(sql string) error {
-	rs, err := c.Engine().Exec(sql)
+func (c *scanCountingDB) ExecContext(ctx context.Context, sql string) error {
+	rs, err := c.Engine().ExecContext(ctx, sql)
 	if err == nil {
 		c.scanned += rs.RowsScanned
 	}
 	return err
 }
 
-func (c *scanCountingDB) Query(sql string) (*engine.ResultSet, error) {
-	rs, err := c.Driver.Query(sql)
+func (c *scanCountingDB) QueryContext(ctx context.Context, sql string) (*engine.ResultSet, error) {
+	rs, err := c.Driver.QueryContext(ctx, sql)
 	if err == nil {
 		c.scanned += rs.RowsScanned
 	}

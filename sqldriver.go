@@ -321,7 +321,7 @@ func (c *sqlConn) Query(query string, args []driver.Value) (driver.Rows, error) 
 	if len(args) > 0 {
 		return nil, driver.ErrSkip
 	}
-	a, err := queryMaybeProgressive(c.conn, query, c.target)
+	a, err := queryMaybeProgressive(context.Background(), c.conn, query, c.target)
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +346,7 @@ func (c *sqlConn) QueryContext(ctx context.Context, query string, args []driver.
 	if len(args) > 0 {
 		return nil, driver.ErrSkip
 	}
-	a, err := queryMaybeProgressiveContext(ctx, c.conn, query, c.target)
+	a, err := queryMaybeProgressive(ctx, c.conn, query, c.target)
 	if err != nil {
 		return nil, err
 	}
@@ -372,11 +372,7 @@ type sqlStmt struct {
 
 // queryMaybeProgressive runs one statement, with accuracy-driven early
 // stopping when the DSN configured a target relative error.
-func queryMaybeProgressive(conn *Conn, query string, target float64) (*Answer, error) {
-	return queryMaybeProgressiveContext(context.Background(), conn, query, target)
-}
-
-func queryMaybeProgressiveContext(ctx context.Context, conn *Conn, query string, target float64) (*Answer, error) {
+func queryMaybeProgressive(ctx context.Context, conn *Conn, query string, target float64) (*Answer, error) {
 	if target > 0 {
 		return conn.QueryWithAccuracyContext(ctx, query, target)
 	}
@@ -394,7 +390,7 @@ func (s *sqlStmt) Exec(args []driver.Value) (driver.Result, error) {
 }
 
 func (s *sqlStmt) Query(args []driver.Value) (driver.Rows, error) {
-	a, err := queryMaybeProgressive(s.conn, s.query, s.target)
+	a, err := queryMaybeProgressive(context.Background(), s.conn, s.query, s.target)
 	if err != nil {
 		return nil, err
 	}
@@ -406,7 +402,7 @@ func (s *sqlStmt) QueryContext(ctx context.Context, args []driver.NamedValue) (d
 	if len(args) > 0 {
 		return nil, driver.ErrSkip
 	}
-	a, err := queryMaybeProgressiveContext(ctx, s.conn, s.query, s.target)
+	a, err := queryMaybeProgressive(ctx, s.conn, s.query, s.target)
 	if err != nil {
 		return nil, err
 	}

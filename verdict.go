@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"verdictdb/internal/core"
 	"verdictdb/internal/drivers"
@@ -160,7 +161,7 @@ func (c *Conn) DropSample(sampleTable string) error {
 	if err != nil {
 		return fmt.Errorf("verdictdb: bad sample table name %q: %w", sampleTable, err)
 	}
-	return c.db.Exec(drivers.Render(c.db, stmt))
+	return c.db.ExecContext(context.Background(), drivers.Render(c.db, stmt))
 }
 
 // Query runs SQL through the AQP pipeline. SELECT statements with supported
@@ -172,7 +173,7 @@ func (c *Conn) DropSample(sampleTable string) error {
 //	SHOW SAMPLES
 //	BYPASS <sql>          -- force exact execution
 func (c *Conn) Query(sql string) (*Answer, error) {
-	return c.QueryContext(context.Background(), sql)
+	return c.query(context.Background(), sql, nil)
 }
 
 // QueryContext is Query honoring ctx end to end: cancellation or a deadline
@@ -180,10 +181,17 @@ func (c *Conn) Query(sql string) (*Answer, error) {
 // (or Options.MemoryBudgetBytes) bounds the query's engine-side allocations,
 // aborting it with ErrMemoryBudget instead of OOMing the process.
 func (c *Conn) QueryContext(ctx context.Context, sql string) (*Answer, error) {
+	return c.query(ctx, sql, nil)
+}
+
+// query is the one statement dispatcher behind every Query* and Exec*
+// method. prog, when non-nil, runs an approximated SELECT progressively;
+// statements without a progressive form ignore it.
+func (c *Conn) query(ctx context.Context, sql string, prog *core.Progressive) (*Answer, error) {
 	// Repeated SELECT shapes skip parse/analyze/plan/rewrite entirely: only
 	// statements QuerySelect previously built can hit, so the statement
 	// dispatch below is never bypassed for DDL or VerdictDB extensions.
-	if a, handled, err := c.mw.QueryCachedContext(ctx, sql); handled {
+	if a, handled, err := c.mw.QueryCached(ctx, sql, prog); handled {
 		return a, err
 	}
 	stmt, err := sqlparser.Parse(sql)
@@ -206,11 +214,14 @@ func (c *Conn) QueryContext(ctx context.Context, sql string) (*Answer, error) {
 		}, nil
 	case *sqlparser.BypassStmt:
 		if _, ok := s.Inner.(*sqlparser.SelectStmt); ok {
+			start := time.Now()
 			rs, err := c.db.QueryContext(ctx, s.SQL)
 			if err != nil {
 				return nil, err
 			}
-			return exactToAnswer(rs, c.opts.Confidence), nil
+			a := exactToAnswer(rs, c.opts.Confidence)
+			a.ElapsedNanos = time.Since(start).Nanoseconds()
+			return a, nil
 		}
 		if err := c.db.ExecContext(ctx, s.SQL); err != nil {
 			return nil, err
@@ -218,7 +229,7 @@ func (c *Conn) QueryContext(ctx context.Context, sql string) (*Answer, error) {
 		c.mw.InvalidateStats()
 		return &Answer{Confidence: c.opts.Confidence}, nil
 	case *sqlparser.SelectStmt:
-		return c.mw.QuerySelectContext(ctx, s, sql)
+		return c.mw.QuerySelect(ctx, s, sql, prog)
 	default:
 		if err := c.db.ExecContext(ctx, sql); err != nil {
 			return nil, err
@@ -232,13 +243,13 @@ func (c *Conn) QueryContext(ctx context.Context, sql string) (*Answer, error) {
 
 // Exec is Query for statements whose result the caller ignores.
 func (c *Conn) Exec(sql string) error {
-	_, err := c.Query(sql)
+	_, err := c.query(context.Background(), sql, nil)
 	return err
 }
 
 // ExecContext is QueryContext for statements whose result the caller ignores.
 func (c *Conn) ExecContext(ctx context.Context, sql string) error {
-	_, err := c.QueryContext(ctx, sql)
+	_, err := c.query(ctx, sql, nil)
 	return err
 }
 
@@ -252,7 +263,7 @@ func (c *Conn) ExecContext(ctx context.Context, sql string) error {
 // statistics, count-distinct, nested aggregate blocks) behave exactly like
 // Query.
 func (c *Conn) QueryWithAccuracy(sql string, targetRelErr float64) (*Answer, error) {
-	return c.QueryProgressive(sql, targetRelErr, nil)
+	return c.query(context.Background(), sql, &core.Progressive{Target: targetRelErr})
 }
 
 // QueryWithAccuracyContext is QueryWithAccuracy honoring ctx. A deadline
@@ -261,7 +272,7 @@ func (c *Conn) QueryWithAccuracy(sql string, targetRelErr float64) (*Answer, err
 // cancellation always returns ctx.Err(). Sample DDL racing the query
 // surfaces as ErrCatalogChanged.
 func (c *Conn) QueryWithAccuracyContext(ctx context.Context, sql string, targetRelErr float64) (*Answer, error) {
-	return c.QueryProgressiveContext(ctx, sql, targetRelErr, nil)
+	return c.query(ctx, sql, &core.Progressive{Target: targetRelErr})
 }
 
 // QueryProgressive is QueryWithAccuracy with a streaming callback: cb (when
@@ -269,25 +280,15 @@ func (c *Conn) QueryWithAccuracyContext(ctx context.Context, sql string, targetR
 // computed, then the final answer with Final set. Returning false from cb
 // accepts the current prefix's accuracy and stops the scan early.
 func (c *Conn) QueryProgressive(sql string, targetRelErr float64, cb func(ProgressiveUpdate) bool) (*Answer, error) {
-	return c.QueryProgressiveContext(context.Background(), sql, targetRelErr, cb)
+	return c.query(context.Background(), sql, &core.Progressive{Target: targetRelErr, Callback: cb})
 }
 
 // QueryProgressiveContext is QueryProgressive honoring ctx; see
 // QueryWithAccuracyContext for the deadline-degradation contract.
+// VerdictDB extension statements and DDL/DML have no progressive form and
+// run as under QueryContext.
 func (c *Conn) QueryProgressiveContext(ctx context.Context, sql string, targetRelErr float64, cb func(ProgressiveUpdate) bool) (*Answer, error) {
-	if a, handled, err := c.mw.QueryCachedProgressiveContext(ctx, sql, targetRelErr, cb); handled {
-		return a, err
-	}
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		return c.mw.QuerySelectProgressiveContext(ctx, sel, sql, targetRelErr, cb)
-	}
-	// VerdictDB extension statements and DDL/DML have no progressive form;
-	// route them through the normal dispatch.
-	return c.QueryContext(ctx, sql)
+	return c.query(ctx, sql, &core.Progressive{Target: targetRelErr, Callback: cb})
 }
 
 // CreateUniformSample builds a uniform sample with parameter tau.
