@@ -105,7 +105,7 @@ func main() {
 		bench.CorrectnessSelectivity(w, 1_000_000, 10_000, *trials, cfg.Seed)
 		fmt.Fprintln(w)
 		bench.CorrectnessSampleSize(w, []int{100_000, 1_000_000, 10_000_000},
-			maxInt(4, *trials/20), 100, cfg.Seed)
+			max(4, *trials/20), 100, cfg.Seed)
 		return nil
 	})
 	run("prep", func() error {
@@ -114,16 +114,16 @@ func main() {
 	})
 	run("tradeoff-n", func() error {
 		bench.TradeoffN(w, []int{10_000, 20_000, 40_000, 60_000, 80_000, 100_000},
-			maxInt(3, *trials/20), 1000, cfg.Seed)
+			max(3, *trials/20), 1000, cfg.Seed)
 		return nil
 	})
 	run("tradeoff-b", func() error {
 		bench.TradeoffB(w, 1_000_000, []int{10, 20, 50, 100, 200, 500},
-			maxInt(3, *trials/40), cfg.Seed)
+			max(3, *trials/40), cfg.Seed)
 		return nil
 	})
 	run("ns-sweep", func() error {
-		bench.NsSweep(w, 500_000, maxInt(5, *trials/10), cfg.Seed)
+		bench.NsSweep(w, 500_000, max(5, *trials/10), cfg.Seed)
 		return nil
 	})
 	run("engine", func() error {
@@ -153,16 +153,9 @@ func main() {
 			return err
 		}
 		fmt.Fprintln(w)
-		bench.AblationStaircase(w, maxInt(500, *trials*5), cfg.Seed)
+		bench.AblationStaircase(w, max(500, *trials*5), cfg.Seed)
 		fmt.Fprintln(w)
 		_, err := bench.AblationPlannerTopK(w, cfg)
 		return err
 	})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

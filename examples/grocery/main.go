@@ -70,7 +70,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		speedup := float64(exact.RowsScanned) / float64(maxI64(approx.RowsScanned, 1))
+		speedup := float64(exact.RowsScanned) / float64(max(approx.RowsScanned, 1))
 		fmt.Printf("\n== %s  (approx=%v, %0.1fx fewer rows scanned)\n", q.title, approx.Approximate, speedup)
 		for i := range approx.Rows {
 			fmt.Printf("  ")
@@ -87,11 +87,4 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

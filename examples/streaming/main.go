@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 
 	verdictdb "verdictdb"
@@ -88,14 +89,7 @@ func main() {
 		for i := range a.Rows {
 			fmt.Printf("  %-7v approx %12.0f   exact %12.0f   (err %.2f%%)\n",
 				a.Rows[i][0], a.Float(i, "total"), ex.Float(i, "total"),
-				100*abs(a.Float(i, "total")-ex.Float(i, "total"))/ex.Float(i, "total"))
+				100*math.Abs(a.Float(i, "total")-ex.Float(i, "total"))/ex.Float(i, "total"))
 		}
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"time"
 
@@ -118,7 +119,7 @@ func AblationSampleType(w io.Writer, seed int64) ([]SampleTypeAblationResult, er
 				res.MissingGroups++
 				continue
 			}
-			re := abs(gv-want) / want
+			re := math.Abs(gv-want) / want
 			if re > res.WorstGroupErr {
 				res.WorstGroupErr = re
 			}

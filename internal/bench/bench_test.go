@@ -2,6 +2,7 @@ package bench
 
 import (
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -161,7 +162,7 @@ func TestCorrectnessSelectivityShape(t *testing.T) {
 		t.Error("ground-truth error should fall as selectivity rises")
 	}
 	for _, p := range pts {
-		rel := abs(p.EstimatedMean-p.GroundTruth) / p.GroundTruth
+		rel := math.Abs(p.EstimatedMean-p.GroundTruth) / p.GroundTruth
 		if rel > 0.15 {
 			t.Errorf("selectivity %.1f: estimate %.4f vs truth %.4f (off %.0f%%)",
 				p.Selectivity, p.EstimatedMean, p.GroundTruth, 100*rel)
@@ -176,7 +177,7 @@ func TestCorrectnessSampleSizeShape(t *testing.T) {
 	}
 	for _, p := range pts {
 		for method, est := range p.Methods {
-			rel := abs(est-p.Truth) / p.Truth
+			rel := math.Abs(est-p.Truth) / p.Truth
 			if rel > 0.5 {
 				t.Errorf("n=%d %s: estimated rel err %.4f vs truth %.4f", p.N, method, est, p.Truth)
 			}

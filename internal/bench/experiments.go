@@ -244,9 +244,9 @@ func NativeExperiment(w io.Writer, cfg Config) ([]NativeResult, error) {
 	out = append(out, NativeResult{
 		Metric:      "count-distinct",
 		VerdictTime: time.Duration(a.ElapsedNanos),
-		VerdictErr:  abs(a.Float(0, "d")-trueD) / trueD,
+		VerdictErr:  math.Abs(a.Float(0, "d")-trueD) / trueD,
 		NativeTime:  nTime,
-		NativeErr:   abs(ndv-trueD) / trueD,
+		NativeErr:   math.Abs(ndv-trueD) / trueD,
 	})
 
 	// median.
@@ -261,9 +261,9 @@ func NativeExperiment(w io.Writer, cfg Config) ([]NativeResult, error) {
 	out = append(out, NativeResult{
 		Metric:      "median",
 		VerdictTime: time.Duration(a2.ElapsedNanos),
-		VerdictErr:  abs(a2.Float(0, "m")-trueM) / trueM,
+		VerdictErr:  math.Abs(a2.Float(0, "m")-trueM) / trueM,
 		NativeTime:  mTime,
-		NativeErr:   abs(med-trueM) / trueM,
+		NativeErr:   math.Abs(med-trueM) / trueM,
 	})
 
 	fmt.Fprintf(w, "## Table 2: sampling-based AQP vs native approximation\n")
@@ -364,10 +364,7 @@ func newInstaEnvWithOpts(cfg Config, opts verdictdb.Options) (*Env, error) {
 	if r := ratioFor("order_products"); r > maxRatio {
 		maxRatio = r
 	}
-	if opts.IOBudget < 1.2*maxRatio {
-		opts.IOBudget = 1.2 * maxRatio
-		opts.Planner.IOBudget = opts.IOBudget
-	}
+	opts.Planner.IOBudget = max(opts.Planner.IOBudget, 1.2*maxRatio)
 	conn, err := verdictdb.Open(db, opts)
 	if err != nil {
 		return nil, err

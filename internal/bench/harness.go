@@ -6,6 +6,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	verdictdb "verdictdb"
@@ -197,18 +198,11 @@ func trueRelativeError(exact *verdictdb.Answer, approx *verdictdb.Answer) float6
 			if !aok || !eok || ev == 0 {
 				continue
 			}
-			re := abs(av-ev) / abs(ev)
+			re := math.Abs(av-ev) / math.Abs(ev)
 			if re > worst {
 				worst = re
 			}
 		}
 	}
 	return worst
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

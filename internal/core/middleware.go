@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -36,8 +37,6 @@ const (
 
 // Options configures the middleware (Section 2.4's knobs).
 type Options struct {
-	// IOBudget is the fraction of base data a query may read (default 2%).
-	IOBudget float64
 	// Confidence for error reporting (default 0.95).
 	Confidence float64
 	// MinAccuracy is the optional High-level Accuracy Contract: when > 0,
@@ -48,9 +47,9 @@ type Options struct {
 	ErrorColumns bool
 	// Method selects the error-estimation strategy.
 	Method ErrorMethod
-	// Planner tuning.
+	// Planner tuning, including the I/O budget (Planner.IOBudget).
 	Planner PlannerConfig
-	// MaxGroupsPerSample declines AQP when the estimated group cardinality
+	// MaxGroupsFraction declines AQP when the estimated group cardinality
 	// exceeds this fraction of the sample size (the paper's "AQP not
 	// feasible due to high-cardinality grouping attributes").
 	MaxGroupsFraction float64
@@ -65,7 +64,6 @@ type Options struct {
 // DefaultOptions mirrors the paper's defaults.
 func DefaultOptions() Options {
 	return Options{
-		IOBudget:          0.02,
 		Confidence:        0.95,
 		Planner:           DefaultPlannerConfig(),
 		MaxGroupsFraction: 0.08,
@@ -104,16 +102,14 @@ func New(db drivers.DB, cat *meta.Catalog, opts Options) *Middleware {
 	if opts.Confidence == 0 {
 		opts.Confidence = 0.95
 	}
-	if opts.IOBudget == 0 {
-		opts.IOBudget = 0.02
-	}
+	budget := cmp.Or(opts.Planner.IOBudget, 0.02)
 	if opts.Planner.TopK == 0 {
 		opts.Planner = DefaultPlannerConfig()
 	}
+	opts.Planner.IOBudget = budget
 	if opts.MaxGroupsFraction == 0 {
 		opts.MaxGroupsFraction = 0.08
 	}
-	opts.Planner.IOBudget = opts.IOBudget
 	m := &Middleware{db: db, cat: cat, opts: opts, plans: newPlanCache(defaultPlanCacheCap)}
 	m.stats.rows = map[string]int64{} //verdict:unguarded construction: m is not shared until New returns
 	return m
@@ -442,7 +438,7 @@ func (m *Middleware) finishEntryAnswer(ctx context.Context, e *planEntry, answer
 	// made the guard nearly impossible to trip for those queries. Only
 	// applicable when no LIMIT truncated the output.
 	if e.guardGroups &&
-		float64(len(answer.Rows)) > m.opts.MaxGroupsFraction*float64(maxI64(e.planSampleRows, 1)) {
+		float64(len(answer.Rows)) > m.opts.MaxGroupsFraction*float64(max(e.planSampleRows, 1)) {
 		return m.passthrough(ctx, original, PassOther)
 	}
 
@@ -769,11 +765,4 @@ func appendErrorColumns(a *Answer) {
 			a.StdErr[r] = append(a.StdErr[r], math.NaN())
 		}
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

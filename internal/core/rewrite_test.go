@@ -185,7 +185,7 @@ func TestStoredAndOnTheFlySidAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.IOBudget = 0.2 // the test sample is 10% of the base
+	opts.Planner.IOBudget = 0.2 // the test sample is 10% of the base
 	mw := New(db, cat, opts)
 	a, err := query(context.Background(), mw, "select avg(x) as m from t")
 	if err != nil {

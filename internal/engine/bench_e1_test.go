@@ -150,9 +150,9 @@ func BenchmarkE1JoinFilteredSide(b *testing.B) {
 		group by d.cat`)
 }
 
-// e1ChainTables adds the four tables of BenchmarkE1JoinChain, sized like the
-// repository benchmark's insta data: ord (20 000 rows), item (200 000, ten per
-// order), prod (5 000) and dept (21).
+// e1ChainTables adds the four tables of BenchmarkE1JoinChain and
+// BenchmarkE1GroupManyKeys, sized like the repository benchmark's insta data:
+// ord (20 000 rows), item (200 000, ten per order), prod (5 000) and dept (21).
 func e1ChainTables(b *testing.B, e *Engine) {
 	b.Helper()
 	load := func(name string, cols []Column, n int, row func(i int) []Value) {
@@ -192,6 +192,16 @@ func BenchmarkE1JoinChain(b *testing.B) {
 		inner join dept d on p.dept_id = d.dept_id
 		where o.hr between 8 and 18
 		group by o.dow, d.name`)
+}
+
+// BenchmarkE1GroupManyKeys is the iq-15 shape: 20 000 int-keyed groups of ten
+// rows, one sum each, averaged by an outer block over the derived table.
+func BenchmarkE1GroupManyKeys(b *testing.B) {
+	e := NewSeeded(7)
+	e1ChainTables(b, e)
+	benchE1Query(b, e, `
+		select avg(s) as avg_s from
+		(select ord_id, sum(price) as s from item group by ord_id) as per_ord`)
 }
 
 // BenchmarkE1JoinLimitFirstRows fetches the first rows of a join: the probe

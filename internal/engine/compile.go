@@ -17,14 +17,15 @@ import (
 // morsel-parallel scan in parallel.go.
 //
 // The compiler is total. Expressions that need more than the row — columns
-// of an enclosing scope, aggregate and window references, subqueries —
-// capture the env they were compiled in and are impure, as are rand and
-// friends: impure closures run serially, in row order, so sampling stays
-// deterministic and the captured scope has one writer. An expression that
-// cannot be evaluated at all (unknown or ambiguous column, aggregate outside
-// an aggregating clause, bare INTERVAL, unknown operator) lowers to an
-// impure closure that returns the error when called, so a query that never
-// evaluates it — zero rows, a short-circuit — still succeeds.
+// of an enclosing scope, subqueries — capture the env they were compiled in
+// and are impure, as are rand and friends: impure closures run serially, in
+// row order, so sampling stays deterministic and the captured scope has one
+// writer. An aggregate or window reference is a column read: the clauses
+// after aggregation are handed rows that carry the results (env.calls). An
+// expression that cannot be evaluated at all (unknown or ambiguous column,
+// aggregate outside an aggregating clause, bare INTERVAL, unknown operator)
+// lowers to an impure closure that returns the error when called, so a query
+// that never evaluates it — zero rows, a short-circuit — still succeeds.
 
 // compiledExpr evaluates one expression against a row of the relation it
 // was compiled for. Implementations must be reentrant: pure compiled
@@ -554,27 +555,18 @@ func cmpFloat64(a, b float64) int {
 }
 
 func (c *compiler) compileFunc(x *sqlparser.FuncCall) compiledExpr {
-	// Window and aggregate calls are computed by the executor, which points
-	// the scope at the current entry's results before calling the closure;
-	// anywhere else the scope holds none and the reference is an error.
-	scope := c.scope
-	switch {
-	case x.Over != nil:
-		c.pure = false
-		return func([]Value) (Value, error) {
-			if v, ok := scope.winVals[x]; ok {
-				return v, nil
-			}
-			return nil, errNoWindowValue(x.Name)
+	// Window and aggregate calls are computed by the executor into result
+	// slots after the relation's columns: a scope that knows the call reads
+	// its slot; anywhere else the reference is an error.
+	if x.Over != nil || sqlparser.AggregateFuncs[x.Name] {
+		if i := slices.Index(c.scope.calls, x); i >= 0 {
+			slot := c.scope.rel.width() + i
+			return func(row []Value) (Value, error) { return row[slot], nil }
 		}
-	case sqlparser.AggregateFuncs[x.Name]:
-		c.pure = false
-		return func([]Value) (Value, error) {
-			if v, ok := scope.aggVals[x]; ok {
-				return v, nil
-			}
-			return nil, errNoAggregateValue(x.Name)
+		if x.Over != nil {
+			return c.fail(fmt.Errorf("engine: window function %s not available in this context", x.Name))
 		}
+		return c.fail(fmt.Errorf("engine: aggregate %s not allowed here", x.Name))
 	}
 	if impureFuncs[x.Name] {
 		c.pure = false
@@ -636,7 +628,7 @@ func (c *compiler) compileFunc(x *sqlparser.FuncCall) compiledExpr {
 	}
 
 	name := x.Name
-	eng := scope.qc.eng
+	eng := c.scope.qc.eng
 	return func(row []Value) (Value, error) {
 		vals := make([]Value, len(args))
 		for i, af := range args {
@@ -648,14 +640,6 @@ func (c *compiler) compileFunc(x *sqlparser.FuncCall) compiledExpr {
 		}
 		return callScalar(eng, name, vals)
 	}
-}
-
-func errNoWindowValue(name string) error {
-	return fmt.Errorf("engine: window function %s not available in this context", name)
-}
-
-func errNoAggregateValue(name string) error {
-	return fmt.Errorf("engine: aggregate %s not allowed here", name)
 }
 
 func literalInt(e sqlparser.Expr) (int64, bool) {

@@ -227,14 +227,6 @@ func inferColType(rows [][]Value, col int) ColType {
 	return TAny
 }
 
-// entry is one candidate output row before projection: the representative
-// underlying row plus computed aggregate/window values.
-type entry struct {
-	row     []Value
-	aggVals map[*sqlparser.FuncCall]Value
-	winVals map[*sqlparser.FuncCall]Value
-}
-
 // execSelectWithOuter runs one SELECT block. outer provides the enclosing
 // scope for correlated subqueries, or nil at top level.
 func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*ResultSet, error) {
@@ -274,14 +266,20 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		wherePred, wherePure = compileLanes(baseEnv, sel.Where)
 	}
 
-	// Collect aggregate and window calls from the output clauses.
+	// Collect aggregate and window calls from the output clauses. The rows the
+	// clauses after aggregation read carry their results after the relation's
+	// columns, aggregates first: HAVING and window partitions and arguments
+	// see the aggregates, projection and ORDER BY the windows too.
 	aggCalls, winCalls := collectCalls(sel)
 	hasAgg := len(aggCalls) > 0 || len(sel.GroupBy) > 0
+	calls := append(aggCalls, winCalls...)
+	width := rel.width() + len(calls)
+	aggEnv, postEnv := baseEnv.withCalls(calls[:len(aggCalls)]), baseEnv.withCalls(calls)
 
 	// Compile the select list. A bad star qualifier is reported where
 	// projection runs, after the per-row errors of the clauses before it.
 	outCols, outErr := deriveOutCols(rel, sel)
-	items, itemCols, projPure := compileProjection(baseEnv, outCols)
+	items, itemCols, projPure := compileProjection(postEnv, outCols)
 	plain := !hasAgg && len(winCalls) == 0 && sel.Having == nil && wherePure && projPure
 
 	// A plain block with no DISTINCT or ORDER BY streams: its first n output
@@ -294,7 +292,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		bound = limit
 	}
 
-	var entries []*entry
+	var pre [][]Value // the rows before projection; nil when the vector pipeline projected
 	var cols []string
 	var projRows [][]Value
 	projDone := false
@@ -302,9 +300,9 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// Fused scan→filter→aggregate: vectorized chunk morsels when every
 		// expression is pure and has a kernel, the serial row closures
 		// otherwise.
-		p := buildScanPlan(baseEnv, sel, aggCalls, wherePred, wherePure)
+		p := buildScanPlan(baseEnv, sel, aggCalls, width, wherePred, wherePure)
 		p.reprCols = outputCols(baseEnv, sel, winCalls, itemCols)
-		entries, err = p.run()
+		pre, err = p.run()
 		if err != nil {
 			return nil, err
 		}
@@ -330,42 +328,45 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 			}
 		}
 		if !projDone {
-			rows, err := filterRows(qc, rel.src, wherePred, bound)
-			if err != nil {
+			if pre, err = filterRows(qc, rel.src, wherePred, bound); err != nil {
 				return nil, err
 			}
-			entries = make([]*entry, len(rows))
-			for i, row := range rows {
-				entries[i] = &entry{row: row}
+			if len(winCalls) > 0 {
+				// Room for the window results after each row's columns.
+				qc.chargeMem(int64(len(pre)) * boxedRowBytes(width))
+				for i, row := range pre {
+					if err := qc.tick(); err != nil {
+						return nil, err
+					}
+					pre[i] = append(make([]Value, 0, width), row...)[:width]
+				}
 			}
 		}
 	}
 
 	// HAVING.
 	if sel.Having != nil {
-		having, _ := compileExpr(baseEnv, sel.Having)
-		kept := entries[:0:0]
-		for _, en := range entries {
-			if err := baseEnv.qc.tick(); err != nil {
+		having, _ := compileExpr(aggEnv, sel.Having)
+		kept := pre[:0:0]
+		for _, row := range pre {
+			if err := qc.tick(); err != nil {
 				return nil, err
 			}
-			baseEnv.aggVals = en.aggVals
-			v, err := having(en.row)
+			v, err := having(row)
 			if err != nil {
 				return nil, err
 			}
 			if b, ok := ToBool(v); ok && b {
-				kept = append(kept, en)
+				kept = append(kept, row)
 			}
 		}
-		entries = kept
+		pre = kept
 	}
-	baseEnv.aggVals = nil
 
 	if !projDone {
-		// Window functions over the (possibly aggregated) entries.
+		// Window functions over the (possibly aggregated) rows.
 		if len(winCalls) > 0 {
-			if err := computeWindows(baseEnv, entries, winCalls); err != nil {
+			if err := computeWindows(aggEnv, pre, winCalls); err != nil {
 				return nil, err
 			}
 		}
@@ -375,35 +376,32 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 			return nil, outErr
 		}
 		cols = outColNames(outCols)
-		projRows, err = project(baseEnv, entries, items)
-		if err != nil {
+		if projRows, err = project(qc, pre, items); err != nil {
 			return nil, err
 		}
 	}
 
-	// DISTINCT.
+	// DISTINCT, keeping pre in step for ORDER BY.
 	if sel.Distinct {
 		seen := map[string]bool{}
-		kept := projRows[:0:0]
-		keptEntries := entries[:0:0]
+		kept, keptPre := projRows[:0:0], pre[:0:0]
 		var buf []byte
 		for i, pr := range projRows {
 			buf = appendRowKey(buf[:0], pr)
 			if !seen[string(buf)] {
 				seen[string(buf)] = true
 				kept = append(kept, pr)
-				if i < len(entries) {
-					keptEntries = append(keptEntries, entries[i])
+				if pre != nil {
+					keptPre = append(keptPre, pre[i])
 				}
 			}
 		}
-		projRows = kept
-		entries = keptEntries
+		projRows, pre = kept, keptPre
 	}
 
 	// ORDER BY.
 	if len(sel.OrderBy) > 0 {
-		if err := orderRows(baseEnv, sel, cols, entries, projRows); err != nil {
+		if err := orderRows(postEnv, sel, cols, pre, projRows); err != nil {
 			return nil, err
 		}
 	}
@@ -555,34 +553,35 @@ func collectCalls(sel *sqlparser.SelectStmt) (aggs, wins []*sqlparser.FuncCall) 
 	return aggs, wins
 }
 
-// computeWindows fills entry.winVals for every window call. Only aggregate
-// functions with OVER (PARTITION BY ...) are supported — the shape
-// VerdictDB's rewrites need.
-func computeWindows(baseEnv *env, entries []*entry, winCalls []*sqlparser.FuncCall) error {
-	for _, wc := range winCalls {
+// computeWindows writes every window call's result into its slot of each
+// row, after the aggregate slots scope's rows carry. Only aggregate functions
+// with OVER (PARTITION BY ...) are supported — the shape VerdictDB's rewrites
+// need.
+func computeWindows(scope *env, rows [][]Value, winCalls []*sqlparser.FuncCall) error {
+	slot := scope.rel.width() + len(scope.calls)
+	for wi, wc := range winCalls {
 		if !sqlparser.AggregateFuncs[wc.Name] {
 			return fmt.Errorf("engine: window function %s not supported", wc.Name)
 		}
-		partFns, _ := compileExprs(baseEnv, wc.Over.PartitionBy)
-		argFn, _ := compileAggArg(baseEnv, wc)
-		// Partition entries.
-		parts := map[string][]*entry{}
+		partFns, _ := compileExprs(scope, wc.Over.PartitionBy)
+		argFn, _ := compileAggArg(scope, wc)
+		// Partition the rows.
+		parts := map[string][][]Value{}
 		var order []string
 		var kb []byte
-		for _, en := range entries {
-			if err := baseEnv.qc.tick(); err != nil {
+		for _, row := range rows {
+			if err := scope.qc.tick(); err != nil {
 				return err
 			}
-			baseEnv.aggVals = en.aggVals
 			var err error
-			if kb, err = appendKey(kb[:0], partFns, en.row); err != nil {
+			if kb, err = appendKey(kb[:0], partFns, row); err != nil {
 				return err
 			}
 			k := string(kb)
 			if _, ok := parts[k]; !ok {
 				order = append(order, k)
 			}
-			parts[k] = append(parts[k], en)
+			parts[k] = append(parts[k], row)
 		}
 		q, err := quantileLiteralArg(wc)
 		if err != nil {
@@ -592,20 +591,19 @@ func computeWindows(baseEnv *env, entries []*entry, winCalls []*sqlparser.FuncCa
 			members := parts[k]
 			acc, err := newAccumulator(&sqlparser.FuncCall{
 				Name: wc.Name, Distinct: wc.Distinct, Star: wc.Star, Args: wc.Args,
-			}, q, baseEnv.qc)
+			}, q, scope.qc)
 			if err != nil {
 				return err
 			}
-			for _, en := range members {
-				if err := baseEnv.qc.tick(); err != nil {
+			for _, row := range members {
+				if err := scope.qc.tick(); err != nil {
 					return err
 				}
 				if argFn == nil {
 					acc.addStar()
 					continue
 				}
-				baseEnv.aggVals = en.aggVals
-				v, err := argFn(en.row)
+				v, err := argFn(row)
 				if err != nil {
 					return err
 				}
@@ -614,15 +612,11 @@ func computeWindows(baseEnv *env, entries []*entry, winCalls []*sqlparser.FuncCa
 				}
 			}
 			res := acc.result()
-			for _, en := range members {
-				if en.winVals == nil {
-					en.winVals = map[*sqlparser.FuncCall]Value{}
-				}
-				en.winVals[wc] = res
+			for _, row := range members {
+				row[slot+wi] = res
 			}
 		}
 	}
-	baseEnv.aggVals = nil
 	return nil
 }
 
@@ -731,7 +725,7 @@ func compileProjection(scope *env, outCols []outCol) (items []projCol, reads []i
 // outputCols lists the columns of an aggregated block's representative rows
 // that the clauses evaluated after aggregation read — the select list
 // (itemCols), HAVING, ORDER BY, window partitions and arguments — so the scan
-// boxes those cells of a representative and no others (scanPlan.reprRow). The
+// boxes those cells of a representative and no others (scanPlan.newGroup). The
 // clauses after the select list are compiled here only for the compiler's
 // record of what they read; each is compiled for use where it runs.
 func outputCols(scope *env, sel *sqlparser.SelectStmt, winCalls []*sqlparser.FuncCall, itemCols []int) []int {
@@ -756,26 +750,22 @@ func outputCols(scope *env, sel *sqlparser.SelectStmt, winCalls []*sqlparser.Fun
 	return c.cols
 }
 
-// project evaluates the compiled select list for every entry.
-func project(baseEnv *env, entries []*entry, items []projCol) ([][]Value, error) {
+// project evaluates the compiled select list for every row.
+func project(qc *queryCtx, pre [][]Value, items []projCol) ([][]Value, error) {
 	// Projection output is freshly boxed rows: charge it up front, so a
 	// blow-up (huge unaggregated projection) aborts at the next poll.
-	baseEnv.qc.chargeMem(int64(len(entries)) * boxedRowBytes(len(items)))
-	rowsOut := make([][]Value, len(entries))
-	for ei, en := range entries {
-		if err := baseEnv.qc.tick(); err != nil {
+	qc.chargeMem(int64(len(pre)) * boxedRowBytes(len(items)))
+	rowsOut := make([][]Value, len(pre))
+	for i, row := range pre {
+		if err := qc.tick(); err != nil {
 			return nil, err
 		}
-		baseEnv.aggVals = en.aggVals
-		baseEnv.winVals = en.winVals
-		row, err := projectRow(en.row, items)
+		out, err := projectRow(row, items)
 		if err != nil {
 			return nil, err
 		}
-		rowsOut[ei] = row
+		rowsOut[i] = out
 	}
-	baseEnv.aggVals = nil
-	baseEnv.winVals = nil
 	return rowsOut, nil
 }
 
@@ -789,17 +779,17 @@ func deriveColName(e sqlparser.Expr, pos int) string {
 	return fmt.Sprintf("_c%d", pos)
 }
 
-// orderRows sorts projRows (and entries, kept in lockstep) by the ORDER BY
-// terms. Terms may be output aliases, 1-based positions, or expressions over
-// the pre-projection row.
-func orderRows(baseEnv *env, sel *sqlparser.SelectStmt, cols []string, entries []*entry, projRows [][]Value) error {
+// orderRows sorts projRows by the ORDER BY terms. Terms may be output aliases,
+// 1-based positions, or expressions over pre, the rows before projection (in
+// step with projRows; nil only when every term names an output).
+func orderRows(scope *env, sel *sqlparser.SelectStmt, cols []string, pre, projRows [][]Value) error {
 	n := len(projRows)
 	// Per term: the output column it names, else its compiled expression.
 	outIdx := make([]int, len(sel.OrderBy))
 	fns := make([]compiledExpr, len(sel.OrderBy))
 	for j, ob := range sel.OrderBy {
 		if outIdx[j] = orderOutputIndex(ob.Expr, cols); outIdx[j] < 0 {
-			fns[j], _ = compileExpr(baseEnv, ob.Expr)
+			fns[j], _ = compileExpr(scope, ob.Expr)
 		}
 	}
 	keys := make([][]Value, n)
@@ -810,12 +800,7 @@ func orderRows(baseEnv *env, sel *sqlparser.SelectStmt, cols []string, entries [
 				key[j] = projRows[i][outIdx[j]]
 				continue
 			}
-			if i >= len(entries) {
-				return fmt.Errorf("engine: cannot order by expression after DISTINCT")
-			}
-			baseEnv.aggVals = entries[i].aggVals
-			baseEnv.winVals = entries[i].winVals
-			v, err := fns[j](entries[i].row)
+			v, err := fns[j](pre[i])
 			if err != nil {
 				return err
 			}
@@ -823,8 +808,6 @@ func orderRows(baseEnv *env, sel *sqlparser.SelectStmt, cols []string, entries [
 		}
 		keys[i] = key
 	}
-	baseEnv.aggVals = nil
-	baseEnv.winVals = nil
 
 	idx := make([]int, n)
 	for i := range idx {
@@ -859,12 +842,5 @@ func orderRows(baseEnv *env, sel *sqlparser.SelectStmt, cols []string, entries [
 		permuted[i] = projRows[id]
 	}
 	copy(projRows, permuted)
-	if len(entries) == n {
-		pe := make([]*entry, n)
-		for i, id := range idx {
-			pe[i] = entries[id]
-		}
-		copy(entries, pe)
-	}
 	return nil
 }

@@ -288,9 +288,11 @@ type scanPlan struct {
 	specs    []aggSpec
 	pure     bool
 
-	// reprCols are the columns of a group's representative row that anything
-	// reads after aggregation (outputCols).
+	// A group's row is width wide: the relation's columns, of which only the
+	// representative cells reprCols names (outputCols) are filled, then one
+	// slot per aggregate call and one per window call.
 	reprCols []int
+	width    int
 
 	groupBytes int64 // gauge charge per created group
 }
@@ -300,8 +302,8 @@ type scanPlan struct {
 // errors (unknown aggregate, bad percentile fraction) surface from run() when
 // the first group is created, and validating up front would allocate sketch
 // state (reservoirs, HLL registers) just to throw it away.
-func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, wherePred *laneExpr, wherePure bool) *scanPlan {
-	p := &scanPlan{qc: scope.qc, scope: scope, where: wherePred, whereAST: sel.Where, keyASTs: sel.GroupBy}
+func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, width int, wherePred *laneExpr, wherePure bool) *scanPlan {
+	p := &scanPlan{qc: scope.qc, scope: scope, where: wherePred, whereAST: sel.Where, keyASTs: sel.GroupBy, width: width}
 	var keysPure bool
 	p.keyFns, keysPure = compileExprs(scope, sel.GroupBy)
 	p.pure = wherePure && keysPure
@@ -311,46 +313,40 @@ func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.
 		p.pure = p.pure && pure
 		p.specs[i] = aggSpec{fc: fc, arg: fn}
 	}
-	// Each created group costs a map entry, the accumulators, and a boxed
-	// representative row.
-	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(scope.rel.width())*bytesPerValue
+	// Each created group costs a map entry, the accumulators, and its row.
+	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(width)*bytesPerValue
 	return p
 }
 
-// reprRow boxes row i of ch as a group's representative: the row itself when
-// the chunk was made over rows, else a row holding the cells in reprCols — a
-// lazily filled chunk builds no column just to represent a group.
-func (p *scanPlan) reprRow(ch *chunk, i int) []Value {
-	if ch.overRows() {
-		return ch.materializeRow(i)
-	}
-	row := make([]Value, len(ch.cols))
-	for _, j := range p.reprCols {
-		row[j] = ch.valueAt(j, i)
-	}
-	return row
-}
-
-func (p *scanPlan) newAccs() ([]accumulator, error) {
-	accs := make([]accumulator, len(p.specs))
+// newGroup adds the group for key to cg: one accumulator per aggregate call,
+// and the group's row with the representative cells reprCols names read
+// through cell — a lazily filled chunk builds no column just to represent a
+// group.
+func (p *scanPlan) newGroup(cg *chunkGroups, key []byte, cell func(j int) Value) (*groupAcc, error) {
+	g := &groupAcc{row: make([]Value, p.width), accs: make([]accumulator, len(p.specs))}
 	for i, sp := range p.specs {
 		q, err := quantileLiteralArg(sp.fc)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := newAccumulator(sp.fc, q, p.qc)
-		if err != nil {
+		if g.accs[i], err = newAccumulator(sp.fc, q, p.qc); err != nil {
 			return nil, err
 		}
-		accs[i] = acc
 	}
-	return accs, nil
+	p.qc.chargeMem(p.groupBytes)
+	for _, j := range p.reprCols {
+		g.row[j] = cell(j)
+	}
+	k := string(key)
+	cg.m[k] = g
+	cg.order = append(cg.order, k)
+	return g, nil
 }
 
-// groupAcc is one group's partial state: the representative row plus one
+// groupAcc is one group's partial state: its row (scanPlan.newGroup) plus one
 // accumulator per aggregate call.
 type groupAcc struct {
-	repr []Value
+	row  []Value
 	accs []accumulator
 }
 
@@ -380,15 +376,9 @@ func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value) error {
 		}
 		g, ok := cg.m[string(buf)]
 		if !ok {
-			accs, err := p.newAccs()
-			if err != nil {
+			if g, err = p.newGroup(cg, buf, func(j int) Value { return row[j] }); err != nil {
 				return err
 			}
-			p.qc.chargeMem(p.groupBytes)
-			g = &groupAcc{repr: row, accs: accs}
-			key := string(buf)
-			cg.m[key] = g
-			cg.order = append(cg.order, key)
 		}
 		for i, sp := range p.specs {
 			if sp.arg == nil {
@@ -438,40 +428,38 @@ func mergeChunkGroups(results []*chunkGroups) (*chunkGroups, error) {
 	return dst, nil
 }
 
-// finish converts the merged group state into output entries, emitting the
-// single zero-row entry a global aggregate requires.
-func (p *scanPlan) finish(cg *chunkGroups) ([]*entry, error) {
+// finish writes each group's aggregate results into the slots after its
+// relation columns and returns the group rows in order, with the single
+// zero-row group a global aggregate requires.
+func (p *scanPlan) finish(cg *chunkGroups) ([][]Value, error) {
 	if len(cg.order) == 0 && len(p.keyFns) == 0 {
-		accs, err := p.newAccs()
-		if err != nil {
+		if _, err := p.newGroup(cg, nil, func(int) Value { return nil }); err != nil {
 			return nil, err
 		}
-		cg.m[""] = &groupAcc{repr: make([]Value, p.scope.rel.width()), accs: accs}
-		cg.order = append(cg.order, "")
 	}
-	entries := make([]*entry, 0, len(cg.order))
-	for _, key := range cg.order {
+	w := p.scope.rel.width()
+	rows := make([][]Value, len(cg.order))
+	for gi, key := range cg.order {
 		g := cg.m[key]
-		av := make(map[*sqlparser.FuncCall]Value, len(p.specs))
-		for i, sp := range p.specs {
-			av[sp.fc] = g.accs[i].result()
+		for i, acc := range g.accs {
+			g.row[w+i] = acc.result()
 		}
-		entries = append(entries, &entry{row: g.repr, aggVals: av})
+		rows[gi] = g.row
 	}
-	return entries, nil
+	return rows, nil
 }
 
 // run executes the plan: vectorized, chunk-at-a-time morsels (vecexec.go)
 // when every expression is pure and has a kernel; otherwise the row closures,
 // serially in two phases — filter every row, then aggregate the survivors —
 // which fixes the order impure expressions draw from the engine RNG.
-func (p *scanPlan) run() ([]*entry, error) {
+func (p *scanPlan) run() ([][]Value, error) {
 	src := p.scope.rel.src
 	if p.pure && !p.qc.eng.noVec.Load() {
 		if vp := buildVecPlan(p); vp != nil {
 			refund := p.qc.markMem()
-			if entries, err := vp.run(src); !errors.Is(err, errKernel) {
-				return entries, err
+			if rows, err := vp.run(src); !errors.Is(err, errKernel) {
+				return rows, err
 			}
 			refund()
 		}

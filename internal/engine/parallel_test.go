@@ -345,3 +345,40 @@ func mustQueryWithParallelism(t *testing.T, e *Engine, par int, sql string) *Res
 	}
 	return rs
 }
+
+// A group costs a fixed handful of allocations — its key, its state, its row
+// (representative cells, then the aggregate results) and its accumulator —
+// and the output one projected row; nothing per group is allocated just to
+// hand the aggregate results to the clauses after aggregation.
+func TestManyGroupsAllocs(t *testing.T) {
+	const groups = 20_000
+	e := NewSeeded(1)
+	if err := e.CreateTable("t", []Column{{Name: "k", Type: TInt}, {Name: "v", Type: TFloat}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, 2*groups)
+	for i := range rows {
+		rows[i] = []Value{int64(i % groups), float64(i)}
+	}
+	if err := e.InsertRows("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	// Per group: 8 on the kernels (the boxed key and sum among them), 13 on the
+	// row closures, which box every row that passes WHERE.
+	for _, tc := range []struct {
+		vec      bool
+		perGroup float64
+	}{{true, 8.5}, {false, 13.5}} {
+		e.SetVectorized(tc.vec)
+		got := testing.AllocsPerRun(3, func() {
+			rs, err := e.Query("select k, sum(v) from t group by k")
+			if err != nil || len(rs.Rows) != groups {
+				t.Fatalf("vectorized=%v: %v, %d rows", tc.vec, err, len(rs.Rows))
+			}
+		})
+		if got > tc.perGroup*groups {
+			t.Errorf("vectorized=%v: %.0f allocations (%.2f per group), want at most %.1f per group",
+				tc.vec, got, got/groups, tc.perGroup)
+		}
+	}
+}

@@ -137,22 +137,36 @@ type queryCtx struct {
 
 // env is one SELECT block's scope: what a compiled expression can see
 // beyond the row it is called with. Closures that read it (enclosing-scope
-// columns, aggregate and window references, subqueries) capture the env
-// they were compiled in and are impure, so they only ever run serially, in
-// row order.
+// columns, subqueries) capture the env they were compiled in and are impure,
+// so they only ever run serially, in row order. Aggregate and window results
+// are not scope state: they are columns of the rows the clauses after
+// aggregation are handed (calls).
 type env struct {
 	qc  *queryCtx
 	rel *relation
 	// row is the row being evaluated, for inner scopes to read: a subquery
 	// closure stores its row here before running the subquery.
-	row     []Value
-	aggVals map[*sqlparser.FuncCall]Value // current entry's aggregate results, by AST identity
-	winVals map[*sqlparser.FuncCall]Value // current entry's window results, by AST identity
-	outer   *env                          // enclosing scope for correlated subqueries
+	row []Value
+	// calls are the aggregate, then window, calls whose results the rows this
+	// scope's closures are handed carry after rel's columns, one slot each in
+	// this order; nil in a block's scan scope (withCalls).
+	calls []*sqlparser.FuncCall
+	outer *env // enclosing scope for correlated subqueries
 	// subqueryCache memoizes uncorrelated scalar/IN subquery results at the
 	// query level (shared across rows via pointer).
 	subqueryCache map[*sqlparser.SelectStmt]Value
 	inSetCache    map[*sqlparser.SelectStmt]map[string]bool
+}
+
+// withCalls is ev for clauses whose rows carry the results of calls after
+// rel's columns: ev itself when there are none.
+func (ev *env) withCalls(calls []*sqlparser.FuncCall) *env {
+	if len(calls) == 0 {
+		return ev
+	}
+	post := *ev
+	post.calls = calls
+	return &post
 }
 
 func errCannotNegate(v Value) error {

@@ -106,6 +106,24 @@ func TestScopeShapes(t *testing.T) {
 			sql: `select city, sum(quantity) - sum(sum(quantity)) over (partition by 1) / 3 from orders
 				group by city order by city`,
 			want: "ann arbor,0; chicago,0; detroit,0"},
+		{name: "HAVING with a correlated scalar subquery on a GROUP BY column",
+			sql: `select product_id, count(*) from orders o group by product_id
+				having count(*) > 5 * (select count(*) from orders i where i.product_id = o.product_id and i.price > 52)
+				order by product_id`,
+			want: "1,30; 2,30; 3,30"},
+		{name: "select-list subquery in an aggregated block",
+			sql: `select city, sum(quantity), (select count(*) from products p where p.product_id <= length(o.city))
+				from orders o group by city order by city`,
+			want: "ann arbor,300,9; chicago,300,7; detroit,300,7"},
+		{name: "DISTINCT over groups, ordered by an aggregate outside the select list",
+			sql:  `select distinct product_id % 2 from orders group by product_id order by sum(price) desc`,
+			want: "0; 1"},
+		{name: "window over an aggregate only ORDER BY reads",
+			sql: `select city, count(*) from orders group by city
+				order by max(sum(order_id)) over (partition by city) desc`,
+			want: "chicago,100; detroit,100; ann arbor,100"},
+		{name: "global aggregate whose HAVING is false",
+			sql: `select count(*), sum(price) from orders having count(*) > 1000`, want: ""},
 		{name: "LIMIT expression",
 			sql:  `select order_id from orders order by order_id limit 1 + 1`,
 			want: "1; 2"},

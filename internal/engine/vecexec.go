@@ -74,7 +74,7 @@ type vecScanWorker struct {
 
 // run executes the vectorized plan over src, morsel-parallel when it has
 // enough rows.
-func (vp *vecPlan) run(src *colSource) ([]*entry, error) {
+func (vp *vecPlan) run(src *colSource) ([][]Value, error) {
 	ws, err := scanMorsels(vp.p.qc, src.scanSlots(vp.p.qc), src.nrows, false, func() *vecScanWorker {
 		return &vecScanWorker{vc: vp.newCtx(), g: newChunkGroups()}
 	}, func(w *vecScanWorker, _ int, ch *chunk) error {
@@ -132,18 +132,14 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	if len(vp.keys) == 0 && lanes > 0 {
 		g, ok := cg.m[""]
 		if !ok {
-			accs, err := vp.p.newAccs()
-			if err != nil {
-				return err
-			}
-			vp.p.qc.chargeMem(vp.p.groupBytes)
 			ri := 0
 			if sel != nil {
 				ri = int(sel[0])
 			}
-			g = &groupAcc{repr: vp.p.reprRow(ch, ri), accs: accs}
-			cg.m[""] = g
-			cg.order = append(cg.order, "")
+			var err error
+			if g, err = vp.p.newGroup(cg, nil, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
+				return err
+			}
 		}
 		for i := range vp.args {
 			av := vc.args[i]
@@ -184,19 +180,14 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 			var ok bool
 			g, ok = cg.m[string(buf)]
 			if !ok {
-				accs, err := vp.p.newAccs()
-				if err != nil {
-					return err
-				}
-				vp.p.qc.chargeMem(vp.p.groupBytes)
 				ri := k
 				if sel != nil {
 					ri = int(sel[k])
 				}
-				g = &groupAcc{repr: vp.p.reprRow(ch, ri), accs: accs}
-				key := string(buf)
-				cg.m[key] = g
-				cg.order = append(cg.order, key)
+				var err error
+				if g, err = vp.p.newGroup(cg, buf, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
+					return err
+				}
 			}
 			lastKey = append(lastKey[:0], buf...)
 			lastG = g

@@ -10,7 +10,7 @@ import (
 // and context plumbing must not be short-circuited.
 //
 // Rule 1 (internal/engine): every `for range` loop over per-row or
-// per-chunk data ([]*chunk, [][]Value, []*entry) that does real work must
+// per-chunk data ([]*chunk, [][]Value) that does real work must
 // call the lifecycle.go hooks — qc.tick() / qc.pollAbort() — either
 // directly in the loop body or through a helper/closure it calls that
 // invokes a hook directly (one level deep: the hooks belong AT the loop,
@@ -203,7 +203,7 @@ func checkLoops(pass *Pass, f *ast.File, pollers map[*types.Func]bool) {
 }
 
 // rowScaleRange reports whether rs ranges over data that scales with the
-// relation: []*chunk, [][]Value, or []*entry. Ranging over one chunk's row
+// relation: []*chunk or [][]Value. Ranging over one chunk's row
 // view (ch.rows()) is chunk-bounded and exempt — its caller polls per
 // chunk.
 func rowScaleRange(pass *Pass, rs *ast.RangeStmt) bool {
@@ -217,7 +217,7 @@ func rowScaleRange(pass *Pass, rs *ast.RangeStmt) bool {
 	}
 	elem := sl.Elem()
 	switch {
-	case isNamed(elem, "chunk") || isNamed(elem, "entry"):
+	case isNamed(elem, "chunk"):
 	case isValueRow(elem):
 		// Exempt `range ch.rows()`: bounded by one chunk.
 		if call, ok := ast.Unparen(rs.X).(*ast.CallExpr); ok {

@@ -3,7 +3,7 @@
 package cpoll
 
 // Minimal mirrors of the engine's execution types: ctxpoll keys on the
-// type names (chunk, entry, Value) and the hook names (tick, pollAbort).
+// type names (chunk, Value) and the hook names (tick, pollAbort).
 type Value any
 
 type chunk struct {
@@ -12,8 +12,6 @@ type chunk struct {
 }
 
 func (c *chunk) rows() [][]Value { return c.data }
-
-type entry struct{ row []Value }
 
 type queryCtx struct{}
 
@@ -41,12 +39,6 @@ func unpolledChunkLoop(chunks []*chunk) {
 func unpolledRowLoop(rows [][]Value) {
 	for _, r := range rows { // want "never calls the lifecycle poll hooks"
 		use(r)
-	}
-}
-
-func unpolledEntryLoop(entries []*entry) {
-	for _, en := range entries { // want "never calls the lifecycle poll hooks"
-		use(en)
 	}
 }
 

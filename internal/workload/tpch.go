@@ -70,10 +70,10 @@ func LoadTPCH(e *engine.Engine, scale float64, seed int64) error {
 	// count-distinct would degenerate).
 	nLine := int(float64(tpchLineitemBase) * scale)
 	nOrders := int(float64(tpchOrdersBase) * scale)
-	nCust := maxInt(2000, int(float64(tpchCustomerBase)*scale))
-	nPart := maxInt(2000, int(float64(tpchPartBase)*scale))
-	nSupp := maxInt(1000, int(float64(tpchSupplierBase)*scale))
-	nPS := maxInt(4*nPart, int(float64(tpchPartsuppBase)*scale))
+	nCust := max(2000, int(float64(tpchCustomerBase)*scale))
+	nPart := max(2000, int(float64(tpchPartBase)*scale))
+	nSupp := max(1000, int(float64(tpchSupplierBase)*scale))
+	nPS := max(4*nPart, int(float64(tpchPartsuppBase)*scale))
 	if nOrders < 10 || nLine < 20 {
 		return fmt.Errorf("workload: scale %v too small", scale)
 	}
@@ -261,10 +261,3 @@ func LoadTPCH(e *engine.Engine, scale float64, seed int64) error {
 
 // TPCHFactTables lists the tables VerdictDB samples for the tq workload.
 var TPCHFactTables = []string{"lineitem", "orders", "partsupp"}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

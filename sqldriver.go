@@ -178,7 +178,6 @@ func buildFromDSN(dsn string) (*Conn, *engine.Engine, float64, error) {
 			if err != nil {
 				return nil, nil, 0, fmt.Errorf("verdictdb: bad budget %q", val)
 			}
-			opts.IOBudget = f
 			opts.Planner.IOBudget = f
 		case "target":
 			f, err := strconv.ParseFloat(val, 64)
