@@ -104,6 +104,14 @@ func TestExplainExtremeDecomposition(t *testing.T) {
 // sample set (internal/bench/harness.go).
 func workloadMiddleware(t *testing.T, dataset string) *Middleware {
 	t.Helper()
+	db, cat := loadWorkload(t, dataset, 0.1, 0)
+	return New(db, cat, DefaultOptions())
+}
+
+// loadWorkload loads one workload dataset at scale and builds the 2 % sample
+// set, in scramble blocks of blockRows rows when it is positive.
+func loadWorkload(t *testing.T, dataset string, scale float64, blockRows int64) (*drivers.Driver, *meta.Catalog) {
+	t.Helper()
 	e := engine.NewSeeded(42)
 	db := drivers.NewGeneric(e)
 	cat, err := meta.Open(db)
@@ -111,6 +119,9 @@ func workloadMiddleware(t *testing.T, dataset string) *Middleware {
 		t.Fatal(err)
 	}
 	b := sampling.NewBuilder(db, cat)
+	if blockRows > 0 {
+		b.BlockRows = blockRows
+	}
 	type sample struct {
 		table string
 		on    []string // nil = uniform
@@ -118,14 +129,14 @@ func workloadMiddleware(t *testing.T, dataset string) *Middleware {
 	}
 	var samples []sample
 	if dataset == "tpch" {
-		err = workload.LoadTPCH(e, 0.1, 42)
+		err = workload.LoadTPCH(e, scale, 42)
 		samples = []sample{
 			{table: "lineitem"}, {table: "lineitem", on: []string{"l_returnflag", "l_linestatus"}, strat: true},
 			{table: "lineitem", on: []string{"l_orderkey"}}, {table: "orders"}, {table: "orders", on: []string{"o_orderkey"}},
 			{table: "partsupp"}, {table: "partsupp", on: []string{"ps_suppkey"}},
 		}
 	} else {
-		err = workload.LoadInsta(e, 0.1, 43)
+		err = workload.LoadInsta(e, scale, 43)
 		samples = []sample{
 			{table: "order_products"}, {table: "order_products", on: []string{"order_id"}}, {table: "orders"},
 			{table: "orders", on: []string{"user_id"}}, {table: "orders", on: []string{"order_id"}},
@@ -148,7 +159,7 @@ func workloadMiddleware(t *testing.T, dataset string) *Middleware {
 			t.Fatal(err)
 		}
 	}
-	return New(db, cat, DefaultOptions())
+	return db, cat
 }
 
 // probeDB records the backend queries that fail, and can fail the planner's
