@@ -98,7 +98,7 @@ func AblationSampleType(w io.Writer, seed int64) ([]SampleTypeAblationResult, er
 		if err != nil {
 			return nil, err
 		}
-		ro, err := core.Rewrite(sel, plan, []int{1, 2}, true)
+		ro, err := core.Rewrite(sel, plan, []int{1, 2}, true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -669,3 +669,76 @@ func TestNestedCountReplicated(t *testing.T) {
 		t.Fatalf("nested count %v want %v", got, want)
 	}
 }
+
+// A resampling baseline's answer takes the same guard rails as every other
+// approximate answer — error columns, the accuracy contract — and its plan
+// entry is cached like theirs.
+func TestBaselineGuardRails(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Method = MethodTraditionalSubsampling
+	opts.ErrorColumns = true
+	env := newEnv(t, opts)
+	const sql = "select count(*) as c from orders"
+	a := env.approx(t, sql)
+	if !a.Approximate || a.ColIndex("c_err") < 0 {
+		t.Fatalf("approximate=%v cols %v: want a c_err column", a.Approximate, a.Cols)
+	}
+	hits, _ := env.m.CacheStats()
+	env.approx(t, sql)
+	if h, _ := env.m.CacheStats(); h != hits+1 {
+		t.Fatalf("re-run baseline query: %d plan-cache hits, want %d", h, hits+1)
+	}
+
+	opts.ErrorColumns = false
+	opts.MinAccuracy = 0.999999
+	a = query1(t, New(env.db, env.cat, opts), sql)
+	if !a.HACFallback || a.Approximate {
+		t.Fatalf("baseline answer skipped the accuracy contract: HACFallback=%v approximate=%v", a.HACFallback, a.Approximate)
+	}
+}
+
+// EXPLAIN prints the statements the query sends: under MethodNone the
+// rewrite without the error columns execution strips, and for a shape the
+// rewriter rejects the passthrough the query takes instead of an error.
+func TestExplainShowsExecutedSQL(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Method = MethodNone
+	env := newEnv(t, opts)
+	explain := func(sql string) map[string]string {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := env.m.Explain(context.Background(), sel)
+		if err != nil {
+			t.Fatalf("explain %q: %v", sql, err)
+		}
+		steps := map[string]string{}
+		for _, r := range a.Rows {
+			steps[engine.ToStr(r[0])] = engine.ToStr(r[1])
+		}
+		return steps
+	}
+	const sql = "select city, count(*) as c from orders group by city"
+	a := env.approx(t, sql)
+	if got := explain(sql)["rewritten 1"]; len(a.RewrittenSQL) != 1 || got != a.RewrittenSQL[0] {
+		t.Fatalf("explain shows\n%s\nthe query sent %q", got, a.RewrittenSQL)
+	}
+
+	const rejected = "select city, count(*) as c from orders group by city having max(price) > 50"
+	if a := env.approx(t, rejected); a.Approximate {
+		t.Fatalf("%s: approximated, want a passthrough", rejected)
+	}
+	if got := explain(rejected)["execution"]; !strings.Contains(got, "passthrough") {
+		t.Fatalf("%s: explain execution %q, want a passthrough", rejected, got)
+	}
+}
+
+func query1(t *testing.T, m *Middleware, sql string) *Answer {
+	t.Helper()
+	a, err := query(context.Background(), m, sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return a
+}

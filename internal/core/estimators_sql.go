@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -14,6 +16,9 @@ import (
 	"verdictdb/internal/sqlparser"
 	"verdictdb/internal/stats"
 )
+
+// errBaselineDeclined marks a query the resampling baselines do not answer.
+var errBaselineDeclined = errors.New("core: the resampling baselines answer plain count/sum/avg items over a non-empty sample only")
 
 // resampleSeq uniquifies the baselines' scratch-table names so concurrent
 // resampling queries never clobber each other's temp tables.
@@ -30,65 +35,56 @@ var resampleSeq atomic.Int64
 // variational subsampling avoids; benchmarks (Figure 7) measure exactly
 // that gap.
 
-// runResamplingBaseline answers a query using traditional subsampling or
-// consolidated bootstrap. Only plain aggregate items (count/sum/avg) are
-// supported — the baselines exist for the Figure 7 comparison.
-func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.SelectStmt, cp ConsolidatedPlan, original string) (*Answer, error) {
-	b := 100
+// runResamplingBaseline answers a baseline plan entry using traditional
+// subsampling or consolidated bootstrap. Only plain aggregate items
+// (count/sum/avg) are supported — the baselines exist for the Figure 7
+// comparison; any other shape is an error the execution loop answers with
+// a passthrough.
+func (m *Middleware) runResamplingBaseline(ctx context.Context, e *planEntry) (*Answer, error) {
+	const b = 100
+	sel := e.flat
 
 	// Substitute samples into FROM.
-	rw := &rewriter{plan: cp.Plan}
+	rw := &rewriter{plan: e.resample.Plan}
 	newFrom, src, err := rw.substituteFrom(sel.From)
-	if err != nil || src.sid == nil {
-		return m.passthrough(ctx, original, PassOther)
+	if err != nil {
+		return nil, err
+	}
+	if src.sid == nil {
+		return nil, errBaselineDeclined
 	}
 
 	// Decompose items: group items and plain aggregates.
-	type aggSpec struct {
-		itemIdx int
-		kind    AggKind
-		arg     sqlparser.Expr // nil for count(*)
-		name    string
+	type item struct {
+		idx  int
+		expr sqlparser.Expr // the group expression, or the aggregate's argument (nil for count(*))
+		kind AggKind
 	}
-	var groups []struct {
-		expr  sqlparser.Expr
-		alias string
-		idx   int
-	}
-	var aggs []aggSpec
+	var groups, aggs []item
 	for i, it := range sel.Items {
 		if it.Expr == nil {
-			return m.passthrough(ctx, original, PassOther)
+			return nil, errBaselineDeclined
 		}
 		if !sqlparser.ContainsAggregate(it.Expr) {
-			alias := fmt.Sprintf("g%d", len(groups))
-			groups = append(groups, struct {
-				expr  sqlparser.Expr
-				alias string
-				idx   int
-			}{it.Expr, alias, i})
+			groups = append(groups, item{idx: i, expr: it.Expr})
 			continue
 		}
 		fc, ok := it.Expr.(*sqlparser.FuncCall)
 		if !ok {
-			return m.passthrough(ctx, original, PassOther)
+			return nil, errBaselineDeclined
 		}
 		kind := classifyAgg(fc)
 		if kind != AggCount && kind != AggSum && kind != AggAvg {
-			return m.passthrough(ctx, original, PassOther)
+			return nil, errBaselineDeclined
 		}
-		var arg sqlparser.Expr
+		a := item{idx: i, kind: kind}
 		if len(fc.Args) > 0 {
-			arg = fc.Args[0]
+			a.expr = fc.Args[0]
 		}
-		name := it.Alias
-		if name == "" {
-			name = deriveName(it.Expr, i)
-		}
-		aggs = append(aggs, aggSpec{itemIdx: i, kind: kind, arg: arg, name: name})
+		aggs = append(aggs, a)
 	}
 	if len(aggs) == 0 {
-		return m.passthrough(ctx, original, PassOther)
+		return nil, errBaselineDeclined
 	}
 
 	start := time.Now()
@@ -117,12 +113,12 @@ func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.S
 	seq := strconv.FormatInt(resampleSeq.Add(1), 10)
 	baseTmp := drivers.QualifyTemp("resample_base", seq)
 	var items []string
-	for _, g := range groups {
-		items = append(items, fmt.Sprintf("%s as %s", sqlparser.FormatExpr(g.expr), g.alias))
+	for i, g := range groups {
+		items = append(items, fmt.Sprintf("%s as g%d", sqlparser.FormatExpr(g.expr), i))
 	}
 	for k, a := range aggs {
-		if a.arg != nil {
-			items = append(items, fmt.Sprintf("%s as x%d", sqlparser.FormatExpr(a.arg), k))
+		if a.expr != nil {
+			items = append(items, fmt.Sprintf("%s as x%d", sqlparser.FormatExpr(a.expr), k))
 		} else {
 			items = append(items, fmt.Sprintf("1.0 as x%d", k))
 		}
@@ -154,7 +150,7 @@ func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.S
 	}
 	n, _ := engine.ToInt(rsN.Rows[0][0])
 	if n == 0 {
-		return m.passthrough(ctx, original, PassOther)
+		return nil, errBaselineDeclined
 	}
 	ns := int64(math.Sqrt(float64(n)))
 	if ns < 1 {
@@ -200,8 +196,8 @@ func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.S
 
 	// 4. Per-subsample aggregates and full-sample point estimates.
 	groupCols := make([]string, len(groups))
-	for i, g := range groups {
-		groupCols[i] = g.alias
+	for i := range groups {
+		groupCols[i] = fmt.Sprintf("g%d", i)
 	}
 	var subAggs, pointAggs []string
 	subAggs = append(subAggs, "sum(w / p) as ht")
@@ -304,14 +300,7 @@ func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.S
 		SampleTables: rw.sampleTables,
 		RewrittenSQL: []string{ctas},
 	}
-	answer.Cols = make([]string, len(sel.Items))
-	for i, it := range sel.Items {
-		if it.Alias != "" {
-			answer.Cols[i] = it.Alias
-		} else {
-			answer.Cols[i] = deriveName(it.Expr, i)
-		}
-	}
+	answer.Cols = slices.Clone(e.names)
 	seScale := 1.0
 	if m.opts.Method == MethodTraditionalSubsampling {
 		seScale = math.Sqrt(float64(ns) / float64(n))
@@ -327,9 +316,9 @@ func (m *Middleware) runResamplingBaseline(ctx context.Context, sel *sqlparser.S
 			row[g.idx] = groupVals[k][gi]
 		}
 		for j, as := range aggs {
-			row[as.itemIdx] = a.point[j]
+			row[as.idx] = a.point[j]
 			if len(a.ests[j]) > 1 {
-				errs[as.itemIdx] = stats.Stddev(a.ests[j]) * seScale
+				errs[as.idx] = stats.Stddev(a.ests[j]) * seScale
 			}
 		}
 		answer.Rows = append(answer.Rows, row)

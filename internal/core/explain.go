@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"verdictdb/internal/drivers"
 	"verdictdb/internal/engine"
 	"verdictdb/internal/sqlparser"
 )
@@ -14,8 +13,9 @@ import (
 // Explain describes — without executing anything against base data — how
 // the middleware would answer a SELECT: support status, the consolidated
 // sample plans with scores and I/O costs, extreme-statistic decomposition,
-// and the rewritten SQL that would be sent to the engine. ctx bounds the
-// catalog and cardinality probes Explain issues while planning.
+// and the statements the plan entry built from them sends to the engine.
+// ctx bounds the catalog and cardinality probes Explain issues while
+// planning.
 func (m *Middleware) Explain(ctx context.Context, sel *sqlparser.SelectStmt) (*Answer, error) {
 	a := &Answer{
 		Cols:       []string{"step", "detail"},
@@ -25,21 +25,13 @@ func (m *Middleware) Explain(ctx context.Context, sel *sqlparser.SelectStmt) (*A
 		a.Rows = append(a.Rows, []engine.Value{step, detail})
 	}
 
-	status := Analyze(sel)
-	add("support", status.String())
-	if status != Supported {
-		add("execution", "passthrough to underlying engine")
-		a.StdErr = nanMatrix(len(a.Rows), 2)
-		return a, nil
-	}
-
-	snapshot, version := m.cat.Snapshot()
-	qp, err := m.planSelect(ctx, sel, snapshot, version)
+	qp, err := m.planSelect(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
-	flat := qp.flat
-	if flat != nil && sqlparser.Format(flat) != sqlparser.Format(sel) {
+	e := m.entryFor(qp)
+	add("support", qp.status.String())
+	if qp.flat != nil && sqlparser.Format(qp.flat) != sqlparser.Format(sel) {
 		add("flatten", "comparison subqueries converted to joins")
 	}
 	if len(qp.occ) > 0 {
@@ -50,15 +42,15 @@ func (m *Middleware) Explain(ctx context.Context, sel *sqlparser.SelectStmt) (*A
 		sort.Strings(aliases)
 		add("tables", strings.Join(aliases, ", "))
 	}
-	if qp.decline != "" {
-		add("plan", qp.decline)
+	if e.passthrough {
+		if e.decline != "" {
+			add("plan", e.decline)
+		}
 		add("execution", "passthrough to underlying engine")
 		a.StdErr = nanMatrix(len(a.Rows), 2)
 		return a, nil
 	}
-	plans, extremeIdx, multi := qp.plans, qp.extremeIdx, qp.multi
-
-	for i, cp := range plans {
+	for i, cp := range qp.plans {
 		var choices []string
 		for al, c := range cp.Plan.Choices {
 			if c.Sample != nil {
@@ -71,15 +63,15 @@ func (m *Middleware) Explain(ctx context.Context, sel *sqlparser.SelectStmt) (*A
 		add(fmt.Sprintf("plan %d", i+1),
 			fmt.Sprintf("items %v via %s (score %.4f, cost %d rows)",
 				cp.ItemIdx, strings.Join(choices, ", "), cp.Plan.Score, cp.Plan.Cost))
-		ro, err := Rewrite(flat, cp.Plan, cp.ItemIdx, !multi)
-		if err != nil {
-			return nil, err
+		// A resampling baseline's entry has no steps: it materializes its
+		// resamples in temp tables at execution time.
+		if i < len(e.steps) {
+			add(fmt.Sprintf("rewritten %d", i+1), e.steps[i].sql)
+			add(fmt.Sprintf("subsamples %d", i+1), fmt.Sprintf("b = %d", e.steps[i].b))
 		}
-		add(fmt.Sprintf("rewritten %d", i+1), drivers.Render(m.db, ro.Stmt))
-		add(fmt.Sprintf("subsamples %d", i+1), fmt.Sprintf("b = %d", ro.B))
 	}
-	if len(extremeIdx) > 0 {
-		add("extreme", fmt.Sprintf("items %v answered exactly from base tables (min/max)", extremeIdx))
+	if len(qp.extremeIdx) > 0 {
+		add("extreme", fmt.Sprintf("items %v answered exactly from base tables (min/max)", qp.extremeIdx))
 	}
 	add("error estimation", methodName(m.opts.Method))
 	a.StdErr = nanMatrix(len(a.Rows), 2)

@@ -77,9 +77,22 @@ func TestMiddlewareGolden(t *testing.T) {
 		case i >= len(got):
 			t.Fatalf("golden record %s was not produced", want[i].name)
 		case got[i] != want[i]:
-			t.Fatalf("%s differs from the golden file\nwant:\n%s\ngot:\n%s", want[i].name, want[i].text, got[i].text)
+			w, g := strings.Split(want[i].text, "\n"), strings.Split(got[i].text, "\n")
+			for j := 0; ; j++ {
+				if j >= len(w) || j >= len(g) || w[j] != g[j] {
+					t.Fatalf("%s: statement %d differs from the golden file\nwant: %s\ngot:  %s",
+						want[i].name, j+1, lineAt(w, j), lineAt(g, j))
+				}
+			}
 		}
 	}
+}
+
+func lineAt(lines []string, j int) string {
+	if j < len(lines) {
+		return lines[j]
+	}
+	return "(none)"
 }
 
 type goldenRecord struct{ name, text string }

@@ -201,35 +201,21 @@ func (m *Middleware) QuerySelect(ctx context.Context, sel *sqlparser.SelectStmt,
 	defer containPanic(&err, original)
 	m.plans.countMiss() // a SELECT running the full pipeline
 	gen := m.plans.generation()
-	entry, direct, err := m.buildEntry(ctx, sel, original)
+	entry, err := m.buildEntry(ctx, sel)
 	if err != nil {
 		return nil, err
-	}
-	if direct != nil {
-		finalUpdate(prog, direct) // resampling baselines bypass the cache
-		return direct, nil
 	}
 	m.plans.put(normalizeSQL(original), entry, gen)
 	return m.execute(ctx, entry, original, prog)
 }
 
-// execute runs a plan entry block-prefix by block-prefix when prog asks for
-// it and the plan allows it, and single-shot otherwise.
-func (m *Middleware) execute(ctx context.Context, e *planEntry, original string, prog *Progressive) (*Answer, error) {
-	if prog != nil && e.prog != nil {
-		return m.executeProgressive(ctx, e, original, prog)
-	}
-	a, err := m.executeEntry(ctx, e, original)
-	if err == nil {
-		finalUpdate(prog, a)
-	}
-	return a, err
-}
-
-// queryPlan is the outcome of the planning preamble that buildEntry caches
-// and Explain describes. decline says why the query passes through to the
-// engine; when it is empty, plans holds at least one consolidated plan.
+// queryPlan is the outcome of the planning preamble that buildEntry turns
+// into a plan entry and Explain describes. status is the query's support
+// status; decline says why a supported query passes through to the engine.
+// When both allow AQP, plans holds at least one consolidated plan.
 type queryPlan struct {
+	status     SupportStatus
+	version    int64 // catalog version the plan was made under
 	flat       *sqlparser.SelectStmt
 	occ        map[string]*tableOccurrence
 	plans      []ConsolidatedPlan
@@ -238,12 +224,16 @@ type queryPlan struct {
 	decline    string
 }
 
-// planSelect plans a supported SELECT against one catalog snapshot: flatten
-// comparison subqueries, resolve table occurrences, fill in base-table row
-// counts (plan costs and scores depend on them), plan, then apply the
-// decline rules.
-func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt, snapshot []meta.SampleInfo, version int64) (*queryPlan, error) {
-	qp := &queryPlan{occ: map[string]*tableOccurrence{}}
+// planSelect plans a SELECT against one catalog snapshot: analyze it, and
+// for a supported one flatten comparison subqueries, resolve table
+// occurrences, fill in base-table row counts (plan costs and scores depend
+// on them), plan, then apply the decline rules.
+func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt) (*queryPlan, error) {
+	snapshot, version := m.cat.Snapshot()
+	qp := &queryPlan{status: Analyze(sel), version: version, occ: map[string]*tableOccurrence{}}
+	if qp.status != Supported {
+		return qp, nil
+	}
 	flat, err := FlattenComparisonSubqueries(sel)
 	if err != nil || flat == nil {
 		qp.decline = "comparison subqueries cannot be flattened"
@@ -287,134 +277,72 @@ func (m *Middleware) planSelect(ctx context.Context, sel *sqlparser.SelectStmt, 
 
 // buildEntry runs the deterministic half of the pipeline — analyze,
 // flatten, plan, rewrite, render — and packages the result as a cacheable
-// planEntry. Resampling-baseline methods execute immediately and return a
-// direct answer instead (their temp-table materialization isn't cacheable).
-func (m *Middleware) buildEntry(ctx context.Context, sel *sqlparser.SelectStmt, original string) (*planEntry, *Answer, error) {
-	snapshot, version := m.cat.Snapshot()
-	pass := func(status SupportStatus) *planEntry {
-		return &planEntry{version: version, passthrough: true, status: status}
-	}
-
-	status := Analyze(sel)
-	if status != Supported {
-		return pass(status), nil, nil
-	}
-	qp, err := m.planSelect(ctx, sel, snapshot, version)
+// planEntry.
+func (m *Middleware) buildEntry(ctx context.Context, sel *sqlparser.SelectStmt) (*planEntry, error) {
+	qp, err := m.planSelect(ctx, sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if qp.decline != "" {
-		return pass(PassOther), nil, nil
-	}
-	flat, plans, extremeIdx, multi := qp.flat, qp.plans, qp.extremeIdx, qp.multi
+	return m.entryFor(qp), nil
+}
 
-	switch m.opts.Method {
-	case MethodTraditionalSubsampling, MethodConsolidatedBootstrap:
-		if multi {
-			a, err := m.passthrough(ctx, original, PassOther)
-			return nil, a, err
-		}
-		a, err := m.runResamplingBaseline(ctx, flat, plans[0], original)
-		return nil, a, err
+// entryFor turns a query plan into the plan entry that executes it: a
+// passthrough, a resampling baseline, or the rendered rewrite of every
+// consolidated plan plus the exact extreme-statistics query.
+func (m *Middleware) entryFor(qp *queryPlan) *planEntry {
+	pass := func(status SupportStatus, decline string) *planEntry {
+		return &planEntry{version: qp.version, passthrough: true, status: status, decline: decline}
 	}
-
-	entry := &planEntry{version: version, flat: flat, multi: multi}
+	switch {
+	case qp.status != Supported:
+		return pass(qp.status, "")
+	case qp.decline != "":
+		return pass(PassOther, qp.decline)
+	}
+	flat, plans, multi := qp.flat, qp.plans, qp.multi
+	entry := &planEntry{version: qp.version, flat: flat, multi: multi}
+	for i, it := range flat.Items {
+		entry.names = append(entry.names, itemName(it, i))
+	}
+	entry.guardGroups = len(flat.GroupBy) > 0 && flat.Limit == nil
+	// The post-execution guard compares group counts against the smallest
+	// sampled plan — the binding constraint on how thin the sample spreads.
 	for _, cp := range plans {
-		ro, err := Rewrite(flat, cp.Plan, cp.ItemIdx, !multi)
-		if err != nil {
-			return pass(PassOther), nil, nil
-		}
-		if m.opts.Method == MethodNone {
-			stripErrorColumns(ro)
-		}
-		entry.steps = append(entry.steps, planStep{
-			sql:          drivers.Render(m.db, ro.Stmt),
-			columns:      ro.Columns,
-			sampleTables: ro.SampleTables,
-		})
-		// The post-execution guard compares group counts against the
-		// smallest sampled plan — the binding constraint on how thin the
-		// sample spreads.
 		if cp.Plan.Cost > 0 && (entry.planSampleRows == 0 || cp.Plan.Cost < entry.planSampleRows) {
 			entry.planSampleRows = cp.Plan.Cost
 		}
 	}
 
+	switch m.opts.Method {
+	case MethodTraditionalSubsampling, MethodConsolidatedBootstrap:
+		if multi {
+			return pass(PassOther, "declined: resampling baselines answer single-plan queries only")
+		}
+		entry.resample = &plans[0]
+		return entry
+	}
+	for _, cp := range plans {
+		ro, err := Rewrite(flat, cp.Plan, cp.ItemIdx, !multi, nil)
+		if err != nil {
+			return pass(PassOther, err.Error())
+		}
+		if m.opts.Method == MethodNone {
+			stripErrorColumns(ro)
+		}
+		entry.steps = append(entry.steps, m.step(ro))
+	}
 	// Extreme statistics answered exactly (Section 2.2 decomposition).
-	if len(extremeIdx) > 0 {
-		sqlText, cols := m.buildExtremeQuery(flat, extremeIdx)
+	if len(qp.extremeIdx) > 0 {
+		sqlText, cols := m.buildExtremeQuery(flat, qp.extremeIdx)
 		entry.extreme = &planStep{sql: sqlText, columns: cols}
 	}
-
-	entry.prog = m.progressiveInfoFor(flat, plans, extremeIdx)
-
-	names := make([]string, len(flat.Items))
-	for i, it := range flat.Items {
-		if it.Alias != "" {
-			names[i] = it.Alias
-		} else {
-			names[i] = deriveName(it.Expr, i)
-		}
-	}
-	entry.names = names
-	entry.guardGroups = len(flat.GroupBy) > 0 && flat.Limit == nil
-	return entry, nil, nil
+	entry.prog = m.progressiveInfoFor(flat, plans, qp.extremeIdx)
+	return entry
 }
 
-// executeEntry runs a (possibly cached) plan entry: execute the rendered
-// partial queries, merge the partial answers, and apply the guard rails.
-// The entry is shared across concurrent queries and never mutated here —
-// anything an Answer could mutate later (column names) is cloned.
-func (m *Middleware) executeEntry(ctx context.Context, e *planEntry, original string) (*Answer, error) {
-	if e.passthrough {
-		return m.passthrough(ctx, original, e.status)
-	}
-
-	answer := &Answer{
-		Approximate: true,
-		Status:      Supported,
-		Confidence:  m.opts.Confidence,
-	}
-	mg := newMerger(len(e.names))
-	for _, st := range e.steps {
-		rs, elapsed, err := m.timedQuery(ctx, st.sql)
-		if err != nil {
-			// An aborted query (cancel, deadline, memory budget, contained
-			// panic) propagates: re-running it as a full exact scan would
-			// invert the user's intent.
-			if queryAborted(err) {
-				return nil, err
-			}
-			// A stale catalog (sample table dropped outside VerdictDB) or a
-			// dialect corner case must never break the user's query: fall
-			// back to exact execution, like the paper's middleware.
-			return m.passthrough(ctx, original, PassOther)
-		}
-		answer.RewrittenSQL = append(answer.RewrittenSQL, st.sql)
-		answer.SampleTables = append(answer.SampleTables, st.sampleTables...)
-		answer.ElapsedNanos += elapsed
-		answer.RowsScanned += rs.RowsScanned
-		mg.add(rs, st.columns)
-	}
-	if e.extreme != nil {
-		rs, elapsed, err := m.timedQuery(ctx, e.extreme.sql)
-		if err != nil {
-			if queryAborted(err) {
-				return nil, err
-			}
-			return m.passthrough(ctx, original, PassOther)
-		}
-		answer.ElapsedNanos += elapsed
-		answer.RowsScanned += rs.RowsScanned
-		mg.add(rs, e.extreme.columns)
-	}
-
-	// Materialize merged rows in original item order. Cols is a private
-	// copy: appendErrorColumns extends it per answer.
-	answer.Cols = append([]string(nil), e.names...)
-	answer.Rows, answer.StdErr = mg.result()
-
-	return m.finishEntryAnswer(ctx, e, answer, original)
+// step renders one rewritten statement as a plan step.
+func (m *Middleware) step(ro *RewriteOutput) planStep {
+	return planStep{sql: drivers.Render(m.db, ro.Stmt), columns: ro.Columns, sampleTables: ro.SampleTables, b: ro.B}
 }
 
 // finishEntryAnswer applies the post-merge tail shared by single-shot and
@@ -618,10 +546,7 @@ func (m *Middleware) buildExtremeQuery(sel *sqlparser.SelectStmt, extremeIdx []i
 	}
 	for i, it := range sel.Items {
 		isAgg := it.Expr != nil && sqlparser.ContainsAggregate(it.Expr)
-		name := it.Alias
-		if name == "" {
-			name = deriveName(it.Expr, i)
-		}
+		name := itemName(it, i)
 		switch {
 		case !isAgg:
 			ex.Items = append(ex.Items, sqlparser.SelectItem{Expr: sqlparser.CloneExpr(it.Expr), Alias: name})

@@ -62,33 +62,14 @@ func (rw *rewriter) rewriteNested(sel *sqlparser.SelectStmt) (*sqlparser.SelectS
 			// aggregates are exact within each surviving group.
 			return sqlparser.CloneExpr(e), nil
 		}
-		var subErr error
-		res := sqlparser.RewriteExpr(sqlparser.CloneExpr(e), func(x sqlparser.Expr) sqlparser.Expr {
-			fc, ok := x.(*sqlparser.FuncCall)
-			if !ok || fc.Over != nil || !sqlparser.AggregateFuncs[fc.Name] {
-				return x
-			}
-			est, err := inlineSubsampleEstimator(fc, src)
-			if err != nil {
-				subErr = err
-				return x
-			}
-			return est
-		})
-		if subErr != nil {
-			return nil, subErr
-		}
-		return res, nil
+		return mapAggs(e, func(fc *sqlparser.FuncCall) (sqlparser.Expr, error) { return nestedEstimate(fc, src) })
 	}
 
 	for i, it := range sel.Items {
 		if it.Star {
 			return nil, nestedInfo{}, fmt.Errorf("core: SELECT * not supported in nested aggregate blocks")
 		}
-		name := it.Alias
-		if name == "" {
-			name = deriveName(it.Expr, i)
-		}
+		name := itemName(it, i)
 		if sqlparser.ContainsAggregate(it.Expr) {
 			est, err := substitute(it.Expr)
 			if err != nil {
@@ -144,64 +125,25 @@ func groupsContainHashCol(groupBy []sqlparser.Expr, hashedCols map[string]bool) 
 	return false
 }
 
-// inlineSubsampleEstimator builds the single-level per-subsample estimator
-// used by variational tables of nested blocks.
-func inlineSubsampleEstimator(fc *sqlparser.FuncCall, src vsource) (sqlparser.Expr, error) {
-	var arg sqlparser.Expr
-	if len(fc.Args) > 0 {
-		arg = sqlparser.CloneExpr(fc.Args[0])
-	}
-	sum := func(e sqlparser.Expr) sqlparser.Expr {
-		return &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{e}}
-	}
-	htOne := func() sqlparser.Expr { return overProb(floatLit(1), src.prob) }
-	switch classifyAgg(fc) {
-	case AggCount:
-		if src.replicated {
-			return sum(htOne()), nil
-		}
-		return &sqlparser.BinaryExpr{Op: "*", L: sum(htOne()), R: intLit(src.b)}, nil
-	case AggSum:
-		if src.replicated {
-			return sum(overProb(arg, src.prob)), nil
-		}
-		return &sqlparser.BinaryExpr{Op: "*", L: sum(overProb(arg, src.prob)), R: intLit(src.b)}, nil
-	case AggAvg:
-		return &sqlparser.BinaryExpr{Op: "/",
-			L: sum(overProb(arg, src.prob)),
-			R: sum(htOne())}, nil
-	case AggVar, AggStddev:
-		mean := &sqlparser.BinaryExpr{Op: "/",
-			L: sum(overProb(sqlparser.CloneExpr(arg), src.prob)),
-			R: sum(htOne())}
-		meanSq := &sqlparser.BinaryExpr{Op: "/",
-			L: sum(overProb(&sqlparser.BinaryExpr{Op: "*", L: sqlparser.CloneExpr(arg), R: sqlparser.CloneExpr(arg)}, src.prob)),
-			R: sum(htOne())}
-		variance := &sqlparser.BinaryExpr{Op: "-", L: meanSq,
-			R: &sqlparser.FuncCall{Name: "pow", Args: []sqlparser.Expr{mean, intLit(2)}}}
-		if classifyAgg(fc) == AggStddev {
-			return &sqlparser.FuncCall{Name: "sqrt", Args: []sqlparser.Expr{
-				&sqlparser.FuncCall{Name: "abs", Args: []sqlparser.Expr{variance}},
-			}}, nil
-		}
-		return variance, nil
-	case AggQuantile:
-		q, err := quantileFraction(fc)
-		if err != nil {
-			return nil, err
-		}
-		return &sqlparser.FuncCall{Name: "percentile", Args: []sqlparser.Expr{arg, floatLit(q)}}, nil
-	case AggCountDistinct:
-		return &sqlparser.BinaryExpr{Op: "/",
-			L: &sqlparser.BinaryExpr{Op: "*",
-				L: &sqlparser.FuncCall{Name: "count", Distinct: true, Args: []sqlparser.Expr{arg}},
-				R: intLit(src.b)},
-			R: floatLit(src.ratio)}, nil
-	case AggExtreme:
+// nestedEstimate is one aggregate's per-subsample estimate inside a
+// variational table: its estimator's perSub over the partial expressions
+// themselves, evaluated per (group, sid).
+func nestedEstimate(fc *sqlparser.FuncCall, src vsource) (sqlparser.Expr, error) {
+	kind := classifyAgg(fc)
+	if kind == AggExtreme {
 		// min/max in a nested block: keep it as-is per subsample (a
 		// conservative estimate; the middleware never approximates extreme
 		// stats at the top level).
 		return sqlparser.CloneExpr(fc), nil
 	}
-	return nil, fmt.Errorf("core: aggregate %s not supported in nested block", fc.Name)
+	est, ok := estimators[kind]
+	if !ok {
+		return nil, fmt.Errorf("core: aggregate %s not supported in nested block", fc.Name)
+	}
+	parts, err := est.partials(fc, htSum(src.prob))
+	if err != nil {
+		return nil, err
+	}
+	p := &partials{kind: kind, ratio: src.ratio, replicated: src.replicated}
+	return est.perSub(p, func(i int) sqlparser.Expr { return sqlparser.CloneExpr(parts[i]) }, src.b), nil
 }

@@ -19,11 +19,13 @@ import (
 // private to their query.
 
 // planStep is one rendered partial query of a cached plan: the SQL sent to
-// the engine plus the output-column mapping the answer merger needs.
+// the engine plus the output-column mapping the answer merger needs, and the
+// subsample count b of a rewritten one.
 type planStep struct {
 	sql          string
 	columns      []OutputCol
 	sampleTables []string
+	b            int64
 }
 
 // planEntry is everything needed to execute one cached query shape.
@@ -36,6 +38,7 @@ type planEntry struct {
 	// groups) so repeated unsupported shapes skip the pipeline too.
 	passthrough bool
 	status      SupportStatus
+	decline     string // why a supported query passes through
 
 	flat  *sqlparser.SelectStmt // flattened statement (read-only)
 	names []string              // output column names in item order
@@ -49,6 +52,11 @@ type planEntry struct {
 
 	steps   []planStep
 	extreme *planStep // exact extreme-statistics query, nil if none
+
+	// resample is the single consolidated plan a resampling baseline
+	// (MethodTraditionalSubsampling, MethodConsolidatedBootstrap) answers
+	// through its temp tables instead of steps; nil for every other method.
+	resample *ConsolidatedPlan
 
 	// prog is the progressive-execution handle: non-nil when the entry's
 	// plan qualifies for block-prefix execution (single consolidated plan

@@ -4,27 +4,30 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 
-	"verdictdb/internal/drivers"
 	"verdictdb/internal/engine"
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/meta"
 	"verdictdb/internal/sqlparser"
 )
 
-// This file implements accuracy-driven progressive execution over
-// block-partitioned scrambles. The chosen sample plan is run block-prefix by
-// block-prefix (a doubling schedule, so total work stays within ~2x of the
-// stopping prefix), the variational-subsampling standard errors are
-// re-estimated after each prefix, and execution stops as soon as the
-// caller's target relative error is met — the anytime behavior online
-// aggregation systems offer, expressed purely through SQL rewriting: each
-// prefix adds a `_vdb_block <= K` predicate and folds the prefix's row
-// fraction into the Horvitz-Thompson weights, so every partial answer is
-// unbiased. Plans that cannot run progressively (passthrough, multi-plan
-// merges, extreme statistics, count-distinct, nested aggregate blocks, or
-// samples built without blocks) fall back to the single-shot path.
+// This file holds the middleware's one execution loop (execute, runPrefix)
+// and the accuracy-driven progressive execution it implements over
+// block-partitioned scrambles. A single-shot query is a one-prefix run over
+// the whole sample. A progressive one runs the chosen sample plan
+// block-prefix by block-prefix (a doubling schedule, so total work stays
+// within ~2x of the stopping prefix), re-estimates the
+// variational-subsampling standard errors after each prefix, and stops as
+// soon as the caller's target relative error is met — the anytime behavior
+// online aggregation systems offer, expressed purely through SQL rewriting:
+// each prefix but the full one adds a `_vdb_block <= K` predicate and folds
+// the prefix's row fraction into the Horvitz-Thompson weights, so every
+// partial answer is unbiased. Plans that cannot run progressively
+// (passthrough, resampling baselines, multi-plan merges, extreme statistics,
+// count-distinct, nested aggregate blocks, or samples built without blocks)
+// run as one prefix.
 
 // progressiveInfo is the cached handle for block-prefix execution of one
 // plan entry. Read-only after buildEntry, like the rest of the entry.
@@ -50,81 +53,75 @@ type ProgressiveUpdate struct {
 // execution early (the current prefix's answer becomes final).
 type ProgressiveCallback func(ProgressiveUpdate) bool
 
-// executeProgressive runs a plan entry with a progressive handle
-// block-prefix by block-prefix, stopping once prog's target relative error
-// is met.
-func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, original string, prog *Progressive) (*Answer, error) {
-	p, target := e.prog, prog.Target
-	total := len(p.blockCounts)
-	schedule := blockSchedule(total, target)
-	var cumRows, cumNanos int64
-	var rewritten []string
-	// lastPartial is the most recent completed prefix's unbiased partial
-	// answer — the deadline-degraded result if time runs out mid-ramp.
-	var lastPartial *Answer
-	for idx := 0; idx < len(schedule); idx++ {
-		// Sample DDL between prefixes invalidates the plan: later prefixes
-		// would mix block layouts across catalog versions, silently biasing
-		// the estimate. Surface it as a typed error instead.
-		if m.cat.Version() != e.version {
-			return nil, ErrCatalogChanged
+// execute runs a plan entry prefix by prefix. A single-shot query is one
+// prefix: the whole sample through the entry's cached statements. A
+// progressive one (prog set and the entry eligible) walks blockSchedule and
+// stops once prog's target relative error is met; its last prefix is the
+// whole sample through the same cached statements, so a zero target sends
+// exactly what Conn.Query sends. The accepted prefix's answer takes the
+// guard rails (finishEntryAnswer); an aborted query returns its error, and
+// any other failure falls back to exact execution.
+func (m *Middleware) execute(ctx context.Context, e *planEntry, original string, prog *Progressive) (a *Answer, err error) {
+	defer func() {
+		if err == nil {
+			finalUpdate(prog, a)
 		}
-		if err := faultpoint.Hit(faultpoint.SiteCoreProgressivePrefix); err != nil {
-			return nil, err
-		}
-		bound := schedule[idx]
-		frac := float64(prefixRows(p.blockCounts, bound)) / float64(p.totalRows)
-		ro, err := RewriteWithBlocks(e.flat, p.plan, p.itemIdx, true, &BlockContext{
-			Alias: p.alias, Bound: int64(bound), Frac: frac,
-		})
-		if err != nil {
-			return m.passthrough(ctx, original, PassOther)
-		}
-		sqlText := drivers.Render(m.db, ro.Stmt)
-		rs, elapsed, err := m.timedQuery(ctx, sqlText)
-		if err != nil {
-			// A deadline expiring mid-ramp degrades gracefully when at least
-			// one prefix completed: that prefix's answer is unbiased (its
-			// Horvitz-Thompson weights already fold in the prefix fraction),
-			// so returning it flagged beats returning nothing.
-			if errors.Is(err, context.DeadlineExceeded) && lastPartial != nil {
-				return m.degradeAnswer(lastPartial, prog), nil
+	}()
+	if e.passthrough {
+		return m.passthrough(ctx, original, e.status)
+	}
+	var p *progressiveInfo
+	bounds, total, target := []int{0}, 0, 0.0
+	if prog != nil && e.prog != nil {
+		p, total, target = e.prog, len(e.prog.blockCounts), prog.Target
+		bounds = blockSchedule(total, target)
+	}
+	// prev is the most recent completed prefix's unbiased partial answer —
+	// the deadline-degraded result if time runs out mid-ramp.
+	var prev *Answer
+	for idx := 0; ; idx++ {
+		bound := bounds[idx]
+		if p != nil {
+			// Sample DDL between prefixes invalidates the plan: later
+			// prefixes would mix block layouts across catalog versions,
+			// silently biasing the estimate. Surface it as a typed error.
+			if m.cat.Version() != e.version {
+				return nil, ErrCatalogChanged
 			}
-			if queryAborted(err) {
+			if err := faultpoint.Hit(faultpoint.SiteCoreProgressivePrefix); err != nil {
 				return nil, err
 			}
-			// Same contract as executeEntry: a stale catalog or dialect
-			// corner case falls back to exact execution.
+		}
+		answer, minSub, err := m.runPrefix(ctx, e, bound, total, prev)
+		switch {
+		case err == nil:
+		case errors.Is(err, context.DeadlineExceeded) && prev != nil:
+			// A deadline expiring mid-ramp degrades gracefully: the last
+			// completed prefix is unbiased (its Horvitz-Thompson weights
+			// already fold in the prefix fraction), so returning it flagged
+			// beats returning nothing.
+			return m.degradeAnswer(prev), nil
+		case queryAborted(err):
+			// An aborted query (cancel, deadline, memory budget, contained
+			// panic) propagates: re-running it as a full exact scan would
+			// invert the user's intent.
+			return nil, err
+		default:
+			// A stale catalog (sample table dropped outside VerdictDB) or a
+			// dialect corner case must never break the user's query: fall
+			// back to exact execution, like the paper's middleware.
 			return m.passthrough(ctx, original, PassOther)
 		}
-		cumNanos += elapsed
-		cumRows += rs.RowsScanned
-		rewritten = append(rewritten, sqlText)
-
-		if err := faultpoint.Hit(faultpoint.SiteCoreMergePrefix); err != nil {
-			return nil, err
+		if p != nil {
+			if err := faultpoint.Hit(faultpoint.SiteCoreMergePrefix); err != nil {
+				return nil, err
+			}
+			answer.BlocksScanned, answer.BlocksTotal = bound, total
 		}
-		answer := &Answer{
-			Approximate:   true,
-			Status:        Supported,
-			Confidence:    m.opts.Confidence,
-			SampleTables:  append([]string(nil), ro.SampleTables...),
-			RewrittenSQL:  append([]string(nil), rewritten...),
-			ElapsedNanos:  cumNanos,
-			RowsScanned:   cumRows,
-			BlocksScanned: bound,
-			BlocksTotal:   total,
-		}
-		mg := newMerger(len(e.names))
-		mg.add(rs, ro.Columns)
-		answer.Cols = append([]string(nil), e.names...)
-		answer.Rows, answer.StdErr = mg.result()
-		lastPartial = answer
+		prev = answer
 
-		last := idx == len(schedule)-1
-		met := target > 0 && minSubsamples(rs, ro.Columns) >= minStopSubsamples &&
-			accuracyMet(answer, p.itemIdx, target)
-		stop := last || met
+		stop := idx == len(bounds)-1 ||
+			target > 0 && minSub >= minStopSubsamples && accuracyMet(answer, p.itemIdx, target)
 		if !stop && prog.Callback != nil && !prog.Callback(ProgressiveUpdate{
 			Answer: answer, BlocksScanned: bound, BlocksTotal: total,
 		}) {
@@ -132,13 +129,10 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 		}
 		if stop {
 			final, err := m.finishEntryAnswer(ctx, e, answer, original)
-			if err != nil && errors.Is(err, context.DeadlineExceeded) {
+			if p != nil && errors.Is(err, context.DeadlineExceeded) {
 				// The guard rails' exact re-run ran out of time; the
 				// completed prefix itself is still a valid partial.
-				return m.degradeAnswer(answer, prog), nil
-			}
-			if err == nil {
-				finalUpdate(prog, final)
+				return m.degradeAnswer(answer), nil
 			}
 			return final, err
 		}
@@ -149,12 +143,75 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 		if re := answer.MaxRelativeError(); re > 0 && !math.IsNaN(re) {
 			scannedRows := float64(prefixRows(p.blockCounts, bound))
 			if scannedRows*(re/target)*(re/target) > float64(p.totalRows) {
-				idx = len(schedule) - 2 // next iteration runs the full prefix
+				idx = len(bounds) - 2 // next iteration runs the full prefix
 			}
 		}
 	}
-	// Unreachable: the schedule always ends with the full prefix.
-	return m.executeEntry(ctx, e, original)
+}
+
+// runPrefix executes one prefix of a plan entry and merges its partial
+// answers: blocks 1..bound of the entry's sample when bound < total, else
+// the whole sample through the entry's cached statements (or its resampling
+// baseline). The answer accumulates prev's statements, time and rows; the
+// second result is the fewest subsamples any group was estimated from (0
+// when the statements do not report it). The entry is shared across
+// concurrent queries and never mutated here — anything an Answer could
+// mutate later (column names) is cloned.
+func (m *Middleware) runPrefix(ctx context.Context, e *planEntry, bound, total int, prev *Answer) (*Answer, int64, error) {
+	if e.resample != nil {
+		a, err := m.runResamplingBaseline(ctx, e)
+		return a, 0, err
+	}
+	steps, extreme := e.steps, e.extreme
+	if bound < total {
+		p := e.prog
+		ro, err := Rewrite(e.flat, p.plan, p.itemIdx, true, &BlockContext{
+			Alias: p.alias, Bound: int64(bound),
+			Frac: float64(prefixRows(p.blockCounts, bound)) / float64(p.totalRows),
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		steps, extreme = []planStep{m.step(ro)}, nil
+	}
+	a := &Answer{Approximate: true, Status: Supported, Confidence: m.opts.Confidence}
+	if prev != nil {
+		a.RewrittenSQL = slices.Clone(prev.RewrittenSQL)
+		a.ElapsedNanos, a.RowsScanned = prev.ElapsedNanos, prev.RowsScanned
+	}
+	mg := newMerger(len(e.names))
+	run := func(st *planStep) (*engine.ResultSet, error) {
+		rs, elapsed, err := m.timedQuery(ctx, st.sql)
+		if err != nil {
+			return nil, err
+		}
+		a.ElapsedNanos += elapsed
+		a.RowsScanned += rs.RowsScanned
+		mg.add(rs, st.columns)
+		return rs, nil
+	}
+	var minSub int64
+	for i := range steps {
+		rs, err := run(&steps[i])
+		if err != nil {
+			return nil, 0, err
+		}
+		a.RewrittenSQL = append(a.RewrittenSQL, steps[i].sql)
+		a.SampleTables = append(a.SampleTables, steps[i].sampleTables...)
+		if n := minSubsamples(rs, steps[i].columns); i == 0 || n < minSub {
+			minSub = n
+		}
+	}
+	if extreme != nil {
+		if _, err := run(extreme); err != nil {
+			return nil, 0, err
+		}
+	}
+	// Materialize merged rows in original item order. Cols is a private
+	// copy: appendErrorColumns extends it per answer.
+	a.Cols = slices.Clone(e.names)
+	a.Rows, a.StdErr = mg.result()
+	return a, minSub, nil
 }
 
 // degradeAnswer finalizes a completed block-prefix partial after a deadline
@@ -162,12 +219,11 @@ func (m *Middleware) executeProgressive(ctx context.Context, e *planEntry, origi
 // error columns are applied — the guard rails (group-cardinality check,
 // accuracy contract) are skipped because both can demand an exact re-run
 // there is no time left to pay for.
-func (m *Middleware) degradeAnswer(partial *Answer, prog *Progressive) *Answer {
+func (m *Middleware) degradeAnswer(partial *Answer) *Answer {
 	partial.DeadlineDegraded = true
 	if m.opts.ErrorColumns {
 		appendErrorColumns(partial)
 	}
-	finalUpdate(prog, partial)
 	return partial
 }
 
@@ -182,20 +238,12 @@ const minStopSubsamples = 8
 // of a progressive partial result (its ColSubCount column), or 0 when the
 // column is absent or empty.
 func minSubsamples(rs *engine.ResultSet, cols []OutputCol) int64 {
-	ci := -1
-	for i, oc := range cols {
-		if oc.Kind == ColSubCount {
-			ci = i
-		}
-	}
+	ci := slices.IndexFunc(cols, func(oc OutputCol) bool { return oc.Kind == ColSubCount })
 	if ci < 0 || len(rs.Rows) == 0 {
 		return 0
 	}
 	min := int64(0)
 	for r, row := range rs.Rows {
-		if ci >= len(row) {
-			return 0
-		}
 		n, ok := engine.ToInt(row[ci])
 		if !ok {
 			return 0

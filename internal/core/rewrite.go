@@ -8,6 +8,12 @@ import (
 	"verdictdb/internal/sqlparser"
 )
 
+// This file implements the query rewrite of Appendix G (Rewrite) and, in the
+// estimators table, the one definition of each aggregate kind's partial
+// aggregates, point estimator and per-subsample estimator. Nested aggregate
+// blocks apply the same per-subsample estimators (nested.go, Section 5.2);
+// progressive.go's execution loop runs the rendered rewrite.
+
 // ColKind classifies an output column of a rewritten query.
 type ColKind int
 
@@ -88,8 +94,7 @@ func andExpr(a, b sqlparser.Expr) sqlparser.Expr {
 type partials struct {
 	kind  AggKind
 	cols  []string // inner output aliases
-	ratio float64  // universe ratio for count-distinct
-	q     float64  // percentile fraction
+	ratio float64  // the source's sampling ratio, which scales count-distinct
 	// replicated marks partials over a Bernoulli-nested variational table:
 	// each subsample's partial is a complete estimate, so the full-sample
 	// combination is the mean across subsamples, not the HT sum.
@@ -108,21 +113,16 @@ const (
 // (Appendix G shape): an inner query grouping by (groups, sid) computing
 // Horvitz-Thompson partial aggregates, wrapped in an outer query that
 // weight-averages the subsamples into an unbiased point estimate and a
-// standard error per aggregate.
+// standard error per aggregate. Each aggregate kind's partials and
+// estimators come from the estimators table below.
 //
 // itemIdx lists the aggregate select items this plan answers; all non-agg
 // (grouping) items are always included. includeOrderLimit controls whether
 // ORDER BY / LIMIT / HAVING attach to the outer query (the middleware turns
 // this off when results from several consolidated plans must be merged
-// first).
-func Rewrite(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []int, includeOrderLimit bool) (*RewriteOutput, error) {
-	return RewriteWithBlocks(sel, plan, itemIdx, includeOrderLimit, nil)
-}
-
-// RewriteWithBlocks is Rewrite restricted to a scramble block prefix: the
-// progressive executor calls it once per prefix with a growing Bound and the
-// matching row fraction. bc == nil yields the plain full-sample rewrite.
-func RewriteWithBlocks(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []int, includeOrderLimit bool, bc *BlockContext) (*RewriteOutput, error) {
+// first). A non-nil bc restricts the rewrite to a scramble block prefix (the
+// progressive loop in progressive.go); nil rewrites over the full sample.
+func Rewrite(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []int, includeOrderLimit bool, bc *BlockContext) (*RewriteOutput, error) {
 	rw := &rewriter{plan: plan, block: bc}
 	newFrom, src, err := rw.substituteFrom(sel.From)
 	if err != nil {
@@ -232,25 +232,23 @@ func RewriteWithBlocks(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []
 	// over vt1: aggregate calls become either full-sample or per-subsample
 	// estimators; other column refs must match a grouping expression.
 	substitute := func(e sqlparser.Expr, perSubsample bool) (sqlparser.Expr, error) {
-		var subErr error
-		out := sqlparser.RewriteExpr(sqlparser.CloneExpr(e), func(x sqlparser.Expr) sqlparser.Expr {
-			if fc, ok := x.(*sqlparser.FuncCall); ok && fc.Over == nil && sqlparser.AggregateFuncs[fc.Name] {
-				p := partialByKey[sqlparser.FormatExpr(fc)]
-				if p == nil {
-					subErr = fmt.Errorf("core: aggregate %s not planned", sqlparser.FormatExpr(fc))
-					return x
-				}
-				if perSubsample {
-					return perSubsampleEstimator(p, src.b)
-				}
-				return fullEstimator(p)
+		out, err := mapAggs(e, func(fc *sqlparser.FuncCall) (sqlparser.Expr, error) {
+			p := partialByKey[sqlparser.FormatExpr(fc)]
+			if p == nil {
+				return nil, fmt.Errorf("core: aggregate %s not planned", sqlparser.FormatExpr(fc))
 			}
-			return x
+			est := estimators[p.kind]
+			col := func(i int) sqlparser.Expr { return &sqlparser.ColumnRef{Table: innerAlias, Name: p.cols[i]} }
+			if perSubsample {
+				return est.perSub(p, col, src.b), nil
+			}
+			return est.point(p, col), nil
 		})
-		if subErr != nil {
-			return nil, subErr
+		if err != nil {
+			return nil, err
 		}
 		// Remaining column refs must be grouping expressions.
+		var subErr error
 		out = sqlparser.RewriteExpr(out, func(x sqlparser.Expr) sqlparser.Expr {
 			if cr, ok := x.(*sqlparser.ColumnRef); ok {
 				if strings.EqualFold(cr.Table, innerAlias) {
@@ -270,21 +268,19 @@ func RewriteWithBlocks(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []
 	}
 
 	out := &RewriteOutput{B: src.b, SampleTables: rw.sampleTables}
+	// Error columns go last so positional ORDER BY stays valid.
 	var errItems []sqlparser.SelectItem
+	var errCols []OutputCol
 	for i, it := range sel.Items {
-		isAgg := it.Expr != nil && sqlparser.ContainsAggregate(it.Expr)
+		name := itemName(it, i)
 		switch {
-		case !isAgg:
+		case it.Expr == nil || !sqlparser.ContainsAggregate(it.Expr):
 			if it.Star {
 				return nil, fmt.Errorf("core: SELECT * not supported with aggregates")
 			}
 			alias, ok := groupAliasFor(it.Expr)
 			if !ok {
 				return nil, fmt.Errorf("core: select item %q is neither aggregate nor grouping expression", sqlparser.FormatExpr(it.Expr))
-			}
-			name := it.Alias
-			if name == "" {
-				name = deriveName(it.Expr, i)
 			}
 			outer.Items = append(outer.Items, sqlparser.SelectItem{
 				Expr:  &sqlparser.ColumnRef{Table: innerAlias, Name: alias},
@@ -296,44 +292,21 @@ func RewriteWithBlocks(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []
 			if err != nil {
 				return nil, err
 			}
-			name := it.Alias
-			if name == "" {
-				name = deriveName(it.Expr, i)
-			}
-			outer.Items = append(outer.Items, sqlparser.SelectItem{Expr: point, Alias: name})
-			out.Columns = append(out.Columns, OutputCol{Kind: ColAgg, ItemIdx: i, Name: name})
-
 			perSub, err := substitute(it.Expr, true)
 			if err != nil {
 				return nil, err
 			}
-			errItems = append(errItems, sqlparser.SelectItem{
-				Expr:  errorExpr(perSub),
-				Alias: name + errSuffix,
-			})
-			out.Columns = append(out.Columns, OutputCol{Kind: ColErr, ItemIdx: i, Name: name + errSuffix})
+			outer.Items = append(outer.Items, sqlparser.SelectItem{Expr: point, Alias: name})
+			out.Columns = append(out.Columns, OutputCol{Kind: ColAgg, ItemIdx: i, Name: name})
+			errItems = append(errItems, sqlparser.SelectItem{Expr: errorExpr(perSub), Alias: name + errSuffix})
+			errCols = append(errCols, OutputCol{Kind: ColErr, ItemIdx: i, Name: name + errSuffix})
 		default:
 			// Aggregate item answered by a different consolidated plan (or
 			// the exact extreme query); skipped here.
 		}
 	}
-	// Error columns go last so positional ORDER BY stays valid.
-	nErrStart := len(outer.Items)
 	outer.Items = append(outer.Items, errItems...)
-	// Reorder metadata to match (groups/aggs first, then errors).
-	reordered := make([]OutputCol, 0, len(out.Columns))
-	var errCols []OutputCol
-	for _, c := range out.Columns {
-		if c.Kind == ColErr {
-			errCols = append(errCols, c)
-		} else {
-			reordered = append(reordered, c)
-		}
-	}
-	if len(reordered) != nErrStart {
-		return nil, fmt.Errorf("core: internal column accounting error")
-	}
-	out.Columns = append(reordered, errCols...)
+	out.Columns = append(out.Columns, errCols...)
 
 	// Progressive rewrites expose how many subsamples contributed to each
 	// group: the executor refuses to stop early on groups estimated from too
@@ -377,157 +350,196 @@ func RewriteWithBlocks(sel *sqlparser.SelectStmt, plan CandidatePlan, itemIdx []
 	return out, nil
 }
 
+// mapAggs returns a copy of e with every aggregate call replaced by f's
+// result; an error from f is returned (the last one, when several fail).
+func mapAggs(e sqlparser.Expr, f func(*sqlparser.FuncCall) (sqlparser.Expr, error)) (sqlparser.Expr, error) {
+	var subErr error
+	out := sqlparser.RewriteExpr(sqlparser.CloneExpr(e), func(x sqlparser.Expr) sqlparser.Expr {
+		fc, ok := x.(*sqlparser.FuncCall)
+		if !ok || fc.Over != nil || !sqlparser.AggregateFuncs[fc.Name] {
+			return x
+		}
+		r, err := f(fc)
+		if err != nil {
+			subErr = err
+			return x
+		}
+		return r
+	})
+	return out, subErr
+}
+
 // addPartials appends the inner partial-aggregate columns for one aggregate
 // call and returns their descriptor.
 func (rw *rewriter) addPartials(inner *sqlparser.SelectStmt, fc *sqlparser.FuncCall, src vsource) (*partials, error) {
 	kind := classifyAgg(fc)
-	p := &partials{kind: kind, ratio: 1, replicated: src.replicated}
-	name := func(suffix string) string {
-		rw.nameSeq++
-		return fmt.Sprintf("vp%d_%s", rw.nameSeq, suffix)
+	est, ok := estimators[kind]
+	if !ok {
+		return nil, fmt.Errorf("core: aggregate %s cannot be rewritten", fc.Name)
 	}
-	add := func(alias string, e sqlparser.Expr) {
+	exprs, err := est.partials(fc, htSum(src.prob))
+	if err != nil {
+		return nil, err
+	}
+	p := &partials{kind: kind, ratio: src.ratio, replicated: src.replicated}
+	for i, e := range exprs {
+		rw.nameSeq++
+		alias := fmt.Sprintf("vp%d_%c", rw.nameSeq, 'a'+i)
 		inner.Items = append(inner.Items, sqlparser.SelectItem{Expr: e, Alias: alias})
 		p.cols = append(p.cols, alias)
-	}
-	var arg sqlparser.Expr
-	if len(fc.Args) > 0 {
-		arg = sqlparser.CloneExpr(fc.Args[0])
-	}
-	switch kind {
-	case AggCount:
-		a := name("a")
-		add(a, &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(floatLit(1), src.prob),
-		}})
-	case AggSum:
-		a := name("a")
-		add(a, &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(arg, src.prob),
-		}})
-	case AggAvg:
-		add(name("a"), &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(arg, src.prob),
-		}})
-		add(name("b"), &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(floatLit(1), src.prob),
-		}})
-	case AggVar, AggStddev:
-		add(name("a"), &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(sqlparser.CloneExpr(arg), src.prob),
-		}})
-		add(name("b"), &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(&sqlparser.BinaryExpr{Op: "*", L: sqlparser.CloneExpr(arg), R: sqlparser.CloneExpr(arg)}, src.prob),
-		}})
-		add(name("c"), &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{
-			overProb(floatLit(1), src.prob),
-		}})
-	case AggQuantile:
-		q, err := quantileFraction(fc)
-		if err != nil {
-			return nil, err
-		}
-		p.q = q
-		add(name("a"), &sqlparser.FuncCall{Name: "percentile", Args: []sqlparser.Expr{
-			arg, floatLit(q),
-		}})
-	case AggCountDistinct:
-		p.ratio = src.ratio
-		add(name("a"), &sqlparser.FuncCall{Name: "count", Distinct: true, Args: []sqlparser.Expr{arg}})
-	default:
-		return nil, fmt.Errorf("core: aggregate %s cannot be rewritten", fc.Name)
 	}
 	return p, nil
 }
 
-// fullEstimator builds the full-sample (point) estimator over the inner
-// rows for one aggregate.
-func fullEstimator(p *partials) sqlparser.Expr {
-	col := func(i int) sqlparser.Expr {
-		return &sqlparser.ColumnRef{Table: innerAlias, Name: p.cols[i]}
-	}
-	sum := func(e sqlparser.Expr) sqlparser.Expr {
-		return &sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{e}}
-	}
-	mean := func(e sqlparser.Expr) sqlparser.Expr {
-		return &sqlparser.FuncCall{Name: "avg", Args: []sqlparser.Expr{e}}
-	}
-	switch p.kind {
-	case AggCount, AggSum:
-		if p.replicated {
-			// Each subsample's partial already estimates the population
-			// quantity: combine by mean across subsamples.
-			return mean(col(0))
-		}
-		return sum(col(0))
-	case AggAvg:
-		return &sqlparser.BinaryExpr{Op: "/", L: sum(col(0)), R: sum(col(1))}
-	case AggVar, AggStddev:
-		mean := &sqlparser.BinaryExpr{Op: "/", L: sum(col(0)), R: sum(col(2))}
-		meanSq := &sqlparser.BinaryExpr{Op: "/", L: sum(col(1)), R: sum(col(2))}
-		variance := &sqlparser.BinaryExpr{Op: "-", L: meanSq,
-			R: &sqlparser.FuncCall{Name: "pow", Args: []sqlparser.Expr{mean, intLit(2)}}}
-		if p.kind == AggStddev {
-			return &sqlparser.FuncCall{Name: "sqrt", Args: []sqlparser.Expr{
-				&sqlparser.FuncCall{Name: "abs", Args: []sqlparser.Expr{variance}},
-			}}
-		}
-		return variance
-	case AggQuantile:
-		// Subsample-size-weighted average of per-subsample percentiles.
-		num := sum(&sqlparser.BinaryExpr{Op: "*", L: col(0),
-			R: &sqlparser.ColumnRef{Table: innerAlias, Name: sizeCol}})
-		den := sum(&sqlparser.ColumnRef{Table: innerAlias, Name: sizeCol})
-		return &sqlparser.BinaryExpr{Op: "/", L: num, R: den}
-	case AggCountDistinct:
-		if p.replicated {
-			return mean(col(0))
-		}
-		// Universe-sample scaling: distinct values hash-partition across
-		// subsamples, so the sample-wide distinct count is the sum.
-		return &sqlparser.BinaryExpr{Op: "/", L: sum(col(0)), R: floatLit(p.ratio)}
-	}
-	return nil
+// aggEstimator is one aggregate kind's rewrite (Section 4's estimators in the
+// Appendix G shape), written once:
+//   - partials are the inner block's partial aggregates per (group, sid);
+//     ht(e) is the Horvitz-Thompson sum of e over the source;
+//   - point combines a group's partials over every subsample into the
+//     full-sample estimate;
+//   - perSub turns one subsample's partials into that subsample's estimate,
+//     whose spread errorExpr turns into the standard error.
+//
+// col(i) returns a fresh expression for partial i on every call: a vt1
+// column at the top level, the partial expression itself in a nested
+// block's variational table (rewriteNested).
+type aggEstimator struct {
+	partials func(fc *sqlparser.FuncCall, ht func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error)
+	point    func(p *partials, col func(int) sqlparser.Expr) sqlparser.Expr
+	perSub   func(p *partials, col func(int) sqlparser.Expr, b int64) sqlparser.Expr
 }
 
-// perSubsampleEstimator builds the per-subsample estimator (evaluated per
-// inner row, i.e. per (group, sid)) for one aggregate.
-func perSubsampleEstimator(p *partials, b int64) sqlparser.Expr {
-	col := func(i int) sqlparser.Expr {
-		return &sqlparser.ColumnRef{Table: innerAlias, Name: p.cols[i]}
+// estimators holds every aggregate kind the rewrite approximates; min/max
+// are answered exactly instead (Section 2.2).
+var estimators = map[AggKind]aggEstimator{
+	AggCount: {
+		partials: func(_ *sqlparser.FuncCall, ht func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error) {
+			return []sqlparser.Expr{ht(floatLit(1))}, nil
+		},
+		point: htTotal, perSub: htTotalPerSub,
+	},
+	AggSum: {
+		partials: func(fc *sqlparser.FuncCall, ht func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error) {
+			return []sqlparser.Expr{ht(argOf(fc))}, nil
+		},
+		point: htTotal, perSub: htTotalPerSub,
+	},
+	AggAvg: {
+		partials: func(fc *sqlparser.FuncCall, ht func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error) {
+			return []sqlparser.Expr{ht(argOf(fc)), ht(floatLit(1))}, nil
+		},
+		point: overSums(ratioEstimate), perSub: ratioEstimate,
+	},
+	AggVar:    {partials: momentPartials, point: overSums(moments(false)), perSub: moments(false)},
+	AggStddev: {partials: momentPartials, point: overSums(moments(true)), perSub: moments(true)},
+	AggQuantile: {
+		partials: func(fc *sqlparser.FuncCall, _ func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error) {
+			q, err := quantileFraction(fc)
+			if err != nil {
+				return nil, err
+			}
+			return []sqlparser.Expr{call("percentile", argOf(fc), floatLit(q))}, nil
+		},
+		// Subsample-size-weighted average of per-subsample percentiles.
+		point: func(_ *partials, col func(int) sqlparser.Expr) sqlparser.Expr {
+			size := func() sqlparser.Expr { return &sqlparser.ColumnRef{Table: innerAlias, Name: sizeCol} }
+			return binop("/", call("sum", binop("*", col(0), size())), call("sum", size()))
+		},
+		perSub: func(_ *partials, col func(int) sqlparser.Expr, _ int64) sqlparser.Expr { return col(0) },
+	},
+	AggCountDistinct: {
+		partials: func(fc *sqlparser.FuncCall, _ func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error) {
+			return []sqlparser.Expr{&sqlparser.FuncCall{Name: "count", Distinct: true, Args: []sqlparser.Expr{argOf(fc)}}}, nil
+		},
+		point: func(p *partials, col func(int) sqlparser.Expr) sqlparser.Expr {
+			if p.replicated {
+				return call("avg", col(0))
+			}
+			// Universe-sample scaling: distinct values hash-partition across
+			// subsamples, so the sample-wide distinct count is the sum.
+			return binop("/", call("sum", col(0)), floatLit(p.ratio))
+		},
+		perSub: func(p *partials, col func(int) sqlparser.Expr, b int64) sqlparser.Expr {
+			if p.replicated {
+				return col(0)
+			}
+			return binop("/", binop("*", col(0), intLit(b)), floatLit(p.ratio))
+		},
+	},
+}
+
+// htTotal is count's and sum's point estimate: the HT sum over every
+// subsample, or their mean when each subsample's partial already estimates
+// the population quantity (a replicated source).
+func htTotal(p *partials, col func(int) sqlparser.Expr) sqlparser.Expr {
+	if p.replicated {
+		return call("avg", col(0))
 	}
-	switch p.kind {
-	case AggCount, AggSum:
-		if p.replicated {
-			return col(0) // already a complete per-subsample estimate
-		}
-		// A subsample is a 1/b thinning of the sample: scale partial HT
-		// sums by b.
-		return &sqlparser.BinaryExpr{Op: "*", L: col(0), R: intLit(b)}
-	case AggAvg:
-		return &sqlparser.BinaryExpr{Op: "/", L: col(0), R: col(1)}
-	case AggVar, AggStddev:
-		mean := &sqlparser.BinaryExpr{Op: "/", L: col(0), R: col(2)}
-		meanSq := &sqlparser.BinaryExpr{Op: "/", L: col(1), R: col(2)}
-		variance := &sqlparser.BinaryExpr{Op: "-", L: meanSq,
-			R: &sqlparser.FuncCall{Name: "pow", Args: []sqlparser.Expr{mean, intLit(2)}}}
-		if p.kind == AggStddev {
-			return &sqlparser.FuncCall{Name: "sqrt", Args: []sqlparser.Expr{
-				&sqlparser.FuncCall{Name: "abs", Args: []sqlparser.Expr{variance}},
-			}}
+	return call("sum", col(0))
+}
+
+// htTotalPerSub is count's and sum's per-subsample estimate: a subsample is
+// a 1/b thinning of the sample, so its HT sum scales by b — unless it is
+// already a complete estimate.
+func htTotalPerSub(p *partials, col func(int) sqlparser.Expr, b int64) sqlparser.Expr {
+	if p.replicated {
+		return col(0)
+	}
+	return binop("*", col(0), intLit(b))
+}
+
+// ratioEstimate is avg's estimate: the HT sum over the HT count.
+func ratioEstimate(_ *partials, col func(int) sqlparser.Expr, _ int64) sqlparser.Expr {
+	return binop("/", col(0), col(1))
+}
+
+// momentPartials are the HT sums of x, x² and 1 that var and stddev need.
+func momentPartials(fc *sqlparser.FuncCall, ht func(sqlparser.Expr) sqlparser.Expr) ([]sqlparser.Expr, error) {
+	return []sqlparser.Expr{ht(argOf(fc)), ht(binop("*", argOf(fc), argOf(fc))), ht(floatLit(1))}, nil
+}
+
+// moments is the variance E[x²] − E[x]² over momentPartials, or the standard
+// deviation sqrt(abs(·)) of it.
+func moments(stddev bool) func(*partials, func(int) sqlparser.Expr, int64) sqlparser.Expr {
+	return func(_ *partials, col func(int) sqlparser.Expr, _ int64) sqlparser.Expr {
+		mean := binop("/", col(0), col(2))
+		meanSq := binop("/", col(1), col(2))
+		variance := binop("-", meanSq, call("pow", mean, intLit(2)))
+		if stddev {
+			return call("sqrt", call("abs", variance))
 		}
 		return variance
-	case AggQuantile:
-		return col(0)
-	case AggCountDistinct:
-		if p.replicated {
-			return col(0)
-		}
-		return &sqlparser.BinaryExpr{Op: "/",
-			L: &sqlparser.BinaryExpr{Op: "*", L: col(0), R: intLit(b)},
-			R: floatLit(p.ratio)}
 	}
-	return nil
+}
+
+// overSums is the point estimate of a ratio-shaped per-subsample estimator:
+// the same ratio over the partials summed across every subsample.
+func overSums(est func(*partials, func(int) sqlparser.Expr, int64) sqlparser.Expr) func(*partials, func(int) sqlparser.Expr) sqlparser.Expr {
+	return func(p *partials, col func(int) sqlparser.Expr) sqlparser.Expr {
+		return est(p, func(i int) sqlparser.Expr { return call("sum", col(i)) }, 0)
+	}
+}
+
+// htSum returns the Horvitz-Thompson sum over a source with inclusion
+// probability prob: e ↦ sum(e / prob).
+func htSum(prob sqlparser.Expr) func(sqlparser.Expr) sqlparser.Expr {
+	return func(e sqlparser.Expr) sqlparser.Expr { return call("sum", overProb(e, prob)) }
+}
+
+// argOf returns a fresh copy of an aggregate call's first argument.
+func argOf(fc *sqlparser.FuncCall) sqlparser.Expr {
+	if len(fc.Args) == 0 {
+		return nil
+	}
+	return sqlparser.CloneExpr(fc.Args[0])
+}
+
+func call(name string, args ...sqlparser.Expr) sqlparser.Expr {
+	return &sqlparser.FuncCall{Name: name, Args: args}
+}
+
+func binop(op string, l, r sqlparser.Expr) sqlparser.Expr {
+	return &sqlparser.BinaryExpr{Op: op, L: l, R: r}
 }
 
 // errorExpr wraps a per-subsample estimator into the standard-error formula
@@ -536,18 +548,9 @@ func perSubsampleEstimator(p *partials, b int64) sqlparser.Expr {
 //	stddev(est_i) * sqrt(avg(sub_size)) / sqrt(sum(sub_size))
 func errorExpr(perSub sqlparser.Expr) sqlparser.Expr {
 	size := func() sqlparser.Expr { return &sqlparser.ColumnRef{Table: innerAlias, Name: sizeCol} }
-	sd := &sqlparser.FuncCall{Name: "stddev", Args: []sqlparser.Expr{perSub}}
-	sqrtAvg := &sqlparser.FuncCall{Name: "sqrt", Args: []sqlparser.Expr{
-		&sqlparser.FuncCall{Name: "avg", Args: []sqlparser.Expr{size()}},
-	}}
-	sqrtSum := &sqlparser.FuncCall{Name: "sqrt", Args: []sqlparser.Expr{
-		&sqlparser.FuncCall{Name: "sum", Args: []sqlparser.Expr{size()}},
-	}}
-	return &sqlparser.BinaryExpr{
-		Op: "/",
-		L:  &sqlparser.BinaryExpr{Op: "*", L: sd, R: sqrtAvg},
-		R:  sqrtSum,
-	}
+	return binop("/",
+		binop("*", call("stddev", perSub), call("sqrt", call("avg", size()))),
+		call("sqrt", call("sum", size())))
 }
 
 func quantileFraction(fc *sqlparser.FuncCall) (float64, error) {
@@ -565,6 +568,15 @@ func quantileFraction(fc *sqlparser.FuncCall) (float64, error) {
 		return v, nil
 	}
 	return 0, fmt.Errorf("core: bad percentile fraction")
+}
+
+// itemName is a select item's output name: its alias, or a name derived
+// from its expression.
+func itemName(it sqlparser.SelectItem, pos int) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	return deriveName(it.Expr, pos)
 }
 
 func deriveName(e sqlparser.Expr, pos int) string {

@@ -41,7 +41,7 @@ func TestRewriteInnerOuterStructure(t *testing.T) {
 	plan := CandidatePlan{Choices: map[string]TableChoice{
 		"orders": {Occurrence: occ["orders"], Sample: &si},
 	}}
-	ro, err := Rewrite(sel, plan, []int{1, 2}, true)
+	ro, err := Rewrite(sel, plan, []int{1, 2}, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRewriteRejectsNonGroupColumn(t *testing.T) {
 	plan := CandidatePlan{Choices: map[string]TableChoice{
 		"orders": {Occurrence: occ["orders"], Sample: &si},
 	}}
-	if _, err := Rewrite(sel, plan, []int{1}, true); err == nil {
+	if _, err := Rewrite(sel, plan, []int{1}, true, nil); err == nil {
 		t.Fatal("select item not in GROUP BY must be rejected")
 	}
 }
