@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest profile profile-shape vet lint staticcheck loc
+.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -111,3 +111,12 @@ bench-e2e:
 
 bench-selftest:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# The repo benchmark at two revisions in alternating pairs (each pair flips
+# which side runs first), every run printed, then per metric both medians and
+# the change-better count: `make bench-compare BASE=<rev> [CHANGE=<rev>]
+# [WORKLOADS="dash_warm disk_cold"] [PAIRS=5] [SEED=1]`. CHANGE defaults to
+# HEAD; both are exported with git archive into the git-ignored .build/.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [CHANGE=<rev>] [WORKLOADS=...] [PAIRS=5] [SEED=1]"; exit 2; }
+	WORKLOADS="$(WORKLOADS)" PAIRS="$(PAIRS)" SEED="$(SEED)" sh scripts/bench-compare.sh $(BASE) $(CHANGE)
