@@ -7,7 +7,6 @@ package verdictdb_test
 
 import (
 	"io"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -189,20 +188,6 @@ func BenchmarkFig7_Flat_ConsolidatedBootstrap(b *testing.B) {
 	benchEstimatorMethod(b, core.MethodConsolidatedBootstrap, fig7FlatSQL)
 }
 
-// --- Figure 8 (E7/E8): correctness sweeps --------------------------------
-
-func BenchmarkFig8a_Selectivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.CorrectnessSelectivity(io.Discard, 1_000_000, 10_000, 20, 42)
-	}
-}
-
-func BenchmarkFig8b_SampleSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.CorrectnessSampleSize(io.Discard, []int{100_000}, 3, 100, 42)
-	}
-}
-
 // --- Figure 11 (E9): sample preparation ----------------------------------
 
 func BenchmarkFig11_Prep(b *testing.B) {
@@ -213,62 +198,10 @@ func BenchmarkFig11_Prep(b *testing.B) {
 	}
 }
 
-// --- Figures 12-14 (E10-E12): estimator micro-benchmarks ----------------
-
-func BenchmarkFig12_Bootstrap_n100k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := gaussian(100_000, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.BootstrapInterval(stats.EstimateAvg, xs, 0, 0.95, 100, rng)
-	}
-}
-
-func BenchmarkFig12_TraditionalSubsampling_n100k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := gaussian(100_000, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.SubsamplingInterval(stats.EstimateAvg, xs, 0, 0.95, 100, 316, rng)
-	}
-}
-
-func BenchmarkFig12_Variational_n100k(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := gaussian(100_000, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.VariationalInterval(stats.EstimateAvg, xs, 0, 0.95, 316, 316, rng)
-	}
-}
-
-func BenchmarkFig13_Variational_b500(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	xs := gaussian(1_000_000, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.VariationalInterval(stats.EstimateAvg, xs, 0, 0.95, 500, 2000, rng)
-	}
-}
-
-func BenchmarkFig14_NsSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bench.NsSweep(io.Discard, 100_000, 2, 42)
-	}
-}
-
 // --- Lemma 1 (E14): staircase computation --------------------------------
 
 func BenchmarkLemma1_Staircase(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stats.Staircase(100, 10_000_000, 0.001, 16)
 	}
-}
-
-func gaussian(n int, rng *rand.Rand) []float64 {
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 10 + 10*rng.NormFloat64()
-	}
-	return xs
 }

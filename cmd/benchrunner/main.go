@@ -14,11 +14,11 @@
 //	snappy       Figure 6  (integrated AQP comparison)
 //	native       Table 2   (native approximate aggregates)
 //	estimators   Figure 7  (error-estimation method overheads)
-//	correctness  Figure 8a/8b (error-estimate calibration)
+//	correctness  Figure 8 on answers: each method's 95 % intervals scored
+//	             against BYPASS over -trials scramble seeds of the 33
+//	             shapes through Conn.Query; writes BENCH_coverage.json
+//	             (-covout)
 //	prep         Figure 11 (sample preparation time)
-//	tradeoff-n   Figure 12 (accuracy/latency vs n)
-//	tradeoff-b   Figure 13 (accuracy/latency vs b)
-//	ns-sweep     Figure 14 (subsample-size choice)
 //	ablation     design-choice ablations (sample type, Lemma 1 delta, top-k)
 //	engine       engine hot-path microbenchmarks; writes BENCH_engine.json
 //	             (-benchout) so successive PRs can diff perf
@@ -26,6 +26,11 @@
 //	             scrambles: time-to-accuracy curves and early-termination
 //	             rates per target relative error; writes
 //	             BENCH_progressive.json (-progout)
+//
+// Figures 12-14 (error-bound accuracy vs n, b and subsample size) are
+// retired: they ran interval code on synthetic arrays no query produces.
+// Figure 7 (estimators) still measures the resampling methods' latency gap
+// on real queries.
 package main
 
 import (
@@ -43,7 +48,8 @@ func main() {
 	engineName := flag.String("engine", "all", "SQL dialect for speedup, each over the same in-memory engine: impala|sparksql|redshift|generic|all (all = the first three)")
 	tpchScale := flag.Float64("tpch", 0, "TPC-H scale override (1.0 = 600k lineitem)")
 	instaScale := flag.Float64("insta", 0, "insta scale override (1.0 = 1M order_products)")
-	trials := flag.Int("trials", 200, "Monte Carlo trials for correctness experiments")
+	trials := flag.Int("trials", 50, "scramble seeds for -exp correctness; the staircase ablation runs 20x as many Monte Carlo trials")
+	covOut := flag.String("covout", "BENCH_coverage.json", "correctness experiment JSON output (empty to skip)")
 	seed := flag.Int64("seed", 42, "random seed")
 	benchOut := flag.String("benchout", "BENCH_engine.json", "engine microbenchmark JSON output (empty to skip)")
 	progOut := flag.String("progout", "BENCH_progressive.json", "progressive experiment JSON output (empty to skip)")
@@ -102,29 +108,12 @@ func main() {
 		return err
 	})
 	run("correctness", func() error {
-		bench.CorrectnessSelectivity(w, 1_000_000, 10_000, *trials, cfg.Seed)
-		fmt.Fprintln(w)
-		bench.CorrectnessSampleSize(w, []int{100_000, 1_000_000, 10_000_000},
-			max(4, *trials/20), 100, cfg.Seed)
-		return nil
+		_, err := bench.CorrectnessExperiment(w, cfg, *trials, *covOut)
+		return err
 	})
 	run("prep", func() error {
 		_, err := bench.PrepExperiment(w, cfg)
 		return err
-	})
-	run("tradeoff-n", func() error {
-		bench.TradeoffN(w, []int{10_000, 20_000, 40_000, 60_000, 80_000, 100_000},
-			max(3, *trials/20), 1000, cfg.Seed)
-		return nil
-	})
-	run("tradeoff-b", func() error {
-		bench.TradeoffB(w, 1_000_000, []int{10, 20, 50, 100, 200, 500},
-			max(3, *trials/40), cfg.Seed)
-		return nil
-	})
-	run("ns-sweep", func() error {
-		bench.NsSweep(w, 500_000, max(5, *trials/10), cfg.Seed)
-		return nil
 	})
 	run("engine", func() error {
 		_, err := bench.EngineBench(w, *benchOut, 5)
@@ -153,7 +142,7 @@ func main() {
 			return err
 		}
 		fmt.Fprintln(w)
-		bench.AblationStaircase(w, max(500, *trials*5), cfg.Seed)
+		bench.AblationStaircase(w, max(500, *trials*20), cfg.Seed)
 		fmt.Fprintln(w)
 		_, err := bench.AblationPlannerTopK(w, cfg)
 		return err

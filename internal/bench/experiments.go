@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	verdictdb "verdictdb"
@@ -15,7 +14,6 @@ import (
 	"verdictdb/internal/engine"
 	"verdictdb/internal/meta"
 	"verdictdb/internal/sampling"
-	"verdictdb/internal/stats"
 	"verdictdb/internal/workload"
 )
 
@@ -382,111 +380,6 @@ func newInstaEnvWithOpts(cfg Config, opts verdictdb.Options) (*Env, error) {
 }
 
 // ---------------------------------------------------------------------------
-// E7 + E8: Figure 8 — correctness of variational subsampling.
-// ---------------------------------------------------------------------------
-
-// SelectivityPoint is one Figure 8a point.
-type SelectivityPoint struct {
-	Selectivity   float64
-	GroundTruth   float64 // true relative error of the count estimate
-	EstimatedP5   float64
-	EstimatedMean float64
-	EstimatedP95  float64
-}
-
-// CorrectnessSelectivity reproduces Figure 8a: estimated vs ground-truth
-// relative error of a count query across selectivities.
-func CorrectnessSelectivity(w io.Writer, popN int, sampleN int, trials int, seed int64) []SelectivityPoint {
-	rng := rand.New(rand.NewSource(seed))
-	tau := float64(sampleN) / float64(popN)
-	z := stats.ZScore(0.95)
-	fmt.Fprintf(w, "## Figure 8a: estimated error vs selectivity (count query, n=%d)\n", sampleN)
-	fmt.Fprintf(w, "%-12s %12s %12s %12s %12s\n", "selectivity", "groundtruth", "est.p5", "est.mean", "est.p95")
-	var out []SelectivityPoint
-	for _, sel := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9} {
-		trueCount := sel * float64(popN)
-		// Ground-truth relative error: z * SE(count estimate) / count.
-		gt := z * math.Sqrt(sel*float64(popN)*(1-tau)/tau) / trueCount
-		var rels []float64
-		for trial := 0; trial < trials; trial++ {
-			// Draw the sample's matching-tuple count.
-			k := 0
-			for i := 0; i < sampleN; i++ {
-				if rng.Float64() < sel {
-					k++
-				}
-			}
-			iv := stats.CountEstimate(int64(k), tau, 0.95)
-			if iv.Estimate > 0 {
-				rels = append(rels, iv.HalfWidth()/iv.Estimate)
-			}
-		}
-		sort.Float64s(rels)
-		out = append(out, SelectivityPoint{
-			Selectivity:   sel,
-			GroundTruth:   gt,
-			EstimatedP5:   stats.Quantile(rels, 0.05),
-			EstimatedMean: stats.Mean(rels),
-			EstimatedP95:  stats.Quantile(rels, 0.95),
-		})
-		p := out[len(out)-1]
-		fmt.Fprintf(w, "%-12.1f %11.3f%% %11.3f%% %11.3f%% %11.3f%%\n",
-			sel, 100*gt, 100*p.EstimatedP5, 100*p.EstimatedMean, 100*p.EstimatedP95)
-	}
-	return out
-}
-
-// SampleSizePoint is one Figure 8b group of bars.
-type SampleSizePoint struct {
-	N       int
-	Methods map[string]float64 // method -> mean estimated relative error
-	Truth   float64
-}
-
-// CorrectnessSampleSize reproduces Figure 8b: error estimates from CLT,
-// bootstrap, traditional subsampling, and variational subsampling across
-// sample sizes, for an avg query on the synthetic distribution
-// (mean 10, sd 10).
-func CorrectnessSampleSize(w io.Writer, sizes []int, trials int, b int, seed int64) []SampleSizePoint {
-	rng := rand.New(rand.NewSource(seed))
-	z := stats.ZScore(0.95)
-	fmt.Fprintf(w, "## Figure 8b: estimated error by method and sample size (avg query)\n")
-	fmt.Fprintf(w, "%-10s %12s %10s %10s %12s %12s\n", "n", "groundtruth", "CLT", "bootstrap", "subsampling", "variational")
-	var out []SampleSizePoint
-	for _, n := range sizes {
-		truth := z * 10.0 / math.Sqrt(float64(n)) / 10.0 // rel. error of mean
-		sums := map[string]float64{}
-		for trial := 0; trial < trials; trial++ {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = 10 + 10*rng.NormFloat64()
-			}
-			ns := int(math.Sqrt(float64(n)))
-			ivs := map[string]stats.Interval{
-				"clt":         stats.CLTInterval(stats.EstimateAvg, xs, 0, 0.95),
-				"bootstrap":   stats.BootstrapInterval(stats.EstimateAvg, xs, 0, 0.95, b, rng),
-				"subsampling": stats.SubsamplingInterval(stats.EstimateAvg, xs, 0, 0.95, b, ns, rng),
-				"variational": stats.VariationalInterval(stats.EstimateAvg, xs, 0, 0.95, n/ns, ns, rng),
-			}
-			for k, iv := range ivs {
-				if iv.Estimate != 0 {
-					sums[k] += iv.HalfWidth() / math.Abs(iv.Estimate)
-				}
-			}
-		}
-		p := SampleSizePoint{N: n, Methods: map[string]float64{}, Truth: truth}
-		for k, s := range sums {
-			p.Methods[k] = s / float64(trials)
-		}
-		out = append(out, p)
-		fmt.Fprintf(w, "%-10d %11.3f%% %9.3f%% %9.3f%% %11.3f%% %11.3f%%\n",
-			n, 100*truth, 100*p.Methods["clt"], 100*p.Methods["bootstrap"],
-			100*p.Methods["subsampling"], 100*p.Methods["variational"])
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------------
 // E9: Figure 11 — sample preparation time vs data-transfer baselines.
 // ---------------------------------------------------------------------------
 
@@ -558,179 +451,4 @@ func PrepExperiment(w io.Writer, cfg Config) (*PrepResult, error) {
 	fmt.Fprintf(w, "%-28s %14v\n", "verdictdb sampling (SQL)", res.VerdictSampling.Round(time.Millisecond))
 	fmt.Fprintf(w, "%-28s %14v\n", "integrated sampling", res.SnappySampling.Round(time.Millisecond))
 	return res, nil
-}
-
-// ---------------------------------------------------------------------------
-// E10 + E11 + E12: Figures 12, 13, 14 — time-error tradeoffs.
-// ---------------------------------------------------------------------------
-
-// TradeoffPoint is one (accuracy, latency) measurement for one method.
-type TradeoffPoint struct {
-	Param   int // n for Figure 12, b for Figure 13
-	Method  string
-	RelErr  float64 // relative error of the estimated error bound
-	Latency time.Duration
-}
-
-// boundRelErr computes |estimated bound - true bound| / true mean, the
-// Appendix B.3 accuracy metric for error estimates.
-func boundRelErr(iv stats.Interval, trueMean, trueBound float64) float64 {
-	est := iv.Hi - iv.Estimate
-	return math.Abs(est-trueBound) / trueMean
-}
-
-// TradeoffN reproduces Figure 12: accuracy and latency of the three
-// resampling methods as the sample size n grows.
-func TradeoffN(w io.Writer, sizes []int, trials, bFixed int, seed int64) []TradeoffPoint {
-	rng := rand.New(rand.NewSource(seed))
-	z := stats.ZScore(0.95)
-	fmt.Fprintf(w, "## Figure 12: accuracy/latency of error bounds vs sample size (b=%d; variational b=sqrt(n))\n", bFixed)
-	fmt.Fprintf(w, "%-8s %-13s %12s %14s\n", "n", "method", "bound.err", "latency")
-	var out []TradeoffPoint
-	for _, n := range sizes {
-		trueBound := z * 10.0 / math.Sqrt(float64(n))
-		type m struct {
-			name string
-			run  func(xs []float64) stats.Interval
-		}
-		ns := int(math.Sqrt(float64(n)))
-		methods := []m{
-			{"bootstrap", func(xs []float64) stats.Interval {
-				return stats.BootstrapInterval(stats.EstimateAvg, xs, 0, 0.95, bFixed, rng)
-			}},
-			{"subsampling", func(xs []float64) stats.Interval {
-				return stats.SubsamplingInterval(stats.EstimateAvg, xs, 0, 0.95, bFixed, ns, rng)
-			}},
-			{"variational", func(xs []float64) stats.Interval {
-				return stats.VariationalInterval(stats.EstimateAvg, xs, 0, 0.95, n/ns, ns, rng)
-			}},
-		}
-		for _, meth := range methods {
-			var errSum float64
-			var elapsed time.Duration
-			for trial := 0; trial < trials; trial++ {
-				xs := make([]float64, n)
-				for i := range xs {
-					xs[i] = 10 + 10*rng.NormFloat64()
-				}
-				start := time.Now()
-				iv := meth.run(xs)
-				elapsed += time.Since(start)
-				errSum += boundRelErr(iv, 10.0, trueBound)
-			}
-			p := TradeoffPoint{
-				Param: n, Method: meth.name,
-				RelErr:  errSum / float64(trials),
-				Latency: elapsed / time.Duration(trials),
-			}
-			out = append(out, p)
-			fmt.Fprintf(w, "%-8d %-13s %11.3f%% %14v\n", n, meth.name, 100*p.RelErr, p.Latency.Round(time.Microsecond))
-		}
-	}
-	return out
-}
-
-// TradeoffB reproduces Figure 13: accuracy and latency as the number of
-// resamples b grows, n fixed.
-func TradeoffB(w io.Writer, n int, bs []int, trials int, seed int64) []TradeoffPoint {
-	rng := rand.New(rand.NewSource(seed))
-	z := stats.ZScore(0.95)
-	trueBound := z * 10.0 / math.Sqrt(float64(n))
-	ns := int(math.Sqrt(float64(n)))
-	fmt.Fprintf(w, "## Figure 13: accuracy/latency of error bounds vs resamples b (n=%d)\n", n)
-	fmt.Fprintf(w, "%-8s %-13s %12s %14s\n", "b", "method", "bound.err", "latency")
-	var out []TradeoffPoint
-	for _, b := range bs {
-		methods := []struct {
-			name string
-			run  func(xs []float64) stats.Interval
-		}{
-			{"bootstrap", func(xs []float64) stats.Interval {
-				return stats.BootstrapInterval(stats.EstimateAvg, xs, 0, 0.95, b, rng)
-			}},
-			{"subsampling", func(xs []float64) stats.Interval {
-				return stats.SubsamplingInterval(stats.EstimateAvg, xs, 0, 0.95, b, ns, rng)
-			}},
-			{"variational", func(xs []float64) stats.Interval {
-				return stats.VariationalInterval(stats.EstimateAvg, xs, 0, 0.95, b, n/b, rng)
-			}},
-		}
-		for _, meth := range methods {
-			var errSum float64
-			var elapsed time.Duration
-			for trial := 0; trial < trials; trial++ {
-				xs := make([]float64, n)
-				for i := range xs {
-					xs[i] = 10 + 10*rng.NormFloat64()
-				}
-				start := time.Now()
-				iv := meth.run(xs)
-				elapsed += time.Since(start)
-				errSum += boundRelErr(iv, 10.0, trueBound)
-			}
-			p := TradeoffPoint{
-				Param: b, Method: meth.name,
-				RelErr:  errSum / float64(trials),
-				Latency: elapsed / time.Duration(trials),
-			}
-			out = append(out, p)
-			fmt.Fprintf(w, "%-8d %-13s %11.3f%% %14v\n", b, meth.name, 100*p.RelErr, p.Latency.Round(time.Microsecond))
-		}
-	}
-	return out
-}
-
-// NsPoint is one Figure 14 bar.
-type NsPoint struct {
-	Label  string
-	Ns     int
-	RelErr float64
-}
-
-// NsSweep reproduces Figure 14: the effect of the subsample size ns on
-// variational subsampling's error-bound accuracy (n fixed). The paper's
-// claim: ns = n^(1/2) minimizes the error.
-//
-// The data must be skewed for the sweep to be meaningful: with Gaussian
-// values, subsample means are exactly normal at every ns and the small-ns
-// penalty (the n_s^{-1/2} term of Appendix B.3) vanishes. A lognormal with
-// the synthetic dataset's moments (mean 10, sd 10) supplies the skew.
-func NsSweep(w io.Writer, n, trials int, seed int64) []NsPoint {
-	rng := rand.New(rand.NewSource(seed))
-	z := stats.ZScore(0.95)
-	const lnSigma = 0.8325546111576977 // sqrt(ln 2): sd = mean for lognormal
-	lnMu := math.Log(10.0) - lnSigma*lnSigma/2
-	trueBound := z * 10.0 / math.Sqrt(float64(n))
-	exps := []struct {
-		label string
-		e     float64
-	}{
-		{"n^1/4", 0.25}, {"n^1/3", 1.0 / 3}, {"n^1/2", 0.5}, {"n^2/3", 2.0 / 3}, {"n^3/4", 0.75},
-	}
-	fmt.Fprintf(w, "## Figure 14: error of variational subsampling vs subsample size (n=%d)\n", n)
-	fmt.Fprintf(w, "%-8s %10s %12s\n", "ns", "value", "bound.err")
-	var out []NsPoint
-	for _, ex := range exps {
-		ns := int(math.Pow(float64(n), ex.e))
-		if ns < 2 {
-			ns = 2
-		}
-		b := n / ns
-		if b < 2 {
-			b = 2
-		}
-		var errSum float64
-		for trial := 0; trial < trials; trial++ {
-			xs := make([]float64, n)
-			for i := range xs {
-				xs[i] = math.Exp(lnMu + lnSigma*rng.NormFloat64())
-			}
-			iv := stats.VariationalInterval(stats.EstimateAvg, xs, 0, 0.95, b, ns, rng)
-			errSum += boundRelErr(iv, 10.0, trueBound)
-		}
-		p := NsPoint{Label: ex.label, Ns: ns, RelErr: errSum / float64(trials)}
-		out = append(out, p)
-		fmt.Fprintf(w, "%-8s %10d %11.3f%%\n", p.Label, p.Ns, 100*p.RelErr)
-	}
-	return out
 }

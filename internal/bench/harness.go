@@ -7,11 +7,13 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	verdictdb "verdictdb"
 	"verdictdb/internal/drivers"
 	"verdictdb/internal/engine"
+	"verdictdb/internal/sqlparser"
 	"verdictdb/internal/workload"
 )
 
@@ -137,7 +139,11 @@ func RunQueryPair(env *Env, q workload.Query) (QueryResult, error) {
 		Approximate: approx.Approximate,
 	}
 	if approx.Approximate {
-		res.MaxRelErrTrue = trueRelativeError(exact, approx)
+		m, err := matchAnswers(q, exact, approx)
+		if err != nil {
+			return QueryResult{}, err
+		}
+		res.MaxRelErrTrue = m.maxRelErr()
 	}
 	return res, nil
 }
@@ -152,56 +158,100 @@ func timeQuery(conn *verdictdb.Conn, sql string) (*verdictdb.Answer, time.Durati
 	return a, time.Since(start), err
 }
 
-// trueRelativeError compares approximate aggregate cells to exact ones,
-// matching rows by the non-aggregate (group) cells.
-func trueRelativeError(exact *verdictdb.Answer, approx *verdictdb.Answer) float64 {
-	if len(exact.Rows) == 0 || len(approx.Rows) == 0 {
-		return 0
+// cellMatch is one aggregate cell of an approximate answer beside the exact
+// answer's cell of the same group.
+type cellMatch struct {
+	col      int // select-item index
+	exact    float64
+	estimate float64
+	lo, hi   float64
+	interval bool // the estimate carries a confidence interval
+	missing  bool // the exact cell has a value, the estimate is NULL or NaN
+}
+
+// answerMatch is an approximate answer paired with the exact one.
+type answerMatch struct {
+	items []sqlparser.SelectItem // the query's select items, one per column
+	isAgg []bool                 // the item holds an aggregate: its cells are estimates
+	cells []cellMatch
+	// absentGroups counts exact groups the approximate answer lacks; 0 where
+	// the keys cannot be promised (see matchAnswers).
+	absentGroups int
+}
+
+// matchAnswers pairs every aggregate cell of approx with the exact answer's
+// cell of the same group, by the rule benchmark/verify.go applies: select
+// items that hold an aggregate are estimates, the rest form the group key. A
+// LIMIT picks groups by estimated rank, and tq-13 groups by an inner
+// aggregate that is itself estimated: for those an unmatched group on either
+// side is skipped, not counted.
+func matchAnswers(q workload.Query, exact, approx *verdictdb.Answer) (*answerMatch, error) {
+	stmt, err := sqlparser.Parse(q.SQL)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", q.ID, err)
 	}
-	// Identify numeric columns with error estimates (aggregates) and group
-	// columns (everything else).
-	nc := len(approx.Cols)
-	isAgg := make([]bool, nc)
-	for c := 0; c < nc && c < len(exact.Cols); c++ {
-		for r := range approx.Rows {
-			if _, _, ok := approx.ConfidenceInterval(r, c); ok {
-				isAgg[c] = true
-				break
-			}
-		}
+	sel, ok := stmt.(*sqlparser.SelectStmt)
+	if !ok || len(sel.Items) != len(approx.Cols) || len(sel.Items) != len(exact.Cols) {
+		return nil, fmt.Errorf("%s: cannot tell the aggregate columns from the SQL", q.ID)
+	}
+	m := &answerMatch{items: sel.Items, isAgg: make([]bool, len(sel.Items))}
+	for c, it := range sel.Items {
+		m.isAgg[c] = it.Expr != nil && sqlparser.ContainsAggregate(it.Expr)
 	}
 	keyOf := func(row []engine.Value) string {
-		k := ""
-		for c := 0; c < nc && c < len(row); c++ {
-			if !isAgg[c] {
-				k += engine.GroupKey(row[c]) + "\x1f"
+		var b strings.Builder
+		for c, agg := range m.isAgg {
+			if !agg {
+				b.WriteString(engine.GroupKey(row[c]))
+				b.WriteByte(0x1f)
 			}
 		}
-		return k
+		return b.String()
 	}
-	exactByKey := map[string][]engine.Value{}
+	exactByKey := make(map[string][]engine.Value, len(exact.Rows))
 	for _, row := range exact.Rows {
 		exactByKey[keyOf(row)] = row
 	}
-	worst := 0.0
-	for _, arow := range approx.Rows {
-		erow, ok := exactByKey[keyOf(arow)]
+	matched := make(map[string]bool, len(approx.Rows))
+	for r, row := range approx.Rows {
+		k := keyOf(row)
+		erow, ok := exactByKey[k]
 		if !ok {
 			continue
 		}
-		for c := 0; c < nc && c < len(erow); c++ {
-			if !isAgg[c] {
+		matched[k] = true
+		for c, agg := range m.isAgg {
+			want, isNum := engine.ToFloat(erow[c])
+			if !agg || !isNum {
 				continue
 			}
-			av, aok := engine.ToFloat(arow[c])
-			ev, eok := engine.ToFloat(erow[c])
-			if !aok || !eok || ev == 0 {
-				continue
+			cell := cellMatch{col: c, exact: want}
+			got, isNum := engine.ToFloat(row[c])
+			if !isNum || math.IsNaN(got) {
+				cell.missing = true
+			} else {
+				cell.estimate = got
+				cell.lo, cell.hi, cell.interval = approx.ConfidenceInterval(r, c)
 			}
-			re := math.Abs(av-ev) / math.Abs(ev)
-			if re > worst {
-				worst = re
-			}
+			m.cells = append(m.cells, cell)
+		}
+	}
+	if sel.Limit == nil && q.ID != "tq-13" {
+		m.absentGroups = len(exactByKey) - len(matched)
+	}
+	return m, nil
+}
+
+// maxRelErr is Figure 10's metric: the worst |estimate − exact| / |exact|
+// over the matched cells, a missing estimate counting as 1.
+func (m *answerMatch) maxRelErr() float64 {
+	worst := 0.0
+	for _, c := range m.cells {
+		switch {
+		case c.missing:
+			worst = max(worst, 1)
+		case c.exact != 0:
+			worst = max(worst, math.Abs(c.estimate-c.exact)/math.Abs(c.exact))
 		}
 	}
 	return worst

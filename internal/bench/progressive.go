@@ -131,6 +131,10 @@ func ProgressiveExperiment(w io.Writer, cfg Config, outPath string, targets []fl
 				if err != nil {
 					return nil, fmt.Errorf("%s target %g: %w", q.ID, target, err)
 				}
+				m, err := matchAnswers(q, exact, a)
+				if err != nil {
+					return nil, err
+				}
 				res := ProgressiveResult{
 					Dataset:       ds.name,
 					Query:         q.ID,
@@ -143,7 +147,7 @@ func ProgressiveExperiment(w io.Writer, cfg Config, outPath string, targets []fl
 					FullRows:      full.RowsScanned,
 					ElapsedMs:     float64(a.ElapsedNanos) / 1e6,
 					EstRelErr:     a.MaxRelativeError(),
-					TrueRelErr:    trueRelativeError(exact, a),
+					TrueRelErr:    m.maxRelErr(),
 					Curve:         curve,
 				}
 				rep.Results = append(rep.Results, res)

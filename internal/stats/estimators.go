@@ -6,12 +6,11 @@ import (
 	"sort"
 )
 
-// This file implements the four error-estimation methods compared in
-// Sections 4 and 6.4-6.5 and Appendix B.3 of the paper, operating on an
-// in-memory sample. The SQL-expressed form of variational subsampling lives
-// in internal/core; these direct implementations power the statistical
-// experiments (Figures 8, 12, 13, 14) where thousands of repetitions make
-// SQL round-trips pointless.
+// VariationalInterval is an in-memory reference implementation of the
+// paper's variational subsampling interval (Section 4.2, Theorem 2). No query
+// runs it: the middleware estimates errors in SQL (internal/core). It stays
+// as the reference the Theorem 2 tests check, and as the model for computing
+// the paper's empirical-quantile interval inside the rewrite (ROADMAP 1(b)).
 
 // Interval is a two-sided confidence interval around an estimate.
 type Interval struct {
@@ -19,127 +18,25 @@ type Interval struct {
 	Lo, Hi   float64
 }
 
-// HalfWidth returns the half-width of the interval (symmetrized).
-func (iv Interval) HalfWidth() float64 { return (iv.Hi - iv.Lo) / 2 }
-
 // Estimator names an aggregate estimated from a sample of a population of
-// size N. For avg the estimator is the sample mean; for sum and count the
-// sample statistic is scaled by N/n.
+// size N. For avg the estimator is the sample mean; for sum it is the sample
+// mean scaled by N.
 type Estimator int
 
 // Supported estimators.
 const (
 	EstimateAvg Estimator = iota
 	EstimateSum
-	EstimateCount // count of sampled rows scaled to the population
 )
 
 func pointEstimate(kind Estimator, xs []float64, popN int64) float64 {
-	n := float64(len(xs))
-	if n == 0 {
+	if len(xs) == 0 {
 		return 0
 	}
-	switch kind {
-	case EstimateAvg:
-		return Mean(xs)
-	case EstimateSum:
+	if kind == EstimateSum {
 		return Mean(xs) * float64(popN)
-	case EstimateCount:
-		return n * float64(popN) / n // placeholder; see CountEstimate
 	}
-	return 0
-}
-
-// CLTInterval computes a confidence interval via the central limit theorem:
-// closed-form, no resampling.
-func CLTInterval(kind Estimator, xs []float64, popN int64, confidence float64) Interval {
-	n := float64(len(xs))
-	if n < 2 {
-		return Interval{}
-	}
-	z := ZScore(confidence)
-	se := Stddev(xs) / math.Sqrt(n)
-	est := pointEstimate(kind, xs, popN)
-	switch kind {
-	case EstimateAvg:
-		return Interval{Estimate: est, Lo: est - z*se, Hi: est + z*se}
-	case EstimateSum:
-		scale := float64(popN)
-		return Interval{Estimate: est, Lo: est - z*se*scale, Hi: est + z*se*scale}
-	}
-	return Interval{Estimate: est}
-}
-
-// BootstrapInterval computes a percentile-bootstrap confidence interval
-// with b resamples of size n drawn with replacement — the O(b*n) classic
-// the paper's middleware cannot afford.
-func BootstrapInterval(kind Estimator, xs []float64, popN int64, confidence float64, b int, rng *rand.Rand) Interval {
-	n := len(xs)
-	if n == 0 || b <= 0 {
-		return Interval{}
-	}
-	g0 := pointEstimate(kind, xs, popN)
-	devs := make([]float64, 0, b)
-	for j := 0; j < b; j++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += xs[rng.Intn(n)]
-		}
-		mean := sum / float64(n)
-		var gj float64
-		switch kind {
-		case EstimateAvg:
-			gj = mean
-		case EstimateSum:
-			gj = mean * float64(popN)
-		}
-		devs = append(devs, g0-gj)
-	}
-	sort.Float64s(devs)
-	alpha := 1 - confidence
-	tLo := Quantile(devs, alpha/2)
-	tHi := Quantile(devs, 1-alpha/2)
-	return Interval{Estimate: g0, Lo: g0 - tHi, Hi: g0 - tLo}
-}
-
-// SubsamplingInterval implements traditional subsampling (Politis & Romano):
-// b subsamples of size ns drawn without replacement, each of which may
-// overlap. Construction costs O(b*ns) (plus the RNG work to choose
-// members), and the intervals are scaled by sqrt(ns/n).
-func SubsamplingInterval(kind Estimator, xs []float64, popN int64, confidence float64, b, ns int, rng *rand.Rand) Interval {
-	n := len(xs)
-	if n == 0 || b <= 0 || ns <= 0 || ns > n {
-		return Interval{}
-	}
-	g0 := pointEstimate(kind, xs, popN)
-	devs := make([]float64, 0, b)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for j := 0; j < b; j++ {
-		// Partial Fisher-Yates: choose ns distinct indices.
-		var sum float64
-		for i := 0; i < ns; i++ {
-			k := i + rng.Intn(n-i)
-			idx[i], idx[k] = idx[k], idx[i]
-			sum += xs[idx[i]]
-		}
-		mean := sum / float64(ns)
-		var gj float64
-		switch kind {
-		case EstimateAvg:
-			gj = mean
-		case EstimateSum:
-			gj = mean * float64(popN)
-		}
-		devs = append(devs, (g0-gj)*math.Sqrt(float64(ns)/float64(n)))
-	}
-	sort.Float64s(devs)
-	alpha := 1 - confidence
-	tLo := Quantile(devs, alpha/2)
-	tHi := Quantile(devs, 1-alpha/2)
-	return Interval{Estimate: g0, Lo: g0 - tHi, Hi: g0 - tLo}
+	return Mean(xs)
 }
 
 // VariationalInterval implements the paper's variational subsampling
@@ -203,17 +100,4 @@ func VariationalInterval(kind Estimator, xs []float64, popN int64, confidence fl
 	tLo := Quantile(devs, alpha/2) * scale
 	tHi := Quantile(devs, 1-alpha/2) * scale
 	return Interval{Estimate: g0, Lo: g0 - tHi, Hi: g0 - tLo}
-}
-
-// CountEstimate estimates a population count from a Bernoulli sample:
-// k sample rows satisfying a predicate, sampling ratio tau.
-// The estimate is k/tau; its CLT standard error is sqrt(k (1-tau))/tau.
-func CountEstimate(k int64, tau float64, confidence float64) Interval {
-	if tau <= 0 {
-		return Interval{}
-	}
-	est := float64(k) / tau
-	se := math.Sqrt(float64(k)*(1-tau)) / tau
-	z := ZScore(confidence)
-	return Interval{Estimate: est, Lo: est - z*se, Hi: est + z*se}
 }
