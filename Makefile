@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape vet lint staticcheck loc
+.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape profile-heap vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -84,6 +84,16 @@ profile-shape:
 	mkdir -p .build
 	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkShape/$(SHAPE)/$(MODE)$$' -benchmem -benchtime 100x -o .build/verdictdb.test \
 		-cpuprofile .build/$(SHAPE).$(MODE).cpu -memprofile .build/$(SHAPE).$(MODE).mem .
+
+# The live heap of both datasets profile-shape queries, after set-up and a GC
+# (BenchmarkSetupHeap in bench_test.go): every allocation is sampled, so the
+# in-use counts are exact. It prints the live objects and MB; read the sites
+# with `go tool pprof -sample_index=inuse_objects -top .build/verdictdb.test
+# .build/heap.prof`.
+profile-heap:
+	mkdir -p .build
+	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkSetupHeap$$' -benchtime 1x -memprofilerate 1 -o .build/verdictdb.test \
+		-memprofile .build/heap.prof .
 
 # Machine-readable engine perf numbers for cross-PR diffs. Measured at
 # GOMAXPROCS=1 like the committed baseline: allocations scale with the worker

@@ -7,6 +7,7 @@ package verdictdb_test
 
 import (
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -86,13 +87,27 @@ func BenchmarkFig4_IQ7_Approx(b *testing.B) {
 
 // --- One workload shape at the repository benchmark's size ---------------
 
+// shapeEnv loads the data the repository benchmark (benchmark/) times: the
+// TPC-H or the Insta dataset at scale 0.2, with the 2 % sample set.
+func shapeEnv(b *testing.B, tpch bool) *bench.Env {
+	b.Helper()
+	mk := bench.NewInstaEnv
+	if tpch {
+		mk = bench.NewTPCHEnv
+	}
+	env, err := mk(bench.Config{TPCHScale: 0.2, InstaScale: 0.2, Seed: 42}, bench.DriverByName("generic"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return env
+}
+
 // BenchmarkShape/<id>/<exact|approx> runs one of the 33 workload shapes
-// through Conn.Query on the data the repository benchmark (benchmark/) times:
-// scale 0.2, the 2 % sample set. It is what `make profile-shape SHAPE=iq-14`
-// profiles, so a per-shape profile is a command, not a patched copy of the
-// benchmark's loop. A dataset is loaded when the first of its shapes runs.
+// through Conn.Query on shapeEnv's data. It is what `make profile-shape
+// SHAPE=iq-14` profiles, so a per-shape profile is a command, not a patched
+// copy of the benchmark's loop. A dataset is loaded when the first of its
+// shapes runs.
 func BenchmarkShape(b *testing.B) {
-	cfg := bench.Config{TPCHScale: 0.2, InstaScale: 0.2, Seed: 42}
 	envs := map[bool]*bench.Env{} // by "is a TPC-H shape"
 	for _, q := range workload.AllQueries() {
 		b.Run(q.ID, func(b *testing.B) {
@@ -100,15 +115,7 @@ func BenchmarkShape(b *testing.B) {
 				b.Run(mode, func(b *testing.B) {
 					tpch := strings.HasPrefix(q.ID, "tq-")
 					if envs[tpch] == nil {
-						mk := bench.NewInstaEnv
-						if tpch {
-							mk = bench.NewTPCHEnv
-						}
-						env, err := mk(cfg, bench.DriverByName("generic"))
-						if err != nil {
-							b.Fatal(err)
-						}
-						envs[tpch] = env
+						envs[tpch] = shapeEnv(b, tpch)
 					}
 					b.ReportAllocs()
 					benchQuery(b, envs[tpch], q.SQL, mode == "exact")
@@ -116,6 +123,27 @@ func BenchmarkShape(b *testing.B) {
 			}
 		})
 	}
+}
+
+// heapEnvs keeps BenchmarkSetupHeap's datasets alive until the test binary
+// writes its -memprofile, which it does after a runtime.GC: the profile's
+// in-use samples are then the heap the loaded datasets hold.
+var heapEnvs []*bench.Env
+
+// BenchmarkSetupHeap loads both of shapeEnv's datasets and reports the live
+// heap they hold after a GC, in objects and MB. It is what `make profile-heap`
+// profiles: `go tool pprof -sample_index=inuse_objects -top
+// .build/verdictdb.test .build/heap.prof` says which allocation sites the
+// live objects come from. Run it with -benchtime 1x: each run loads again.
+func BenchmarkSetupHeap(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		heapEnvs = []*bench.Env{shapeEnv(b, true), shapeEnv(b, false)}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapObjects), "live-objects")
+	b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
 }
 
 // --- Figure 5 (E3): speedup growth with data size ------------------------

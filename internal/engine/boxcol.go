@@ -77,13 +77,18 @@ func boxStrings(strs []string) []Value {
 // NULL lanes keep the zero (nil) interface the block was allocated with.
 // Chunk storage is immutable, so a box is an interior pointer into the
 // column's typed slots, a dictionary's shared entry box or a TAny column's
-// own box, and allocates nothing; only a delta column decodes, into one fresh
-// vector per call.
+// own box. Two kinds of column have no slot a box can point at, so each call
+// fills one fresh vector for them: a delta column decodes its integers, and a
+// stored string column makes the headers of views of its block.
 func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 	eb := efaceSlice(dst)
 	var decoded []int64
-	if cv.enc == encDelta {
+	var hdrs []string
+	switch {
+	case cv.enc == encDelta:
 		decoded = make([]int64, len(idx))
+	case cv.kind == TString && cv.soffs != nil:
+		hdrs = make([]string, len(idx))
 	}
 	r := 0
 	for k, x := range idx {
@@ -108,6 +113,9 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.ints[slot]), int64TypeWord
 		case cv.kind == TFloat:
 			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.floats[slot]), float64TypeWord
+		case hdrs != nil:
+			hdrs[k] = cv.slotStr(slot)
+			eb[s].data, eb[s].typ = unsafe.Pointer(&hdrs[k]), stringTypeWord
 		case cv.kind == TString:
 			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.strs[slot]), stringTypeWord
 		default:
@@ -119,11 +127,12 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 // boxVecLanes boxes the lanes idx of a kernel's output, which a reused
 // per-worker buffer holds only until the next chunk: its typed slice is
 // snapshotted once (one allocation per chunk-column) and the snapshot boxed
-// like a stored column. Dictionary and TAny outputs hold shared boxes already.
+// like a stored column. Dictionary and TAny outputs hold shared boxes already,
+// and a stored string column (a column leaf hands one over) is immutable.
 func boxVecLanes(dst []Value, stride int, v *colVec, idx []int32) {
 	snap, n := *v, len(idx)
 	switch {
-	case v.enc == encDict:
+	case v.enc == encDict, v.soffs != nil:
 	case v.kind == TInt:
 		snap.ints = slices.Clone(v.ints[:n])
 	case v.kind == TFloat:

@@ -289,17 +289,15 @@ func chunkBytes(ch *chunk) int64 {
 	return b
 }
 
-// colBytes estimates one built column's footprint: vector backing arrays
-// plus string bytes plus per-box overhead, matching the flat-cost philosophy
-// of the query gauge.
+// colBytes estimates one stored column's footprint: vector backing arrays
+// (a string block is its bytes and offsets) plus dictionary entries and
+// per-box overhead, matching the flat-cost philosophy of the query gauge.
 func colBytes(c *colVec) int64 {
 	b := int64(len(c.ints))*8 + int64(len(c.floats))*8 +
 		int64(len(c.bools)) + int64(len(c.nulls)) +
+		int64(len(c.sbytes)) + int64(len(c.soffs))*4 +
 		int64(len(c.codes))*4 + int64(len(c.runEnds))*4 +
 		int64(len(c.packed))*8 + int64(len(c.anys))*bytesPerValue
-	for _, s := range c.strs {
-		b += int64(len(s)) + 16
-	}
 	for _, s := range c.dict {
 		b += int64(len(s)) + 16 + bytesPerValue // entry + shared box
 	}
@@ -316,7 +314,8 @@ func chunkToStorage(ch *chunk) *storage.Chunk {
 		sc.Cols[j] = storage.Col{
 			Kind: uint8(c.kind), Enc: uint8(c.enc),
 			Nulls: c.nulls, Min: c.min, Max: c.max,
-			Ints: c.ints, Floats: c.floats, Strs: c.strs, Bools: c.bools, Anys: c.anys,
+			Ints: c.ints, Floats: c.floats, StrBytes: c.sbytes, StrOffs: c.soffs,
+			Bools: c.bools, Anys: c.anys,
 			Dict: c.dict, Codes: c.codes, RunEnds: c.runEnds,
 			Base: c.base, Width: c.width, Packed: c.packed,
 		}
@@ -340,7 +339,8 @@ func (cv *colVec) fromStorage(c *storage.Col) {
 	*cv = colVec{
 		kind: ColType(c.Kind), enc: colEnc(c.Enc),
 		nulls: c.Nulls, min: c.Min, max: c.Max,
-		ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, anys: c.Anys,
+		ints: c.Ints, floats: c.Floats, sbytes: c.StrBytes, soffs: c.StrOffs,
+		bools: c.Bools, anys: c.Anys,
 		dict: c.Dict, codes: c.Codes, runEnds: c.RunEnds,
 		base: c.Base, width: c.Width, packed: c.Packed,
 	}

@@ -5,19 +5,25 @@ import (
 	"math"
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Columnar chunked storage. A table is an append-only sequence of sealed,
 // immutable chunks of exactly chunkRows rows stored column-wise — per-column
-// typed vectors ([]int64, []float64, []string, []bool) with a null-flag
-// vector — plus an open row-major tail holding the most recent < chunkRows
-// rows. When the tail fills it is sealed into a chunk: values are packed
-// into typed vectors and the per-column zone summaries (min/max over
-// non-NULL values) are computed right there, so scan-range pruning never
-// needs the lazy locking dance the old row store required.
+// typed vectors ([]int64, []float64, []bool; strings as one byte block plus
+// u32 offsets) with a null-flag vector — plus an open row-major tail holding
+// the most recent < chunkRows rows. When the tail fills it is sealed into a
+// chunk: values are packed into typed vectors and the per-column zone
+// summaries (min/max over non-NULL values) are computed right there, so
+// scan-range pruning never needs the lazy locking dance the old row store
+// required. A sealed chunk holds no pointer per value: its strings are bytes
+// it owns, not headers of strings the rows it was packed from referred to, so
+// the collector traces a table's columns, not its values.
 //
 // Sealed chunks are immutable forever, which is what makes the concurrency
 // story trivial: readers snapshot the chunk-slice header and the tail-slice
@@ -56,7 +62,10 @@ const (
 // vector plus null flags and, when sealed, the zone summary computed at seal
 // time), a gathered join column, or a kernel's output. The last two are reset
 // for every chunk and keep their storage (reset), so their flags, like their
-// typed lanes, are resliced rather than remade.
+// typed lanes, are resliced rather than remade. Strings are the one kind
+// whose two forms differ: a stored column (sealed, or decoded from a segment)
+// keeps them in a byte block (sbytes, soffs), a per-query vector as string
+// headers (strs); slotStr reads either.
 type colVec struct {
 	// kind is the storage representation of this chunk-column. A column
 	// whose values in this chunk all share one dynamic type is stored
@@ -66,9 +75,18 @@ type colVec struct {
 
 	ints   []int64
 	floats []float64
-	strs   []string
+	strs   []string // per-query string lanes: kernel outputs, gathers, chunks over rows
 	bools  []bool
 	anys   []Value
+
+	// sbytes and soffs are a stored string column's slots — one per row, or
+	// per run under encRLE: slot s is sbytes[soffs[s]:soffs[s+1]], and soffs
+	// holds slots+1 offsets from 0 to len(sbytes). That is the segment
+	// payload itself, so a flush writes the two slices and a cold load copies
+	// them. A string read out of the column is a view of sbytes; stored
+	// blocks are never written after seal. A NULL slot is empty.
+	sbytes []byte
+	soffs  []uint32
 
 	// nulls flags NULL rows; empty when the column has no NULLs. Null slots
 	// of a stored column's typed vectors hold zero values; a reset vector's
@@ -90,7 +108,9 @@ type colVec struct {
 	// codes). codes[i] indexes dict; NULL rows keep code 0 and are flagged
 	// in nulls. dictBoxed pre-boxes each entry once — every read-through box
 	// of a dictionary value is a shared immutable interface, not a fresh
-	// allocation. strs is nil.
+	// allocation. The entries of a stored column are views of one block the
+	// column owns; a gathered column shares its source's. There are no
+	// string slots (strs, sbytes, soffs).
 	dict      []string
 	dictBoxed []Value
 	codes     []uint32
@@ -172,15 +192,35 @@ func (c *colVec) strAt(i int) string {
 	case encDict:
 		return c.dict[c.codes[i]]
 	case encRLE:
-		return c.strs[c.runIdx(i)]
+		return c.slotStr(c.runIdx(i))
 	}
-	return c.strs[i]
+	return c.slotStr(i)
+}
+
+// slotStr reads string slot s: a view of the block of a stored column, the
+// lane of a per-query one.
+func (c *colVec) slotStr(s int) string {
+	if c.soffs == nil {
+		return c.strs[s]
+	}
+	return blockStr(c.sbytes, c.soffs[s], c.soffs[s+1])
+}
+
+// blockStr is the string of bytes b[lo:hi], sharing them. Callers never
+// write a block once a string views it. An empty string points at nothing, so
+// it keeps no block alive.
+func blockStr(b []byte, lo, hi uint32) string {
+	if lo == hi {
+		return ""
+	}
+	return unsafe.String(unsafe.SliceData(b[lo:hi]), hi-lo)
 }
 
 // value boxes row i back into a dynamic Value: every read of a column that is
 // not a typed kernel loop goes through it. The box is freshly allocated for
-// typed vectors (dictionary columns return the shared pre-boxed entry); TAny
-// columns return the original box.
+// typed vectors (a string box holds a header viewing the column's block;
+// dictionary columns return the shared pre-boxed entry); TAny columns return
+// the original box.
 func (c *colVec) value(i int) Value {
 	if c.kind == TAny {
 		return c.anys[i]
@@ -201,14 +241,14 @@ func (c *colVec) value(i int) Value {
 	case c.kind == TFloat:
 		return c.floats[slot]
 	case c.kind == TString:
-		return c.strs[slot]
+		return c.slotStr(slot)
 	}
 	return c.bools[slot]
 }
 
 // reset makes cv n raw lanes of kind, no NULLs, over the storage its previous
 // lanes left: a kernel's output buffer or a column a join gathers into a
-// reused chunk. Every lane is the caller's to write. Growth is charged to qc —
+// reused chunk. String lanes are headers (strs), never a block. Every lane is the caller's to write. Growth is charged to qc —
 // a gathered column is, a worker's kernel buffers (qc nil) are not.
 func (cv *colVec) reset(qc *queryCtx, kind ColType, n int) {
 	*cv = colVec{kind: kind, ints: cv.ints[:0], floats: cv.floats[:0], strs: cv.strs[:0],
@@ -303,7 +343,7 @@ type rowFill struct {
 
 func (f *rowFill) fillCol(c *chunk, j int) {
 	f.qc.chargeMem(int64(c.n) * bytesPerRef)
-	packCol(&c.cols[j], f.rows, j, false)
+	packCol(&c.cols[j], f.rows, j, false, false)
 }
 
 func (f *rowFill) kindOf(c *chunk, j int) ColType { return c.col(j).kind }
@@ -372,21 +412,24 @@ func storageKind(v Value) ColType {
 	return TAny
 }
 
-// buildChunk seals rows (all of width w) into a columnar chunk. Zone
-// summaries only matter for table storage (scan pruning reads them); the
-// flusher's staging chunk skips the per-value Compare calls.
+// buildChunk seals rows (all of width w) into a columnar chunk in the stored
+// form. Zone summaries only matter for table storage (scan pruning reads
+// them); the flusher's staging chunk skips the per-value Compare calls.
 func buildChunk(rows [][]Value, w int, withZones bool) *chunk {
 	ch := &chunk{cols: make([]colVec, w), n: len(rows)}
 	for j := range ch.cols {
-		packCol(&ch.cols[j], rows, j, withZones)
+		packCol(&ch.cols[j], rows, j, true, withZones)
 	}
 	return ch
 }
 
 // packCol packs column j of rows into col: a typed vector when its non-NULL
 // values share one dynamic type, the original boxes otherwise, with the zone
-// summary computed in the same pass when withZones is set.
-func packCol(col *colVec, rows [][]Value, j int, withZones bool) {
+// summary computed in the same pass when withZones is set. A stored column
+// copies its strings — into one block, or, boxed, one by one — so it refers to
+// none of the rows' strings; a per-query column (stored false) references
+// them.
+func packCol(col *colVec, rows [][]Value, j int, stored, withZones bool) {
 	n := len(rows)
 	// Pass 1: storage kind (TAny on mixed types or all NULLs) and the
 	// zone summary. min/max reference the existing boxes — no boxing.
@@ -417,7 +460,11 @@ func packCol(col *colVec, rows [][]Value, j int, withZones bool) {
 		col.kind = TAny
 		col.anys = make([]Value, n)
 		for i := 0; i < n; i++ {
-			col.anys[i] = rows[i][j]
+			v := rows[i][j]
+			if s, ok := v.(string); ok && stored {
+				v = strings.Clone(s)
+			}
+			col.anys[i] = v
 		}
 		return
 	}
@@ -446,13 +493,31 @@ func packCol(col *colVec, rows [][]Value, j int, withZones bool) {
 			}
 		}
 	case TString:
-		col.strs = make([]string, n)
+		if !stored {
+			col.strs = make([]string, n)
+			for i := 0; i < n; i++ {
+				if v := rows[i][j]; v != nil {
+					col.strs[i] = v.(string)
+				} else {
+					col.nulls[i] = true
+				}
+			}
+			break
+		}
+		size := 0
+		for i := 0; i < n; i++ {
+			s, _ := rows[i][j].(string)
+			size += len(s)
+		}
+		col.sbytes, col.soffs = make([]byte, size), make([]uint32, n+1)
+		off := 0
 		for i := 0; i < n; i++ {
 			if v := rows[i][j]; v != nil {
-				col.strs[i] = v.(string)
+				off += copy(col.sbytes[off:], v.(string))
 			} else {
 				col.nulls[i] = true
 			}
+			col.soffs[i+1] = uint32(off)
 		}
 	case TBool:
 		col.bools = make([]bool, n)
@@ -502,7 +567,7 @@ func (c *colVec) laneEq(a, b int) bool {
 	case TFloat:
 		return math.Float64bits(c.floats[a]) == math.Float64bits(c.floats[b])
 	case TString:
-		return c.strs[a] == c.strs[b]
+		return c.slotStr(a) == c.slotStr(b)
 	}
 	return c.bools[a] == c.bools[b]
 }
@@ -526,9 +591,38 @@ func encodeChunk(ch *chunk, qc *queryCtx) {
 	force := forceEncodings()
 	var bytes int64
 	for j := range ch.cols {
-		bytes += encodeCol(&ch.cols[j], ch.n, force)
+		c := &ch.cols[j]
+		bytes += encodeCol(c, ch.n, force)
+		c.ownZone()
 	}
 	qc.chargeMem(bytes)
+}
+
+// ownZone makes a sealed column's string zone bounds its own: packCol took them
+// from the rows it packed, whose strings may be views of another chunk's
+// block. A string column's bounds become views of the first slots holding
+// them, a boxed column's copies; a dictionary's are its own entries already.
+func (c *colVec) ownZone() {
+	switch {
+	case c.kind == TString && c.enc != encDict && c.min != nil:
+		lo, hi := c.min.(string), c.max.(string)
+		for s, found := 0, 0; found != 3 && s+1 < len(c.soffs); s++ {
+			v := c.slotStr(s)
+			if found&1 == 0 && v == lo {
+				c.min, found = v, found|1
+			}
+			if found&2 == 0 && v == hi {
+				c.max, found = v, found|2
+			}
+		}
+	case c.kind == TAny:
+		if s, ok := c.min.(string); ok {
+			c.min = strings.Clone(s)
+		}
+		if s, ok := c.max.(string); ok {
+			c.max = strings.Clone(s)
+		}
+	}
 }
 
 // encodeCol picks and applies one encoding for a sealed chunk-column,
@@ -571,7 +665,7 @@ func (c *colVec) sortedDict(n int) []string {
 		if c.nulls != nil && c.nulls[i] {
 			continue
 		}
-		s := c.strs[i]
+		s := c.slotStr(i)
 		if _, ok := seen[s]; !ok {
 			seen[s] = struct{}{}
 			dict = append(dict, s)
@@ -581,28 +675,36 @@ func (c *colVec) sortedDict(n int) []string {
 	return dict
 }
 
+// encodeDict codes the raw column against dict, its sorted distinct strings,
+// whose entries it then moves into one block of their own: the raw block goes.
 func (c *colVec) encodeDict(n int, dict []string) int64 {
 	codes := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		if c.nulls != nil && c.nulls[i] {
 			continue
 		}
-		codes[i] = uint32(sort.SearchStrings(dict, c.strs[i]))
+		codes[i] = uint32(sort.SearchStrings(dict, c.slotStr(i)))
 	}
+	size := 0
+	for _, s := range dict {
+		size += len(s)
+	}
+	blk := make([]byte, 0, size)
 	boxed := make([]Value, len(dict))
-	var bytes int64
 	for ci, s := range dict {
-		boxed[ci] = s
-		bytes += int64(len(s))
+		lo := uint32(len(blk))
+		blk = append(blk, s...)
+		dict[ci] = blockStr(blk, lo, uint32(len(blk)))
+		boxed[ci] = dict[ci]
 	}
 	c.dict, c.dictBoxed, c.codes = dict, boxed, codes
-	c.strs = nil
+	c.sbytes, c.soffs = nil, nil
 	c.enc = encDict
 	// The sorted dictionary's ends are exact zone bounds — byte-equal to
 	// the Compare-derived min/max buildChunk found — and they reuse the
 	// boxes downstream pruning already holds.
 	c.min, c.max = boxed[0], boxed[len(boxed)-1]
-	return bytes + int64(len(dict))*(16+24) + int64(n)*4
+	return int64(size) + int64(len(dict))*(16+24) + int64(n)*4
 }
 
 func (c *colVec) encodeRLE(n, runs int) int64 {
@@ -619,7 +721,7 @@ func (c *colVec) encodeRLE(n, runs int) int64 {
 		}
 		runNulls[r] = true
 	}
-	elem := int64(8)
+	elem, extra := int64(8), int64(0)
 	prev := 0
 	switch c.kind {
 	case TInt:
@@ -645,17 +747,24 @@ func (c *colVec) encodeRLE(n, runs int) int64 {
 		}
 		c.floats = vals
 	case TString:
-		elem = 16
-		vals := make([]string, len(ends))
+		// Two passes over the run starts: the block's size, then its bytes.
+		size := 0
+		for _, e := range ends {
+			size += int(c.soffs[prev+1] - c.soffs[prev]) // a NULL slot is empty
+			prev = int(e)
+		}
+		blk, offs := make([]byte, 0, size), make([]uint32, len(ends)+1)
+		prev = 0
 		for r, e := range ends {
 			if c.nulls != nil && c.nulls[prev] {
 				markNull(r)
-			} else {
-				vals[r] = c.strs[prev]
 			}
+			blk = append(blk, c.sbytes[c.soffs[prev]:c.soffs[prev+1]]...)
+			offs[r+1] = uint32(len(blk))
 			prev = int(e)
 		}
-		c.strs = vals
+		c.sbytes, c.soffs = blk, offs
+		elem, extra = 4, int64(4+size) // an offset per run; the first offset and the bytes
 	case TBool:
 		elem = 1
 		vals := make([]bool, len(ends))
@@ -672,7 +781,7 @@ func (c *colVec) encodeRLE(n, runs int) int64 {
 	c.nulls = runNulls
 	c.runEnds = ends
 	c.enc = encRLE
-	return int64(len(ends)) * (4 + elem)
+	return int64(len(ends))*(4+elem) + extra
 }
 
 // deltaWidth returns the bit width needed to pack this int column as
@@ -876,6 +985,49 @@ func (t *Table) appendRow(row []Value, qc *queryCtx) {
 		// A fresh slice, not a truncation: concurrent readers may still
 		// hold the old tail header.
 		t.tail = nil
+	}
+}
+
+// ownTail copies the strings of the open-tail rows a statement appended — the
+// table had sealed chunks and tail rows before it — into one block, and the
+// rows holding them into rows of their own. Sealing copies a row's strings
+// into the chunk's block; a row left in the tail would otherwise keep
+// whatever its strings view alive, such as the block of a source chunk a
+// flush has since dropped from memory (CTAS and INSERT … SELECT rows are
+// views of their source). At most chunkRows-1 rows are copied. Callers hold
+// the engine write lock, and no snapshot can hold those rows yet, so
+// replacing them races with no reader.
+func (t *Table) ownTail(sealed, tail int) {
+	if len(t.sealed) != sealed {
+		tail = 0 // sealed during the statement: the whole tail is new
+	}
+	rows := t.tail[tail:]
+	size := 0
+	for _, row := range rows {
+		for _, v := range row {
+			s, _ := v.(string)
+			size += len(s)
+		}
+	}
+	if size == 0 {
+		return
+	}
+	blk := make([]byte, 0, size)
+	for i, row := range rows {
+		var own []Value
+		for j, v := range row {
+			if s, ok := v.(string); ok && s != "" {
+				if own == nil {
+					own = slices.Clone(row)
+				}
+				lo := uint32(len(blk))
+				blk = append(blk, s...)
+				own[j] = blockStr(blk, lo, uint32(len(blk)))
+			}
+		}
+		if own != nil {
+			rows[i] = own
+		}
 	}
 }
 

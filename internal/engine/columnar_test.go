@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -294,4 +295,42 @@ func TestConcurrentAppendsConsistentPrefix(t *testing.T) {
 	if got := rs.Rows[0][0].(int64); got != want {
 		t.Fatalf("final count %d, want %d", got, want)
 	}
+}
+
+// A stored string column holds no pointer per value: its strings are copied
+// into one block per chunk-column, so the strings an insert was given become
+// garbage once their rows are sealed. Measured on linux/amd64 (go1.24): 0.036
+// live objects per row — every chunk's vectors, zone boxes and bookkeeping,
+// and the open tail — so the bound is 1.25× that; a column that kept each
+// string alive costs one object per row more.
+func TestStoredStringsHeapObjects(t *testing.T) {
+	const rows = 20000
+	e := NewSeeded(1)
+	if err := e.CreateTable("t", []Column{{Name: "s", Type: TString}}); err != nil {
+		t.Fatal(err)
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	before := live()
+	func() {
+		batch := make([][]Value, rows)
+		for i := range batch {
+			batch[i] = []Value{fmt.Sprintf("distinct-%06d", i)}
+		}
+		if err := e.InsertRows("t", batch); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	after := live()
+	perRow := (float64(after) - float64(before)) / rows
+	t.Logf("%.4f live heap objects per stored row", perRow)
+	const bound = 1.25 * 0.036
+	if perRow > bound {
+		t.Errorf("%.4f live heap objects per stored row, want at most %.4f", perRow, bound)
+	}
+	runtime.KeepAlive(e)
 }

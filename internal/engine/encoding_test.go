@@ -75,8 +75,8 @@ func TestSealPicksEncodings(t *testing.T) {
 	if got := ch.cols[0].enc; got != encDict {
 		t.Fatalf("s: enc %d, want dict", got)
 	}
-	if len(ch.cols[0].dict) != 3 || ch.cols[0].strs != nil {
-		t.Fatalf("s: dict %v strs %v", ch.cols[0].dict, ch.cols[0].strs)
+	if cv := &ch.cols[0]; len(cv.dict) != 3 || cv.strs != nil || cv.sbytes != nil || cv.soffs != nil {
+		t.Fatalf("s: dict %v strs %v block %q %v", cv.dict, cv.strs, cv.sbytes, cv.soffs)
 	}
 	// Dictionary ends are the string zone map, same values Compare derives.
 	if ch.cols[0].min != "low" || ch.cols[0].max != "top" {
@@ -122,8 +122,18 @@ func TestDictHighCardinalityFallback(t *testing.T) {
 	}
 	tbl, _ := e.Lookup("t")
 	cv := &sealedChunk(t, tbl, 0).cols[0]
-	if cv.enc != encNone || cv.strs == nil || cv.dict != nil {
+	if cv.enc != encNone || cv.dict != nil {
 		t.Fatalf("high-cardinality strings should stay raw: enc %d", cv.enc)
+	}
+	// Raw and stored: one block of every value's bytes, one offset per row
+	// plus the leading 0, and no string headers.
+	if cv.strs != nil || len(cv.soffs) != chunkRows+1 || cv.soffs[0] != 0 || len(cv.sbytes) != 5*chunkRows {
+		t.Fatalf("raw strings not in block form: strs %d, offsets %d, %d bytes", len(cv.strs), len(cv.soffs), len(cv.sbytes))
+	}
+	for i, r := range rows {
+		if got := cv.strAt(i); got != r[0] {
+			t.Fatalf("row %d reads %q, want %q", i, got, r[0])
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ func TestLaneReaders(t *testing.T) {
 	const n = 48
 	vc := newVecCtx(1, 0, 0, 0)
 	leaf := &vnCol{id: 0, col: 0}
-	for _, enc := range []string{"raw", "dict", "rle", "delta", "any"} {
+	for _, enc := range []string{"raw", "rawstr", "dict", "rle", "rlestr", "delta", "any"} {
 		for _, nulls := range []string{"none", "some", "all"} {
 			build := []*chunk{laneChunk(enc, nulls, n, 0), laneChunk(enc, nulls, n, 1)}
 			src := &gatherSrc{leftW: 1, buildChunks: build, buildKinds: chunkKinds(build, 1)}
@@ -88,8 +88,8 @@ func TestLaneReaders(t *testing.T) {
 }
 
 // laneChunk is one n-row chunk holding one column in encoding enc (the kind
-// follows: raw floats, dictionary strings, run-length and delta integers,
-// mixed boxes), with no, some or all rows NULL. seed varies the values between
+// follows: raw floats and strings, dictionary strings, run-length integers and
+// strings, delta integers, mixed boxes), with no, some or all rows NULL. seed varies the values between
 // the two build chunks.
 func laneChunk(enc, nulls string, n, seed int) *chunk {
 	rows := make([][]Value, n)
@@ -98,8 +98,12 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 		switch enc {
 		case "raw":
 			v = float64(i*3%17) + float64(seed)/2
+		case "rawstr":
+			v = fmt.Sprintf("r%d.%d", i*3%17, seed)
 		case "dict":
 			v = fmt.Sprintf("s%d.%d", i%5, seed)
+		case "rlestr":
+			v = fmt.Sprintf("run%d.%d", i/6, seed)
 		case "rle":
 			v = int64(i/6 + 100*seed)
 		case "delta":
@@ -120,7 +124,7 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 	switch enc {
 	case "dict":
 		cv.encodeDict(n, cv.sortedDict(n))
-	case "rle":
+	case "rle", "rlestr":
 		cv.encodeRLE(n, cv.countRuns(n))
 	case "delta":
 		cv.encodeDelta(n, cv.deltaWidth())

@@ -248,7 +248,8 @@ func TestSegmentChunkEvictedWhileHeld(t *testing.T) {
 
 // Loading a chunk and touching one column costs a fixed number of
 // allocations, whatever the row count: the block's column offsets, the chunk
-// and its bookkeeping, the cache entry, and one vector (two for strings).
+// and its bookkeeping, the cache entry, and one vector (two for strings: the
+// block's bytes and its offsets).
 func TestSegmentLoadAllocs(t *testing.T) {
 	disk, _ := newWideDiskEngine(t, 1)
 	dt, _ := disk.Lookup("t")
@@ -261,7 +262,7 @@ func TestSegmentLoadAllocs(t *testing.T) {
 	}{
 		{"delta int column", 4, encDelta, 9},
 		{"raw float column", 3, encNone, 9},
-		{"256-lane string column", 6, encNone, 10},
+		{"256-lane string column", 6, encNone, 9},
 		{"dictionary string column", 5, encDict, 12},
 	} {
 		ch, err := sl.load(nil, nil)

@@ -292,6 +292,7 @@ func (e *Engine) insertRowsLocked(qc *queryCtx, name string, rows [][]Value) err
 	if !ok {
 		return fmt.Errorf("engine: unknown table %q", name)
 	}
+	defer t.ownTail(len(t.sealed), len(t.tail))
 	for _, r := range rows {
 		if qc != nil {
 			if err := qc.tick(); err != nil {
@@ -346,6 +347,7 @@ func (e *Engine) storeResultLocked(qc *queryCtx, name string, cols []Column, row
 	for _, r := range rows {
 		t.appendRow(r, qc)
 	}
+	t.ownTail(0, 0)
 	if err := qc.pollAbort(); err != nil {
 		return err
 	}

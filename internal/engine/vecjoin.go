@@ -1066,9 +1066,10 @@ func gatherRaw[T any, I int32 | int64](dst, src []T, idx []I) {
 
 // gatherLanes copies rows idx of scv, a source column of cv's kind, into
 // lanes [k0, k0+len(idx)) of cv (of n lanes), decoding: dictionary strings
-// are materialized, delta integers unpacked, and run-length slots read by a
-// forward walk over the runs. The loop is picked once per call; raw vectors
-// without NULLs — every gathered column, most stored floats — are flat copies.
+// are materialized, stored strings viewed out of their block, delta integers
+// unpacked, and run-length slots read by a forward walk over the runs. The
+// loop is picked once per call; raw vectors without NULLs — every gathered
+// column, most stored floats — are flat copies.
 func gatherLanes[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
 	switch cv.kind {
 	case TInt:
@@ -1087,17 +1088,20 @@ func gatherLanes[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
 	case TFloat:
 		gatherSlots(cv, n, k0, cv.floats, scv.floats, scv, idx)
 	case TString:
-		if scv.enc != encDict {
-			gatherSlots(cv, n, k0, cv.strs, scv.strs, scv, idx)
-			return
-		}
-		dst := cv.strs[k0 : k0+len(idx)]
-		for k, x := range idx {
-			if i := uint32(x); len(scv.nulls) > 0 && scv.nulls[i] {
-				cv.setNull(k0+k, n)
-			} else {
-				dst[k] = scv.dict[scv.codes[i]]
+		switch {
+		case scv.enc == encDict:
+			dst := cv.strs[k0 : k0+len(idx)]
+			for k, x := range idx {
+				if i := uint32(x); len(scv.nulls) > 0 && scv.nulls[i] {
+					cv.setNull(k0+k, n)
+				} else {
+					dst[k] = scv.dict[scv.codes[i]]
+				}
 			}
+		case scv.soffs == nil:
+			gatherSlots(cv, n, k0, cv.strs, scv.strs, scv, idx)
+		default:
+			gatherBlock(cv, n, k0, scv, idx)
 		}
 	case TBool:
 		gatherSlots(cv, n, k0, cv.bools, scv.bools, scv, idx)
@@ -1130,6 +1134,25 @@ func gatherSlots[T any, I int32 | int64](cv *colVec, n, k0 int, dst, vals []T, s
 		}
 	default:
 		gatherRaw(dst, vals, idx)
+	}
+}
+
+// gatherBlock is gatherLanes from a stored string column: each lane a view of
+// its slot in scv's block.
+func gatherBlock[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
+	dst := cv.strs[k0 : k0+len(idx)]
+	r := 0
+	for k, x := range idx {
+		slot := int(uint32(x))
+		if scv.enc == encRLE {
+			r = scv.runFrom(r, slot)
+			slot = r
+		}
+		if len(scv.nulls) > 0 && scv.nulls[slot] {
+			cv.setNull(k0+k, n)
+		} else {
+			dst[k] = blockStr(scv.sbytes, scv.soffs[slot], scv.soffs[slot+1])
+		}
 	}
 }
 

@@ -589,7 +589,7 @@ func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) 
 		case TFloat:
 			c = cmpFloat64(cv.floats[r], litF)
 		case TString:
-			c = strings.Compare(cv.strs[r], litS)
+			c = strings.Compare(cv.slotStr(r), litS)
 		case TBool:
 			c = cmpBools(cv.bools[r], litB)
 		}

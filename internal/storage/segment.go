@@ -32,6 +32,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	EncNone:  nulls? bitmap(n) | payload by kind — ints/floats 8n bytes,
 //	          bools bitmap(n), strings offsets(u32×(n+1))+bytes,
 //	          any tagged-value×n (nil tag = NULL; Nulls bitmap absent)
+//	          (a stored string vector is this payload in memory too:
+//	          Col.StrOffs and Col.StrBytes, see appendStrBlock)
 //	EncDict:  nulls? bitmap(n) | u32 dictLen | offsets(u32×(dictLen+1)) |
 //	          dict bytes | codes u32×n
 //	EncRLE:   u32 runs | runEnds i32×runs | nulls? bitmap(runs) |
@@ -85,6 +87,20 @@ func appendStrings(b []byte, strs []string) []byte {
 		b = append(b, s...)
 	}
 	return b
+}
+
+// appendStrBlock writes a stored string vector (Col.StrBytes, Col.StrOffs) in
+// appendStrings' layout. The stored form already is that payload — end
+// offsets, then the bytes — so this is two copies, not a loop over strings.
+func appendStrBlock(b, bytes []byte, offs []uint32) []byte {
+	if len(offs) == 0 {
+		return appendU32(b, 0)
+	}
+	b = appendU32(b, uint32(len(offs)-1))
+	for _, o := range offs[1:] {
+		b = appendU32(b, o)
+	}
+	return append(b, bytes...)
 }
 
 // Tagged dynamic values (zone bounds, KindAny lanes).
@@ -141,7 +157,7 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 					b = appendU64(b, math.Float64bits(v))
 				}
 			case KindString:
-				b = appendStrings(b, c.Strs)
+				b = appendStrBlock(b, c.StrBytes, c.StrOffs)
 			case KindBool:
 				b = appendBitmap(b, c.Bools)
 			case KindAny:
@@ -177,7 +193,7 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 					b = appendU64(b, math.Float64bits(v))
 				}
 			case KindString:
-				b = appendStrings(b, c.Strs)
+				b = appendStrBlock(b, c.StrBytes, c.StrOffs)
 			case KindBool:
 				b = appendBitmap(b, c.Bools)
 			}
@@ -563,9 +579,24 @@ func (d *colDecoder) u64s(n int) []uint64 {
 	return out
 }
 
-// strings copies the vector's bytes into one string and slices every lane out
-// of it: two allocations however many lanes there are. A lane that outlives
-// its column keeps that string, not the segment, alive.
+// strBlock copies a string vector out as the engine stores it: the bytes,
+// and the end offsets behind a leading 0. Two allocations and no string
+// headers, however many lanes there are.
+func (d *colDecoder) strBlock() ([]byte, []uint32) {
+	n := int(d.u32())
+	offs := make([]uint32, n+1)
+	raw := d.take(4 * n)
+	for i := 1; i <= n; i++ {
+		offs[i] = binary.LittleEndian.Uint32(raw[4*(i-1):])
+	}
+	bytes := make([]byte, offs[n])
+	copy(bytes, d.take(len(bytes)))
+	return bytes, offs
+}
+
+// strings copies a dictionary's bytes into one string and slices every entry
+// out of it: two allocations however many entries there are. An entry that
+// outlives its column keeps that string, not the segment, alive.
 func (d *colDecoder) strings() []string {
 	n := int(d.u32())
 	ends := d.take(4 * n)
@@ -635,7 +666,7 @@ func decodeCol(b []byte, n int, cm *ColMeta) Col {
 	case KindFloat:
 		c.Floats = d.floats(slots)
 	case KindString:
-		c.Strs = d.strings()
+		c.StrBytes, c.StrOffs = d.strBlock()
 	case KindBool:
 		c.Bools = d.bitmap(slots)
 	case KindAny:

@@ -107,11 +107,12 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 		}
 		c.Min, c.Max = math.Inf(-1), math.Inf(1)
 	case KindString:
-		c.Strs = make([]string, slots)
-		for i := range c.Strs {
+		c.StrOffs = make([]uint32, 1, slots+1)
+		for i := 0; i < slots; i++ {
 			if !isNull(i) {
-				c.Strs[i] = edgeStrings[i%len(edgeStrings)]
+				c.StrBytes = append(c.StrBytes, edgeStrings[i%len(edgeStrings)]...)
 			}
+			c.StrOffs = append(c.StrOffs, uint32(len(c.StrBytes)))
 		}
 		c.Min, c.Max = "", "zz"
 	case KindBool:
@@ -517,7 +518,22 @@ func FuzzOpenChunk(f *testing.F) {
 		if c.Nulls != nil && len(c.Nulls) != slots {
 			t.Fatalf("%d null flags for %d slots", len(c.Nulls), slots)
 		}
-		if got := len(c.Ints) + len(c.Floats) + len(c.Strs) + len(c.Bools) + len(c.Anys); got != slots {
+		if c.Kind == KindString {
+			// The block invariants the engine's string accessors slice by.
+			if len(c.StrOffs) != slots+1 || c.StrOffs[0] != 0 {
+				t.Fatalf("%d string offsets from %v for %d slots", len(c.StrOffs), c.StrOffs[:min(1, len(c.StrOffs))], slots)
+			}
+			for i := 1; i <= slots; i++ {
+				if c.StrOffs[i] < c.StrOffs[i-1] {
+					t.Fatalf("string offset %d decreases: %d after %d", i, c.StrOffs[i], c.StrOffs[i-1])
+				}
+			}
+			if last := c.StrOffs[slots]; int(last) != len(c.StrBytes) {
+				t.Fatalf("last string offset %d, block of %d bytes", last, len(c.StrBytes))
+			}
+			return
+		}
+		if got := len(c.Ints) + len(c.Floats) + len(c.Bools) + len(c.Anys); got != slots {
 			t.Fatalf("kind %d enc %d: %d values for %d slots", c.Kind, c.Enc, got, slots)
 		}
 	})

@@ -86,11 +86,14 @@ type Chunk struct {
 // and Kind exactly as in memory:
 //
 //   - EncNone: the Kind-matching typed vector (Anys for KindAny, where nil
-//     boxes are the NULLs and Nulls stays nil).
+//     boxes are the NULLs and Nulls stays nil). KindString's vector is
+//     StrBytes plus StrOffs: slot s is StrBytes[StrOffs[s]:StrOffs[s+1]],
+//     StrOffs holds slots+1 offsets from 0 to len(StrBytes), and the pair is
+//     the segment payload itself (end offsets, then bytes).
 //   - EncDict: Dict (sorted distinct strings) + Codes; strings live only in
 //     the dictionary.
-//   - EncRLE: RunEnds + one value slot per run in the typed vector; Nulls is
-//     per RUN.
+//   - EncRLE: RunEnds + one value slot per run in the typed vector (for
+//     strings, one StrOffs span per run); Nulls is per RUN.
 //   - EncDelta: Base + Width + Packed words; Ints is nil.
 //
 // Nulls (when non-nil) flags NULL slots; null slots of typed vectors hold
@@ -105,11 +108,12 @@ type Col struct {
 	Min   any
 	Max   any
 
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
-	Anys   []any
+	Ints     []int64
+	Floats   []float64
+	StrBytes []byte
+	StrOffs  []uint32
+	Bools    []bool
+	Anys     []any
 
 	Dict  []string
 	Codes []uint32
