@@ -248,8 +248,9 @@ func (c *colVec) value(i int) Value {
 
 // reset makes cv n raw lanes of kind, no NULLs, over the storage its previous
 // lanes left: a kernel's output buffer or a column a join gathers into a
-// reused chunk. String lanes are headers (strs), never a block. Every lane is the caller's to write. Growth is charged to qc —
-// a gathered column is, a worker's kernel buffers (qc nil) are not.
+// reused chunk. String lanes are headers (strs), never a block. Every lane is
+// the caller's to write. Growth is charged to qc — a gathered column is, a
+// worker's kernel buffers (qc nil) are not.
 func (cv *colVec) reset(qc *queryCtx, kind ColType, n int) {
 	*cv = colVec{kind: kind, ints: cv.ints[:0], floats: cv.floats[:0], strs: cv.strs[:0],
 		bools: cv.bools[:0], anys: cv.anys[:0], codes: cv.codes[:0], nulls: cv.nulls[:0]}

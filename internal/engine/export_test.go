@@ -3,11 +3,30 @@ package engine
 import "unsafe"
 
 // ForeignStrings counts the non-empty strings table dst stores — in its open
-// tail rows, and in its resident sealed chunks: string blocks, dictionary
-// entries and their boxes, zone bounds and boxed lanes — whose bytes lie
-// inside a string block or dictionary of a resident sealed chunk of one of
-// the src tables. Tables that own their strings count 0.
+// tail rows, and in its sealed chunks: string blocks, dictionary entries and
+// their boxes, zone bounds and boxed lanes — whose bytes lie inside a string
+// block or dictionary of a sealed chunk of one of the src tables. Tables that
+// own their strings count 0. A flushed chunk is loaded, so its blocks are the
+// ones the chunk cache holds.
 func ForeignStrings(e *Engine, dst string, srcs ...string) (int, error) {
+	chunks := func(name string) ([]*chunk, error) {
+		t, err := e.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		var out []*chunk
+		for _, sl := range t.sealed {
+			ch, err := sl.load(nil, nil)
+			if err != nil {
+				return nil, err
+			}
+			for j := range ch.cols {
+				ch.col(j)
+			}
+			out = append(out, ch)
+		}
+		return out, nil
+	}
 	type span struct{ lo, hi uintptr }
 	var blocks []span
 	add := func(p unsafe.Pointer, n int) {
@@ -16,18 +35,16 @@ func ForeignStrings(e *Engine, dst string, srcs ...string) (int, error) {
 		}
 	}
 	for _, name := range srcs {
-		t, err := e.Lookup(name)
+		src, err := chunks(name)
 		if err != nil {
 			return 0, err
 		}
-		for _, sl := range t.sealed {
-			if ch, ok := sl.(*chunk); ok {
-				for j := range ch.cols {
-					cv := &ch.cols[j]
-					add(unsafe.Pointer(unsafe.SliceData(cv.sbytes)), cap(cv.sbytes))
-					for _, s := range cv.dict {
-						add(unsafe.Pointer(unsafe.StringData(s)), len(s))
-					}
+		for _, ch := range src {
+			for j := range ch.cols {
+				cv := &ch.cols[j]
+				add(unsafe.Pointer(unsafe.SliceData(cv.sbytes)), cap(cv.sbytes))
+				for _, s := range cv.dict {
+					add(unsafe.Pointer(unsafe.StringData(s)), len(s))
 				}
 			}
 		}
@@ -55,11 +72,11 @@ func ForeignStrings(e *Engine, dst string, srcs ...string) (int, error) {
 			check(v)
 		}
 	}
-	for _, sl := range t.sealed {
-		ch, ok := sl.(*chunk)
-		if !ok {
-			continue
-		}
+	stored, err := chunks(dst)
+	if err != nil {
+		return 0, err
+	}
+	for _, ch := range stored {
 		for j := range ch.cols {
 			cv := &ch.cols[j]
 			if len(cv.sbytes) > 0 {
