@@ -56,9 +56,9 @@ func efaceSlice(vs []Value) []eface {
 	return unsafe.Slice((*eface)(unsafe.Pointer(&vs[0])), len(vs))
 }
 
-// boxStrings boxes every entry of a decoded chunk's dictionary in one
-// allocation: each box aliases its entry, so a box that outlives the chunk
-// keeps the dictionary's string headers (and their shared backing string)
+// boxStrings boxes every string of strs in one allocation — a decoded chunk's
+// dictionary, the strings ownTail copied: each box aliases its entry, so a box
+// that outlives its owner keeps the string headers (and their shared bytes)
 // alive with it. Seal-time dictionaries box entry by entry instead
 // (encodeDict): values copied out of a table that is then flushed would pin
 // dictionaries the flush meant to free.

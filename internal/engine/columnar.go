@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -989,46 +988,55 @@ func (t *Table) appendRow(row []Value, qc *queryCtx) {
 	}
 }
 
-// ownTail copies the strings of the open-tail rows a statement appended — the
-// table had sealed chunks and tail rows before it — into one block, and the
-// rows holding them into rows of their own. Sealing copies a row's strings
-// into the chunk's block; a row left in the tail would otherwise keep
-// whatever its strings view alive, such as the block of a source chunk a
-// flush has since dropped from memory (CTAS and INSERT … SELECT rows are
-// views of their source). At most chunkRows-1 rows are copied. Callers hold
-// the engine write lock, and no snapshot can hold those rows yet, so
-// replacing them races with no reader.
+// ownTail moves the open-tail rows a statement appended — the table had
+// sealed chunks and tail rows before it — into rows of their own whose
+// strings are copies in one block. Sealing copies a row's strings into the
+// chunk's block; a row left in the tail would otherwise keep whatever its
+// strings view alive, such as the block of a source chunk a flush has since
+// dropped from memory (CTAS and INSERT … SELECT rows are views of their
+// source). At most chunkRows-1 rows move, in four allocations: the cells, the
+// bytes, the string headers and their boxes. Callers hold the engine write
+// lock, and no snapshot can hold those rows yet, so replacing them races with
+// no reader.
 func (t *Table) ownTail(sealed, tail int) {
 	if len(t.sealed) != sealed {
 		tail = 0 // sealed during the statement: the whole tail is new
 	}
 	rows := t.tail[tail:]
-	size := 0
+	nstr, size := 0, 0
 	for _, row := range rows {
 		for _, v := range row {
-			s, _ := v.(string)
-			size += len(s)
-		}
-	}
-	if size == 0 {
-		return
-	}
-	blk := make([]byte, 0, size)
-	for i, row := range rows {
-		var own []Value
-		for j, v := range row {
 			if s, ok := v.(string); ok && s != "" {
-				if own == nil {
-					own = slices.Clone(row)
-				}
-				lo := uint32(len(blk))
-				blk = append(blk, s...)
-				own[j] = blockStr(blk, lo, uint32(len(blk)))
+				nstr++
+				size += len(s)
 			}
 		}
-		if own != nil {
-			rows[i] = own
+	}
+	if nstr == 0 {
+		return
+	}
+	blk, hdrs := make([]byte, 0, size), make([]string, 0, nstr)
+	for _, row := range rows {
+		for _, v := range row {
+			if s, ok := v.(string); ok && s != "" {
+				lo := uint32(len(blk))
+				blk = append(blk, s...)
+				hdrs = append(hdrs, blockStr(blk, lo, uint32(len(blk))))
+			}
 		}
+	}
+	boxed := boxStrings(hdrs)
+	w := len(t.Cols)
+	cells := make([]Value, len(rows)*w)
+	for i, row := range rows {
+		own := cells[i*w : (i+1)*w : (i+1)*w]
+		for j, v := range row {
+			if s, ok := v.(string); ok && s != "" {
+				v, boxed = boxed[0], boxed[1:]
+			}
+			own[j] = v
+		}
+		rows[i] = own
 	}
 }
 
