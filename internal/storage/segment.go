@@ -90,12 +90,9 @@ func appendStrings(b []byte, strs []string) []byte {
 }
 
 // appendStrBlock writes a stored string vector (Col.StrBytes, Col.StrOffs) in
-// appendStrings' layout. The stored form already is that payload — end
-// offsets, then the bytes — so this is two copies, not a loop over strings.
+// appendStrings' layout. The stored form already is that payload — the end
+// offsets after the leading 0, then the bytes — so nothing walks the strings.
 func appendStrBlock(b, bytes []byte, offs []uint32) []byte {
-	if len(offs) == 0 {
-		return appendU32(b, 0)
-	}
 	b = appendU32(b, uint32(len(offs)-1))
 	for _, o := range offs[1:] {
 		b = appendU32(b, o)
