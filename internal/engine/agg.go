@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"unsafe"
 
 	"verdictdb/internal/sketch"
 	"verdictdb/internal/sqlparser"
@@ -49,12 +50,32 @@ type starAdder interface {
 }
 
 // newAccumulator builds an accumulator for the aggregate call fc, bound to
-// qc's memory gauge. Fixed-size sketch state (HLL registers, the quantile
-// reservoir) is charged here at creation; accumulators whose state scales
-// with the data (percentile buffers, DISTINCT key sets) keep qc and charge
-// as they grow. qc may be nil (direct unit-test construction): chargeMem
-// is a nil-receiver no-op.
-func newAccumulator(fc *sqlparser.FuncCall, quantileArg float64, qc *queryCtx) (accumulator, error) {
+// qc's memory gauge. The fixed-size kinds (count, sum, avg, min, max,
+// stddev, var) come by value from sl; the rest are heap objects. Fixed-size
+// sketch state (HLL registers, the quantile reservoir) is charged here at
+// creation; accumulators whose state scales with the data (percentile
+// buffers, DISTINCT key sets) keep qc and charge as they grow. qc may be nil
+// (direct unit-test construction): chargeMem is a nil-receiver no-op.
+func newAccumulator(fc *sqlparser.FuncCall, quantileArg float64, qc *queryCtx, sl *accSlabs) (accumulator, error) {
+	if !fc.Distinct {
+		switch fc.Name {
+		case "count":
+			return take(qc, &sl.counts, countAcc{}), nil
+		case "sum":
+			return take(qc, &sl.sums, sumAcc{}), nil
+		case "avg":
+			return take(qc, &sl.avgs, avgAcc{}), nil
+		case "min":
+			return take(qc, &sl.extremes, extremeAcc{min: true}), nil
+		case "max":
+			return take(qc, &sl.extremes, extremeAcc{}), nil
+		case "stddev", "stddev_samp":
+			return take(qc, &sl.moments, momentsAcc{mode: momentStddev}), nil
+		case "var", "variance", "var_samp":
+			return take(qc, &sl.moments, momentsAcc{mode: momentVar}), nil
+		}
+	}
+	qc.chargeMem(bytesPerAcc)
 	if fc.Distinct {
 		switch fc.Name {
 		case "count":
@@ -65,20 +86,6 @@ func newAccumulator(fc *sqlparser.FuncCall, quantileArg float64, qc *queryCtx) (
 		return nil, fmt.Errorf("engine: DISTINCT not supported for %s", fc.Name)
 	}
 	switch fc.Name {
-	case "count":
-		return &countAcc{}, nil
-	case "sum":
-		return &sumAcc{}, nil
-	case "avg":
-		return &avgAcc{}, nil
-	case "min":
-		return &extremeAcc{min: true}, nil
-	case "max":
-		return &extremeAcc{}, nil
-	case "stddev", "stddev_samp":
-		return &momentsAcc{mode: momentStddev}, nil
-	case "var", "variance", "var_samp":
-		return &momentsAcc{mode: momentVar}, nil
 	case "percentile", "quantile":
 		return &percentileAcc{p: quantileArg, qc: qc}, nil
 	case "median":
@@ -91,6 +98,45 @@ func newAccumulator(fc *sqlparser.FuncCall, quantileArg float64, qc *queryCtx) (
 		return &hllAcc{h: sketch.NewHLL(12)}, nil
 	}
 	return nil, fmt.Errorf("engine: unknown aggregate %s", fc.Name)
+}
+
+// accSlabs holds one worker's fixed-size accumulators by value, in blocks
+// that start at one accumulator, double, and never move: a group's
+// accumulators cost no allocation of their own, and each add runs the same
+// method as a heap accumulator's would.
+type accSlabs struct {
+	counts   slab[countAcc]
+	sums     slab[sumAcc]
+	avgs     slab[avgAcc]
+	extremes slab[extremeAcc]
+	moments  slab[momentsAcc]
+}
+
+// slab is the unused rest of the newest block of a worker's group state, and
+// that block's size.
+type slab[T any] struct {
+	free []T
+	n    int
+}
+
+// carve returns the next n elements of s, allocating a block twice the size
+// of the last (at least n) when s runs out, charged at size bytes an element.
+func carve[T any](qc *queryCtx, s *slab[T], n int, size int64) []T {
+	if len(s.free) < n {
+		s.n = max(2*s.n, n)
+		qc.chargeMem(int64(s.n) * size)
+		s.free = make([]T, s.n)
+	}
+	p := s.free[:n:n]
+	s.free = s.free[n:]
+	return p
+}
+
+// take returns the next accumulator of s, set to init.
+func take[T any](qc *queryCtx, s *slab[T], init T) *T {
+	a := &carve(qc, s, 1, int64(unsafe.Sizeof(init)))[0]
+	*a = init
+	return a
 }
 
 // Creation-time charges for the fixed-footprint sketches: an HLL at

@@ -101,15 +101,14 @@ func compileAggArg(scope *env, fc *sqlparser.FuncCall) (fn compiledExpr, pure bo
 	return fn, c.pure
 }
 
-// appendKey renders the values of fns for row into a group-key buffer.
+// appendKey encodes the values of fns for row into a key buffer.
 func appendKey(buf []byte, fns []compiledExpr, row []Value) ([]byte, error) {
 	for _, fn := range fns {
 		v, err := fn(row)
 		if err != nil {
 			return buf, err
 		}
-		buf = appendGroupKey(buf, v)
-		buf = append(buf, keySep)
+		buf = appendKeyValue(buf, v)
 	}
 	return buf, nil
 }

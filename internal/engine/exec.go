@@ -440,11 +440,10 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	return rs, nil
 }
 
-// appendRowKey renders a whole row into one reusable dedup-key buffer.
+// appendRowKey encodes a whole row into one reusable dedup-key buffer.
 func appendRowKey(buf []byte, row []Value) []byte {
 	for _, v := range row {
-		buf = appendGroupKey(buf, v)
-		buf = append(buf, keySep)
+		buf = appendKeyValue(buf, v)
 	}
 	return buf
 }
@@ -587,11 +586,12 @@ func computeWindows(scope *env, rows [][]Value, winCalls []*sqlparser.FuncCall) 
 		if err != nil {
 			return err
 		}
+		var slabs accSlabs
 		for _, k := range order {
 			members := parts[k]
 			acc, err := newAccumulator(&sqlparser.FuncCall{
 				Name: wc.Name, Distinct: wc.Distinct, Star: wc.Star, Args: wc.Args,
-			}, q, scope.qc)
+			}, q, scope.qc, &slabs)
 			if err != nil {
 				return err
 			}

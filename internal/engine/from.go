@@ -368,7 +368,7 @@ func splitJoinCondition(left, right *relation, on sqlparser.Expr) (leftKeys, rig
 	return leftKeys, rightKeys, residual
 }
 
-// appendJoinKey renders the join-key expressions for one row into buf.
+// appendJoinKey encodes the join-key expressions for one row into buf.
 // null is true when any component is NULL.
 func appendJoinKey(buf []byte, row []Value, fns []compiledExpr) ([]byte, bool, error) {
 	for _, fn := range fns {
@@ -379,8 +379,7 @@ func appendJoinKey(buf []byte, row []Value, fns []compiledExpr) ([]byte, bool, e
 		if v == nil {
 			return buf, true, nil
 		}
-		buf = appendGroupKey(buf, v)
-		buf = append(buf, keySep)
+		buf = appendKeyValue(buf, v)
 	}
 	return buf, false, nil
 }

@@ -134,6 +134,9 @@ type keyCase struct {
 	name        string
 	left, right []Value
 	inner       int // matching pairs, pinned
+	// groups and groupsWithS: distinct keys of left ++ right, alone and
+	// paired with s (TestGroupKeyClasses), pinned.
+	groups, groupsWithS int
 }
 
 func loadKeyCase(t *testing.T, c keyCase, padLeft, padRight int) *Engine {
@@ -161,7 +164,9 @@ func loadKeyCase(t *testing.T, c keyCase, padLeft, padRight int) *Engine {
 	return e
 }
 
-func TestJoinKeyClasses(t *testing.T) {
+// keyCases is every key class a join or a GROUP BY must keep apart or
+// together.
+func keyCases() []keyCase {
 	// Per-chunk dictionaries: each sealed chunk of the right column holds
 	// five distinct strings, a different five per chunk.
 	var rawStrs, dictStrs []Value
@@ -172,22 +177,26 @@ func TestJoinKeyClasses(t *testing.T) {
 		rawStrs = append(rawStrs, fmt.Sprintf("k%d", i))
 	}
 	two53 := int64(1) << 53
-	cases := []keyCase{
-		{"int = integral float", []Value{int64(1), int64(2), int64(3)}, []Value{1.0, 2.5, 3.0, 1.0}, 3},
-		{"negative zero = zero", []Value{math.Copysign(0, -1), 0.0}, []Value{int64(0)}, 2},
-		{"non-integral floats", []Value{0.5, 1.25, 0.5}, []Value{0.5, 2.25}, 2},
-		{"NaN = NaN", []Value{math.NaN(), 1.5}, []Value{math.NaN(), math.NaN()}, 2},
+	return []keyCase{
+		{"int = integral float", []Value{int64(1), int64(2), int64(3)}, []Value{1.0, 2.5, 3.0, 1.0}, 3, 4, 6},
+		{"negative zero = zero", []Value{math.Copysign(0, -1), 0.0}, []Value{int64(0)}, 2, 1, 2},
+		{"non-integral floats", []Value{0.5, 1.25, 0.5}, []Value{0.5, 2.25}, 2, 3, 4},
+		{"NaN = NaN", []Value{math.NaN(), 1.5}, []Value{math.NaN(), math.NaN()}, 2, 2, 3},
 		{"int64 extremes", []Value{int64(math.MinInt64), int64(math.MaxInt64)},
-			[]Value{int64(math.MaxInt64), int64(math.MinInt64), -9223372036854775808.0}, 3},
-		{"2^53+1 vs its float neighbour", []Value{two53 + 1, two53}, []Value{float64(two53)}, 1},
+			[]Value{int64(math.MaxInt64), int64(math.MinInt64), -9223372036854775808.0}, 3, 2, 4},
+		{"2^53+1 vs its float neighbour", []Value{two53 + 1, two53}, []Value{float64(two53)}, 1, 2, 3},
 		{"floats outside int64 never fold", []Value{9223372036854775808.0, math.Inf(1), math.Inf(-1), 1e300},
-			[]Value{int64(math.MaxInt64), int64(math.MinInt64), math.Inf(1), 9223372036854775808.0}, 2},
-		{"raw strings = dict-coded strings", rawStrs, dictStrs, 3 * chunkRows},
-		{"bools", []Value{true, false, true}, []Value{true, true}, 4},
-		{"ints and strings in one column", []Value{int64(1), "1", "x", int64(2), 2.0}, []Value{"x", int64(1), "2", 2.0, "1"}, 5},
-		{"bool never equals int", []Value{true, int64(1)}, []Value{int64(1), "true"}, 1},
-		{"NULL keys on both sides", []Value{nil, int64(1), nil}, []Value{int64(1), nil, nil, int64(1)}, 2},
+			[]Value{int64(math.MaxInt64), int64(math.MinInt64), math.Inf(1), 9223372036854775808.0}, 2, 6, 8},
+		{"raw strings = dict-coded strings", rawStrs, dictStrs, 3 * chunkRows, 20, 35},
+		{"bools", []Value{true, false, true}, []Value{true, true}, 4, 2, 3},
+		{"ints and strings in one column", []Value{int64(1), "1", "x", int64(2), 2.0}, []Value{"x", int64(1), "2", 2.0, "1"}, 5, 5, 7},
+		{"bool never equals int", []Value{true, int64(1)}, []Value{int64(1), "true"}, 1, 3, 4},
+		{"NULL keys on both sides", []Value{nil, int64(1), nil}, []Value{int64(1), nil, nil, int64(1)}, 2, 2, 4},
 	}
+}
+
+func TestJoinKeyClasses(t *testing.T) {
+	cases := keyCases()
 	for _, c := range cases {
 		for _, dir := range []struct {
 			name              string
@@ -200,6 +209,56 @@ func TestJoinKeyClasses(t *testing.T) {
 				if jt == "inner join" && len(ref.Rows) != c.inner {
 					t.Fatalf("%s: %d matching pairs, want %d", label, len(ref.Rows), c.inner)
 				}
+			}
+		}
+	}
+}
+
+// TestGroupKeyClasses runs keyCases through GROUP BY: the keys alone, and
+// paired with s, a dictionary-coded string. The row closures and the kernels
+// find groups in the same key table, so their agreement alone proves nothing:
+// each case pins its number of groups. The keys repeat in four regions of
+// 2 048 rows (the first holds half of them), so at parallelism 4 each worker
+// sees them and the merge both adds groups and folds into existing ones. A
+// group is named by its first tag, since NaN keys never compare equal.
+func TestGroupKeyClasses(t *testing.T) {
+	const region = 2048
+	for _, c := range keyCases() {
+		keys := append(append([]Value{}, c.left...), c.right...)
+		e := NewSeeded(5)
+		if err := e.CreateTable("g", []Column{{Name: "k", Type: TAny}, {Name: "tag", Type: TInt}, {Name: "s", Type: TString}}); err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]Value
+		for r := 0; r < 4; r++ {
+			part := keys
+			if r == 0 {
+				part = keys[:len(keys)/2]
+			}
+			for i, k := range part {
+				rows = append(rows, []Value{k, int64(r*len(keys) + i), fmt.Sprintf("s%d", i%2)})
+			}
+			// Padding rows keep the key column's storage kind and fail WHERE.
+			for len(rows) < (r+1)*region {
+				rows = append(rows, []Value{nil, int64(-len(rows)), fmt.Sprintf("s%d", len(rows)%2)})
+			}
+		}
+		if err := e.InsertRows("g", rows); err != nil {
+			t.Fatal(err)
+		}
+		if enc := mustSealed(t, e, "g").cols[2].enc; enc != encDict {
+			t.Fatalf("%s: s is stored with encoding %d, want a dictionary", c.name, enc)
+		}
+		for _, q := range []struct {
+			sql    string
+			groups int
+		}{
+			{"select min(tag), count(*), sum(tag) from g where tag >= 0 group by k", c.groups},
+			{"select s, min(tag), count(*), sum(tag) from g where tag >= 0 group by k, s", c.groupsWithS},
+		} {
+			ref := checkAgainstRowPath(t, e, c.name+": "+q.sql, q.sql)
+			if len(ref.Rows) != q.groups {
+				t.Errorf("%s: %s: %d groups, want %d", c.name, q.sql, len(ref.Rows), q.groups)
 			}
 		}
 	}

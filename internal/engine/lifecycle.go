@@ -135,15 +135,17 @@ func (e *Engine) MemoryBudget() int64 { return e.memBudget.Load() }
 // is an interface header plus a small heap cell; map entries carry bucket
 // and key overhead).
 const (
-	bytesPerValue int64 = 24  // boxed Value slot (interface header + cell)
-	bytesPerRef   int64 = 16  // join-output row reference pair, or one gathered lane
-	bytesPerGroup int64 = 160 // map entry + rendered key + groupAcc header
-	bytesPerAcc   int64 = 96  // one accumulator's state
+	bytesPerValue int64 = 24 // boxed Value slot (interface header + cell)
+	bytesPerRef   int64 = 16 // join-output row reference pair, or one gathered lane
+	bytesPerAcc   int64 = 96 // a heap accumulator (percentile, sketch, DISTINCT) before its data
 
-	// The join's hash table and candidate vectors are pointer-free arrays
-	// charged at their exact sizes when they are sized (vecjoin.go).
-	joinSlotBytes int64 = 16 // joinSlot: key + chain head and tail
-	joinSpanBytes int64 = 8  // arena span of an encoded key's slot
+	// Key tables, group id arrays and the join's candidate vectors are
+	// charged at their exact sizes; a group's slabs (groupSet) at their own
+	// sizes, row cells at bytesPerValue.
+	keySlotBytes  int64 = 16 // keySlot: key + head and tail
+	keySpanBytes  int64 = 8  // arena span of an encoded key's slot
+	groupRowBytes int64 = 24 // groupSet.rows: one row's slice header
+	groupAccBytes int64 = 16 // groupSet.accs: one accumulator interface
 	joinPairBytes int64 = 12 // int32 left row + int64 right reference
 )
 

@@ -12,7 +12,7 @@ import (
 
 // Morsel-parallel scan execution: the engine's one parallel path. A source's
 // chunk sequence is partitioned into contiguous per-worker ranges; each worker
-// runs the vector kernels over its chunks with private state (a group map, an
+// runs the vector kernels over its chunks with private state (a group set, an
 // output slice, a join worker), and the states merge or concatenate in chunk
 // order. Because morsels are contiguous and merged in order, the output equals
 // a serial scan's — group order is first-seen scan order — so parallel
@@ -293,8 +293,6 @@ type scanPlan struct {
 	// slot per aggregate call and one per window call.
 	reprCols []int
 	width    int
-
-	groupBytes int64 // gauge charge per created group
 }
 
 // buildScanPlan compiles GROUP BY keys and aggregate arguments around the
@@ -313,83 +311,120 @@ func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.
 		p.pure = p.pure && pure
 		p.specs[i] = aggSpec{fc: fc, arg: fn}
 	}
-	// Each created group costs a map entry, the accumulators, and its row.
-	p.groupBytes = bytesPerGroup + int64(len(aggCalls))*bytesPerAcc + int64(width)*bytesPerValue
 	return p
 }
 
-// newGroup adds the group for key to cg: one accumulator per aggregate call,
-// and the group's row with the representative cells reprCols names read
-// through cell — a lazily filled chunk builds no column just to represent a
-// group.
-func (p *scanPlan) newGroup(cg *chunkGroups, key []byte, cell func(j int) Value) (*groupAcc, error) {
-	g := &groupAcc{row: make([]Value, p.width), accs: make([]accumulator, len(p.specs))}
-	for i, sp := range p.specs {
+// groupSet is one worker's GROUP BY state. Its key table gives each key tuple
+// a dense id in first-seen order, which indexes the group's row and
+// accumulators. Row cells and fixed-size accumulators come from slabs, so a
+// group costs no allocation of its own.
+type groupSet struct {
+	keys    keyTable
+	kbuf    []byte        // the lane key being encoded
+	rows    [][]Value     // per group: its row (scanPlan.newGroup)
+	accs    []accumulator // per group: one per aggregate call
+	charged int64         // the bytes of rows and accs charged so far
+	cells   slab[Value]   // row cells
+	slabs   accSlabs
+}
+
+func (p *scanPlan) newGroupSet() *groupSet {
+	gs := &groupSet{}
+	gs.keys.init(p.qc, 0, len(p.keyASTs) == 1, true)
+	return gs
+}
+
+// group returns the id of the group of lane k of keys. A key not seen before
+// gets the next id, and isNew asks the caller to create that group
+// (scanPlan.newGroup) before the next lookup.
+func (gs *groupSet) group(keys []*colVec, k int) (id int, isNew bool, err error) {
+	class, x, kb := gs.keys.laneKey(keys, k, gs.kbuf)
+	gs.kbuf = kb
+	s, err := gs.keys.claim(class, x, kb)
+	if err != nil {
+		return 0, false, err
+	}
+	if s.head == 0 {
+		s.head = int32(len(gs.rows)) + 1
+		isNew = true
+	}
+	return int(s.head - 1), isNew, nil
+}
+
+// newGroup appends the next group to gs: its row, with the representative
+// cells reprCols names read through cell — a lazily filled chunk builds no
+// column just to represent a group — and one accumulator per aggregate call.
+func (p *scanPlan) newGroup(gs *groupSet, cell func(j int) Value) error {
+	row := carve(p.qc, &gs.cells, p.width, bytesPerValue)
+	for _, j := range p.reprCols {
+		row[j] = cell(j)
+	}
+	for _, sp := range p.specs {
 		q, err := quantileLiteralArg(sp.fc)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if g.accs[i], err = newAccumulator(sp.fc, q, p.qc); err != nil {
-			return nil, err
+		acc, err := newAccumulator(sp.fc, q, p.qc, &gs.slabs)
+		if err != nil {
+			return err
 		}
+		gs.accs = append(gs.accs, acc)
 	}
-	p.qc.chargeMem(p.groupBytes)
-	for _, j := range p.reprCols {
-		g.row[j] = cell(j)
-	}
-	k := string(key)
-	cg.m[k] = g
-	cg.order = append(cg.order, k)
-	return g, nil
+	gs.rows = append(gs.rows, row)
+	gs.charge()
+	return nil
 }
 
-// groupAcc is one group's partial state: its row (scanPlan.newGroup) plus one
-// accumulator per aggregate call.
-type groupAcc struct {
-	row  []Value
-	accs []accumulator
+// charge charges the growth of the id arrays since the last call.
+func (gs *groupSet) charge() {
+	b := int64(cap(gs.rows))*groupRowBytes + int64(cap(gs.accs))*groupAccBytes
+	gs.keys.qc.chargeMem(b - gs.charged)
+	gs.charged = b
 }
 
-// chunkGroups is one worker's hash-aggregation state, with insertion order
-// preserved for deterministic output.
-type chunkGroups struct {
-	m     map[string]*groupAcc
-	order []string
-}
-
-func newChunkGroups() *chunkGroups { return &chunkGroups{m: map[string]*groupAcc{}} }
-
-// scanRowsInto aggregates a block's filtered rows into cg: the row closures'
-// aggregation.
-func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value) error {
+// scanRowsInto aggregates a block's filtered rows into gs: the row closures'
+// aggregation. Each row's key values fill one-lane vectors, so the row
+// closures and the kernels find groups through the same key classes.
+func (p *scanPlan) scanRowsInto(gs *groupSet, rows [][]Value) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanRows); err != nil {
 		return err
 	}
-	var buf []byte
+	keys := make([]*colVec, len(p.keyFns))
+	for i := range keys {
+		keys[i] = &colVec{kind: TAny, anys: make([]Value, 1)}
+	}
+	ns := len(p.specs)
 	for _, row := range rows {
-		err := p.qc.tick()
+		if err := p.qc.tick(); err != nil {
+			return err
+		}
+		for i, fn := range p.keyFns {
+			v, err := fn(row)
+			if err != nil {
+				return err
+			}
+			keys[i].anys[0] = v
+		}
+		id, isNew, err := gs.group(keys, 0)
 		if err != nil {
 			return err
 		}
-		if buf, err = appendKey(buf[:0], p.keyFns, row); err != nil {
-			return err
-		}
-		g, ok := cg.m[string(buf)]
-		if !ok {
-			if g, err = p.newGroup(cg, buf, func(j int) Value { return row[j] }); err != nil {
+		if isNew {
+			if err := p.newGroup(gs, func(j int) Value { return row[j] }); err != nil {
 				return err
 			}
 		}
+		accs := gs.accs[id*ns : id*ns+ns]
 		for i, sp := range p.specs {
 			if sp.arg == nil {
-				g.accs[i].addStar()
+				accs[i].addStar()
 				continue
 			}
 			v, err := sp.arg(row)
 			if err != nil {
 				return err
 			}
-			if err := g.accs[i].add(v); err != nil {
+			if err := accs[i].add(v); err != nil {
 				return err
 			}
 		}
@@ -397,56 +432,68 @@ func (p *scanPlan) scanRowsInto(cg *chunkGroups, rows [][]Value) error {
 	return nil
 }
 
-// mergeChunkGroups folds per-worker states together in chunk order, which
-// reproduces the global first-seen group order of a serial scan.
-func mergeChunkGroups(results []*chunkGroups) (*chunkGroups, error) {
-	dst := results[0]
-	if dst == nil {
-		dst = newChunkGroups()
+// mergeGroups folds src, a later worker's state, into dst in src's id order,
+// which reproduces the first-seen group order of a serial scan. A group new to
+// dst is moved, not copied; the others merge accumulator by accumulator.
+func (p *scanPlan) mergeGroups(dst, src *groupSet) error {
+	// Each group's slot in src: i of intSlots[i], or ^i of byteSlots[i].
+	t, ns := &src.keys, len(p.specs)
+	refs := make([]int, len(src.rows))
+	for i, s := range t.intSlots {
+		if s.head != 0 {
+			refs[s.head-1] = i
+		}
 	}
-	for _, src := range results[1:] {
-		if src == nil {
+	for i, s := range t.byteSlots {
+		if s.head != 0 {
+			refs[s.head-1] = ^i
+		}
+	}
+	for id, r := range refs {
+		class, x, kb := keyInt, int64(0), []byte(nil)
+		if r >= 0 {
+			x = t.intSlots[r].key
+		} else {
+			sp := t.spans[^r]
+			class, x, kb = keyBytes, t.byteSlots[^r].key, t.arena[sp[0]:sp[1]]
+		}
+		d, err := dst.keys.claim(class, x, kb)
+		if err != nil {
+			return err
+		}
+		accs := src.accs[id*ns : id*ns+ns]
+		if d.head == 0 {
+			d.head = int32(len(dst.rows)) + 1
+			dst.rows = append(dst.rows, src.rows[id])
+			dst.accs = append(dst.accs, accs...)
 			continue
 		}
-		for _, key := range src.order {
-			sg := src.m[key]
-			dg, ok := dst.m[key]
-			if !ok {
-				// Ownership transfer: sg was charged (p.groupBytes) when its
-				// worker created it; moving it between tables adds nothing.
-				dst.m[key] = sg                    //verdict:nocharge ownership transfer of an already-charged group
-				dst.order = append(dst.order, key) //verdict:nocharge ownership transfer of an already-charged group
-				continue
-			}
-			for i := range dg.accs {
-				if err := dg.accs[i].merge(sg.accs[i]); err != nil {
-					return nil, err
-				}
+		for i, acc := range dst.accs[int(d.head-1)*ns : int(d.head)*ns] {
+			if err := acc.merge(accs[i]); err != nil {
+				return err
 			}
 		}
 	}
-	return dst, nil
+	dst.charge()
+	return nil
 }
 
 // finish writes each group's aggregate results into the slots after its
 // relation columns and returns the group rows in order, with the single
 // zero-row group a global aggregate requires.
-func (p *scanPlan) finish(cg *chunkGroups) ([][]Value, error) {
-	if len(cg.order) == 0 && len(p.keyFns) == 0 {
-		if _, err := p.newGroup(cg, nil, func(int) Value { return nil }); err != nil {
+func (p *scanPlan) finish(gs *groupSet) ([][]Value, error) {
+	if len(gs.rows) == 0 && len(p.keyFns) == 0 {
+		if err := p.newGroup(gs, func(int) Value { return nil }); err != nil {
 			return nil, err
 		}
 	}
-	w := p.scope.rel.width()
-	rows := make([][]Value, len(cg.order))
-	for gi, key := range cg.order {
-		g := cg.m[key]
-		for i, acc := range g.accs {
-			g.row[w+i] = acc.result()
+	w, ns := p.scope.rel.width(), len(p.specs)
+	for id, row := range gs.rows {
+		for i, acc := range gs.accs[id*ns : id*ns+ns] {
+			row[w+i] = acc.result()
 		}
-		rows[gi] = g.row
 	}
-	return rows, nil
+	return gs.rows, nil
 }
 
 // run executes the plan: vectorized, chunk-at-a-time morsels (vecexec.go)
@@ -468,11 +515,11 @@ func (p *scanPlan) run() ([][]Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	cg := newChunkGroups()
-	if err := p.scanRowsInto(cg, rows); err != nil {
+	gs := p.newGroupSet()
+	if err := p.scanRowsInto(gs, rows); err != nil {
 		return nil, err
 	}
-	return p.finish(cg)
+	return p.finish(gs)
 }
 
 // projCol is one compiled projection column: either a direct copy of a

@@ -244,41 +244,6 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// keySep separates composite-key fragments in group/join/distinct keys.
-const keySep = '\x1f'
-
-// appendGroupKey appends the GroupKey encoding of v to dst without
-// allocating. The scan hot path builds composite keys into one reusable
-// buffer and only materializes a string when inserting a new map entry
-// (map lookups go through the alloc-free string(buf) conversion).
-// The encoding must stay byte-identical to GroupKey.
-func appendGroupKey(dst []byte, v Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return appendGroupKeyNull(dst)
-	case int64:
-		return appendGroupKeyInt(dst, x)
-	case float64:
-		return appendGroupKeyFloat(dst, x)
-	case string:
-		return appendGroupKeyStr(dst, x)
-	case bool:
-		return appendGroupKeyBool(dst, x)
-	}
-	return append(dst, fmt.Sprintf("?%v", v)...)
-}
-
-// Typed variants of appendGroupKey used by the vectorized scan to render
-// keys straight from chunk vectors without boxing. Encodings must stay
-// byte-identical to GroupKey.
-
-func appendGroupKeyNull(dst []byte) []byte { return append(dst, '\x00', 'N') }
-
-func appendGroupKeyInt(dst []byte, x int64) []byte {
-	dst = append(dst, 'i')
-	return strconv.AppendInt(dst, x, 10)
-}
-
 // integralFloat reports x as an int64 when it is one exactly. The range test
 // comes first: converting a float outside int64 (or NaN) is
 // implementation-defined, and a saturating platform would fold 2^63.
@@ -289,27 +254,6 @@ func integralFloat(x float64) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-func appendGroupKeyFloat(dst []byte, x float64) []byte {
-	if i, ok := integralFloat(x); ok {
-		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, i, 10)
-	}
-	dst = append(dst, 'f')
-	return strconv.AppendFloat(dst, x, 'g', -1, 64)
-}
-
-func appendGroupKeyStr(dst []byte, x string) []byte {
-	dst = append(dst, 's')
-	return append(dst, x...)
-}
-
-func appendGroupKeyBool(dst []byte, x bool) []byte {
-	if x {
-		return append(dst, 'b', '1')
-	}
-	return append(dst, 'b', '0')
 }
 
 // nullGroupKey is GroupKey(nil); no other value renders to it.

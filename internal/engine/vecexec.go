@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"bytes"
-
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
 )
@@ -69,35 +67,30 @@ func (vp *vecPlan) newCtx() *vecCtx {
 // groups of its chunk range.
 type vecScanWorker struct {
 	vc *vecCtx
-	g  *chunkGroups
+	g  *groupSet
 }
 
 // run executes the vectorized plan over src, morsel-parallel when it has
 // enough rows.
 func (vp *vecPlan) run(src *colSource) ([][]Value, error) {
 	ws, err := scanMorsels(vp.p.qc, src.scanSlots(vp.p.qc), src.nrows, false, func() *vecScanWorker {
-		return &vecScanWorker{vc: vp.newCtx(), g: newChunkGroups()}
+		return &vecScanWorker{vc: vp.newCtx(), g: vp.p.newGroupSet()}
 	}, func(w *vecScanWorker, _ int, ch *chunk) error {
 		return vp.scanChunk(w.g, w.vc, ch)
 	})
 	if err != nil {
 		return nil, err
 	}
-	cg := ws[0].g
-	if len(ws) > 1 {
-		results := make([]*chunkGroups, len(ws))
-		for i, w := range ws {
-			results[i] = w.g
-		}
-		if cg, err = mergeChunkGroups(results); err != nil {
+	for _, w := range ws[1:] {
+		if err := vp.p.mergeGroups(ws[0].g, w.g); err != nil {
 			return nil, err
 		}
 	}
-	return vp.p.finish(cg)
+	return vp.p.finish(ws[0].g)
 }
 
-// scanChunk filters and partially aggregates one chunk into cg.
-func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
+// scanChunk filters and partially aggregates one chunk into gs.
+func (vp *vecPlan) scanChunk(gs *groupSet, vc *vecCtx, ch *chunk) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanChunk); err != nil {
 		return err
 	}
@@ -126,79 +119,35 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 		return err
 	}
 
-	// Global aggregates (no GROUP BY) hit exactly one group: find or create
-	// it once, then let bulk-capable accumulators (count(*)) take the whole
-	// batch in O(1) instead of once per lane.
-	if len(vp.keys) == 0 && lanes > 0 {
-		g, ok := cg.m[""]
-		if !ok {
-			ri := 0
+	// Lane loop: find each lane's group in the key table, creating it when the
+	// key is new, and feed each accumulator through its typed entry point.
+	// Global aggregates (no GROUP BY) hit exactly one group: it is found once,
+	// and bulk-capable accumulators (count(*)) take the whole batch in O(1).
+	ns := len(vp.args)
+	for k := 0; k < lanes; k++ {
+		id, isNew, err := gs.group(vc.keys, k)
+		if err != nil {
+			return err
+		}
+		if isNew {
+			ri := k
 			if sel != nil {
-				ri = int(sel[0])
+				ri = int(sel[k])
 			}
-			var err error
-			if g, err = vp.p.newGroup(cg, nil, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
+			if err := vp.p.newGroup(gs, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
 				return err
 			}
 		}
-		for i := range vp.args {
-			av := vc.args[i]
+		accs := gs.accs[id*ns : id*ns+ns]
+		if len(vp.keys) == 0 {
+			return addBatch(accs, vc.args, lanes)
+		}
+		for i, av := range vc.args {
 			if av == nil {
-				if sa, ok := g.accs[i].(starAdder); ok {
-					sa.addStarN(int64(lanes))
-					continue
-				}
-				for k := 0; k < lanes; k++ {
-					g.accs[i].addStar()
-				}
+				accs[i].addStar()
 				continue
 			}
-			for k := 0; k < lanes; k++ {
-				if err := addLane(g.accs[i], av, k); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	// Lane loop: render the group key from typed lanes, find or create the
-	// group, and feed each accumulator through its typed entry point. The
-	// one-element group memo catches the global-aggregate case (one group)
-	// and runs of identical keys without a map probe.
-	buf, lastKey := vc.keyBuf, vc.lastKey
-	defer func() { vc.keyBuf, vc.lastKey = buf, lastKey }()
-	var lastG *groupAcc
-	for k := 0; k < lanes; k++ {
-		buf = buf[:0]
-		for _, kv := range vc.keys {
-			buf = appendGroupKeyLane(buf, kv, k)
-			buf = append(buf, keySep)
-		}
-		g := lastG
-		if g == nil || !bytes.Equal(buf, lastKey) {
-			var ok bool
-			g, ok = cg.m[string(buf)]
-			if !ok {
-				ri := k
-				if sel != nil {
-					ri = int(sel[k])
-				}
-				var err error
-				if g, err = vp.p.newGroup(cg, buf, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
-					return err
-				}
-			}
-			lastKey = append(lastKey[:0], buf...)
-			lastG = g
-		}
-		for i := range vp.args {
-			av := vc.args[i]
-			if av == nil {
-				g.accs[i].addStar()
-				continue
-			}
-			if err := addLane(g.accs[i], av, k); err != nil {
+			if err := addLane(accs[i], av, k); err != nil {
 				return err
 			}
 		}
@@ -206,23 +155,27 @@ func (vp *vecPlan) scanChunk(cg *chunkGroups, vc *vecCtx, ch *chunk) error {
 	return nil
 }
 
-// appendGroupKeyLane renders lane k of a key vector with the same encoding
-// as appendGroupKey, reading typed storage directly.
-func appendGroupKeyLane(dst []byte, v *colVec, k int) []byte {
-	if v.isNull(k) {
-		return appendGroupKeyNull(dst)
+// addBatch feeds every lane of a chunk into the accumulators of its one
+// group.
+func addBatch(accs []accumulator, args []*colVec, lanes int) error {
+	for i, av := range args {
+		if av == nil {
+			if sa, ok := accs[i].(starAdder); ok {
+				sa.addStarN(int64(lanes))
+				continue
+			}
+			for k := 0; k < lanes; k++ {
+				accs[i].addStar()
+			}
+			continue
+		}
+		for k := 0; k < lanes; k++ {
+			if err := addLane(accs[i], av, k); err != nil {
+				return err
+			}
+		}
 	}
-	switch v.kind {
-	case TInt:
-		return appendGroupKeyInt(dst, v.ints[k])
-	case TFloat:
-		return appendGroupKeyFloat(dst, v.floats[k])
-	case TString:
-		return appendGroupKeyStr(dst, v.strAt(k))
-	case TBool:
-		return appendGroupKeyBool(dst, v.bools[k])
-	}
-	return appendGroupKey(dst, v.anys[k])
+	return nil
 }
 
 // addLane feeds lane k of an argument vector into an accumulator, using

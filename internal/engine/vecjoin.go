@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"sync/atomic"
 
@@ -44,13 +42,9 @@ import (
 // dictionary column's codes — with the same gathers a kernel's column leaf (vnCol) uses, so
 // boxed rows appear only at the ResultSet boundary.
 //
-// Key classes: key equality is GroupKey equality (1 = 1.0, -0 = 0, NULL
-// matches nothing). A lane of a single-key join whose encoding is the integer
-// form — a TInt, or a float integralFloat folds — is hashed as that int64;
-// every other lane (strings, bools, non-integral floats, composite keys) as
-// its appendGroupKeyLane bytes, kept in one arena. The two classes can never
-// equal each other, so each lane lives in exactly one of the table's two slot
-// arrays: the class is a property of the data, not a mode of the join.
+// Key classes: the hashed side goes into the engine's key table (keytable.go),
+// so key equality is GroupKey equality, as in a GROUP BY, except that a NULL
+// component matches nothing.
 //
 // Fallbacks: joins that do not lower — impure ON, subqueries in ON, no
 // equi-key — keep the row join in joinRelations, the reference. So does a join
@@ -68,48 +62,20 @@ func packRef(ci, ri int) int64 { return int64(ci)<<32 | int64(ri) }
 
 func unpackRef(r int64) (ci, ri int) { return int(r >> 32), int(uint32(r)) }
 
-// joinSlot heads one chain of hashed rows with equal keys. Rows are numbered
-// from 1 in scan order, so the zero slot is empty and 0 ends a chain.
-type joinSlot struct {
-	key        int64 // the integer key, or the hash of the key's encoded bytes
-	head, tail int32
-}
-
-// joinTable is the join's hash table: open-addressed slots at load <= 1/2,
-// sized once for every hashed row, and one next link per hashed row. It
-// holds no pointers, allocates nothing per key, and never rehashes. The slot
-// arrays are allocated when their key class first appears.
+// joinTable is the join's key table (keytable.go), sized once for every hashed
+// row, plus one next link per hashed row: a key's slot heads the chain of the
+// hashed rows with that key, in scan order. It never rehashes.
 type joinTable struct {
-	qc     *queryCtx
-	single bool // one key expression: integer-form lanes hash as int64
-	shift  uint
-	mask   uint64
-	next   []int32 // per hashed row: the next row of its chain
-	dup    bool    // some chain holds more than one row
-
-	intSlots  []joinSlot
-	byteSlots []joinSlot
-	spans     [][2]uint32 // per byteSlots slot: its key's [start, end) in arena
-	arena     []byte
+	keyTable
+	next []int32 // per hashed row: the next row of its chain
+	dup  bool    // some chain holds more than one row
 }
-
-const (
-	keyNull = iota
-	keyInt
-	keyBytes
-)
-
-var joinSeed = maphash.MakeSeed()
 
 func (t *joinTable) init(qc *queryCtx, rows int, single bool) error {
 	if rows >= math.MaxInt32 {
 		return fmt.Errorf("engine: join input of %d rows is too large to hash", rows)
 	}
-	bits := uint(3)
-	for 1<<bits < 2*rows {
-		bits++
-	}
-	*t = joinTable{qc: qc, single: single, shift: 64 - bits, mask: 1<<bits - 1}
+	t.keyTable.init(qc, rows, single, false)
 	if err := qc.reserve(int64(rows) * 4); err != nil {
 		return err
 	}
@@ -117,112 +83,28 @@ func (t *joinTable) init(qc *queryCtx, rows int, single bool) error {
 	return nil
 }
 
-// laneKey classifies lane k of a key tuple: keyInt with the integer, keyBytes
-// with the hash of the encoding left in kbuf, or keyNull when a component is
-// NULL.
-func (t *joinTable) laneKey(keys []*colVec, k int, kbuf []byte) (int, int64, []byte) {
-	if t.single {
-		kv := keys[0]
-		if kv.isNull(k) {
-			return keyNull, 0, kbuf
-		}
-		switch kv.kind {
-		case TInt:
-			return keyInt, kv.ints[k], kbuf
-		case TFloat:
-			if x, ok := integralFloat(kv.floats[k]); ok {
-				return keyInt, x, kbuf
-			}
-		case TAny:
-			switch v := kv.anys[k].(type) {
-			case int64:
-				return keyInt, v, kbuf
-			case float64:
-				if x, ok := integralFloat(v); ok {
-					return keyInt, x, kbuf
-				}
-			}
-		}
-	}
-	kbuf = kbuf[:0]
-	for _, kv := range keys {
-		if kv.isNull(k) {
-			return keyNull, 0, kbuf
-		}
-		kbuf = appendGroupKeyLane(kbuf, kv, k)
-		kbuf = append(kbuf, keySep)
-	}
-	return keyBytes, int64(maphash.Bytes(joinSeed, kbuf)), kbuf
-}
-
-// intSlot returns the slot holding key x, or the empty slot it would take.
-func (t *joinTable) intSlot(x int64) *joinSlot {
-	for i := uint64(x) * 0x9E3779B97F4A7C15 >> t.shift; ; i = (i + 1) & t.mask {
-		if s := &t.intSlots[i]; s.head == 0 || s.key == x {
-			return s
-		}
-	}
-}
-
-// bytesSlot is intSlot for an encoded key with hash h.
-func (t *joinTable) bytesSlot(h int64, key []byte) (*joinSlot, uint64) {
-	for i := uint64(h) >> t.shift; ; i = (i + 1) & t.mask {
-		s := &t.byteSlots[i]
-		if s.head == 0 {
-			return s, i
-		}
-		if sp := t.spans[i]; s.key == h && bytes.Equal(t.arena[sp[0]:sp[1]], key) {
-			return s, i
-		}
-	}
-}
-
 // insert appends one chunk's rows — lanes [0, n) of keys, numbered from base
 // — to their keys' chains. Rows with a NULL key component never enter.
 func (t *joinTable) insert(keys []*colVec, n, base int, kbuf []byte) ([]byte, error) {
-	arena0 := cap(t.arena)
 	for k := 0; k < n; k++ {
 		class, x, kb := t.laneKey(keys, k, kbuf)
 		kbuf = kb
-		var s *joinSlot
-		switch class {
-		case keyNull:
+		if class == keyNull {
 			continue
-		case keyInt:
-			if t.intSlots == nil {
-				if err := t.qc.reserve(int64(t.mask+1) * joinSlotBytes); err != nil {
-					return kbuf, err
-				}
-				t.intSlots = make([]joinSlot, t.mask+1)
-			}
-			s = t.intSlot(x)
-		case keyBytes:
-			if t.byteSlots == nil {
-				if err := t.qc.reserve(int64(t.mask+1) * (joinSlotBytes + joinSpanBytes)); err != nil {
-					return kbuf, err
-				}
-				t.byteSlots = make([]joinSlot, t.mask+1)
-				t.spans = make([][2]uint32, t.mask+1)
-			}
-			var i uint64
-			if s, i = t.bytesSlot(x, kbuf); s.head == 0 {
-				if len(t.arena)+len(kbuf) > math.MaxUint32 {
-					return kbuf, fmt.Errorf("engine: join keys exceed %d bytes", uint32(math.MaxUint32))
-				}
-				t.spans[i] = [2]uint32{uint32(len(t.arena)), uint32(len(t.arena) + len(kbuf))}
-				t.arena = append(t.arena, kbuf...)
-			}
+		}
+		s, err := t.claim(class, x, kbuf)
+		if err != nil {
+			return kbuf, err
 		}
 		row := int32(base+k) + 1
 		if s.head == 0 {
-			s.key, s.head = x, row
+			s.head = row
 		} else {
 			t.next[s.tail-1] = row
 			t.dup = true
 		}
 		s.tail = row
 	}
-	t.qc.chargeMem(int64(cap(t.arena) - arena0))
 	return kbuf, nil
 }
 
@@ -235,7 +117,8 @@ func (t *joinTable) lookup(keys []*colVec, n int, heads []int32, kbuf []byte) []
 		heads[k] = 0
 		switch {
 		case class == keyInt && t.intSlots != nil:
-			heads[k] = t.intSlot(x).head
+			s := t.intSlot(x)
+			heads[k] = s.head
 		case class == keyBytes && t.byteSlots != nil:
 			s, _ := t.bytesSlot(x, kbuf)
 			heads[k] = s.head

@@ -97,20 +97,16 @@ type vbuf struct {
 }
 
 // vecCtx is one worker's evaluation state: per-node buffers plus reusable
-// selection/key scratch. Never shared between goroutines.
+// selection scratch. Never shared between goroutines.
 type vecCtx struct {
-	bufs   []vbuf
-	sel    []int32
-	sel2   []int32
-	ident  []int32 // every lane of a chunk longer than allLanes
-	keyBuf []byte
-	// lastKey is the grouped scan's one-group memo key, kept across chunks
-	// for its storage only.
-	lastKey []byte
-	keys    []*colVec
-	args    []*colVec
-	items   []*colVec
-	row     []Value // vnScalar's scratch row
+	bufs  []vbuf
+	sel   []int32
+	sel2  []int32
+	ident []int32 // every lane of a chunk longer than allLanes
+	keys  []*colVec
+	args  []*colVec
+	items []*colVec
+	row   []Value // vnScalar's scratch row
 }
 
 func newVecCtx(nbuf, nkeys, nargs, nitems int) *vecCtx {
