@@ -65,6 +65,9 @@ func (t *keyTable) init(qc *queryCtx, keys int, single, groups bool) {
 // the integer when it is a single key that encodes as one, keyBytes with the
 // hash of the encoding, or — in a join — keyNull when a component is NULL.
 func (t *keyTable) laneKey(keys []*colVec, k int, kbuf []byte) (int, int64, []byte) {
+	if t.single && keys[0].kind == TInt && len(keys[0].nulls) == 0 {
+		return keyInt, keys[0].ints[k], kbuf // the common case, not encoded
+	}
 	kbuf = kbuf[:0]
 	for _, kv := range keys {
 		if !t.groups && kv.isNull(k) {
