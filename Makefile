@@ -76,14 +76,24 @@ profile:
 # The same for one workload shape through Conn.Query at the repository
 # benchmark's scale and sample set (BenchmarkShape in bench_test.go), e.g.
 # `make profile-shape SHAPE=iq-14` or `SHAPE=tq-3 MODE=approx`; MODE defaults
-# to exact (the BYPASS form exact_scan times). Read with
+# to exact (the BYPASS form exact_scan times). SHAPE matches whole shape ids,
+# so tq-1 is not also tq-10 … tq-19, and an alternation gives one profile of
+# several shapes. Files are named after SHAPE with every character other than
+# letters, digits and '-' replaced by '_'. Read with
 # `go tool pprof -top .build/verdictdb.test .build/iq-14.exact.cpu`.
+# The share of the GROUP BY path in the 32 shapes exact_scan times (all but
+# tq-17), with data set-up and the GC worker left out:
+#   make profile-shape SHAPE='tq-([1356789]|1[0-689]|20)|iq-([1-9]|1[0-5])'
+#   go tool pprof -top -ignore 'shapeEnv|gcBgMarkWorker|evalNodes|evalFilter' \
+#     -focus 'vecPlan..scanChunk|scanPlan..(scanRowsInto|finish)|merge(ChunkGroups|Groups)' \
+#     .build/verdictdb.test .build/tq-__1356789__1_0-689__20__iq-__1-9__1_0-5__.exact.cpu
 MODE ?= exact
+SHAPE_FILE = $(shell printf '%s' '$(SHAPE)' | tr -c 'A-Za-z0-9-' '_')
 profile-shape:
-	@test -n "$(SHAPE)" || { echo "usage: make profile-shape SHAPE=<tq-N|iq-N> [MODE=exact|approx]"; exit 2; }
+	@test -n "$(SHAPE)" || { echo "usage: make profile-shape SHAPE=<tq-N|iq-N|regexp> [MODE=exact|approx]"; exit 2; }
 	mkdir -p .build
-	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkShape/$(SHAPE)/$(MODE)$$' -benchmem -benchtime 100x -o .build/verdictdb.test \
-		-cpuprofile .build/$(SHAPE).$(MODE).cpu -memprofile .build/$(SHAPE).$(MODE).mem .
+	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkShape/^($(SHAPE))$$/$(MODE)$$' -benchmem -benchtime 100x -o .build/verdictdb.test \
+		-cpuprofile .build/$(SHAPE_FILE).$(MODE).cpu -memprofile .build/$(SHAPE_FILE).$(MODE).mem .
 
 # The live heap of both datasets profile-shape queries, after set-up and a GC
 # (BenchmarkSetupHeap in bench_test.go): every allocation is sampled, so the
