@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"verdictdb/internal/sketch"
@@ -450,18 +449,73 @@ func (a *percentileAcc) addFloat(f float64) {
 	a.vals = append(a.vals, f)
 	a.grow()
 }
+
+// result interpolates between the lo-th and (lo+1)-th values in
+// sort.Float64s order, found by selection rather than a sort.
 func (a *percentileAcc) result() Value {
 	if len(a.vals) == 0 {
 		return nil
 	}
-	sort.Float64s(a.vals)
 	pos := a.p * float64(len(a.vals)-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(a.vals) {
-		return a.vals[len(a.vals)-1]
+		lo = len(a.vals) - 1
 	}
-	return a.vals[lo]*(1-frac) + a.vals[lo+1]*frac
+	selectNth(a.vals, lo)
+	if lo+1 == len(a.vals) {
+		return a.vals[lo]
+	}
+	next := a.vals[lo+1]
+	for _, v := range a.vals[lo+2:] {
+		if floatLess(v, next) {
+			next = v
+		}
+	}
+	return a.vals[lo]*(1-frac) + next*frac
+}
+
+// floatLess is sort.Float64s' order: NaN before every number.
+func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectNth reorders v so that v[k] is the value sort.Float64s would put
+// there, with nothing after it less than it (quickselect with a three-way
+// partition, so runs of equal values cost one pass).
+func selectNth(v []float64, k int) {
+	lo, hi := 0, len(v)
+	for hi-lo > 1 {
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
+		if floatLess(b, a) {
+			a, b = b, a
+		}
+		if floatLess(c, b) {
+			b = c
+			if floatLess(b, a) {
+				b = a
+			}
+		}
+		lt, i, gt := lo, lo, hi // v[lo:lt] < b, v[lt:i] = b, v[gt:hi] > b
+		for i < gt {
+			switch {
+			case floatLess(v[i], b):
+				v[lt], v[i] = v[i], v[lt]
+				lt, i = lt+1, i+1
+			case floatLess(b, v[i]):
+				gt--
+				v[i], v[gt] = v[gt], v[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return
+		}
+	}
 }
 func (a *percentileAcc) merge(other accumulator) error {
 	o, ok := other.(*percentileAcc)

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -210,6 +212,52 @@ func TestConcurrentQueries(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// percentileAcc.result selects the two values it interpolates instead of
+// sorting the buffer; it must read what the sorted buffer gives, with ±0
+// compared as numbers and NaN (sorted first) equal to NaN.
+func TestPercentileSelectsSortedOrder(t *testing.T) {
+	sorted := func(vals []float64, p float64) float64 {
+		s := append([]float64(nil), vals...)
+		sort.Float64s(s)
+		pos := p * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		frac := pos - float64(lo)
+		return s[lo]*(1-frac) + s[lo+1]*frac
+	}
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1), 2.5}
+	draws := []struct {
+		name string
+		at   func(i, n int) float64
+	}{
+		{"normal", func(int, int) float64 { return rng.NormFloat64() }},
+		{"duplicates", func(int, int) float64 { return float64(rng.Intn(4)) }},
+		{"special", func(int, int) float64 { return special[rng.Intn(len(special))] }},
+		{"signed zeros", func(int, int) float64 { return special[1+rng.Intn(2)] }},
+		{"ascending", func(i, _ int) float64 { return float64(i) }},
+		{"descending", func(i, n int) float64 { return float64(n - i) }},
+		{"constant", func(int, int) float64 { return 7 }},
+	}
+	for _, n := range []int{1, 2, 3, 5, 64, 200_000} {
+		for _, d := range draws {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = d.at(i, n)
+			}
+			for _, p := range []float64{0, 0.5, 1, 0.9, 0.37} {
+				a := &percentileAcc{p: p, vals: append([]float64(nil), vals...)}
+				got, want := a.result().(float64), sorted(vals, p)
+				if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Errorf("%s n=%d p=%v: %v, sorted %v", d.name, n, p, got, want)
+				}
+			}
 		}
 	}
 }

@@ -242,7 +242,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	if err != nil {
 		return nil, err
 	}
-	rel, err := buildFrom(qc, sel.From, sel.Where, outer)
+	rel, where, err := buildFrom(qc, sel.From, sel.Where, outer)
 	if err != nil {
 		return nil, err
 	}
@@ -262,8 +262,8 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 	// Compile the WHERE predicate once per query.
 	var wherePred *laneExpr
 	wherePure := true
-	if sel.Where != nil {
-		wherePred, wherePure = compileLanes(baseEnv, sel.Where)
+	if where != nil {
+		wherePred, wherePure = compileLanes(baseEnv, where)
 	}
 
 	// Collect aggregate and window calls from the output clauses. The rows the
@@ -300,7 +300,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// Fused scan→filter→aggregate: vectorized chunk morsels when every
 		// expression is pure and has a kernel, the serial row closures
 		// otherwise.
-		p := buildScanPlan(baseEnv, sel, aggCalls, width, wherePred, wherePure)
+		p := buildScanPlan(baseEnv, sel, aggCalls, width, where, wherePred, wherePure)
 		p.reprCols = outputCols(baseEnv, sel, winCalls, itemCols)
 		pre, err = p.run()
 		if err != nil {
@@ -314,7 +314,7 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		// need.
 		if plain && outErr == nil && !qc.eng.noVec.Load() &&
 			orderByOutputsOnly(sel, outColNames(outCols)) {
-			if vs := buildVecSelect(baseEnv, outCols, sel.Where); vs != nil {
+			if vs := buildVecSelect(baseEnv, outCols, where); vs != nil {
 				refund := qc.markMem()
 				projRows, err = vs.run(rel.src, bound)
 				switch {

@@ -1,6 +1,35 @@
 package engine
 
-import "unsafe"
+import (
+	"context"
+	"fmt"
+	"unsafe"
+
+	"verdictdb/internal/sqlparser"
+)
+
+// prefilterOutcomes builds sql's FROM the way its SELECT block does and
+// returns, per leaf in FROM order, what became of its pre-filter and how many
+// WHERE conjuncts left WHERE with it ("applied: hashed input/1"; "/0" for a
+// leaf nothing was pushed to), and the WHERE the joined rows still need ("" for
+// none).
+func prefilterOutcomes(e *Engine, sql string) (leaves []string, where string, err error) {
+	sel, err := sqlparser.ParseSelect(sql)
+	if err != nil {
+		return nil, "", err
+	}
+	p := planFrom(e.newQueryCtx(context.Background(), sql), sel.From, sel.Where)
+	if _, err := p.build(sel.From, nil, 0); err != nil {
+		return nil, "", err
+	}
+	for _, lf := range p.leaves {
+		leaves = append(leaves, fmt.Sprintf("%s/%d", lf.outcome, lf.dropped))
+	}
+	if w := p.residual(sel.Where); w != nil {
+		where = sqlparser.FormatExpr(w)
+	}
+	return leaves, where, nil
+}
 
 // ForeignStrings counts the non-empty strings table dst stores — in its open
 // tail rows, and in its sealed chunks: string blocks, dictionary entries and

@@ -8,30 +8,44 @@ import (
 	"verdictdb/internal/sqlparser"
 )
 
-// buildFrom materializes the FROM clause into a relation. The leaves are
-// built first, in order — table snapshots and derived-table results — so the
-// WHERE analysis (planFrom, zonemap.go) can attribute conjuncts to them; then
-// the joins run bottom-up, left to right. On its way into the first join a
-// base-table leaf skips the chunks its zone predicates rule out, counts the
-// rows left as scanned, and — when WHERE pushed conjuncts to it — is replaced
-// by the rows that pass them. The conjuncts stay in WHERE for exactness.
-func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, outer *env) (*relation, error) {
+// buildFrom materializes the FROM clause into a relation, and returns it with
+// the WHERE its rows still need. The leaves are built first, in order — table
+// snapshots, zone-pruned, and derived-table results — so the WHERE analysis
+// (planFrom, zonemap.go) can attribute conjuncts to them; then the joins run
+// bottom-up, left to right. On its way into its join a base-table leaf counts
+// its rows as scanned and — when WHERE pushed conjuncts to it — may be
+// replaced by the rows that pass them; a conjunct wholly on such a leaf is then
+// true of every joined row and leaves WHERE (fromPlan.residual).
+func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, outer *env) (*relation, sqlparser.Expr, error) {
 	if from == nil {
 		// FROM-less select: a single empty row.
-		return newRelation(nil, nil, rowSource([][]Value{{}})), nil
+		return newRelation(nil, nil, rowSource([][]Value{{}})), where, nil
 	}
-	return planFrom(qc, from, where).build(from, outer)
+	p := planFrom(qc, from, where)
+	rel, err := p.build(from, outer, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rel, p.residual(where), nil
 }
 
-// build joins the planned leaves under t, consuming them in order.
-func (p *fromPlan) build(t sqlparser.TableExpr, outer *env) (*relation, error) {
+// build joins the planned leaves under t, consuming them in order. A leaf
+// with fewer rows than hashBelow is the input its join will hash — the
+// comparison vecJoin.run makes, against the partner already built or the base
+// table next to it — and 0 stands for a partner not known yet.
+func (p *fromPlan) build(t sqlparser.TableExpr, outer *env, hashBelow int) (*relation, error) {
 	qc := p.qc
 	if j, ok := t.(*sqlparser.JoinExpr); ok {
-		left, err := p.build(j.Left, outer)
+		below := 0
+		_, lRef := j.Left.(*sqlparser.TableRef)
+		if _, rRef := j.Right.(*sqlparser.TableRef); lRef && rRef && p.next+1 < len(p.leaves) && p.leaves[p.next+1].base {
+			below = p.leaves[p.next+1].rel.src.nrows
+		}
+		left, err := p.build(j.Left, outer, below)
 		if err != nil {
 			return nil, err
 		}
-		right, err := p.build(j.Right, outer)
+		right, err := p.build(j.Right, outer, left.src.nrows+1)
 		if err != nil {
 			return nil, err
 		}
@@ -42,17 +56,15 @@ func (p *fromPlan) build(t sqlparser.TableExpr, outer *env) (*relation, error) {
 	if lf.err != nil || !lf.base {
 		return lf.rel, lf.err
 	}
-	src := lf.rel.src
-	if len(lf.zone) > 0 {
-		src = pruneChunks(src, lf.zone)
-	}
-	qc.scanned += int64(src.nrows)
-	src.counted = true
-	lf.rel.src = src
+	qc.scanned += int64(lf.rel.src.nrows)
+	lf.rel.src.counted = true
 	if lf.filter != nil {
-		var err error
-		if lf.rel.src, err = filterLeaf(qc, lf.rel, lf.filter); err != nil {
+		src, outcome, err := filterLeaf(qc, lf.rel, lf.filter, lf.rel.src.nrows < hashBelow)
+		if err != nil {
 			return nil, err
+		}
+		if lf.rel.src, lf.outcome = src, outcome; outcome == filterApplied || outcome == filterHashed {
+			lf.dropped = lf.whole
 		}
 	}
 	return lf.rel, nil

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
 )
 
@@ -247,7 +248,7 @@ func TestJoinPrefilterEligibility(t *testing.T) {
 		// The class, the attribution, the implied predicate.
 		{fd + "f.tag = 'a' and d.w < 5 and f.id between 1 and 9", []string{"((f.tag = 'a') AND (f.id BETWEEN 1 AND 9))", "(d.w < 5)"}},
 		{fd + "tag = 'a' and w < 5", []string{"(tag = 'a')", "(w < 5)"}},
-		{fd + "not (f.tag like 'a%' or f.k is null) and f.tag not in ('b')", []string{"((NOT ((f.tag LIKE 'a%') OR (f.k IS NULL))) AND f.tag NOT IN ('b'))", ""}},
+		{fd + "not (f.tag like 'a%' or f.k is null) and f.tag not in ('b')", []string{"((NOT ((f.tag LIKE 'a%') OR (f.k IS NULL))) AND (f.tag NOT IN ('b')))", ""}},
 		{fd + "(f.tag = 'a' and d.w < 5) or (f.tag = 'b' and d.w > 45)", []string{"((f.tag = 'a') OR (f.tag = 'b'))", "((d.w < 5) OR (d.w > 45))"}},
 		{fd + "(f.tag = 'a' and d.w < 5) or f.id < 9", []string{"((f.tag = 'a') OR (f.id < 9))", ""}},
 		{fd + "f.id = d.w and f.tag = 'a'", []string{"(f.tag = 'a')", ""}},
@@ -322,6 +323,69 @@ func TestJoinPrefilterEligibility(t *testing.T) {
 			t.Errorf("%s: rows %v, row path %v", sql, got.Rows, want.Rows)
 		}
 	}
+}
+
+// What became of each leaf's pre-filter, and the WHERE the joined rows still
+// need: a conjunct wholly on a leaf whose filter was applied leaves it. f has
+// 6 000 rows and d 700, so an inner join of the two hashes d, and d's filter
+// runs whatever it keeps. Every case is also compared with the row path.
+func TestJoinPrefilterOutcomes(t *testing.T) {
+	e := prefilterDB(t, 6000)
+	const fd = "select f.id, f.tag, d.name from f inner join d on f.k = d.k where "
+	for _, c := range []struct {
+		sql    string
+		leaves []string // per leaf: outcome/conjuncts dropped from WHERE
+		where  string
+	}{
+		// The hashed input keeps 4/5, on either side of the join.
+		{fd + "d.w < 40", []string{"/0", "applied: hashed input/1"}, ""},
+		{"select d.name, f.id from d inner join f on f.k = d.k where d.w < 40 and f.tag = 'a'",
+			[]string{"applied: hashed input/1", "applied/1"}, ""},
+		// The probe input keeps 5/6: unfiltered, its conjunct stays in WHERE.
+		{fd + "f.tag <> 'a' and d.w < 5", []string{"kept: keeps more than half/0", "applied: hashed input/1"}, "(f.tag <> 'a')"},
+		// A tq-19-style OR filters each leaf by what it implies, and stays.
+		{fd + "(f.tag = 'a' and d.w < 5) or (f.tag = 'b' and d.w > 45)", []string{"applied/0", "applied: hashed input/0"},
+			"(((f.tag = 'a') AND (d.w < 5)) OR ((f.tag = 'b') AND (d.w > 45)))"},
+		// The null-supplying side of a LEFT JOIN is not filtered.
+		{"select f.id, d.name from f left join d on f.k = d.k where f.tag = 'a' and d.w < 5",
+			[]string{"applied/1", "blocked/0"}, "(d.w < 5)"},
+		// A conjunct over two leaves stays; the one after it still leaves.
+		{fd + "f.k3 > d.w and f.tag = 'a'", []string{"applied/1", "/0"}, "(f.k3 > d.w)"},
+		// WHERE's only conjunct leaves it.
+		{fd + "f.tag = 'a'", []string{"applied/1", "/0"}, ""},
+		// Zone pruning leaves f fewer rows than d: f is the input hashed.
+		{fd + "f.id < 100 and d.w < 40", []string{"applied: hashed input/1", "kept: keeps more than half/0"}, "(d.w < 40)"},
+	} {
+		leaves, where, err := prefilterOutcomes(e, c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if fmt.Sprint(leaves) != fmt.Sprint(c.leaves) || where != c.where {
+			t.Errorf("%s:\n leaves %q, WHERE %q\n want   %q, WHERE %q", c.sql, leaves, where, c.leaves, c.where)
+		}
+		checkPrefiltered(t, e, c.sql)
+	}
+}
+
+// A kernel error in a pushed conjunct's chunk keeps the input as it is, and
+// the conjunct in WHERE. No conjunct of the pushed class can fail, so the
+// error is injected (-tags faultinject).
+func TestJoinPrefilterKernelError(t *testing.T) {
+	if !faultpoint.Enabled() {
+		t.Skip("needs -tags faultinject")
+	}
+	e := prefilterDB(t, 6000)
+	faultpoint.SetError(faultpoint.SiteEngineScanChunk, errKernel)
+	t.Cleanup(faultpoint.Reset)
+	const sql = "select f.id, d.name from f inner join d on f.k = d.k where f.id < 100 and d.w < 40"
+	leaves, where, err := prefilterOutcomes(e, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[kept: kernel error/0 kept: kernel error/0]"; fmt.Sprint(leaves) != want || where != "((f.id < 100) AND (d.w < 40))" {
+		t.Errorf("leaves %q, WHERE %q; want %s and WHERE unchanged", leaves, where, want)
+	}
+	checkPrefiltered(t, e, sql)
 }
 
 // The reference vector of a filtered input is reserved at its exact size and

@@ -283,7 +283,7 @@ func TestStreamedJoinHoldsNoDiskInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := buildFrom(qc, sel.From, nil, nil)
+	rel, _, err := buildFrom(qc, sel.From, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

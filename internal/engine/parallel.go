@@ -281,7 +281,7 @@ type aggSpec struct {
 type scanPlan struct {
 	qc       *queryCtx
 	scope    *env
-	where    *laneExpr // nil when the query has no WHERE
+	where    *laneExpr // nil when the block has no WHERE left (buildFrom)
 	whereAST sqlparser.Expr
 	keyFns   []compiledExpr
 	keyASTs  []sqlparser.Expr
@@ -296,12 +296,12 @@ type scanPlan struct {
 }
 
 // buildScanPlan compiles GROUP BY keys and aggregate arguments around the
-// already compiled WHERE. Accumulators are not validated here: newAccumulator
+// WHERE buildFrom left, already compiled (wherePred). Accumulators are not validated here: newAccumulator
 // errors (unknown aggregate, bad percentile fraction) surface from run() when
 // the first group is created, and validating up front would allocate sketch
 // state (reservoirs, HLL registers) just to throw it away.
-func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, width int, wherePred *laneExpr, wherePure bool) *scanPlan {
-	p := &scanPlan{qc: scope.qc, scope: scope, where: wherePred, whereAST: sel.Where, keyASTs: sel.GroupBy, width: width}
+func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, width int, where sqlparser.Expr, wherePred *laneExpr, wherePure bool) *scanPlan {
+	p := &scanPlan{qc: scope.qc, scope: scope, where: wherePred, whereAST: where, keyASTs: sel.GroupBy, width: width}
 	var keysPure bool
 	p.keyFns, keysPure = compileExprs(scope, sel.GroupBy)
 	p.pure = wherePure && keysPure

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"verdictdb/internal/faultpoint"
@@ -11,9 +12,9 @@ import (
 // skip. One analysis per block (planFrom) attributes each top-level WHERE
 // conjunct to the FROM leaf all its columns resolve in — with the leaves' own
 // relation.resolve, so a name is attributed exactly when WHERE itself would
-// bind it there — and hands each leaf two lists. Neither removes anything from
-// WHERE, which stays the one definition of the result: a pushdown can only
-// drop rows WHERE would drop.
+// bind it there — and hands each leaf two lists. A pushdown can only drop rows
+// WHERE would drop; the one thing it removes from WHERE is a conjunct a filter
+// has proved true of every row the joins will produce (fromPlan.residual).
 //
 // Zone pruning. Sealed chunks carry per-column min/max summaries, computed at
 // seal time (buildChunk, columnar.go) and valid forever because sealed chunks
@@ -40,9 +41,12 @@ import (
 //     INNER/CROSS or keeps the leaf's unmatched rows, with an ON of the class.
 //
 // A conjunct over several leaves contributes what it implies for each
-// (implied). Output order is a subsequence of the unfiltered left-major order;
-// parallel float sums may reassociate, because worker boundaries fall on
-// different chunks once an input shrinks.
+// (implied). A conjunct wholly on one leaf whose filter replaced the input
+// leaves WHERE: it is TRUE on every joined row, and it is pure, infallible and
+// part of the prefix, so dropping it changes no error, RNG draw or row order.
+// Output order is a subsequence of the unfiltered left-major order; parallel
+// float sums may reassociate, because worker boundaries fall on different
+// chunks once an input shrinks.
 
 // rangePred is one zone-prunable conjunct of a leaf: column col of its table
 // compared to a literal.
@@ -61,8 +65,21 @@ type fromLeaf struct {
 
 	zone    []rangePred    // prune its chunks
 	filter  sqlparser.Expr // test its rows before it is joined; nil for none
-	blocked bool           // the path to the root forbids a filter
+	outcome filterOutcome  // what became of filter, or filterBlocked
+	whole   int            // pushed conjuncts wholly on this leaf
+	dropped int            // how many of them left WHERE: whole once applied
 }
+
+// filterOutcome is a base leaf's pre-filter decision, for tests and profiles.
+type filterOutcome string
+
+const (
+	filterApplied    filterOutcome = "applied"
+	filterHashed     filterOutcome = "applied: hashed input"
+	filterKeptHalf   filterOutcome = "kept: keeps more than half"
+	filterKeptKernel filterOutcome = "kept: kernel error"
+	filterBlocked    filterOutcome = "blocked" // the path to the root forbids a filter
+)
 
 // fromPlan is a block's FROM leaves in order, with what WHERE pushes to each.
 type fromPlan struct {
@@ -70,6 +87,8 @@ type fromPlan struct {
 	leaves []fromLeaf
 	leafAt map[*sqlparser.ColumnRef]int // leafOf memo of a join block
 	next   int                          // the leaf build reaches next
+	conjs  []sqlparser.Expr             // WHERE's top-level conjuncts
+	owner  []int                        // per pushed conjunct: the leaf it is wholly on, or -1
 }
 
 // planFrom builds the leaves of from in order and attributes where's
@@ -80,25 +99,63 @@ func planFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr) *fro
 	if !p.open(from) || where == nil {
 		return p
 	}
-	conjs := flattenAnd(where, nil)
-	for _, c := range conjs {
+	p.conjs = flattenAnd(where, nil)
+	for _, c := range p.conjs {
 		p.zonePred(c)
+	}
+	for i := range p.leaves {
+		if lf := &p.leaves[i]; len(lf.zone) > 0 {
+			lf.rel.src = pruneChunks(lf.rel.src, lf.zone)
+		}
 	}
 	if len(p.leaves) < 2 || qc.eng.noVec.Load() {
 		return p
 	}
 	p.blockPaths(from, 0)
-	for _, c := range conjs {
+	for _, c := range p.conjs {
 		if !pushablePred(c) || !p.allAttributed(c) {
 			break
 		}
+		owner := -1
 		for li := range p.leaves {
-			if lf := &p.leaves[li]; lf.base && !lf.blocked {
-				lf.filter = andExpr(lf.filter, p.implied(c, li))
+			if lf := &p.leaves[li]; lf.base && lf.outcome != filterBlocked {
+				f := p.implied(c, li)
+				if f == c {
+					owner = li
+					lf.whole++
+				}
+				lf.filter = andExpr(lf.filter, f)
 			}
 		}
+		p.owner = append(p.owner, owner)
 	}
 	return p
+}
+
+// residual is where without the conjuncts the leaves' filters proved.
+func (p *fromPlan) residual(where sqlparser.Expr) sqlparser.Expr {
+	n := 0
+	for i := range p.owner {
+		if p.proved(i) {
+			n++
+		}
+	}
+	if n == 0 {
+		return where
+	}
+	var out sqlparser.Expr
+	for i, c := range p.conjs {
+		if !p.proved(i) {
+			out = andExpr(out, c)
+		}
+	}
+	return out
+}
+
+// proved reports whether conjunct i is wholly on a leaf whose input its filter
+// replaced, which makes it TRUE on every row the joins produce.
+func (p *fromPlan) proved(i int) bool {
+	return i < len(p.owner) && p.owner[i] >= 0 && p.leaves[p.owner[i]].dropped > 0
 }
 
 // open builds the leaves under t, left to right; false once one failed.
@@ -273,12 +330,15 @@ func (p *fromPlan) allAttributed(e sqlparser.Expr) bool {
 }
 
 // implied returns the strongest predicate over leaf li alone that e implies,
-// nil when e says nothing about that leaf by itself. An AND implies whatever
-// either side does; an OR only what both sides do.
+// nil when e says nothing about that leaf by itself; e itself when it is
+// wholly on li. An AND implies whatever either side does; an OR only what
+// both sides do.
 func (p *fromPlan) implied(e sqlparser.Expr, li int) sqlparser.Expr {
 	if be, ok := e.(*sqlparser.BinaryExpr); ok && (be.Op == "AND" || be.Op == "OR") {
 		l, r := p.implied(be.L, li), p.implied(be.R, li)
 		switch {
+		case l == be.L && r == be.R:
+			return e // wholly on li
 		case be.Op == "AND":
 			return andExpr(l, r)
 		case l != nil && r != nil:
@@ -319,7 +379,7 @@ func (p *fromPlan) blockPaths(t sqlparser.TableExpr, lo int) (hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		if (i < mid && blockL) || (i >= mid && blockR) {
-			p.leaves[i].blocked = true
+			p.leaves[i].outcome = filterBlocked
 		}
 	}
 	return hi
@@ -419,17 +479,20 @@ const filterSampleChunks = 8
 // filterLeaf tests a join input's pushed conjuncts on its rows — the WHERE
 // conjunct pipeline, chunk morsels — and returns the source that replaces it:
 // chunks of row references to the survivors, the late-materialization chunk
-// the join itself emits. Referencing rows costs a second gather of every
-// column the query reads, which past half the input is more than the join
-// saves (BenchmarkE1HashJoin keeps 2/3 and would run 1.7x slower): a filter
-// that keeps more than half — of the leading chunks, then of all — leaves src
-// as it is.
-func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr) (*colSource, error) {
+// the join itself emits — or src itself when every row passes. Referencing
+// rows costs a second gather of every column the query reads, which past half
+// of a probed input is more than the join saves (BenchmarkE1HashJoin keeps 2/3
+// and would run 1.7x slower): there a filter that keeps more than half — of
+// the leading chunks, then of all — leaves src as it is. The input the join
+// will hash (hashed) is always filtered: each row dropped there drops its
+// whole fan-out of pairs. A kernel error keeps src too, and WHERE tests its
+// rows; outcome says which happened.
+func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (*colSource, filterOutcome, error) {
 	src := rel.src
 	c := &vecCompiler{scope: &env{qc: qc, rel: rel}}
 	full, conjs := c.lowerWhere(pred)
 	if full == nil {
-		return src, nil
+		return src, filterKeptKernel, nil
 	}
 	slots := src.scanSlots(qc)
 	chunks := make([]*chunk, len(slots))
@@ -447,8 +510,11 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr) (*colSource, e
 				return err
 			}
 			chunks[ci] = ch
-			// A kernel error keeps the chunk: WHERE tests these rows again.
-			if sel, all, err := evalFilter(vc, ch, full, conjs); err == nil && !all {
+			sel, all, err := evalFilter(vc, ch, full, conjs)
+			if err != nil {
+				return errKernel
+			}
+			if !all {
 				qc.chargeMem(int64(len(sel)) * 4)
 				sels[ci] = append(make([]int32, 0, len(sel)), sel...)
 			}
@@ -465,20 +531,26 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr) (*colSource, e
 		}
 		return rows, kept, nil
 	}
-	if rows, kept, err := pass(min(len(slots), filterSampleChunks), 0); err != nil || 2*kept > rows {
-		return src, err
+	applied := filterApplied
+	if hashed {
+		applied = filterHashed
+	} else if rows, kept, err := pass(min(len(slots), filterSampleChunks), 0); err != nil || 2*kept > rows {
+		return keptSrc(src, err, filterKeptHalf)
 	}
 	_, total, err := pass(len(slots), src.nrows)
-	if err != nil || 2*total > src.nrows {
-		return src, err
+	switch {
+	case err != nil || total == src.nrows:
+		return keptSrc(src, err, applied)
+	case !hashed && 2*total > src.nrows:
+		return src, filterKeptHalf, nil
 	}
 	if err := qc.reserve(int64(total) * 8); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	refs := make([]int64, 0, total)
 	for ci, sel := range sels {
 		if err := qc.pollAbort(); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		if sel == nil {
 			for ri := 0; ri < chunks[ci].n; ri++ {
@@ -494,5 +566,17 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr) (*colSource, e
 	for lo := 0; lo < total; lo += chunkRows {
 		out.sealed = append(out.sealed, gs.refChunk(nil, nil, refs[lo:min(lo+chunkRows, total)]))
 	}
-	return out, nil
+	return out, applied, nil
+}
+
+// keptSrc ends filterLeaf with src unfiltered: outcome when err is nil, a
+// kernel error's outcome for errKernel, err itself otherwise.
+func keptSrc(src *colSource, err error, outcome filterOutcome) (*colSource, filterOutcome, error) {
+	switch {
+	case errors.Is(err, errKernel):
+		return src, filterKeptKernel, nil
+	case err != nil:
+		return nil, "", err
+	}
+	return src, outcome, nil
 }

@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -21,17 +22,43 @@ type Dialect struct {
 	NoRandInWhere bool
 }
 
-// DefaultDialect renders canonical SQL understood by internal/engine.
+// DefaultDialect renders canonical SQL understood by internal/engine. A name
+// that would not read back as itself is backquoted.
 var DefaultDialect = Dialect{
 	Name:       "canonical",
-	QuoteIdent: func(s string) string { return s },
+	QuoteIdent: quoteIfNeeded,
 }
 
+// quoteIfNeeded quotes s unless it lexes back as the name s: a plain word
+// that is not reserved, or a keyword usable as a name (identifier) written in
+// the lower case it reads back as.
+func quoteIfNeeded(s string) string {
+	plain := s != "" && isIdentStart(s[0])
+	for i := 1; plain && i < len(s); i++ {
+		plain = isIdentPart(s[i])
+	}
+	if up := strings.ToUpper(s); plain && (!keywords[up] || nameKeywords[up] && s == strings.ToLower(s)) {
+		return s
+	}
+	if strings.Contains(s, "`") {
+		return `"` + s + `"`
+	}
+	return "`" + s + "`"
+}
+
+// ident renders one name: a column, an alias, a table qualifier.
+func (d Dialect) ident(s string) string {
+	if d.QuoteIdent == nil {
+		return s
+	}
+	return d.QuoteIdent(s)
+}
+
+// quote renders a table name, which may be qualified: never quoted wholesale.
 func (d Dialect) quote(s string) string {
 	if d.QuoteIdent == nil {
 		return s
 	}
-	// Never quote qualified names wholesale.
 	if strings.Contains(s, ".") {
 		parts := strings.Split(s, ".")
 		for i := range parts {
@@ -40,6 +67,15 @@ func (d Dialect) quote(s string) string {
 		return strings.Join(parts, ".")
 	}
 	return d.QuoteIdent(s)
+}
+
+// idents renders a name list, comma-separated.
+func (d Dialect) idents(names []string) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = d.ident(n)
+	}
+	return strings.Join(out, ", ")
 }
 
 func (d Dialect) funcName(name string) string {
@@ -86,7 +122,7 @@ func (d Dialect) formatStmt(sb *strings.Builder, stmt Statement) {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(d.quote(c.Name))
+			sb.WriteString(d.ident(c.Name))
 			sb.WriteString(" ")
 			sb.WriteString(c.Type)
 		}
@@ -102,12 +138,7 @@ func (d Dialect) formatStmt(sb *strings.Builder, stmt Statement) {
 		sb.WriteString(d.quote(s.Table))
 		if len(s.Columns) > 0 {
 			sb.WriteString(" (")
-			for i, c := range s.Columns {
-				if i > 0 {
-					sb.WriteString(", ")
-				}
-				sb.WriteString(d.quote(c))
-			}
+			sb.WriteString(d.idents(s.Columns))
 			sb.WriteString(")")
 		}
 		if s.Select != nil {
@@ -133,7 +164,7 @@ func (d Dialect) formatStmt(sb *strings.Builder, stmt Statement) {
 		fmt.Fprintf(sb, "CREATE %s SAMPLE OF %s", strings.ToUpper(s.Type.String()), d.quote(s.Table))
 		if len(s.Columns) > 0 {
 			sb.WriteString(" ON (")
-			sb.WriteString(strings.Join(s.Columns, ", "))
+			sb.WriteString(d.idents(s.Columns))
 			sb.WriteString(")")
 		}
 		if s.Ratio > 0 {
@@ -163,7 +194,7 @@ func (d Dialect) formatSelect(sb *strings.Builder, s *SelectStmt) {
 		}
 		switch {
 		case item.Star && item.StarTable != "":
-			sb.WriteString(d.quote(item.StarTable))
+			sb.WriteString(d.ident(item.StarTable))
 			sb.WriteString(".*")
 		case item.Star:
 			sb.WriteString("*")
@@ -171,7 +202,7 @@ func (d Dialect) formatSelect(sb *strings.Builder, s *SelectStmt) {
 			d.formatExpr(sb, item.Expr)
 			if item.Alias != "" {
 				sb.WriteString(" AS ")
-				sb.WriteString(d.quote(item.Alias))
+				sb.WriteString(d.ident(item.Alias))
 			}
 		}
 	}
@@ -227,7 +258,7 @@ func (d Dialect) formatTable(sb *strings.Builder, t TableExpr) {
 		sb.WriteString(d.quote(tt.Name))
 		if tt.Alias != "" {
 			sb.WriteString(" AS ")
-			sb.WriteString(d.quote(tt.Alias))
+			sb.WriteString(d.ident(tt.Alias))
 		}
 	case *DerivedTable:
 		sb.WriteString("(")
@@ -235,7 +266,7 @@ func (d Dialect) formatTable(sb *strings.Builder, t TableExpr) {
 		sb.WriteString(")")
 		if tt.Alias != "" {
 			sb.WriteString(" AS ")
-			sb.WriteString(d.quote(tt.Alias))
+			sb.WriteString(d.ident(tt.Alias))
 		}
 	case *JoinExpr:
 		d.formatTable(sb, tt.Left)
@@ -255,7 +286,7 @@ func (d Dialect) formatTable(sb *strings.Builder, t TableExpr) {
 			d.formatExpr(sb, tt.On)
 		} else if len(tt.Using) > 0 {
 			sb.WriteString(" USING (")
-			sb.WriteString(strings.Join(tt.Using, ", "))
+			sb.WriteString(d.idents(tt.Using))
 			sb.WriteString(")")
 		}
 	}
@@ -265,10 +296,10 @@ func (d Dialect) formatExpr(sb *strings.Builder, e Expr) {
 	switch x := e.(type) {
 	case *ColumnRef:
 		if x.Table != "" {
-			sb.WriteString(d.quote(x.Table))
+			sb.WriteString(d.ident(x.Table))
 			sb.WriteString(".")
 		}
-		sb.WriteString(d.quote(x.Name))
+		sb.WriteString(d.ident(x.Name))
 	case *Literal:
 		d.formatLiteral(sb, x.Val)
 	case *BinaryExpr:
@@ -341,6 +372,7 @@ func (d Dialect) formatExpr(sb *strings.Builder, e Expr) {
 		d.formatSelect(sb, x.Select)
 		sb.WriteString(")")
 	case *InExpr:
+		sb.WriteString("(")
 		d.formatExpr(sb, x.X)
 		if x.Not {
 			sb.WriteString(" NOT")
@@ -356,7 +388,7 @@ func (d Dialect) formatExpr(sb *strings.Builder, e Expr) {
 				d.formatExpr(sb, le)
 			}
 		}
-		sb.WriteString(")")
+		sb.WriteString("))")
 	case *BetweenExpr:
 		sb.WriteString("(")
 		d.formatExpr(sb, x.X)
@@ -405,6 +437,9 @@ func (d Dialect) formatExpr(sb *strings.Builder, e Expr) {
 	}
 }
 
+// literalEscaper escapes what the lexer unescapes in a string literal.
+var literalEscaper = strings.NewReplacer("'", "''", `\`, `\\`)
+
 func (d Dialect) formatLiteral(sb *strings.Builder, v any) {
 	switch val := v.(type) {
 	case nil:
@@ -420,10 +455,14 @@ func (d Dialect) formatLiteral(sb *strings.Builder, v any) {
 	case int:
 		sb.WriteString(strconv.Itoa(val))
 	case float64:
+		if val == 0 && math.Signbit(val) {
+			sb.WriteString("-0.0") // "-0" reads back as the integer 0
+			return
+		}
 		sb.WriteString(strconv.FormatFloat(val, 'g', -1, 64))
 	case string:
 		sb.WriteString("'")
-		sb.WriteString(strings.ReplaceAll(val, "'", "''"))
+		sb.WriteString(literalEscaper.Replace(val))
 		sb.WriteString("'")
 	default:
 		fmt.Fprintf(sb, "%v", val)

@@ -101,9 +101,7 @@ func (p *Parser) identifier() (string, error) {
 		p.advance()
 		return name, nil
 	case TokKeyword:
-		// Permit a few keywords as identifiers where unambiguous.
-		switch p.tok.Text {
-		case "DATE", "STRING", "INT", "DOUBLE", "SAMPLES", "SAMPLE", "IF":
+		if nameKeywords[p.tok.Text] {
 			name := strings.ToLower(p.tok.Text)
 			p.advance()
 			return name, nil
@@ -111,6 +109,9 @@ func (p *Parser) identifier() (string, error) {
 	}
 	return "", p.errf("expected identifier")
 }
+
+// nameKeywords are the keywords permitted as identifiers, where unambiguous.
+var nameKeywords = map[string]bool{"DATE": true, "STRING": true, "INT": true, "DOUBLE": true, "SAMPLES": true, "SAMPLE": true, "IF": true}
 
 func (p *Parser) parseStatement() (Statement, error) {
 	switch {
