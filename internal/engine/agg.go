@@ -453,54 +453,38 @@ func (a *percentileAcc) addFloat(f float64) {
 // result interpolates between the lo-th and (lo+1)-th values in
 // sort.Float64s order, found by selection rather than a sort.
 func (a *percentileAcc) result() Value {
-	if len(a.vals) == 0 {
+	n := len(a.vals)
+	if n == 0 {
 		return nil
 	}
-	pos := a.p * float64(len(a.vals)-1)
-	lo := int(pos)
+	pos := a.p * float64(n-1)
+	lo := min(int(pos), n-1)
 	frac := pos - float64(lo)
-	if lo+1 >= len(a.vals) {
-		lo = len(a.vals) - 1
-	}
 	selectNth(a.vals, lo)
-	if lo+1 == len(a.vals) {
+	if lo+1 == n {
 		return a.vals[lo]
 	}
-	next := a.vals[lo+1]
-	for _, v := range a.vals[lo+2:] {
-		if floatLess(v, next) {
-			next = v
-		}
-	}
-	return a.vals[lo]*(1-frac) + next*frac
+	selectNth(a.vals[lo+1:], 0)
+	return a.vals[lo]*(1-frac) + a.vals[lo+1]*frac
 }
 
 // floatLess is sort.Float64s' order: NaN before every number.
 func floatLess(a, b float64) bool { return a < b || (a != a && b == b) }
 
-// selectNth reorders v so that v[k] is the value sort.Float64s would put
-// there, with nothing after it less than it (quickselect with a three-way
-// partition, so runs of equal values cost one pass).
+// selectNth reorders v so that v[k] is the value sort.Float64s puts there and
+// nothing after it is less: quickselect with a three-way partition, so equal
+// values cost one pass.
 func selectNth(v []float64, k int) {
 	lo, hi := 0, len(v)
 	for hi-lo > 1 {
-		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi-1]
-		if floatLess(b, a) {
-			a, b = b, a
-		}
-		if floatLess(c, b) {
-			b = c
-			if floatLess(b, a) {
-				b = a
-			}
-		}
-		lt, i, gt := lo, lo, hi // v[lo:lt] < b, v[lt:i] = b, v[gt:hi] > b
+		pivot := v[lo+(hi-lo)/2]
+		lt, i, gt := lo, lo, hi // v[lo:lt] < pivot, v[lt:i] equal to it, v[gt:hi] >
 		for i < gt {
 			switch {
-			case floatLess(v[i], b):
+			case floatLess(v[i], pivot):
 				v[lt], v[i] = v[i], v[lt]
 				lt, i = lt+1, i+1
-			case floatLess(b, v[i]):
+			case floatLess(pivot, v[i]):
 				gt--
 				v[i], v[gt] = v[gt], v[i]
 			default:

@@ -22,11 +22,11 @@ func prefilterOutcomes(e *Engine, sql string) (leaves []string, where string, er
 	if _, err := p.build(sel.From, nil, 0); err != nil {
 		return nil, "", err
 	}
-	for _, lf := range p.leaves {
-		leaves = append(leaves, fmt.Sprintf("%s/%d", lf.outcome, lf.dropped))
-	}
 	if w := p.residual(sel.Where); w != nil {
 		where = sqlparser.FormatExpr(w)
+	}
+	for _, lf := range p.leaves {
+		leaves = append(leaves, fmt.Sprintf("%s/%d", lf.outcome, lf.dropped))
 	}
 	return leaves, where, nil
 }

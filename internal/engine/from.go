@@ -9,13 +9,12 @@ import (
 )
 
 // buildFrom materializes the FROM clause into a relation, and returns it with
-// the WHERE its rows still need. The leaves are built first, in order — table
-// snapshots, zone-pruned, and derived-table results — so the WHERE analysis
+// the WHERE its rows still need. The leaves are built first, in order — zone-
+// pruned table snapshots and derived-table results — so the WHERE analysis
 // (planFrom, zonemap.go) can attribute conjuncts to them; then the joins run
 // bottom-up, left to right. On its way into its join a base-table leaf counts
-// its rows as scanned and — when WHERE pushed conjuncts to it — may be
-// replaced by the rows that pass them; a conjunct wholly on such a leaf is then
-// true of every joined row and leaves WHERE (fromPlan.residual).
+// its rows as scanned and may be replaced by the rows that pass the conjuncts
+// WHERE pushed to it; one wholly on it then leaves WHERE (fromPlan.residual).
 func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, outer *env) (*relation, sqlparser.Expr, error) {
 	if from == nil {
 		// FROM-less select: a single empty row.
@@ -23,22 +22,17 @@ func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, out
 	}
 	p := planFrom(qc, from, where)
 	rel, err := p.build(from, outer, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel, p.residual(where), nil
+	return rel, p.residual(where), err
 }
 
-// build joins the planned leaves under t, consuming them in order. A leaf
-// with fewer rows than hashBelow is the input its join will hash — the
-// comparison vecJoin.run makes, against the partner already built or the base
-// table next to it — and 0 stands for a partner not known yet.
+// build joins the planned leaves under t, consuming them in order. A leaf with
+// fewer rows than hashBelow (0: partner not known yet) is the input its join
+// will hash: vecJoin.run's comparison, against the partner built or next.
 func (p *fromPlan) build(t sqlparser.TableExpr, outer *env, hashBelow int) (*relation, error) {
 	qc := p.qc
 	if j, ok := t.(*sqlparser.JoinExpr); ok {
-		below := 0
-		_, lRef := j.Left.(*sqlparser.TableRef)
-		if _, rRef := j.Right.(*sqlparser.TableRef); lRef && rRef && p.next+1 < len(p.leaves) && p.leaves[p.next+1].base {
+		below := 0 // read only by a leaf on the left, whose partner is leaf p.next+1
+		if _, ok := j.Right.(*sqlparser.TableRef); ok && p.next+1 < len(p.leaves) && p.leaves[p.next+1].base {
 			below = p.leaves[p.next+1].rel.src.nrows
 		}
 		left, err := p.build(j.Left, outer, below)
@@ -59,12 +53,9 @@ func (p *fromPlan) build(t sqlparser.TableExpr, outer *env, hashBelow int) (*rel
 	qc.scanned += int64(lf.rel.src.nrows)
 	lf.rel.src.counted = true
 	if lf.filter != nil {
-		src, outcome, err := filterLeaf(qc, lf.rel, lf.filter, lf.rel.src.nrows < hashBelow)
-		if err != nil {
+		var err error
+		if lf.rel.src, lf.outcome, err = filterLeaf(qc, lf.rel, lf.filter, lf.rel.src.nrows < hashBelow); err != nil {
 			return nil, err
-		}
-		if lf.rel.src, lf.outcome = src, outcome; outcome == filterApplied || outcome == filterHashed {
-			lf.dropped = lf.whole
 		}
 	}
 	return lf.rel, nil

@@ -296,10 +296,11 @@ type scanPlan struct {
 }
 
 // buildScanPlan compiles GROUP BY keys and aggregate arguments around the
-// WHERE buildFrom left, already compiled (wherePred). Accumulators are not validated here: newAccumulator
-// errors (unknown aggregate, bad percentile fraction) surface from run() when
-// the first group is created, and validating up front would allocate sketch
-// state (reservoirs, HLL registers) just to throw it away.
+// WHERE buildFrom left, already compiled (wherePred). Accumulators are not
+// validated here: newAccumulator errors (unknown aggregate, bad percentile
+// fraction) surface from run() when the first group is created, and
+// validating up front would allocate sketch state (reservoirs, HLL registers)
+// just to throw it away.
 func buildScanPlan(scope *env, sel *sqlparser.SelectStmt, aggCalls []*sqlparser.FuncCall, width int, where sqlparser.Expr, wherePred *laneExpr, wherePure bool) *scanPlan {
 	p := &scanPlan{qc: scope.qc, scope: scope, where: wherePred, whereAST: where, keyASTs: sel.GroupBy, width: width}
 	var keysPure bool

@@ -41,9 +41,8 @@ import (
 //     INNER/CROSS or keeps the leaf's unmatched rows, with an ON of the class.
 //
 // A conjunct over several leaves contributes what it implies for each
-// (implied). A conjunct wholly on one leaf whose filter replaced the input
-// leaves WHERE: it is TRUE on every joined row, and it is pure, infallible and
-// part of the prefix, so dropping it changes no error, RNG draw or row order.
+// (implied). One wholly on a filtered leaf is pure, infallible and in the
+// prefix, so dropping it from WHERE changes no error, RNG draw or row order.
 // Output order is a subsequence of the unfiltered left-major order; parallel
 // float sums may reassociate, because worker boundaries fall on different
 // chunks once an input shrinks.
@@ -66,11 +65,10 @@ type fromLeaf struct {
 	zone    []rangePred    // prune its chunks
 	filter  sqlparser.Expr // test its rows before it is joined; nil for none
 	outcome filterOutcome  // what became of filter, or filterBlocked
-	whole   int            // pushed conjuncts wholly on this leaf
-	dropped int            // how many of them left WHERE: whole once applied
+	dropped int            // conjuncts that left WHERE with it (residual)
 }
 
-// filterOutcome is a base leaf's pre-filter decision, for tests and profiles.
+// filterOutcome is a base leaf's pre-filter decision.
 type filterOutcome string
 
 const (
@@ -88,7 +86,7 @@ type fromPlan struct {
 	leafAt map[*sqlparser.ColumnRef]int // leafOf memo of a join block
 	next   int                          // the leaf build reaches next
 	conjs  []sqlparser.Expr             // WHERE's top-level conjuncts
-	owner  []int                        // per pushed conjunct: the leaf it is wholly on, or -1
+	owner  []*fromLeaf                  // per conjunct of a join block: the leaf it is wholly on, if pushed
 }
 
 // planFrom builds the leaves of from in order and attributes where's
@@ -112,50 +110,40 @@ func planFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr) *fro
 		return p
 	}
 	p.blockPaths(from, 0)
-	for _, c := range p.conjs {
+	p.owner = make([]*fromLeaf, len(p.conjs))
+	for i, c := range p.conjs {
 		if !pushablePred(c) || !p.allAttributed(c) {
 			break
 		}
-		owner := -1
 		for li := range p.leaves {
 			if lf := &p.leaves[li]; lf.base && lf.outcome != filterBlocked {
 				f := p.implied(c, li)
 				if f == c {
-					owner = li
-					lf.whole++
+					p.owner[i] = lf
 				}
 				lf.filter = andExpr(lf.filter, f)
 			}
 		}
-		p.owner = append(p.owner, owner)
 	}
 	return p
 }
 
-// residual is where without the conjuncts the leaves' filters proved.
+// residual is where without the conjuncts the leaves' filters proved — each
+// wholly on a leaf whose input its filter replaced — counted on their leaf. A
+// join block's is rebuilt left-deep: the same conjuncts in the same order.
 func (p *fromPlan) residual(where sqlparser.Expr) sqlparser.Expr {
-	n := 0
-	for i := range p.owner {
-		if p.proved(i) {
-			n++
-		}
-	}
-	if n == 0 {
+	if len(p.owner) == 0 {
 		return where
 	}
 	var out sqlparser.Expr
 	for i, c := range p.conjs {
-		if !p.proved(i) {
+		if lf := p.owner[i]; lf != nil && (lf.outcome == filterApplied || lf.outcome == filterHashed) {
+			lf.dropped++
+		} else {
 			out = andExpr(out, c)
 		}
 	}
 	return out
-}
-
-// proved reports whether conjunct i is wholly on a leaf whose input its filter
-// replaced, which makes it TRUE on every row the joins produce.
-func (p *fromPlan) proved(i int) bool {
-	return i < len(p.owner) && p.owner[i] >= 0 && p.leaves[p.owner[i]].dropped > 0
 }
 
 // open builds the leaves under t, left to right; false once one failed.
@@ -479,20 +467,24 @@ const filterSampleChunks = 8
 // filterLeaf tests a join input's pushed conjuncts on its rows — the WHERE
 // conjunct pipeline, chunk morsels — and returns the source that replaces it:
 // chunks of row references to the survivors, the late-materialization chunk
-// the join itself emits — or src itself when every row passes. Referencing
-// rows costs a second gather of every column the query reads, which past half
-// of a probed input is more than the join saves (BenchmarkE1HashJoin keeps 2/3
-// and would run 1.7x slower): there a filter that keeps more than half — of
-// the leading chunks, then of all — leaves src as it is. The input the join
-// will hash (hashed) is always filtered: each row dropped there drops its
-// whole fan-out of pairs. A kernel error keeps src too, and WHERE tests its
-// rows; outcome says which happened.
-func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (*colSource, filterOutcome, error) {
+// the join itself emits — or src when every row passes. Referencing rows
+// costs a second gather of every column the query reads, which past half of a
+// probed input is more than the join saves (BenchmarkE1HashJoin keeps 2/3 and
+// would run 1.7x slower): there a filter that keeps more than half — of the
+// leading chunks, then of all — leaves src as it is. The input the join will
+// hash is always filtered: a row dropped there drops its whole fan-out of
+// pairs. A kernel error keeps src too.
+func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (leaf *colSource, outcome filterOutcome, err error) {
+	defer func() {
+		if errors.Is(err, errKernel) {
+			leaf, outcome, err = rel.src, filterKeptKernel, nil
+		}
+	}()
 	src := rel.src
 	c := &vecCompiler{scope: &env{qc: qc, rel: rel}}
 	full, conjs := c.lowerWhere(pred)
 	if full == nil {
-		return src, filterKeptKernel, nil
+		return nil, "", errKernel
 	}
 	slots := src.scanSlots(qc)
 	chunks := make([]*chunk, len(slots))
@@ -535,12 +527,14 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 	if hashed {
 		applied = filterHashed
 	} else if rows, kept, err := pass(min(len(slots), filterSampleChunks), 0); err != nil || 2*kept > rows {
-		return keptSrc(src, err, filterKeptHalf)
+		return src, filterKeptHalf, err
 	}
 	_, total, err := pass(len(slots), src.nrows)
 	switch {
-	case err != nil || total == src.nrows:
-		return keptSrc(src, err, applied)
+	case err != nil:
+		return nil, "", err
+	case total == src.nrows:
+		return src, applied, nil
 	case !hashed && 2*total > src.nrows:
 		return src, filterKeptHalf, nil
 	}
@@ -567,16 +561,4 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 		out.sealed = append(out.sealed, gs.refChunk(nil, nil, refs[lo:min(lo+chunkRows, total)]))
 	}
 	return out, applied, nil
-}
-
-// keptSrc ends filterLeaf with src unfiltered: outcome when err is nil, a
-// kernel error's outcome for errKernel, err itself otherwise.
-func keptSrc(src *colSource, err error, outcome filterOutcome) (*colSource, filterOutcome, error) {
-	switch {
-	case errors.Is(err, errKernel):
-		return src, filterKeptKernel, nil
-	case err != nil:
-		return nil, "", err
-	}
-	return src, outcome, nil
 }
