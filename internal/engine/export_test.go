@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"verdictdb/internal/sqlparser"
@@ -25,8 +26,14 @@ func prefilterOutcomes(e *Engine, sql string) (leaves []string, where string, er
 	if w := p.residual(sel.Where); w != nil {
 		where = sqlparser.FormatExpr(w)
 	}
+	names := [...]string{filterNone: "", filterApplied: "applied", filterHashed: "applied: hashed input",
+		filterKeptHalf: "kept: keeps more than half", filterKeptKernel: "kept: kernel error", filterBlocked: "blocked"}
 	for _, lf := range p.leaves {
-		leaves = append(leaves, fmt.Sprintf("%s/%d", lf.outcome, lf.dropped))
+		dropped := 0
+		if lf.outcome == filterApplied || lf.outcome == filterHashed {
+			dropped = bits.OnesCount32(lf.own)
+		}
+		leaves = append(leaves, fmt.Sprintf("%s/%d", names[lf.outcome], dropped))
 	}
 	return leaves, where, nil
 }

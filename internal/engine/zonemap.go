@@ -58,25 +58,27 @@ type rangePred struct {
 // fromLeaf is one leaf of a FROM tree, built (snapshot taken, derived table
 // executed) before any join runs so the WHERE analysis can see every leaf.
 type fromLeaf struct {
-	rel  *relation
-	base bool  // rel.src is a table snapshot: prunable, filterable, counted as scanned
-	err  error // building it failed; reported when the join order reaches it
+	rel     *relation
+	base    bool          // rel.src is a table snapshot: prunable, filterable, counted as scanned
+	outcome filterOutcome // what became of filter
+	own     uint32        // bit i: WHERE's conjunct i is pushed and wholly on this leaf (i < 32)
+	err     error         // building it failed; reported when the join order reaches it
 
-	zone    []rangePred    // prune its chunks
-	filter  sqlparser.Expr // test its rows before it is joined; nil for none
-	outcome filterOutcome  // what became of filter, or filterBlocked
-	dropped int            // conjuncts that left WHERE with it (residual)
+	zone   []rangePred    // prune its chunks
+	filter sqlparser.Expr // test its rows before it is joined; nil for none
 }
 
-// filterOutcome is a base leaf's pre-filter decision.
-type filterOutcome string
+// filterOutcome is a base leaf's pre-filter decision. An applied filter's
+// own conjuncts left WHERE (residual).
+type filterOutcome uint8
 
 const (
-	filterApplied    filterOutcome = "applied"
-	filterHashed     filterOutcome = "applied: hashed input"
-	filterKeptHalf   filterOutcome = "kept: keeps more than half"
-	filterKeptKernel filterOutcome = "kept: kernel error"
-	filterBlocked    filterOutcome = "blocked" // the path to the root forbids a filter
+	filterNone       filterOutcome = iota // nothing pushed
+	filterApplied                         // its survivors replace the input
+	filterHashed                          // applied to the input the join will hash
+	filterKeptHalf                        // kept: a probed input keeps more than half
+	filterKeptKernel                      // kept: a kernel error
+	filterBlocked                         // the path to the root forbids a filter
 )
 
 // fromPlan is a block's FROM leaves in order, with what WHERE pushes to each.
@@ -85,8 +87,6 @@ type fromPlan struct {
 	leaves []fromLeaf
 	leafAt map[*sqlparser.ColumnRef]int // leafOf memo of a join block
 	next   int                          // the leaf build reaches next
-	conjs  []sqlparser.Expr             // WHERE's top-level conjuncts
-	owner  []*fromLeaf                  // per conjunct of a join block: the leaf it is wholly on, if pushed
 }
 
 // planFrom builds the leaves of from in order and attributes where's
@@ -97,8 +97,8 @@ func planFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr) *fro
 	if !p.open(from) || where == nil {
 		return p
 	}
-	p.conjs = flattenAnd(where, nil)
-	for _, c := range p.conjs {
+	conjs := flattenAnd(where, nil)
+	for _, c := range conjs {
 		p.zonePred(c)
 	}
 	for i := range p.leaves {
@@ -110,16 +110,15 @@ func planFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr) *fro
 		return p
 	}
 	p.blockPaths(from, 0)
-	p.owner = make([]*fromLeaf, len(p.conjs))
-	for i, c := range p.conjs {
+	for i, c := range conjs {
 		if !pushablePred(c) || !p.allAttributed(c) {
 			break
 		}
 		for li := range p.leaves {
 			if lf := &p.leaves[li]; lf.base && lf.outcome != filterBlocked {
 				f := p.implied(c, li)
-				if f == c {
-					p.owner[i] = lf
+				if f == c && i < 32 {
+					lf.own |= 1 << i
 				}
 				lf.filter = andExpr(lf.filter, f)
 			}
@@ -128,18 +127,21 @@ func planFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr) *fro
 	return p
 }
 
-// residual is where without the conjuncts the leaves' filters proved — each
-// wholly on a leaf whose input its filter replaced — counted on their leaf. A
-// join block's is rebuilt left-deep: the same conjuncts in the same order.
+// residual is where without the conjuncts the leaves' filters proved: those
+// wholly on a leaf whose input its filter replaced.
 func (p *fromPlan) residual(where sqlparser.Expr) sqlparser.Expr {
-	if len(p.owner) == 0 {
+	var proved uint32
+	for _, lf := range p.leaves {
+		if lf.outcome == filterApplied || lf.outcome == filterHashed {
+			proved |= lf.own
+		}
+	}
+	if proved == 0 {
 		return where
 	}
 	var out sqlparser.Expr
-	for i, c := range p.conjs {
-		if lf := p.owner[i]; lf != nil && (lf.outcome == filterApplied || lf.outcome == filterHashed) {
-			lf.dropped++
-		} else {
+	for i, c := range flattenAnd(where, nil) {
+		if i >= 32 || proved&(1<<i) == 0 {
 			out = andExpr(out, c)
 		}
 	}
@@ -484,7 +486,7 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 	c := &vecCompiler{scope: &env{qc: qc, rel: rel}}
 	full, conjs := c.lowerWhere(pred)
 	if full == nil {
-		return nil, "", errKernel
+		return nil, 0, errKernel
 	}
 	slots := src.scanSlots(qc)
 	chunks := make([]*chunk, len(slots))
@@ -532,19 +534,19 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 	_, total, err := pass(len(slots), src.nrows)
 	switch {
 	case err != nil:
-		return nil, "", err
+		return nil, 0, err
 	case total == src.nrows:
 		return src, applied, nil
 	case !hashed && 2*total > src.nrows:
 		return src, filterKeptHalf, nil
 	}
 	if err := qc.reserve(int64(total) * 8); err != nil {
-		return nil, "", err
+		return nil, 0, err
 	}
 	refs := make([]int64, 0, total)
 	for ci, sel := range sels {
 		if err := qc.pollAbort(); err != nil {
-			return nil, "", err
+			return nil, 0, err
 		}
 		if sel == nil {
 			for ri := 0; ri < chunks[ci].n; ri++ {
