@@ -341,7 +341,7 @@ func TestJoinPrefilterOutcomes(t *testing.T) {
 		{fd + "d.w < 40", []string{"/0", "applied: hashed input/1"}, ""},
 		{"select d.name, f.id from d inner join f on f.k = d.k where d.w < 40 and f.tag = 'a'",
 			[]string{"applied: hashed input/1", "applied/1"}, ""},
-		// The probe input keeps 5/6: unfiltered, its conjunct stays in WHERE.
+		// The probe input keeps about 3/4: unfiltered, its conjunct stays in WHERE.
 		{fd + "f.tag <> 'a' and d.w < 5", []string{"kept: keeps more than half/0", "applied: hashed input/1"}, "(f.tag <> 'a')"},
 		// A tq-19-style OR filters each leaf by what it implies, and stays.
 		{fd + "(f.tag = 'a' and d.w < 5) or (f.tag = 'b' and d.w > 45)", []string{"applied/0", "applied: hashed input/0"},
