@@ -19,7 +19,7 @@ define MODES
 par4              | GOMAXPROCS=4 $(GO) test ./...
 race              | $(GO) test -race ./...
 faultinject       | $(GO) test -race -tags faultinject ./...
-force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$' ./internal/engine
+force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels' ./internal/engine
 spill             | ENGINE_SPILL=1 $(GO) test ./internal/engine ./internal/workload ./internal/core .
 spill-race        | ENGINE_SPILL=1 $(GO) test -race ./internal/engine .
 spill-faultinject | ENGINE_SPILL=1 $(GO) test -tags faultinject -run Fault ./internal/engine

@@ -391,12 +391,6 @@ func (c *chunk) overRows() bool {
 	return ok
 }
 
-// joinOutput reports whether the chunk is row references into a join's inputs.
-func (c *chunk) joinOutput() bool {
-	_, ok := c.lazy.(*joinGather)
-	return ok
-}
-
 // storageKind classifies a non-NULL runtime value for vector storage.
 func storageKind(v Value) ColType {
 	switch v.(type) {

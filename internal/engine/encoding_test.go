@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -24,7 +26,9 @@ func encRowsEqual(t *testing.T, label string, want, got *ResultSet) {
 	}
 	for r := range want.Rows {
 		for c := range want.Rows[r] {
-			if want.Rows[r][c] != got.Rows[r][c] {
+			wf, isF := want.Rows[r][c].(float64)
+			gf, _ := got.Rows[r][c].(float64)
+			if isF && math.Float64bits(wf) != math.Float64bits(gf) || !isF && want.Rows[r][c] != got.Rows[r][c] {
 				t.Fatalf("%s row %d col %d: %v (%T) vs %v (%T)", label, r, c,
 					want.Rows[r][c], want.Rows[r][c], got.Rows[r][c], got.Rows[r][c])
 			}
@@ -300,6 +304,121 @@ func TestDictKernelsMatchRowPath(t *testing.T) {
 			t.Fatalf("row %s: %v", q, err)
 		}
 		encRowsEqual(t, q, rsR, rsV)
+	}
+}
+
+// TestTypedKernelsMatchRowPath pins the kernels' typed loops — literal
+// comparisons, IN, BETWEEN, AND/OR and + - * — to the row closures over raw
+// int, raw float, stored string block, dictionary, run-length and delta
+// columns, each read by a plain scan, over a join's output (as the probe side
+// and as the build side) and as a pre-filtered join input, with and without
+// NULLs. The values hold NaN, ±0, ±Inf, 2^53+1 (which equals the float 2^53
+// under Compare) and "", and the literals every kind, one of the other kind
+// too (a string column against a number takes the generic node).
+func TestTypedKernelsMatchRowPath(t *testing.T) {
+	const n = 3*chunkRows + 40
+	big := int64(1) << 53
+	ints := []int64{big + 1, big, big - 1, -big - 1, 0, 1, -1, 5, 1 << 40, -(1 << 40), 3, 2}
+	floats := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), float64(big), 2.5, -3.5, 1e300, 5}
+	preds := func(c string, lits ...string) []string {
+		var ps []string
+		for _, lit := range lits {
+			for _, op := range []string{"=", "<>", "<", "<=", ">", ">="} {
+				ps = append(ps, fmt.Sprintf("t.%s %s %s", c, op, lit))
+			}
+		}
+		return append(ps, fmt.Sprintf("%s < t.%s", lits[0], c),
+			fmt.Sprintf("t.%s in (%s)", c, strings.Join(lits, ", ")),
+			fmt.Sprintf("t.%s not in (%s, %s)", c, lits[0], lits[1]),
+			fmt.Sprintf("t.%s between %s and %s", c, lits[1], lits[0]),
+			fmt.Sprintf("t.%s not between %s and %s", c, lits[1], lits[0]),
+			fmt.Sprintf("t.%s between %s and %s", c, lits[0], lits[len(lits)-1]),
+			fmt.Sprintf("t.%s >= %s and t.dl < 0", c, lits[0]),
+			fmt.Sprintf("t.%s < %s or t.ds = ''", c, lits[1]))
+	}
+	var all []string
+	for _, ps := range [][]string{
+		preds("ri", "9007199254740992.0", "5", "-1", "2.5", "'x'"),
+		preds("rf", "0", "-0.0", "2.5", "9007199254740992.0", "1e300", "'x'"),
+		preds("s", "'v13'", "''", "'v5'", "3"),
+		preds("ds", "'b'", "''", "'zz'", "3"),
+		preds("rl", "3", "2.5", "'x'"),
+		preds("dl", "-3", "0.5", "'x'"),
+	} {
+		all = append(all, ps...)
+	}
+	for _, nulls := range []bool{false, true} {
+		e := NewSeeded(9)
+		mk := func(name string, cols []Column, rows int, row func(i int) []Value) {
+			if err := e.CreateTable(name, cols); err != nil {
+				t.Fatal(err)
+			}
+			rs := make([][]Value, rows)
+			for i := range rs {
+				rs[i] = row(i)
+			}
+			if err := e.InsertRows(name, rs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mk("t", []Column{{Name: "id", Type: TInt}, {Name: "k", Type: TInt}, {Name: "ri", Type: TInt},
+			{Name: "rf", Type: TFloat}, {Name: "s", Type: TString}, {Name: "ds", Type: TString},
+			{Name: "rl", Type: TInt}, {Name: "dl", Type: TInt}}, n, func(i int) []Value {
+			var s Value = fmt.Sprintf("v%d", i)
+			if i%9 == 4 {
+				s = ""
+			}
+			row := []Value{int64(i), int64(i % 200), ints[i%len(ints)] + int64(i/len(ints))*1000003,
+				floats[i%len(floats)], s, []string{"", "a", "b", "c", "d"}[i%5], int64(i / 32), int64(i%97 - 48)}
+			if i%len(ints) < 4 {
+				row[2] = ints[i%len(ints)] // the values around 2^53 exactly
+			}
+			if nulls {
+				for c := 2; c < len(row); c++ {
+					if c != 6 && i%7 == 3 || c == 6 && i/32%3 == 1 { // rl: whole runs
+						row[c] = nil
+					}
+				}
+			}
+			return row
+		})
+		mk("j", []Column{{Name: "k", Type: TInt}, {Name: "w", Type: TInt}}, 200,
+			func(i int) []Value { return []Value{int64(i), int64(i * 3)} })
+		mk("b", []Column{{Name: "k", Type: TInt}, {Name: "v", Type: TInt}}, 900,
+			func(i int) []Value { return []Value{int64(i % 200), int64(i)} })
+		if !forceEncodings() {
+			ch := mustSealed(t, e, "t")
+			for j, want := range []colEnc{2: encNone, 3: encNone, 4: encNone, 5: encDict, 6: encRLE, 7: encDelta} {
+				if j >= 2 && ch.cols[j].enc != want {
+					t.Fatalf("column %d: encoding %d, want %d", j, ch.cols[j].enc, want)
+				}
+			}
+			if ch.cols[4].soffs == nil {
+				t.Fatal("s is not a stored string block")
+			}
+		}
+		// The last shape's t is the input the join hashes, so it is always
+		// pre-filtered.
+		if leaves, _, err := prefilterOutcomes(e, "select t.id from b join t on b.k = t.k where t.ri = 5"); err != nil || leaves[1] != "applied: hashed input/1" {
+			t.Fatalf("t's pre-filter: %v %v", leaves, err)
+		}
+		check := func(sql string) { checkAgainstRowPath(t, e, fmt.Sprintf("nulls=%v: %s", nulls, sql), sql) }
+		for _, c := range []string{"ri", "rf", "rl", "dl"} {
+			arith := fmt.Sprintf("t.%[1]s + 3, t.%[1]s - 2.5, t.%[1]s * t.dl, t.%[1]s * 2, t.dl - t.%[1]s", c)
+			check("select t.id, " + arith + " from t")
+			check("select t.id, " + arith + " from j join t on j.k = t.k")
+		}
+		for _, p := range all {
+			for _, q := range []string{
+				"select t.id, %[1]s from t",
+				"select t.id from t where %[1]s",
+				"select t.id, j.w, %[1]s from j join t on j.k = t.k",
+				"select t.id, j.w from t join j on t.k = j.k where %[1]s or j.w < 0",
+				"select t.id, b.v, %[1]s from b join t on b.k = t.k where %[1]s",
+			} {
+				check(fmt.Sprintf(q, p))
+			}
+		}
 	}
 }
 

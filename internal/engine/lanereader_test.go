@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -12,7 +13,8 @@ import (
 // gatherCodes and gatherLanes), the boxing of stored lanes (boxColLanes) and
 // of a kernel's output (boxVecLanes, which must survive the next chunk
 // overwriting the kernel's buffer). One vecCtx serves every cell, so flags or
-// lanes a previous cell left in a reused buffer would show.
+// lanes a previous cell left in a reused buffer would show. Build sides whose
+// chunks differ follow (laneReadersMixedBuild).
 func TestLaneReaders(t *testing.T) {
 	const n = 48
 	vc := newVecCtx(1, 0, 0, 0)
@@ -20,7 +22,8 @@ func TestLaneReaders(t *testing.T) {
 	for _, enc := range []string{"raw", "rawstr", "dict", "rle", "rlestr", "delta", "any"} {
 		for _, nulls := range []string{"none", "some", "all"} {
 			build := []*chunk{laneChunk(enc, nulls, n, 0), laneChunk(enc, nulls, n, 1)}
-			src := &gatherSrc{leftW: 1, buildChunks: build, buildKinds: chunkKinds(build, 1)}
+			src := &gatherSrc{leftW: 1}
+			src.setBuild(build, 1)
 			stored := build[0].col(0)
 			want := func(r int64) Value {
 				if r < 0 {
@@ -85,12 +88,78 @@ func TestLaneReaders(t *testing.T) {
 			}
 		}
 	}
+	laneReadersMixedBuild(t, n)
+}
+
+// laneReadersMixedBuild is TestLaneReaders' build gather over build sides
+// whose chunks differ: in encoding (so every lane is read through its own
+// chunk's), in kind (so lanes are boxed), and in how a chunk is filled — a
+// pre-filtered input's reference chunk builds its column when the gather's
+// table first reads it. The references hop to another chunk at every lane, and
+// one is NULL-extended. A side whose every chunk holds the column raw without
+// NULLs takes the typed load instead, which the table records.
+func laneReadersMixedBuild(t *testing.T, n int) {
+	for _, side := range []struct {
+		encs   []string
+		direct bool // the typed load applies when there are no NULLs
+	}{
+		{[]string{"raw", "raw", "lazy:raw"}, true},
+		{[]string{"rawint", "lazy:rawint", "rawint"}, true},
+		{[]string{"rawint", "delta", "rle", "lazy:delta"}, false},
+		{[]string{"rawstr", "dict", "rlestr", "lazy:dict"}, false},
+		{[]string{"raw", "delta", "dict"}, false},
+	} {
+		for _, nulls := range []string{"none", "some"} {
+			build := make([]*chunk, len(side.encs))
+			for ci, enc := range side.encs {
+				base, lazy := strings.CutPrefix(enc, "lazy:")
+				build[ci] = laneChunk(base, nulls, n, ci)
+				if lazy {
+					// Every row, in reverse: the chunk a filter keeping all
+					// of its input would make.
+					inner := &gatherSrc{}
+					inner.setBuild([]*chunk{build[ci]}, 1)
+					refs := make([]int64, n)
+					for k := range refs {
+						refs[k] = packRef(0, n-1-k)
+					}
+					build[ci] = inner.refChunk(nil, nil, refs)
+				}
+			}
+			src := &gatherSrc{}
+			src.setBuild(build, 1)
+			for ci, enc := range side.encs {
+				if strings.HasPrefix(enc, "lazy:") && build[ci].filled[0].Load() {
+					t.Fatalf("%v: lazy chunk %d built before any gather", side.encs, ci)
+				}
+			}
+			refs := []int64{nullRef}
+			for k := 0; k < 3*n; k++ {
+				refs = append(refs, packRef(k%len(build), k*7%n))
+			}
+			bside := src.refChunk(nil, nil, refs).col(0)
+			cell := fmt.Sprintf("%v/%s nulls", side.encs, nulls)
+			if got, want := src.buildCols[0].raw, side.direct && nulls == "none"; got != want {
+				t.Errorf("%s: typed load %v, want %v", cell, got, want)
+			}
+			for k, r := range refs {
+				var want Value
+				if r >= 0 {
+					ci, ri := unpackRef(r)
+					want = build[ci].valueAt(0, ri)
+				}
+				if got := bside.value(k); got != want {
+					t.Errorf("%s: lane %d = %#v, want %#v", cell, k, got, want)
+				}
+			}
+		}
+	}
 }
 
 // laneChunk is one n-row chunk holding one column in encoding enc (the kind
-// follows: raw floats and strings, dictionary strings, run-length integers and
-// strings, delta integers, mixed boxes), with no, some or all rows NULL. seed varies the values between
-// the two build chunks.
+// follows: raw floats, integers and strings, dictionary strings, run-length
+// integers and strings, delta integers, mixed boxes), with no, some or all
+// rows NULL. seed varies the values between the build chunks.
 func laneChunk(enc, nulls string, n, seed int) *chunk {
 	rows := make([][]Value, n)
 	for i := range rows {
@@ -98,6 +167,8 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 		switch enc {
 		case "raw":
 			v = float64(i*3%17) + float64(seed)/2
+		case "rawint":
+			v = int64(i*5%19 - 100*seed)
 		case "rawstr":
 			v = fmt.Sprintf("r%d.%d", i*3%17, seed)
 		case "dict":

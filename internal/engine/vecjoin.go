@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"verdictdb/internal/faultpoint"
@@ -279,7 +280,7 @@ func (vj *vecJoin) hashedRight() ([]chunkSlot, error) {
 	if vj.buildChunks, err = vj.right.resolveAll(qc); err != nil {
 		return nil, err
 	}
-	vj.buildKinds = chunkKinds(vj.buildChunks, vj.rightW)
+	vj.setBuild(vj.buildChunks, vj.rightW)
 	vj.rightStart = chunkStarts(vj.buildChunks)
 	if err := vj.build(vj.buildChunks, &vj.rKeys, vj.rightStart); err != nil {
 		return nil, err
@@ -475,7 +476,7 @@ func (vj *vecJoin) hashedLeft(keepRight bool) ([]chunkSlot, error) {
 	if err != nil {
 		return nil, err
 	}
-	vj.buildKinds = chunkKinds(vj.buildChunks, vj.rightW)
+	vj.setBuild(vj.buildChunks, vj.rightW)
 
 	total := 0
 	for _, w := range ws {
@@ -803,36 +804,80 @@ type gatherSrc struct {
 	// buildChunks holds nil where no reference can point: a right chunk the
 	// hashed-left scan found no match in.
 	buildChunks []*chunk
-	// buildKinds is chunkKinds of buildChunks, so gathers pick their typed
-	// path once per source instead of per chunk.
+	// buildKinds is chunksKind of each build column, so gathers pick their
+	// typed path once per source instead of per chunk.
 	buildKinds []ColType
+	// buildCols is the table of the build chunks' columns, one entry per
+	// column, resolved by the first gather that reads it; mu serializes that.
+	buildCols []buildColumn
+	mu        sync.Mutex
 }
 
-// chunkKinds returns, per column, the storage kind every chunk shares: TAny
-// when chunks disagree (or there are none).
-func chunkKinds(chunks []*chunk, w int) []ColType {
-	kinds := make([]ColType, w)
-	for j := range kinds {
-		kind := ColType(-1)
-		//verdict:nopoll plan-time lane-type resolution: O(1) colKind read per chunk
-		for _, ch := range chunks {
-			if ch == nil {
-				continue
-			}
-			k := ch.colKind(j)
-			if kind == -1 {
-				kind = k
-			} else if kind != k {
-				kind = TAny
-				break
-			}
-		}
-		if kind == -1 {
-			kind = TAny
-		}
-		kinds[j] = kind
+// buildColumn is one column of every build chunk. ready is set once cols and
+// raw are, so a gather that sees it reads them without the lock.
+type buildColumn struct {
+	ready atomic.Bool
+	raw   bool      // every chunk holds the column raw, without NULLs, strings as lanes
+	cols  []*colVec // per build chunk; nil where the chunk is
+}
+
+// setBuild makes chunks, of w columns, the build side: their kinds and an
+// empty column table, charged like the gathers it serves.
+func (s *gatherSrc) setBuild(chunks []*chunk, w int) {
+	s.buildChunks, s.buildKinds = chunks, make([]ColType, w)
+	for j := range s.buildKinds {
+		s.buildKinds[j] = chunksKind(chunks, j)
 	}
-	return kinds
+	s.qc.chargeMem(int64(w*len(chunks)) * bytesPerRef)
+	tbl := make([]*colVec, w*len(chunks))
+	s.buildCols = make([]buildColumn, w)
+	for bj := range s.buildCols {
+		s.buildCols[bj].cols = tbl[bj*len(chunks) : (bj+1)*len(chunks)]
+	}
+}
+
+// buildCol returns build column bj, resolving it — every build chunk's column
+// built, once — on first use.
+func (s *gatherSrc) buildCol(bj int) *buildColumn {
+	bc := &s.buildCols[bj]
+	if !bc.ready.Load() {
+		s.mu.Lock()
+		if !bc.ready.Load() {
+			bc.raw = s.buildKinds[bj] != TAny
+			//verdict:nopoll one column per build chunk, once per join; a lazily filled chunk charges what it builds
+			for ci, ch := range s.buildChunks {
+				if ch != nil {
+					cv := ch.col(bj)
+					bc.cols[ci] = cv
+					bc.raw = bc.raw && cv.enc == encNone && len(cv.nulls) == 0 && cv.soffs == nil
+				}
+			}
+			bc.ready.Store(true)
+		}
+		s.mu.Unlock()
+	}
+	return bc
+}
+
+// chunksKind returns the storage kind of column j every chunk shares: TAny
+// when chunks disagree (or there are none).
+func chunksKind(chunks []*chunk, j int) ColType {
+	kind := ColType(-1)
+	//verdict:nopoll plan-time lane-type resolution: O(1) colKind read per chunk
+	for _, ch := range chunks {
+		if ch == nil {
+			continue
+		}
+		if k := ch.colKind(j); kind == -1 {
+			kind = k
+		} else if kind != k {
+			return TAny
+		}
+	}
+	if kind == -1 {
+		return TAny
+	}
+	return kind
 }
 
 // refChunk wraps row references into s as a chunk: sel picks each row's probe
@@ -882,159 +927,181 @@ func (g *joinGather) fillProbe(c *chunk, cv *colVec, j int) {
 		return
 	}
 	cv.reset(qc, scv.kind, n)
-	gatherLanes(cv, n, 0, scv, g.probeSel)
+	gatherLanes(cv, scv, g.probeSel)
 }
 
-// fillBuild gathers build-side column bj through the refs, a run of
-// references into one build chunk at a time. The typed paths apply when every
-// build chunk stores the column with one kind; disagreeing chunks (rare:
-// schema-on-read mixes) gather boxed. Build chunks can disagree on
-// dictionaries (one per chunk), so the build side always materializes strings.
+// fillBuild gathers build-side column bj through the refs, lane by lane,
+// each from its chunk's column in the source's table. The loop is picked once
+// per call: a typed load per lane when every build chunk holds the column raw
+// without NULLs, else a read through each lane's encoding and NULL flags
+// (boxed when chunks disagree on the column's kind, rare: schema-on-read
+// mixes). Build chunks can disagree on dictionaries (one per chunk), so the
+// build side always materializes strings.
 func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
-	n, chs, refs := c.n, g.j.buildChunks, g.refs
-	kind := g.j.buildKinds[bj]
-	cv.reset(g.j.qc, kind, n)
-	for k := 0; k < n; {
-		r := refs[k]
-		e := k + 1
-		for e < n && refs[e]>>32 == r>>32 {
-			e++
-		}
-		switch {
-		case r < 0:
-			for i := k; i < e; i++ {
-				cv.setNull(i, n)
-			}
-		case kind == TAny:
-			ch := chs[r>>32]
-			for i, r := range refs[k:e] {
-				cv.anys[k+i] = ch.valueAt(bj, int(uint32(r)))
-			}
-		default:
-			gatherLanes(cv, n, k, chs[r>>32].col(bj), refs[k:e])
-		}
-		k = e
+	s, n, refs := g.j, c.n, g.refs
+	kind := s.buildKinds[bj]
+	cv.reset(s.qc, kind, n)
+	bc := s.buildCol(bj)
+	switch {
+	case !bc.raw:
+		readLanes(cv, bc.cols, refs)
+	case kind == TInt:
+		loadLanes(cv, cv.ints, bc.cols, refs, func(v *colVec) []int64 { return v.ints })
+	case kind == TFloat:
+		loadLanes(cv, cv.floats, bc.cols, refs, func(v *colVec) []float64 { return v.floats })
+	case kind == TString:
+		loadLanes(cv, cv.strs, bc.cols, refs, func(v *colVec) []string { return v.strs })
+	default:
+		loadLanes(cv, cv.bools, bc.cols, refs, func(v *colVec) []bool { return v.bools })
 	}
 }
 
-// Gathers: the one way lanes are copied out of a column into a reset colVec —
-// a join's gathered columns, and a kernel reading a column under a selection
-// or through an encoding (vnCol). A row index is an int32 selection entry or
-// the low half of a packed join reference.
+// loadLanes is fillBuild's loop over raw NULL-free columns: lane k is row
+// refs[k] of vals of its chunk's column.
+func loadLanes[T any](cv *colVec, dst []T, cols []*colVec, refs []int64, vals func(*colVec) []T) {
+	var src []T
+	last := int64(-1)
+	for k, r := range refs {
+		switch ci := r >> 32; {
+		case r < 0:
+			cv.setNull(k, len(dst))
+			continue
+		case ci != last:
+			src, last = vals(cols[ci]), ci
+		}
+		dst[k] = src[uint32(r)]
+	}
+}
+
+// readLanes is fillBuild's loop over any other columns: lane k is row refs[k]
+// read through its chunk's encoding — a run-length slot found by binary
+// search, delta integers unpacked, dictionary strings materialized — and NULL
+// flags, or boxed when the chunks disagree on the column's kind.
+func readLanes(cv *colVec, cols []*colVec, refs []int64) {
+	n := len(refs)
+	for k, r := range refs {
+		if r < 0 {
+			cv.setNull(k, n)
+			continue
+		}
+		scv, i := cols[r>>32], int(uint32(r))
+		slot := i
+		if scv.enc == encRLE {
+			slot = scv.runIdx(i)
+		}
+		switch {
+		case cv.kind == TAny:
+			cv.anys[k] = scv.value(i)
+		case len(scv.nulls) > 0 && scv.nulls[slot]:
+			cv.setNull(k, n)
+		case cv.kind == TInt && scv.enc == encDelta:
+			cv.ints[k] = scv.deltaAt(i)
+		case cv.kind == TInt:
+			cv.ints[k] = scv.ints[slot]
+		case cv.kind == TFloat:
+			cv.floats[k] = scv.floats[slot]
+		case cv.kind == TBool:
+			cv.bools[k] = scv.bools[slot]
+		case scv.enc == encDict:
+			cv.strs[k] = scv.dict[scv.codes[i]]
+		default:
+			cv.strs[k] = scv.slotStr(slot)
+		}
+	}
+}
+
+// Gathers: how lanes are copied out of a column into a reset colVec under a
+// selection — a join's probe side, and a kernel reading a column under a
+// selection or through an encoding (vnCol). The build side reads through its
+// column table instead (fillBuild).
 
 // gatherCodes makes cv rows idx of the dictionary column scv, codes only: the
 // dictionary is shared, so the gathered column stays coded and code-comparing
 // kernels keep their fast paths. A NULL row's code is 0, a valid one.
 func (cv *colVec) gatherCodes(qc *queryCtx, scv *colVec, idx []int32) {
-	n := len(idx)
 	cv.reset(qc, TString, 0)
 	cv.enc, cv.dict, cv.dictBoxed = encDict, scv.dict, scv.dictBoxed
-	cv.codes = lanes(qc, cv.codes, n)
+	cv.codes = lanes(qc, cv.codes, len(idx))
 	gatherRaw(cv.codes, scv.codes, idx)
-	if len(scv.nulls) > 0 {
-		for k, i := range idx {
-			if scv.nulls[i] {
-				cv.setNull(k, n)
-			}
-		}
-	}
+	nullLanes(cv, scv, idx)
 }
 
 // gatherRaw copies src's rows idx into dst.
-func gatherRaw[T any, I int32 | int64](dst, src []T, idx []I) {
+func gatherRaw[T any](dst, src []T, idx []int32) {
 	for k, i := range idx {
-		dst[k] = src[uint32(i)]
+		dst[k] = src[i]
 	}
 }
 
-// gatherLanes copies rows idx of scv, a source column of cv's kind, into
-// lanes [k0, k0+len(idx)) of cv (of n lanes), decoding: dictionary strings
-// are materialized, stored strings viewed out of their block, delta integers
-// unpacked, and run-length slots read by a forward walk over the runs. The
-// loop is picked once per call; raw vectors without NULLs — every gathered
-// column, most stored floats — are flat copies.
-func gatherLanes[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
+// gatherLanes copies rows idx of scv, a source column of cv's kind, into cv's
+// lanes, decoding: dictionary strings are materialized, stored strings viewed
+// out of their block, delta integers unpacked, and run-length slots read by a
+// forward walk over the runs. The loop is picked once per call; raw vectors
+// without NULLs — every gathered column, most stored floats — are flat copies.
+func gatherLanes(cv, scv *colVec, idx []int32) {
 	switch cv.kind {
 	case TInt:
 		if scv.enc != encDelta {
-			gatherSlots(cv, n, k0, cv.ints, scv.ints, scv, idx)
+			gatherSlots(cv, cv.ints, scv.ints, scv, idx)
 			return
 		}
-		dst := cv.ints[k0 : k0+len(idx)]
-		for k, x := range idx {
-			if i := int(uint32(x)); len(scv.nulls) > 0 && scv.nulls[i] {
-				cv.setNull(k0+k, n)
-			} else {
-				dst[k] = scv.deltaAt(i)
-			}
+		for k, i := range idx {
+			cv.ints[k] = scv.deltaAt(int(i))
 		}
+		nullLanes(cv, scv, idx)
 	case TFloat:
-		gatherSlots(cv, n, k0, cv.floats, scv.floats, scv, idx)
+		gatherSlots(cv, cv.floats, scv.floats, scv, idx)
 	case TString:
 		switch {
 		case scv.enc == encDict:
-			dst := cv.strs[k0 : k0+len(idx)]
-			for k, x := range idx {
-				if i := uint32(x); len(scv.nulls) > 0 && scv.nulls[i] {
-					cv.setNull(k0+k, n)
-				} else {
-					dst[k] = scv.dict[scv.codes[i]]
-				}
+			for k, i := range idx {
+				cv.strs[k] = scv.dict[scv.codes[i]]
 			}
+			nullLanes(cv, scv, idx)
 		case scv.soffs == nil:
-			gatherSlots(cv, n, k0, cv.strs, scv.strs, scv, idx)
+			gatherSlots(cv, cv.strs, scv.strs, scv, idx)
 		default:
-			gatherBlock(cv, n, k0, scv, idx)
+			gatherBlock(cv, scv, idx)
 		}
 	case TBool:
-		gatherSlots(cv, n, k0, cv.bools, scv.bools, scv, idx)
+		gatherSlots(cv, cv.bools, scv.bools, scv, idx)
 	default:
-		gatherRaw(cv.anys[k0:k0+len(idx)], scv.anys, idx)
+		gatherRaw(cv.anys, scv.anys, idx)
 	}
 }
 
 // gatherSlots is gatherLanes from vals, the typed slots of a raw or
 // run-length column scv.
-func gatherSlots[T any, I int32 | int64](cv *colVec, n, k0 int, dst, vals []T, scv *colVec, idx []I) {
-	dst = dst[k0 : k0+len(idx)]
-	switch {
-	case scv.enc == encRLE:
-		r := 0
-		for k, x := range idx {
-			if r = scv.runFrom(r, int(uint32(x))); len(scv.nulls) > 0 && scv.nulls[r] {
-				cv.setNull(k0+k, n)
-			} else {
-				dst[k] = vals[r]
-			}
-		}
-	case len(scv.nulls) > 0:
-		for k, x := range idx {
-			if i := uint32(x); scv.nulls[i] {
-				cv.setNull(k0+k, n)
-			} else {
-				dst[k] = vals[i]
-			}
-		}
-	default:
+func gatherSlots[T any](cv *colVec, dst, vals []T, scv *colVec, idx []int32) {
+	if scv.enc != encRLE {
 		gatherRaw(dst, vals, idx)
+		nullLanes(cv, scv, idx)
+		return
+	}
+	r := 0
+	for k, i := range idx {
+		if r = scv.runFrom(r, int(i)); len(scv.nulls) > 0 && scv.nulls[r] {
+			cv.setNull(k, len(idx))
+		} else {
+			dst[k] = vals[r]
+		}
 	}
 }
 
 // gatherBlock is gatherLanes from a stored string column: each lane a view of
 // its slot in scv's block.
-func gatherBlock[I int32 | int64](cv *colVec, n, k0 int, scv *colVec, idx []I) {
-	dst := cv.strs[k0 : k0+len(idx)]
+func gatherBlock(cv, scv *colVec, idx []int32) {
 	r := 0
-	for k, x := range idx {
-		slot := int(uint32(x))
+	for k, i := range idx {
+		slot := int(i)
 		if scv.enc == encRLE {
 			r = scv.runFrom(r, slot)
 			slot = r
 		}
 		if len(scv.nulls) > 0 && scv.nulls[slot] {
-			cv.setNull(k0+k, n)
+			cv.setNull(k, len(idx))
 		} else {
-			dst[k] = blockStr(scv.sbytes, scv.soffs[slot], scv.soffs[slot+1])
+			cv.strs[k] = blockStr(scv.sbytes, scv.soffs[slot], scv.soffs[slot+1])
 		}
 	}
 }

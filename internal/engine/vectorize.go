@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -215,7 +216,7 @@ func (n *vnCol) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		return ov, nil
 	}
 	ov.reset(nil, cv.kind, len(idx))
-	gatherLanes(ov, len(idx), 0, cv, idx)
+	gatherLanes(ov, cv, idx)
 	return ov, nil
 }
 
@@ -299,59 +300,55 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lNum := lv.kind == TInt || lv.kind == TFloat
 	rNum := rv.kind == TInt || rv.kind == TFloat
 
-	if lv.kind == TInt && rv.kind == TInt && n.op != "/" {
-		ov := vc.out(n.id, TInt, lanes)
-		for k := 0; k < lanes; k++ {
-			if lv.isNull(k) || rv.isNull(k) {
-				ov.setNull(k, lanes)
-				continue
-			}
-			a, b := lv.ints[k], rv.ints[k]
-			switch n.op {
-			case "+":
-				ov.ints[k] = a + b
-			case "-":
-				ov.ints[k] = a - b
-			case "*":
-				ov.ints[k] = a * b
-			case "%":
-				if b == 0 {
+	switch {
+	case lNum && rNum && (n.op == "+" || n.op == "-" || n.op == "*"):
+		// One loop for the chunk, picked by the operand kinds and the
+		// operator; a lane with a NULL operand is computed from what its
+		// slots hold, then flagged.
+		var ov *colVec
+		switch {
+		case lv.kind == TInt && rv.kind == TInt:
+			ov = vc.out(n.id, TInt, lanes)
+			arithLoop(n.op, ov.ints, lv.ints, rv.ints)
+		case lv.kind == TInt:
+			ov = vc.out(n.id, TFloat, lanes)
+			arithLoop(n.op, ov.floats, lv.ints, rv.floats)
+		case rv.kind == TInt:
+			ov = vc.out(n.id, TFloat, lanes)
+			arithLoop(n.op, ov.floats, lv.floats, rv.ints)
+		default:
+			ov = vc.out(n.id, TFloat, lanes)
+			arithLoop(n.op, ov.floats, lv.floats, rv.floats)
+		}
+		if len(lv.nulls) > 0 || len(rv.nulls) > 0 {
+			for k := 0; k < lanes; k++ {
+				if lv.isNull(k) || rv.isNull(k) {
 					ov.setNull(k, lanes)
-					continue
 				}
-				ov.ints[k] = a % b
 			}
 		}
 		return ov, nil
-	}
-
-	if lNum && rNum {
-		ov := vc.out(n.id, TFloat, lanes)
+	case lv.kind == TInt && rv.kind == TInt && n.op == "%":
+		ov := vc.out(n.id, TInt, lanes)
 		for k := 0; k < lanes; k++ {
-			if lv.isNull(k) || rv.isNull(k) {
+			if lv.isNull(k) || rv.isNull(k) || rv.ints[k] == 0 {
 				ov.setNull(k, lanes)
 				continue
 			}
+			ov.ints[k] = lv.ints[k] % rv.ints[k]
+		}
+		return ov, nil
+	case lNum && rNum: // "/", and "%" over floats
+		ov := vc.out(n.id, TFloat, lanes)
+		for k := 0; k < lanes; k++ {
 			lf, _ := laneFloat(lv, k)
 			rf, _ := laneFloat(rv, k)
-			switch n.op {
-			case "+":
-				ov.floats[k] = lf + rf
-			case "-":
-				ov.floats[k] = lf - rf
-			case "*":
-				ov.floats[k] = lf * rf
-			case "/":
-				if rf == 0 {
-					ov.setNull(k, lanes)
-					continue
-				}
+			switch {
+			case lv.isNull(k) || rv.isNull(k) || rf == 0 || n.op == "%" && int64(rf) == 0:
+				ov.setNull(k, lanes)
+			case n.op == "/":
 				ov.floats[k] = lf / rf
-			case "%":
-				if rf == 0 || int64(rf) == 0 {
-					ov.setNull(k, lanes)
-					continue
-				}
+			default:
 				ov.floats[k] = float64(int64(lf) % int64(rf))
 			}
 		}
@@ -372,6 +369,26 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		ov.anys[k] = res
 	}
 	return ov, nil
+}
+
+// arithLoop computes dst[k] = l[k] op r[k] for op + - or *, each operand
+// converted to dst's type first, as the row path's arith does.
+func arithLoop[O, L, R int64 | float64](op string, dst []O, l []L, r []R) {
+	l, r = l[:len(dst)], r[:len(dst)]
+	switch op {
+	case "+":
+		for k := range dst {
+			dst[k] = O(l[k]) + O(r[k])
+		}
+	case "-":
+		for k := range dst {
+			dst[k] = O(l[k]) - O(r[k])
+		}
+	default:
+		for k := range dst {
+			dst[k] = O(l[k]) * O(r[k])
+		}
+	}
 }
 
 type vnNeg struct {
@@ -455,30 +472,31 @@ func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	return ov, nil
 }
 
-// vnCmpLit is a column-vs-literal comparison specialized for encoded
-// storage chunks. Dictionary columns probe the sorted dict once per chunk
-// and compare codes (a literal missing from the dictionary decides =/<>
-// for every non-NULL lane without touching a byte of string data); RLE
-// columns evaluate the predicate once per run; delta columns fuse decode
-// and compare. Join-output chunks, raw columns, and kind/literal pairings
-// whose comparison is not the plain typed one delegate to the embedded
+// vnCmpLit is a column-vs-literal comparison with one typed loop per chunk,
+// picked from the column's encoding and kind. Numbers compare in float64
+// through cmpFloat64, as Compare does (NaN compares equal to everything), and
+// strings bytewise; delta columns fuse decode and compare, RLE columns compare
+// once per run, and dictionary columns probe the sorted dict once per chunk
+// and compare codes. Boxed columns and pairings whose comparison is not the
+// plain typed one (a string column against a number) delegate to the embedded
 // generic node, which replicates row-path semantics for every case.
 type vnCmpLit struct {
-	id   int
-	op   string
-	col  int
-	lit  Value
-	test func(int) bool // cmpTest(op), built once at plan time
-	fb   vnode
+	id  int
+	op  string
+	col int
+	lit Value
+	res [3]bool // the verdict for each comparison result + 1, built at plan time
+	fb  vnode
 }
 
 func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
-	if ch.joinOutput() {
-		return n.fb.eval(vc, ch, sel)
-	}
 	cv := ch.col(n.col)
 	idx := vc.lanesOf(ch, sel)
 	switch cv.enc {
+	case encNone, encDelta:
+		if ov, ok := n.evalRaw(vc, cv, idx); ok {
+			return ov, nil
+		}
 	case encDict:
 		if s, ok := n.lit.(string); ok {
 			return n.evalDict(vc, cv, idx, s), nil
@@ -487,12 +505,58 @@ func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		if ov, ok := n.evalRLE(vc, cv, idx); ok {
 			return ov, nil
 		}
-	case encDelta:
-		if f, ok := numeric(n.lit); ok {
-			return n.evalDelta(vc, cv, idx, f), nil
-		}
 	}
 	return n.fb.eval(vc, ch, sel)
+}
+
+// evalRaw is the loop over a raw or delta column: rows idx, or, of a
+// run-length column, its run slots. ok is false (delegate) for a boxed column
+// and for a literal of another kind.
+func (n *vnCmpLit) evalRaw(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) {
+	f, num := numeric(n.lit)
+	s, str := n.lit.(string)
+	b, isBool := n.lit.(bool)
+	if !(num && (cv.kind == TInt || cv.kind == TFloat) || str && cv.kind == TString || isBool && cv.kind == TBool) {
+		return nil, false
+	}
+	ov := vc.out(n.id, TBool, len(idx))
+	out, res := ov.bools, &n.res
+	switch {
+	case cv.enc == encDelta:
+		for k, i := range idx {
+			out[k] = res[cmpFloat64(float64(cv.deltaAt(int(i))), f)+1]
+		}
+	case cv.kind == TInt:
+		for k, i := range idx {
+			out[k] = res[cmpFloat64(float64(cv.ints[i]), f)+1]
+		}
+	case cv.kind == TFloat:
+		for k, i := range idx {
+			out[k] = res[cmpFloat64(cv.floats[i], f)+1]
+		}
+	case cv.kind == TString:
+		for k, i := range idx {
+			out[k] = res[strings.Compare(cv.slotStr(int(i)), s)+1]
+		}
+	default:
+		for k, i := range idx {
+			out[k] = res[cmpBools(cv.bools[i], b)+1]
+		}
+	}
+	nullLanes(ov, cv, idx)
+	return ov, true
+}
+
+// nullLanes flags the lanes of ov whose rows idx of cv, a column with per-row
+// flags, are NULL.
+func nullLanes(ov, cv *colVec, idx []int32) {
+	if len(cv.nulls) > 0 {
+		for k, i := range idx {
+			if cv.nulls[i] {
+				ov.setNull(k, len(idx))
+			}
+		}
+	}
 }
 
 // codeBounds reduces op against the dictionary boundary pair to interval
@@ -520,76 +584,37 @@ func codeBounds(op string, lb, ub uint32) (lo, hi uint32, neg bool) {
 }
 
 func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, idx []int32, s string) *colVec {
-	lanes := len(idx)
-	ov := vc.out(n.id, TBool, lanes)
+	ov := vc.out(n.id, TBool, len(idx))
 	lb := sort.SearchStrings(cv.dict, s)
 	ub := lb
 	if ub < len(cv.dict) && cv.dict[ub] == s {
 		ub++
 	}
 	lo, hi, neg := codeBounds(n.op, uint32(lb), uint32(ub))
-	hasNull := len(cv.nulls) > 0
 	for k, i := range idx {
-		if hasNull && cv.nulls[i] {
-			ov.setNull(k, lanes)
-			continue
-		}
 		c := cv.codes[i]
 		ov.bools[k] = (c >= lo && c < hi) != neg
 	}
+	nullLanes(ov, cv, idx)
 	return ov
 }
 
-// evalRLE evaluates the comparison once per run — O(runs + lanes) however
-// long the runs are. ok is false (delegate to the generic node) when the
-// column kind and literal kind do not compare through the plain typed path.
+// evalRLE evaluates the comparison once per run, evalRaw over the run slots —
+// O(runs + lanes) however long the runs are.
 func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) {
-	var litF float64
-	var litS string
-	var litB bool
-	switch cv.kind {
-	case TInt, TFloat:
-		f, ok := numeric(n.lit)
-		if !ok {
-			return nil, false
-		}
-		litF = f
-	case TString:
-		s, ok := n.lit.(string)
-		if !ok {
-			return nil, false
-		}
-		litS = s
-	case TBool:
-		b, ok := n.lit.(bool)
-		if !ok {
-			return nil, false
-		}
-		litB = b
-	default:
+	rv, ok := n.evalRaw(vc, cv, allLanes[:len(cv.runEnds)])
+	if !ok {
 		return nil, false
 	}
-	// Per-run verdicts: 0 false, 1 true, 2 NULL. Storage chunks hold at
-	// most chunkRows rows, so runs fit a stack array.
+	// Per-run verdicts, copied out of the buffer the lanes go to: 0 false, 1
+	// true, 2 NULL. Storage chunks hold at most chunkRows rows, so runs fit a
+	// stack array.
 	var rres [chunkRows]uint8
-	test := n.test
-	for r := 0; r < len(cv.runEnds); r++ {
-		if len(cv.nulls) > 0 && cv.nulls[r] {
+	for r, b := range rv.bools {
+		switch {
+		case rv.isNull(r):
 			rres[r] = 2
-			continue
-		}
-		var c int
-		switch cv.kind {
-		case TInt:
-			c = cmpFloat64(float64(cv.ints[r]), litF)
-		case TFloat:
-			c = cmpFloat64(cv.floats[r], litF)
-		case TString:
-			c = strings.Compare(cv.slotStr(r), litS)
-		case TBool:
-			c = cmpBools(cv.bools[r], litB)
-		}
-		if test(c) {
+		case b:
 			rres[r] = 1
 		}
 	}
@@ -606,21 +631,6 @@ func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) 
 	return ov, true
 }
 
-func (n *vnCmpLit) evalDelta(vc *vecCtx, cv *colVec, idx []int32, litF float64) *colVec {
-	lanes := len(idx)
-	ov := vc.out(n.id, TBool, lanes)
-	test := n.test
-	hasNull := len(cv.nulls) > 0
-	for k, i := range idx {
-		if hasNull && cv.nulls[i] {
-			ov.setNull(k, lanes)
-			continue
-		}
-		ov.bools[k] = test(cmpFloat64(float64(cv.deltaAt(int(i))), litF))
-	}
-	return ov
-}
-
 // cmpBools orders bools like Compare: false < true.
 func cmpBools(a, b bool) int {
 	switch {
@@ -632,47 +642,68 @@ func cmpBools(a, b bool) int {
 	return 1
 }
 
-// vnInLit is IN over a column with an all-literal list, specialized for
-// dictionary columns: the list probes the dict once per chunk into a
-// boolean LUT indexed by code, so membership is one table load per lane.
-// Non-string literals are dropped from the LUT — Compare never equates a
-// string with any other type, so they cannot match a string column. Raw
-// and join chunks delegate to the embedded generic vnIn.
+// vnInLit is IN over a column with an all-literal list, one typed loop per
+// chunk. A dictionary column probes the list into the dict once per chunk, a
+// boolean LUT indexed by code, so membership is one table load per lane; a raw
+// string column looks its lanes up among the string literals, a raw numeric
+// one among the numeric literals in float64, with lanesEqual's rules. Compare
+// never equates a string with any other type, so the literals of the other
+// kind cannot match. Other encodings and boxed columns delegate to the
+// embedded generic vnIn.
 type vnInLit struct {
 	id   int
 	col  int
 	strs []string
+	nums []float64
 	not  bool
 	fb   vnode
 }
 
 func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
-	if ch.joinOutput() {
-		return n.fb.eval(vc, ch, sel)
-	}
 	cv := ch.col(n.col)
-	if cv.enc != encDict {
+	if cv.enc == encRLE || cv.enc == encDelta || cv.kind == TAny || cv.kind == TBool {
 		return n.fb.eval(vc, ch, sel)
-	}
-	// Storage chunks hold <= chunkRows rows, so dicts fit a stack LUT.
-	var lut [chunkRows]bool
-	for _, s := range n.strs {
-		if c := sort.SearchStrings(cv.dict, s); c < len(cv.dict) && cv.dict[c] == s {
-			lut[c] = true
-		}
 	}
 	idx := vc.lanesOf(ch, sel)
-	lanes := len(idx)
-	ov := vc.out(n.id, TBool, lanes)
-	hasNull := len(cv.nulls) > 0
-	for k, i := range idx {
-		if hasNull && cv.nulls[i] {
-			ov.setNull(k, lanes)
-			continue
+	ov := vc.out(n.id, TBool, len(idx))
+	out := ov.bools
+	switch {
+	case cv.enc == encDict:
+		// Storage chunks hold <= chunkRows rows, so dicts fit a stack LUT.
+		var lut [chunkRows]bool
+		for _, s := range n.strs {
+			if c := sort.SearchStrings(cv.dict, s); c < len(cv.dict) && cv.dict[c] == s {
+				lut[c] = true
+			}
 		}
-		ov.bools[k] = lut[cv.codes[i]] != n.not
+		for k, i := range idx {
+			out[k] = lut[cv.codes[i]] != n.not
+		}
+	case cv.kind == TString:
+		for k, i := range idx {
+			out[k] = slices.Contains(n.strs, cv.slotStr(int(i))) != n.not
+		}
+	case cv.kind == TInt:
+		for k, i := range idx {
+			out[k] = inFloats(float64(cv.ints[i]), n.nums) != n.not
+		}
+	default:
+		for k, i := range idx {
+			out[k] = inFloats(cv.floats[i], n.nums) != n.not
+		}
 	}
+	nullLanes(ov, cv, idx)
 	return ov, nil
+}
+
+// inFloats reports whether x compares equal to one of fs under cmpFloat64.
+func inFloats(x float64, fs []float64) bool {
+	for _, f := range fs {
+		if cmpFloat64(x, f) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ---- logic ----
@@ -694,6 +725,14 @@ func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	}
 	lanes := laneCount(ch, sel)
 	ov := vc.out(n.id, TBool, lanes)
+	if lv.kind == TBool && rv.kind == TBool && len(lv.nulls) == 0 && len(rv.nulls) == 0 {
+		// Two-valued: AND is l && r, OR is !(!l && !r).
+		l, r, and := lv.bools[:lanes], rv.bools[:lanes], n.and
+		for k := range ov.bools {
+			ov.bools[k] = (l[k] == and && r[k] == and) == and
+		}
+		return ov, nil
+	}
 	// Replicates the row path's three-valued logic exactly, including its
 	// treatment of unconvertible (non-bool, non-numeric) operands: AND is
 	// false on a false operand, OR true on a true one, NULL otherwise when
@@ -1007,24 +1046,15 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 			if l == nil || r == nil {
 				return nil
 			}
-			generic := &vnCmp{id: c.newID(), op: x.Op, l: l, r: r}
-			// Column-vs-literal shapes get the encoding-aware kernel, with
-			// the generic node embedded for chunks it cannot handle. A
-			// literal on the left mirrors the operator.
-			if cn, ok := l.(*vnCol); ok {
-				if ln, ok := r.(*vnLit); ok && ln.val != nil {
-					return &vnCmpLit{id: c.newID(), op: x.Op, col: cn.col, lit: ln.val,
-						test: cmpTest(x.Op), fb: generic}
-				}
+			// Column-vs-literal shapes get the typed kernel. A literal on the
+			// left mirrors the operator.
+			if cn, ln, ok := colLit(l, r); ok {
+				return c.cmpLit(x.Op, cn, ln)
 			}
-			if cn, ok := r.(*vnCol); ok {
-				if ln, ok := l.(*vnLit); ok && ln.val != nil {
-					op := flipCmp(x.Op)
-					return &vnCmpLit{id: c.newID(), op: op, col: cn.col, lit: ln.val,
-						test: cmpTest(op), fb: generic}
-				}
+			if cn, ln, ok := colLit(r, l); ok {
+				return c.cmpLit(flipCmp(x.Op), cn, ln)
 			}
-			return generic
+			return &vnCmp{id: c.newID(), op: x.Op, l: l, r: r}
 		case "+", "-", "*", "/", "%":
 			if _, isInterval := x.R.(*sqlparser.IntervalExpr); isInterval {
 				return nil // date arithmetic: scalar fallback
@@ -1053,6 +1083,17 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 		if xn == nil || lo == nil || hi == nil {
 			return nil
 		}
+		// A column between two non-NULL literals is two literal comparisons
+		// under AND, NOT BETWEEN their complements under OR: the same under
+		// three-valued logic, with the typed kernel's loops.
+		if cn, l, ok := colLit(xn, lo); ok {
+			if _, h, ok := colLit(xn, hi); ok {
+				if x.Not {
+					return &vnLogic{id: c.newID(), l: c.cmpLit("<", cn, l), r: c.cmpLit(">", cn, h)}
+				}
+				return &vnLogic{id: c.newID(), and: true, l: c.cmpLit(">=", cn, l), r: c.cmpLit("<=", cn, h)}
+			}
+		}
 		return &vnBetween{id: c.newID(), x: xn, lo: lo, hi: hi, not: x.Not}
 	case *sqlparser.InExpr:
 		if x.Subquery != nil {
@@ -1071,25 +1112,22 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 			list[i] = ln
 		}
 		generic := &vnIn{id: c.newID(), x: xn, list: list, not: x.Not}
-		// Column IN (all non-NULL literals): dictionary LUT kernel. Only the
-		// string literals go in the probe set — nothing else can equal a
-		// string.
+		// Column IN (all non-NULL literals): the typed kernel, which sorts
+		// the literals by kind.
 		if cn, ok := xn.(*vnCol); ok {
-			var strs []string
-			allLit := true
+			in := &vnInLit{id: c.newID(), col: cn.col, not: x.Not, fb: generic}
 			for _, le := range x.List {
 				lit, ok := le.(*sqlparser.Literal)
 				if !ok || lit.Val == nil {
-					allLit = false
-					break
+					return generic
 				}
 				if s, isStr := lit.Val.(string); isStr {
-					strs = append(strs, s)
+					in.strs = append(in.strs, s)
+				} else if f, isNum := numeric(lit.Val); isNum {
+					in.nums = append(in.nums, f)
 				}
 			}
-			if allLit {
-				return &vnInLit{id: c.newID(), col: cn.col, strs: strs, not: x.Not, fb: generic}
-			}
+			return in
 		}
 		return generic
 	case *sqlparser.LikeExpr:
@@ -1133,6 +1171,24 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 		return nil // other scalar functions: per-lane fallback
 	}
 	return nil
+}
+
+// colLit matches a column leaf and a non-NULL literal leaf.
+func colLit(col, lit vnode) (*vnCol, *vnLit, bool) {
+	cn, ok := col.(*vnCol)
+	ln, isLit := lit.(*vnLit)
+	return cn, ln, ok && isLit && ln.val != nil
+}
+
+// cmpLit is the typed kernel for cn op ln, with the generic node embedded for
+// chunks it cannot handle.
+func (c *vecCompiler) cmpLit(op string, cn *vnCol, ln *vnLit) vnode {
+	fb := &vnCmp{id: c.newID(), op: op, l: cn, r: ln}
+	n, test := &vnCmpLit{id: c.newID(), op: op, col: cn.col, lit: ln.val, fb: fb}, cmpTest(op)
+	for r := range n.res {
+		n.res[r] = test(r - 1)
+	}
+	return n
 }
 
 // lowerConjuncts flattens the top-level AND conjuncts of a WHERE clause

@@ -552,12 +552,15 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 			for ri := 0; ri < chunks[ci].n; ri++ {
 				refs = append(refs, packRef(ci, ri))
 			}
+		} else if len(sel) == 0 {
+			chunks[ci] = nil // nothing references it, so no gather reads it
 		}
 		for _, ri := range sel {
 			refs = append(refs, packRef(ci, int(ri)))
 		}
 	}
-	gs := &gatherSrc{qc: qc, buildChunks: chunks, buildKinds: chunkKinds(chunks, rel.width())}
+	gs := &gatherSrc{qc: qc}
+	gs.setBuild(chunks, rel.width())
 	out := &colSource{nrows: total}
 	for lo := 0; lo < total; lo += chunkRows {
 		out.sealed = append(out.sealed, gs.refChunk(nil, nil, refs[lo:min(lo+chunkRows, total)]))
