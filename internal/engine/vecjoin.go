@@ -804,18 +804,18 @@ type gatherSrc struct {
 	// buildChunks holds nil where no reference can point: a right chunk the
 	// hashed-left scan found no match in.
 	buildChunks []*chunk
-	// buildKinds is chunksKind of each build column, so gathers pick their
-	// typed path once per source instead of per chunk.
-	buildKinds []ColType
 	// buildCols is the table of the build chunks' columns, one entry per
-	// column, resolved by the first gather that reads it; mu serializes that.
+	// column; mu serializes the first gather's resolving of an entry.
 	buildCols []buildColumn
 	mu        sync.Mutex
 }
 
-// buildColumn is one column of every build chunk. ready is set once cols and
-// raw are, so a gather that sees it reads them without the lock.
+// buildColumn is one column of every build chunk. Its kind, chunksKind of the
+// column, is known from the start, so gathers pick their typed path once per
+// source instead of per chunk; ready is set once cols and raw are, so a gather
+// that sees it reads them without the lock.
 type buildColumn struct {
+	kind  ColType
 	ready atomic.Bool
 	raw   bool      // every chunk holds the column raw, without NULLs, strings as lanes
 	cols  []*colVec // per build chunk; nil where the chunk is
@@ -824,14 +824,11 @@ type buildColumn struct {
 // setBuild makes chunks, of w columns, the build side: their kinds and an
 // empty column table, charged like the gathers it serves.
 func (s *gatherSrc) setBuild(chunks []*chunk, w int) {
-	s.buildChunks, s.buildKinds = chunks, make([]ColType, w)
-	for j := range s.buildKinds {
-		s.buildKinds[j] = chunksKind(chunks, j)
-	}
 	s.qc.chargeMem(int64(w*len(chunks)) * bytesPerRef)
 	tbl := make([]*colVec, w*len(chunks))
-	s.buildCols = make([]buildColumn, w)
+	s.buildChunks, s.buildCols = chunks, make([]buildColumn, w)
 	for bj := range s.buildCols {
+		s.buildCols[bj].kind = chunksKind(chunks, bj)
 		s.buildCols[bj].cols = tbl[bj*len(chunks) : (bj+1)*len(chunks)]
 	}
 }
@@ -843,7 +840,7 @@ func (s *gatherSrc) buildCol(bj int) *buildColumn {
 	if !bc.ready.Load() {
 		s.mu.Lock()
 		if !bc.ready.Load() {
-			bc.raw = s.buildKinds[bj] != TAny
+			bc.raw = bc.kind != TAny
 			//verdict:nopoll one column per build chunk, once per join; a lazily filled chunk charges what it builds
 			for ci, ch := range s.buildChunks {
 				if ch != nil {
@@ -883,13 +880,14 @@ func chunksKind(chunks []*chunk, j int) ColType {
 // refChunk wraps row references into s as a chunk: sel picks each row's probe
 // row (unread when the source has no probe columns), refs its build row.
 func (s *gatherSrc) refChunk(probe *chunk, sel []int32, refs []int64) *chunk {
-	w := s.leftW + len(s.buildKinds)
-	return &chunk{
-		cols:   make([]colVec, w),
-		n:      len(refs),
-		lazy:   &joinGather{j: s, probe: probe, probeSel: sel, refs: refs},
-		filled: make([]atomic.Bool, w),
-	}
+	w := s.leftW + len(s.buildCols)
+	c := &struct { // the chunk and its filler in one allocation
+		chunk
+		g joinGather
+	}{chunk{cols: make([]colVec, w), n: len(refs), filled: make([]atomic.Bool, w)},
+		joinGather{j: s, probe: probe, probeSel: sel, refs: refs}}
+	c.lazy = &c.g
+	return &c.chunk
 }
 
 // joinGather is the late-materialization filler of one join-output chunk:
@@ -939,9 +937,9 @@ func (g *joinGather) fillProbe(c *chunk, cv *colVec, j int) {
 // build side always materializes strings.
 func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
 	s, n, refs := g.j, c.n, g.refs
-	kind := s.buildKinds[bj]
-	cv.reset(s.qc, kind, n)
 	bc := s.buildCol(bj)
+	kind := bc.kind
+	cv.reset(s.qc, kind, n)
 	switch {
 	case !bc.raw:
 		readLanes(cv, bc.cols, refs)
@@ -1114,7 +1112,7 @@ func (g *joinGather) kindOf(_ *chunk, j int) ColType {
 		}
 		return g.probe.colKind(j)
 	}
-	return g.j.buildKinds[j-g.j.leftW]
+	return g.j.buildCols[j-g.j.leftW].kind
 }
 
 // cellAt boxes one cell through the references.
