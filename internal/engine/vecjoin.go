@@ -40,8 +40,9 @@ import (
 // would use, null-extension. That chunk holds only the two reference vectors;
 // downstream kernels read columns through joinGather, which copies a column
 // into a colVec when a kernel first touches it — raw lanes, or a probe-side
-// dictionary column's codes — with the same gathers a kernel's column leaf (vnCol) uses, so
-// boxed rows appear only at the ResultSet boundary.
+// dictionary column's codes — with the gathers a kernel's column leaf (vnCol)
+// uses on the probe side and the join's build column table on the build side,
+// so boxed rows appear only at the ResultSet boundary.
 //
 // Key classes: the hashed side goes into the engine's key table (keytable.go),
 // so key equality is GroupKey equality, as in a GROUP BY, except that a NULL
