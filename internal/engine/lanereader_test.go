@@ -77,13 +77,17 @@ func TestLaneReaders(t *testing.T) {
 						refs[k] = packRef(0, int(i))
 					}
 				}
-				joined := src.refChunk(build[0], idx, refs)
-				probe, bside := joined.col(0), joined.col(1)
-				for k, i := range idx {
-					check("probe gather", k, probe.value(k), stored.value(int(i)))
-				}
-				for k, r := range refs {
-					check("build gather", k, bside.value(k), want(r))
+				// The first gather fills the build column table, the second
+				// reads it.
+				for pass := 0; pass < 2; pass++ {
+					joined := src.refChunk(build[0], idx, refs)
+					probe, bside := joined.col(0), joined.col(1)
+					for k, i := range idx {
+						check("probe gather", k, probe.value(k), stored.value(int(i)))
+					}
+					for k, r := range refs {
+						check(fmt.Sprintf("build gather %d", pass), k, bside.value(k), want(r))
+					}
 				}
 			}
 		}
@@ -133,24 +137,38 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 					t.Fatalf("%v: lazy chunk %d built before any gather", side.encs, ci)
 				}
 			}
-			refs := []int64{nullRef}
-			for k := 0; k < 3*n; k++ {
-				refs = append(refs, packRef(k%len(build), k*7%n))
+			// hop(m) hops over the first m chunks, starting NULL-extended.
+			hop := func(m int) []int64 {
+				refs := []int64{nullRef}
+				for k := 0; k < 3*n; k++ {
+					refs = append(refs, packRef(k%m, k*7%n))
+				}
+				return refs
 			}
-			bside := src.refChunk(nil, nil, refs).col(0)
 			cell := fmt.Sprintf("%v/%s nulls", side.encs, nulls)
-			if got, want := src.buildCols[0].raw, side.direct && nulls == "none"; got != want {
-				t.Errorf("%s: typed load %v, want %v", cell, got, want)
+			// The first gather reads through the encodings and fills the
+			// table but for the last chunk; the second can load typed lanes
+			// until it first reaches that chunk, and reads on from there; the
+			// third finds the whole table filled.
+			for pass, refs := range [][]int64{hop(len(build) - 1), hop(len(build)), hop(len(build))} {
+				bside := src.refChunk(nil, nil, refs).col(0)
+				for k, r := range refs {
+					var want Value
+					if r >= 0 {
+						ci, ri := unpackRef(r)
+						want = build[ci].valueAt(0, ri)
+					}
+					if got := bside.value(k); got != want {
+						t.Errorf("%s: gather %d lane %d = %#v, want %#v", cell, pass, k, got, want)
+					}
+				}
 			}
-			for k, r := range refs {
-				var want Value
-				if r >= 0 {
-					ci, ri := unpackRef(r)
-					want = build[ci].valueAt(0, ri)
-				}
-				if got := bside.value(k); got != want {
-					t.Errorf("%s: lane %d = %#v, want %#v", cell, k, got, want)
-				}
+			var scratch colVec
+			scratch.reset(nil, TAny, 3*n+1)
+			typed := loadLanes(&scratch, scratch.anys, src.buildCols[0].cols, hop(len(build)),
+				func(*colVec) []Value { return make([]Value, n) }) == 3*n+1
+			if want := side.direct && nulls == "none"; typed != want {
+				t.Errorf("%s: typed load %v, want %v", cell, typed, want)
 			}
 		}
 	}

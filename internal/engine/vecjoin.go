@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"verdictdb/internal/faultpoint"
@@ -806,55 +805,39 @@ type gatherSrc struct {
 	// hashed-left scan found no match in.
 	buildChunks []*chunk
 	// buildCols is the table of the build chunks' columns, one entry per
-	// column; mu serializes the first gather's resolving of an entry.
+	// column.
 	buildCols []buildColumn
-	mu        sync.Mutex
 }
 
 // buildColumn is one column of every build chunk. Its kind, chunksKind of the
 // column, is known from the start, so gathers pick their typed path once per
-// source instead of per chunk; ready is set once cols and raw are, so a gather
-// that sees it reads them without the lock.
+// source instead of per chunk. cols[ci] is build chunk ci's column, stored by
+// the first gather that reads a row of that chunk.
 type buildColumn struct {
-	kind  ColType
-	ready atomic.Bool
-	raw   bool      // every chunk holds the column raw, without NULLs, strings as lanes
-	cols  []*colVec // per build chunk; nil where the chunk is
+	kind ColType
+	cols []atomic.Pointer[colVec]
 }
 
 // setBuild makes chunks, of w columns, the build side: their kinds and an
 // empty column table, charged like the gathers it serves.
 func (s *gatherSrc) setBuild(chunks []*chunk, w int) {
 	s.qc.chargeMem(int64(w*len(chunks)) * bytesPerRef)
-	tbl := make([]*colVec, w*len(chunks))
+	tbl := make([]atomic.Pointer[colVec], w*len(chunks))
 	s.buildChunks, s.buildCols = chunks, make([]buildColumn, w)
 	for bj := range s.buildCols {
-		s.buildCols[bj].kind = chunksKind(chunks, bj)
-		s.buildCols[bj].cols = tbl[bj*len(chunks) : (bj+1)*len(chunks)]
+		s.buildCols[bj] = buildColumn{kind: chunksKind(chunks, bj), cols: tbl[bj*len(chunks) : (bj+1)*len(chunks)]}
 	}
 }
 
-// buildCol returns build column bj, resolving it — every build chunk's column
-// built, once — on first use.
-func (s *gatherSrc) buildCol(bj int) *buildColumn {
-	bc := &s.buildCols[bj]
-	if !bc.ready.Load() {
-		s.mu.Lock()
-		if !bc.ready.Load() {
-			bc.raw = bc.kind != TAny
-			//verdict:nopoll one column per build chunk, once per join; a lazily filled chunk charges what it builds
-			for ci, ch := range s.buildChunks {
-				if ch != nil {
-					cv := ch.col(bj)
-					bc.cols[ci] = cv
-					bc.raw = bc.raw && cv.enc == encNone && len(cv.nulls) == 0 && cv.soffs == nil
-				}
-			}
-			bc.ready.Store(true)
-		}
-		s.mu.Unlock()
+// buildCol returns build chunk ci's column bj, building it on first use.
+func (s *gatherSrc) buildCol(bj int, ci int64) *colVec {
+	e := &s.buildCols[bj].cols[ci]
+	cv := e.Load()
+	if cv == nil {
+		cv = s.buildChunks[ci].col(bj)
+		e.Store(cv)
 	}
-	return bc
+	return cv
 }
 
 // chunksKind returns the storage kind of column j every chunk shares: TAny
@@ -930,34 +913,34 @@ func (g *joinGather) fillProbe(c *chunk, cv *colVec, j int) {
 }
 
 // fillBuild gathers build-side column bj through the refs, lane by lane,
-// each from its chunk's column in the source's table. The loop is picked once
-// per call: a typed load per lane when every build chunk holds the column raw
-// without NULLs, else a read through each lane's encoding and NULL flags
-// (boxed when chunks disagree on the column's kind, rare: schema-on-read
-// mixes). Build chunks can disagree on dictionaries (one per chunk), so the
-// build side always materializes strings.
+// each from its chunk's column in the source's table: a typed load per lane
+// while every chunk the refs name holds the column raw without NULLs, and from
+// the first lane that names another, a read through each lane's own chunk
+// encoding and NULL flags (boxed when chunks disagree on the column's kind,
+// rare: schema-on-read mixes). Build chunks can disagree on dictionaries (one
+// per chunk), so the build side always materializes strings.
 func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
-	s, n, refs := g.j, c.n, g.refs
-	bc := s.buildCol(bj)
-	kind := bc.kind
-	cv.reset(s.qc, kind, n)
-	switch {
-	case !bc.raw:
-		readLanes(cv, bc.cols, refs)
-	case kind == TInt:
-		loadLanes(cv, cv.ints, bc.cols, refs, func(v *colVec) []int64 { return v.ints })
-	case kind == TFloat:
-		loadLanes(cv, cv.floats, bc.cols, refs, func(v *colVec) []float64 { return v.floats })
-	case kind == TString:
-		loadLanes(cv, cv.strs, bc.cols, refs, func(v *colVec) []string { return v.strs })
-	default:
-		loadLanes(cv, cv.bools, bc.cols, refs, func(v *colVec) []bool { return v.bools })
+	s, refs := g.j, g.refs
+	bc := &s.buildCols[bj]
+	cv.reset(s.qc, bc.kind, c.n)
+	k := 0
+	switch bc.kind {
+	case TInt:
+		k = loadLanes(cv, cv.ints, bc.cols, refs, func(v *colVec) []int64 { return v.ints })
+	case TFloat:
+		k = loadLanes(cv, cv.floats, bc.cols, refs, func(v *colVec) []float64 { return v.floats })
+	case TString:
+		k = loadLanes(cv, cv.strs, bc.cols, refs, func(v *colVec) []string { return v.strs })
+	case TBool:
+		k = loadLanes(cv, cv.bools, bc.cols, refs, func(v *colVec) []bool { return v.bools })
 	}
+	s.readLanes(cv, bj, refs, k)
 }
 
-// loadLanes is fillBuild's loop over raw NULL-free columns: lane k is row
-// refs[k] of vals of its chunk's column.
-func loadLanes[T any](cv *colVec, dst []T, cols []*colVec, refs []int64, vals func(*colVec) []T) {
+// loadLanes is fillBuild's typed loop: lane k is row refs[k] of vals of its
+// chunk's column. It returns the first lane whose chunk's column is not yet in
+// the table, or is not raw without NULLs with its strings as lanes.
+func loadLanes[T any](cv *colVec, dst []T, cols []atomic.Pointer[colVec], refs []int64, vals func(*colVec) []T) int {
 	var src []T
 	last := int64(-1)
 	for k, r := range refs {
@@ -966,24 +949,30 @@ func loadLanes[T any](cv *colVec, dst []T, cols []*colVec, refs []int64, vals fu
 			cv.setNull(k, len(dst))
 			continue
 		case ci != last:
-			src, last = vals(cols[ci]), ci
+			scv := cols[ci].Load()
+			if scv == nil || scv.enc != encNone || len(scv.nulls) > 0 || scv.soffs != nil {
+				return k
+			}
+			src, last = vals(scv), ci
 		}
 		dst[k] = src[uint32(r)]
 	}
+	return len(refs)
 }
 
-// readLanes is fillBuild's loop over any other columns: lane k is row refs[k]
-// read through its chunk's encoding — a run-length slot found by binary
-// search, delta integers unpacked, dictionary strings materialized — and NULL
-// flags, or boxed when the chunks disagree on the column's kind.
-func readLanes(cv *colVec, cols []*colVec, refs []int64) {
+// readLanes is fillBuild's loop over lanes [k0, len(refs)): lane k is row
+// refs[k] read through its chunk's encoding — a run-length slot found by
+// binary search, delta integers unpacked, dictionary strings materialized —
+// and NULL flags, or boxed when the chunks disagree on the column's kind.
+func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 	n := len(refs)
-	for k, r := range refs {
+	for k := k0; k < n; k++ {
+		r := refs[k]
 		if r < 0 {
 			cv.setNull(k, n)
 			continue
 		}
-		scv, i := cols[r>>32], int(uint32(r))
+		scv, i := s.buildCol(bj, r>>32), int(uint32(r))
 		slot := i
 		if scv.enc == encRLE {
 			slot = scv.runIdx(i)
