@@ -482,11 +482,10 @@ func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 // generic node, which replicates row-path semantics for every case.
 type vnCmpLit struct {
 	id  int
-	op  string
 	col int
 	lit Value
 	res [3]bool // the verdict for each comparison result + 1, built at plan time
-	fb  vnode
+	fb  vnCmp
 }
 
 func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
@@ -590,7 +589,7 @@ func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, idx []int32, s string) *colV
 	if ub < len(cv.dict) && cv.dict[ub] == s {
 		ub++
 	}
-	lo, hi, neg := codeBounds(n.op, uint32(lb), uint32(ub))
+	lo, hi, neg := codeBounds(n.fb.op, uint32(lb), uint32(ub))
 	for k, i := range idx {
 		c := cv.codes[i]
 		ov.bools[k] = (c >= lo && c < hi) != neg
@@ -655,8 +654,7 @@ type vnInLit struct {
 	col  int
 	strs []string
 	nums []float64
-	not  bool
-	fb   vnode
+	fb   vnIn
 }
 
 func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
@@ -677,19 +675,19 @@ func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 			}
 		}
 		for k, i := range idx {
-			out[k] = lut[cv.codes[i]] != n.not
+			out[k] = lut[cv.codes[i]] != n.fb.not
 		}
 	case cv.kind == TString:
 		for k, i := range idx {
-			out[k] = slices.Contains(n.strs, cv.slotStr(int(i))) != n.not
+			out[k] = slices.Contains(n.strs, cv.slotStr(int(i))) != n.fb.not
 		}
 	case cv.kind == TInt:
 		for k, i := range idx {
-			out[k] = inFloats(float64(cv.ints[i]), n.nums) != n.not
+			out[k] = inFloats(float64(cv.ints[i]), n.nums) != n.fb.not
 		}
 	default:
 		for k, i := range idx {
-			out[k] = inFloats(cv.floats[i], n.nums) != n.not
+			out[k] = inFloats(cv.floats[i], n.nums) != n.fb.not
 		}
 	}
 	nullLanes(ov, cv, idx)
@@ -1111,25 +1109,23 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 			}
 			list[i] = ln
 		}
-		generic := &vnIn{id: c.newID(), x: xn, list: list, not: x.Not}
-		// Column IN (all non-NULL literals): the typed kernel, which sorts
-		// the literals by kind.
-		if cn, ok := xn.(*vnCol); ok {
-			in := &vnInLit{id: c.newID(), col: cn.col, not: x.Not, fb: generic}
-			for _, le := range x.List {
-				lit, ok := le.(*sqlparser.Literal)
-				if !ok || lit.Val == nil {
-					return generic
-				}
-				if s, isStr := lit.Val.(string); isStr {
-					in.strs = append(in.strs, s)
-				} else if f, isNum := numeric(lit.Val); isNum {
-					in.nums = append(in.nums, f)
-				}
+		// Column IN (all non-NULL literals) is the typed kernel, which sorts
+		// the literals by kind; anything else the generic node it embeds.
+		in := &vnInLit{fb: vnIn{id: c.newID(), x: xn, list: list, not: x.Not}}
+		cn, isCol := xn.(*vnCol)
+		for _, le := range x.List {
+			lit, ok := le.(*sqlparser.Literal)
+			if !isCol || !ok || lit.Val == nil {
+				return &in.fb
 			}
-			return in
+			if s, isStr := lit.Val.(string); isStr {
+				in.strs = append(in.strs, s)
+			} else if f, isNum := numeric(lit.Val); isNum {
+				in.nums = append(in.nums, f)
+			}
 		}
-		return generic
+		in.id, in.col = c.newID(), cn.col
+		return in
 	case *sqlparser.LikeExpr:
 		xn, pn := c.lower(x.X), c.lower(x.Pattern)
 		if xn == nil || pn == nil {
@@ -1183,8 +1179,7 @@ func colLit(col, lit vnode) (*vnCol, *vnLit, bool) {
 // cmpLit is the typed kernel for cn op ln, with the generic node embedded for
 // chunks it cannot handle.
 func (c *vecCompiler) cmpLit(op string, cn *vnCol, ln *vnLit) vnode {
-	fb := &vnCmp{id: c.newID(), op: op, l: cn, r: ln}
-	n, test := &vnCmpLit{id: c.newID(), op: op, col: cn.col, lit: ln.val, fb: fb}, cmpTest(op)
+	n, test := &vnCmpLit{id: c.newID(), col: cn.col, lit: ln.val, fb: vnCmp{id: c.newID(), op: op, l: cn, r: ln}}, cmpTest(op)
 	for r := range n.res {
 		n.res[r] = test(r - 1)
 	}
