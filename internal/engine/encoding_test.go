@@ -21,17 +21,54 @@ import (
 // exactly, encodings included.
 func encRowsEqual(t *testing.T, label string, want, got *ResultSet) {
 	t.Helper()
+	if d := encRowsDiff(want, got); d != "" {
+		t.Fatalf("%s%s", label, d)
+	}
+}
+
+// encRowsDiff describes the first difference between two result sets, or
+// returns "" when they are bit-identical. Floats compare by bits, so NaN
+// matches NaN and -0 does not match +0; every other cell compares as an
+// interface, so a cell of another dynamic type never matches.
+func encRowsDiff(want, got *ResultSet) string {
 	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%s: row count %d vs %d", label, len(want.Rows), len(got.Rows))
+		return fmt.Sprintf(": row count %d vs %d", len(want.Rows), len(got.Rows))
 	}
 	for r := range want.Rows {
 		for c := range want.Rows[r] {
-			wf, isF := want.Rows[r][c].(float64)
-			gf, _ := got.Rows[r][c].(float64)
-			if isF && math.Float64bits(wf) != math.Float64bits(gf) || !isF && want.Rows[r][c] != got.Rows[r][c] {
-				t.Fatalf("%s row %d col %d: %v (%T) vs %v (%T)", label, r, c,
-					want.Rows[r][c], want.Rows[r][c], got.Rows[r][c], got.Rows[r][c])
+			w, g := want.Rows[r][c], got.Rows[r][c]
+			wf, isF := w.(float64)
+			gf, gIsF := g.(float64)
+			if isF != gIsF || isF && math.Float64bits(wf) != math.Float64bits(gf) || !isF && w != g {
+				return fmt.Sprintf(" row %d col %d: %v (%T) vs %v (%T)", r, c, w, w, g, g)
 			}
+		}
+	}
+	return ""
+}
+
+// TestEncRowsDiff pins the comparator the parity tests share: a float cell
+// matches only a float of the same bits.
+func TestEncRowsDiff(t *testing.T) {
+	one := func(v Value) *ResultSet { return &ResultSet{Rows: [][]Value{{v}}} }
+	for _, c := range []struct {
+		want, got Value
+		same      bool
+	}{
+		{float64(0), float64(0), true},
+		{math.NaN(), math.NaN(), true},
+		{"a", "a", true},
+		{nil, nil, true},
+		{float64(0), nil, false},
+		{float64(0), int64(0), false},
+		{float64(0), "", false},
+		{float64(0), false, false},
+		{nil, float64(0), false},
+		{int64(0), float64(0), false},
+		{float64(0), math.Copysign(0, -1), false},
+	} {
+		if same := encRowsDiff(one(c.want), one(c.got)) == ""; same != c.same {
+			t.Errorf("%#v vs %#v: same = %v, want %v", c.want, c.got, same, c.same)
 		}
 	}
 }

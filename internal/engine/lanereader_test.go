@@ -98,10 +98,11 @@ func TestLaneReaders(t *testing.T) {
 // laneReadersMixedBuild is TestLaneReaders' build gather over build sides
 // whose chunks differ: in encoding (so every lane is read through its own
 // chunk's), in kind (so lanes are boxed), and in how a chunk is filled — a
-// pre-filtered input's reference chunk builds its column when the gather's
-// table first reads it. The references hop to another chunk at every lane, and
-// one is NULL-extended. A side whose every chunk holds the column raw without
-// NULLs takes the typed load instead, which the table records.
+// pre-filtered input's reference chunk builds its column when a gather first
+// names it. The references hop to another chunk at every lane, and one is
+// NULL-extended. A side whose every chunk holds the column raw without NULLs
+// takes the typed load throughout; any other hands over to the per-lane read
+// at the first lane that names a chunk it cannot load.
 func laneReadersMixedBuild(t *testing.T, n int) {
 	for _, side := range []struct {
 		encs   []string
@@ -146,12 +147,14 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 				return refs
 			}
 			cell := fmt.Sprintf("%v/%s nulls", side.encs, nulls)
-			// The first gather reads through the encodings and fills the
-			// table but for the last chunk; the second can load typed lanes
-			// until it first reaches that chunk, and reads on from there; the
-			// third finds the whole table filled.
-			for pass, refs := range [][]int64{hop(len(build) - 1), hop(len(build)), hop(len(build))} {
+			// The first gather never names the last chunk, so a lazy one
+			// stays unbuilt; the second builds it.
+			last := build[len(build)-1]
+			for pass, refs := range [][]int64{hop(len(build) - 1), hop(len(build))} {
 				bside := src.refChunk(nil, nil, refs).col(0)
+				if pass == 0 && (last.lazy != nil && last.filled[0].Load() || src.buildCols[0].cols[len(build)-1].Load() != nil) {
+					t.Errorf("%s: a gather built a chunk it never names", cell)
+				}
 				for k, r := range refs {
 					var want Value
 					if r >= 0 {
@@ -163,9 +166,13 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 					}
 				}
 			}
+			// On an empty table too: a chunk the typed load meets first is
+			// stored, not handed over.
+			fresh := &gatherSrc{}
+			fresh.setBuild(build, 1)
 			var scratch colVec
 			scratch.reset(nil, TAny, 3*n+1)
-			typed := loadLanes(&scratch, scratch.anys, src.buildCols[0].cols, hop(len(build)),
+			typed := loadLanes(fresh, &scratch, scratch.anys, 0, hop(len(build)),
 				func(*colVec) []Value { return make([]Value, n) }) == 3*n+1
 			if want := side.direct && nulls == "none"; typed != want {
 				t.Errorf("%s: typed load %v, want %v", cell, typed, want)
