@@ -10,13 +10,15 @@ test: build
 
 # The test modes CI runs after the plain suite, one row each: a name, then the
 # command. par4 pins 4 scheduler threads so the chunk-morsel fan-out and the
-# parallel≡serial tests use several workers; faultinject fires the
-# internal/faultpoint sites; force-encodings dict/RLE/delta-encodes every
-# sealed chunk; the spill rows flush every sealed chunk to segment files.
+# parallel≡serial tests use several workers, with -count=1 because go test's
+# cache does not key on GOMAXPROCS (the runtime reads it, not the test): after
+# a plain `go test ./...` it would replay that run's results; faultinject
+# fires the internal/faultpoint sites; force-encodings dict/RLE/delta-encodes
+# every sealed chunk; the spill rows flush every sealed chunk to segment files.
 # `make modes` runs every row in order, printing its name, and stops at the
 # first failure; `make modes ONLY=race` runs one. A new mode is a new row.
 define MODES
-par4              | GOMAXPROCS=4 $(GO) test ./...
+par4              | GOMAXPROCS=4 $(GO) test -count=1 ./...
 race              | $(GO) test -race ./...
 faultinject       | $(GO) test -race -tags faultinject ./...
 force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels' ./internal/engine

@@ -1,12 +1,13 @@
 package verdictdb_test
 
-// Benchmarks regenerating the paper's tables and figures via testing.B.
-// Each benchmark corresponds to one experiment in DESIGN.md's index; the
-// full paper-shaped output comes from cmd/benchrunner, these give
-// -benchmem-style measurements of the same code paths.
+// Benchmarks of the middleware's query path via testing.B: exact against
+// approximate latency on four workload queries (Figure 4), one workload shape
+// at the repository benchmark's size (make profile-shape), the live heap after
+// set-up (make profile-heap), the cost of each error-estimation method
+// (Figure 7) and the Lemma 1 staircase. cmd/benchrunner prints the full
+// speedup, correctness and progressive tables.
 
 import (
-	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,36 +147,6 @@ func BenchmarkSetupHeap(b *testing.B) {
 	b.ReportMetric(float64(ms.HeapAlloc)/1e6, "live-MB")
 }
 
-// --- Figure 5 (E3): speedup growth with data size ------------------------
-
-func BenchmarkFig5_Scaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.ScalingExperiment(io.Discard, []float64{0.02, 0.05}, 1000, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Figure 6 (E4): integrated AQP vs VerdictDB --------------------------
-
-func BenchmarkFig6_Snappy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.SnappyExperiment(io.Discard, benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table 2 (E5): native approximate aggregates -------------------------
-
-func BenchmarkTable2_Native(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.NativeExperiment(io.Discard, benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Figure 7 (E6): error-estimation method overhead ---------------------
 
 func benchEstimatorMethod(b *testing.B, method core.ErrorMethod, sql string) {
@@ -214,16 +185,6 @@ func BenchmarkFig7_Flat_TraditionalSubsampling(b *testing.B) {
 }
 func BenchmarkFig7_Flat_ConsolidatedBootstrap(b *testing.B) {
 	benchEstimatorMethod(b, core.MethodConsolidatedBootstrap, fig7FlatSQL)
-}
-
-// --- Figure 11 (E9): sample preparation ----------------------------------
-
-func BenchmarkFig11_Prep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.PrepExperiment(io.Discard, benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Lemma 1 (E14): staircase computation --------------------------------

@@ -4,14 +4,10 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"time"
-
-	"verdictdb/internal/workload"
 )
 
-// The experiments at QuickConfig scale double as integration tests: every
-// table/figure generator must run end-to-end and produce paper-shaped
-// results.
+// The experiments at QuickConfig scale double as integration tests: each
+// must run end-to-end and produce paper-shaped results.
 
 func TestSpeedupExperimentShape(t *testing.T) {
 	if testing.Short() {
@@ -46,107 +42,6 @@ func TestSpeedupExperimentShape(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
 		}
-	}
-}
-
-func TestScalingExperimentMonotone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := ScalingExperiment(io.Discard, []float64{0.02, 0.1, 0.3}, 1200, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("points: %d", len(res))
-	}
-	// Figure 5's claim: at fixed sample size, speedup grows with data size.
-	if res[2].Speedup["tq-6"] <= res[0].Speedup["tq-6"] {
-		t.Errorf("tq-6 speedup not increasing: %.2f -> %.2f",
-			res[0].Speedup["tq-6"], res[2].Speedup["tq-6"])
-	}
-}
-
-func TestSnappyExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := SnappyExperiment(io.Discard, QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(workload.InstaQueries) {
-		t.Fatalf("rows: %d", len(res))
-	}
-}
-
-func TestNativeExperimentShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	// Needs enough rows that sampling beats a full scan, and enough
-	// distinct users that the universe sample clears the key floor.
-	cfg := QuickConfig()
-	cfg.InstaScale = 0.3
-	// Each time is the fastest of three runs: a descheduled core only ever adds
-	// to a wall-clock sample, and one sample per side failed a third of the
-	// whole-suite runs.
-	var res []NativeResult
-	for run := 0; run < 3; run++ {
-		r, err := NativeExperiment(io.Discard, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r) != 2 {
-			t.Fatalf("metrics: %d", len(r))
-		}
-		if res == nil {
-			res = r
-		}
-		for i := range r {
-			res[i].VerdictTime = min(res[i].VerdictTime, r[i].VerdictTime)
-			res[i].NativeTime = min(res[i].NativeTime, r[i].NativeTime)
-		}
-	}
-	for _, r := range res {
-		// Table 2's shape: sampling-based answers are faster than native
-		// full-scan sketches (43.5x average in the paper).
-		if r.VerdictTime > r.NativeTime {
-			t.Errorf("%s: verdict %v slower than native %v", r.Metric, r.VerdictTime, r.NativeTime)
-		}
-		if r.VerdictErr > 0.5 {
-			t.Errorf("%s: verdict error %.2f", r.Metric, r.VerdictErr)
-		}
-	}
-}
-
-func TestEstimatorOverheadOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := EstimatorOverheadExperiment(io.Discard, QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byKey := map[string]time.Duration{}
-	for _, r := range res {
-		byKey[r.QueryKind+"/"+r.Method] = r.Elapsed
-	}
-	// Figure 7's shape: variational is vastly cheaper than the O(b*n)
-	// methods and close to no-error-estimation.
-	for _, kind := range []string{"flat", "join"} {
-		v := byKey[kind+"/variational"]
-		trad := byKey[kind+"/traditional"]
-		boot := byKey[kind+"/bootstrap"]
-		if trad < 2*v {
-			t.Errorf("%s: traditional %v not >> variational %v", kind, trad, v)
-		}
-		if boot < 2*v {
-			t.Errorf("%s: bootstrap %v not >> variational %v", kind, boot, v)
-		}
-	}
-	if _, ok := byKey["nested/variational"]; !ok {
-		t.Error("nested variational missing")
 	}
 }
 
@@ -195,102 +90,6 @@ func TestCorrectnessExperiment(t *testing.T) {
 		// the estimator fixes.
 		if r.Method == "variational" && r.Coverage < 0.80 {
 			t.Errorf("variational coverage %.3f, want >= 0.80", r.Coverage)
-		}
-	}
-}
-
-func TestPrepExperimentShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if raceEnabled {
-		t.Skip("timing-shape assertion vs modeled costs; meaningless under -race instrumentation")
-	}
-	// The fastest of three runs, as in TestNativeExperimentShape; the modeled
-	// transfer times are constants.
-	var res *PrepResult
-	for run := 0; run < 3; run++ {
-		r, err := PrepExperiment(io.Discard, QuickConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res == nil {
-			res = r
-		}
-		res.VerdictSampling = min(res.VerdictSampling, r.VerdictSampling)
-		res.SnappySampling = min(res.SnappySampling, r.SnappySampling)
-	}
-	// Figure 11's shape: sampling is far cheaper than shipping the data to
-	// a remote cluster, and the integrated sampler beats SQL-based.
-	if res.VerdictSampling > res.TransferRemote {
-		t.Errorf("sampling %v slower than remote transfer %v", res.VerdictSampling, res.TransferRemote)
-	}
-	if res.SnappySampling > res.VerdictSampling {
-		t.Errorf("integrated sampling %v slower than SQL sampling %v", res.SnappySampling, res.VerdictSampling)
-	}
-}
-
-func TestAblationSampleType(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := AblationSampleType(io.Discard, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("results: %d", len(res))
-	}
-	var uni, strat SampleTypeAblationResult
-	for _, r := range res {
-		if r.SampleType == "uniform" {
-			uni = r
-		} else {
-			strat = r
-		}
-	}
-	// The design claim: stratified samples protect rare groups.
-	if strat.MissingGroups != 0 {
-		t.Errorf("stratified sample missing %d groups", strat.MissingGroups)
-	}
-	if uni.MissingGroups == 0 && uni.WorstGroupErr < strat.WorstGroupErr {
-		t.Error("uniform sample should be worse on skewed strata")
-	}
-}
-
-func TestAblationStaircaseCalibrated(t *testing.T) {
-	res := AblationStaircase(io.Discard, 3000, 42)
-	if len(res) != 3 {
-		t.Fatalf("results: %d", len(res))
-	}
-	for _, r := range res {
-		// Violation rate must not exceed ~delta (with MC slack).
-		if r.ViolationRate > 3*r.Delta+0.01 {
-			t.Errorf("delta %g: violation rate %.4f", r.Delta, r.ViolationRate)
-		}
-	}
-	// Tighter delta -> fewer violations.
-	if res[0].ViolationRate < res[2].ViolationRate {
-		t.Error("violations should decrease with delta")
-	}
-}
-
-func TestAblationPlannerTopK(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := AblationPlannerTopK(io.Discard, QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 4 {
-		t.Fatalf("results: %d", len(res))
-	}
-	// Pruning must not lose plan quality here (scores equal), and must not
-	// be slower than the unpruned search.
-	for _, r := range res[1:] {
-		if r.Score < res[0].Score-1e-9 {
-			t.Errorf("k=%d lost score: %v vs %v", r.K, r.Score, res[0].Score)
 		}
 	}
 }

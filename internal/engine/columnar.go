@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"os"
@@ -1039,42 +1038,13 @@ func (t *Table) ownTail(sealed, tail int) {
 // go through the engine.
 func (t *Table) NumRows() int { return t.nrows }
 
-// ScanColumn calls fn with every value of one column in row order, boxing
-// only that column — the single-column analogue of ForEachRow for
-// full-scan consumers like the native-approximation baselines. Iteration
-// is not synchronized against concurrent appends.
-func (t *Table) ScanColumn(col int, fn func(v Value) error) error {
-	if col < 0 || col >= len(t.Cols) {
-		return fmt.Errorf("engine: column %d out of range for %q", col, t.Name)
-	}
-	//verdict:nopoll exported table utility with no query context; consumers (baselines, loaders) run outside query execution
-	for _, sl := range t.sealed {
-		ch, err := sl.load(nil, nil)
-		if err != nil {
-			return err
-		}
-		cv := ch.col(col)
-		for i := 0; i < ch.n; i++ {
-			if err := fn(cv.value(i)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, row := range t.tail {
-		if err := fn(row[col]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ForEachRow calls fn for every row in order. The row slice is reused
 // between calls — callers must not retain it. Like the old exported Rows
 // field, iteration is not synchronized against concurrent appends.
 func (t *Table) ForEachRow(fn func(row []Value) error) error {
 	buf := make([]Value, len(t.Cols))
 	cvs := make([]*colVec, len(t.Cols))
-	//verdict:nopoll exported table utility with no query context; consumers (baselines, loaders) run outside query execution
+	//verdict:nopoll exported table utility with no query context; its consumers (dbgen, tests) run outside query execution
 	for _, sl := range t.sealed {
 		ch, err := sl.load(nil, nil)
 		if err != nil {

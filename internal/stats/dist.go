@@ -1,9 +1,9 @@
 // Package stats implements the statistical machinery of VerdictDB: the
 // inverse complementary error function and staircase sampling probability of
-// Lemma 1, normal-distribution helpers for confidence intervals, and the
-// error-estimation methods compared in the paper — central limit theorem
-// (CLT), bootstrap, traditional subsampling, and the paper's contribution,
-// variational subsampling (Section 4, Theorem 2).
+// Lemma 1, normal-distribution helpers for confidence intervals, and sample
+// statistics (mean, variance, quantiles). The error-estimation methods
+// themselves are SQL the middleware emits (internal/core); theorem2_test.go
+// checks Theorem 2, the convergence variational subsampling rests on.
 package stats
 
 import "math"

@@ -169,24 +169,6 @@ func gaussianSample(n int, mean, sd float64, rng *rand.Rand) []float64 {
 	return xs
 }
 
-func TestVariationalCoverage(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const trials = 300
-	covered := 0
-	for i := 0; i < trials; i++ {
-		xs := gaussianSample(10_000, 10, 10, rng)
-		ns := 100
-		iv := VariationalInterval(EstimateAvg, xs, 0, 0.95, len(xs)/ns, ns, rng)
-		if iv.Lo <= 10 && 10 <= iv.Hi {
-			covered++
-		}
-	}
-	rate := float64(covered) / trials
-	if rate < 0.85 {
-		t.Errorf("variational 95%% coverage too low: %v", rate)
-	}
-}
-
 func TestQuantileHelper(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	if q := Quantile(xs, 0.5); q != 3 {

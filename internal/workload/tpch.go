@@ -4,7 +4,7 @@
 // queries (18 TPC-H-derived tq-* and 15 micro-benchmark iq-*).
 //
 // Generators are deterministic given a seed; row counts scale linearly with
-// the scale factor so experiments can sweep data size (Figure 5).
+// the scale factor.
 package workload
 
 import (
