@@ -20,6 +20,17 @@ func shapeDB(t *testing.T) *Engine {
 	if _, err := e.Exec("create table empty_orders (order_id int, city varchar, price double)"); err != nil {
 		t.Fatal(err)
 	}
+	// big spans 36 chunks, enough rows for four scan workers.
+	if err := e.CreateTable("big", []Column{{Name: "id", Type: TInt}}); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]Value, 9000)
+	for i := range rows {
+		rows[i] = []Value{int64(i)}
+	}
+	if err := e.InsertRows("big", rows); err != nil {
+		t.Fatal(err)
+	}
 	return e
 }
 
@@ -248,25 +259,63 @@ func TestScopeShapes(t *testing.T) {
 		{name: "unknown function", sql: `select nofn(1) from orders`,
 			wantErr: "engine: unknown function nofn"},
 		{name: "unknown function, zero rows", sql: `select nofn(1) from empty_orders`, want: ""},
+
+		// Error order over many chunks and workers: the row path filters every
+		// row before it aggregates or projects, evaluates a row's expressions
+		// before the next row's, and joins right keys first, then per left row
+		// its key and its pairs' residuals.
+		{name: "aggregate-argument error in the first chunk, WHERE error in the last",
+			sql: `select sum(0 - (case when id = 3 then 'x' else '0' end)) from big
+				where 0 * (case when id = 8990 then 'x' else '1' end) = 0`,
+			wantErr: `engine: non-numeric operand for "*" (int64, string)`},
+		{name: "two select items failing on different rows of one chunk",
+			sql: `select 0 * (case when id = 1029 then 'x' else '0' end),
+				0 - (case when id = 1027 then 'x' else '0' end) from big`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "OR whose right operand fails only where the left decided",
+			sql:  `select count(*) from big where id % 100 <> 7 or 0 - (case when id % 100 = 7 then '1' else 'x' end) > 0`,
+			want: "8910"},
+		{name: "AND in an aggregate argument whose right operand fails only where the left decided",
+			sql:  `select count(*), sum(id % 100 = 7 and 0 - (case when id % 100 = 7 then '1' else 'x' end) < 0) from big`,
+			want: "9000,90"},
+		{name: "projection error past the LIMIT bound in the bound's own chunk",
+			sql:  `select id, 0 - (case when id = 1100 then 'x' else '0' end) from big where id >= 1030 limit 3`,
+			want: "1030,0; 1031,0; 1032,0"},
+		{name: "WHERE error past the LIMIT bound in the bound's own chunk",
+			sql:  `select id from big where id >= 1030 and 0 * (case when id = 1100 then 'x' else '1' end) = 0 limit 3`,
+			want: "1030; 1031; 1032"},
+		{name: "join with a fallible left key and a fallible right key",
+			sql: `select count(*) from orders o inner join big b
+				on 0 * (case when o.order_id = 5 then 'x' else '0' end) = 0 - (case when b.id = 7 then 'x' else '0' end)`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "join residual error on left row 3, left-key error on left row 9",
+			sql: `select count(*) from big b inner join orders o
+				on b.id + 0 * (case when b.id = 9 then 'x' else '0' end) = o.order_id
+				and 0 - (case when b.id = 3 then 'x' else '0' end) = 0`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			e := shapeDB(t)
-			// The kernels, then the row closures they are held to.
-			for _, vec := range []bool{true, false} {
-				e.SetVectorized(vec)
-				rs, err := e.Query(tc.sql)
-				if tc.wantErr != "" {
-					if err == nil || err.Error() != tc.wantErr {
-						t.Fatalf("vectorized=%v: error = %v, want %q", vec, err, tc.wantErr)
+			// The kernels, then the row closures they are held to, at each
+			// parallelism.
+			for _, par := range []int{1, 2, 4} {
+				e.SetParallelism(par)
+				for _, vec := range []bool{true, false} {
+					e.SetVectorized(vec)
+					rs, err := e.Query(tc.sql)
+					if tc.wantErr != "" {
+						if err == nil || err.Error() != tc.wantErr {
+							t.Fatalf("parallelism=%d vectorized=%v: error = %v, want %q", par, vec, err, tc.wantErr)
+						}
+						continue
 					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("vectorized=%v: %v", vec, err)
-				}
-				if got := renderRows(rs); got != tc.want {
-					t.Fatalf("vectorized=%v: rows = %q, want %q", vec, got, tc.want)
+					if err != nil {
+						t.Fatalf("parallelism=%d vectorized=%v: %v", par, vec, err)
+					}
+					if got := renderRows(rs); got != tc.want {
+						t.Fatalf("parallelism=%d vectorized=%v: rows = %q, want %q", par, vec, got, tc.want)
+					}
 				}
 			}
 		})
