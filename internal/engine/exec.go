@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -315,16 +314,10 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		if plain && outErr == nil && !qc.eng.noVec.Load() &&
 			orderByOutputsOnly(sel, outColNames(outCols)) {
 			if vs := buildVecSelect(baseEnv, outCols, where); vs != nil {
-				refund := qc.markMem()
-				projRows, err = vs.run(rel.src, bound)
-				switch {
-				case err == nil:
-					cols, projDone = outColNames(outCols), true
-				case errors.Is(err, errKernel):
-					refund()
-				default:
+				if projRows, err = vs.run(rel.src, bound); err != nil {
 					return nil, err
 				}
+				cols, projDone = outColNames(outCols), true
 			}
 		}
 		if !projDone {
@@ -453,7 +446,7 @@ func appendRowKey(buf []byte, row []Value) []byte {
 // the bound are never loaded. The predicate reads each row's lanes through one
 // scratch row; only the rows that pass are boxed, and charged, whole.
 func filterRows(qc *queryCtx, src *colSource, pred *laneExpr, n int) ([][]Value, error) {
-	return scanChunks(qc, src, n, false, func() chunkEmit {
+	return scanChunks(qc, src, n, false, func(*error) chunkEmit {
 		var scratch []Value
 		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
 			if scratch == nil {

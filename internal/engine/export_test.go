@@ -27,7 +27,7 @@ func prefilterOutcomes(e *Engine, sql string) (leaves []string, where string, er
 		where = sqlparser.FormatExpr(w)
 	}
 	names := [...]string{filterNone: "", filterApplied: "applied", filterHashed: "applied: hashed input",
-		filterKeptHalf: "kept: keeps more than half", filterKeptKernel: "kept: kernel error", filterBlocked: "blocked"}
+		filterKeptHalf: "kept: keeps more than half", filterBlocked: "blocked"}
 	for _, lf := range p.leaves {
 		dropped := 0
 		if lf.outcome == filterApplied || lf.outcome == filterHashed {

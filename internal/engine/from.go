@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -114,16 +113,12 @@ func joinRelations(qc *queryCtx, left, right *relation, je *sqlparser.JoinExpr, 
 	// keeps the row path below.
 	if len(leftKeys) > 0 && !qc.eng.noVec.Load() {
 		if vj := buildVecJoin(lEnv, rEnv, combEnv, je.Type, leftKeys, rightKeys, residual); vj != nil {
-			refund := qc.markMem()
 			src, err := vj.run()
-			if err == nil {
-				combined.src = src
-				return combined, nil
-			}
-			if !errors.Is(err, errKernel) {
+			if err != nil {
 				return nil, err
 			}
-			refund()
+			combined.src = src
+			return combined, nil
 		}
 	}
 

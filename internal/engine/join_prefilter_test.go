@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
 )
 
@@ -365,27 +364,6 @@ func TestJoinPrefilterOutcomes(t *testing.T) {
 		}
 		checkPrefiltered(t, e, c.sql)
 	}
-}
-
-// A kernel error in a pushed conjunct's chunk keeps the input as it is, and
-// the conjunct in WHERE. No conjunct of the pushed class can fail, so the
-// error is injected (-tags faultinject).
-func TestJoinPrefilterKernelError(t *testing.T) {
-	if !faultpoint.Enabled() {
-		t.Skip("needs -tags faultinject")
-	}
-	e := prefilterDB(t, 6000)
-	faultpoint.SetError(faultpoint.SiteEngineScanChunk, errKernel)
-	t.Cleanup(faultpoint.Reset)
-	const sql = "select f.id, d.name from f inner join d on f.k = d.k where f.id < 100 and d.w < 40"
-	leaves, where, err := prefilterOutcomes(e, sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "[kept: kernel error/0 kept: kernel error/0]"; fmt.Sprint(leaves) != want || where != "((f.id < 100) AND (d.w < 40))" {
-		t.Errorf("leaves %q, WHERE %q; want %s and WHERE unchanged", leaves, where, want)
-	}
-	checkPrefiltered(t, e, sql)
 }
 
 // The reference vector of a filtered input is reserved at its exact size and

@@ -210,14 +210,3 @@ func (qc *queryCtx) reserve(n int64) error {
 	qc.chargeMem(n)
 	return qc.pollAbort()
 }
-
-// markMem reads the gauge before a vector attempt and returns what puts it
-// back: an attempt discarded on errKernel refunds what it charged, so the row
-// closures that re-run the block are budgeted as if they ran alone.
-func (qc *queryCtx) markMem() (refund func()) {
-	if qc == nil || qc.mem == nil {
-		return func() {}
-	}
-	used := qc.mem.used.Load()
-	return func() { qc.mem.used.Store(used) }
-}

@@ -231,12 +231,10 @@ func TestDerivedSourceChargedOnce(t *testing.T) {
 	}
 }
 
-// A vector attempt discarded on a kernel error (errKernel) leaves nothing on
-// the gauge, so the row closures that re-run the block are budgeted alone. The
-// grouped scan below errors only in its last chunk — `not s` on the one
-// non-NULL string, which the row path's OR never evaluates — by when the
-// vector attempt has charged nearly every group.
-func TestDiscardedVectorAttemptRefunded(t *testing.T) {
+// The vector path evaluates `not s`, an error on the one non-NULL string, only
+// where `k >= 0` leaves the OR undecided: nowhere. So the grouped scan below
+// answers without error, and within the budget the row closures fit.
+func TestShortCircuitScanWithinRowBudget(t *testing.T) {
 	const n = 50_000
 	e := NewSeeded(7)
 	e.SetParallelism(1)
@@ -256,18 +254,13 @@ func TestDiscardedVectorAttemptRefunded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	charged := func(vec bool) int64 {
-		e.SetVectorized(vec)
-		qc := e.newQueryCtx(WithMemoryBudget(context.Background(), 1<<40), q)
-		if _, err := execSelectWithOuter(qc, stmt.(*sqlparser.SelectStmt), nil); err != nil {
-			t.Fatal(err)
-		}
-		return qc.mem.used.Load()
+	e.SetVectorized(false)
+	qc := e.newQueryCtx(WithMemoryBudget(context.Background(), 1<<40), q)
+	if _, err := execSelectWithOuter(qc, stmt.(*sqlparser.SelectStmt), nil); err != nil {
+		t.Fatal(err)
 	}
-	rowOnly := charged(false)
-	if got := charged(true); got != rowOnly {
-		t.Errorf("after a discarded vector attempt the gauge reads %d B; the row closures alone charge %d B", got, rowOnly)
-	}
+	rowOnly := qc.mem.used.Load()
+	e.SetVectorized(true)
 	rs, err := e.QueryContext(WithMemoryBudget(context.Background(), rowOnly+rowOnly/8), q)
 	if err != nil {
 		t.Fatalf("under a budget the row closures fit: %v", err)

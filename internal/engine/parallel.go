@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"errors"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 
 	"verdictdb/internal/faultpoint"
@@ -28,8 +28,7 @@ import (
 // impure (rand(), subqueries, enclosing-scope references) — so RNG draws
 // happen in one fixed order, sample scrambles stay byte-identical, and
 // scope-capturing closures have a single caller — when a pure expression has
-// no kernel, under SetVectorized(false), and when a kernel's evaluation errors
-// (errKernel): the vector attempt is discarded and the block starts over.
+// no kernel, and under SetVectorized(false).
 
 const (
 	// parallelMinRows is the snapshot size below which scans stay serial;
@@ -162,7 +161,8 @@ func scanMorsels[W any](qc *queryCtx, slots []chunkSlot, nrows int, keep bool, n
 // noLimit is the bound of a scan that wants every row.
 const noLimit = math.MaxInt
 
-// chunkEmit appends one chunk's output rows to out, at most room of them.
+// chunkEmit appends one chunk's output rows to out, at most room of them. On
+// an error it returns the rows before the error's row too.
 type chunkEmit func(out [][]Value, ch *chunk, room int) ([][]Value, error)
 
 // scanChunks drives a chunk-at-a-time row producer over src: serially, or —
@@ -173,17 +173,21 @@ type chunkEmit func(out [][]Value, ch *chunk, room int) ([][]Value, error)
 // the concatenation ends at the range that completes the bound — later ranges
 // are dropped, errors included, because a serial scan would not have reached
 // them. Workers never signal each other, and the result is exactly the
-// prefix of the unbounded one; a bound of 0 loads nothing.
+// prefix of the unbounded one; a bound of 0 loads nothing. So is an error whose
+// preceding rows complete the bound. newEmit gets the slot for a worker's
+// projection error (vecSelect), reported if its row, the worker's first nil
+// row, is within the bound and no range up to the bound failed.
 //
 // vectors says emit is the vectorized projection rather than the row closures:
 // it may fan out, and the rows it returns alias the chunk's vectors
 // (boxcol.go), so the vectors gathered into a probe slot's chunk are the
 // result's, not the worker's to reuse (probeBuf.alias).
-func scanChunks(qc *queryCtx, src *colSource, bound int, vectors bool, newEmit func() chunkEmit) ([][]Value, error) {
+func scanChunks(qc *queryCtx, src *colSource, bound int, vectors bool, newEmit func(late *error) chunkEmit) ([][]Value, error) {
 	type part struct {
 		rows    [][]Value
 		visited int
 		err     error
+		late    error
 	}
 	var slots []chunkSlot
 	if bound > 0 {
@@ -200,7 +204,7 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, vectors bool, newEmit f
 		span = min(span, bound)
 		qc.chargeMem(int64(span) * 2 * bytesPerValue)
 		p.rows = make([][]Value, 0, span)
-		emit := newEmit()
+		emit := newEmit(&p.late)
 		pb := &probeBuf{alias: vectors}
 		for _, sl := range slots[lo:hi] {
 			if len(p.rows) >= bound {
@@ -249,18 +253,24 @@ func scanChunks(qc *queryCtx, src *colSource, bound int, vectors bool, newEmit f
 	if nw > 1 {
 		res = make([][]Value, 0, total)
 	}
+	n, late := 0, error(nil)
 	for _, p := range parts {
-		// A failed scan counts nothing: an errKernel caller scans src again.
-		if p.err != nil {
+		if p.err != nil && n+len(p.rows) < bound {
 			return nil, p.err
+		}
+		if late == nil && p.late != nil && n+slices.IndexFunc(p.rows, func(r []Value) bool { return r == nil }) < bound {
+			late = p.late
 		}
 		if nw > 1 {
 			res = append(res, p.rows...)
 		}
-		if len(res) >= bound {
+		if n += len(p.rows); n >= bound {
 			res = res[:bound]
 			break
 		}
+	}
+	if late != nil {
+		return nil, late
 	}
 	if src.counted {
 		qc.scanned -= int64(src.nrows - visited)
@@ -505,11 +515,7 @@ func (p *scanPlan) run() ([][]Value, error) {
 	src := p.scope.rel.src
 	if p.pure && !p.qc.eng.noVec.Load() {
 		if vp := buildVecPlan(p); vp != nil {
-			refund := p.qc.markMem()
-			if rows, err := vp.run(src); !errors.Is(err, errKernel) {
-				return rows, err
-			}
-			refund()
+			return vp.run(src)
 		}
 	}
 	rows, err := filterRows(p.qc, src, p.where, noLimit)

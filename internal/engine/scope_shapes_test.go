@@ -288,6 +288,22 @@ func TestScopeShapes(t *testing.T) {
 			sql: `select count(*) from orders o inner join big b
 				on 0 * (case when o.order_id = 5 then 'x' else '0' end) = 0 - (case when b.id = 7 then 'x' else '0' end)`,
 			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "NULL conjunct before a conjunct that fails",
+			sql:     `select count(*) from orders where nullif(order_id, order_id) > 0 and 0 - city > 0`,
+			wantErr: `engine: non-numeric operand for "-" (int64, string)`},
+		{name: "IN list that fails only after a match or on a NULL operand",
+			sql:  `select count(*) from orders where (case when order_id <= 3 then order_id end) in (order_id, 0 - city)`,
+			want: "3"},
+		{name: "an add error and an argument error on the same row",
+			sql:     `select sum(city), sum(0 - city) from orders`,
+			wantErr: "engine: sum of non-numeric string"},
+		{name: "a group's accumulator error and an argument error on its first row",
+			sql:     `select percentile(price, 2), sum(0 - city) from orders`,
+			wantErr: "engine: percentile fraction must be in [0,1]"},
+		{name: "join key past a NULL key component",
+			sql: `select count(*) from orders o inner join products p
+				on nullif(p.product_id, p.product_id) = o.product_id and 0 - p.name = o.order_id`,
+			want: "0"},
 		{name: "join residual error on left row 3, left-key error on left row 9",
 			sql: `select count(*) from big b inner join orders o
 				on b.id + 0 * (case when b.id = 9 then 'x' else '0' end) = o.order_id

@@ -12,18 +12,18 @@ import (
 // chunks built over a derived table's rows — and hand out whole chunks as
 // morsels (contiguous chunk ranges per worker, merged/concatenated in chunk
 // order), so results and group order match the row closures' serial scan.
-// A kernel whose evaluation errors ends the attempt with errKernel, and the
-// caller runs the whole block on the closures instead: they are the reference,
-// so semantics, including error text and timing, are theirs.
+// Errors follow the closures' phase order too, which filter every row before
+// they aggregate or project one: a worker that meets an aggregate or
+// projection error keeps it and runs only the WHERE over its later chunks, and
+// a WHERE error in any range reached comes first.
 
 // vecPlan is a scanPlan lowered to vector kernels.
 type vecPlan struct {
-	p          *scanPlan
-	where      vnode   // nil when the query has no WHERE
-	whereConjs []vnode // top-level AND conjuncts of where
-	keys       []vnode // GROUP BY keys
-	args       []vnode // aggregate arguments; nil for count(*)-style stars
-	nbuf       int
+	p     *scanPlan
+	where []vnode // WHERE conjuncts (lowerWhere); nil when the query has none
+	keys  []vnode // GROUP BY keys
+	args  []vnode // aggregate arguments; nil for count(*)-style stars
+	nbuf  int
 }
 
 // buildVecPlan lowers a pure compiled scan plan to vector kernels; nil
@@ -32,8 +32,7 @@ func buildVecPlan(p *scanPlan) *vecPlan {
 	c := &vecCompiler{scope: p.scope}
 	vp := &vecPlan{p: p}
 	if p.whereAST != nil {
-		vp.where, vp.whereConjs = c.lowerWhere(p.whereAST)
-		if vp.where == nil {
+		if vp.where = c.lowerWhere(p.whereAST); vp.where == nil {
 			return nil
 		}
 	}
@@ -66,8 +65,9 @@ func (vp *vecPlan) newCtx() *vecCtx {
 // vecScanWorker is one morsel worker's private state: kernel buffers and the
 // groups of its chunk range.
 type vecScanWorker struct {
-	vc *vecCtx
-	g  *groupSet
+	vc   *vecCtx
+	g    *groupSet
+	late error // an aggregate error, reported unless some WHERE error is
 }
 
 // run executes the vectorized plan over src, morsel-parallel when it has
@@ -75,11 +75,14 @@ type vecScanWorker struct {
 func (vp *vecPlan) run(src *colSource) ([][]Value, error) {
 	ws, err := scanMorsels(vp.p.qc, src.scanSlots(vp.p.qc), src.nrows, false, func() *vecScanWorker {
 		return &vecScanWorker{vc: vp.newCtx(), g: vp.p.newGroupSet()}
-	}, func(w *vecScanWorker, _ int, ch *chunk) error {
-		return vp.scanChunk(w.g, w.vc, ch)
-	})
+	}, vp.scanChunk)
 	if err != nil {
 		return nil, err
+	}
+	for _, w := range ws {
+		if w.late != nil {
+			return nil, w.late
+		}
 	}
 	for _, w := range ws[1:] {
 		if err := vp.p.mergeGroups(ws[0].g, w.g); err != nil {
@@ -89,70 +92,75 @@ func (vp *vecPlan) run(src *colSource) ([][]Value, error) {
 	return vp.p.finish(ws[0].g)
 }
 
-// scanChunk filters and partially aggregates one chunk into gs.
-func (vp *vecPlan) scanChunk(gs *groupSet, vc *vecCtx, ch *chunk) error {
+// scanChunk filters one chunk and, until the worker meets an aggregate error,
+// partially aggregates it into the worker's groups.
+func (vp *vecPlan) scanChunk(w *vecScanWorker, _ int, ch *chunk) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanChunk); err != nil {
 		return err
 	}
-	lanes := ch.n
 	var sel []int32
 	if vp.where != nil {
-		var all bool
 		var err error
-		sel, all, err = evalFilter(vc, ch, vp.where, vp.whereConjs)
-		if err != nil {
-			return errKernel
-		}
-		if all {
-			sel = nil
-		} else {
-			lanes = len(sel)
-			if lanes == 0 {
-				return nil
-			}
-		}
-	}
-	if err := evalNodes(vc, ch, sel, vp.keys, vc.keys); err != nil {
-		return err
-	}
-	if err := evalNodes(vc, ch, sel, vp.args, vc.args); err != nil {
-		return err
-	}
-
-	// Lane loop: find each lane's group in the key table, creating it when the
-	// key is new, and feed each accumulator through its typed entry point.
-	// Global aggregates (no GROUP BY) hit exactly one group: it is found once,
-	// and bulk-capable accumulators (count(*)) take the whole batch in O(1).
-	ns := len(vp.args)
-	for k := 0; k < lanes; k++ {
-		id, isNew, err := gs.group(vc.keys, k)
-		if err != nil {
+		if sel, err = evalFilter(w.vc, ch, nil, vp.where); err != nil || sel != nil && len(sel) == 0 {
 			return err
+		}
+	}
+	if w.late == nil {
+		w.late = vp.aggregate(w.g, w.vc, ch, sel)
+	}
+	return nil
+}
+
+// aggregate adds the lanes sel of ch to gs: each lane's group is found in the
+// key table, created when the key is new, and each accumulator fed through its
+// typed entry point. Global aggregates (no GROUP BY) hit exactly one group: it
+// is found once, and bulk-capable accumulators (count(*)) take the whole batch
+// in O(1). On a kernel error at row r the lanes before r are added, then row r
+// goes through the row closures, which meet its keys, its group and each
+// argument and its add in the row path's order.
+func (vp *vecPlan) aggregate(gs *groupSet, vc *vecCtx, ch *chunk, sel []int32) error {
+	sel, err := evalNodes(vc, ch, sel, vp.keys, vc.keys)
+	if pre, aerr := evalNodes(vc, ch, sel, vp.args, vc.args); aerr != nil {
+		sel, err = pre, aerr
+	}
+	ns, lanes := len(vp.args), laneCount(ch, sel)
+	for k := 0; k < lanes; k++ {
+		id, isNew, lerr := gs.group(vc.keys, k)
+		if lerr != nil {
+			return lerr
 		}
 		if isNew {
 			ri := k
 			if sel != nil {
 				ri = int(sel[k])
 			}
-			if err := vp.p.newGroup(gs, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
-				return err
+			if lerr := vp.p.newGroup(gs, func(j int) Value { return ch.valueAt(j, ri) }); lerr != nil {
+				return lerr
 			}
 		}
 		accs := gs.accs[id*ns : id*ns+ns]
 		if len(vp.keys) == 0 {
-			return addBatch(accs, vc.args, lanes)
+			if lerr := addBatch(accs, vc.args, lanes); lerr != nil {
+				return lerr
+			}
+			break
 		}
 		for i, av := range vc.args {
 			if av == nil {
 				accs[i].addStar()
 				continue
 			}
-			if err := addLane(accs[i], av, k); err != nil {
-				return err
+			if lerr := addLane(accs[i], av, k); lerr != nil {
+				return lerr
 			}
 		}
 	}
-	return nil
+	if le, ok := err.(*laneErr); ok {
+		if rerr := vp.p.scanRowsInto(gs, [][]Value{ch.materializeRow(int(le.row))}); rerr != nil {
+			return rerr
+		}
+	}
+	return err
 }
 
 // addBatch feeds every lane of a chunk into the accumulators of its one
@@ -212,10 +220,9 @@ func addLane(acc accumulator, v *colVec, k int) error {
 // every output column is computed over the selected lanes, materializing
 // boxed rows only at the ResultSet boundary.
 type vecSelect struct {
-	qc         *queryCtx
-	where      vnode
-	whereConjs []vnode
-	items      []vnode
+	qc    *queryCtx
+	where []vnode
+	items []vnode
 	// itemCols[j] >= 0 marks output j as a plain column reference: it has no
 	// node, and surviving lanes late-materialize straight from chunk storage
 	// (boxcol.go) after the filter has shrunk the lane set. -1 means
@@ -230,8 +237,7 @@ func buildVecSelect(scope *env, outCols []outCol, whereAST sqlparser.Expr) *vecS
 	c := &vecCompiler{scope: scope}
 	vs := &vecSelect{qc: scope.qc}
 	if whereAST != nil {
-		vs.where, vs.whereConjs = c.lowerWhere(whereAST)
-		if vs.where == nil {
+		if vs.where = c.lowerWhere(whereAST); vs.where == nil {
 			return nil
 		}
 	}
@@ -256,64 +262,63 @@ func buildVecSelect(scope *env, outCols []outCol, whereAST sqlparser.Expr) *vecS
 
 // run scans src through the pipeline, stopping at bound output rows.
 func (vs *vecSelect) run(src *colSource, bound int) ([][]Value, error) {
-	return scanChunks(vs.qc, src, bound, true, func() chunkEmit {
+	return scanChunks(vs.qc, src, bound, true, func(late *error) chunkEmit {
 		vc := newVecCtx(vs.nbuf, 0, 0, len(vs.items))
 		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
-			return vs.projectChunk(out, vc, ch, room)
+			return vs.projectChunk(out, vc, ch, room, late)
 		}
 	})
 }
 
-// projectChunk filters and projects one chunk, appending at most room
-// output rows.
-func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int) ([][]Value, error) {
-	lanes := ch.n
+// projectChunk filters and projects one chunk, appending at most room output
+// rows. A WHERE error comes back after the rows that pass before its row,
+// unless room of them do. A projection error goes to *late, and from its row
+// on rows are only counted, as nil placeholders, so the scan can tell whether
+// the error's row is within the bound and no WHERE error comes first.
+func (vs *vecSelect) projectChunk(out [][]Value, vc *vecCtx, ch *chunk, room int, late *error) ([][]Value, error) {
 	var sel []int32
+	var err error
 	if vs.where != nil {
-		var all bool
-		var err error
-		sel, all, err = evalFilter(vc, ch, vs.where, vs.whereConjs)
-		if err != nil {
-			return nil, errKernel
+		if sel, err = evalFilter(vc, ch, nil, vs.where); err != nil && len(sel) >= room {
+			err = nil // the bound is met before the error's row
 		}
-		if all {
-			sel = nil
-		} else {
-			lanes = len(sel)
-			if lanes == 0 {
-				return out, nil
+	}
+	lanes := min(laneCount(ch, sel), room)
+	if lanes == 0 {
+		return out, err
+	}
+	// Kernel evaluation for computed items only, over the lanes wanted;
+	// plain column references have no node and late-materialize from chunk
+	// storage below, decoding only the lanes the filter kept.
+	if lanes < laneCount(ch, sel) {
+		sel = vc.lanesOf(ch, sel)[:lanes]
+	}
+	n := 0
+	if *late == nil {
+		sel, *late = evalNodes(vc, ch, sel, vs.items, vc.items)
+		n = laneCount(ch, sel)
+	}
+	if n > 0 {
+		w := len(vs.items)
+		vs.qc.chargeMem(int64(n) * boxedRowBytes(w))
+		// One boxed block per chunk, sliced into rows: surviving lanes are
+		// boxed in bulk (boxcol.go), collapsing the old per-row make+box loop
+		// into a handful of allocations per chunk.
+		block := make([]Value, n*w)
+		rows := vc.lanesOf(ch, sel)[:n]
+		for j := range vs.items {
+			if ci := vs.itemCols[j]; ci >= 0 {
+				boxColLanes(block[j:], w, ch.col(ci), rows)
+			} else {
+				boxVecLanes(block[j:], w, vc.items[j], vc.lanesOf(ch, nil)[:n])
 			}
 		}
-	}
-	if lanes > room {
-		// Only the first room surviving lanes are wanted.
-		lanes = room
-		if sel != nil {
-			sel = sel[:room]
+		for k := 0; k < n; k++ {
+			out = append(out, block[k*w:(k+1)*w:(k+1)*w])
 		}
 	}
-	rows := vc.lanesOf(ch, sel)[:lanes]
-	// Kernel evaluation for computed items only; plain column references
-	// have no node and late-materialize from chunk storage below, decoding
-	// only the lanes the filter kept.
-	if err := evalNodes(vc, ch, sel, vs.items, vc.items); err != nil {
-		return nil, err
+	for ; n < lanes; n++ {
+		out = append(out, nil)
 	}
-	w := len(vs.items)
-	vs.qc.chargeMem(int64(lanes) * boxedRowBytes(w))
-	// One boxed block per chunk, sliced into rows: surviving lanes are
-	// boxed in bulk (boxcol.go), collapsing the old per-row make+box loop
-	// into a handful of allocations per chunk.
-	block := make([]Value, lanes*w)
-	for j := range vs.items {
-		if ci := vs.itemCols[j]; ci >= 0 {
-			boxColLanes(block[j:], w, ch.col(ci), rows)
-		} else {
-			boxVecLanes(block[j:], w, vc.items[j], vc.lanesOf(ch, nil)[:lanes])
-		}
-	}
-	for k := 0; k < lanes; k++ {
-		out = append(out, block[k*w:(k+1)*w:(k+1)*w])
-	}
-	return out, nil
+	return out, err
 }

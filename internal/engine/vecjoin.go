@@ -48,12 +48,14 @@ import (
 // component matches nothing.
 //
 // Fallbacks: joins that do not lower — impure ON, subqueries in ON, no
-// equi-key — keep the row join in joinRelations, the reference. So does a join
-// whose key or residual kernel errors: run gives up with errKernel and
-// joinRelations joins the same inputs row by row, so the error that surfaces —
-// right keys first, then per left row its key and its pairs' residuals — is the
-// row join's own rather than an imitation of its order. That is why a join
-// whose probe could fail does not stream (run).
+// equi-key, a key past the first that can fail — keep the row join in
+// joinRelations, the reference.
+//
+// Errors: the row join evaluates every right key, then per left row its key
+// (up to a NULL component) and its pairs' residuals. So only a left input whose
+// keys cannot fail is hashed, a probe reports a left key's error after the
+// residuals of the rows before it, and a fallible probe runs before any
+// consumer starts (run).
 
 // nullRef marks a null-extended side in a join-output row reference.
 const nullRef = int64(-1)
@@ -160,13 +162,12 @@ type vecJoin struct {
 	lKeys sideKeys
 	rKeys sideKeys
 
-	resFull  vnode   // nil when the join has no residual
-	resConjs []vnode // top-level AND conjuncts of the residual
-	resNbuf  int
+	res     []vnode // residual conjuncts (lowerWhere); nil when there is none
+	resNbuf int
 
 	// safeKeys and safeRes: the left keys and the residual are of
 	// pushablePred's class, which no row can make return an error. Only then
-	// may a probe be left to the consumer (run).
+	// may the left input be hashed, or a probe be left to the consumer (run).
 	safeKeys, safeRes bool
 
 	hashLeft   bool
@@ -191,9 +192,10 @@ func chunkStarts[S chunkSlot](chunks []S) []int {
 }
 
 // buildVecJoin lowers an equi-join for the vectorized path, or returns nil
-// when anything about it (impure keys or residual) needs the row path. The
-// scopes are those of the left input, the right input and the combined row.
-// Nothing is read yet: run loads what it hashes.
+// when anything about it (impure keys or residual, a key the kernels would
+// evaluate where a NULL key component before it stops the row join) needs the
+// row path. The scopes are those of the left input, the right input and the
+// combined row. Nothing is read yet: run loads what it hashes.
 func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	leftKeys, rightKeys []sqlparser.Expr, residual sqlparser.Expr) *vecJoin {
 	left, right := lEnv.rel, rEnv.rel
@@ -207,13 +209,15 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	if vj.rKeys, ok = lowerSideKeys(rEnv, rightKeys); !ok {
 		return nil
 	}
-	for _, k := range leftKeys {
+	for i, k := range leftKeys {
 		vj.safeKeys = vj.safeKeys && pushableOperand(k)
+		if i > 0 && !(pushableOperand(k) && pushableOperand(rightKeys[i])) {
+			return nil
+		}
 	}
 	if residual != nil {
 		cc := &vecCompiler{scope: combEnv}
-		vj.resFull, vj.resConjs = cc.lowerWhere(residual)
-		if vj.resFull == nil {
+		if vj.res = cc.lowerWhere(residual); vj.res == nil {
 			return nil
 		}
 		vj.resNbuf = cc.nbuf
@@ -231,12 +235,12 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 // that scans holds one such chunk per worker; one that needs the whole output
 // calls resolveAll.
 //
-// Two joins resolve their own output here instead. One whose left keys (when
-// they are looked up) or residual could fail: a kernel error must end the join
-// with errKernel before any consumer starts, so the row join reports it. And
-// RIGHT/FULL: the unmatched right rows trail every left row's output.
+// Two joins resolve their own output here instead. One whose left keys or
+// residual could fail: its errors come before any of its consumer's, as they
+// do in the row join. And RIGHT/FULL: the unmatched right rows trail every
+// left row's output.
 func (vj *vecJoin) run() (*colSource, error) {
-	vj.hashLeft = vj.left.nrows < vj.right.nrows
+	vj.hashLeft = vj.left.nrows < vj.right.nrows && vj.safeKeys
 	trailing := vj.jt == sqlparser.RightJoin || vj.jt == sqlparser.FullJoin
 	var slots []chunkSlot
 	var err error
@@ -253,7 +257,7 @@ func (vj *vecJoin) run() (*colSource, error) {
 	for _, sl := range slots {
 		src.nrows += sl.slotRows()
 	}
-	if !trailing && vj.safeRes && (vj.hashLeft || vj.safeKeys) {
+	if !trailing && vj.safeRes && vj.safeKeys {
 		return src, nil
 	}
 	out, err := src.resolveAll(vj.qc)
@@ -323,7 +327,7 @@ func (vj *vecJoin) build(chunks []*chunk, sk *sideKeys, starts []int) error {
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinBuild); err != nil {
 			return err
 		}
-		err := evalNodes(vc, ch, nil, sk.nodes, keys)
+		_, err := evalNodes(vc, ch, nil, sk.nodes, keys)
 		if err != nil {
 			return err
 		}
@@ -354,16 +358,16 @@ func newKeyProbe(sk *sideKeys) keyProbe {
 
 // lookup evaluates sk, the scanned side's keys, over ch and returns each row's
 // chain head in the table (0: no hashed row has its key) and how many
-// candidate pairs the chunk has.
+// candidate pairs the chunk has. On a key error, the heads are those of the
+// rows before the error's row.
 func (p *keyProbe) lookup(t *joinTable, sk *sideKeys, ch *chunk) ([]int32, int, error) {
-	if err := evalNodes(p.kc, ch, nil, sk.nodes, p.keys); err != nil {
-		return nil, 0, err
-	}
+	clean, err := evalNodes(p.kc, ch, nil, sk.nodes, p.keys)
+	n := laneCount(ch, clean)
 	if cap(p.heads) < ch.n {
 		p.heads = make([]int32, ch.n)
 	}
-	heads := p.heads[:ch.n]
-	p.kbuf = t.lookup(p.keys, ch.n, heads, p.kbuf)
+	heads := p.heads[:n]
+	p.kbuf = t.lookup(p.keys, n, heads, p.kbuf)
 	pairs := 0
 	if t.dup {
 		for _, h := range heads {
@@ -378,7 +382,7 @@ func (p *keyProbe) lookup(t *joinTable, sk *sideKeys, ch *chunk) ([]int32, int, 
 			}
 		}
 	}
-	return heads, pairs, nil
+	return heads, pairs, err
 }
 
 // pairBlock is a run of candidate pairs in right scan order: a left row and
@@ -604,10 +608,8 @@ func (s *probeSlot) load(qc *queryCtx, pb *probeBuf) (*chunk, error) {
 	if left.n == 0 {
 		return noRows, nil
 	}
-	heads, pairs, err := pb.look.lookup(&vj.table, &vj.lKeys, left)
-	if err != nil {
-		return nil, err
-	}
+	// A left key's error comes after the residuals of the rows before its row.
+	heads, pairs, kerr := pb.look.lookup(&vj.table, &vj.lKeys, left)
 	sel, refs := pb.pairs(0, pairs)
 	next, p := vj.table.next, 0
 	for k, h := range heads {
@@ -616,7 +618,11 @@ func (s *probeSlot) load(qc *queryCtx, pb *probeBuf) (*chunk, error) {
 			p++
 		}
 	}
-	return vj.finish(pb, left, 0, left.n, sel, refs)
+	ch, err := vj.finish(pb, left, 0, len(heads), sel, refs)
+	if err == nil {
+		err = kerr
+	}
+	return ch, err
 }
 
 // probeBuf is what a scan worker lends the probe slots it loads: the key and
@@ -652,7 +658,7 @@ func (pb *probeBuf) bind(vj *vecJoin) {
 	if !vj.hashLeft {
 		pb.look = newKeyProbe(&vj.lKeys)
 	}
-	if vj.resFull != nil {
+	if vj.res != nil {
 		pb.rc = newVecCtx(vj.resNbuf, 0, 0, 0)
 	}
 }
@@ -703,13 +709,13 @@ func (vj *vecJoin) finish(pb *probeBuf, left *chunk, k0, k1 int, sel []int32, re
 	// When the residual keeps every pair, the candidate chunk (with whatever
 	// columns the residual already gathered) is the output chunk.
 	var cand *chunk
-	if vj.resFull != nil && len(sel) > 0 {
+	if vj.res != nil && len(sel) > 0 {
 		cand = pb.refChunk(left, sel, refs)
-		rsel, all, err := evalFilter(pb.rc, cand, vj.resFull, vj.resConjs)
+		rsel, err := evalFilter(pb.rc, cand, nil, vj.res)
 		if err != nil {
-			return nil, errKernel
+			return nil, err
 		}
-		if !all {
+		if rsel != nil {
 			// In place when sel is already vector 0: rsel ascends.
 			ns, nr := pb.pairs(0, len(rsel))
 			for i, x := range rsel {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"slices"
 	"sort"
 	"strconv"
@@ -25,10 +24,10 @@ import (
 // numeric coercion through float64, three-valued AND/OR — and shapes without a
 // kernel (CASE, scalar functions, string concatenation, ...) fall back to
 // evaluating the row-compiled closure per selected lane, against a scratch row
-// holding the lanes it reads. If a kernel reports an error the caller gives up
-// the vector attempt (errKernel) and runs the whole block, or join, on the row
-// closures, so even error behavior (e.g. short-circuit AND skipping an erroring
-// operand) is theirs by construction.
+// holding the lanes it reads. Errors are the row path's too: a kernel evaluates
+// only the lanes the row path would (AND/OR short-circuit per lane, vnLogic), a
+// kernel error carries its row (laneErr), and a driver reports the one on the
+// earliest row (firstErr), in the row path's phase order (vecexec.go).
 //
 // Only pure expressions are ever vectorized: anything drawing from the
 // engine RNG or capturing scope state (subqueries, enclosing-scope columns)
@@ -95,6 +94,8 @@ type vbuf struct {
 	// this buffer: the constant never changes, so later chunks reslice
 	// instead of refilling.
 	litLanes int
+
+	sel []int32 // a vnLogic's lanes its left operand left undecided
 }
 
 // vecCtx is one worker's evaluation state: per-node buffers plus reusable
@@ -102,7 +103,6 @@ type vbuf struct {
 type vecCtx struct {
 	bufs  []vbuf
 	sel   []int32
-	sel2  []int32
 	ident []int32 // every lane of a chunk longer than allLanes
 	keys  []*colVec
 	args  []*colVec
@@ -167,28 +167,59 @@ type vnode interface {
 	eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error)
 }
 
-// errKernel stands for whatever error a kernel's evaluation returned. Whoever
-// drives the kernels — a scan block, a join — reports it instead, and its
-// caller discards the vector attempt and runs the block on the row closures,
-// whose error (text and timing) is the reference. Aborts, budget overruns,
-// faults and load errors are never evaluation errors and surface as they are.
-var errKernel = errors.New("engine: kernel evaluation error")
+// laneErr is a kernel's evaluation error with the chunk row it failed on.
+type laneErr struct {
+	row int32
+	err error
+}
+
+func (e *laneErr) Error() string { return e.err.Error() }
+func (e *laneErr) Unwrap() error { return e.err }
+
+// failAt is err, met on lane k of sel, with its row.
+func failAt(vc *vecCtx, ch *chunk, sel []int32, k int, err error) error {
+	return &laneErr{row: vc.lanesOf(ch, sel)[k], err: err}
+}
+
+// firstErr runs eval, one phase of a pipeline, over the lanes sel of ch. The
+// row path meets the error on the earliest row first, so while eval fails on a
+// lane, firstErr runs it again over the lanes of sel before that lane's row.
+// It returns the last error and the lanes of the clean run after it, whose
+// outputs eval's buffers hold: sel itself when nothing failed.
+func firstErr(vc *vecCtx, ch *chunk, sel []int32, eval func(sel []int32) error) (clean []int32, err error) {
+	for {
+		e := eval(sel)
+		if e == nil {
+			return sel, err
+		}
+		idx := vc.lanesOf(ch, sel)
+		le, ok := e.(*laneErr)
+		if !ok {
+			return idx[:0], e
+		}
+		n, _ := slices.BinarySearch(idx, le.row)
+		sel, err = idx[:n], e
+	}
+}
 
 // evalNodes evaluates nodes over ch's selected lanes into out; a nil node
-// leaves a nil vector.
-func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*colVec) error {
-	for i, n := range nodes {
-		out[i] = nil
-		if n == nil {
-			continue
+// leaves a nil vector. On an error it returns the one the row path meets
+// first, and the lanes of sel out holds.
+func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*colVec) (clean []int32, err error) {
+	return firstErr(vc, ch, sel, func(sel []int32) error {
+		for i, nd := range nodes {
+			out[i] = nil
+			if nd == nil {
+				continue
+			}
+			v, err := nd.eval(vc, ch, sel)
+			if err != nil {
+				return err
+			}
+			out[i] = v
 		}
-		v, err := n.eval(vc, ch, sel)
-		if err != nil {
-			return errKernel
-		}
-		out[i] = v
-	}
-	return nil
+		return nil
+	})
 }
 
 // ---- leaves ----
@@ -272,7 +303,7 @@ func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	for k, i := range idx {
 		v, err := n.x.at(ch, int(i), vc.row)
 		if err != nil {
-			return nil, err
+			return nil, failAt(vc, ch, sel, k, err)
 		}
 		ov.anys[k] = v
 	}
@@ -364,7 +395,7 @@ func (n *vnArith) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		}
 		res, err := arith(n.op, lv.value(k), rv.value(k))
 		if err != nil {
-			return nil, err
+			return nil, failAt(vc, ch, sel, k, err)
 		}
 		ov.anys[k] = res
 	}
@@ -424,7 +455,7 @@ func (n *vnNeg) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 			case float64:
 				ov.anys[k] = -x //verdict:alloc TAny fallback lane: input is already boxed, typed lanes take the branches above
 			default:
-				return nil, errCannotNegate(x)
+				return nil, failAt(vc, ch, sel, k, errCannotNegate(x))
 			}
 		}
 	}
@@ -712,22 +743,57 @@ type vnLogic struct {
 	l, r vnode
 }
 
+// eval evaluates the right operand only on the lanes the left one leaves
+// undecided — not false for AND, not true for OR — as the row path's
+// short-circuit does, so it fails on no lane the row path skips.
 func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lv, err := n.l.eval(vc, ch, sel)
 	if err != nil {
 		return nil, err
 	}
-	rv, err := n.r.eval(vc, ch, sel)
-	if err != nil {
-		return nil, err
+	idx := vc.lanesOf(ch, sel)
+	lanes, and := len(idx), n.and
+	two := func(v *colVec) bool { return v.kind == TBool && len(v.nulls) == 0 }
+	b := &vc.bufs[n.id]
+	if cap(b.sel) < lanes {
+		b.sel = make([]int32, lanes)
 	}
-	lanes := laneCount(ch, sel)
+	rsel, m := b.sel[:lanes], 0
+	if two(lv) {
+		for k, i := range idx {
+			rsel[m] = i
+			if lv.bools[k] == and {
+				m++
+			}
+		}
+	} else {
+		for k, i := range idx {
+			rsel[m] = i
+			if lb, ok, _ := laneBool(lv, k); !ok || lb == and {
+				m++
+			}
+		}
+	}
+	var rv *colVec
+	if rsel = rsel[:m]; m == lanes {
+		rsel = sel // nothing decided: the same lanes, no copy
+	}
+	if m > 0 {
+		if rv, err = n.r.eval(vc, ch, rsel); err != nil {
+			return nil, err
+		}
+	}
+	// Lane k of the left operand pairs with lane j of the right one, which
+	// advances over the undecided lanes only.
 	ov := vc.out(n.id, TBool, lanes)
-	if lv.kind == TBool && rv.kind == TBool && len(lv.nulls) == 0 && len(rv.nulls) == 0 {
-		// Two-valued: AND is l && r, OR is !(!l && !r).
-		l, r, and := lv.bools[:lanes], rv.bools[:lanes], n.and
-		for k := range ov.bools {
-			ov.bools[k] = (l[k] == and && r[k] == and) == and
+	if two(lv) && (m == 0 || two(rv)) {
+		j := 0
+		for k, l := range lv.bools[:lanes] {
+			ov.bools[k] = !and
+			if l == and {
+				ov.bools[k] = rv.bools[j]
+				j++
+			}
 		}
 		return ov, nil
 	}
@@ -735,18 +801,22 @@ func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	// treatment of unconvertible (non-bool, non-numeric) operands: AND is
 	// false on a false operand, OR true on a true one, NULL otherwise when
 	// an operand is.
+	j := 0
 	for k := 0; k < lanes; k++ {
+		ov.bools[k] = !and
 		lb, lok, lnull := laneBool(lv, k)
-		rb, rok, rnull := laneBool(rv, k)
-		decided := (lok && lb) || (rok && rb)
-		if n.and {
-			decided = (lok && !lb) || (rok && !rb)
-		}
-		if !decided && (lnull || rnull) {
-			ov.setNull(k, lanes)
+		if lok && lb != and {
 			continue
 		}
-		ov.bools[k] = decided != n.and
+		rb, rok, rnull := laneBool(rv, j)
+		j++
+		switch {
+		case rok && rb != and:
+		case lnull || rnull:
+			ov.setNull(k, lanes)
+		default:
+			ov.bools[k] = and
+		}
 	}
 	return ov, nil
 }
@@ -770,7 +840,7 @@ func (n *vnNot) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		}
 		b, ok, _ := laneBool(xv, k)
 		if !ok {
-			return nil, errNotNonBool(xv.value(k))
+			return nil, failAt(vc, ch, sel, k, errNotNonBool(xv.value(k)))
 		}
 		ov.bools[k] = !b
 	}
@@ -1097,6 +1167,14 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 		if x.Subquery != nil {
 			return nil
 		}
+		// The row path evaluates the list only for a non-NULL operand and
+		// stops at a match; the kernel evaluates all of it, so it takes only
+		// lists that cannot fail.
+		for _, le := range x.List {
+			if !pushableOperand(le) {
+				return nil
+			}
+		}
 		xn := c.lower(x.X)
 		if xn == nil {
 			return nil
@@ -1186,90 +1264,60 @@ func (c *vecCompiler) cmpLit(op string, cn *vnCol, ln *vnLit) vnode {
 	return n
 }
 
-// lowerConjuncts flattens the top-level AND conjuncts of a WHERE clause
-// and lowers each one, so the filter can evaluate them one at a time over
-// a shrinking selection vector — the vectorized analogue of the row path's
-// short-circuit AND. Returns nil when any conjunct cannot lower (the full
-// predicate could not either).
-func (c *vecCompiler) lowerConjuncts(e sqlparser.Expr) []vnode {
-	var conjs []vnode
-	for _, ce := range flattenAnd(e, nil) {
-		n := c.lower(ce)
-		if n == nil {
+// lowerWhere lowers a WHERE clause, or a join residual, to the conjuncts
+// evalFilter applies in turn, each over the lanes the ones before it kept. A
+// lane leaves at its first conjunct that is not true, which changes no answer
+// or error only when every conjunct is of pushablePred's class: boolean and
+// unable to fail. Any other clause is one conjunct, whose AND/OR nodes
+// short-circuit per lane (vnLogic). nil when it cannot run vectorized.
+func (c *vecCompiler) lowerWhere(e sqlparser.Expr) []vnode {
+	ces := flattenAnd(e, nil)
+	for _, ce := range ces {
+		if !pushablePred(ce) {
+			ces = []sqlparser.Expr{e}
+			break
+		}
+	}
+	conjs := make([]vnode, len(ces))
+	for i, ce := range ces {
+		if conjs[i] = c.lower(ce); conjs[i] == nil {
 			return nil
 		}
-		conjs = append(conjs, n)
 	}
 	return conjs
 }
 
-// lowerWhere lowers a WHERE clause for the conjunct-pipeline filter: the
-// conjunct list plus the full predicate for evalFilter's unconvertible
-// bail path. A single-conjunct clause reuses the conjunct node as the full
-// predicate rather than lowering the tree twice. Both nil when the clause
-// cannot run vectorized.
-func (c *vecCompiler) lowerWhere(e sqlparser.Expr) (full vnode, conjs []vnode) {
-	conjs = c.lowerConjuncts(e)
-	if conjs == nil {
-		return nil, nil
-	}
-	if len(conjs) == 1 {
-		return conjs[0], conjs
-	}
-	if full = c.lower(e); full == nil {
-		return nil, nil
-	}
-	return full, conjs
-}
-
-// evalFilter applies the conjunct pipeline to one chunk: each conjunct is
-// evaluated only over the lanes the previous ones kept. NULL conjuncts
-// drop the lane (a NULL AND chain is never true), matching filter-level
-// ToBool semantics. If a conjunct produces a value ToBool cannot convert —
-// where the row path's quirky three-valued AND could still yield true —
-// the whole predicate is re-evaluated un-split so semantics stay identical.
-// sel == nil with all == true means every row passed.
-func evalFilter(vc *vecCtx, ch *chunk, full vnode, conjs []vnode) (sel []int32, all bool, err error) {
-	all = true
-	for _, cn := range conjs {
-		v, err := cn.eval(vc, ch, sel)
-		if err != nil {
-			return nil, false, err
-		}
-		idx := vc.lanesOf(ch, sel)
-		next, bad := keepTrue(vc, v, idx)
-		if bad {
-			// Unconvertible conjunct value: the un-split predicate decides.
-			wv, err := full.eval(vc, ch, nil)
+// evalFilter returns the lanes of sel (nil: every row of ch) that pass conjs,
+// sel itself when each one does. On an error it returns the one the row path
+// meets first, with the lanes before its row that pass.
+func evalFilter(vc *vecCtx, ch *chunk, sel []int32, conjs []vnode) (out []int32, err error) {
+	_, err = firstErr(vc, ch, sel, func(sel []int32) error {
+		for _, cn := range conjs {
+			v, err := cn.eval(vc, ch, sel)
 			if err != nil {
-				return nil, false, err
+				return err
 			}
-			if sel, _ = keepTrue(vc, wv, vc.lanesOf(ch, nil)); len(sel) == ch.n {
-				return nil, true, nil
+			idx := vc.lanesOf(ch, sel)
+			if next := keepTrue(vc, v, idx); len(next) < len(idx) {
+				if sel = next; len(sel) == 0 {
+					break
+				}
 			}
-			return sel, false, nil
 		}
-		if len(next) == len(idx) {
-			continue // every candidate lane passed; selection unchanged
-		}
-		all = false
-		sel = next
-		if len(sel) == 0 {
-			return sel, false, nil
-		}
-	}
-	return sel, all, nil
+		out = sel
+		return nil
+	})
+	return out, err
 }
 
 // keepTrue returns the rows idx[k] whose lane k of v is ToBool-true, in the
-// context's spare selection buffer (the two swap, so the next conjunct's
-// keepTrue does not overwrite the selection it iterates). bad reports a
-// non-NULL lane that does not convert to bool.
-func keepTrue(vc *vecCtx, v *colVec, idx []int32) (next []int32, bad bool) {
-	if cap(vc.sel2) < len(idx) {
-		vc.sel2 = make([]int32, len(idx))
+// context's selection buffer: in place when idx is that buffer, the selection
+// an earlier conjunct kept, as lane k is read before out[n <= k] is written.
+func keepTrue(vc *vecCtx, v *colVec, idx []int32) []int32 {
+	if cap(vc.sel) < len(idx) {
+		vc.sel = make([]int32, len(idx))
 	}
-	out, n := vc.sel2[:len(idx)], 0
+	out, n := vc.sel[:len(idx)], 0
 	// Locals, as the stores to out could alias v. A kernel output is raw or
 	// dict, so its flags are per lane.
 	kind, bools, nulls := v.kind, v.bools, v.nulls
@@ -1283,12 +1331,8 @@ func keepTrue(vc *vecCtx, v *colVec, idx []int32) (next []int32, bad bool) {
 			t = v.ints[k] != 0
 		case kind == TFloat:
 			t = v.floats[k] != 0
-		case kind == TString:
-			bad = true
-		case v.anys[k] != nil:
-			var ok bool
-			t, ok = ToBool(v.anys[k])
-			bad = bad || !ok
+		case kind == TAny && v.anys[k] != nil:
+			t, _ = ToBool(v.anys[k])
 		}
 		// Written whether it passes or not, kept by advancing n: no branch
 		// on the data.
@@ -1297,8 +1341,5 @@ func keepTrue(vc *vecCtx, v *colVec, idx []int32) (next []int32, bad bool) {
 			n++
 		}
 	}
-	out = out[:n]
-	vc.sel2 = vc.sel[:0]
-	vc.sel = out
-	return out, bad
+	return out[:n]
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 
 	"verdictdb/internal/faultpoint"
@@ -73,12 +72,11 @@ type fromLeaf struct {
 type filterOutcome uint8
 
 const (
-	filterNone       filterOutcome = iota // nothing pushed
-	filterApplied                         // its survivors replace the input
-	filterHashed                          // applied to the input the join will hash
-	filterKeptHalf                        // kept: a probed input keeps more than half
-	filterKeptKernel                      // kept: a kernel error
-	filterBlocked                         // the path to the root forbids a filter
+	filterNone     filterOutcome = iota // nothing pushed
+	filterApplied                       // its survivors replace the input
+	filterHashed                        // applied to the input the join will hash
+	filterKeptHalf                      // kept: a probed input keeps more than half
+	filterBlocked                       // the path to the root forbids a filter
 )
 
 // fromPlan is a block's FROM leaves in order, with what WHERE pushes to each.
@@ -475,18 +473,13 @@ const filterSampleChunks = 8
 // would run 1.7x slower): there a filter that keeps more than half — of the
 // leading chunks, then of all — leaves src as it is. The input the join will
 // hash is always filtered: a row dropped there drops its whole fan-out of
-// pairs. A kernel error keeps src too.
-func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (leaf *colSource, outcome filterOutcome, err error) {
-	defer func() {
-		if errors.Is(err, errKernel) {
-			leaf, outcome, err = rel.src, filterKeptKernel, nil
-		}
-	}()
+// pairs. pred is of pushablePred's class, so it cannot fail.
+func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (*colSource, filterOutcome, error) {
 	src := rel.src
 	c := &vecCompiler{scope: &env{qc: qc, rel: rel}}
-	full, conjs := c.lowerWhere(pred)
-	if full == nil {
-		return nil, 0, errKernel
+	conjs := c.lowerWhere(pred)
+	if conjs == nil {
+		return src, filterNone, nil // unfiltered, WHERE keeps every conjunct
 	}
 	slots := src.scanSlots(qc)
 	chunks := make([]*chunk, len(slots))
@@ -504,11 +497,11 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 				return err
 			}
 			chunks[ci] = ch
-			sel, all, err := evalFilter(vc, ch, full, conjs)
+			sel, err := evalFilter(vc, ch, nil, conjs)
 			if err != nil {
-				return errKernel
+				return err
 			}
-			if !all {
+			if sel != nil {
 				qc.chargeMem(int64(len(sel)) * 4)
 				sels[ci] = append(make([]int32, 0, len(sel)), sel...)
 			}
