@@ -15,6 +15,7 @@ import (
 	verdictdb "verdictdb"
 	"verdictdb/internal/bench"
 	"verdictdb/internal/core"
+	"verdictdb/internal/drivers"
 	"verdictdb/internal/stats"
 	"verdictdb/internal/workload"
 )
@@ -23,7 +24,7 @@ var benchCfg = bench.Config{TPCHScale: 0.05, InstaScale: 0.05, Seed: 42}
 
 func tpchEnv(b *testing.B) *bench.Env {
 	b.Helper()
-	env, err := bench.NewTPCHEnv(benchCfg, bench.DriverByName("generic"))
+	env, err := bench.NewTPCHEnv(benchCfg, drivers.NewGeneric)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func tpchEnv(b *testing.B) *bench.Env {
 
 func instaEnv(b *testing.B) *bench.Env {
 	b.Helper()
-	env, err := bench.NewInstaEnv(benchCfg, bench.DriverByName("generic"))
+	env, err := bench.NewInstaEnv(benchCfg, drivers.NewGeneric)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func shapeEnv(b *testing.B, tpch bool) *bench.Env {
 	if tpch {
 		mk = bench.NewTPCHEnv
 	}
-	env, err := mk(bench.Config{TPCHScale: 0.2, InstaScale: 0.2, Seed: 42}, bench.DriverByName("generic"))
+	env, err := mk(bench.Config{TPCHScale: 0.2, InstaScale: 0.2, Seed: 42}, drivers.NewGeneric)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func BenchmarkSetupHeap(b *testing.B) {
 // --- Figure 7 (E6): error-estimation method overhead ---------------------
 
 func benchEstimatorMethod(b *testing.B, method core.ErrorMethod, sql string) {
-	env, err := bench.NewInstaEnv(benchCfg, bench.DriverByName("generic"))
+	env, err := bench.NewInstaEnv(benchCfg, drivers.NewGeneric)
 	if err != nil {
 		b.Fatal(err)
 	}

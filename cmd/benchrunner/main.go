@@ -23,7 +23,8 @@
 //	             BENCH_progressive.json (-progout)
 //	all          every experiment above, in that order
 //
-// Any other -exp value prints the valid names and exits with status 2.
+// Any other -exp or -engine value prints the valid names and exits with
+// status 2.
 package main
 
 import (
@@ -113,6 +114,10 @@ func main() {
 	}
 	if !known {
 		fmt.Fprintf(os.Stderr, "benchrunner: unknown -exp %q; valid: %s\n", *exp, strings.Join(append(names, "all"), ", "))
+		os.Exit(2)
+	}
+	if _, err := bench.DriverByName(*engineName); err != nil && *engineName != "all" {
+		fmt.Fprintf(os.Stderr, "benchrunner: -engine: %v, all\n", err)
 		os.Exit(2)
 	}
 	for _, e := range experiments {

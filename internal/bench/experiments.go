@@ -11,18 +11,20 @@ import (
 )
 
 // DriverByName returns the driver constructor for a dialect name; every
-// dialect runs on the same in-memory engine. Unknown names get the generic
-// dialect.
-func DriverByName(name string) func(*engine.Engine) *drivers.Driver {
+// dialect runs on the same in-memory engine. An unknown name is an error that
+// lists the valid ones.
+func DriverByName(name string) (func(*engine.Engine) *drivers.Driver, error) {
 	switch name {
 	case "impala":
-		return drivers.NewImpala
+		return drivers.NewImpala, nil
 	case "sparksql", "spark":
-		return drivers.NewSparkSQL
+		return drivers.NewSparkSQL, nil
 	case "redshift":
-		return drivers.NewRedshift
+		return drivers.NewRedshift, nil
+	case "generic":
+		return drivers.NewGeneric, nil
 	}
-	return drivers.NewGeneric
+	return nil, fmt.Errorf("unknown dialect %q; valid: impala, sparksql, redshift, generic", name)
 }
 
 // ---------------------------------------------------------------------------
@@ -32,7 +34,10 @@ func DriverByName(name string) func(*engine.Engine) *drivers.Driver {
 // SpeedupExperiment runs all 33 benchmark queries on one engine and prints
 // per-query speedups (Figures 4 and 9) and true relative errors (Figure 10).
 func SpeedupExperiment(w io.Writer, cfg Config, driverName string) ([]QueryResult, error) {
-	mk := DriverByName(driverName)
+	mk, err := DriverByName(driverName)
+	if err != nil {
+		return nil, err
+	}
 	tpch, err := NewTPCHEnv(cfg, mk)
 	if err != nil {
 		return nil, err
