@@ -194,10 +194,6 @@ func collectAggItems(sel *sqlparser.SelectStmt) []int {
 	return out
 }
 
-// TableOccurrence is the exported alias of the planner's table-occurrence
-// record, letting external harnesses build CandidatePlans directly.
-type TableOccurrence = tableOccurrence
-
 // tableOccurrence is one base-table reference in a FROM tree.
 type tableOccurrence struct {
 	Alias string // effective alias (lower-cased)

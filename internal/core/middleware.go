@@ -407,16 +407,6 @@ func (m *Middleware) timedQuery(ctx context.Context, sql string) (*engine.Result
 	return rs, time.Since(start).Nanoseconds(), err
 }
 
-// OccurrencesOf collects a query's table occurrences for callers that drive
-// the planner or rewriter directly (benchmark harnesses, ablations).
-func OccurrencesOf(sel *sqlparser.SelectStmt) (map[string]*TableOccurrence, error) {
-	occ := map[string]*tableOccurrence{}
-	if err := collectAllOccurrences(sel, occ); err != nil {
-		return nil, err
-	}
-	return occ, nil
-}
-
 // collectAllOccurrences gathers occurrences from the top-level FROM and all
 // derived-table FROMs. Conflicting aliases across scopes disable sampling
 // for that alias (both scopes read base tables).
