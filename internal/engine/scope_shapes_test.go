@@ -297,6 +297,10 @@ func TestScopeShapes(t *testing.T) {
 		{name: "an add error and an argument error on the same row",
 			sql:     `select sum(city), sum(0 - city) from orders`,
 			wantErr: "engine: sum of non-numeric string"},
+		{name: "add errors of two global aggregates on different rows",
+			sql: `select sum(case when order_id = 6 then 'a' else 1 end),
+				avg(case when order_id = 3 then 'b' else 1 end) from orders`,
+			wantErr: "engine: avg of non-numeric string"},
 		{name: "a group's accumulator error and an argument error on its first row",
 			sql:     `select percentile(price, 2), sum(0 - city) from orders`,
 			wantErr: "engine: percentile fraction must be in [0,1]"},

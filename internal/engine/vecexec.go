@@ -164,8 +164,9 @@ func (vp *vecPlan) aggregate(gs *groupSet, vc *vecCtx, ch *chunk, sel []int32) e
 }
 
 // addBatch feeds every lane of a chunk into the accumulators of its one
-// group.
-func addBatch(accs []accumulator, args []*colVec, lanes int) error {
+// group. After an add error the later accumulators get only the lanes before
+// its lane, so the error returned is the row path's: the earliest row's.
+func addBatch(accs []accumulator, args []*colVec, lanes int) (err error) {
 	for i, av := range args {
 		if av == nil {
 			if sa, ok := accs[i].(starAdder); ok {
@@ -178,12 +179,12 @@ func addBatch(accs []accumulator, args []*colVec, lanes int) error {
 			continue
 		}
 		for k := 0; k < lanes; k++ {
-			if err := addLane(accs[i], av, k); err != nil {
-				return err
+			if aerr := addLane(accs[i], av, k); aerr != nil {
+				err, lanes = aerr, k
 			}
 		}
 	}
-	return nil
+	return err
 }
 
 // addLane feeds lane k of an argument vector into an accumulator, using
