@@ -105,8 +105,12 @@ func (vp *vecPlan) scanChunk(w *vecScanWorker, _ int, ch *chunk) error {
 			return err
 		}
 	}
-	if w.late == nil {
-		w.late = vp.aggregate(w.g, w.vc, ch, sel)
+	if w.late != nil {
+		return nil
+	}
+	// Written only on an error: the workers' states may share a cache line.
+	if err := vp.aggregate(w.g, w.vc, ch, sel); err != nil {
+		w.late = err
 	}
 	return nil
 }
@@ -178,9 +182,10 @@ func addBatch(accs []accumulator, args []*colVec, lanes int) (err error) {
 			}
 			continue
 		}
-		for k := 0; k < lanes; k++ {
+		for k := range lanes {
 			if aerr := addLane(accs[i], av, k); aerr != nil {
 				err, lanes = aerr, k
+				break
 			}
 		}
 	}

@@ -181,45 +181,40 @@ func failAt(vc *vecCtx, ch *chunk, sel []int32, k int, err error) error {
 	return &laneErr{row: vc.lanesOf(ch, sel)[k], err: err}
 }
 
-// firstErr runs eval, one phase of a pipeline, over the lanes sel of ch. The
-// row path meets the error on the earliest row first, so while eval fails on a
-// lane, firstErr runs it again over the lanes of sel before that lane's row.
-// It returns the last error and the lanes of the clean run after it, whose
-// outputs eval's buffers hold: sel itself when nothing failed.
-func firstErr(vc *vecCtx, ch *chunk, sel []int32, eval func(sel []int32) error) (clean []int32, err error) {
-	for {
-		e := eval(sel)
-		if e == nil {
-			return sel, err
-		}
-		idx := vc.lanesOf(ch, sel)
-		le, ok := e.(*laneErr)
-		if !ok {
-			return idx[:0], e
-		}
-		n, _ := slices.BinarySearch(idx, le.row)
-		sel, err = idx[:n], e
+// firstErr turns err, what evaluating a phase over the lanes sel of ch
+// returned, into the error the row path meets first: the one on the earliest
+// row. A kernel's error stands unless eval, the phase, fails on the lanes
+// before its row too. It returns what eval returns over those lanes.
+func firstErr(vc *vecCtx, ch *chunk, sel []int32, err error, eval func(sel []int32) ([]int32, error)) ([]int32, error) {
+	idx := vc.lanesOf(ch, sel)
+	le, ok := err.(*laneErr)
+	if !ok {
+		return idx[:0], err
 	}
+	n, _ := slices.BinarySearch(idx, le.row)
+	out, e := eval(idx[:n])
+	if e == nil {
+		e = err
+	}
+	return out, e
 }
 
 // evalNodes evaluates nodes over ch's selected lanes into out; a nil node
 // leaves a nil vector. On an error it returns the one the row path meets
 // first, and the lanes of sel out holds.
-func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*colVec) (clean []int32, err error) {
-	return firstErr(vc, ch, sel, func(sel []int32) error {
-		for i, nd := range nodes {
-			out[i] = nil
-			if nd == nil {
-				continue
-			}
-			v, err := nd.eval(vc, ch, sel)
-			if err != nil {
-				return err
-			}
-			out[i] = v
+func evalNodes(vc *vecCtx, ch *chunk, sel []int32, nodes []vnode, out []*colVec) ([]int32, error) {
+	for i, n := range nodes {
+		out[i] = nil
+		if n == nil {
+			continue
 		}
-		return nil
-	})
+		v, err := n.eval(vc, ch, sel)
+		if err != nil {
+			return firstErr(vc, ch, sel, err, func(pre []int32) ([]int32, error) { return evalNodes(vc, ch, pre, nodes, out) })
+		}
+		out[i] = v
+	}
+	return sel, nil
 }
 
 // ---- leaves ----
@@ -1290,24 +1285,21 @@ func (c *vecCompiler) lowerWhere(e sqlparser.Expr) []vnode {
 // evalFilter returns the lanes of sel (nil: every row of ch) that pass conjs,
 // sel itself when each one does. On an error it returns the one the row path
 // meets first, with the lanes before its row that pass.
-func evalFilter(vc *vecCtx, ch *chunk, sel []int32, conjs []vnode) (out []int32, err error) {
-	_, err = firstErr(vc, ch, sel, func(sel []int32) error {
-		for _, cn := range conjs {
-			v, err := cn.eval(vc, ch, sel)
-			if err != nil {
-				return err
-			}
-			idx := vc.lanesOf(ch, sel)
-			if next := keepTrue(vc, v, idx); len(next) < len(idx) {
-				if sel = next; len(sel) == 0 {
-					break
-				}
+func evalFilter(vc *vecCtx, ch *chunk, sel []int32, conjs []vnode) ([]int32, error) {
+	in := sel
+	for _, cn := range conjs {
+		v, err := cn.eval(vc, ch, sel)
+		if err != nil {
+			return firstErr(vc, ch, in, err, func(pre []int32) ([]int32, error) { return evalFilter(vc, ch, pre, conjs) })
+		}
+		idx := vc.lanesOf(ch, sel)
+		if next := keepTrue(vc, v, idx); len(next) < len(idx) {
+			if sel = next; len(sel) == 0 {
+				break
 			}
 		}
-		out = sel
-		return nil
-	})
-	return out, err
+	}
+	return sel, nil
 }
 
 // keepTrue returns the rows idx[k] whose lane k of v is ToBool-true, in the
