@@ -395,7 +395,8 @@ func (gs *groupSet) charge() {
 
 // scanRowsInto aggregates a block's filtered rows into gs: the row closures'
 // aggregation. Each row's key values fill one-lane vectors, so the row
-// closures and the kernels find groups through the same key classes.
+// closures and the kernels find groups through the same key classes. It polls
+// on a counter of its own, so a morsel worker may call it too.
 func (p *scanPlan) scanRowsInto(gs *groupSet, rows [][]Value) error {
 	if err := faultpoint.Hit(faultpoint.SiteEngineScanRows); err != nil {
 		return err
@@ -405,9 +406,11 @@ func (p *scanPlan) scanRowsInto(gs *groupSet, rows [][]Value) error {
 		keys[i] = &colVec{kind: TAny, anys: make([]Value, 1)}
 	}
 	ns := len(p.specs)
-	for _, row := range rows {
-		if err := p.qc.tick(); err != nil {
-			return err
+	for r, row := range rows {
+		if r&(pollEvery-1) == pollEvery-1 {
+			if err := p.qc.pollAbort(); err != nil {
+				return err
+			}
 		}
 		for i, fn := range p.keyFns {
 			v, err := fn(row)
