@@ -173,10 +173,10 @@ type chunkEmit func(out [][]Value, ch *chunk, room int) ([][]Value, error)
 // the concatenation ends at the range that completes the bound — later ranges
 // are dropped, errors included, because a serial scan would not have reached
 // them. Workers never signal each other, and the result is exactly the
-// prefix of the unbounded one; a bound of 0 loads nothing. So is an error whose
-// preceding rows complete the bound. newEmit gets the slot for a worker's
-// projection error (vecSelect), reported if its row, the worker's first nil
-// row, is within the bound and no range up to the bound failed.
+// prefix of the unbounded one; a bound of 0 loads nothing. An error whose
+// preceding rows complete the bound is dropped too. newEmit gets the slot for
+// a worker's projection error (vecSelect), reported if its row, the worker's
+// first nil row, is within the bound and no range up to the bound failed.
 //
 // vectors says emit is the vectorized projection rather than the row closures:
 // it may fan out, and the rows it returns alias the chunk's vectors
