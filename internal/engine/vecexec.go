@@ -123,29 +123,29 @@ func (vp *vecPlan) scanChunk(w *vecScanWorker, _ int, ch *chunk) error {
 // goes through the row closures, which meet its keys, its group and each
 // argument and its add in the row path's order.
 func (vp *vecPlan) aggregate(gs *groupSet, vc *vecCtx, ch *chunk, sel []int32) error {
-	sel, err := evalNodes(vc, ch, sel, vp.keys, vc.keys)
-	if pre, aerr := evalNodes(vc, ch, sel, vp.args, vc.args); aerr != nil {
-		sel, err = pre, aerr
+	sel, kerr := evalNodes(vc, ch, sel, vp.keys, vc.keys)
+	if pre, err := evalNodes(vc, ch, sel, vp.args, vc.args); err != nil {
+		sel, kerr = pre, err
 	}
 	ns, lanes := len(vp.args), laneCount(ch, sel)
 	for k := 0; k < lanes; k++ {
-		id, isNew, lerr := gs.group(vc.keys, k)
-		if lerr != nil {
-			return lerr
+		id, isNew, err := gs.group(vc.keys, k)
+		if err != nil {
+			return err
 		}
 		if isNew {
 			ri := k
 			if sel != nil {
 				ri = int(sel[k])
 			}
-			if lerr := vp.p.newGroup(gs, func(j int) Value { return ch.valueAt(j, ri) }); lerr != nil {
-				return lerr
+			if err := vp.p.newGroup(gs, func(j int) Value { return ch.valueAt(j, ri) }); err != nil {
+				return err
 			}
 		}
 		accs := gs.accs[id*ns : id*ns+ns]
 		if len(vp.keys) == 0 {
-			if lerr := addBatch(accs, vc.args, lanes); lerr != nil {
-				return lerr
+			if err := addBatch(accs, vc.args, lanes); err != nil {
+				return err
 			}
 			break
 		}
@@ -154,17 +154,17 @@ func (vp *vecPlan) aggregate(gs *groupSet, vc *vecCtx, ch *chunk, sel []int32) e
 				accs[i].addStar()
 				continue
 			}
-			if lerr := addLane(accs[i], av, k); lerr != nil {
-				return lerr
+			if err := addLane(accs[i], av, k); err != nil {
+				return err
 			}
 		}
 	}
-	if le, ok := err.(*laneErr); ok {
-		if rerr := vp.p.scanRowsInto(gs, [][]Value{ch.materializeRow(int(le.row))}); rerr != nil {
-			return rerr
+	if le, ok := kerr.(*laneErr); ok {
+		if err := vp.p.scanRowsInto(gs, [][]Value{ch.materializeRow(int(le.row))}); err != nil {
+			return err
 		}
 	}
-	return err
+	return kerr
 }
 
 // addBatch feeds every lane of a chunk into the accumulators of its one
