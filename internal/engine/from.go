@@ -26,7 +26,9 @@ func buildFrom(qc *queryCtx, from sqlparser.TableExpr, where sqlparser.Expr, out
 
 // build joins the planned leaves under t, consuming them in order. A leaf with
 // fewer rows than hashBelow (0: partner not known yet) is the input its join
-// will hash: vecJoin.run's comparison, against the partner built or next.
+// will hash: vecJoin.run's row-count comparison, against the partner built or
+// next. Its other condition, safeKeys, holds for every filtered leaf, as
+// blockPaths filters nothing under a join whose ON could fail.
 func (p *fromPlan) build(t sqlparser.TableExpr, outer *env, hashBelow int) (*relation, error) {
 	qc := p.qc
 	if j, ok := t.(*sqlparser.JoinExpr); ok {

@@ -354,6 +354,10 @@ func TestJoinPrefilterOutcomes(t *testing.T) {
 		{fd + "f.tag = 'a'", []string{"applied/1", "/0"}, ""},
 		// Zone pruning leaves f fewer rows than d: f is the input hashed.
 		{fd + "f.id < 100 and d.w < 40", []string{"applied: hashed input/1", "kept: keeps more than half/0"}, "(d.w < 40)"},
+		// A left key that could fail: the join probes f, small or not, and
+		// neither input is filtered.
+		{"select f.id, d.name from f inner join d on f.k + 0 = d.k where f.id < 100 and d.w < 40",
+			[]string{"blocked/0", "blocked/0"}, "((f.id < 100) AND (d.w < 40))"},
 	} {
 		leaves, where, err := prefilterOutcomes(e, c.sql)
 		if err != nil {

@@ -20,7 +20,7 @@ import (
 // vecPlan is a scanPlan lowered to vector kernels.
 type vecPlan struct {
 	p     *scanPlan
-	where []vnode // WHERE conjuncts (lowerWhere); nil when the query has none
+	where vnode   // nil when the query has no WHERE
 	keys  []vnode // GROUP BY keys
 	args  []vnode // aggregate arguments; nil for count(*)-style stars
 	nbuf  int
@@ -32,7 +32,7 @@ func buildVecPlan(p *scanPlan) *vecPlan {
 	c := &vecCompiler{scope: p.scope}
 	vp := &vecPlan{p: p}
 	if p.whereAST != nil {
-		if vp.where = c.lowerWhere(p.whereAST); vp.where == nil {
+		if vp.where = c.lower(p.whereAST); vp.where == nil {
 			return nil
 		}
 	}
@@ -227,7 +227,7 @@ func addLane(acc accumulator, v *colVec, k int) error {
 // boxed rows only at the ResultSet boundary.
 type vecSelect struct {
 	qc    *queryCtx
-	where []vnode
+	where vnode
 	items []vnode
 	// itemCols[j] >= 0 marks output j as a plain column reference: it has no
 	// node, and surviving lanes late-materialize straight from chunk storage
@@ -243,7 +243,7 @@ func buildVecSelect(scope *env, outCols []outCol, whereAST sqlparser.Expr) *vecS
 	c := &vecCompiler{scope: scope}
 	vs := &vecSelect{qc: scope.qc}
 	if whereAST != nil {
-		if vs.where = c.lowerWhere(whereAST); vs.where == nil {
+		if vs.where = c.lower(whereAST); vs.where == nil {
 			return nil
 		}
 	}

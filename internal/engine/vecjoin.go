@@ -162,7 +162,7 @@ type vecJoin struct {
 	lKeys sideKeys
 	rKeys sideKeys
 
-	res     []vnode // residual conjuncts (lowerWhere); nil when there is none
+	res     vnode // nil when there is no residual
 	resNbuf int
 
 	// safeKeys and safeRes: the left keys and the residual are of
@@ -217,7 +217,7 @@ func buildVecJoin(lEnv, rEnv, combEnv *env, jt sqlparser.JoinType,
 	}
 	if residual != nil {
 		cc := &vecCompiler{scope: combEnv}
-		if vj.res = cc.lowerWhere(residual); vj.res == nil {
+		if vj.res = cc.lower(residual); vj.res == nil {
 			return nil
 		}
 		vj.resNbuf = cc.nbuf

@@ -1259,52 +1259,25 @@ func (c *vecCompiler) cmpLit(op string, cn *vnCol, ln *vnLit) vnode {
 	return n
 }
 
-// lowerWhere lowers a WHERE clause, or a join residual, to the conjuncts
-// evalFilter applies in turn, each over the lanes the ones before it kept. A
-// lane leaves at its first conjunct that is not true, which changes no answer
-// or error only when every conjunct is of pushablePred's class: boolean and
-// unable to fail. Any other clause is one conjunct, whose AND/OR nodes
-// short-circuit per lane (vnLogic). nil when it cannot run vectorized.
-func (c *vecCompiler) lowerWhere(e sqlparser.Expr) []vnode {
-	ces := flattenAnd(e, nil)
-	for _, ce := range ces {
-		if !pushablePred(ce) {
-			ces = []sqlparser.Expr{e}
-			break
-		}
+// evalFilter returns the lanes of sel (nil: every row of ch) that pass where,
+// a WHERE clause or join residual lowered as one tree whose AND/OR nodes
+// short-circuit per lane (vnLogic); sel itself when every lane does. On an
+// error it returns the one the row path meets first, with the lanes before its
+// row that pass.
+func evalFilter(vc *vecCtx, ch *chunk, sel []int32, where vnode) ([]int32, error) {
+	v, err := where.eval(vc, ch, sel)
+	if err != nil {
+		return firstErr(vc, ch, sel, err, func(pre []int32) ([]int32, error) { return evalFilter(vc, ch, pre, where) })
 	}
-	conjs := make([]vnode, len(ces))
-	for i, ce := range ces {
-		if conjs[i] = c.lower(ce); conjs[i] == nil {
-			return nil
-		}
-	}
-	return conjs
-}
-
-// evalFilter returns the lanes of sel (nil: every row of ch) that pass conjs,
-// sel itself when each one does. On an error it returns the one the row path
-// meets first, with the lanes before its row that pass.
-func evalFilter(vc *vecCtx, ch *chunk, sel []int32, conjs []vnode) ([]int32, error) {
-	in := sel
-	for _, cn := range conjs {
-		v, err := cn.eval(vc, ch, sel)
-		if err != nil {
-			return firstErr(vc, ch, in, err, func(pre []int32) ([]int32, error) { return evalFilter(vc, ch, pre, conjs) })
-		}
-		idx := vc.lanesOf(ch, sel)
-		if next := keepTrue(vc, v, idx); len(next) < len(idx) {
-			if sel = next; len(sel) == 0 {
-				break
-			}
-		}
+	idx := vc.lanesOf(ch, sel)
+	if next := keepTrue(vc, v, idx); len(next) < len(idx) {
+		return next, nil
 	}
 	return sel, nil
 }
 
 // keepTrue returns the rows idx[k] whose lane k of v is ToBool-true, in the
-// context's selection buffer: in place when idx is that buffer, the selection
-// an earlier conjunct kept, as lane k is read before out[n <= k] is written.
+// context's selection buffer.
 func keepTrue(vc *vecCtx, v *colVec, idx []int32) []int32 {
 	if cap(vc.sel) < len(idx) {
 		vc.sel = make([]int32, len(idx))

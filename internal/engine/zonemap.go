@@ -464,8 +464,8 @@ func pruneChunks(src *colSource, preds []rangePred) *colSource {
 // before the rest: a filter that keeps most of them is not worth a full pass.
 const filterSampleChunks = 8
 
-// filterLeaf tests a join input's pushed conjuncts on its rows — the WHERE
-// conjunct pipeline, chunk morsels — and returns the source that replaces it:
+// filterLeaf tests a join input's pushed conjuncts on its rows — the WHERE's
+// filter kernels, chunk morsels — and returns the source that replaces it:
 // chunks of row references to the survivors, the late-materialization chunk
 // the join itself emits — or src when every row passes. Referencing rows
 // costs a second gather of every column the query reads, which past half of a
@@ -477,8 +477,8 @@ const filterSampleChunks = 8
 func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (*colSource, filterOutcome, error) {
 	src := rel.src
 	c := &vecCompiler{scope: &env{qc: qc, rel: rel}}
-	conjs := c.lowerWhere(pred)
-	if conjs == nil {
+	where := c.lower(pred)
+	if where == nil {
 		return src, filterNone, nil // unfiltered, WHERE keeps every conjunct
 	}
 	slots := src.scanSlots(qc)
@@ -497,7 +497,7 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 				return err
 			}
 			chunks[ci] = ch
-			sel, err := evalFilter(vc, ch, nil, conjs)
+			sel, err := evalFilter(vc, ch, nil, where)
 			if err != nil {
 				return err
 			}
