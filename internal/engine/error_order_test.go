@@ -70,7 +70,9 @@ func TestGeneratedErrorOrder(t *testing.T) {
 }
 
 // exprGen draws expressions over t(id, a, f, s). A failing leaf fails on the
-// rows a random modulus picks, with an error text of its own operator.
+// rows a random modulus picks, with an error text of its own operator. WHERE
+// chains AND and OR without parentheses, so the kernels' right-nested
+// chains meet the row path's left-nested ones.
 type exprGen struct{ r *rand.Rand }
 
 func (g exprGen) num(depth int) string {
@@ -113,9 +115,11 @@ func (g exprGen) pred(depth int) string {
 			return "(not " + g.pred(depth-1) + ")"
 		}
 	}
-	switch g.r.Intn(5) {
+	switch g.r.Intn(6) {
 	case 0:
 		return g.num(1) + " " + []string{"=", "<>", "<", ">", "<=", ">="}[g.r.Intn(6)] + " " + g.num(1)
+	case 5: // a number, NULL or a string as a truth value
+		return []string{"a", "(a % 3)", "s", "nullif(s, '4')"}[g.r.Intn(4)]
 	case 1:
 		return g.num(1) + " is null"
 	case 2:
@@ -130,8 +134,8 @@ func (g exprGen) query() string {
 	where := ""
 	if g.r.Intn(4) > 0 {
 		where = " where " + g.pred(2)
-		if g.r.Intn(2) == 0 {
-			where += " and " + g.pred(1)
+		for g.r.Intn(2) == 0 {
+			where += []string{" and ", " or "}[g.r.Intn(2)] + g.pred(1)
 		}
 	}
 	switch g.r.Intn(8) {

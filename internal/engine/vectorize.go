@@ -95,7 +95,7 @@ type vbuf struct {
 	// instead of refilling.
 	litLanes int
 
-	sel []int32 // a vnLogic's lanes its left operand left undecided
+	sel []int32 // a vnLogic's rows and lanes its left operand left undecided
 }
 
 // vecCtx is one worker's evaluation state: per-node buffers plus reusable
@@ -750,28 +750,32 @@ func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	lanes, and := len(idx), n.and
 	two := func(v *colVec) bool { return v.kind == TBool && len(v.nulls) == 0 }
 	b := &vc.bufs[n.id]
-	if cap(b.sel) < lanes {
-		b.sel = make([]int32, lanes)
+	if cap(b.sel) < 2*lanes {
+		b.sel = make([]int32, 2*lanes)
 	}
-	rsel, m := b.sel[:lanes], 0
+	// pos and rsel: the lanes and rows left undecided.
+	pos, rsel, m := b.sel[:lanes], b.sel[lanes:2*lanes], 0
 	if two(lv) {
-		for k, i := range idx {
-			rsel[m] = i
-			if lv.bools[k] == and {
-				m++
-			}
-		}
+		m = pick(lv.bools[:lanes], and, pos)
 	} else {
-		for k, i := range idx {
-			rsel[m] = i
+		for k := range idx {
+			pos[m] = int32(k)
 			if lb, ok, _ := laneBool(lv, k); !ok || lb == and {
 				m++
 			}
 		}
 	}
 	var rv *colVec
-	if rsel = rsel[:m]; m == lanes {
+	switch {
+	case m == lanes:
 		rsel = sel // nothing decided: the same lanes, no copy
+	case sel == nil:
+		rsel = pos[:m] // every row: a lane is its row
+	default:
+		rsel = rsel[:m]
+		for j, k := range pos[:m] {
+			rsel[j] = sel[k]
+		}
 	}
 	if m > 0 {
 		if rv, err = n.r.eval(vc, ch, rsel); err != nil {
@@ -779,16 +783,13 @@ func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		}
 	}
 	// Lane k of the left operand pairs with lane j of the right one, which
-	// advances over the undecided lanes only.
+	// advances over the undecided lanes only. Two-valued, a decided lane's
+	// result is its left operand's, and the right one's lanes scatter.
 	ov := vc.out(n.id, TBool, lanes)
 	if two(lv) && (m == 0 || two(rv)) {
-		j := 0
-		for k, l := range lv.bools[:lanes] {
-			ov.bools[k] = !and
-			if l == and {
-				ov.bools[k] = rv.bools[j]
-				j++
-			}
+		copy(ov.bools, lv.bools[:lanes])
+		for j, k := range pos[:m] {
+			ov.bools[k] = rv.bools[j]
 		}
 		return ov, nil
 	}
@@ -814,6 +815,23 @@ func (n *vnLogic) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		}
 	}
 	return ov, nil
+}
+
+// pick stores in lanes the lanes k whose bools[k] is want, and returns how
+// many there are. Not inlined: inlined into vnLogic.eval, its loop kept its
+// counters on the stack.
+//
+//go:noinline
+func pick(bools []bool, want bool, lanes []int32) int {
+	lanes = lanes[:len(bools)]
+	m := 0
+	for k, b := range bools {
+		lanes[m] = int32(k)
+		if b == want {
+			m++
+		}
+	}
+	return m
 }
 
 type vnNot struct {
@@ -1099,6 +1117,12 @@ func (c *vecCompiler) lowerVec(e sqlparser.Expr) vnode {
 	case *sqlparser.BinaryExpr:
 		switch x.Op {
 		case "AND", "OR":
+			// (a op b) op c lowers as a op (b op c): the row path's AND and
+			// OR are associative, in value and in which operands they
+			// evaluate, and a right operand's lanes only shrink down a chain.
+			if lx, ok := x.L.(*sqlparser.BinaryExpr); ok && lx.Op == x.Op {
+				return c.lower(&sqlparser.BinaryExpr{Op: x.Op, L: lx.L, R: &sqlparser.BinaryExpr{Op: x.Op, L: lx.R, R: x.R}})
+			}
 			l, r := c.lower(x.L), c.lower(x.R)
 			if l == nil || r == nil {
 				return nil
@@ -1259,34 +1283,38 @@ func (c *vecCompiler) cmpLit(op string, cn *vnCol, ln *vnLit) vnode {
 	return n
 }
 
-// evalFilter returns the lanes of sel (nil: every row of ch) that pass where,
-// a WHERE clause or join residual lowered as one tree whose AND/OR nodes
-// short-circuit per lane (vnLogic); sel itself when every lane does. On an
-// error it returns the one the row path meets first, with the lanes before its
+// evalFilter returns the rows of ch that pass where, a WHERE clause or join
+// residual lowered as one tree whose AND/OR nodes short-circuit per lane
+// (vnLogic); sel itself when every lane does. sel is nil, or on firstErr's
+// retry the rows before an error's row: either way lane k is row k. On an
+// error it returns the one the row path meets first, with the rows before its
 // row that pass.
 func evalFilter(vc *vecCtx, ch *chunk, sel []int32, where vnode) ([]int32, error) {
 	v, err := where.eval(vc, ch, sel)
 	if err != nil {
 		return firstErr(vc, ch, sel, err, func(pre []int32) ([]int32, error) { return evalFilter(vc, ch, pre, where) })
 	}
-	idx := vc.lanesOf(ch, sel)
-	if next := keepTrue(vc, v, idx); len(next) < len(idx) {
+	n := laneCount(ch, sel)
+	if next := keepTrue(vc, v, n); len(next) < n {
 		return next, nil
 	}
 	return sel, nil
 }
 
-// keepTrue returns the rows idx[k] whose lane k of v is ToBool-true, in the
-// context's selection buffer.
-func keepTrue(vc *vecCtx, v *colVec, idx []int32) []int32 {
-	if cap(vc.sel) < len(idx) {
-		vc.sel = make([]int32, len(idx))
+// keepTrue returns the lanes k < n of v that are ToBool-true, in the context's
+// selection buffer.
+func keepTrue(vc *vecCtx, v *colVec, n int) []int32 {
+	if cap(vc.sel) < n {
+		vc.sel = make([]int32, n)
 	}
-	out, n := vc.sel[:len(idx)], 0
+	out, m := vc.sel[:n], 0
+	if v.kind == TBool && len(v.nulls) == 0 {
+		return out[:pick(v.bools[:n], true, out)]
+	}
 	// Locals, as the stores to out could alias v. A kernel output is raw or
 	// dict, so its flags are per lane.
 	kind, bools, nulls := v.kind, v.bools, v.nulls
-	for k, i := range idx {
+	for k := range out {
 		var t bool
 		switch {
 		case len(nulls) > 0 && nulls[k]:
@@ -1299,12 +1327,12 @@ func keepTrue(vc *vecCtx, v *colVec, idx []int32) []int32 {
 		case kind == TAny && v.anys[k] != nil:
 			t, _ = ToBool(v.anys[k])
 		}
-		// Written whether it passes or not, kept by advancing n: no branch
+		// Written whether it passes or not, kept by advancing m: no branch
 		// on the data.
-		out[n] = i
+		out[m] = int32(k)
 		if t {
-			n++
+			m++
 		}
 	}
-	return out[:n]
+	return out[:m]
 }
