@@ -21,7 +21,7 @@ define MODES
 par4              | GOMAXPROCS=4 $(GO) test -count=1 ./...
 race              | $(GO) test -race ./...
 faultinject       | $(GO) test -race -tags faultinject ./...
-force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels|KernelError|ScopeShapes' ./internal/engine
+force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels|KernelError|ScopeShapes|ErrorOrder' ./internal/engine
 spill             | ENGINE_SPILL=1 $(GO) test ./internal/engine ./internal/workload ./internal/core .
 spill-race        | ENGINE_SPILL=1 $(GO) test -race ./internal/engine .
 spill-faultinject | ENGINE_SPILL=1 $(GO) test -tags faultinject -run Fault ./internal/engine
