@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape profile-heap vet lint staticcheck loc
+.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape profile-append profile-heap vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,7 @@ define MODES
 par4              | GOMAXPROCS=4 $(GO) test -count=1 ./...
 race              | $(GO) test -race ./...
 faultinject       | $(GO) test -race -tags faultinject ./...
-force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels|KernelError|ScopeShapes|ErrorOrder' ./internal/engine
+force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels|KernelError|ScopeShapes|ErrorOrder|SealEquivalence|SealExactIntBounds' ./internal/engine
 spill             | ENGINE_SPILL=1 $(GO) test ./internal/engine ./internal/workload ./internal/core .
 spill-race        | ENGINE_SPILL=1 $(GO) test -race ./internal/engine .
 spill-faultinject | ENGINE_SPILL=1 $(GO) test -tags faultinject -run Fault ./internal/engine
@@ -96,6 +96,17 @@ profile-shape:
 	mkdir -p .build
 	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkShape/^($(SHAPE))$$/$(MODE)$$' -benchmem -benchtime 100x -o .build/verdictdb.test \
 		-cpuprofile .build/$(SHAPE_FILE).$(MODE).cpu -memprofile .build/$(SHAPE_FILE).$(MODE).mem .
+
+# The same for ingest_mix's append step (BenchmarkAppendCycle in
+# bench_test.go): a CTAS of a 2 000-row batch, INSERT … SELECT of it into
+# lineitem, AppendBatch into lineitem's three samples and the drop, 40 times on
+# profile-shape's TPC-H data. Read with
+# `go tool pprof -top .build/verdictdb.test .build/append.cpu`; the CTAS and
+# the INSERT alone: add -focus 'Conn..Exec' -ignore 'shapeEnv|loadAppendFeed'.
+profile-append:
+	mkdir -p .build
+	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkAppendCycle$$' -benchmem -benchtime 40x -o .build/verdictdb.test \
+		-cpuprofile .build/append.cpu -memprofile .build/append.mem .
 
 # The live heap of both datasets profile-shape queries, after set-up and a GC
 # (BenchmarkSetupHeap in bench_test.go): every allocation is sampled, so the

@@ -8,6 +8,8 @@ package verdictdb_test
 // speedup, correctness and progressive tables.
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"verdictdb/internal/bench"
 	"verdictdb/internal/core"
 	"verdictdb/internal/drivers"
+	"verdictdb/internal/engine"
 	"verdictdb/internal/stats"
 	"verdictdb/internal/workload"
 )
@@ -125,6 +128,97 @@ func BenchmarkShape(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAppendCycle runs the repository benchmark's ingest_mix append step
+// on shapeEnv's TPC-H data, one step per iteration: a CTAS of the next
+// 2 000-row batch from a feed table, INSERT … SELECT of it into lineitem,
+// AppendBatch into lineitem's three samples, and the drop. It is what `make
+// profile-append` profiles. The feed holds appendFeedBatches batches drawn from
+// lineitem's own rows and is reused cyclically; data and feed are loaded once.
+func BenchmarkAppendCycle(b *testing.B) {
+	const batch = 2000
+	if appendEnv == nil {
+		appendEnv = shapeEnv(b, true)
+		if err := loadAppendFeed(appendEnv, batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	env := appendEnv
+	all, err := env.Conn.Samples()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var samples []verdictdb.SampleInfo
+	for _, si := range all {
+		if si.BaseTable == "lineitem" {
+			samples = append(samples, si)
+		}
+	}
+	if len(samples) != 3 {
+		b.Fatalf("lineitem has %d samples, want 3", len(samples))
+	}
+	cols, err := env.DB.Columns("lineitem")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := (appendCycles % appendFeedBatches) * batch
+		appendCycles++
+		for _, sql := range []string{
+			fmt.Sprintf("bypass create table append_batch as select %s from append_feed where feed_seq >= %d and feed_seq < %d",
+				strings.Join(cols, ", "), lo, lo+batch),
+			"bypass insert into lineitem select * from append_batch",
+		} {
+			if err := env.Conn.Exec(sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for k, si := range samples {
+			if samples[k], err = env.Conn.Builder().AppendBatch(si, "append_batch"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := env.Conn.Exec("bypass drop table append_batch"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// appendEnv is BenchmarkAppendCycle's dataset, kept across its b.N rounds;
+// appendCycles counts the append steps run on it, so every round takes the
+// feed's next batches.
+var (
+	appendEnv    *bench.Env
+	appendCycles int
+)
+
+const appendFeedBatches = 40
+
+// loadAppendFeed makes append_feed: lineitem's columns after a feed_seq
+// column numbering the rows, appendFeedBatches × batch rows of lineitem in a
+// seeded shuffled order, so appended batches have the base distribution.
+func loadAppendFeed(env *bench.Env, batch int) error {
+	t, err := env.Eng.Lookup("lineitem")
+	if err != nil {
+		return err
+	}
+	rs, err := env.Eng.Query("select * from lineitem")
+	if err != nil {
+		return err
+	}
+	cols := append([]engine.Column{{Name: "feed_seq", Type: engine.TInt}}, t.Cols...)
+	if err := env.Eng.CreateTable("append_feed", cols); err != nil {
+		return err
+	}
+	perm := rand.New(rand.NewSource(7)).Perm(len(rs.Rows))
+	feed := make([][]engine.Value, appendFeedBatches*batch)
+	for i := range feed {
+		feed[i] = append([]engine.Value{int64(i)}, rs.Rows[perm[i%len(perm)]]...)
+	}
+	return env.Eng.InsertRows("append_feed", feed)
 }
 
 // heapEnvs keeps BenchmarkSetupHeap's datasets alive until the test binary

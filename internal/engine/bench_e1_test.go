@@ -108,6 +108,29 @@ func BenchmarkE1StringFilter(b *testing.B) {
 		select count(*) as c, sum(x) as sx from fact where flag = 'A'`)
 }
 
+// BenchmarkE1NullableFilter filters on a column with NULLs: the comparison's
+// output carries NULL flags, so the filter takes keepTrue's general loop rather
+// than pick.
+func BenchmarkE1NullableFilter(b *testing.B) {
+	e := NewSeeded(7)
+	if err := e.CreateTable("nf", []Column{{Name: "v", Type: TInt}, {Name: "x", Type: TFloat}}); err != nil {
+		b.Fatal(err)
+	}
+	rng := newSplitMix(99)
+	rows := make([][]Value, e1Rows)
+	for i := range rows {
+		var v Value = rng.Int63n(1000)
+		if i%8 == 0 {
+			v = nil
+		}
+		rows[i] = []Value{v, rng.Float64()}
+	}
+	if err := e.InsertRows("nf", rows); err != nil {
+		b.Fatal(err)
+	}
+	benchE1Query(b, e, `select count(*) as c, sum(x) as sx from nf where v < 500`)
+}
+
 // BenchmarkE1ProjectWide is an unfiltered five-column projection — the
 // pure late-materialization shape where every output cell used to pay a
 // boxed-row allocation.

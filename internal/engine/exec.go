@@ -19,6 +19,10 @@ type ResultSet struct {
 	Rows        [][]Value
 	RowsScanned int64
 
+	// lanes is the result of a block headed for a table (execBlock) left in
+	// typed form, with Rows nil.
+	lanes *laneSet
+
 	colOnce sync.Once
 	colIdx  map[string]int
 }
@@ -115,15 +119,15 @@ func (e *Engine) execStmtInner(ctx context.Context, stmt sqlparser.Statement) (*
 	case *sqlparser.CreateTableStmt:
 		if s.AsSelect != nil {
 			qc := e.newQueryCtx(ctx, "")
-			rs, err := execSelectWithOuter(qc, s.AsSelect, nil)
+			rs, err := execBlock(qc, s.AsSelect, nil, true)
 			if err != nil {
 				return nil, err
 			}
 			cols := make([]Column, len(rs.Cols))
 			for i, c := range rs.Cols {
-				cols[i] = Column{Name: c, Type: inferColType(rs.Rows, i)}
+				cols[i] = Column{Name: c, Type: rs.colType(i)}
 			}
-			if err := e.storeResult(qc, s.Name, cols, rs.Rows, s.IfNotExists); err != nil {
+			if err := e.storeResult(qc, s.Name, cols, rs, s.IfNotExists); err != nil {
 				return nil, err
 			}
 			return &ResultSet{RowsScanned: qc.scanned}, nil
@@ -176,12 +180,15 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.InsertStmt) (*Resu
 	}
 	qc := e.newQueryCtx(ctx, "")
 	var srcRows [][]Value
+	var lanes *laneSet
 	if s.Select != nil {
-		rs, err := execSelectWithOuter(qc, s.Select, nil)
+		rs, err := execBlock(qc, s.Select, nil, true)
 		if err != nil {
 			return nil, err
 		}
-		srcRows = rs.Rows
+		if srcRows, lanes = rs.Rows, rs.lanes; lanes != nil && lanes.n > 0 && len(rs.Cols) != len(colIdx) {
+			return nil, fmt.Errorf("engine: insert width mismatch: %d values for %d columns", len(rs.Cols), len(colIdx))
+		}
 	} else {
 		scope := &env{qc: qc}
 		for _, exprRow := range s.Rows {
@@ -206,7 +213,11 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.InsertStmt) (*Resu
 		}
 		out = append(out, row)
 	}
-	if err := e.insertRowsCtx(qc, s.Table, out); err != nil {
+	add := func(tbl *Table) error { return tbl.appendRows(qc, out) }
+	if lanes != nil {
+		add = func(tbl *Table) error { return tbl.appendLanes(qc, lanes, colIdx) }
+	}
+	if err := e.appendTo(s.Table, add); err != nil {
 		return nil, err
 	}
 	// Surface a seal-time budget overrun even when the insert was too short
@@ -217,8 +228,13 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.InsertStmt) (*Resu
 	return &ResultSet{RowsScanned: qc.scanned}, nil
 }
 
-func inferColType(rows [][]Value, col int) ColType {
-	for _, r := range rows {
+// colType is the type a CTAS declares for output col: InferType of its first
+// non-NULL value, TAny when it has none.
+func (rs *ResultSet) colType(col int) ColType {
+	if rs.lanes != nil {
+		return rs.lanes.colType(col)
+	}
+	for _, r := range rs.Rows {
 		if r[col] != nil {
 			return InferType(r[col])
 		}
@@ -229,6 +245,14 @@ func inferColType(rows [][]Value, col int) ColType {
 // execSelectWithOuter runs one SELECT block. outer provides the enclosing
 // scope for correlated subqueries, or nil at top level.
 func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*ResultSet, error) {
+	return execBlock(qc, sel, outer, false)
+}
+
+// execBlock is execSelectWithOuter for a block whose result may be headed for
+// a table (toTable): when the block runs as a vecSelect with no LIMIT, ORDER
+// BY, DISTINCT or UNION, its result is left in typed form (ResultSet.lanes)
+// for the table to seal, and Rows is nil.
+func execBlock(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env, toTable bool) (*ResultSet, error) {
 	// Cancellation gate per SELECT block: subqueries — including correlated
 	// ones evaluated per outer row — re-enter here, so even O(outer × inner)
 	// plans observe cancellation promptly.
@@ -314,6 +338,13 @@ func execSelectWithOuter(qc *queryCtx, sel *sqlparser.SelectStmt, outer *env) (*
 		if plain && outErr == nil && !qc.eng.noVec.Load() &&
 			orderByOutputsOnly(sel, outColNames(outCols)) {
 			if vs := buildVecSelect(baseEnv, outCols, where); vs != nil {
+				if toTable && limit == noLimit && !sel.Distinct && len(sel.OrderBy) == 0 && sel.Union == nil {
+					ls, err := vs.runLanes(rel.src)
+					if err != nil {
+						return nil, err
+					}
+					return &ResultSet{Cols: outColNames(outCols), lanes: ls}, nil
+				}
 				if projRows, err = vs.run(rel.src, bound); err != nil {
 					return nil, err
 				}

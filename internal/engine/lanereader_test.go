@@ -215,13 +215,14 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 		}
 		rows[i] = []Value{v}
 	}
-	ch := buildChunk(rows, 1, true)
+	ch := buildChunk(rows, 1)
 	cv := &ch.cols[0]
+	cv.zone(n)
 	switch enc {
 	case "dict":
-		cv.encodeDict(n, cv.sortedDict(n))
+		cv.encodeDict(new(dictProber).probe(cv, n, n))
 	case "rle", "rlestr":
-		cv.encodeRLE(n, cv.countRuns(n))
+		cv.encodeRLE(n, cv.countRuns(n, n))
 	case "delta":
 		cv.encodeDelta(n, cv.deltaWidth())
 	}

@@ -407,7 +407,7 @@ func (dd *dataDir) flushLocked(e *Engine, qc *queryCtx, warmCache bool) error {
 				tm.Tail = nil
 			}
 			if len(w.tail) > 0 {
-				tch := buildChunk(w.tail, len(w.cols), false) //verdict:nocharge flush-side staging, freed when the flush returns
+				tch := buildChunk(w.tail, len(w.cols)) //verdict:nocharge flush-side staging, freed when the flush returns
 				file := dd.nextSegFile(tm)
 				if err := storage.WriteSegment(filepath.Join(dd.dir, file), len(w.cols), []*storage.Chunk{chunkToStorage(tch)}); err != nil {
 					return rollback(err)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -51,6 +53,11 @@ func TestScopeShapes(t *testing.T) {
 		name, sql string
 		want      string // rendered rows
 		wantErr   string // exact error text; "" means success
+		// exec, when set, is a statement run before sql under a memory budget
+		// (0: none) that must fail with execErr, or ErrMemoryBudget when
+		// budget is set; sql then checks that it changed nothing.
+		exec, execErr string
+		budget        int64
 	}{
 		{name: "correlated scalar, two scope levels",
 			sql: `select p.product_id,
@@ -308,6 +315,20 @@ func TestScopeShapes(t *testing.T) {
 			sql: `select count(*) from orders o inner join products p
 				on nullif(p.product_id, p.product_id) = o.product_id and 0 - p.name = o.order_id`,
 			want: "0"},
+		{name: "INSERT … SELECT whose projection fails on the last source row",
+			exec:    `insert into big select id + 0 * (case when id = 8999 then 'x' else '0' end) from big`,
+			execErr: `engine: non-numeric operand for "*" (int64, string)`,
+			sql:     `select count(*), max(id) from big`,
+			want:    "9000,8999"},
+		{name: "CTAS over its memory budget while sealing",
+			// The SELECT's lanes are charged about 290 kB, the chunks sealed
+			// from them about 590 kB more; the row closures' boxed rows alone
+			// overrun.
+			exec: `create table c as select id, 'padding-padding-padding-padding-padding-padding-padding-padding-' ||
+				cast(id % 128 as varchar) as s from big`,
+			budget:  512 << 10,
+			sql:     `select count(*) from c`,
+			wantErr: `engine: unknown table "c"`},
 		{name: "join residual error on left row 3, left-key error on left row 9",
 			sql: `select count(*) from big b inner join orders o
 				on b.id + 0 * (case when b.id = 9 then 'x' else '0' end) = o.order_id
@@ -323,6 +344,16 @@ func TestScopeShapes(t *testing.T) {
 				e.SetParallelism(par)
 				for _, vec := range []bool{true, false} {
 					e.SetVectorized(vec)
+					if tc.exec != "" {
+						ctx := context.Background()
+						if tc.budget > 0 {
+							ctx = WithMemoryBudget(ctx, tc.budget)
+						}
+						_, err := e.ExecContext(ctx, tc.exec)
+						if tc.budget > 0 && !errors.Is(err, ErrMemoryBudget) || tc.budget == 0 && (err == nil || err.Error() != tc.execErr) {
+							t.Fatalf("parallelism=%d vectorized=%v: %s: error = %v", par, vec, tc.exec, err)
+						}
+					}
 					rs, err := e.Query(tc.sql)
 					if tc.wantErr != "" {
 						if err == nil || err.Error() != tc.wantErr {

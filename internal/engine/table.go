@@ -278,21 +278,12 @@ func (e *Engine) InsertRows(name string, rows [][]Value) error {
 // and budget overrun. An abort mid-insert leaves the already-appended
 // prefix in place, matching the width-mismatch error path.
 func (e *Engine) insertRowsCtx(qc *queryCtx, name string, rows [][]Value) error {
-	err := e.insertRowsLocked(qc, name, rows)
-	// Spill (when forced) only after the engine lock is released — the
-	// flush path takes dataDir.mu before Engine.mu.
-	e.maybeSpill()
-	return err
+	return e.appendTo(name, func(t *Table) error { return t.appendRows(qc, rows) })
 }
 
-func (e *Engine) insertRowsLocked(qc *queryCtx, name string, rows [][]Value) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tables[strings.ToLower(name)]
-	if !ok {
-		return fmt.Errorf("engine: unknown table %q", name)
-	}
-	defer t.ownTail(len(t.sealed), len(t.tail))
+// appendRows appends boxed rows, normalizing their cells, and polls qc (nil:
+// no query) as it goes. A row of another width stops it.
+func (t *Table) appendRows(qc *queryCtx, rows [][]Value) error {
 	for _, r := range rows {
 		if qc != nil {
 			if err := qc.tick(); err != nil {
@@ -300,7 +291,7 @@ func (e *Engine) insertRowsLocked(qc *queryCtx, name string, rows [][]Value) err
 			}
 		}
 		if len(r) != len(t.Cols) {
-			return fmt.Errorf("engine: row width %d != %d columns of %q", len(r), len(t.Cols), name)
+			return fmt.Errorf("engine: row width %d != %d columns of %q", len(r), len(t.Cols), t.Name)
 		}
 		nr := make([]Value, len(r))
 		for i, v := range r {
@@ -309,6 +300,25 @@ func (e *Engine) insertRowsLocked(qc *queryCtx, name string, rows [][]Value) err
 		t.appendRow(nr, qc)
 	}
 	return nil
+}
+
+// appendTo runs add on the named table under the engine write lock, then
+// makes the tail rows it appended own their strings (ownTail) and, when
+// forced, spills — after the lock is released, as the flush path takes
+// dataDir.mu before Engine.mu.
+func (e *Engine) appendTo(name string, add func(t *Table) error) error {
+	err := func() error {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		t, ok := e.tables[strings.ToLower(name)]
+		if !ok {
+			return fmt.Errorf("engine: unknown table %q", name)
+		}
+		defer t.ownTail(len(t.sealed), len(t.tail))
+		return add(t)
+	}()
+	e.maybeSpill()
+	return err
 }
 
 // snapshot returns the table plus a stable columnar view of its rows.
@@ -326,13 +336,13 @@ func (e *Engine) snapshot(name string) (*Table, *colSource, error) {
 // Seal-time encoding memory is charged to qc; a budget overrun surfaces
 // before the table is registered, so an aborted CTAS leaves no catalog
 // entry behind.
-func (e *Engine) storeResult(qc *queryCtx, name string, cols []Column, rows [][]Value, ifNotExists bool) error {
-	err := e.storeResultLocked(qc, name, cols, rows, ifNotExists)
-	e.maybeSpill() // after e.mu is released; see insertRowsCtx
+func (e *Engine) storeResult(qc *queryCtx, name string, cols []Column, rs *ResultSet, ifNotExists bool) error {
+	err := e.storeResultLocked(qc, name, cols, rs, ifNotExists)
+	e.maybeSpill() // after e.mu is released; see appendTo
 	return err
 }
 
-func (e *Engine) storeResultLocked(qc *queryCtx, name string, cols []Column, rows [][]Value, ifNotExists bool) error {
+func (e *Engine) storeResultLocked(qc *queryCtx, name string, cols []Column, rs *ResultSet, ifNotExists bool) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	key := strings.ToLower(name)
@@ -344,7 +354,16 @@ func (e *Engine) storeResultLocked(qc *queryCtx, name string, cols []Column, row
 	}
 	t := &Table{Name: name, Cols: cols}
 	t.initColIndex()
-	for _, r := range rows {
+	if rs.lanes != nil {
+		all := make([]int, len(cols))
+		for j := range all {
+			all[j] = j
+		}
+		if err := t.appendLanes(qc, rs.lanes, all); err != nil {
+			return err
+		}
+	}
+	for _, r := range rs.Rows {
 		t.appendRow(r, qc)
 	}
 	t.ownTail(0, 0)

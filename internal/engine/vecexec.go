@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
 )
@@ -274,6 +276,74 @@ func (vs *vecSelect) run(src *colSource, bound int) ([][]Value, error) {
 			return vs.projectChunk(out, vc, ch, room, late)
 		}
 	})
+}
+
+// laneWorker is one morsel worker of runLanes: its kernel buffers and the
+// batches of its chunk range.
+type laneWorker struct {
+	vc      *vecCtx
+	batches []laneBatch
+	late    error // a projection error, reported unless some WHERE error is
+}
+
+// runLanes is run with no bound for a table to seal (Table.appendLanes): the
+// surviving lanes stay in their vectors instead of being boxed into rows.
+// Errors are run's: a WHERE error in the earliest range that has one, else the
+// earliest projection error.
+func (vs *vecSelect) runLanes(src *colSource) (*laneSet, error) {
+	ws, err := scanMorsels(vs.qc, src.scanSlots(vs.qc), src.nrows, true, func() *laneWorker {
+		return &laneWorker{vc: newVecCtx(vs.nbuf, 0, 0, len(vs.items))}
+	}, vs.laneChunk)
+	if err != nil {
+		return nil, err
+	}
+	ls := &laneSet{}
+	for _, w := range ws {
+		if w.late != nil {
+			return nil, w.late
+		}
+		for _, b := range w.batches {
+			ls.n += b.n
+		}
+		ls.batches = append(ls.batches, w.batches...) //verdict:nocharge one header per source chunk; laneChunk charged its lanes
+	}
+	return ls, nil
+}
+
+// laneChunk filters and projects one chunk into a batch: a column output
+// names the chunk's column under the filter's selection, a computed one a
+// snapshot of its kernel's lanes. After a projection error the worker only
+// filters.
+func (vs *vecSelect) laneChunk(w *laneWorker, _ int, ch *chunk) error {
+	var sel []int32
+	if vs.where != nil {
+		var err error
+		if sel, err = evalFilter(w.vc, ch, nil, vs.where); err != nil {
+			return err
+		}
+	}
+	n := laneCount(ch, sel)
+	if n == 0 || w.late != nil {
+		return nil
+	}
+	if sel, w.late = evalNodes(w.vc, ch, sel, vs.items, w.vc.items); w.late != nil {
+		return nil
+	}
+	vs.qc.chargeMem(int64(n*len(vs.items)) * bytesPerRef)       // like a gathered column per output
+	rows, lanes := slices.Clone(sel), w.vc.lanesOf(ch, nil)[:n] // identity lanes are never written
+	if sel == nil {
+		rows = lanes
+	}
+	b := laneBatch{n: n, cols: make([]*colVec, len(vs.items)), idx: make([][]int32, len(vs.items))}
+	for j := range vs.items {
+		if ci := vs.itemCols[j]; ci >= 0 {
+			b.cols[j], b.idx[j] = ch.col(ci), rows
+		} else {
+			b.cols[j], b.idx[j] = w.vc.items[j].snapshot(n), lanes
+		}
+	}
+	w.batches = append(w.batches, b)
+	return nil
 }
 
 // projectChunk filters and projects one chunk, appending at most room output

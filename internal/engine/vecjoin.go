@@ -816,26 +816,42 @@ type gatherSrc struct {
 }
 
 // buildColumn is one column of every build chunk. Its kind, chunksKind of the
-// column, is known from the start, so gathers pick their typed path once per
-// source instead of per chunk. cols[ci] is build chunk ci's column, stored by
-// the first gather that reads a row of that chunk. A gather that hops chunk at
-// every lane (a hashed-left join's) reads the column one pointer away instead
-// of through the chunk, which measured faster than calling chunk.col at every
-// switch (ROADMAP item 9).
+// column, is resolved by the first gather or kind query that reads the column
+// (buildKind) — a column no consumer reads is never asked — so gathers pick
+// their typed path once per source instead of per chunk. cols[ci] is build
+// chunk ci's column, stored by the first gather that reads a row of that
+// chunk. A gather that hops chunk at every lane (a hashed-left join's) reads
+// the column one pointer away instead of through the chunk, which measured
+// faster than calling chunk.col at every switch (ROADMAP item 9).
 type buildColumn struct {
-	kind ColType
+	kind atomic.Int32 // a ColType, or -1 until resolved
 	cols []atomic.Pointer[colVec]
 }
 
-// setBuild makes chunks, of w columns, the build side: their kinds and an
-// empty column table, charged like the gathers it serves.
+// setBuild makes chunks, of w columns, the build side: an empty column table,
+// charged like the gathers it serves, with every kind unresolved.
 func (s *gatherSrc) setBuild(chunks []*chunk, w int) {
 	s.qc.chargeMem(int64(w*len(chunks)) * bytesPerRef)
 	tbl := make([]atomic.Pointer[colVec], w*len(chunks))
 	s.buildChunks, s.buildCols = chunks, make([]buildColumn, w)
 	for bj := range s.buildCols {
-		s.buildCols[bj] = buildColumn{kind: chunksKind(chunks, bj), cols: tbl[bj*len(chunks) : (bj+1)*len(chunks)]}
+		bc := &s.buildCols[bj]
+		bc.kind.Store(-1)
+		bc.cols = tbl[bj*len(chunks) : (bj+1)*len(chunks)]
 	}
+}
+
+// buildKind returns build column bj's kind, resolving it on first use.
+// Workers that race to resolve it compute the same kind, so whichever store
+// lands is right.
+func (s *gatherSrc) buildKind(bj int) ColType {
+	bc := &s.buildCols[bj]
+	if k := bc.kind.Load(); k >= 0 {
+		return ColType(k)
+	}
+	k := chunksKind(s.buildChunks, bj)
+	bc.kind.Store(int32(k))
+	return k
 }
 
 // buildCol returns build chunk ci's column bj, building it on first use.
@@ -930,10 +946,10 @@ func (g *joinGather) fillProbe(c *chunk, cv *colVec, j int) {
 // per chunk), so the build side always materializes strings.
 func (g *joinGather) fillBuild(c *chunk, cv *colVec, bj int) {
 	s, refs := g.j, g.refs
-	bc := &s.buildCols[bj]
-	cv.reset(s.qc, bc.kind, c.n)
+	kind := s.buildKind(bj)
+	cv.reset(s.qc, kind, c.n)
 	k := 0
-	switch bc.kind {
+	switch kind {
 	case TInt:
 		k = loadLanes(s, cv, cv.ints, bj, refs, func(v *colVec) []int64 { return v.ints })
 	case TFloat:
@@ -1112,7 +1128,7 @@ func (g *joinGather) kindOf(_ *chunk, j int) ColType {
 		}
 		return g.probe.colKind(j)
 	}
-	return g.j.buildCols[j-g.j.leftW].kind
+	return g.j.buildKind(j - g.j.leftW)
 }
 
 // cellAt boxes one cell through the references.

@@ -16,7 +16,7 @@ import (
 // has proved true of every row the joins will produce (fromPlan.residual).
 //
 // Zone pruning. Sealed chunks carry per-column min/max summaries, computed at
-// seal time (buildChunk, columnar.go) and valid forever because sealed chunks
+// seal time (sealChunk, columnar.go) and valid forever because sealed chunks
 // are immutable. A column-vs-literal comparison skips the chunks whose summary
 // proves no row can satisfy it: scrambles are clustered by _vdb_block, so the
 // progressive executor's `_vdb_block <= K` prefixes skip the chunks of later
