@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape profile-append profile-heap vet lint staticcheck loc
+.PHONY: build test modes bench bench-json bench-gate bench-progressive bench-e2e bench-selftest bench-compare profile profile-shape profile-append profile-heap profile-disk vet lint staticcheck loc
 
 build:
 	$(GO) build ./...
@@ -13,15 +13,15 @@ test: build
 # parallel≡serial tests use several workers, with -count=1 because go test's
 # cache does not key on GOMAXPROCS (the runtime reads it, not the test): after
 # a plain `go test ./...` it would replay that run's results; faultinject
-# fires the internal/faultpoint sites; force-encodings dict/RLE/delta-encodes
-# every sealed chunk; the spill rows flush every sealed chunk to segment files.
+# fires the internal/faultpoint sites; force-encodings dict/RLE/delta/decimal-
+# encodes every sealed chunk; the spill rows flush every sealed chunk to segment files.
 # `make modes` runs every row in order, printing its name, and stops at the
 # first failure; `make modes ONLY=race` runs one. A new mode is a new row.
 define MODES
 par4              | GOMAXPROCS=4 $(GO) test -count=1 ./...
 race              | $(GO) test -race ./...
 faultinject       | $(GO) test -race -tags faultinject ./...
-force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels|KernelError|ScopeShapes|ErrorOrder|SealEquivalence|SealExactIntBounds' ./internal/engine
+force-encodings   | ENGINE_FORCE_ENCODINGS=1 $(GO) test -run 'Equivalence$$|TypedKernels|LaneReaders|DictKernels|KernelError|ScopeShapes|ErrorOrder|SealEquivalence|SealExactIntBounds|CompactForms|IntegerExtremes|ReadsVersion1' ./internal/engine ./internal/storage
 spill             | ENGINE_SPILL=1 $(GO) test ./internal/engine ./internal/workload ./internal/core .
 spill-race        | ENGINE_SPILL=1 $(GO) test -race ./internal/engine .
 spill-faultinject | ENGINE_SPILL=1 $(GO) test -tags faultinject -run Fault ./internal/engine
@@ -117,6 +117,17 @@ profile-heap:
 	mkdir -p .build
 	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkSetupHeap$$' -benchtime 1x -memprofilerate 1 -o .build/verdictdb.test \
 		-memprofile .build/heap.prof .
+
+# The same for disk_cold's TPC-H side (BenchmarkDiskPass in bench_test.go):
+# the 18 TPC-H shapes approximately, once each per iteration, over
+# profile-shape's TPC-H data flushed to a data directory behind a 4 MiB chunk
+# cache. It prints chunk loads per iteration and the hit ratio; the load and
+# decode share: `go tool pprof -top -focus 'segSlot..load|segFill..fillCol'
+# .build/verdictdb.test .build/disk.cpu`.
+profile-disk:
+	mkdir -p .build
+	GOMAXPROCS=1 $(GO) test -run=- -bench 'BenchmarkDiskPass$$' -benchmem -benchtime 20x -o .build/verdictdb.test \
+		-cpuprofile .build/disk.cpu -memprofile .build/disk.mem .
 
 # Machine-readable engine perf numbers for cross-PR diffs. Measured at
 # GOMAXPROCS=1 like the committed baseline: allocations scale with the worker

@@ -221,6 +221,52 @@ func loadAppendFeed(env *bench.Env, batch int) error {
 	return env.Eng.InsertRows("append_feed", feed)
 }
 
+// BenchmarkDiskPass runs the 18 TPC-H shapes approximately, once each per
+// iteration, on shapeEnv's TPC-H data flushed to a data directory behind a
+// 4 MiB chunk cache — the TPC-H engine's share of the repository benchmark's
+// disk_cold — so the decode and eviction work of that workload can be profiled
+// (`make profile-disk`) without patching benchmark/. One untimed pass warms
+// the plan cache; the chunk cache is emptied after it, as disk_cold does
+// before its timed loop. It reports chunk loads per iteration and the cache's
+// hit ratio over the timed iterations.
+func BenchmarkDiskPass(b *testing.B) {
+	env := shapeEnv(b, true)
+	if _, err := env.Eng.AttachDataDir(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	defer env.Eng.Close()
+	if err := env.Eng.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	env.Eng.SetChunkCacheBytes(4 << 20)
+	var shapes []workload.Query
+	for _, q := range workload.AllQueries() {
+		if strings.HasPrefix(q.ID, "tq-") {
+			shapes = append(shapes, q)
+		}
+	}
+	pass := func() {
+		for _, q := range shapes {
+			if _, err := env.Conn.Query(q.SQL); err != nil {
+				b.Fatalf("%s: %v", q.ID, err)
+			}
+		}
+	}
+	pass()
+	env.Eng.DropChunkCache()
+	c0 := env.Eng.ChunkCache()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	c1 := env.Eng.ChunkCache()
+	hits, misses := c1.Hits-c0.Hits, c1.Misses-c0.Misses
+	b.ReportMetric(float64(misses)/float64(b.N), "misses/op")
+	b.ReportMetric(float64(hits)/float64(max(hits+misses, 1)), "hit-ratio")
+}
+
 // heapEnvs keeps BenchmarkSetupHeap's datasets alive until the test binary
 // writes its -memprofile, which it does after a runtime.GC: the profile's
 // in-use samples are then the heap the loaded datasets hold.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"unsafe"
@@ -283,22 +284,39 @@ type extremeAcc struct {
 	best Value
 }
 
+// extremeCmp orders v against best for min and max: Compare, except that two
+// integers compare exactly — through float64, 2^53 + 1 equals 2^53.
+func extremeCmp(v, best Value) int {
+	if x, ok := v.(int64); ok {
+		if y, ok := best.(int64); ok {
+			return cmp.Compare(x, y)
+		}
+	}
+	return Compare(v, best)
+}
+
 func (a *extremeAcc) add(v Value) error {
 	if v == nil {
 		return nil
 	}
 	if a.best == nil ||
-		(a.min && Compare(v, a.best) < 0) ||
-		(!a.min && Compare(v, a.best) > 0) {
+		(a.min && extremeCmp(v, a.best) < 0) ||
+		(!a.min && extremeCmp(v, a.best) > 0) {
 		a.best = v
 	}
 	return nil
 }
 func (a *extremeAcc) addStar() {}
 func (a *extremeAcc) addInt(v int64) {
-	if bf, ok := numeric(a.best); ok {
+	switch b := a.best.(type) {
+	case int64:
+		if (a.min && v < b) || (!a.min && v > b) {
+			a.best = v
+		}
+		return
+	case float64:
 		f := float64(v)
-		if (a.min && f < bf) || (!a.min && f > bf) {
+		if (a.min && f < b) || (!a.min && f > b) {
 			a.best = v
 		}
 		return

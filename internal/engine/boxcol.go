@@ -77,17 +77,21 @@ func boxStrings(strs []string) []Value {
 // NULL lanes keep the zero (nil) interface the block was allocated with.
 // Chunk storage is immutable, so a box is an interior pointer into the
 // column's typed slots, a dictionary's shared entry box or a TAny column's
-// own box. Two kinds of column have no slot a box can point at, so each call
-// fills one fresh vector for them: a delta column decodes its integers, and a
-// stored string column makes the headers of views of its block.
+// own box. Three kinds of column have no slot a box can point at, so each
+// call fills one fresh vector for them: a delta column decodes its integers, a
+// decimal column its floats, and a stored string column makes the headers of
+// views of its block.
 func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 	eb := efaceSlice(dst)
 	var decoded []int64
+	var decFloats []float64
 	var hdrs []string
 	switch {
 	case cv.enc == encDelta:
 		decoded = make([]int64, len(idx))
-	case cv.kind == TString && cv.soffs != nil:
+	case cv.enc == encDecimal:
+		decFloats = make([]float64, len(idx))
+	case cv.kind == TString && cv.inBlock():
 		hdrs = make([]string, len(idx))
 	}
 	r := 0
@@ -109,6 +113,9 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 		case cv.enc == encDelta:
 			decoded[k] = cv.deltaAt(i)
 			eb[s].data, eb[s].typ = unsafe.Pointer(&decoded[k]), int64TypeWord
+		case cv.enc == encDecimal:
+			decFloats[k] = cv.decAt(i)
+			eb[s].data, eb[s].typ = unsafe.Pointer(&decFloats[k]), float64TypeWord
 		case cv.kind == TInt:
 			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.ints[slot]), int64TypeWord
 		case cv.kind == TFloat:
@@ -132,7 +139,7 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 func boxVecLanes(dst []Value, stride int, v *colVec, idx []int32) {
 	snap, n := *v, len(idx)
 	switch {
-	case v.enc == encDict, v.soffs != nil:
+	case v.enc == encDict, v.inBlock():
 	case v.kind == TInt:
 		snap.ints = slices.Clone(v.ints[:n])
 	case v.kind == TFloat:

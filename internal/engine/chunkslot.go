@@ -290,13 +290,14 @@ func chunkBytes(ch *chunk) int64 {
 }
 
 // colBytes estimates one stored column's footprint: vector backing arrays
-// (a string block is its bytes and offsets) plus dictionary entries and
-// per-box overhead, matching the flat-cost philosophy of the query gauge.
+// (a string block is its bytes and offsets, if it has any; a code is a byte)
+// plus dictionary entries and per-box overhead, matching the flat-cost
+// philosophy of the query gauge.
 func colBytes(c *colVec) int64 {
 	b := int64(len(c.ints))*8 + int64(len(c.floats))*8 +
 		int64(len(c.bools)) + int64(len(c.nulls)) +
 		int64(len(c.sbytes)) + int64(len(c.soffs))*4 +
-		int64(len(c.codes))*4 + int64(len(c.runEnds))*4 +
+		int64(len(c.codes)) + int64(len(c.runEnds))*4 +
 		int64(len(c.packed))*8 + int64(len(c.anys))*bytesPerValue
 	for _, s := range c.dict {
 		b += int64(len(s)) + 16 + bytesPerValue // entry + shared box
@@ -314,10 +315,10 @@ func chunkToStorage(ch *chunk) *storage.Chunk {
 		sc.Cols[j] = storage.Col{
 			Kind: uint8(c.kind), Enc: uint8(c.enc),
 			Nulls: c.nulls, Min: c.min, Max: c.max,
-			Ints: c.ints, Floats: c.floats, StrBytes: c.sbytes, StrOffs: c.soffs,
+			Ints: c.ints, Floats: c.floats, StrBytes: c.sbytes, StrOffs: c.soffs, StrWidth: c.sw,
 			Bools: c.bools, Anys: c.anys,
 			Dict: c.dict, Codes: c.codes, RunEnds: c.runEnds,
-			Base: c.base, Width: c.width, Packed: c.packed,
+			Base: c.base, Width: c.width, Exp: c.exp, Packed: c.packed,
 		}
 	}
 	return sc
@@ -339,10 +340,10 @@ func (cv *colVec) fromStorage(c *storage.Col) {
 	*cv = colVec{
 		kind: ColType(c.Kind), enc: colEnc(c.Enc),
 		nulls: c.Nulls, min: c.Min, max: c.Max,
-		ints: c.Ints, floats: c.Floats, sbytes: c.StrBytes, soffs: c.StrOffs,
+		ints: c.Ints, floats: c.Floats, sbytes: c.StrBytes, soffs: c.StrOffs, sw: c.StrWidth,
 		bools: c.Bools, anys: c.Anys,
 		dict: c.Dict, codes: c.Codes, runEnds: c.RunEnds,
-		base: c.Base, width: c.Width, packed: c.Packed,
+		base: c.Base, width: c.Width, exp: c.Exp, packed: c.Packed,
 	}
 	if cv.enc == encDict {
 		cv.dictBoxed = boxStrings(cv.dict)

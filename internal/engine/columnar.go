@@ -10,12 +10,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"verdictdb/internal/storage"
 )
 
 // Columnar chunked storage. A table is an append-only sequence of sealed,
 // immutable chunks of exactly chunkRows rows stored column-wise — per-column
 // typed vectors ([]int64, []float64, []bool; strings as one byte block plus
-// u32 offsets) with a null-flag vector — plus an open row-major tail holding
+// u32 offsets, or no offsets when every slot has one length) with a null-flag
+// vector — plus an open row-major tail holding
 // the most recent < chunkRows rows. When the tail fills it is sealed into a
 // chunk — as is each whole chunk a vectorized CTAS or INSERT … SELECT gathers
 // from its typed lanes (seal.go): values are packed into typed vectors and the
@@ -52,10 +55,11 @@ const chunkRows = 256
 type colEnc uint8
 
 const (
-	encNone  colEnc = iota // raw typed vector (or boxed TAny)
-	encDict                // sorted per-chunk dictionary + uint32 codes (strings)
-	encRLE                 // run-length: run end offsets + one value slot per run
-	encDelta               // int64 offsets from the chunk minimum, bit-packed
+	encNone    colEnc = iota // raw typed vector (or boxed TAny)
+	encDict                  // sorted per-chunk dictionary + one-byte codes (strings)
+	encRLE                   // run-length: run end offsets + one value slot per run
+	encDelta                 // int64 offsets from the chunk minimum, bit-packed
+	encDecimal               // floats as encDelta's integers over a power of ten
 )
 
 // colVec is the engine's one vector of lanes: one column of a chunk (a typed
@@ -84,7 +88,10 @@ type colVec struct {
 	// holds slots+1 offsets from 0 to len(sbytes). That is the segment
 	// payload itself, so a flush writes the two slices and a cold load copies
 	// them. A string read out of the column is a view of sbytes; stored
-	// blocks are never written after seal. A NULL slot is empty.
+	// blocks are never written after seal. A NULL slot is empty. A raw column
+	// whose slots all have one length sw > 0 (dates, codes, flags) has no
+	// offsets: slot s is sbytes[s*sw:(s+1)*sw], a NULL slot sw bytes of zero
+	// padding.
 	sbytes []byte
 	soffs  []uint32
 
@@ -102,18 +109,20 @@ type colVec struct {
 
 	// enc selects which of the encoding field groups below is live.
 	enc colEnc
+	sw  uint32 // the slot width of a stored string block without offsets, else 0
 
 	// encDict: dict holds the chunk's distinct non-NULL strings in sorted
 	// order, so code order preserves value order (range predicates compare
-	// codes). codes[i] indexes dict; NULL rows keep code 0 and are flagged
-	// in nulls. dictBoxed pre-boxes each entry once — every read-through box
+	// codes). codes[i] indexes dict — a chunk of at most chunkRows = 256 rows
+	// has at most 256 of them, so a code is one byte; NULL rows keep code 0
+	// and are flagged in nulls. dictBoxed pre-boxes each entry once — every read-through box
 	// of a dictionary value is a shared immutable interface, not a fresh
 	// allocation. The entries of a stored column are views of one block the
 	// column owns; a gathered column shares its source's. There are no
 	// string slots (strs, sbytes, soffs).
 	dict      []string
 	dictBoxed []Value
-	codes     []uint32
+	codes     []uint8
 
 	// encRLE: runEnds[r] is the exclusive end row of run r; run r's value
 	// lives in slot r of the typed vector (truncated to one slot per run).
@@ -122,8 +131,11 @@ type colVec struct {
 	// encDelta: row i decodes as base + the width-bit little-endian field
 	// starting at bit i*width of packed. NULL rows pack zero. width 0 means
 	// every non-NULL value equals base and packed is nil. ints is nil.
+	// encDecimal: the same integers, row i a float64 read as that integer
+	// divided by 10^exp (decAt); floats is nil.
 	base   int64
 	width  uint8
+	exp    uint8
 	packed []uint64
 }
 
@@ -185,6 +197,23 @@ func (c *colVec) deltaAt(i int) int64 {
 	return int64(uint64(c.base) + v)
 }
 
+// pow10 holds the powers of ten a decimal column divides by, each exact in
+// float64.
+var pow10 = func() (p [storage.MaxDecimalExp + 1]float64) {
+	p[0] = 1
+	for e := 1; e < len(p); e++ {
+		p[e] = p[e-1] * 10
+	}
+	return p
+}()
+
+// decAt decodes row i of an encDecimal column. The division is the form's
+// definition: the seal checked every lane's bits through this expression (a
+// multiply by the reciprocal would round differently).
+func (c *colVec) decAt(i int) float64 {
+	return float64(c.deltaAt(i)) / pow10[c.exp]
+}
+
 // strAt reads string row i through the encoding (callers have excluded NULL
 // rows and checked the kind).
 func (c *colVec) strAt(i int) string {
@@ -200,11 +229,19 @@ func (c *colVec) strAt(i int) string {
 // slotStr reads string slot s: a view of the block of a stored column, the
 // lane of a per-query one.
 func (c *colVec) slotStr(s int) string {
-	if c.soffs == nil {
-		return c.strs[s]
+	switch {
+	case c.soffs != nil:
+		return blockStr(c.sbytes, c.soffs[s], c.soffs[s+1])
+	case c.sw > 0:
+		lo := uint32(s) * c.sw
+		return blockStr(c.sbytes, lo, lo+c.sw)
 	}
-	return blockStr(c.sbytes, c.soffs[s], c.soffs[s+1])
+	return c.strs[s]
 }
+
+// inBlock reports whether the column's strings are a stored block (with
+// offsets or of one width), not per-query string lanes.
+func (c *colVec) inBlock() bool { return c.soffs != nil || c.sw > 0 }
 
 // blockStr is the string of bytes b[lo:hi], sharing them. Callers never
 // write a block once a string views it. An empty string points at nothing, so
@@ -236,6 +273,8 @@ func (c *colVec) value(i int) Value {
 		return c.dictBoxed[c.codes[i]]
 	case c.enc == encDelta:
 		return c.deltaAt(i)
+	case c.enc == encDecimal:
+		return c.decAt(i)
 	case c.kind == TInt:
 		return c.ints[slot]
 	case c.kind == TFloat:
@@ -536,7 +575,8 @@ const (
 // forceEncodingsEnv is a test knob: when set (non-empty), every sealed
 // chunk-column takes some encoding regardless of the thresholds — strings
 // dictionary-encode, ints delta-encode (RLE when the range needs >= 64
-// bits), floats and bools run-length-encode even with run length 1. CI runs
+// bits), floats take the decimal form wherever it is exact (RLE elsewhere),
+// and bools run-length-encode even with run length 1. CI runs
 // the workload parity suite once under it so the encoded kernel paths
 // cannot rot behind cardinality heuristics.
 const forceEncodingsEnv = "ENGINE_FORCE_ENCODINGS"
@@ -682,9 +722,10 @@ func orderedZone[T int64 | float64](vals []T, nulls []bool) (Value, Value) {
 }
 
 // encodeCol picks and applies one encoding for a sealed chunk-column,
-// returning the estimated byte footprint of the encoded form (0 when the
-// column stays raw). Boxed (TAny) columns — mixed dynamic types or all
-// NULLs — never encode.
+// returning the estimated byte footprint of what it built (0 when the column
+// keeps its raw vectors). Boxed (TAny) columns — mixed dynamic types or all
+// NULLs — never encode. A raw string column whose slots share one length
+// drops its offsets (fixWidth).
 func encodeCol(c *colVec, n int, force bool, dp *dictProber) int64 {
 	if c.kind == TAny || n == 0 {
 		return 0
@@ -697,6 +738,10 @@ func encodeCol(c *colVec, n int, force bool, dp *dictProber) int64 {
 			if w := c.deltaWidth(); w < 64 {
 				return c.encodeDelta(n, w)
 			}
+		case TFloat:
+			if b, ok := c.encodeDecimal(n, 64); ok {
+				return b
+			}
 		}
 		return c.encodeRLE(n, c.countRuns(n, n))
 	}
@@ -708,9 +753,14 @@ func encodeCol(c *colVec, n int, force bool, dp *dictProber) int64 {
 		if dict, codes := dp.probe(c, n, n/dictMaxCardDiv); dict != nil {
 			return c.encodeDict(dict, codes)
 		}
+		return c.fixWidth(n)
 	case TInt:
 		if w := c.deltaWidth(); w <= deltaMaxWidth {
 			return c.encodeDelta(n, w)
+		}
+	case TFloat:
+		if b, ok := c.encodeDecimal(n, deltaMaxWidth); ok {
+			return b
 		}
 	}
 	return 0
@@ -730,17 +780,19 @@ var dictSeed = maphash.MakeSeed()
 
 // probe numbers column c's distinct non-NULL strings in the order they first
 // appear and gives each of its n rows its string's number (a NULL row keeps
-// 0). It gives up, returning nils, when more than limit strings are distinct:
-// the column stays raw, and the rest of it is never hashed. The dictionary is
-// the prober's, valid until its next probe; the codes are the caller's.
-func (p *dictProber) probe(c *colVec, n, limit int) ([]string, []uint32) {
+// 0). It gives up, returning nils, when more than limit strings are distinct
+// (or more than a one-byte code numbers): the column stays raw, and the rest
+// of it is never hashed. The dictionary is the prober's, valid until its next
+// probe; the codes are the caller's.
+func (p *dictProber) probe(c *colVec, n, limit int) ([]string, []uint8) {
+	limit = min(limit, 1<<8)
 	size := 1 << bits.Len(uint(2*n)) // at most half full
 	if cap(p.table) < size {
 		p.table = make([]int32, size)
 	}
 	p.table, p.dict = p.table[:size], p.dict[:0]
 	clear(p.table)
-	codes := make([]uint32, n)
+	codes := make([]uint8, n)
 	mask := uint64(size - 1)
 	for i := 0; i < n; i++ {
 		if c.nulls != nil && c.nulls[i] {
@@ -757,7 +809,7 @@ func (p *dictProber) probe(c *colVec, n, limit int) ([]string, []uint32) {
 			p.dict = append(p.dict, s) //verdict:nocharge seal scratch: at most limit ≤ n entries, reused column to column
 			p.table[h] = int32(len(p.dict))
 		}
-		codes[i] = uint32(p.table[h] - 1)
+		codes[i] = uint8(p.table[h] - 1)
 	}
 	return p.dict, codes
 }
@@ -766,15 +818,15 @@ func (p *dictProber) probe(c *colVec, n, limit int) ([]string, []uint32) {
 // numbering: the dictionary is sorted, so code order is value order, the codes
 // renumbered to match, and the entries moved into one block of their own: the
 // raw block goes.
-func (c *colVec) encodeDict(dict []string, codes []uint32) int64 {
-	order := make([]uint32, len(dict)) // order[code] = the probe's number
+func (c *colVec) encodeDict(dict []string, codes []uint8) int64 {
+	order := make([]uint8, len(dict)) // order[code] = the probe's number
 	for i := range order {
-		order[i] = uint32(i)
+		order[i] = uint8(i)
 	}
-	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
-	rank := make([]uint32, len(dict))
+	slices.SortFunc(order, func(a, b uint8) int { return strings.Compare(dict[a], dict[b]) })
+	var rank [1 << 8]uint8
 	for code, id := range order {
-		rank[id] = uint32(code)
+		rank[id] = uint8(code)
 	}
 	for i, id := range codes {
 		if c.nulls == nil || !c.nulls[i] {
@@ -801,7 +853,7 @@ func (c *colVec) encodeDict(dict []string, codes []uint32) int64 {
 	// The sorted dictionary's ends are the zone bounds, and they reuse the
 	// boxes downstream pruning already holds.
 	c.min, c.max = boxed[0], boxed[len(boxed)-1]
-	return int64(size) + int64(len(dict))*(16+24) + int64(n)*4
+	return int64(size) + int64(len(dict))*(16+24) + int64(n)
 }
 
 func (c *colVec) encodeRLE(n, runs int) int64 {
@@ -893,26 +945,126 @@ func (c *colVec) deltaWidth() int {
 
 func (c *colVec) encodeDelta(n, width int) int64 {
 	base, _ := c.min.(int64)
-	var packed []uint64
-	if width > 0 {
-		packed = make([]uint64, (n*width+63)/64)
-		for i := 0; i < n; i++ {
-			if c.nulls != nil && c.nulls[i] {
-				continue
+	c.base, c.width = base, uint8(width)
+	c.packed = packDeltas(n, width, base, c.nulls, func(i int) int64 { return c.ints[i] })
+	c.ints = nil
+	c.enc = encDelta
+	return int64(len(c.packed)) * 8
+}
+
+// packDeltas bit-packs at(i) - base for rows [0, n), width bits each (a NULL
+// row packs zero): nil when width is 0.
+func packDeltas(n, width int, base int64, nulls []bool, at func(int) int64) []uint64 {
+	if width == 0 {
+		return nil
+	}
+	packed := make([]uint64, (n*width+63)/64)
+	for i := 0; i < n; i++ {
+		if nulls != nil && nulls[i] {
+			continue
+		}
+		d := uint64(at(i)) - uint64(base)
+		bit := uint(i) * uint(width)
+		word, off := bit>>6, bit&63
+		packed[word] |= d << off
+		if off+uint(width) > 64 {
+			packed[word+1] |= d >> (64 - off)
+		}
+	}
+	return packed
+}
+
+// decimalAt returns the integer d for which float64(d) / 10^e is f, bit for
+// bit, when there is one: f × 10^e rounded, checked through the division
+// itself. NaN, ±Inf and −0 have none, nor has a value whose scaled form is
+// past 2^53, where float64 integers stop being exact.
+func decimalAt(f float64, e int) (int64, bool) {
+	s := f * pow10[e]
+	if !(s > -(1<<53) && s < 1<<53) {
+		return 0, false
+	}
+	d := int64(math.Round(s))
+	return d, math.Float64bits(float64(d)/pow10[e]) == math.Float64bits(f)
+}
+
+// encodeDecimal stores a raw float column in the decimal form (the "ALP"
+// idea: Afroozeh, Kuffó and Boncz, SIGMOD 2023) — delta's base, width and
+// packed integers plus an exponent e, row i reading back as
+// float64(base + field i) / 10^e — when that reproduces every non-NULL lane
+// exactly at a packed width of at most maxWidth bits. ok is false, and the
+// column untouched, otherwise.
+func (c *colVec) encodeDecimal(n, maxWidth int) (bytes int64, ok bool) {
+	// The least exponent that suits every lane: a lane is tried at the
+	// exponent the lanes before it needed, and raises it when it needs more.
+	e := 0
+	for i, f := range c.floats[:n] {
+		if c.nulls != nil && c.nulls[i] {
+			continue
+		}
+		for {
+			if _, ok := decimalAt(f, e); ok {
+				break
 			}
-			d := uint64(c.ints[i]) - uint64(base)
-			bit := uint(i) * uint(width)
-			word, off := bit>>6, bit&63
-			packed[word] |= d << off
-			if off+uint(width) > 64 {
-				packed[word+1] |= d >> (64 - off)
+			if e++; e > storage.MaxDecimalExp {
+				return 0, false
 			}
 		}
 	}
-	c.base, c.width, c.packed = base, uint8(width), packed
-	c.ints = nil
-	c.enc = encDelta
-	return int64(len(packed)) * 8
+	// Every lane again at e itself (a lane exact at a smaller exponent need
+	// not be at e), and the integers' range.
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i, f := range c.floats[:n] {
+		if c.nulls != nil && c.nulls[i] {
+			continue
+		}
+		d, ok := decimalAt(f, e)
+		if !ok {
+			return 0, false
+		}
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	if width > maxWidth {
+		return 0, false
+	}
+	p := pow10[e]
+	c.packed = packDeltas(n, width, lo, c.nulls, func(i int) int64 { return int64(math.Round(c.floats[i] * p)) })
+	c.base, c.width, c.exp = lo, uint8(width), uint8(e)
+	c.floats = nil
+	c.enc = encDecimal
+	return int64(len(c.packed)) * 8, true
+}
+
+// fixWidth drops the offsets of a raw string column whose non-NULL slots all
+// have one length w > 0: a slot is found by multiplying, and NULL slots are
+// padded to w with zero bytes (the block is rebuilt only when there are any).
+// It returns the bytes of a rebuilt block.
+func (c *colVec) fixWidth(n int) int64 {
+	w := int64(-1) // no non-NULL slot yet
+	for s := 0; s < n; s++ {
+		if c.nulls != nil && c.nulls[s] {
+			continue
+		}
+		switch l := int64(c.soffs[s+1] - c.soffs[s]); {
+		case w < 0:
+			w = l
+		case l != w:
+			return 0
+		}
+	}
+	if w <= 0 {
+		return 0
+	}
+	var built int64
+	if c.nulls != nil {
+		blk := make([]byte, n*int(w))
+		for s := 0; s < n; s++ {
+			copy(blk[s*int(w):], c.sbytes[c.soffs[s]:c.soffs[s+1]]) // a NULL slot is empty: zeros stay
+		}
+		c.sbytes, built = blk, int64(len(blk))
+	}
+	c.soffs, c.sw = nil, uint32(w)
+	return built
 }
 
 // materializeRow boxes one row of the chunk: the row itself when the chunk was

@@ -95,7 +95,8 @@ func TestSealPicksEncodings(t *testing.T) {
 		{Name: "s", Type: TString}, // 3 distinct, alternating -> dict
 		{Name: "r", Type: TInt},    // constant 64-runs -> RLE
 		{Name: "d", Type: TInt},    // range 200 -> delta, width 8
-		{Name: "f", Type: TFloat},  // high-entropy floats -> raw
+		{Name: "f", Type: TFloat},  // two-decimal floats -> decimal, exponent 2
+		{Name: "g", Type: TFloat},  // high-entropy floats -> raw
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSealPicksEncodings(t *testing.T) {
 	total := 2 * chunkRows
 	rows := make([][]Value, total)
 	for i := range rows {
-		rows[i] = []Value{vals[i%3], int64(i / 64), int64(i % 200), float64(i) + 0.25}
+		rows[i] = []Value{vals[i%3], int64(i / 64), int64(i % 200), float64(i) + 0.25, math.Sqrt(float64(i))}
 	}
 	if err := e.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
@@ -135,8 +136,11 @@ func TestSealPicksEncodings(t *testing.T) {
 	if ch.cols[2].width > 8 || ch.cols[2].ints != nil {
 		t.Fatalf("d: width %d ints %v", ch.cols[2].width, ch.cols[2].ints)
 	}
-	if got := ch.cols[3].enc; got != encNone {
-		t.Fatalf("f: enc %d, want raw", got)
+	if cv := &ch.cols[3]; cv.enc != encDecimal || cv.exp != 2 || cv.floats != nil {
+		t.Fatalf("f: enc %d exponent %d floats %v, want decimal at exponent 2", cv.enc, cv.exp, cv.floats)
+	}
+	if got := ch.cols[4].enc; got != encNone {
+		t.Fatalf("g: enc %d, want raw", got)
 	}
 	// Read-through must reproduce the original rows bit for bit.
 	got := boxRows(ch)
@@ -151,29 +155,38 @@ func TestSealPicksEncodings(t *testing.T) {
 
 func TestDictHighCardinalityFallback(t *testing.T) {
 	e := NewSeeded(1)
-	if err := e.CreateTable("t", []Column{{Name: "s", Type: TString}}); err != nil {
+	if err := e.CreateTable("t", []Column{{Name: "s", Type: TString}, {Name: "v", Type: TString}}); err != nil {
 		t.Fatal(err)
 	}
 	rows := make([][]Value, chunkRows)
 	for i := range rows {
-		rows[i] = []Value{fmt.Sprintf("u%04d", i)} // every value distinct
+		// Every value distinct: s all 5 bytes long, v of 2 to 4 bytes.
+		rows[i] = []Value{fmt.Sprintf("u%04d", i), fmt.Sprintf("v%d", i)}
 	}
 	if err := e.InsertRows("t", rows); err != nil {
 		t.Fatal(err)
 	}
 	tbl, _ := e.Lookup("t")
-	cv := &sealedChunk(t, tbl, 0).cols[0]
-	if cv.enc != encNone || cv.dict != nil {
-		t.Fatalf("high-cardinality strings should stay raw: enc %d", cv.enc)
+	ch := sealedChunk(t, tbl, 0)
+	for j := range ch.cols {
+		if cv := &ch.cols[j]; cv.enc != encNone || cv.dict != nil {
+			t.Fatalf("high-cardinality strings should stay raw: column %d enc %d", j, cv.enc)
+		}
 	}
-	// Raw and stored: one block of every value's bytes, one offset per row
-	// plus the leading 0, and no string headers.
-	if cv.strs != nil || len(cv.soffs) != chunkRows+1 || cv.soffs[0] != 0 || len(cv.sbytes) != 5*chunkRows {
-		t.Fatalf("raw strings not in block form: strs %d, offsets %d, %d bytes", len(cv.strs), len(cv.soffs), len(cv.sbytes))
+	// Raw and stored: one block of every value's bytes and no string headers;
+	// one offset per row plus the leading 0, or, where every value has one
+	// length, that length and no offsets.
+	if cv := &ch.cols[0]; cv.strs != nil || cv.soffs != nil || cv.sw != 5 || len(cv.sbytes) != 5*chunkRows {
+		t.Fatalf("same-length strings not a fixed-width block: strs %d, offsets %d, width %d, %d bytes", len(cv.strs), len(cv.soffs), cv.sw, len(cv.sbytes))
+	}
+	if cv := &ch.cols[1]; cv.strs != nil || len(cv.soffs) != chunkRows+1 || cv.soffs[0] != 0 || cv.sw != 0 {
+		t.Fatalf("raw strings not in block form: strs %d, offsets %d, width %d", len(cv.strs), len(cv.soffs), cv.sw)
 	}
 	for i, r := range rows {
-		if got := cv.strAt(i); got != r[0] {
-			t.Fatalf("row %d reads %q, want %q", i, got, r[0])
+		for j := range ch.cols {
+			if got := ch.cols[j].strAt(i); got != r[j] {
+				t.Fatalf("row %d column %d reads %q, want %q", i, j, got, r[j])
+			}
 		}
 	}
 }
@@ -687,23 +700,25 @@ func TestForcedEncodingsParity(t *testing.T) {
 		rows[i] = []Value{
 			fmt.Sprintf("u%04d", i), // high-card strings: forced dict
 			int64(i * 37),           // wide ints: forced delta
-			float64(i) * 1.5,        // floats: forced RLE
+			float64(i) * 1.5,        // decimal floats: forced decimal
 			i%2 == 0,                // bools: forced RLE
+			math.Sqrt(float64(i)),   // other floats: forced RLE
 		}
 	}
 	vec, row := twinEngines(t, []Column{
 		{Name: "s", Type: TString}, {Name: "k", Type: TInt},
-		{Name: "f", Type: TFloat}, {Name: "b", Type: TBool},
+		{Name: "f", Type: TFloat}, {Name: "b", Type: TBool}, {Name: "g", Type: TFloat},
 	}, rows)
 	ch := mustSealed(t, vec, "t")
 	if ch.cols[0].enc != encDict || ch.cols[1].enc != encDelta ||
-		ch.cols[2].enc != encRLE || ch.cols[3].enc != encRLE {
-		t.Fatalf("forced encodings: %d %d %d %d",
-			ch.cols[0].enc, ch.cols[1].enc, ch.cols[2].enc, ch.cols[3].enc)
+		ch.cols[2].enc != encDecimal || ch.cols[3].enc != encRLE || ch.cols[4].enc != encRLE {
+		t.Fatalf("forced encodings: %d %d %d %d %d",
+			ch.cols[0].enc, ch.cols[1].enc, ch.cols[2].enc, ch.cols[3].enc, ch.cols[4].enc)
 	}
 	for _, q := range []string{
-		"select count(*), sum(k), sum(f) from t",
-		"select b, count(*), min(s), max(f) from t group by b order by b",
+		"select count(*), sum(k), sum(f), sum(g) from t",
+		"select b, count(*), min(s), max(f), min(g) from t group by b order by b",
+		"select k, f, g from t where t.f > 300 and t.g < 20",
 		"select s, k from t where t.s >= 'u0500' and t.b",
 		"select count(*) from t where t.f < 100.0 or t.k > 15000",
 	} {

@@ -19,7 +19,7 @@ func TestLaneReaders(t *testing.T) {
 	const n = 48
 	vc := newVecCtx(1, 0, 0, 0)
 	leaf := &vnCol{id: 0, col: 0}
-	for _, enc := range []string{"raw", "rawstr", "dict", "rle", "rlestr", "delta", "any"} {
+	for _, enc := range []string{"raw", "rawstr", "fixedstr", "dict", "rle", "rlestr", "delta", "decimal", "any"} {
 		for _, nulls := range []string{"none", "some", "all"} {
 			build := []*chunk{laneChunk(enc, nulls, n, 0), laneChunk(enc, nulls, n, 1)}
 			src := &gatherSrc{leftW: 1}
@@ -113,6 +113,8 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 		{[]string{"rawint", "delta", "rle", "lazy:delta"}, false},
 		{[]string{"rawstr", "dict", "rlestr", "lazy:dict"}, false},
 		{[]string{"raw", "delta", "dict"}, false},
+		{[]string{"raw", "decimal", "lazy:decimal"}, false},
+		{[]string{"rawstr", "fixedstr", "lazy:fixedstr"}, false},
 	} {
 		for _, nulls := range []string{"none", "some"} {
 			build := make([]*chunk, len(side.encs))
@@ -182,9 +184,10 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 }
 
 // laneChunk is one n-row chunk holding one column in encoding enc (the kind
-// follows: raw floats, integers and strings, dictionary strings, run-length
-// integers and strings, delta integers, mixed boxes), with no, some or all
-// rows NULL. seed varies the values between the build chunks.
+// follows: raw floats, integers and strings, fixed-width and dictionary
+// strings, run-length integers and strings, delta integers, decimal floats,
+// mixed boxes), with no, some or all rows NULL. seed varies the values between
+// the build chunks.
 func laneChunk(enc, nulls string, n, seed int) *chunk {
 	rows := make([][]Value, n)
 	for i := range rows {
@@ -196,6 +199,10 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 			v = int64(i*5%19 - 100*seed)
 		case "rawstr":
 			v = fmt.Sprintf("r%d.%d", i*3%17, seed)
+		case "fixedstr":
+			v = fmt.Sprintf("f%02d.%d", i*3%17, seed)
+		case "decimal":
+			v = float64(i*3%17)/4 - float64(seed)/2
 		case "dict":
 			v = fmt.Sprintf("s%d.%d", i%5, seed)
 		case "rlestr":
@@ -225,6 +232,14 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 		cv.encodeRLE(n, cv.countRuns(n, n))
 	case "delta":
 		cv.encodeDelta(n, cv.deltaWidth())
+	case "decimal":
+		if _, ok := cv.encodeDecimal(n, 64); !ok {
+			panic("laneChunk: decimal values not in the decimal form")
+		}
+	case "fixedstr":
+		if cv.fixWidth(n); cv.sw == 0 {
+			panic("laneChunk: same-length strings not of fixed width")
+		}
 	}
 	if nulls == "all" && enc != "any" {
 		// A typed column of NULLs (a gathered one can be): every flag set.

@@ -33,14 +33,14 @@ type laneBatch struct {
 // chunk overwrites, into vectors of its own. What no kernel writes — a shared
 // dictionary, a stored column's block — is shared.
 func (v *colVec) snapshot(n int) *colVec {
-	s := &colVec{kind: v.kind, enc: v.enc, dict: v.dict, dictBoxed: v.dictBoxed, sbytes: v.sbytes, soffs: v.soffs}
+	s := &colVec{kind: v.kind, enc: v.enc, dict: v.dict, dictBoxed: v.dictBoxed, sbytes: v.sbytes, soffs: v.soffs, sw: v.sw}
 	if len(v.nulls) > 0 {
 		s.nulls = slices.Clone(v.nulls[:n])
 	}
 	switch {
 	case v.enc == encDict:
 		s.codes = slices.Clone(v.codes[:n])
-	case v.soffs != nil:
+	case v.inBlock():
 	case v.kind == TInt:
 		s.ints = slices.Clone(v.ints[:n])
 	case v.kind == TFloat:

@@ -17,7 +17,7 @@ const wideCols = 16
 // newWideDiskEngine builds t(c0 … c15) over nchunks sealed chunks plus a short
 // tail, flushed to a data directory, with the chunk cache emptied. Columns
 // cycle int (delta), three-valued string (dict), high-cardinality string (raw)
-// and float (raw).
+// and one-decimal float (decimal).
 func newWideDiskEngine(t testing.TB, nchunks int) (disk, mem *Engine) {
 	t.Helper()
 	if tt, ok := t.(*testing.T); ok {
@@ -261,7 +261,7 @@ func TestSegmentLoadAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"delta int column", 4, encDelta, 9},
-		{"raw float column", 3, encNone, 9},
+		{"decimal float column", 3, encDecimal, 9},
 		{"256-lane string column", 6, encNone, 9},
 		{"dictionary string column", 5, encDict, 12},
 	} {

@@ -976,7 +976,7 @@ func loadLanes[T any](s *gatherSrc, cv *colVec, dst []T, bj int, refs []int64, v
 			continue
 		case ci != last:
 			scv := s.buildCol(bj, ci)
-			if scv.enc != encNone || len(scv.nulls) > 0 || scv.soffs != nil {
+			if scv.enc != encNone || len(scv.nulls) > 0 || scv.inBlock() {
 				return k
 			}
 			src, last = vals(scv), ci
@@ -988,7 +988,8 @@ func loadLanes[T any](s *gatherSrc, cv *colVec, dst []T, bj int, refs []int64, v
 
 // readLanes is fillBuild's loop over lanes [k0, len(refs)): lane k is row
 // refs[k] read through its chunk's encoding — a run-length slot found by
-// binary search, delta integers unpacked, dictionary strings materialized —
+// binary search, delta integers and decimal floats unpacked, dictionary
+// strings materialized —
 // and NULL flags, or boxed when the chunks disagree on the column's kind.
 func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 	n := len(refs)
@@ -1012,6 +1013,8 @@ func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 			cv.ints[k] = scv.deltaAt(i)
 		case cv.kind == TInt:
 			cv.ints[k] = scv.ints[slot]
+		case cv.kind == TFloat && scv.enc == encDecimal:
+			cv.floats[k] = scv.decAt(i)
 		case cv.kind == TFloat:
 			cv.floats[k] = scv.floats[slot]
 		case cv.kind == TBool:
@@ -1049,9 +1052,10 @@ func gatherRaw[T any](dst, src []T, idx []int32) {
 
 // gatherLanes copies rows idx of scv, a source column of cv's kind, into cv's
 // lanes, decoding: dictionary strings are materialized, stored strings viewed
-// out of their block, delta integers unpacked, and run-length slots read by a
-// forward walk over the runs. The loop is picked once per call; raw vectors
-// without NULLs — every gathered column, most stored floats — are flat copies.
+// out of their block, delta integers and decimal floats unpacked, and
+// run-length slots read by a forward walk over the runs. The loop is picked
+// once per call; raw vectors without NULLs — every gathered column — are flat
+// copies.
 func gatherLanes(cv, scv *colVec, idx []int32) {
 	switch cv.kind {
 	case TInt:
@@ -1064,7 +1068,12 @@ func gatherLanes(cv, scv *colVec, idx []int32) {
 		}
 		nullLanes(cv, scv, idx)
 	case TFloat:
-		gatherSlots(cv, cv.floats, scv.floats, scv, idx)
+		if scv.enc != encDecimal {
+			gatherSlots(cv, cv.floats, scv.floats, scv, idx)
+			return
+		}
+		gatherDecimal(cv.floats, scv, idx)
+		nullLanes(cv, scv, idx)
 	case TString:
 		switch {
 		case scv.enc == encDict:
@@ -1072,7 +1081,7 @@ func gatherLanes(cv, scv *colVec, idx []int32) {
 				cv.strs[k] = scv.dict[scv.codes[i]]
 			}
 			nullLanes(cv, scv, idx)
-		case scv.soffs == nil:
+		case !scv.inBlock():
 			gatherSlots(cv, cv.strs, scv.strs, scv, idx)
 		default:
 			gatherBlock(cv, scv, idx)
@@ -1102,6 +1111,15 @@ func gatherSlots[T any](cv *colVec, dst, vals []T, scv *colVec, idx []int32) {
 	}
 }
 
+// gatherDecimal decodes rows idx of the decimal column scv into dst, in one
+// loop: each lane its packed integer over the column's power of ten.
+func gatherDecimal(dst []float64, scv *colVec, idx []int32) {
+	p := pow10[scv.exp]
+	for k, i := range idx {
+		dst[k] = float64(scv.deltaAt(int(i))) / p
+	}
+}
+
 // gatherBlock is gatherLanes from a stored string column: each lane a view of
 // its slot in scv's block.
 func gatherBlock(cv, scv *colVec, idx []int32) {
@@ -1115,7 +1133,7 @@ func gatherBlock(cv, scv *colVec, idx []int32) {
 		if len(scv.nulls) > 0 && scv.nulls[slot] {
 			cv.setNull(k, len(idx))
 		} else {
-			cv.strs[k] = blockStr(scv.sbytes, scv.soffs[slot], scv.soffs[slot+1])
+			cv.strs[k] = scv.slotStr(slot)
 		}
 	}
 }

@@ -501,9 +501,9 @@ func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 // vnCmpLit is a column-vs-literal comparison with one typed loop per chunk,
 // picked from the column's encoding and kind. Numbers compare in float64
 // through cmpFloat64, as Compare does (NaN compares equal to everything), and
-// strings bytewise; delta columns fuse decode and compare, RLE columns compare
-// once per run, and dictionary columns probe the sorted dict once per chunk
-// and compare codes. Boxed columns and pairings whose comparison is not the
+// strings bytewise; delta and decimal columns fuse decode and compare, RLE
+// columns compare once per run, and dictionary columns probe the sorted dict
+// once per chunk and compare codes. Boxed columns and pairings whose comparison is not the
 // plain typed one (a string column against a number) delegate to the embedded
 // generic node, which replicates row-path semantics for every case.
 type vnCmpLit struct {
@@ -518,7 +518,7 @@ func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	cv := ch.col(n.col)
 	idx := vc.lanesOf(ch, sel)
 	switch cv.enc {
-	case encNone, encDelta:
+	case encNone, encDelta, encDecimal:
 		if ov, ok := n.evalRaw(vc, cv, idx); ok {
 			return ov, nil
 		}
@@ -534,7 +534,7 @@ func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	return n.fb.eval(vc, ch, sel)
 }
 
-// evalRaw is the loop over a raw or delta column: rows idx, or, of a
+// evalRaw is the loop over a raw, delta or decimal column: rows idx, or, of a
 // run-length column, its run slots. ok is false (delegate) for a boxed column
 // and for a literal of another kind.
 func (n *vnCmpLit) evalRaw(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) {
@@ -550,6 +550,11 @@ func (n *vnCmpLit) evalRaw(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) 
 	case cv.enc == encDelta:
 		for k, i := range idx {
 			out[k] = res[cmpFloat64(float64(cv.deltaAt(int(i))), f)+1]
+		}
+	case cv.enc == encDecimal:
+		p := pow10[cv.exp]
+		for k, i := range idx {
+			out[k] = res[cmpFloat64(float64(cv.deltaAt(int(i)))/p, f)+1]
 		}
 	case cv.kind == TInt:
 		for k, i := range idx {
@@ -617,7 +622,7 @@ func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, idx []int32, s string) *colV
 	}
 	lo, hi, neg := codeBounds(n.fb.op, uint32(lb), uint32(ub))
 	for k, i := range idx {
-		c := cv.codes[i]
+		c := uint32(cv.codes[i])
 		ov.bools[k] = (c >= lo && c < hi) != neg
 	}
 	nullLanes(ov, cv, idx)
@@ -671,7 +676,8 @@ func cmpBools(a, b bool) int {
 // chunk. A dictionary column probes the list into the dict once per chunk, a
 // boolean LUT indexed by code, so membership is one table load per lane; a raw
 // string column looks its lanes up among the string literals, a raw numeric
-// one among the numeric literals in float64, with lanesEqual's rules. Compare
+// one — or a decimal one, decoded in the loop — among the numeric literals in
+// float64, with lanesEqual's rules. Compare
 // never equates a string with any other type, so the literals of the other
 // kind cannot match. Other encodings and boxed columns delegate to the
 // embedded generic vnIn.
@@ -702,6 +708,11 @@ func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		}
 		for k, i := range idx {
 			out[k] = lut[cv.codes[i]] != n.fb.not
+		}
+	case cv.enc == encDecimal:
+		p := pow10[cv.exp]
+		for k, i := range idx {
+			out[k] = inFloats(float64(cv.deltaAt(int(i)))/p, n.nums) != n.fb.not
 		}
 	case cv.kind == TString:
 		for k, i := range idx {

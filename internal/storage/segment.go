@@ -26,19 +26,25 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 //	[8]  meta section length (uint64)
 //	[8]  foot magic "VDBSEGF\n"
 //
-// Chunk block, per column in order:
+// Chunk block, per column in order (format version 2):
 //
-//	[1] kind  [1] enc  [1] flags (bit0: has nulls)
+//	[1] kind  [1] enc  [1] flags (bit0: has nulls, bit1: fixed-width strings)
 //	EncNone:  nulls? bitmap(n) | payload by kind — ints/floats 8n bytes,
-//	          bools bitmap(n), strings offsets(u32×(n+1))+bytes,
+//	          bools bitmap(n), strings u32 n + end offsets(u32×n) + bytes,
+//	          or under bit1 u32 w + u32 bytes (= n×w) + bytes,
 //	          any tagged-value×n (nil tag = NULL; Nulls bitmap absent)
 //	          (a stored string vector is this payload in memory too:
 //	          Col.StrOffs and Col.StrBytes, see appendStrBlock)
-//	EncDict:  nulls? bitmap(n) | u32 dictLen | offsets(u32×(dictLen+1)) |
-//	          dict bytes | codes u32×n
+//	EncDict:  nulls? bitmap(n) | u32 dictLen (<= 256) | end offsets(u32×dictLen) |
+//	          dict bytes | codes u8×n
 //	EncRLE:   u32 runs | runEnds i32×runs | nulls? bitmap(runs) |
 //	          run values by kind (one slot per run, strings as offsets+bytes)
 //	EncDelta: nulls? bitmap(n) | i64 base | u8 width | u32 words | u64×words
+//	EncDecimal: nulls? bitmap(n) | i64 base | u8 width | u8 exp | u32 words |
+//	          u64×words
+//
+// Version 1 differs in one place: dictionary codes are u32×n. A version-1
+// segment is read as it is (Segment.v1), its codes narrowed to bytes.
 //
 // Tagged value: [1] tag (0 nil, 1 int64, 2 float64 bits, 3 string, 4 bool)
 // followed by the payload (strings as u32 length + bytes).
@@ -100,6 +106,15 @@ func appendStrBlock(b, bytes []byte, offs []uint32) []byte {
 	return append(b, bytes...)
 }
 
+// Column flags, the third byte of a column in a chunk block.
+const (
+	flagNulls uint8 = 1 << iota // a null bitmap follows
+	flagFixed                   // EncNone strings: one slot width, no offsets
+)
+
+// maxDictLen bounds a chunk's dictionary: a one-byte code indexes it.
+const maxDictLen = 256
+
 // Tagged dynamic values (zone bounds, KindAny lanes).
 const (
 	tagNil uint8 = iota
@@ -135,7 +150,10 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 		c := &ch.Cols[ci]
 		flags := uint8(0)
 		if c.Nulls != nil {
-			flags |= 1
+			flags |= flagNulls
+		}
+		if c.StrWidth > 0 {
+			flags |= flagFixed
 		}
 		b = append(b, c.Kind, c.Enc, flags)
 		var err error
@@ -154,7 +172,12 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 					b = appendU64(b, math.Float64bits(v))
 				}
 			case KindString:
-				b = appendStrBlock(b, c.StrBytes, c.StrOffs)
+				if c.StrWidth > 0 {
+					b = appendU32(appendU32(b, c.StrWidth), uint32(len(c.StrBytes)))
+					b = append(b, c.StrBytes...)
+				} else {
+					b = appendStrBlock(b, c.StrBytes, c.StrOffs)
+				}
 			case KindBool:
 				b = appendBitmap(b, c.Bools)
 			case KindAny:
@@ -169,9 +192,7 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 				b = appendBitmap(b, c.Nulls)
 			}
 			b = appendStrings(b, c.Dict)
-			for _, code := range c.Codes {
-				b = appendU32(b, code)
-			}
+			b = append(b, c.Codes...)
 		case EncRLE:
 			b = appendU32(b, uint32(len(c.RunEnds)))
 			for _, e := range c.RunEnds {
@@ -194,12 +215,15 @@ func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 			case KindBool:
 				b = appendBitmap(b, c.Bools)
 			}
-		case EncDelta:
+		case EncDelta, EncDecimal:
 			if c.Nulls != nil {
 				b = appendBitmap(b, c.Nulls)
 			}
 			b = appendU64(b, uint64(c.Base))
 			b = append(b, c.Width)
+			if c.Enc == EncDecimal {
+				b = append(b, c.Exp)
+			}
 			b = appendU32(b, uint32(len(c.Packed)))
 			for _, w := range c.Packed {
 				b = appendU64(b, w)
@@ -434,12 +458,14 @@ func bitmapLen(n int) int { return (n + 7) / 8 }
 // structural check there is to make, so that decodeCol over the same bytes
 // cannot index out of range and the column it builds cannot make the engine's
 // accessors do so either.
-func walkCol(r *byteReader, n int, cm *ColMeta) {
-	kind, enc, hasNulls := r.u8(), r.u8(), r.u8()&1 != 0
+func walkCol(r *byteReader, n int, cm *ColMeta, v1 bool) {
+	kind, enc, flags := r.u8(), r.u8(), r.u8()
+	hasNulls, fixed := flags&flagNulls != 0, flags&flagFixed != 0
 	// The footer is what planning and pruning believed before the block was
 	// read (kind, encoding, zone bounds); a block that disagrees is not the
 	// one the footer describes.
-	if kind != cm.Kind || enc != cm.Enc || hasNulls != cm.HasNulls {
+	if kind != cm.Kind || enc != cm.Enc || hasNulls != cm.HasNulls ||
+		flags&^(flagNulls|flagFixed) != 0 || fixed && (v1 || enc != EncNone || kind != KindString) {
 		r.fail()
 	}
 	if hasNulls && enc != EncRLE {
@@ -451,7 +477,15 @@ func walkCol(r *byteReader, n int, cm *ColMeta) {
 		case KindInt, KindFloat:
 			r.take(8 * n)
 		case KindString:
-			r.skipStrings(n)
+			if !fixed {
+				r.skipStrings(n)
+				break
+			}
+			w, size := uint64(r.u32()), uint64(r.u32())
+			if w == 0 || size != uint64(n)*w {
+				r.fail()
+			}
+			r.take(int(size))
 		case KindBool:
 			r.take(bitmapLen(n))
 		case KindAny:
@@ -465,10 +499,23 @@ func walkCol(r *byteReader, n int, cm *ColMeta) {
 		if kind != KindString {
 			r.fail()
 		}
+		// A chunk has at most 256 distinct strings: codes are one byte.
 		dictLen := uint32(r.skipStrings(-1))
-		codes := r.take(4 * n)
-		for i := 0; i+4 <= len(codes); i += 4 {
-			if binary.LittleEndian.Uint32(codes[i:]) >= dictLen {
+		if dictLen > maxDictLen {
+			r.fail()
+		}
+		if v1 {
+			codes := r.take(4 * n)
+			for i := 0; i+4 <= len(codes); i += 4 {
+				if binary.LittleEndian.Uint32(codes[i:]) >= dictLen {
+					r.fail()
+					break
+				}
+			}
+			break
+		}
+		for _, code := range r.take(n) {
+			if uint32(code) >= dictLen {
 				r.fail()
 				break
 			}
@@ -501,12 +548,15 @@ func walkCol(r *byteReader, n int, cm *ColMeta) {
 		default:
 			r.fail()
 		}
-	case EncDelta:
-		if kind != KindInt {
+	case EncDelta, EncDecimal:
+		if enc == EncDelta && kind != KindInt || enc == EncDecimal && (v1 || kind != KindFloat) {
 			r.fail()
 		}
 		r.take(8) // base
 		width := int(r.u8())
+		if enc == EncDecimal && r.u8() > MaxDecimalExp {
+			r.fail()
+		}
 		words := r.count()
 		if width > 64 || words < (n*width+63)/64 {
 			r.fail()
@@ -554,15 +604,6 @@ func (d *colDecoder) floats(n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-func (d *colDecoder) u32s(n int) []uint32 {
-	raw := d.take(4 * n)
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(raw[4*i:])
 	}
 	return out
 }
@@ -628,7 +669,8 @@ func (d *colDecoder) tagged() any {
 
 // decodeCol builds one column of an n-row chunk from its walked bytes. Zone
 // bounds come from the footer meta, not the block.
-func decodeCol(b []byte, n int, cm *ColMeta) Col {
+func decodeCol(b []byte, n int, cm *ColMeta, v1 bool) Col {
+	fixed := b[2]&flagFixed != 0
 	d := &colDecoder{b: b[3:]}
 	c := Col{Kind: cm.Kind, Enc: cm.Enc, Min: cm.Min, Max: cm.Max}
 	if cm.HasNulls && c.Enc != EncRLE {
@@ -638,11 +680,21 @@ func decodeCol(b []byte, n int, cm *ColMeta) Col {
 	switch c.Enc {
 	case EncDict:
 		c.Dict = d.strings()
-		c.Codes = d.u32s(n)
+		if v1 {
+			c.Codes = make([]uint8, n)
+			for i, raw := 0, d.take(4*n); i < n; i++ {
+				c.Codes[i] = uint8(binary.LittleEndian.Uint32(raw[4*i:]))
+			}
+		} else {
+			c.Codes = append([]uint8(nil), d.take(n)...)
+		}
 		return c
-	case EncDelta:
+	case EncDelta, EncDecimal:
 		c.Base = int64(d.u64())
 		c.Width = d.take(1)[0]
+		if c.Enc == EncDecimal {
+			c.Exp = d.take(1)[0]
+		}
 		if words := int(d.u32()); words > 0 {
 			c.Packed = d.u64s(words)
 		}
@@ -663,7 +715,12 @@ func decodeCol(b []byte, n int, cm *ColMeta) Col {
 	case KindFloat:
 		c.Floats = d.floats(slots)
 	case KindString:
-		c.StrBytes, c.StrOffs = d.strBlock()
+		if fixed {
+			c.StrWidth = d.u32()
+			c.StrBytes = append([]byte(nil), d.take(int(d.u32()))...)
+		} else {
+			c.StrBytes, c.StrOffs = d.strBlock()
+		}
 	case KindBool:
 		c.Bools = d.bitmap(slots)
 	case KindAny:
@@ -691,6 +748,7 @@ type Segment struct {
 	f    *os.File
 	data []byte // mmap of the whole file; nil when mmap is unavailable
 	size int64
+	v1   bool // written at format version 1: dictionary codes are u32
 
 	mu     sync.Mutex
 	closed bool
@@ -769,7 +827,11 @@ func (s *Segment) parseFooter() error {
 	}
 
 	r := &byteReader{b: meta}
-	if v := r.u32(); v != FormatVersion {
+	switch v := r.u32(); v {
+	case 1:
+		s.v1 = true
+	case FormatVersion:
+	default:
 		return corrupt(s.Path, "unsupported format version %d", v)
 	}
 	nchunks := int(r.u32())
@@ -816,6 +878,7 @@ type Block struct {
 	data  []byte
 	ends  []int // column j occupies data[ends[j-1]:ends[j]], column 0 starts at 0
 	owned bool  // data is a private buffer, not the mapping
+	v1    bool  // the segment's format version is 1
 }
 
 // OpenChunk reads chunk i, verifies its checksum — once per call, whatever
@@ -845,13 +908,13 @@ func (s *Segment) OpenChunk(i int) (Block, error) {
 	r := &byteReader{b: data}
 	ends := make([]int, len(cm.Cols))
 	for j := range cm.Cols {
-		walkCol(r, cm.NRows, &cm.Cols[j])
+		walkCol(r, cm.NRows, &cm.Cols[j], s.v1)
 		if r.err != nil {
 			return Block{}, corrupt(s.Path, "chunk %d: column %d: %v", i, j, r.err)
 		}
 		ends[j] = r.pos
 	}
-	return Block{meta: cm, data: data, ends: ends, owned: s.data == nil}, nil
+	return Block{meta: cm, data: data, ends: ends, owned: s.data == nil, v1: s.v1}, nil
 }
 
 // NRows is the chunk's row count.
@@ -873,7 +936,7 @@ func (b *Block) DecodeCol(j int) Col {
 	if j > 0 {
 		start = b.ends[j-1]
 	}
-	return decodeCol(b.data[start:b.ends[j]], b.meta.NRows, &b.meta.Cols[j])
+	return decodeCol(b.data[start:b.ends[j]], b.meta.NRows, &b.meta.Cols[j], b.v1)
 }
 
 // ReadChunk is OpenChunk followed by DecodeCol of every column, for readers

@@ -14,13 +14,14 @@ import (
 
 var (
 	testKinds = []uint8{KindInt, KindFloat, KindString, KindBool, KindAny}
-	testEncs  = []uint8{EncNone, EncDict, EncRLE, EncDelta}
+	testEncs  = []uint8{EncNone, EncDict, EncRLE, EncDelta, EncDecimal}
 	testSizes = []int{0, 1, 255, 256, 257}
 
 	// The lanes cycle through these, so every size sees the edge values.
 	edgeInts    = []int64{0, -1, 1 << 53, -(1 << 53), math.MaxInt64, math.MinInt64, 42}
 	edgeFloats  = []float64{0, math.Copysign(0, -1), math.NaN(), 1 << 53, -(1 << 53), math.Inf(1), 0.1}
 	edgeStrings = []string{"", "a", "", "héllo", "1994-01-01", "\x00", "zz"}
+	fixedStrs   = []string{"abc", "hé", "\x00\x00\x00", "zzz"} // 3 bytes each
 )
 
 const (
@@ -36,6 +37,8 @@ func validEnc(kind, enc uint8) bool {
 		return kind == KindString
 	case EncDelta:
 		return kind == KindInt
+	case EncDecimal:
+		return kind == KindFloat
 	case EncRLE:
 		return kind != KindAny
 	}
@@ -69,15 +72,15 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 	switch enc {
 	case EncDict:
 		c.Dict = []string{"", "a", "b", "héllo"}
-		c.Codes = make([]uint32, n)
+		c.Codes = make([]uint8, n)
 		for i := range c.Codes {
 			if !isNull(i) {
-				c.Codes[i] = uint32(i % len(c.Dict))
+				c.Codes[i] = uint8(i % len(c.Dict))
 			}
 		}
 		c.Min, c.Max = "", "héllo"
 		return c
-	case EncDelta:
+	case EncDelta, EncDecimal:
 		c.Base, c.Width = -7, 13
 		c.Packed = make([]uint64, (n*int(c.Width)+63)/64)
 		for i := range c.Packed {
@@ -87,6 +90,10 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 			c.Packed = nil
 		}
 		c.Min, c.Max = int64(-7), int64(8184)
+		if enc == EncDecimal {
+			c.Exp = 2
+			c.Min, c.Max = -0.07, 81.84
+		}
 		return c
 	}
 	switch kind {
@@ -143,8 +150,29 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 	return c
 }
 
+// makeFixedCol builds a raw string column of n rows whose slots are all 3
+// bytes long, stored without offsets; a NULL slot is zero bytes of padding.
+func makeFixedCol(nulls, n int) Col {
+	c := Col{Kind: KindString, Enc: EncNone, StrWidth: 3, StrBytes: make([]byte, 0, 3*n), Min: "\x00\x00\x00", Max: "zzz"}
+	if nulls != nullsNone {
+		c.Nulls = make([]bool, n)
+	}
+	for i := 0; i < n; i++ {
+		if nulls == nullsAll || nulls == nullsSome && i%3 == 1 {
+			c.Nulls[i] = true
+			c.StrBytes = append(c.StrBytes, 0, 0, 0)
+		} else {
+			c.StrBytes = append(c.StrBytes, fixedStrs[i%len(fixedStrs)]...)
+		}
+	}
+	if nulls == nullsAll {
+		c.Min, c.Max = nil, nil
+	}
+	return c
+}
+
 // matrixChunk is one chunk of n rows holding every valid kind × enc × nulls
-// column.
+// column, then the fixed-width string columns.
 func matrixChunk(n int) *Chunk {
 	ch := &Chunk{NRows: n}
 	for _, kind := range testKinds {
@@ -157,7 +185,37 @@ func matrixChunk(n int) *Chunk {
 			}
 		}
 	}
+	for nulls := nullsNone; nulls <= nullsAll; nulls++ {
+		ch.Cols = append(ch.Cols, makeFixedCol(nulls, n))
+	}
 	return ch
+}
+
+// v1Chunk is matrixChunk without the forms format version 1 lacks: what the
+// segment in testdata/v1.seg holds, written by the version-1 writer.
+func v1Chunk(n int) *Chunk {
+	ch := matrixChunk(n)
+	cols := ch.Cols[:0]
+	for _, c := range ch.Cols {
+		if c.Enc != EncDecimal && c.StrWidth == 0 {
+			cols = append(cols, c)
+		}
+	}
+	ch.Cols = cols
+	return ch
+}
+
+// dictCol is a dictionary column of n rows over entries distinct strings.
+func dictCol(entries, n int) Col {
+	c := Col{Kind: KindString, Enc: EncDict, Codes: make([]uint8, n)}
+	for i := 0; i < entries; i++ {
+		c.Dict = append(c.Dict, fmt.Sprintf("%03d", i))
+	}
+	for i := range c.Codes {
+		c.Codes[i] = uint8(i % entries)
+	}
+	c.Min, c.Max = c.Dict[0], c.Dict[entries-1]
+	return c
 }
 
 func colMeta(c *Col) ColMeta {
@@ -272,6 +330,44 @@ func TestChunkRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadsVersion1Segment opens testdata/v1.seg, a segment the version-1
+// writer made of v1Chunk(0), v1Chunk(1) and v1Chunk(256) (its dictionary
+// codes are u32), and reads every column back as the chunks hold it.
+func TestReadsVersion1Segment(t *testing.T) {
+	for _, mapped := range []bool{true, false} {
+		seg, err := OpenSegment(filepath.Join("testdata", "v1.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seg.Close()
+		if !seg.v1 {
+			t.Fatal("testdata/v1.seg not read as format version 1")
+		}
+		if !mapped && seg.data != nil {
+			munmapFile(seg.data)
+			seg.data = nil
+		}
+		if err := seg.VerifyChecksums(); err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range []int{0, 1, 256} {
+			want := v1Chunk(n)
+			got, err := seg.ReadChunk(i)
+			if err != nil {
+				t.Fatalf("ReadChunk(%d): %v", i, err)
+			}
+			if got.NRows != n || len(got.Cols) != len(want.Cols) {
+				t.Fatalf("chunk %d: %d×%d, want %d×%d", i, got.NRows, len(got.Cols), n, len(want.Cols))
+			}
+			for j := range want.Cols {
+				if !sameCol(&got.Cols[j], &want.Cols[j]) {
+					t.Errorf("mapped=%v n=%d col %d:\n got  %+v\n want %+v", mapped, n, j, got.Cols[j], want.Cols[j])
+				}
+			}
+		}
+	}
+}
+
 // TestDecodedVectorsDoNotAliasBlock scribbles over the block after decoding:
 // nothing DecodeCol returned may change.
 func TestDecodedVectorsDoNotAliasBlock(t *testing.T) {
@@ -380,7 +476,7 @@ func TestOpenChunkRejectsCorruptBlocks(t *testing.T) {
 			return b
 		}},
 		{"dict code out of range", makeCol(KindString, EncDict, nullsNone, n), func(b []byte, _ *ColMeta) []byte {
-			b[len(b)-4] = 4 // dictionary has entries 0..3
+			b[len(b)-1] = 4 // dictionary has entries 0..3
 			return b
 		}},
 		{"dict offset decreasing", makeCol(KindString, EncDict, nullsNone, n), func(b []byte, _ *ColMeta) []byte {
@@ -414,6 +510,38 @@ func TestOpenChunkRejectsCorruptBlocks(t *testing.T) {
 		}},
 		{"delta width over 64", makeCol(KindInt, EncDelta, nullsSome, n), func(b []byte, _ *ColMeta) []byte {
 			b[3+bitmap+8] = 65
+			return b
+		}},
+		{"decimal exponent over 18", makeCol(KindFloat, EncDecimal, nullsSome, n), func(b []byte, _ *ColMeta) []byte {
+			b[3+bitmap+8+1] = MaxDecimalExp + 1
+			return b
+		}},
+		{"decimal of an int kind", makeCol(KindFloat, EncDecimal, nullsNone, n), func(b []byte, m *ColMeta) []byte {
+			b[0], m.Kind = KindInt, KindInt
+			return b
+		}},
+		{"delta of a float kind", makeCol(KindInt, EncDelta, nullsNone, n), func(b []byte, m *ColMeta) []byte {
+			b[0], m.Kind = KindFloat, KindFloat
+			return b
+		}},
+		{"fixed-width block longer than rows × w", makeFixedCol(nullsNone, n), func(b []byte, _ *ColMeta) []byte {
+			b[3+4]++ // the byte count, and a byte more behind it
+			return append(b, 'x')
+		}},
+		{"fixed-width block shorter than rows × w", makeFixedCol(nullsSome, n), func(b []byte, _ *ColMeta) []byte {
+			b[3+bitmap+4]--
+			return b[:len(b)-1]
+		}},
+		{"fixed width zero", makeFixedCol(nullsNone, n), func(b []byte, _ *ColMeta) []byte {
+			b[3], b[3+4] = 0, 0 // w 0, 0 bytes
+			return b[:3+8]
+		}},
+		{"fixed-width flag on ints", makeCol(KindInt, EncNone, nullsNone, n), func(b []byte, _ *ColMeta) []byte {
+			b[2] |= flagFixed
+			return b
+		}},
+		{"unknown column flag", makeCol(KindInt, EncNone, nullsNone, n), func(b []byte, _ *ColMeta) []byte {
+			b[2] |= 4
 			return b
 		}},
 		{"tagged value with a bad tag", makeCol(KindAny, EncNone, nullsNone, n), func(b []byte, _ *ColMeta) []byte {
@@ -453,8 +581,16 @@ func TestOpenChunkRejectsCorruptBlocks(t *testing.T) {
 		mustCorrupt(t, tc.name, block, rows, []ColMeta{meta})
 	}
 
+	// A dictionary one entry past what a one-byte code indexes; 256 is fine.
+	block, meta := oneColBlock(t, dictCol(256, n), n)
+	if _, err := memSegment([][]byte{block}, []int{n}, [][]ColMeta{{meta}}).OpenChunk(0); err != nil {
+		t.Fatalf("dictionary of 256 entries rejected: %v", err)
+	}
+	block, meta = oneColBlock(t, dictCol(257, n), n)
+	mustCorrupt(t, "dict of 257 entries", block, n, []ColMeta{meta})
+
 	// The checksum itself, and a chunk index out of range.
-	block, meta := oneColBlock(t, makeCol(KindInt, EncNone, nullsNone, n), n)
+	block, meta = oneColBlock(t, makeCol(KindInt, EncNone, nullsNone, n), n)
 	seg := memSegment([][]byte{block}, []int{n}, [][]ColMeta{{meta}})
 	seg.data[len(seg.data)-1] ^= 1
 	var ce *CorruptError
@@ -502,6 +638,9 @@ func FuzzOpenChunk(f *testing.F) {
 				t.Fatalf("run ends %v do not cover %d rows", c.RunEnds, n)
 			}
 		case EncDict:
+			if len(c.Dict) > maxDictLen {
+				t.Fatalf("dictionary of %d entries", len(c.Dict))
+			}
 			for _, code := range c.Codes {
 				_ = c.Dict[code]
 			}
@@ -509,14 +648,23 @@ func FuzzOpenChunk(f *testing.F) {
 				t.Fatalf("%d codes for %d rows", len(c.Codes), n)
 			}
 			return
-		case EncDelta:
+		case EncDelta, EncDecimal:
 			if need := (n*int(c.Width) + 63) / 64; len(c.Packed) < need {
 				t.Fatalf("%d packed words, %d rows of width %d need %d", len(c.Packed), n, c.Width, need)
+			}
+			if c.Exp > MaxDecimalExp || c.Enc == EncDelta && c.Exp != 0 {
+				t.Fatalf("enc %d: exponent %d", c.Enc, c.Exp)
 			}
 			return
 		}
 		if c.Nulls != nil && len(c.Nulls) != slots {
 			t.Fatalf("%d null flags for %d slots", len(c.Nulls), slots)
+		}
+		if c.Kind == KindString && c.StrWidth > 0 {
+			if c.Enc != EncNone || c.StrOffs != nil || len(c.StrBytes) != n*int(c.StrWidth) {
+				t.Fatalf("enc %d: %d bytes of width %d for %d rows, offsets %v", c.Enc, len(c.StrBytes), c.StrWidth, n, c.StrOffs != nil)
+			}
+			return
 		}
 		if c.Kind == KindString {
 			// The block invariants the engine's string accessors slice by.

@@ -31,9 +31,15 @@ import (
 const (
 	segMagic     = "VDBSEG1\n"
 	segFootMagic = "VDBSEGF\n"
-	// FormatVersion is the segment meta-section version.
-	FormatVersion = 1
+	// FormatVersion is the segment meta-section version. Version 2 stores
+	// dictionary codes in one byte, fixed-width string blocks and the decimal
+	// float form; version 1 segments (u32 codes) are still read.
+	FormatVersion = 2
 )
+
+// MaxDecimalExp is the largest exponent of an EncDecimal column: 10^18 and
+// every smaller power of ten are exact in float64.
+const MaxDecimalExp = 18
 
 // Column kinds, mirroring engine.ColType by value. Stored as one byte.
 const (
@@ -50,6 +56,7 @@ const (
 	EncDict
 	EncRLE
 	EncDelta
+	EncDecimal
 )
 
 // ErrCorrupt is the sentinel wrapped by every corruption detection —
@@ -89,12 +96,16 @@ type Chunk struct {
 //     boxes are the NULLs and Nulls stays nil). KindString's vector is
 //     StrBytes plus StrOffs: slot s is StrBytes[StrOffs[s]:StrOffs[s+1]],
 //     StrOffs holds slots+1 offsets from 0 to len(StrBytes), and the pair is
-//     the segment payload itself (end offsets, then bytes).
-//   - EncDict: Dict (sorted distinct strings) + Codes; strings live only in
-//     the dictionary.
+//     the segment payload itself (end offsets, then bytes) — or, when every
+//     slot has one length StrWidth > 0, StrBytes alone: slot s is
+//     StrBytes[s*StrWidth:(s+1)*StrWidth], NULL slots padded, StrOffs nil.
+//   - EncDict: Dict (sorted distinct strings, at most 256) + one-byte Codes;
+//     strings live only in the dictionary.
 //   - EncRLE: RunEnds + one value slot per run in the typed vector (for
 //     strings, one StrOffs span per run); Nulls is per RUN.
 //   - EncDelta: Base + Width + Packed words; Ints is nil.
+//   - EncDecimal (KindFloat): EncDelta's Base + Width + Packed, plus Exp: row
+//     i is float64(Base + field i) / 10^Exp, bit for bit; Floats is nil.
 //
 // Nulls (when non-nil) flags NULL slots; null slots of typed vectors hold
 // zero values. Min/Max are the zone summary boxes (nil for all-NULL
@@ -112,16 +123,18 @@ type Col struct {
 	Floats   []float64
 	StrBytes []byte
 	StrOffs  []uint32
+	StrWidth uint32
 	Bools    []bool
 	Anys     []any
 
 	Dict  []string
-	Codes []uint32
+	Codes []uint8
 
 	RunEnds []int32
 
 	Base   int64
 	Width  uint8
+	Exp    uint8
 	Packed []uint64
 }
 
