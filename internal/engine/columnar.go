@@ -18,8 +18,8 @@ import (
 // immutable chunks of exactly chunkRows rows stored column-wise — per-column
 // typed vectors ([]int64, []float64, []bool; strings as one byte block plus
 // u32 offsets, or no offsets when every slot has one length) with a null-flag
-// vector — plus an open row-major tail holding
-// the most recent < chunkRows rows. When the tail fills it is sealed into a
+// vector — plus an open row-major tail holding the most recent < chunkRows
+// rows. When the tail fills it is sealed into a
 // chunk — as is each whole chunk a vectorized CTAS or INSERT … SELECT gathers
 // from its typed lanes (seal.go): values are packed into typed vectors and the
 // per-column zone summaries (min/max over non-NULL values) are computed right
@@ -115,9 +115,9 @@ type colVec struct {
 	// order, so code order preserves value order (range predicates compare
 	// codes). codes[i] indexes dict — a chunk of at most chunkRows = 256 rows
 	// has at most 256 of them, so a code is one byte; NULL rows keep code 0
-	// and are flagged in nulls. dictBoxed pre-boxes each entry once — every read-through box
-	// of a dictionary value is a shared immutable interface, not a fresh
-	// allocation. The entries of a stored column are views of one block the
+	// and are flagged in nulls. dictBoxed pre-boxes each entry once — every
+	// read-through box of a dictionary value is a shared immutable interface,
+	// not a fresh allocation. The entries of a stored column are views of one block the
 	// column owns; a gathered column shares its source's. There are no
 	// string slots (strs, sbytes, soffs).
 	dict      []string
@@ -576,9 +576,9 @@ const (
 // chunk-column takes some encoding regardless of the thresholds — strings
 // dictionary-encode, ints delta-encode (RLE when the range needs >= 64
 // bits), floats take the decimal form wherever it is exact (RLE elsewhere),
-// and bools run-length-encode even with run length 1. CI runs
-// the workload parity suite once under it so the encoded kernel paths
-// cannot rot behind cardinality heuristics.
+// and bools run-length-encode even with run length 1. CI runs the workload
+// parity suite once under it so the encoded kernel paths cannot rot behind
+// cardinality heuristics.
 const forceEncodingsEnv = "ENGINE_FORCE_ENCODINGS"
 
 func forceEncodings() bool { return os.Getenv(forceEncodingsEnv) != "" }

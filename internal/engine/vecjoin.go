@@ -989,8 +989,8 @@ func loadLanes[T any](s *gatherSrc, cv *colVec, dst []T, bj int, refs []int64, v
 // readLanes is fillBuild's loop over lanes [k0, len(refs)): lane k is row
 // refs[k] read through its chunk's encoding — a run-length slot found by
 // binary search, delta integers and decimal floats unpacked, dictionary
-// strings materialized —
-// and NULL flags, or boxed when the chunks disagree on the column's kind.
+// strings materialized — and NULL flags, or boxed when the chunks disagree on
+// the column's kind.
 func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 	n := len(refs)
 	for k := k0; k < n; k++ {
