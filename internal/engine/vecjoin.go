@@ -1072,7 +1072,10 @@ func gatherLanes(cv, scv *colVec, idx []int32) {
 			gatherSlots(cv, cv.floats, scv.floats, scv, idx)
 			return
 		}
-		gatherDecimal(cv.floats, scv, idx)
+		p := pow10[scv.exp]
+		for k, i := range idx {
+			cv.floats[k] = float64(scv.deltaAt(int(i))) / p
+		}
 		nullLanes(cv, scv, idx)
 	case TString:
 		switch {
@@ -1108,15 +1111,6 @@ func gatherSlots[T any](cv *colVec, dst, vals []T, scv *colVec, idx []int32) {
 		} else {
 			dst[k] = vals[r]
 		}
-	}
-}
-
-// gatherDecimal decodes rows idx of the decimal column scv into dst, in one
-// loop: each lane its packed integer over the column's power of ten.
-func gatherDecimal(dst []float64, scv *colVec, idx []int32) {
-	p := pow10[scv.exp]
-	for k, i := range idx {
-		dst[k] = float64(scv.deltaAt(int(i))) / p
 	}
 }
 
