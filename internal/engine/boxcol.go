@@ -56,12 +56,9 @@ func efaceSlice(vs []Value) []eface {
 	return unsafe.Slice((*eface)(unsafe.Pointer(&vs[0])), len(vs))
 }
 
-// boxStrings boxes every string of strs in one allocation — a decoded chunk's
-// dictionary, the strings ownTail copied: each box aliases its entry, so a box
-// that outlives its owner keeps the string headers (and their shared bytes)
-// alive with it. Seal-time dictionaries box entry by entry instead
-// (encodeDict): values copied out of a table that is then flushed would pin
-// dictionaries the flush meant to free.
+// boxStrings boxes every string of strs in one allocation — the strings
+// ownTail copied: each box aliases its entry, so a box that outlives its owner
+// keeps the string headers (and their shared bytes) alive with it.
 func boxStrings(strs []string) []Value {
 	boxed := make([]Value, len(strs))
 	eb := efaceSlice(boxed)
@@ -72,12 +69,19 @@ func boxStrings(strs []string) []Value {
 	return boxed
 }
 
+// boxStr boxes *s without copying it: the box aliases the header, as a
+// dictionary entry's box does its entry.
+func boxStr(s *string) (v Value) {
+	e := (*eface)(unsafe.Pointer(&v))
+	e.data, e.typ = unsafe.Pointer(s), stringTypeWord
+	return v
+}
+
 // boxColLanes boxes rows idx of a column into dst at the given stride
 // (dst[k*stride] receives row idx[k]), reading through the column's encoding.
 // NULL lanes keep the zero (nil) interface the block was allocated with.
 // Chunk storage is immutable, so a box is an interior pointer into the
-// column's typed slots, a dictionary's shared entry box or a TAny column's
-// own box. Three kinds of column have no slot a box can point at, so each
+// column's typed slots or dictionary entries, or a TAny column's own box. Three kinds of column have no slot a box can point at, so each
 // call fills one fresh vector for them: a delta column decodes its integers, a
 // decimal column its floats, and a stored string column makes the headers of
 // views of its block.
@@ -109,7 +113,7 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 		case cv.kind == TAny:
 			dst[s] = cv.anys[i] // original box (nil = NULL)
 		case cv.enc == encDict:
-			dst[s] = cv.dictBoxed[cv.codes[i]]
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.dict[cv.codes[i]]), stringTypeWord
 		case cv.enc == encDelta:
 			decoded[k] = cv.deltaAt(i)
 			eb[s].data, eb[s].typ = unsafe.Pointer(&decoded[k]), int64TypeWord
@@ -134,7 +138,7 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 // boxVecLanes boxes the lanes idx of a kernel's output, which a reused
 // per-worker buffer holds only until the next chunk: its typed slice is
 // snapshotted once (one allocation per chunk-column) and the snapshot boxed
-// like a stored column. Dictionary and TAny outputs hold shared boxes already,
+// like a stored column. Dictionary entries and TAny boxes are shared already,
 // and a stored string column (a column leaf hands one over) is immutable.
 func boxVecLanes(dst []Value, stride int, v *colVec, idx []int32) {
 	snap, n := *v, len(idx)

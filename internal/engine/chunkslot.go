@@ -5,53 +5,406 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+	"weak"
 
 	"verdictdb/internal/storage"
 )
 
 // chunkSlot is one position in a chunk sequence. In a table's sealed-chunk
-// sequence it is either a resident *chunk or a reference into an on-disk
+// sequence it is a resident stored chunk or a reference into an on-disk
 // segment loaded on demand; in a join's output it is a probe slot (vecjoin.go),
-// whose chunk is produced when it is loaded. A table's slot carries enough
-// metadata (row count, per-column zone bounds) for planning and pruning
-// without touching chunk data, so zone-map pruning of a terabyte table reads
-// only manifests and footers.
+// whose chunk is produced when it is loaded; a resolved or ephemeral chunk is
+// its own slot. A table's slot carries enough metadata (row count, per-column
+// zone bounds) for planning and pruning without touching chunk data, so
+// zone-map pruning of a terabyte table reads only manifests and footers.
 type chunkSlot interface {
 	// slotRows is the chunk's row count; a probe slot estimates it.
 	slotRows() int
-	// slotZone returns the column's zone summary (min, max over non-NULL
-	// values; nil, nil for all-NULL columns). Only a table's slots are asked.
-	slotZone(col int) (Value, Value)
-	// load returns the chunk, reading and verifying its block from the segment
-	// if not resident; the chunk's columns are decoded as they are touched
-	// (chunk.col). qc may be nil (context-free table utilities). pb is the
-	// loading worker's probe buffers, or nil: only a probe slot uses them, and
-	// unless pb.keep the chunk it returns is valid until the worker's next load.
+	// slotZone returns the column's zone summary. Only a table's slots are
+	// asked.
+	slotZone(col int) *storage.Zone
+	// load returns the chunk. A table's slot returns a view of its stored
+	// chunk, read and verified from the segment first if it is not cached,
+	// whose columns are filled as they are touched (chunk.col). qc may be nil
+	// (context-free table utilities). pb is the loading worker's buffers, or
+	// nil: unless pb.keep, the chunk a table or probe slot returns is the
+	// worker's, valid until its next load.
 	load(qc *queryCtx, pb *probeBuf) (*chunk, error)
 }
 
-// Resident chunks are their own slot: load is the identity, so pure
-// in-memory tables pay nothing for the indirection. (Only a table's own sealed
-// chunks sit in a slot sequence that is pruned; a chunk loaded from a segment
-// is never asked for its zone — its slot answers from the footer.)
+// A resolved chunk (a join's kept output, an ephemeral chunk over rows) is
+// its own slot: load is the identity.
 
 func (c *chunk) slotRows() int { return c.n }
 
-func (c *chunk) slotZone(col int) (Value, Value) {
-	cv := &c.cols[col]
-	return cv.min, cv.max
-}
+func (c *chunk) slotZone(int) *storage.Zone { panic("engine: a resolved chunk is never zone-pruned") }
 
 func (c *chunk) load(*queryCtx, *probeBuf) (*chunk, error) { return c, nil }
 
+// storedCol is one column of a sealed chunk as it stays in memory: a typed
+// header over a payload of pointer-free vectors — the null flags, run ends,
+// string offsets and one vector of lanes (typed values, dictionary codes,
+// packed words or a string block), each as the seal or the segment decoder
+// made it. The only pointers in the payload are a dictionary's string
+// headers and a boxed column's boxes (refs). Lengths follow from the header:
+// slots values (rows, or runs under encRLE), slots+1 offsets, nref
+// dictionary entries. A kernel reads the column through a view (view).
+type storedCol struct {
+	zone        storage.Zone
+	base        int64
+	kind        uint8 // a ColType
+	enc         colEnc
+	width, exp  uint8
+	sw          uint32
+	slots, nref uint32
+	nulls, ends unsafe.Pointer // *bool, *int32
+	offs, lanes unsafe.Pointer // *uint32, the lanes' element type
+	refs        unsafe.Pointer // *string (encDict) or *Value (TAny)
+}
+
+// sliceData is the pointer a stored column keeps of v (nil for nil).
+func sliceData[T any](v []T) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(v)) }
+
+// payloadOf is the n values at p: nil when p is.
+func payloadOf[T any](p unsafe.Pointer, n int) []T {
+	if p == nil {
+		return nil
+	}
+	return unsafe.Slice((*T)(p), n)
+}
+
+// fromStorage makes s the header of a stored column of n rows, its payload
+// c's vectors.
+func (s *storedCol) fromStorage(c *storage.Col, n int) {
+	slots := n
+	if colEnc(c.Enc) == encRLE {
+		slots = len(c.RunEnds)
+	}
+	*s = storedCol{zone: c.Zone, base: c.Base, kind: c.Kind, enc: colEnc(c.Enc), width: c.Width, exp: c.Exp,
+		sw: c.StrWidth, slots: uint32(slots), nref: uint32(len(c.Dict)),
+		nulls: sliceData(c.Nulls), ends: sliceData(c.RunEnds), offs: sliceData(c.StrOffs)}
+	switch {
+	case s.enc == encDict:
+		s.lanes, s.refs = sliceData(c.Codes), sliceData(c.Dict)
+	case s.enc == encDelta || s.enc == encDecimal:
+		s.lanes = sliceData(c.Packed)
+	case c.Kind == storage.KindInt:
+		s.lanes = sliceData(c.Ints)
+	case c.Kind == storage.KindFloat:
+		s.lanes = sliceData(c.Floats)
+	case c.Kind == storage.KindString:
+		s.lanes = sliceData(c.StrBytes)
+	case c.Kind == storage.KindBool:
+		s.lanes = sliceData(c.Bools)
+	default:
+		s.refs = sliceData(c.Anys)
+	}
+}
+
+// view makes cv the kernel form of the column, n rows: every vector a view
+// of the payload, so filling one allocates nothing and whatever a kernel or a
+// box takes from it points into the payload, never into cv.
+func (s *storedCol) view(cv *colVec, n int) {
+	slots := int(s.slots)
+	*cv = colVec{kind: ColType(s.kind), enc: s.enc, sw: s.sw, base: s.base, width: s.width, exp: s.exp,
+		nulls: payloadOf[bool](s.nulls, slots), runEnds: payloadOf[int32](s.ends, slots)}
+	switch {
+	case s.enc == encDict:
+		cv.codes, cv.dict = payloadOf[uint8](s.lanes, n), payloadOf[string](s.refs, int(s.nref))
+	case s.enc == encDelta || s.enc == encDecimal:
+		cv.packed = payloadOf[uint64](s.lanes, (n*int(s.width)+63)/64)
+	case cv.kind == TInt:
+		cv.ints = payloadOf[int64](s.lanes, slots)
+	case cv.kind == TFloat:
+		cv.floats = payloadOf[float64](s.lanes, slots)
+	case cv.kind == TBool:
+		cv.bools = payloadOf[bool](s.lanes, slots)
+	case cv.kind == TString:
+		size := int(s.sw) * slots
+		if s.offs != nil {
+			cv.soffs = payloadOf[uint32](s.offs, slots+1)
+			size = int(cv.soffs[slots])
+		}
+		cv.sbytes = payloadOf[byte](s.lanes, size)
+	default:
+		cv.anys = payloadOf[Value](s.refs, n)
+	}
+}
+
+// bytes is the size of the column's payload, n rows: its vectors, and a
+// dictionary's entries (bytes and header) or a boxed column's boxes.
+func (s *storedCol) bytes(n int) int64 {
+	var v colVec
+	s.view(&v, n)
+	b := int64(len(v.nulls)+len(v.bools)+len(v.codes)+len(v.sbytes)) +
+		4*int64(len(v.runEnds)+len(v.soffs)) + 8*int64(len(v.ints)+len(v.floats)+len(v.packed)) +
+		int64(len(v.anys))*bytesPerValue
+	for _, e := range v.dict {
+		b += int64(len(e)) + 16
+	}
+	return b
+}
+
+// storedChunk is a sealed chunk in its stored form: the row count and a
+// header per column. A table's resident chunk is whole; one loaded from a
+// segment (seg set) decodes a column, header and payload, the first time a
+// view reads it, so a query reading 3 of a table's 16 columns decodes, and the
+// cache holds, those 3. Resident and segment chunks load the same way: a view
+// (probeBuf.view).
+type storedChunk struct {
+	n    int
+	cols []storedCol
+	seg  *segFill
+
+	mu sync.Mutex // serializes decodes
+}
+
+func (sc *storedChunk) slotRows() int { return sc.n }
+
+func (sc *storedChunk) slotZone(col int) *storage.Zone { return &sc.cols[col].zone }
+
+func (sc *storedChunk) load(qc *queryCtx, pb *probeBuf) (*chunk, error) { return pb.view(qc, sc), nil }
+
+// col returns column j's header, decoding the column first if it came from a
+// segment and no view has read it yet.
+func (sc *storedChunk) col(j int) *storedCol {
+	f := sc.seg
+	if f == nil {
+		return &sc.cols[j]
+	}
+	if s := f.cols[j].Load(); s != nil {
+		return s
+	}
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	s := f.cols[j].Load()
+	if s == nil {
+		c := f.blk.DecodeCol(j)
+		s = new(storedCol)
+		s.fromStorage(&c, sc.n)
+		f.slot.cache.grow(f.slot, sc, int64(unsafe.Sizeof(*s))+s.bytes(sc.n))
+		f.cols[j].Store(s)
+	}
+	return s
+}
+
+// kind reports column j's storage kind without decoding it.
+func (sc *storedChunk) kind(j int) ColType {
+	if sc.seg != nil {
+		return ColType(sc.seg.slot.meta().Cols[j].Kind)
+	}
+	return ColType(sc.cols[j].kind)
+}
+
+// width is the chunk's column count.
+func (sc *storedChunk) width() int {
+	if sc.seg != nil {
+		return len(sc.seg.cols)
+	}
+	return len(sc.cols)
+}
+
+// bytes is what the chunk holds now: its headers and the payloads of its
+// decoded columns, and a segment chunk's pointers to them.
+func (sc *storedChunk) bytes() int64 {
+	size := int64(unsafe.Sizeof(storedCol{}))
+	if sc.seg == nil {
+		b := int64(len(sc.cols)) * size
+		for j := range sc.cols {
+			b += sc.cols[j].bytes(sc.n)
+		}
+		return b
+	}
+	b := int64(len(sc.seg.cols)) * int64(unsafe.Sizeof(sc.seg.cols[0]))
+	for j := range sc.seg.cols {
+		if s := sc.seg.cols[j].Load(); s != nil {
+			b += size + s.bytes(sc.n)
+		}
+	}
+	return b
+}
+
+// storedFill fills a view from a stored chunk, each column into a vector of
+// the view's query (newCol), or of the view's own when it has no query.
+type storedFill struct {
+	sc *storedChunk
+	qc *queryCtx
+}
+
+func (f *storedFill) fillCol(c *chunk, j int) {
+	var cv *colVec
+	switch {
+	case c.vcols == nil:
+		cv = &c.cols[j]
+	case c.vcols[j] == nil:
+		cv = f.qc.newCol()
+		c.vcols[j] = cv
+	default:
+		cv = c.vcols[j]
+	}
+	f.sc.col(j).view(cv, c.n)
+}
+
+func (f *storedFill) kindOf(_ *chunk, j int) ColType { return f.sc.kind(j) }
+
+func (f *storedFill) cellAt(c *chunk, j, i int) Value { return c.col(j).value(i) }
+
+// view returns a chunk that reads sc, for qc. A worker that does not keep its
+// chunks reuses one view, pointed at each chunk it loads; loads that keep them
+// (pb nil or pb.keep) get a view each.
+func (pb *probeBuf) view(qc *queryCtx, sc *storedChunk) *chunk {
+	keep := pb == nil || pb.keep
+	if !keep && pb.sview != nil && pb.sview.width() == sc.width() {
+		pb.sview.point(sc)
+		return pb.sview
+	}
+	v := qc.newView(sc.width())
+	v.point(sc)
+	if !keep {
+		pb.sview = v
+	}
+	return v
+}
+
+// point makes v, a view, read sc with no column filled. The vectors of the
+// columns it filled before are filled again when touched.
+func (v *chunk) point(sc *storedChunk) {
+	v.lazy.(*storedFill).sc, v.n = sc, sc.n
+	v.filled.clear()
+}
+
+// storedView is a view and its filler, allocated together.
+type storedView struct {
+	chunk
+	f storedFill
+}
+
+// A view is one storedView, w column pointers and a colVec per column
+// touched, carved out of a query's blocks (viewArena) of these sizes.
+const (
+	viewBlock = 64
+	ptrBlock  = 1024
+	colBlock  = 256
+)
+
+// viewArena is where a query's views come from: carved out of blocks it takes
+// from the engine's pool (or makes) and hands back when it ends (done). A
+// view is the query's until then, and nothing of the query reads one after:
+// what a view hands out points into stored payloads.
+type viewArena struct {
+	mu    sync.Mutex
+	views arenaList[storedView]
+	ptrs  arenaList[*colVec]
+	cols  arenaList[colVec]
+}
+
+// newView returns an empty view of w columns for qc, from its arena (qc nil: a
+// context-free load makes its own, with a vector for every column).
+func (qc *queryCtx) newView(w int) *chunk {
+	var v *storedView
+	if qc == nil || qc.eng == nil {
+		v = &storedView{chunk: chunk{cols: make([]colVec, w)}}
+	} else {
+		a, p := &qc.views, &qc.eng.views
+		a.mu.Lock()
+		v = &a.views.carve(p, &p.views, 1, viewBlock)[0]
+		v.vcols = a.ptrs.carve(p, &p.ptrs, w, ptrBlock)
+		a.mu.Unlock()
+	}
+	v.lazy, v.f.qc = &v.f, qc
+	v.filled.init(w)
+	return &v.chunk
+}
+
+// newCol returns a vector for a view's column from qc's arena.
+func (qc *queryCtx) newCol() *colVec {
+	a, p := &qc.views, &qc.eng.views
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return &a.cols.carve(p, &p.cols, 1, colBlock)[0]
+}
+
+// arenaList is one kind of a query's blocks: the rest of the current one and
+// every one it took.
+type arenaList[T any] struct {
+	cur  []T
+	blks [][]T
+}
+
+// carve takes n items, from a new block of size items when the current one is
+// short: the pool's, or one of its own when n is more than a block.
+func (a *arenaList[T]) carve(p *viewPool, l *blockList[T], n, size int) []T {
+	if n > size {
+		return make([]T, n)
+	}
+	if len(a.cur) < n {
+		blk := l.take(p, size)
+		a.blks, a.cur = append(a.blks, blk), blk //verdict:nocharge one slice header per block, reused query to query
+	}
+	out := a.cur[:n:n]
+	a.cur = a.cur[n:]
+	return out
+}
+
+// viewPool holds the blocks of finished queries' views for the next queries
+// to carve. It holds them weakly: a collection frees whatever no query has
+// taken back, so the pool keeps no memory alive.
+type viewPool struct {
+	mu    sync.Mutex
+	views blockList[storedView]
+	ptrs  blockList[*colVec]
+	cols  blockList[colVec]
+}
+
+// blockList is the pool's blocks of one kind, each by its first item.
+type blockList[T any] []weak.Pointer[T] //verdict:guardedby viewPool.mu
+
+// take takes a block of size items from the list, or makes one.
+func (l *blockList[T]) take(p *viewPool, size int) []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for len(*l) > 0 {
+		b := (*l)[len(*l)-1].Value()
+		*l = (*l)[:len(*l)-1]
+		if b != nil {
+			return unsafe.Slice(b, size)
+		}
+	}
+	return make([]T, size)
+}
+
+// put returns a query's blocks to the list, the items it carved cleared: a
+// pooled block must keep no dropped table's chunks alive, and a carved
+// column pointer must start nil.
+func (l *blockList[T]) put(a *arenaList[T]) {
+	for i, b := range a.blks {
+		if i == len(a.blks)-1 {
+			clear(b[:len(b)-len(a.cur)])
+		} else {
+			clear(b)
+		}
+		*l = append(*l, weak.Make(&b[0])) //verdict:nocharge pool bookkeeping: one weak pointer per block
+	}
+}
+
+// done hands the blocks of qc's views to the engine's pool.
+func (qc *queryCtx) done() {
+	a, p := &qc.views, &qc.eng.views
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.views.put(&a.views)
+	p.ptrs.put(&a.ptrs)
+	p.cols.put(&a.cols)
+	*a = viewArena{}
+}
+
 // segSlot is a chunk spilled to a segment file: loads go through the data
 // directory's shared chunk cache, and a per-slot mutex collapses concurrent
-// cold loads of the same chunk into one disk read.
-//
-// A load verifies the chunk's block once (storage.OpenChunk: read, CRC,
-// structural walk — the only step that can fail) and returns a chunk that
-// decodes a column when a scan first touches it (segFill), so a query reading 3
-// of a table's 16 columns decodes, and the cache holds, those 3.
+// cold loads of the same chunk into one disk read. A load verifies the
+// chunk's block once (storage.OpenChunk: read, CRC, structural walk — the
+// only step that can fail) and caches a stored chunk that decodes a column
+// when a view first touches it.
 type segSlot struct {
 	seg   *storage.Segment
 	idx   int
@@ -66,54 +419,47 @@ func (s *segSlot) meta() *storage.ChunkMeta { return &s.seg.Meta.Chunks[s.idx] }
 
 func (s *segSlot) slotRows() int { return s.meta().NRows }
 
-func (s *segSlot) slotZone(col int) (Value, Value) {
-	cm := &s.meta().Cols[col]
-	return cm.Min, cm.Max
-}
+func (s *segSlot) slotZone(col int) *storage.Zone { return &s.meta().Cols[col].Zone }
 
-func (s *segSlot) load(*queryCtx, *probeBuf) (*chunk, error) {
-	if ch := s.cache.get(s, true); ch != nil {
-		return ch, nil
+func (s *segSlot) load(qc *queryCtx, pb *probeBuf) (*chunk, error) {
+	if sc := s.cache.get(s, true); sc != nil {
+		return pb.view(qc, sc), nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ch := s.cache.get(s, false); ch != nil {
-		return ch, nil // a concurrent loader beat us to it
+	if sc := s.cache.get(s, false); sc != nil {
+		return pb.view(qc, sc), nil // a concurrent loader beat us to it
 	}
 	blk, err := s.seg.OpenChunk(s.idx)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading chunk %d of %s: %w", s.idx, s.seg.Path, err)
 	}
 	w := len(s.meta().Cols)
-	ch := &chunk{n: blk.NRows(), cols: make([]colVec, w),
-		lazy: &segFill{slot: s, blk: blk}, filled: make([]atomic.Bool, w)}
-	s.cache.put(s, ch, chunkOverheadBytes+int64(blk.HeapBytes()))
-	return ch, nil
+	x := &struct { // the chunk, its decoding state and its cache entry in one allocation
+		sc storedChunk
+		f  segFill
+		en cacheEntry
+	}{f: segFill{slot: s, blk: blk, cols: make([]atomic.Pointer[storedCol], w)}}
+	sc := &x.sc
+	sc.n, sc.seg = blk.NRows(), &x.f
+	x.en = cacheEntry{slot: s, ch: sc, bytes: sc.bytes() + int64(blk.HeapBytes())}
+	s.cache.put(&x.en)
+	return pb.view(qc, sc), nil
 }
 
-// segFill fills a chunk from its verified segment block. The block refers to
-// the segment's mapping, which outlives every chunk: segments, retired ones
-// included, are closed only by Engine.Close (retireFileLocked). Decoded vectors
-// do not refer to it.
+// segFill is what a stored chunk loaded from a segment decodes its columns
+// from: the verified block, which refers to the segment's mapping. The
+// mapping outlives every chunk: segments, retired ones included, are closed
+// only by Engine.Close (retireFileLocked). Decoded vectors do not refer to it.
 type segFill struct {
 	slot *segSlot
 	blk  storage.Block
+	cols []atomic.Pointer[storedCol] // column j's header once it is decoded
 }
-
-func (f *segFill) fillCol(c *chunk, j int) {
-	col := f.blk.DecodeCol(j)
-	cv := &c.cols[j]
-	cv.fromStorage(&col)
-	f.slot.cache.grow(f.slot, c, colBytes(cv))
-}
-
-func (f *segFill) kindOf(_ *chunk, j int) ColType { return ColType(f.slot.meta().Cols[j].Kind) }
-
-func (f *segFill) cellAt(c *chunk, j, i int) Value { return c.col(j).value(i) }
 
 // chunkCache is the data directory's LRU over segment chunks, bounded by
-// the bytes of the columns decoded in them: an entry starts at a chunk's fixed
-// overhead and grows as its columns are decoded. Its resident bytes are
+// what they hold: an entry starts at its chunk's header array and grows by
+// each column's payload as it is decoded. Its resident bytes are
 // accounted on the same memGauge type the per-query budget uses, but the policy
 // differs deliberately: going over capacity evicts the least-recently-used
 // chunks instead of aborting anything — eviction is always possible because
@@ -123,7 +469,7 @@ func (f *segFill) cellAt(c *chunk, j, i int) Value { return c.col(j).value(i) }
 type chunkCache struct {
 	mu    sync.Mutex
 	cap   int64
-	gauge memGauge // resident decoded bytes (estimate, see chunkBytes)
+	gauge memGauge // resident bytes (storedChunk.bytes)
 
 	ll    *list.List                 //verdict:guardedby mu
 	items map[*segSlot]*list.Element //verdict:guardedby mu
@@ -136,7 +482,7 @@ type chunkCache struct {
 
 type cacheEntry struct {
 	slot  *segSlot
-	ch    *chunk
+	ch    *storedChunk
 	bytes int64
 }
 
@@ -154,7 +500,7 @@ func newChunkCache(capBytes int64) *chunkCache {
 // get returns s's resident chunk, counting a hit, or nil. countMiss is false
 // for a loader's re-check under its slot mutex: that load's miss is already
 // counted.
-func (c *chunkCache) get(s *segSlot, countMiss bool) *chunk {
+func (c *chunkCache) get(s *segSlot, countMiss bool) *storedChunk {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[s]; ok {
@@ -168,21 +514,21 @@ func (c *chunkCache) get(s *segSlot, countMiss bool) *chunk {
 	return nil
 }
 
-// put makes ch resident for s at bytes — what of it is built now.
-func (c *chunkCache) put(s *segSlot, ch *chunk, bytes int64) {
+// put makes en.ch resident for en.slot at en.bytes — what of it is built now.
+func (c *chunkCache) put(en *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.items[s]; ok {
+	if _, ok := c.items[en.slot]; ok {
 		return
 	}
-	c.gauge.add(bytes)
-	c.items[s] = c.ll.PushFront(&cacheEntry{slot: s, ch: ch, bytes: bytes}) //verdict:nocharge cache residency is accounted on the cache's own gauge (the add above), evicted not aborted
+	c.gauge.add(en.bytes)
+	c.items[en.slot] = c.ll.PushFront(en) //verdict:nocharge cache residency is accounted on the cache's own gauge (the add above), evicted not aborted
 	c.shrinkLocked()
 }
 
 // grow charges bytes more to s's entry: ch just decoded a column. A chunk the
 // cache no longer holds (evicted while a scan still reads it) grows uncharged.
-func (c *chunkCache) grow(s *segSlot, ch *chunk, bytes int64) {
+func (c *chunkCache) grow(s *segSlot, ch *storedChunk, bytes int64) {
 	c.decoded.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -256,7 +602,7 @@ type ChunkCacheStats struct {
 	Misses         int64 // chunk loads: one block read, checksummed and walked
 	Evictions      int64
 	ColumnsDecoded int64 // chunk-columns decoded, each on its first touch
-	Resident       int64 // estimated bytes of the decoded columns currently cached
+	Resident       int64 // bytes of the cached chunks: header arrays and decoded payloads
 	Entries        int
 }
 
@@ -275,80 +621,36 @@ func (c *chunkCache) stats() ChunkCacheStats {
 	}
 }
 
-// chunkOverheadBytes is what a cached chunk is charged before any column.
-const chunkOverheadBytes = 64
-
-// chunkBytes estimates a chunk's resident footprint for cache accounting: the
-// fixed overhead plus colBytes of every column. It reads cols as they are, so
-// a column not decoded yet counts nothing.
-func chunkBytes(ch *chunk) int64 {
-	b := int64(chunkOverheadBytes)
-	for j := range ch.cols {
-		b += colBytes(&ch.cols[j])
-	}
-	return b
-}
-
-// colBytes estimates one stored column's footprint: vector backing arrays
-// (a string block is its bytes and offsets, if it has any; a code is a byte)
-// plus dictionary entries and per-box overhead, matching the flat-cost
-// philosophy of the query gauge.
-func colBytes(c *colVec) int64 {
-	b := int64(len(c.ints))*8 + int64(len(c.floats))*8 +
-		int64(len(c.bools)) + int64(len(c.nulls)) +
-		int64(len(c.sbytes)) + int64(len(c.soffs))*4 +
-		int64(len(c.codes)) + int64(len(c.runEnds))*4 +
-		int64(len(c.packed))*8 + int64(len(c.anys))*bytesPerValue
-	for _, s := range c.dict {
-		b += int64(len(s)) + 16 + bytesPerValue // entry + shared box
-	}
-	return b
-}
-
 // chunkToStorage mirrors a sealed chunk into the storage package's neutral
 // form. Slice headers are shared, not copied — the same bytes that serve
 // in-memory scans are what the segment writer serializes.
-func chunkToStorage(ch *chunk) *storage.Chunk {
-	sc := &storage.Chunk{NRows: ch.n, Cols: make([]storage.Col, len(ch.cols))}
-	for j := range ch.cols {
-		c := &ch.cols[j]
-		sc.Cols[j] = storage.Col{
-			Kind: uint8(c.kind), Enc: uint8(c.enc),
-			Nulls: c.nulls, Min: c.min, Max: c.max,
-			Ints: c.ints, Floats: c.floats, StrBytes: c.sbytes, StrOffs: c.soffs, StrWidth: c.sw,
-			Bools: c.bools, Anys: c.anys,
-			Dict: c.dict, Codes: c.codes, RunEnds: c.runEnds,
-			Base: c.base, Width: c.width, Exp: c.exp, Packed: c.packed,
-		}
+func chunkToStorage(sc *storedChunk) *storage.Chunk {
+	out := &storage.Chunk{NRows: sc.n, Cols: make([]storage.Col, len(sc.cols))}
+	var v colVec
+	for j := range sc.cols {
+		sc.cols[j].view(&v, sc.n)
+		out.Cols[j] = v.mirror(sc.cols[j].zone)
+	}
+	return out
+}
+
+// mirror is the column in the storage package's form, sharing its vectors,
+// with zone z.
+func (c *colVec) mirror(z storage.Zone) storage.Col {
+	return storage.Col{
+		Kind: uint8(c.kind), Enc: uint8(c.enc), Nulls: c.nulls, Zone: z,
+		Ints: c.ints, Floats: c.floats, StrBytes: c.sbytes, StrOffs: c.soffs, StrWidth: c.sw,
+		Bools: c.bools, Anys: c.anys,
+		Dict: c.dict, Codes: c.codes, RunEnds: c.runEnds,
+		Base: c.base, Width: c.width, Exp: c.exp, Packed: c.packed,
+	}
+}
+
+// storedOf makes a decoded storage chunk a stored chunk, sharing its vectors.
+func storedOf(c *storage.Chunk) *storedChunk {
+	sc := &storedChunk{n: c.NRows, cols: make([]storedCol, len(c.Cols))}
+	for j := range c.Cols {
+		sc.cols[j].fromStorage(&c.Cols[j], c.NRows)
 	}
 	return sc
-}
-
-// chunkFromStorage rebuilds a whole engine chunk from its stored form.
-func chunkFromStorage(sc *storage.Chunk) *chunk {
-	ch := &chunk{n: sc.NRows, cols: make([]colVec, len(sc.Cols))}
-	for j := range sc.Cols {
-		ch.cols[j].fromStorage(&sc.Cols[j])
-	}
-	return ch
-}
-
-// fromStorage sets cv to a stored column, sharing its vectors and re-deriving
-// the state the format deliberately omits (shared dictionary boxes; dict zone
-// bounds reuse them, byte-identical to seal time).
-func (cv *colVec) fromStorage(c *storage.Col) {
-	*cv = colVec{
-		kind: ColType(c.Kind), enc: colEnc(c.Enc),
-		nulls: c.Nulls, min: c.Min, max: c.Max,
-		ints: c.Ints, floats: c.Floats, sbytes: c.StrBytes, soffs: c.StrOffs, sw: c.StrWidth,
-		bools: c.Bools, anys: c.Anys,
-		dict: c.Dict, codes: c.Codes, runEnds: c.RunEnds,
-		base: c.Base, width: c.Width, exp: c.Exp, packed: c.Packed,
-	}
-	if cv.enc == encDict {
-		cv.dictBoxed = boxStrings(cv.dict)
-		if n := len(cv.dict); n > 0 {
-			cv.min, cv.max = cv.dictBoxed[0], cv.dictBoxed[n-1]
-		}
-	}
 }

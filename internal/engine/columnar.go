@@ -15,30 +15,18 @@ import (
 )
 
 // Columnar chunked storage. A table is an append-only sequence of sealed,
-// immutable chunks of exactly chunkRows rows stored column-wise — per-column
-// typed vectors ([]int64, []float64, []bool; strings as one byte block plus
-// u32 offsets, or no offsets when every slot has one length) with a null-flag
-// vector — plus an open row-major tail holding the most recent < chunkRows
-// rows. When the tail fills it is sealed into a
-// chunk — as is each whole chunk a vectorized CTAS or INSERT … SELECT gathers
-// from its typed lanes (seal.go): values are packed into typed vectors and the
-// per-column zone summaries (min/max over non-NULL values) are computed right
-// there, so scan-range pruning needs no lazy locking. A sealed chunk holds no
-// pointer per value: its strings are bytes it owns, not headers of strings the
-// rows it was packed from referred to, so the collector traces a table's
-// columns, not its values.
-//
-// Sealed chunks are immutable forever, which is what makes the concurrency
-// story trivial: readers snapshot the chunk-slice header and the tail-slice
-// header under the engine lock and can then scan without coordination,
-// exactly as row snapshots used to work. The encoded columns are the only
-// stored form of a table. The vectorized execution path (vectorize.go,
-// vecexec.go) consumes the typed vectors directly, and what its kernels
-// produce and a join gathers is the same type, colVec; the row closures
-// (compile.go) read lanes too — the cells an expression names, boxed into a
-// scratch row (valueAt), and whole rows only for the ones that pass WHERE
-// (materializeRow) — so nothing boxed outlives the query that boxed it, and
-// dynamic value types round-trip exactly.
+// immutable chunks of exactly chunkRows rows stored column-wise, plus an open
+// row-major tail holding the most recent < chunkRows rows. When the tail fills
+// — or a vectorized CTAS or INSERT … SELECT gathers a whole chunk from its
+// typed lanes (seal.go) — the rows are packed into typed vectors (buildChunk,
+// gatherCol), given zone summaries and an encoding (sealChunk), and kept in
+// the stored form: per column a small typed header over pointer-free vectors
+// (storedCol, chunkslot.go), so the collector traces a table's columns, not
+// its values. Readers snapshot the chunk and tail slice headers under the
+// engine lock and then scan without coordination. Every scan reads a chunk
+// through a view whose columns are colVecs over the stored vectors, filled
+// on first touch: the one form the kernels (vectorize.go, vecexec.go), the
+// gathers and the row closures' lane reads (valueAt) work on.
 
 // chunkRows is the sealed chunk size. It doubles as the zone-map pruning
 // granularity: every sealed chunk carries its own min/max summaries.
@@ -62,14 +50,11 @@ const (
 	encDecimal               // floats as encDelta's integers over a power of ten
 )
 
-// colVec is the engine's one vector of lanes: one column of a chunk (a typed
-// vector plus null flags and, when sealed, the zone summary computed at seal
-// time), a gathered join column, or a kernel's output. The last two are reset
-// for every chunk and keep their storage (reset), so their flags, like their
-// typed lanes, are resliced rather than remade. Strings are the one kind
-// whose two forms differ: a stored column (sealed, or decoded from a segment)
-// keeps them in a byte block (sbytes, soffs), a per-query vector as string
-// headers (strs); slotStr reads either.
+// colVec is the engine's one vector of lanes: a view of a stored column, a
+// gathered join column, or a kernel's output; the last two are reset for
+// every chunk and keep their storage (reset). Strings are the one kind whose
+// two forms differ: a stored column keeps them in a byte block (sbytes,
+// soffs), a per-query vector as string headers (strs); slotStr reads either.
 type colVec struct {
 	// kind is the storage representation of this chunk-column. A column
 	// whose values in this chunk all share one dynamic type is stored
@@ -102,11 +87,6 @@ type colVec struct {
 	// uniformly null or non-null); every other encoding keeps per-row flags.
 	nulls []bool
 
-	// min/max are the zone summary over non-NULL values (nil when every
-	// value is NULL). Comparisons follow Compare, matching the WHERE
-	// pushdown tests in zonemap.go, except that integers compare exactly.
-	min, max Value
-
 	// enc selects which of the encoding field groups below is live.
 	enc colEnc
 	sw  uint32 // the slot width of a stored string block without offsets, else 0
@@ -115,14 +95,11 @@ type colVec struct {
 	// order, so code order preserves value order (range predicates compare
 	// codes). codes[i] indexes dict — a chunk of at most chunkRows = 256 rows
 	// has at most 256 of them, so a code is one byte; NULL rows keep code 0
-	// and are flagged in nulls. dictBoxed pre-boxes each entry once — every
-	// read-through box of a dictionary value is a shared immutable interface,
-	// not a fresh allocation. The entries of a stored column are views of one block the
-	// column owns; a gathered column shares its source's. There are no
-	// string slots (strs, sbytes, soffs).
-	dict      []string
-	dictBoxed []Value
-	codes     []uint8
+	// and are flagged in nulls. The entries of a stored column are views of
+	// one block the column owns; a gathered column shares its source's. There
+	// are no string slots (strs, sbytes, soffs).
+	dict  []string
+	codes []uint8
 
 	// encRLE: runEnds[r] is the exclusive end row of run r; run r's value
 	// lives in slot r of the typed vector (truncated to one slot per run).
@@ -255,9 +232,9 @@ func blockStr(b []byte, lo, hi uint32) string {
 
 // value boxes row i back into a dynamic Value: every read of a column that is
 // not a typed kernel loop goes through it. The box is freshly allocated for
-// typed vectors (a string box holds a header viewing the column's block;
-// dictionary columns return the shared pre-boxed entry); TAny columns return
-// the original box.
+// typed vectors (a string box holds a header viewing the column's block); a
+// dictionary entry's box points at the entry, and TAny columns return the
+// original box.
 func (c *colVec) value(i int) Value {
 	if c.kind == TAny {
 		return c.anys[i]
@@ -270,7 +247,7 @@ func (c *colVec) value(i int) Value {
 	case len(c.nulls) > 0 && c.nulls[slot]:
 		return nil
 	case c.enc == encDict:
-		return c.dictBoxed[c.codes[i]]
+		return boxStr(&c.dict[c.codes[i]])
 	case c.enc == encDelta:
 		return c.deltaAt(i)
 	case c.enc == encDecimal:
@@ -337,24 +314,53 @@ func lanes[T any](qc *queryCtx, buf []T, n int) []T {
 }
 
 // chunk is chunkRows rows (fewer only for the ephemeral tail chunk; more for
-// one-to-many join outputs) stored column-wise. Immutable after construction,
-// except that a chunk with a filler builds its column vectors lazily.
+// one-to-many join outputs) column-wise: a view of a stored chunk, a join's
+// output, rows being sealed. Immutable after construction, except that a
+// chunk with a filler builds its column vectors lazily.
 type chunk struct {
 	cols []colVec
 	n    int
 
+	// vcols are a view's columns instead of cols (chunkslot.go): one vector
+	// for each column a reader has touched, nil for the rest.
+	vcols []*colVec
+
 	// lazy is non-nil for a chunk whose columns are built on first touch, each
 	// at most once, from what the filler holds: row references into a join's
 	// inputs (joinGather, vecjoin.go), boxed rows that already exist (rowFill),
-	// a verified segment block (segFill, chunkslot.go). Columns a query never
-	// reads are never gathered, packed or decoded. Resident storage chunks
-	// leave it nil and read cols directly.
+	// a stored chunk (storedFill, chunkslot.go). Columns a query never reads
+	// are never gathered, packed or decoded.
 	lazy colFiller
 
-	// filled[j] is set once cols[j] is built; mu serializes the builds, so a
+	// filled holds j once column j is built; mu serializes the builds, so a
 	// reader that sees the flag sees the column and takes no lock.
-	filled []atomic.Bool
+	filled colFlags
 	mu     sync.Mutex
+}
+
+// colFlags is a set of column numbers that goroutines add to concurrently,
+// a bit each, the first 64 held in the set itself.
+type colFlags struct {
+	words []atomic.Uint64
+	small [1]atomic.Uint64
+}
+
+// init makes the set empty and able to hold columns [0, w).
+func (f *colFlags) init(w int) {
+	f.words = f.small[:]
+	if w > 64 {
+		f.words = make([]atomic.Uint64, (w+63)/64)
+	}
+}
+
+func (f *colFlags) has(j int) bool { return f.words[j>>6].Load()&(1<<(j&63)) != 0 }
+
+func (f *colFlags) add(j int) { f.words[j>>6].Or(1 << (j & 63)) }
+
+func (f *colFlags) clear() {
+	for i := range f.words {
+		f.words[i].Store(0)
+	}
 }
 
 // colFiller is where a lazily filled chunk's data lives until a column of it
@@ -392,16 +398,22 @@ func (f *rowFill) cellAt(c *chunk, j, i int) Value { return f.rows[i][j] }
 
 // col returns column j's vector, building it first if the chunk fills lazily.
 func (c *chunk) col(j int) *colVec {
-	if c.lazy != nil && !c.filled[j].Load() {
+	if c.lazy != nil && !c.filled.has(j) {
 		c.mu.Lock()
-		if !c.filled[j].Load() {
+		if !c.filled.has(j) {
 			c.lazy.fillCol(c, j)
-			c.filled[j].Store(true)
+			c.filled.add(j)
 		}
 		c.mu.Unlock()
 	}
+	if c.vcols != nil {
+		return c.vcols[j]
+	}
 	return &c.cols[j]
 }
+
+// width is the chunk's column count.
+func (c *chunk) width() int { return max(len(c.cols), len(c.vcols)) }
 
 // colKind reports column j's storage kind without forcing a gather or a
 // decode (a chunk over existing rows learns it by packing the column).
@@ -455,8 +467,8 @@ func mergeKind(kind, t ColType) ColType {
 	return TAny
 }
 
-// buildChunk packs rows (all of width w) into a columnar chunk in the stored
-// form, with no zone summaries or encodings: sealChunk adds those to a
+// buildChunk packs rows (all of width w) into a columnar chunk of raw stored
+// vectors, with no zone summaries or encodings: sealChunk adds those to a
 // table's chunks, and the flusher's staging chunk needs neither.
 func buildChunk(rows [][]Value, w int) *chunk {
 	ch := &chunk{cols: make([]colVec, w), n: len(rows)}
@@ -618,44 +630,58 @@ func (c *colVec) countRuns(n, stop int) int {
 
 // sealChunk gives each column of a table's new chunk — packed from the tail's
 // boxed rows (buildChunk) or gathered from a SELECT's typed lanes (gatherCol)
-// — its zone summary and encoding, and charges the encoded footprint to the
-// query's memory gauge (qc may be nil for context-free bulk loads). Runs
-// before the chunk is published, so readers only ever see the final form.
-func sealChunk(ch *chunk, qc *queryCtx) {
+// — its zone summary and encoding, charges the encoded footprint to the
+// query's memory gauge (qc may be nil for context-free bulk loads), and
+// returns the chunk's stored form, which is what readers see.
+func sealChunk(ch *chunk, qc *queryCtx) *storedChunk {
 	force := forceEncodings()
 	var dp dictProber
 	var bytes int64
+	sc := &storedChunk{n: ch.n, cols: make([]storedCol, len(ch.cols))}
 	for j := range ch.cols {
 		c := &ch.cols[j]
+		var z storage.Zone
 		if c.kind != TString {
-			c.zone(ch.n) // before encoding: a delta column is based on its minimum
+			z = c.zone(ch.n) // before encoding: a delta column is based on its minimum
 		}
-		bytes += encodeCol(c, ch.n, force, &dp)
-		if c.kind == TString && c.enc != encDict { // a dictionary's ends are its bounds
+		bytes += encodeCol(c, ch.n, force, &dp, &z)
+		if c.kind == TString { // views of the final block or dictionary
 			slots := ch.n
 			if c.enc == encRLE {
 				slots = len(c.runEnds)
 			}
-			c.zone(slots) // views of the final block
+			z = c.zone(slots)
 		}
+		col := c.mirror(z)
+		sc.cols[j].fromStorage(&col, ch.n)
 	}
 	qc.chargeMem(bytes)
+	return sc
 }
 
-// zone sets the zone summary of a raw or run-length column from its first
-// slots slots: min and max over the non-NULL ones in Compare's order, in one
-// typed pass. Integer bounds are exact (Compare would round them through
-// float64, which orders the same way, so pruning against either is sound), a
-// string column's are views of its own block, and a boxed column's its own
-// boxes.
-func (c *colVec) zone(slots int) {
-	c.min, c.max = nil, nil
+// zone returns the zone summary of a column from its first slots slots: min
+// and max over the non-NULL ones in Compare's order, in one typed pass.
+// Integer bounds are exact (Compare would round them through float64, which
+// orders the same way, so pruning against either is sound), a string
+// column's are views of its own block or dictionary (whose ends are its
+// bounds), and a boxed column's its own values.
+func (c *colVec) zone(slots int) (z storage.Zone) {
+	kind := uint8(c.kind)
 	switch c.kind {
 	case TInt:
-		c.min, c.max = orderedZone(c.ints[:slots], c.nulls)
+		if lo, hi, ok := orderedZone(c.ints[:slots], c.nulls); ok {
+			z.Kinds, z.Num = [2]uint8{kind, kind}, [2]uint64{uint64(lo), uint64(hi)}
+		}
 	case TFloat:
-		c.min, c.max = orderedZone(c.floats[:slots], c.nulls)
+		if lo, hi, ok := orderedZone(c.floats[:slots], c.nulls); ok {
+			z.Kinds, z.Num = [2]uint8{kind, kind}, [2]uint64{math.Float64bits(lo), math.Float64bits(hi)}
+		}
 	case TString:
+		if c.enc == encDict {
+			z.SetStr(0, c.dict[0])
+			z.SetStr(1, c.dict[len(c.dict)-1])
+			break
+		}
 		lo, hi, seen := "", "", false
 		for s := 0; s < slots; s++ {
 			if len(c.nulls) > 0 && c.nulls[s] {
@@ -672,7 +698,8 @@ func (c *colVec) zone(slots int) {
 			}
 		}
 		if seen {
-			c.min, c.max = lo, hi
+			z.SetStr(0, lo)
+			z.SetStr(1, hi)
 		}
 	case TBool:
 		lo, hi := true, false // false < true
@@ -682,43 +709,43 @@ func (c *colVec) zone(slots int) {
 			}
 		}
 		if !lo || hi { // else no slot was counted
-			c.min, c.max = lo, hi
+			z.Set(0, lo)
+			z.Set(1, hi)
 		}
 	default:
+		var lo, hi Value
 		for _, v := range c.anys[:slots] {
 			if v == nil {
 				continue
 			}
-			if c.min == nil || Compare(v, c.min) < 0 {
-				c.min = v
+			if lo == nil || Compare(v, lo) < 0 {
+				lo = v
 			}
-			if c.max == nil || Compare(v, c.max) > 0 {
-				c.max = v
+			if hi == nil || Compare(v, hi) > 0 {
+				hi = v
 			}
 		}
+		z.Set(0, lo)
+		z.Set(1, hi)
 	}
+	return z
 }
 
 // orderedZone returns the least and greatest of vals outside the NULL flags
-// (nil, nil when there are none), the first of equal ones.
-func orderedZone[T int64 | float64](vals []T, nulls []bool) (Value, Value) {
-	var lo, hi T
-	seen := false
+// (ok false when there are none), the first of equal ones.
+func orderedZone[T int64 | float64](vals []T, nulls []bool) (lo, hi T, ok bool) {
 	for s, v := range vals {
 		switch {
 		case len(nulls) > 0 && nulls[s]:
-		case !seen:
-			lo, hi, seen = v, v, true
+		case !ok:
+			lo, hi, ok = v, v, true
 		case v < lo:
 			lo = v
 		case v > hi:
 			hi = v
 		}
 	}
-	if !seen {
-		return nil, nil
-	}
-	return lo, hi
+	return lo, hi, ok
 }
 
 // encodeCol picks and applies one encoding for a sealed chunk-column,
@@ -726,7 +753,7 @@ func orderedZone[T int64 | float64](vals []T, nulls []bool) (Value, Value) {
 // keeps its raw vectors). Boxed (TAny) columns — mixed dynamic types or all
 // NULLs — never encode. A raw string column whose slots share one length
 // drops its offsets (fixWidth).
-func encodeCol(c *colVec, n int, force bool, dp *dictProber) int64 {
+func encodeCol(c *colVec, n int, force bool, dp *dictProber, z *storage.Zone) int64 {
 	if c.kind == TAny || n == 0 {
 		return 0
 	}
@@ -735,8 +762,8 @@ func encodeCol(c *colVec, n int, force bool, dp *dictProber) int64 {
 		case TString:
 			return c.encodeDict(dp.probe(c, n, n))
 		case TInt:
-			if w := c.deltaWidth(); w < 64 {
-				return c.encodeDelta(n, w)
+			if w := deltaWidth(z); w < 64 {
+				return c.encodeDelta(n, w, z)
 			}
 		case TFloat:
 			if b, ok := c.encodeDecimal(n, 64); ok {
@@ -755,8 +782,8 @@ func encodeCol(c *colVec, n int, force bool, dp *dictProber) int64 {
 		}
 		return c.fixWidth(n)
 	case TInt:
-		if w := c.deltaWidth(); w <= deltaMaxWidth {
-			return c.encodeDelta(n, w)
+		if w := deltaWidth(z); w <= deltaMaxWidth {
+			return c.encodeDelta(n, w, z)
 		}
 	case TFloat:
 		if b, ok := c.encodeDecimal(n, deltaMaxWidth); ok {
@@ -839,21 +866,16 @@ func (c *colVec) encodeDict(dict []string, codes []uint8) int64 {
 	}
 	blk := make([]byte, 0, size)
 	sorted := make([]string, len(dict))
-	boxed := make([]Value, len(dict))
 	for code, id := range order {
 		lo := uint32(len(blk))
 		blk = append(blk, dict[id]...)
 		sorted[code] = blockStr(blk, lo, uint32(len(blk)))
-		boxed[code] = sorted[code]
 	}
 	n := len(codes)
-	c.dict, c.dictBoxed, c.codes = sorted, boxed, codes
+	c.dict, c.codes = sorted, codes
 	c.sbytes, c.soffs = nil, nil
 	c.enc = encDict
-	// The sorted dictionary's ends are the zone bounds, and they reuse the
-	// boxes downstream pruning already holds.
-	c.min, c.max = boxed[0], boxed[len(boxed)-1]
-	return int64(size) + int64(len(dict))*(16+24) + int64(n)
+	return int64(size) + int64(len(dict))*16 + int64(n)
 }
 
 func (c *colVec) encodeRLE(n, runs int) int64 {
@@ -933,18 +955,13 @@ func (c *colVec) encodeRLE(n, runs int) int64 {
 	return int64(len(ends))*(4+elem) + extra
 }
 
-// deltaWidth returns the bit width needed to pack this int column as
-// offsets from its zone minimum. The zone summary is always present for
-// storage seals (sealChunk computes it first), and uint64 subtraction is
-// exact modulo 2^64, so negative ranges work out.
-func (c *colVec) deltaWidth() int {
-	lo, _ := c.min.(int64)
-	hi, _ := c.max.(int64)
-	return bits.Len64(uint64(hi) - uint64(lo))
-}
+// deltaWidth returns the bit width needed to pack an int column with zone z
+// as offsets from its minimum. uint64 subtraction is exact modulo 2^64, so
+// negative ranges work out.
+func deltaWidth(z *storage.Zone) int { return bits.Len64(z.Num[1] - z.Num[0]) }
 
-func (c *colVec) encodeDelta(n, width int) int64 {
-	base, _ := c.min.(int64)
+func (c *colVec) encodeDelta(n, width int, z *storage.Zone) int64 {
+	base := int64(z.Num[0])
 	c.base, c.width = base, uint8(width)
 	c.packed = packDeltas(n, width, base, c.nulls, func(i int) int64 { return c.ints[i] })
 	c.ints = nil
@@ -1073,8 +1090,8 @@ func (c *chunk) materializeRow(i int) []Value {
 	if f, ok := c.lazy.(*rowFill); ok {
 		return f.rows[i]
 	}
-	row := make([]Value, len(c.cols))
-	for j := range c.cols {
+	row := make([]Value, c.width())
+	for j := range row {
 		row[j] = c.valueAt(j, i)
 	}
 	return row
@@ -1086,8 +1103,9 @@ func (c *chunk) materializeRow(i int) []Value {
 func chunkifyRows(dst []chunkSlot, rows [][]Value, w int, qc *queryCtx) []chunkSlot {
 	for lo := 0; lo < len(rows); lo += chunkRows {
 		part := rows[lo:min(lo+chunkRows, len(rows))]
-		dst = append(dst, &chunk{cols: make([]colVec, w), n: len(part),
-			lazy: &rowFill{rows: part, qc: qc}, filled: make([]atomic.Bool, w)})
+		ch := &chunk{cols: make([]colVec, w), n: len(part), lazy: &rowFill{rows: part, qc: qc}}
+		ch.filled.init(w)
+		dst = append(dst, ch)
 	}
 	return dst
 }
@@ -1211,7 +1229,7 @@ func (s *colSource) materialize(qc *queryCtx) ([][]Value, error) {
 			return nil, err
 		}
 		if !ch.overRows() {
-			qc.chargeMem(int64(ch.n) * boxedRowBytes(len(ch.cols)))
+			qc.chargeMem(int64(ch.n) * boxedRowBytes(ch.width()))
 		}
 		for i := 0; i < ch.n; i++ {
 			out = append(out, ch.materializeRow(i))
@@ -1228,9 +1246,7 @@ func (t *Table) appendRow(row []Value, qc *queryCtx) {
 	t.tail = append(t.tail, row)
 	t.nrows++
 	if len(t.tail) >= chunkRows {
-		ch := buildChunk(t.tail, len(t.Cols))
-		sealChunk(ch, qc)
-		t.sealed = append(t.sealed, ch)
+		t.sealed = append(t.sealed, sealChunk(buildChunk(t.tail, len(t.Cols)), qc))
 		// A fresh slice, not a truncation: concurrent readers may still
 		// hold the old tail header.
 		t.tail = nil

@@ -12,18 +12,24 @@ import (
 // zone maps with chunk pruning, row-view materialization, column-name
 // ambiguity surfacing, and consistency under concurrent appends.
 
-// sealedChunk resolves table tbl's i-th sealed slot to its chunk with every
-// column built — resident in memory, or loaded from a segment and decoded when
-// ENGINE_SPILL moved it to disk (white-box assertions on cols hold either way:
-// the storage layer round-trips chunk layouts byte for byte).
+// sealedChunk resolves table tbl's i-th sealed slot to a chunk holding every
+// column's view in cols — resident in memory, or loaded from a segment and
+// decoded when ENGINE_SPILL moved it to disk (white-box assertions on cols
+// hold either way: the storage layer round-trips chunk layouts byte for byte).
 func sealedChunk(t testing.TB, tbl *Table, i int) *chunk {
 	t.Helper()
 	ch, err := tbl.sealed[i].load(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return denseView(ch)
+}
+
+// denseView copies a view's columns into a chunk of its own.
+func denseView(v *chunk) *chunk {
+	ch := &chunk{n: v.n, cols: make([]colVec, v.width())}
 	for j := range ch.cols {
-		ch.col(j)
+		ch.cols[j] = *v.col(j)
 	}
 	return ch
 }
@@ -61,13 +67,12 @@ func TestChunkSealBoundaries(t *testing.T) {
 		t.Fatalf("row count %d / %d", tbl.NumRows(), e.RowCount("t"))
 	}
 	// Sealed chunks carry typed vectors and seal-time zone summaries.
-	c0 := sealedChunk(t, tbl, 0).cols[0]
-	if c0.kind != TInt || c0.min != int64(0) || c0.max != int64(chunkRows-1) {
-		t.Fatalf("chunk 0 zone: kind %v min %v max %v", c0.kind, c0.min, c0.max)
+	z0 := tbl.sealed[0].slotZone(0)
+	if c0 := sealedChunk(t, tbl, 0).cols[0]; c0.kind != TInt || z0.Bound(0) != int64(0) || z0.Bound(1) != int64(chunkRows-1) {
+		t.Fatalf("chunk 0 zone: kind %v min %v max %v", c0.kind, z0.Bound(0), z0.Bound(1))
 	}
-	c1 := sealedChunk(t, tbl, 1).cols[0]
-	if c1.min != int64(chunkRows) || c1.max != int64(2*chunkRows-1) {
-		t.Fatalf("chunk 1 zone: min %v max %v", c1.min, c1.max)
+	if z1 := tbl.sealed[1].slotZone(0); z1.Bound(0) != int64(chunkRows) || z1.Bound(1) != int64(2*chunkRows-1) {
+		t.Fatalf("chunk 1 zone: min %v max %v", z1.Bound(0), z1.Bound(1))
 	}
 	// Full scan sees every row exactly once.
 	rs, err := e.Query("select count(*), sum(x) from t")

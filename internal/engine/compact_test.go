@@ -194,12 +194,12 @@ func checkLanes(t *testing.T, label string, cv *colVec, want []Value) {
 	}
 }
 
-// throughSegment writes ch to a segment file and reads it back whole, as a
+// throughSegment writes sc to a segment file and reads it back whole, as a
 // cold load decodes it.
-func throughSegment(t *testing.T, ch *chunk) *chunk {
+func throughSegment(t *testing.T, sc *storedChunk) *storedChunk {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "c-0"+storage.SegmentExt)
-	if err := storage.WriteSegment(path, len(ch.cols), []*storage.Chunk{chunkToStorage(ch)}); err != nil {
+	if err := storage.WriteSegment(path, len(sc.cols), []*storage.Chunk{chunkToStorage(sc)}); err != nil {
 		t.Fatal(err)
 	}
 	seg, err := storage.OpenSegment(path)
@@ -207,11 +207,11 @@ func throughSegment(t *testing.T, ch *chunk) *chunk {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = seg.Close() })
-	sc, err := seg.ReadChunk(0)
+	c, err := seg.ReadChunk(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return chunkFromStorage(sc)
+	return storedOf(c)
 }
 
 // Decoding an encoded column reproduces every lane bit for bit, sealed and
@@ -235,11 +235,12 @@ func TestCompactFormsRoundTrip(t *testing.T) {
 							rows[i][j] = c.vals[i]
 						}
 					}
-					ch := buildChunk(rows, len(cols))
-					sealChunk(ch, nil)
-					loaded := throughSegment(t, ch)
+					sc := sealChunk(buildChunk(rows, len(cols)), nil)
+					lsc := throughSegment(t, sc)
+					sealed, _ := sc.load(nil, nil)
+					loaded, _ := lsc.load(nil, nil)
 					for j, c := range cols {
-						cv := &ch.cols[j]
+						cv := sealed.col(j)
 						allNull := true
 						for _, v := range c.vals {
 							allNull = allNull && v == nil
@@ -254,7 +255,7 @@ func TestCompactFormsRoundTrip(t *testing.T) {
 						checkLanes(t, c.name+" (sealed)", cv, c.vals)
 						lv := loaded.col(j)
 						checkLanes(t, c.name+" (from a segment)", lv, c.vals)
-						if a, b := colBytes(cv), colBytes(lv); a != b {
+						if a, b := sc.cols[j].bytes(n), lsc.cols[j].bytes(n); a != b {
 							t.Errorf("%s: charged %d B sealed, %d B from a segment", c.name, a, b)
 						}
 					}
@@ -266,9 +267,9 @@ func TestCompactFormsRoundTrip(t *testing.T) {
 
 // vecBytes is what the vectors of a stored column hold: every non-nil slice
 // field's length times its element size, except the dictionary, whose entries
-// count their bytes, a string header and a shared box each (dictBoxed is that
-// box). It walks the struct, so a vector added to colVec is counted here
-// whether or not colBytes knows of it.
+// count their bytes and a string header each. It walks the struct, so a
+// vector added to colVec is counted here whether or not storedCol.bytes knows
+// of it.
 func vecBytes(t *testing.T, cv *colVec) int64 {
 	t.Helper()
 	v := reflect.ValueOf(cv).Elem()
@@ -281,9 +282,8 @@ func vecBytes(t *testing.T, cv *colVec) int64 {
 		switch name {
 		case "dict":
 			for _, s := range cv.dict {
-				b += int64(len(s)) + 16 + bytesPerValue
+				b += int64(len(s)) + 16
 			}
-		case "dictBoxed":
 		case "anys", "strs":
 			if f.Len() > 0 {
 				t.Fatalf("%s holds %d lanes: not a typed stored column", name, f.Len())
@@ -295,15 +295,15 @@ func vecBytes(t *testing.T, cv *colVec) int64 {
 	return b
 }
 
-// colBytes charges a column the bytes its vectors hold, in every stored form,
-// and a chunk loaded from a segment is charged what its sealed twin is; the
-// column header stays at 376 bytes (the new fields sit in padding). So a better
-// hit ratio comes from smaller vectors, not from counting fewer of them.
+// A stored column is charged the bytes its vectors hold, in every stored
+// form, and a chunk loaded from a segment is charged what its sealed twin is
+// — its headers, at most 128 bytes a column, and those payloads — plus a
+// pointer to each header.
 func TestCompactFormsAccounting(t *testing.T) {
 	ownDataDir(t)
 	t.Setenv(forceEncodingsEnv, "")
-	if size := unsafe.Sizeof(colVec{}); size != 376 {
-		t.Errorf("colVec is %d bytes, want 376", size)
+	if size := unsafe.Sizeof(storedCol{}); size > 128 {
+		t.Errorf("storedCol is %d bytes, want at most 128", size)
 	}
 	forms := []struct {
 		name string
@@ -344,17 +344,18 @@ func TestCompactFormsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := e.Lookup("t")
+	sc := tbl.sealed[0].(*storedChunk)
 	sealed := sealedChunk(t, tbl, 0)
-	want := int64(chunkOverheadBytes)
+	want := int64(len(forms)) * int64(unsafe.Sizeof(storedCol{}))
 	for j, f := range forms {
 		cv := &sealed.cols[j]
 		if cv.enc != f.enc || cv.sw != f.sw {
 			t.Fatalf("%s: enc %d, string width %d; want %d, %d", f.name, cv.enc, cv.sw, f.enc, f.sw)
 		}
-		if got, vb := colBytes(cv), vecBytes(t, cv); got != vb {
-			t.Errorf("%s: colBytes %d, its vectors hold %d", f.name, got, vb)
+		if got, vb := sc.cols[j].bytes(sc.n), vecBytes(t, cv); got != vb {
+			t.Errorf("%s: charged %d B, its vectors hold %d", f.name, got, vb)
 		}
-		want += colBytes(cv)
+		want += sc.cols[j].bytes(sc.n)
 	}
 	if _, err := e.AttachDataDir(t.TempDir()); err != nil {
 		t.Fatal(err)
@@ -367,7 +368,9 @@ func TestCompactFormsAccounting(t *testing.T) {
 	if _, err := e.Query("select * from t"); err != nil {
 		t.Fatal(err)
 	}
+	// A loaded chunk holds a pointer to each column's header as well.
+	want += int64(len(forms)) * int64(unsafe.Sizeof(&storedCol{}))
 	if st := e.ChunkCache(); st.Misses != 1 || st.Resident != want {
-		t.Errorf("loaded chunk: %d loads, %d B resident; its sealed twin is charged %d B", st.Misses, st.Resident, want)
+		t.Errorf("loaded chunk: %d loads, %d B resident; its sealed twin and the header pointers come to %d B", st.Misses, st.Resident, want)
 	}
 }

@@ -121,8 +121,8 @@ func TestSealPicksEncodings(t *testing.T) {
 		t.Fatalf("s: dict %v strs %v block %q %v", cv.dict, cv.strs, cv.sbytes, cv.soffs)
 	}
 	// Dictionary ends are the string zone map, same values Compare derives.
-	if ch.cols[0].min != "low" || ch.cols[0].max != "top" {
-		t.Fatalf("s zones: %v..%v", ch.cols[0].min, ch.cols[0].max)
+	if z := tbl.sealed[0].slotZone(0); z.Bound(0) != "low" || z.Bound(1) != "top" {
+		t.Fatalf("s zones: %v..%v", z.Bound(0), z.Bound(1))
 	}
 	if got := ch.cols[1].enc; got != encRLE {
 		t.Fatalf("r: enc %d, want RLE", got)
@@ -289,8 +289,12 @@ func TestDeltaNegativesAndNulls(t *testing.T) {
 	if cv.enc != encDelta {
 		t.Fatalf("x: enc %d, want delta", cv.enc)
 	}
-	if cv.min != int64(-100) {
-		t.Fatalf("x min: %v", cv.min)
+	tbl, err := vec.Lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if min := tbl.sealed[0].slotZone(0).Bound(0); min != int64(-100) {
+		t.Fatalf("x min: %v", min)
 	}
 	got := boxRows(mustSealed(t, vec, "t"))
 	for i := 0; i < chunkRows; i++ {

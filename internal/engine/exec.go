@@ -64,6 +64,7 @@ func (e *Engine) QueryContext(ctx context.Context, sql string) (rs *ResultSet, e
 		return nil, err
 	}
 	qc := e.newQueryCtx(ctx, sql)
+	defer qc.done()
 	rs, err = execSelectWithOuter(qc, sel, nil)
 	if err != nil {
 		return nil, stampQuery(err, sql)
@@ -110,6 +111,7 @@ func (e *Engine) execStmtInner(ctx context.Context, stmt sqlparser.Statement) (*
 	switch s := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		qc := e.newQueryCtx(ctx, "")
+		defer qc.done()
 		rs, err := execSelectWithOuter(qc, s, nil)
 		if err != nil {
 			return nil, err
@@ -119,6 +121,7 @@ func (e *Engine) execStmtInner(ctx context.Context, stmt sqlparser.Statement) (*
 	case *sqlparser.CreateTableStmt:
 		if s.AsSelect != nil {
 			qc := e.newQueryCtx(ctx, "")
+			defer qc.done()
 			rs, err := execBlock(qc, s.AsSelect, nil, true)
 			if err != nil {
 				return nil, err
@@ -179,6 +182,7 @@ func (e *Engine) execInsert(ctx context.Context, s *sqlparser.InsertStmt) (*Resu
 		}
 	}
 	qc := e.newQueryCtx(ctx, "")
+	defer qc.done()
 	var srcRows [][]Value
 	var lanes *laneSet
 	if s.Select != nil {
@@ -481,7 +485,7 @@ func filterRows(qc *queryCtx, src *colSource, pred *laneExpr, n int) ([][]Value,
 		var scratch []Value
 		return func(out [][]Value, ch *chunk, room int) ([][]Value, error) {
 			if scratch == nil {
-				scratch = make([]Value, len(ch.cols))
+				scratch = make([]Value, ch.width())
 			}
 			kept := len(out)
 			for i := 0; i < ch.n && room > 0; i++ {
@@ -498,7 +502,7 @@ func filterRows(qc *queryCtx, src *colSource, pred *laneExpr, n int) ([][]Value,
 				room--
 			}
 			if !ch.overRows() {
-				qc.chargeMem(int64(len(out)-kept) * boxedRowBytes(len(ch.cols)))
+				qc.chargeMem(int64(len(out)-kept) * boxedRowBytes(ch.width()))
 			}
 			return out, nil
 		}

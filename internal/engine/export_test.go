@@ -56,10 +56,7 @@ func ForeignStrings(e *Engine, dst string, srcs ...string) (int, error) {
 			if err != nil {
 				return nil, err
 			}
-			for j := range ch.cols {
-				ch.col(j)
-			}
-			out = append(out, ch)
+			out = append(out, denseView(ch))
 		}
 		return out, nil
 	}
@@ -112,7 +109,7 @@ func ForeignStrings(e *Engine, dst string, srcs ...string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, ch := range stored {
+	for i, ch := range stored {
 		for j := range ch.cols {
 			cv := &ch.cols[j]
 			if len(cv.sbytes) > 0 {
@@ -124,14 +121,12 @@ func ForeignStrings(e *Engine, dst string, srcs ...string) (int, error) {
 			for _, s := range cv.dict {
 				check(s)
 			}
-			for _, v := range cv.dictBoxed {
-				check(v)
-			}
 			for _, v := range cv.anys {
 				check(v)
 			}
-			check(cv.min)
-			check(cv.max)
+			z := t.sealed[i].slotZone(j)
+			check(z.Bound(0))
+			check(z.Bound(1))
 		}
 	}
 	return foreign, nil

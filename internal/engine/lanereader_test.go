@@ -136,7 +136,7 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 			src := &gatherSrc{}
 			src.setBuild(build, 1)
 			for ci, enc := range side.encs {
-				if strings.HasPrefix(enc, "lazy:") && build[ci].filled[0].Load() {
+				if strings.HasPrefix(enc, "lazy:") && build[ci].filled.has(0) {
 					t.Fatalf("%v: lazy chunk %d built before any gather", side.encs, ci)
 				}
 			}
@@ -154,7 +154,7 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 			last := build[len(build)-1]
 			for pass, refs := range [][]int64{hop(len(build) - 1), hop(len(build))} {
 				bside := src.refChunk(nil, nil, refs).col(0)
-				if pass == 0 && (last.lazy != nil && last.filled[0].Load() || src.buildCols[0].cols[len(build)-1].Load() != nil) {
+				if pass == 0 && (last.lazy != nil && last.filled.has(0) || src.buildCols[0].cols[len(build)-1].Load() != nil) {
 					t.Errorf("%s: a gather built a chunk it never names", cell)
 				}
 				for k, r := range refs {
@@ -224,14 +224,14 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 	}
 	ch := buildChunk(rows, 1)
 	cv := &ch.cols[0]
-	cv.zone(n)
+	z := cv.zone(n)
 	switch enc {
 	case "dict":
 		cv.encodeDict(new(dictProber).probe(cv, n, n))
 	case "rle", "rlestr":
 		cv.encodeRLE(n, cv.countRuns(n, n))
 	case "delta":
-		cv.encodeDelta(n, cv.deltaWidth())
+		cv.encodeDelta(n, deltaWidth(&z), &z)
 	case "decimal":
 		if _, ok := cv.encodeDecimal(n, 64); !ok {
 			panic("laneChunk: decimal values not in the decimal form")

@@ -228,7 +228,7 @@ func (dd *dataDir) recoverTail(path string, ncols int) ([][]Value, error) {
 		seg.Quarantine()
 		return nil, err
 	}
-	ch := chunkFromStorage(sc)
+	ch, _ := storedOf(sc).load(nil, nil)
 	rows := make([][]Value, ch.n)
 	for i := range rows {
 		rows[i] = ch.materializeRow(i)
@@ -343,7 +343,7 @@ type flushWork struct {
 	tailDirty bool
 
 	segFile   string // written data segment ("" when no new chunks)
-	newChunks []*chunk
+	newChunks []*storedChunk
 	tailFile  string // written tail segment ("" when tail empty or clean)
 }
 
@@ -381,11 +381,11 @@ func (dd *dataDir) flushLocked(e *Engine, qc *queryCtx, warmCache bool) error {
 		}
 		tm := dd.manifestTable(w.t.Name, w.cols)
 		if len(w.slots) > w.persisted {
-			w.newChunks = make([]*chunk, 0, len(w.slots)-w.persisted)
+			w.newChunks = make([]*storedChunk, 0, len(w.slots)-w.persisted)
 			scs := make([]*storage.Chunk, 0, len(w.slots)-w.persisted)
 			rows := 0
 			for _, sl := range w.slots[w.persisted:] {
-				ch := sl.(*chunk) // invariant: slots past persisted are resident
+				ch := sl.(*storedChunk) // invariant: slots past persisted are resident
 				w.newChunks = append(w.newChunks, ch)
 				scs = append(scs, chunkToStorage(ch))
 				rows += ch.n
@@ -409,7 +409,11 @@ func (dd *dataDir) flushLocked(e *Engine, qc *queryCtx, warmCache bool) error {
 			if len(w.tail) > 0 {
 				tch := buildChunk(w.tail, len(w.cols)) //verdict:nocharge flush-side staging, freed when the flush returns
 				file := dd.nextSegFile(tm)
-				if err := storage.WriteSegment(filepath.Join(dd.dir, file), len(w.cols), []*storage.Chunk{chunkToStorage(tch)}); err != nil {
+				scs := []*storage.Chunk{{NRows: tch.n, Cols: make([]storage.Col, len(tch.cols))}}
+				for j := range tch.cols {
+					scs[0].Cols[j] = tch.cols[j].mirror(storage.Zone{})
+				}
+				if err := storage.WriteSegment(filepath.Join(dd.dir, file), len(w.cols), scs); err != nil {
 					return rollback(err)
 				}
 				tm.Tail = &storage.SegmentRef{File: file, Chunks: 1, Rows: len(w.tail)}
@@ -512,7 +516,7 @@ func (dd *dataDir) installSlots(e *Engine, w *flushWork, seg *storage.Segment, w
 		s := &segSlot{seg: seg, idx: i, cache: dd.cache}
 		sealed[w.persisted+i] = s
 		if warmCache {
-			dd.cache.put(s, ch, chunkBytes(ch))
+			dd.cache.put(&cacheEntry{slot: s, ch: ch, bytes: ch.bytes()})
 		}
 	}
 	w.t.sealed = sealed

@@ -133,6 +133,8 @@ type queryCtx struct {
 	// O(distinct keys x inner) — the difference between seconds and hours on
 	// TPC-H q17.
 	corrCache map[*sqlparser.SelectStmt]map[string]Value
+
+	views viewArena // the chunk views its loads make (newView)
 }
 
 // env is one SELECT block's scope: what a compiled expression can see

@@ -33,7 +33,7 @@ type laneBatch struct {
 // chunk overwrites, into vectors of its own. What no kernel writes — a shared
 // dictionary, a stored column's block — is shared.
 func (v *colVec) snapshot(n int) *colVec {
-	s := &colVec{kind: v.kind, enc: v.enc, dict: v.dict, dictBoxed: v.dictBoxed, sbytes: v.sbytes, soffs: v.soffs, sw: v.sw}
+	s := &colVec{kind: v.kind, enc: v.enc, dict: v.dict, sbytes: v.sbytes, soffs: v.soffs, sw: v.sw}
 	if len(v.nulls) > 0 {
 		s.nulls = slices.Clone(v.nulls[:n])
 	}
@@ -139,8 +139,7 @@ func (t *Table) appendLanes(qc *queryCtx, ls *laneSet, colIdx []int) error {
 				gatherCol(&ch.cols[tj], parts, j, chunkRows)
 			}
 		}
-		sealChunk(ch, qc)
-		t.sealed = append(t.sealed, ch)
+		t.sealed = append(t.sealed, sealChunk(ch, qc))
 		t.nrows += chunkRows
 		t.tail = nil
 	}

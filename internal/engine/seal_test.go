@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"verdictdb/internal/sqlparser"
+	"verdictdb/internal/storage"
 )
 
 // sealSrcRows is the source of the seal-equivalence test: seven sealed chunks
@@ -59,12 +60,12 @@ var sealSrcCols = []Column{
 // colFingerprint renders everything a sealed column stores — kind, encoding,
 // NULL flags, vectors, dictionary, codes, runs and zone bounds — with the
 // dynamic type of every boxed value, floats by their Go syntax (NaN, -0).
-func colFingerprint(cv *colVec) string {
+func colFingerprint(cv *colVec, z *storage.Zone) string {
 	var types strings.Builder
-	for _, v := range append([]Value{cv.min, cv.max}, cv.anys...) {
+	for _, v := range cv.anys {
 		fmt.Fprintf(&types, "%T,", v)
 	}
-	return fmt.Sprintf("%#v|%s", *cv, types.String())
+	return fmt.Sprintf("%#v|%v %#v %#v|%s", *cv, z.Kinds, z.Bound(0), z.Bound(1), types.String())
 }
 
 // Chunks sealed from a SELECT's typed lanes (CTAS, INSERT … SELECT) equal
@@ -167,7 +168,7 @@ func TestSealEquivalence(t *testing.T) {
 			for ci := range dst.sealed {
 				dch, rch := sealedChunk(t, dst, ci), sealedChunk(t, ref, ci)
 				for j := range dch.cols {
-					if d, r := colFingerprint(&dch.cols[j]), colFingerprint(&rch.cols[j]); d != r {
+					if d, r := colFingerprint(&dch.cols[j], dst.sealed[ci].slotZone(j)), colFingerprint(&rch.cols[j], ref.sealed[ci].slotZone(j)); d != r {
 						t.Fatalf("chunk %d column %s:\nlanes %s\nboxed %s", ci, dst.Cols[j].Name, d, r)
 					}
 				}

@@ -83,13 +83,13 @@ func residentCols(t *testing.T, e *Engine) (decoded [][]int, bytes int64) {
 		}
 		en := el.Value.(*cacheEntry)
 		var cols []int
-		for j := range en.ch.filled {
-			if en.ch.filled[j].Load() {
+		for j := range en.ch.seg.cols {
+			if en.ch.seg.cols[j].Load() != nil {
 				cols = append(cols, j)
 			}
 		}
 		decoded = append(decoded, cols)
-		if want := chunkBytes(en.ch); en.bytes != want {
+		if want := en.ch.bytes(); en.bytes != want {
 			t.Errorf("entry charged %d B, its decoded columns come to %d B", en.bytes, want)
 		}
 		bytes += en.bytes
@@ -147,9 +147,9 @@ func TestSegmentColumnsDecodedOnTouch(t *testing.T) {
 func TestSegmentCacheBoundsDecodedColumns(t *testing.T) {
 	const nchunks = 8
 	disk, mem := newWideDiskEngine(t, nchunks)
-	// One int column of every chunk (≈ 1.2 kB each with its overhead) fits;
-	// one whole chunk (≈ 40 kB) does not.
-	const capBytes = 16 << 10
+	// One int column of every chunk (≈ 2.2 kB each with its chunk's column
+	// headers) fits; one whole chunk (≈ 42 kB) does not.
+	const capBytes = 32 << 10
 	disk.SetChunkCacheBytes(capBytes)
 	evicted := disk.ChunkCache().Evictions
 	q := "select sum(c4) from t"
@@ -189,7 +189,7 @@ func TestSegmentColumnsConcurrentTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := mt.sealed[1].(*chunk)
+	ref := sealedChunk(t, mt, 1)
 	// Two goroutines race on columns 4 … 11 and each has four of its own.
 	var wg sync.WaitGroup
 	for g, cols := range [][]int{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, {11, 10, 9, 8, 7, 6, 5, 4, 12, 13, 14, 15}} {
@@ -216,7 +216,7 @@ func TestSegmentChunkEvictedWhileHeld(t *testing.T) {
 	disk, mem := newWideDiskEngine(t, 2)
 	dt, _ := disk.Lookup("t")
 	mt, _ := mem.Lookup("t")
-	ref := mt.sealed[0].(*chunk)
+	ref := sealedChunk(t, mt, 0)
 	held, err := dt.sealed[0].load(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -247,9 +247,11 @@ func TestSegmentChunkEvictedWhileHeld(t *testing.T) {
 }
 
 // Loading a chunk and touching one column costs a fixed number of
-// allocations, whatever the row count: the block's column offsets, the chunk
-// and its bookkeeping, the cache entry, and one vector (two for strings: the
-// block's bytes and its offsets).
+// allocations, whatever the row count: the block's column offsets, the
+// stored chunk with its cache entry, its header pointers, the cache's list
+// element, the view and its vectors, the touched column's header, and one
+// payload vector (two for strings: the block's bytes and its offsets; three
+// for a dictionary: its bytes, its entries and the codes).
 func TestSegmentLoadAllocs(t *testing.T) {
 	disk, _ := newWideDiskEngine(t, 1)
 	dt, _ := disk.Lookup("t")
@@ -260,10 +262,10 @@ func TestSegmentLoadAllocs(t *testing.T) {
 		enc     colEnc
 		ceiling float64
 	}{
-		{"delta int column", 4, encDelta, 9},
-		{"decimal float column", 3, encDecimal, 9},
+		{"delta int column", 4, encDelta, 8},
+		{"decimal float column", 3, encDecimal, 8},
 		{"256-lane string column", 6, encNone, 9},
-		{"dictionary string column", 5, encDict, 12},
+		{"dictionary string column", 5, encDict, 10},
 	} {
 		ch, err := sl.load(nil, nil)
 		if err != nil {

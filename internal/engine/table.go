@@ -119,6 +119,8 @@ type Engine struct {
 	// dd is the optional persistent data directory (persist.go); nil for
 	// pure in-memory engines.
 	dd atomic.Pointer[dataDir]
+
+	views viewPool // chunk views finished queries left (chunkslot.go)
 }
 
 // SetParallelism caps the number of workers a single scan may use. n = 1

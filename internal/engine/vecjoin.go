@@ -7,6 +7,7 @@ import (
 
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
+	"verdictdb/internal/storage"
 )
 
 // Vectorized hash join with late materialization, streamed on its probe side.
@@ -440,7 +441,7 @@ func (vj *vecJoin) hashedLeft(keepRight bool) ([]chunkSlot, error) {
 	}
 	vj.rightStart = chunkStarts(rslots)
 	next := vj.table.next
-	ws, err := scanMorsels(qc, rslots, vj.rightStart[len(rslots)], true, func() *rightScanner {
+	ws, err := scanMorsels(qc, rslots, vj.rightStart[len(rslots)], false, func() *rightScanner {
 		return &rightScanner{keyProbe: newKeyProbe(&vj.rKeys)}
 	}, func(w *rightScanner, ci int, ch *chunk) error {
 		if err := faultpoint.Hit(faultpoint.SiteEngineJoinProbe); err != nil {
@@ -450,8 +451,10 @@ func (vj *vecJoin) hashedLeft(keepRight bool) ([]chunkSlot, error) {
 		if err != nil || pairs == 0 {
 			return err
 		}
-		if vj.buildChunks[ci] == nil {
-			vj.buildChunks[ci] = ch
+		if vj.buildChunks[ci] == nil { // a chunk of its own: ch is the worker's
+			if vj.buildChunks[ci], err = rslots[ci].load(qc, nil); err != nil {
+				return err
+			}
 		}
 		b := len(w.blocks) - 1
 		if b < 0 || len(w.blocks[b].lrows)+pairs > cap(w.blocks[b].lrows) {
@@ -576,7 +579,7 @@ func (s *probeSlot) slotRows() int {
 	return s.left.slotRows()
 }
 
-func (s *probeSlot) slotZone(int) (Value, Value) {
+func (s *probeSlot) slotZone(int) *storage.Zone {
 	panic("engine: join output is never zone-pruned")
 }
 
@@ -647,6 +650,8 @@ type probeBuf struct {
 	refs [2][]int64
 	ch   *chunk
 
+	sview *chunk // the worker's view of stored chunks (view)
+
 	left *probeBuf
 }
 
@@ -654,7 +659,7 @@ func (pb *probeBuf) bind(vj *vecJoin) {
 	if pb.vj == vj {
 		return
 	}
-	*pb = probeBuf{keep: pb.keep, alias: pb.alias, left: pb.left, vj: vj}
+	*pb = probeBuf{keep: pb.keep, alias: pb.alias, left: pb.left, sview: pb.sview, vj: vj}
 	if !vj.hashLeft {
 		pb.look = newKeyProbe(&vj.lKeys)
 	}
@@ -690,14 +695,14 @@ func (pb *probeBuf) refChunk(probe *chunk, sel []int32, refs []int64) *chunk {
 	g := pb.ch.lazy.(*joinGather)
 	g.probe, g.probeSel, g.refs = probe, sel, refs
 	pb.ch.n = len(refs)
-	for j := range pb.ch.filled {
-		if pb.ch.filled[j].Load() {
-			if pb.alias {
+	if pb.alias {
+		for j := range pb.ch.cols {
+			if pb.ch.filled.has(j) {
 				pb.ch.cols[j] = colVec{}
 			}
-			pb.ch.filled[j].Store(false)
 		}
 	}
+	pb.ch.filled.clear()
 	return pb.ch
 }
 
@@ -893,9 +898,10 @@ func (s *gatherSrc) refChunk(probe *chunk, sel []int32, refs []int64) *chunk {
 	c := &struct { // the chunk and its filler in one allocation
 		chunk
 		g joinGather
-	}{chunk{cols: make([]colVec, w), n: len(refs), filled: make([]atomic.Bool, w)},
+	}{chunk{cols: make([]colVec, w), n: len(refs)},
 		joinGather{j: s, probe: probe, probeSel: sel, refs: refs}}
 	c.lazy = &c.g
+	c.filled.init(w)
 	return &c.chunk
 }
 
@@ -1037,7 +1043,7 @@ func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 // kernels keep their fast paths. A NULL row's code is 0, a valid one.
 func (cv *colVec) gatherCodes(qc *queryCtx, scv *colVec, idx []int32) {
 	cv.reset(qc, TString, 0)
-	cv.enc, cv.dict, cv.dictBoxed = encDict, scv.dict, scv.dictBoxed
+	cv.enc, cv.dict = encDict, scv.dict
 	cv.codes = lanes(qc, cv.codes, len(idx))
 	gatherRaw(cv.codes, scv.codes, idx)
 	nullLanes(cv, scv, idx)

@@ -290,8 +290,8 @@ type vnScalar struct {
 }
 
 func (n *vnScalar) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
-	if len(vc.row) < len(ch.cols) {
-		vc.row = make([]Value, len(ch.cols))
+	if len(vc.row) < ch.width() {
+		vc.row = make([]Value, ch.width())
 	}
 	idx := vc.lanesOf(ch, sel)
 	ov := vc.out(n.id, TAny, len(idx))

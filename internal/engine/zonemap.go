@@ -2,9 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"verdictdb/internal/faultpoint"
 	"verdictdb/internal/sqlparser"
+	"verdictdb/internal/storage"
 )
 
 // Scan-side pushdown: what a SELECT block's WHERE lets its base-table scans
@@ -373,48 +376,55 @@ func (p *fromPlan) blockPaths(t sqlparser.TableExpr, lo int) (hi int) {
 	return hi
 }
 
-// comparableKinds reports whether Compare is meaningful for the pair —
-// both numeric, or both strings. Mixed kinds never prune.
-func comparableKinds(a, b Value) bool {
-	na := isNumeric(a)
-	nb := isNumeric(b)
-	if na || nb {
-		return na && nb
+// compareBound compares zone bound b with lit as Compare would their boxes,
+// when that is meaningful — both numeric, or both strings. Mixed kinds never
+// prune.
+func compareBound(z *storage.Zone, b int, lit Value) (int, bool) {
+	switch z.Kinds[b] {
+	case storage.KindInt, storage.KindFloat:
+		f := float64(int64(z.Num[b]))
+		if z.Kinds[b] == storage.KindFloat {
+			f = math.Float64frombits(z.Num[b])
+		}
+		if l, ok := numeric(lit); ok {
+			switch { // as Compare: a NaN is neither less nor greater
+			case f < l:
+				return -1, true
+			case f > l:
+				return 1, true
+			}
+			return 0, true
+		}
+	case storage.KindString:
+		if l, ok := lit.(string); ok {
+			return strings.Compare(z.Str(b), l), true
+		}
 	}
-	_, sa := a.(string)
-	_, sb := b.(string)
-	return sa && sb
+	return 0, false
 }
 
-func isNumeric(v Value) bool {
-	switch v.(type) {
-	case int64, float64:
-		return true
-	}
-	return false
-}
-
-// chunkMaySatisfy reports whether some row of a chunk-column with the given
-// zone summary could satisfy `col op lit`. All-NULL columns (nil min)
-// satisfy nothing.
-func chunkMaySatisfy(min, max Value, op string, lit Value) bool {
-	if min == nil {
+// chunkMaySatisfy reports whether some row of a chunk-column with zone z
+// could satisfy `col op lit`. All-NULL columns satisfy nothing.
+func chunkMaySatisfy(z *storage.Zone, op string, lit Value) bool {
+	if z.Kinds[0] == storage.KindAny {
 		return false
 	}
-	if !comparableKinds(min, lit) || !comparableKinds(max, lit) {
+	lo, okLo := compareBound(z, 0, lit)
+	hi, okHi := compareBound(z, 1, lit)
+	if !okLo || !okHi {
 		return true // unprunable, keep
 	}
 	switch op {
 	case "<=":
-		return Compare(min, lit) <= 0
+		return lo <= 0
 	case "<":
-		return Compare(min, lit) < 0
+		return lo < 0
 	case ">=":
-		return Compare(max, lit) >= 0
+		return hi >= 0
 	case ">":
-		return Compare(max, lit) > 0
+		return hi > 0
 	case "=":
-		return Compare(min, lit) <= 0 && Compare(max, lit) >= 0
+		return lo <= 0 && hi >= 0
 	}
 	return true
 }
@@ -434,8 +444,7 @@ func pruneChunks(src *colSource, preds []rangePred) *colSource {
 			if keep != nil && !keep[i] {
 				continue
 			}
-			min, max := sl.slotZone(p.col)
-			if !chunkMaySatisfy(min, max, p.op, p.lit) {
+			if !chunkMaySatisfy(sl.slotZone(p.col), p.op, p.lit) {
 				if keep == nil {
 					keep = make([]bool, len(src.sealed))
 					for j := range keep {
@@ -485,18 +494,18 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 	chunks := make([]*chunk, len(slots))
 	sels := make([][]int32, len(slots)) // surviving rows per chunk; nil keeps the whole chunk
 	// pass tests slots[:n] (skipping what an earlier pass tested) and returns
-	// how many of their rows there are and how many survive.
+	// how many of their rows there are and how many survive. A chunk with
+	// survivors is loaded again to keep (the scan's is the worker's).
 	pass := func(n, nrows int) (rows, kept int, err error) {
-		_, err = scanMorsels(qc, slots[:n], nrows, true, func() *vecCtx {
+		_, err = scanMorsels(qc, slots[:n], nrows, false, func() *vecCtx {
 			return newVecCtx(c.nbuf, 0, 0, 0)
 		}, func(vc *vecCtx, ci int, ch *chunk) error {
-			if chunks[ci] != nil {
+			if chunks[ci] != nil || sels[ci] != nil {
 				return nil
 			}
 			if err := faultpoint.Hit(faultpoint.SiteEngineScanChunk); err != nil {
 				return err
 			}
-			chunks[ci] = ch
 			sel, err := evalFilter(vc, ch, nil, where)
 			if err != nil {
 				return err
@@ -505,15 +514,18 @@ func filterLeaf(qc *queryCtx, rel *relation, pred sqlparser.Expr, hashed bool) (
 				qc.chargeMem(int64(len(sel)) * 4)
 				sels[ci] = append(make([]int32, 0, len(sel)), sel...)
 			}
-			return nil
+			if sel == nil || len(sel) > 0 {
+				chunks[ci], err = slots[ci].load(qc, nil)
+			}
+			return err
 		})
 		if err != nil {
 			return 0, 0, err
 		}
-		for ci, ch := range chunks[:n] {
-			rows += ch.n
+		for ci, sl := range slots[:n] {
+			rows += sl.slotRows()
 			if kept += len(sels[ci]); sels[ci] == nil {
-				kept += ch.n
+				kept += sl.slotRows()
 			}
 		}
 		return rows, kept, nil

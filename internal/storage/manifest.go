@@ -116,6 +116,11 @@ func LoadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, &CorruptError{Path: filepath.Join(dir, ManifestName), Detail: err.Error()}
 	}
+	for i, t := range m.Tables {
+		if t == nil {
+			return nil, &CorruptError{Path: filepath.Join(dir, ManifestName), Detail: fmt.Sprintf("table %d is null", i)}
+		}
+	}
 	return m, nil
 }
 

@@ -144,6 +144,14 @@ func appendTagged(b []byte, v any) ([]byte, error) {
 	return b, fmt.Errorf("storage: unsupported dynamic value type %T", v)
 }
 
+// appendBound writes zone bound b as a tagged value.
+func appendBound(buf []byte, z *Zone, b int) ([]byte, error) {
+	if z.Kinds[b] == ZoneOpaque {
+		return buf, fmt.Errorf("storage: unsupported dynamic value type in a zone bound")
+	}
+	return appendTagged(buf, z.Bound(b))
+}
+
 // encodeChunkBlock serializes one chunk's column payloads.
 func encodeChunkBlock(b []byte, ch *Chunk) ([]byte, error) {
 	for ci := range ch.Cols {
@@ -254,11 +262,10 @@ func encodeMeta(b []byte, ncols int, chunks []ChunkMeta) ([]byte, error) {
 				flags |= 1
 			}
 			b = append(b, col.Kind, col.Enc, flags)
-			if b, err = appendTagged(b, col.Min); err != nil {
-				return nil, err
-			}
-			if b, err = appendTagged(b, col.Max); err != nil {
-				return nil, err
+			for bound := range col.Zone.Kinds {
+				if b, err = appendBound(b, &col.Zone, bound); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
@@ -305,8 +312,7 @@ func WriteSegment(path string, ncols int, chunks []*Chunk) (retErr error) {
 		for j := range ch.Cols {
 			c := &ch.Cols[j]
 			cm.Cols[j] = ColMeta{
-				Kind: c.Kind, Enc: c.Enc, HasNulls: c.Nulls != nil,
-				Min: c.Min, Max: c.Max,
+				Kind: c.Kind, Enc: c.Enc, HasNulls: c.Nulls != nil, Zone: c.Zone,
 			}
 		}
 	}
@@ -393,25 +399,24 @@ func (r *byteReader) count() int {
 	return n
 }
 
-func (r *byteReader) tagged() any {
+// bound reads a tagged value into zone bound b.
+func (r *byteReader) bound(z *Zone, b int) {
 	switch r.u8() {
 	case tagNil:
-		return nil
+		z.Kinds[b] = KindAny
 	case tagInt:
-		return int64(r.u64())
+		z.Kinds[b], z.Num[b] = KindInt, r.u64()
 	case tagFloat:
-		return math.Float64frombits(r.u64())
+		z.Kinds[b], z.Num[b] = KindFloat, r.u64()
 	case tagString:
-		n := int(r.u32())
-		if b := r.take(n); b != nil {
-			return string(b)
-		}
-		return nil
+		z.SetStr(b, string(r.take(int(r.u32()))))
 	case tagBool:
-		return r.u8() != 0
+		z.Kinds[b], z.Num[b] = KindBool, 0
+		if r.u8() != 0 {
+			z.Num[b] = 1
+		}
 	default:
 		r.fail()
-		return nil
 	}
 }
 
@@ -672,7 +677,7 @@ func (d *colDecoder) tagged() any {
 func decodeCol(b []byte, n int, cm *ColMeta, v1 bool) Col {
 	fixed := b[2]&flagFixed != 0
 	d := &colDecoder{b: b[3:]}
-	c := Col{Kind: cm.Kind, Enc: cm.Enc, Min: cm.Min, Max: cm.Max}
+	c := Col{Kind: cm.Kind, Enc: cm.Enc, Zone: cm.Zone}
 	if cm.HasNulls && c.Enc != EncRLE {
 		c.Nulls = d.bitmap(n)
 	}
@@ -853,8 +858,8 @@ func (s *Segment) parseFooter() error {
 			col.Kind = r.u8()
 			col.Enc = r.u8()
 			col.HasNulls = r.u8()&1 != 0
-			col.Min = r.tagged()
-			col.Max = r.tagged()
+			r.bound(&col.Zone, 0)
+			r.bound(&col.Zone, 1)
 		}
 		if r.err != nil {
 			return corrupt(s.Path, "meta parse: %v", r.err)

@@ -78,7 +78,7 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 				c.Codes[i] = uint8(i % len(c.Dict))
 			}
 		}
-		c.Min, c.Max = "", "héllo"
+		c.Zone = ZoneOf("", "héllo")
 		return c
 	case EncDelta, EncDecimal:
 		c.Base, c.Width = -7, 13
@@ -89,10 +89,10 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 		if len(c.Packed) == 0 {
 			c.Packed = nil
 		}
-		c.Min, c.Max = int64(-7), int64(8184)
+		c.Zone = ZoneOf(int64(-7), int64(8184))
 		if enc == EncDecimal {
 			c.Exp = 2
-			c.Min, c.Max = -0.07, 81.84
+			c.Zone = ZoneOf(-0.07, 81.84)
 		}
 		return c
 	}
@@ -104,7 +104,7 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 				c.Ints[i] = edgeInts[i%len(edgeInts)]
 			}
 		}
-		c.Min, c.Max = int64(math.MinInt64), int64(math.MaxInt64)
+		c.Zone = ZoneOf(int64(math.MinInt64), int64(math.MaxInt64))
 	case KindFloat:
 		c.Floats = make([]float64, slots)
 		for i := range c.Floats {
@@ -112,7 +112,7 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 				c.Floats[i] = edgeFloats[i%len(edgeFloats)]
 			}
 		}
-		c.Min, c.Max = math.Inf(-1), math.Inf(1)
+		c.Zone = ZoneOf(math.Inf(-1), math.Inf(1))
 	case KindString:
 		c.StrOffs = make([]uint32, 1, slots+1)
 		for i := 0; i < slots; i++ {
@@ -121,13 +121,13 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 			}
 			c.StrOffs = append(c.StrOffs, uint32(len(c.StrBytes)))
 		}
-		c.Min, c.Max = "", "zz"
+		c.Zone = ZoneOf("", "zz")
 	case KindBool:
 		c.Bools = make([]bool, slots)
 		for i := range c.Bools {
 			c.Bools[i] = !isNull(i) && i%2 == 0
 		}
-		c.Min, c.Max = false, true
+		c.Zone = ZoneOf(false, true)
 	case KindAny:
 		c.Anys = make([]any, n)
 		for i := range c.Anys {
@@ -145,7 +145,7 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 		}
 	}
 	if nulls == nullsAll {
-		c.Min, c.Max = nil, nil
+		c.Zone = ZoneOf(nil, nil)
 	}
 	return c
 }
@@ -153,7 +153,7 @@ func makeCol(kind, enc uint8, nulls, n int) Col {
 // makeFixedCol builds a raw string column of n rows whose slots are all 3
 // bytes long, stored without offsets; a NULL slot is zero bytes of padding.
 func makeFixedCol(nulls, n int) Col {
-	c := Col{Kind: KindString, Enc: EncNone, StrWidth: 3, StrBytes: make([]byte, 0, 3*n), Min: "\x00\x00\x00", Max: "zzz"}
+	c := Col{Kind: KindString, Enc: EncNone, StrWidth: 3, StrBytes: make([]byte, 0, 3*n), Zone: ZoneOf("\x00\x00\x00", "zzz")}
 	if nulls != nullsNone {
 		c.Nulls = make([]bool, n)
 	}
@@ -166,7 +166,7 @@ func makeFixedCol(nulls, n int) Col {
 		}
 	}
 	if nulls == nullsAll {
-		c.Min, c.Max = nil, nil
+		c.Zone = ZoneOf(nil, nil)
 	}
 	return c
 }
@@ -214,12 +214,12 @@ func dictCol(entries, n int) Col {
 	for i := range c.Codes {
 		c.Codes[i] = uint8(i % entries)
 	}
-	c.Min, c.Max = c.Dict[0], c.Dict[entries-1]
+	c.Zone = ZoneOf(c.Dict[0], c.Dict[entries-1])
 	return c
 }
 
 func colMeta(c *Col) ColMeta {
-	return ColMeta{Kind: c.Kind, Enc: c.Enc, HasNulls: c.Nulls != nil, Min: c.Min, Max: c.Max}
+	return ColMeta{Kind: c.Kind, Enc: c.Enc, HasNulls: c.Nulls != nil, Zone: c.Zone}
 }
 
 // memSegment is a Segment over blocks held in memory, each with the checksum
@@ -255,11 +255,6 @@ func sameCol(a, b *Col) bool {
 			anys[i] = v
 		}
 		c.Anys = anys
-		for _, p := range []*any{&c.Min, &c.Max} {
-			if f, ok := (*p).(float64); ok {
-				*p = [1]uint64{math.Float64bits(f)}
-			}
-		}
 		v := reflect.ValueOf(&c).Elem()
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 {

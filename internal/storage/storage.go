@@ -23,6 +23,8 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
+	"unsafe"
 )
 
 // Format identifiers. The head magic versions the chunk-block layout; the
@@ -108,16 +110,14 @@ type Chunk struct {
 //     i is float64(Base + field i) / 10^Exp, bit for bit; Floats is nil.
 //
 // Nulls (when non-nil) flags NULL slots; null slots of typed vectors hold
-// zero values. Min/Max are the zone summary boxes (nil for all-NULL
-// columns); they ride in the segment footer so pruning works without
-// loading chunk data.
+// zero values. Zone is the zone summary; it rides in the segment footer so
+// pruning works without loading chunk data.
 type Col struct {
 	Kind uint8
 	Enc  uint8
 
 	Nulls []bool
-	Min   any
-	Max   any
+	Zone  Zone
 
 	Ints     []int64
 	Floats   []float64
@@ -144,8 +144,7 @@ type ColMeta struct {
 	Kind     uint8
 	Enc      uint8
 	HasNulls bool
-	Min      any
-	Max      any
+	Zone     Zone
 }
 
 // ChunkMeta locates and describes one chunk inside a segment file.
@@ -170,4 +169,80 @@ func (m *SegMeta) Rows() int {
 		n += m.Chunks[i].NRows
 	}
 	return n
+}
+
+// Zone is a chunk-column's zone summary, typed: the least and greatest of its
+// non-NULL values, bound 0 and bound 1. Kinds[b] is a bound's kind — KindAny
+// for both when every value is NULL, ZoneOpaque for a value no tag encodes —
+// and a boxed column's two bounds may differ in kind. A KindInt bound holds
+// its int64 in Num, a KindFloat bound its float64 bits, a KindBool bound 0 or
+// 1, and a KindString bound its length, its bytes in str (Str): 40 bytes a
+// zone, in every footer entry and stored column.
+type Zone struct {
+	Kinds [2]uint8
+	Num   [2]uint64
+	str   [2]*byte
+}
+
+// Str is string bound b ("" for a bound of another kind).
+func (z *Zone) Str(b int) string {
+	if z.Kinds[b] != KindString {
+		return ""
+	}
+	return unsafe.String(z.str[b], z.Num[b])
+}
+
+// SetStr makes bound b the string s, sharing its bytes.
+func (z *Zone) SetStr(b int, s string) {
+	z.Kinds[b], z.Num[b], z.str[b] = KindString, uint64(len(s)), unsafe.StringData(s)
+}
+
+// ZoneOpaque is the kind of a bound of a dynamic type the footer cannot
+// encode: it never prunes, and a segment cannot hold it.
+const ZoneOpaque uint8 = 0xff
+
+// ZoneOf is the zone with bounds min and max (both nil: every value NULL).
+func ZoneOf(min, max any) Zone {
+	var z Zone
+	z.Set(0, min)
+	z.Set(1, max)
+	return z
+}
+
+// Set makes bound b the value v: nil, int64, float64, string, bool, or
+// anything else as ZoneOpaque.
+func (z *Zone) Set(b int, v any) {
+	z.Num[b], z.str[b] = 0, nil
+	switch x := v.(type) {
+	case nil:
+		z.Kinds[b] = KindAny
+	case int64:
+		z.Kinds[b], z.Num[b] = KindInt, uint64(x)
+	case float64:
+		z.Kinds[b], z.Num[b] = KindFloat, math.Float64bits(x)
+	case string:
+		z.SetStr(b, x)
+	case bool:
+		z.Kinds[b] = KindBool
+		if x {
+			z.Num[b] = 1
+		}
+	default:
+		z.Kinds[b] = ZoneOpaque
+	}
+}
+
+// Bound boxes bound b: nil when every value is NULL or the bound is opaque.
+func (z *Zone) Bound(b int) any {
+	switch z.Kinds[b] {
+	case KindInt:
+		return int64(z.Num[b])
+	case KindFloat:
+		return math.Float64frombits(z.Num[b])
+	case KindString:
+		return z.Str(b)
+	case KindBool:
+		return z.Num[b] != 0
+	}
+	return nil
 }
