@@ -1,7 +1,7 @@
 // Command verdictlint is verdictdb's static-analysis suite: repo-contract
-// analyzers (determinism, query lifecycle, accumulator completeness, error
-// taxonomy, kernel purity, fault-injection hygiene) behind the `go vet
-// -vettool` protocol.
+// analyzers (determinism, query lifecycle and cancellation, memory-budget
+// charging, error taxonomy, kernel purity, hot-loop allocation) behind the
+// `go vet -vettool` protocol.
 //
 // Usage:
 //

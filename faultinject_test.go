@@ -14,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"verdictdb/internal/drivers"
+	"verdictdb/internal/engine"
 	"verdictdb/internal/faultpoint"
+	"verdictdb/internal/workload"
 )
 
 func TestFaultpointEnabled(t *testing.T) {
@@ -38,26 +41,26 @@ func TestInjectedScanPanicContained(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	faultpoint.SetPanic("engine.scan.chunk")
+	faultpoint.SetPanic(faultpoint.SiteEngineScanChunk)
 	_, err = conn.Query(sql)
 	var ie *InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want *InternalError, got %v", err)
 	}
-	if pv, ok := ie.Panic.(faultpoint.PanicValue); !ok || pv.Site != "engine.scan.chunk" {
+	if pv, ok := ie.Panic.(faultpoint.PanicValue); !ok || pv.Site != faultpoint.SiteEngineScanChunk {
 		t.Fatalf("panic value: %#v", ie.Panic)
 	}
 	if ie.Query == "" || len(ie.Stack) == 0 {
 		t.Fatalf("InternalError missing query/stack: %+v", ie)
 	}
 
-	faultpoint.Clear("engine.scan.chunk")
+	faultpoint.Clear(faultpoint.SiteEngineScanChunk)
 	again, err := conn.Query(sql)
 	if err != nil {
 		t.Fatalf("query after disarm: %v", err)
 	}
 	assertAnswersIdentical(t, "post-fault", baseline, again)
-	if faultpoint.Count("engine.scan.chunk") == 0 {
+	if faultpoint.Count(faultpoint.SiteEngineScanChunk) == 0 {
 		t.Fatal("site was never hit")
 	}
 }
@@ -68,7 +71,7 @@ func TestInjectedScanPanicContained(t *testing.T) {
 func TestInjectedQueryBoundaryPanic(t *testing.T) {
 	defer faultpoint.Reset()
 	conn := instaConn(t)
-	faultpoint.SetPanic("engine.query")
+	faultpoint.SetPanic(faultpoint.SiteEngineQuery)
 	a, err := conn.Query("select count(*) as c from order_products")
 	var ie *InternalError
 	if !errors.As(err, &ie) {
@@ -83,7 +86,7 @@ func TestInjectedProgressivePrefixError(t *testing.T) {
 	defer faultpoint.Reset()
 	conn := instaConn(t)
 	sentinel := errors.New("faultpoint: prefix wire test")
-	faultpoint.SetError("core.progressive.prefix", sentinel)
+	faultpoint.SetError(faultpoint.SiteCoreProgressivePrefix, sentinel)
 	a, err := conn.QueryWithAccuracyContext(context.Background(), "select count(*) as c from order_products", 1e-9)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("want the injected error, got a=%v err=%v", a, err)
@@ -97,13 +100,13 @@ func TestInjectedMergePanicContained(t *testing.T) {
 	defer faultpoint.Reset()
 	conn := instaConn(t)
 	const sql = "select count(*) as c from order_products"
-	faultpoint.SetPanic("core.merge.prefix")
+	faultpoint.SetPanic(faultpoint.SiteCoreMergePrefix)
 	_, err := conn.QueryWithAccuracyContext(context.Background(), sql, 1e-9)
 	var ie *InternalError
 	if !errors.As(err, &ie) {
 		t.Fatalf("want *InternalError, got %v", err)
 	}
-	faultpoint.Clear("core.merge.prefix")
+	faultpoint.Clear(faultpoint.SiteCoreMergePrefix)
 	if a, err := conn.QueryWithAccuracyContext(context.Background(), sql, 0); err != nil || !a.Approximate {
 		t.Fatalf("after disarm: a=%+v err=%v", a, err)
 	}
@@ -116,7 +119,7 @@ func TestInjectedMergePanicContained(t *testing.T) {
 func TestInjectedStallStaysCancellable(t *testing.T) {
 	defer faultpoint.Reset()
 	conn := instaConn(t)
-	faultpoint.SetStall("engine.scan.chunk", 5*time.Millisecond)
+	faultpoint.SetStall(faultpoint.SiteEngineScanChunk, 5*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(15 * time.Millisecond)
@@ -224,4 +227,67 @@ func TestInjectedFilteredJoinInputFault(t *testing.T) {
 		t.Fatalf("after disarm: %v", err)
 	}
 	assertAnswersIdentical(t, "post-fault", baseline, again)
+}
+
+// TestEveryFaultSiteFires runs one of each operation a site is placed in —
+// vectorized and row-closure scans, a join that hashes and probes, a
+// progressive answer, a flush with its manifest save, and a cold segment read
+// after reopening — and requires every registered site to have fired, so no
+// site is left where no query reaches it.
+func TestEveryFaultSiteFires(t *testing.T) {
+	defer faultpoint.Reset()
+	faultpoint.Reset()
+	dir := t.TempDir()
+	open := func() (*engine.Engine, *Conn) {
+		t.Helper()
+		eng := engine.NewSeeded(7)
+		if _, err := eng.AttachDataDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		conn, err := Open(drivers.NewGeneric(eng), Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, conn
+	}
+	query := func(conn *Conn, sql string) {
+		t.Helper()
+		if _, err := conn.Query(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+
+	eng, conn := open()
+	if err := workload.LoadInsta(eng, 0.05, 7); err != nil {
+		t.Fatal(err)
+	}
+	conn.Builder().BlockRows = 64
+	if err := conn.Exec("create uniform sample of order_products ratio 0.02"); err != nil {
+		t.Fatal(err)
+	}
+	for _, vec := range []bool{true, false} {
+		eng.SetVectorized(vec)
+		query(conn, "bypass select reordered, avg(price) as p from order_products group by reordered")
+		query(conn, exactJoinBothSides[0])
+	}
+	eng.SetVectorized(true)
+	if _, err := conn.QueryWithAccuracyContext(context.Background(), "select count(*) as c from order_products", 1e-9); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, conn = open()
+	defer eng.Close()
+	_ = conn
+
+	for s := faultpoint.Site(0); s < faultpoint.NumSites; s++ {
+		if faultpoint.Count(s) == 0 {
+			t.Errorf("site %s never fired", s)
+		}
+	}
 }

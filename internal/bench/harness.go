@@ -56,7 +56,7 @@ func NewTPCHEnv(cfg Config, mkDriver func(*engine.Engine) *drivers.Driver) (*Env
 		return nil, err
 	}
 	if cfg.BlockRows > 0 {
-		conn.Builder().BlockRows = cfg.BlockRows //verdict:unguarded bench setup: conn was just created and is not yet shared
+		conn.Builder().BlockRows = cfg.BlockRows
 	}
 	// The paper's I/O budget is 2%; use it fully (it also allowed up to 80%
 	// of the budget specifically for stratified samples).
@@ -88,7 +88,7 @@ func NewInstaEnv(cfg Config, mkDriver func(*engine.Engine) *drivers.Driver) (*En
 		return nil, err
 	}
 	if cfg.BlockRows > 0 {
-		conn.Builder().BlockRows = cfg.BlockRows //verdict:unguarded bench setup: conn was just created and is not yet shared
+		conn.Builder().BlockRows = cfg.BlockRows
 	}
 	for _, stmt := range []string{
 		"create uniform sample of order_products ratio 0.02",

@@ -92,9 +92,9 @@ type Middleware struct {
 // reading afterwards.
 type rowStats struct {
 	mu      sync.Mutex
-	version int64            //verdict:guardedby mu
-	gen     int64            //verdict:guardedby mu
-	rows    map[string]int64 //verdict:guardedby mu
+	version int64            // guarded by mu
+	gen     int64            // guarded by mu
+	rows    map[string]int64 // guarded by mu
 }
 
 // New builds a middleware over an underlying database and sample catalog.
@@ -111,7 +111,7 @@ func New(db drivers.DB, cat *meta.Catalog, opts Options) *Middleware {
 		opts.MaxGroupsFraction = 0.08
 	}
 	m := &Middleware{db: db, cat: cat, opts: opts, plans: newPlanCache(defaultPlanCacheCap)}
-	m.stats.rows = map[string]int64{} //verdict:unguarded construction: m is not shared until New returns
+	m.stats.rows = map[string]int64{}
 	return m
 }
 

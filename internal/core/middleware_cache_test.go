@@ -343,6 +343,54 @@ func TestConcurrentMiddlewareQueriesMatchSerial(t *testing.T) {
 	}
 }
 
+// TestInvalidateStatsDuringQueries flushes the row-count cache and the plan
+// cache from one goroutine while others run queries that re-plan and re-read
+// row counts: answers stay byte-identical, and under -race this checks the
+// stats cache's locking.
+func TestInvalidateStatsDuringQueries(t *testing.T) {
+	env := smallEnv(t, DefaultOptions())
+	queries := []string{
+		"select count(*) as c from orders",
+		"select city, sum(price) as s from orders group by city",
+	}
+	serial := make([]string, len(queries))
+	for i, q := range queries {
+		serial[i] = answerFingerprint(t, env, q)
+	}
+	done := make(chan struct{})
+	var flusher sync.WaitGroup
+	flusher.Add(1)
+	go func() {
+		defer flusher.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				env.m.InvalidateStats()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				for i, q := range queries {
+					if got := answerFingerprint(t, env, q); got != serial[i] {
+						t.Errorf("query %d diverged while stats were invalidated", i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	flusher.Wait()
+}
+
 func answerFingerprint(t testing.TB, env *testEnv, q string) string {
 	t.Helper()
 	a, err := query(context.Background(), env.m, q)

@@ -67,17 +67,17 @@ type planEntry struct {
 	// seq is the cache's insertion sequence number, written under the
 	// cache mutex at put time; eviction uses it to tell a live entry from
 	// a dead duplicate of the same key in the FIFO order.
-	seq int64 //verdict:guardedby planCache.mu
+	seq int64 // guarded by planCache.mu
 }
 
 // planCache is a bounded, thread-safe map from normalized SQL to planEntry.
 // Eviction is FIFO — shapes churn rarely and the cap only bounds memory.
 type planCache struct {
 	mu      sync.Mutex
-	entries map[string]*planEntry //verdict:guardedby mu
-	order   []orderItem           //verdict:guardedby mu
+	entries map[string]*planEntry // guarded by mu
+	order   []orderItem           // guarded by mu
 	cap     int
-	nextSeq int64 //verdict:guardedby mu
+	nextSeq int64 // guarded by mu
 
 	// gen counts flushes. A put whose pipeline began before a flush must
 	// not resurrect pre-flush state, so builders capture generation()

@@ -340,7 +340,7 @@ func (a *arenaList[T]) carve(p *viewPool, l *blockList[T], n, size int) []T {
 	}
 	if len(a.cur) < n {
 		blk := l.take(p, size)
-		a.blks, a.cur = append(a.blks, blk), blk //verdict:nocharge one slice header per block, reused query to query
+		a.blks, a.cur = append(a.blks, blk), blk // one slice header per block, reused query to query
 	}
 	out := a.cur[:n:n]
 	a.cur = a.cur[n:]
@@ -358,7 +358,7 @@ type viewPool struct {
 }
 
 // blockList is the pool's blocks of one kind, each by its first item.
-type blockList[T any] []weak.Pointer[T] //verdict:guardedby viewPool.mu
+type blockList[T any] []weak.Pointer[T] // guarded by viewPool.mu
 
 // take takes a block of size items from the list, or makes one.
 func (l *blockList[T]) take(p *viewPool, size int) []T {
@@ -384,7 +384,7 @@ func (l *blockList[T]) put(a *arenaList[T]) {
 		} else {
 			clear(b)
 		}
-		*l = append(*l, weak.Make(&b[0])) //verdict:nocharge pool bookkeeping: one weak pointer per block
+		*l = append(*l, weak.Make(&b[0])) // pool bookkeeping: one weak pointer per block
 	}
 }
 
@@ -471,8 +471,8 @@ type chunkCache struct {
 	cap   int64
 	gauge memGauge // resident bytes (storedChunk.bytes)
 
-	ll    *list.List                 //verdict:guardedby mu
-	items map[*segSlot]*list.Element //verdict:guardedby mu
+	ll    *list.List                 // guarded by mu
+	items map[*segSlot]*list.Element // guarded by mu
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -522,7 +522,7 @@ func (c *chunkCache) put(en *cacheEntry) {
 		return
 	}
 	c.gauge.add(en.bytes)
-	c.items[en.slot] = c.ll.PushFront(en) //verdict:nocharge cache residency is accounted on the cache's own gauge (the add above), evicted not aborted
+	c.items[en.slot] = c.ll.PushFront(en) // cache residency is accounted on the cache's own gauge (the add above), evicted not aborted
 	c.shrinkLocked()
 }
 
@@ -545,8 +545,7 @@ func (c *chunkCache) grow(s *segSlot, ch *storedChunk, bytes int64) {
 // shrinkLocked evicts from the cold end down to capacity. The entry just
 // inserted or grown is at the front, so it goes last, and only when it alone
 // is over capacity: such a chunk is served, never cached.
-//
-//verdict:locked mu
+// The caller holds c.mu.
 func (c *chunkCache) shrinkLocked() {
 	for c.gauge.used.Load() > c.cap {
 		back := c.ll.Back()
@@ -557,7 +556,7 @@ func (c *chunkCache) shrinkLocked() {
 	}
 }
 
-//verdict:locked mu
+// evictLocked drops one entry and its charge. The caller holds c.mu.
 func (c *chunkCache) evictLocked(el *list.Element) {
 	en := el.Value.(*cacheEntry)
 	c.ll.Remove(el)

@@ -1173,7 +1173,7 @@ func (s *colSource) resolveAll(qc *queryCtx) ([]*chunk, error) {
 		return s.scan, nil
 	}
 	slots := s.scanSlots(qc)
-	out := make([]*chunk, len(slots)) //verdict:nocharge chunk-pointer slice; loaded chunk bytes are tracked by the chunk cache
+	out := make([]*chunk, len(slots)) // chunk-pointer slice; loaded chunk bytes are tracked by the chunk cache
 	// Loading resident or cached chunks is not worth a fan-out.
 	nrows := 0
 	if s.probes {
@@ -1316,7 +1316,7 @@ func (t *Table) NumRows() int { return t.nrows }
 func (t *Table) ForEachRow(fn func(row []Value) error) error {
 	buf := make([]Value, len(t.Cols))
 	cvs := make([]*colVec, len(t.Cols))
-	//verdict:nopoll exported table utility with no query context; its consumers (dbgen, tests) run outside query execution
+	// exported table utility with no query context; its consumers (dbgen, tests) run outside query execution
 	for _, sl := range t.sealed {
 		ch, err := sl.load(nil, nil)
 		if err != nil {

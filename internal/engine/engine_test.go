@@ -567,3 +567,38 @@ func TestGroupByExpression(t *testing.T) {
 		t.Fatalf("months: %d", len(rs.Rows))
 	}
 }
+
+// TestConcurrentDDLAndLookup creates and drops tables from one goroutine
+// while others resolve table names and run queries. Under -race this checks
+// the table map's locking.
+func TestConcurrentDDLAndLookup(t *testing.T) {
+	e := testDB(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			name := fmt.Sprintf("tmp_%d", i%4)
+			if err := e.CreateTable(name, []Column{{Name: "x", Type: TInt}}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := e.DropTable(name, false); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if _, err := e.Lookup("orders"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Query("select count(*) from orders"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

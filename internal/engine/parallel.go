@@ -94,13 +94,13 @@ func runChunks(bounds []int, fn func(w, lo, hi int) error) error {
 // worker that drew the fat ones would finish last.
 func morselBounds(slots []chunkSlot, nw int) []int {
 	total := 0
-	//verdict:nopoll plan-time prefix sum: O(1) per slot
+	// plan-time prefix sum: O(1) per slot
 	for _, sl := range slots {
 		total += sl.slotRows()
 	}
 	bounds := make([]int, nw+1)
 	w, before := 1, 0
-	//verdict:nopoll plan-time prefix sum: O(1) per slot
+	// plan-time prefix sum: O(1) per slot
 	for i, sl := range slots {
 		for ; w < nw && before*nw >= w*total; w++ {
 			bounds[w] = i

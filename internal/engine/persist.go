@@ -52,9 +52,9 @@ type dataDir struct {
 	// protects the manifest and segment registry. Always acquired before
 	// (never under) Engine.mu.
 	mu      sync.Mutex
-	man     *storage.Manifest           //verdict:guardedby mu
-	segs    map[string]*storage.Segment //verdict:guardedby mu — live data segments by base name
-	retired []*storage.Segment          //verdict:guardedby mu — unlinked but possibly still referenced by query snapshots
+	man     *storage.Manifest           // guarded by mu
+	segs    map[string]*storage.Segment // guarded by mu: live data segments by base name
+	retired []*storage.Segment          // guarded by mu: unlinked but possibly still referenced by query snapshots
 
 	// ctx cancels in-flight flush/compaction work at Close; stop/done
 	// bracket the background flusher goroutine (nil when not started).
@@ -63,7 +63,7 @@ type dataDir struct {
 	stop   chan struct{}
 	done   chan struct{}
 
-	flushErr error //verdict:guardedby mu — last background flush failure
+	flushErr error // guarded by mu: last background flush failure
 }
 
 // RecoveryReport summarizes what AttachDataDir found on disk.
@@ -159,7 +159,7 @@ func (dd *dataDir) recoverTable(tm *storage.TableManifest, rep *RecoveryReport) 
 			continue
 		}
 		//verdict:nocharge open-time segment registry and table slots, bounded by files on disk, not query state
-		dd.segs[ref.File] = seg //verdict:unguarded construction: dd is not shared until AttachDataDir publishes it
+		dd.segs[ref.File] = seg
 		for i := range seg.Meta.Chunks {
 			t.sealed = append(t.sealed, &segSlot{seg: seg, idx: i, cache: dd.cache}) //verdict:nocharge recovered table slots, charged per load via the chunk cache
 			t.nrows += seg.Meta.Chunks[i].NRows
@@ -244,7 +244,7 @@ func (dd *dataDir) sweepOrphans() []string {
 	if err != nil {
 		return nil
 	}
-	live := dd.man.LiveFiles() //verdict:unguarded construction: sweep runs at open before dd is published
+	live := dd.man.LiveFiles()
 	var removed []string
 	for _, en := range entries {
 		name := en.Name()
@@ -352,8 +352,6 @@ type flushWork struct {
 // table slots to segment-backed ones. Crash ordering: segment files are
 // fsynced before the manifest commit, and files orphaned by a crash in
 // between are swept at next open.
-//
-//verdict:locked mu
 func (dd *dataDir) flushLocked(e *Engine, qc *queryCtx, warmCache bool) error {
 	work, dropped := dd.snapshotFlush(e)
 	if len(work) == 0 && len(dropped) == 0 {
@@ -407,7 +405,7 @@ func (dd *dataDir) flushLocked(e *Engine, qc *queryCtx, warmCache bool) error {
 				tm.Tail = nil
 			}
 			if len(w.tail) > 0 {
-				tch := buildChunk(w.tail, len(w.cols)) //verdict:nocharge flush-side staging, freed when the flush returns
+				tch := buildChunk(w.tail, len(w.cols)) // flush-side staging, freed when the flush returns
 				file := dd.nextSegFile(tm)
 				scs := []*storage.Chunk{{NRows: tch.n, Cols: make([]storage.Col, len(tch.cols))}}
 				for j := range tch.cols {
@@ -460,8 +458,7 @@ func (dd *dataDir) flushLocked(e *Engine, qc *queryCtx, warmCache bool) error {
 
 // snapshotFlush collects, under e.mu.RLock, every table with unflushed
 // state, plus manifest tables that no longer exist in the engine.
-//
-//verdict:locked mu
+// The caller holds dd.mu.
 func (dd *dataDir) snapshotFlush(e *Engine) ([]flushWork, []string) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -511,7 +508,7 @@ func (dd *dataDir) installSlots(e *Engine, w *flushWork, seg *storage.Segment, w
 		return // dropped (or replaced) while flushing; reconciled next cycle
 	}
 	sealed := append([]chunkSlot(nil), w.t.sealed...)
-	//verdict:nopoll O(#flushed chunks) pointer swaps under e.mu — no row work, must not abort half-swapped
+	// O(#flushed chunks) pointer swaps under e.mu — no row work, must not abort half-swapped
 	for i, ch := range w.newChunks {
 		s := &segSlot{seg: seg, idx: i, cache: dd.cache}
 		sealed[w.persisted+i] = s
@@ -525,8 +522,7 @@ func (dd *dataDir) installSlots(e *Engine, w *flushWork, seg *storage.Segment, w
 
 // manifestTable returns (creating if needed) the table's manifest entry,
 // refreshing its schema.
-//
-//verdict:locked mu
+// The caller holds dd.mu.
 func (dd *dataDir) manifestTable(name string, cols []Column) *storage.TableManifest {
 	tm := dd.man.Table(name)
 	if tm == nil {
@@ -543,8 +539,7 @@ func (dd *dataDir) manifestTable(name string, cols []Column) *storage.TableManif
 // nextSegFile allocates a fresh segment file name for the table, skipping
 // any name already live in the manifest (distinct tables can sanitize to
 // the same prefix).
-//
-//verdict:locked mu
+// The caller holds dd.mu.
 func (dd *dataDir) nextSegFile(tm *storage.TableManifest) string {
 	live := dd.man.LiveFiles()
 	for {
@@ -570,8 +565,7 @@ func sanitizeFileName(name string) string {
 }
 
 // dropTableLocked removes a table's manifest entry and retires its files.
-//
-//verdict:locked mu
+// The caller holds dd.mu.
 func (dd *dataDir) dropTableLocked(name string) {
 	tm := dd.man.Table(name)
 	if tm == nil {
@@ -592,8 +586,7 @@ func (dd *dataDir) dropTableLocked(name string) {
 // mapping on first touch (segFill), so it stays open — an open descriptor
 // keeps the unlinked inode readable — until Engine.Close. Cache entries for
 // retired slots age out via LRU.
-//
-//verdict:locked mu
+// The caller holds dd.mu.
 func (dd *dataDir) retireFileLocked(file string) {
 	if seg, ok := dd.segs[file]; ok {
 		dd.retired = append(dd.retired, seg) //verdict:nocharge open-descriptor bookkeeping, bounded by retired segment files
@@ -604,8 +597,7 @@ func (dd *dataDir) retireFileLocked(file string) {
 
 // saveManifestLocked commits the manifest unless this is a spill scratch
 // directory (never reopened, so durability is skipped for speed).
-//
-//verdict:locked mu
+// The caller holds dd.mu.
 func (dd *dataDir) saveManifestLocked() error {
 	if dd.temp {
 		dd.man.Version++
@@ -618,8 +610,6 @@ func (dd *dataDir) saveManifestLocked() error {
 // across compactMinSegments or more files into a single segment, then
 // retires the originals. Pure storage-level rewrite: chunk bytes round-trip
 // through the storage codec unchanged.
-//
-//verdict:locked mu
 func (dd *dataDir) compactLocked(e *Engine, qc *queryCtx) error {
 	for ti := range dd.man.Tables {
 		tm := dd.man.Tables[ti]

@@ -39,10 +39,10 @@ func faultEnginePair(t *testing.T) (mem, disk *Engine, dir string) {
 // write path (segment write, segment fsync): the flush fails typed, no
 // table state moves, queries keep working, and the retry after disarming
 // persists exactly once.
-func flushFaultContract(t *testing.T, site string) {
+func flushFaultContract(t *testing.T, site faultpoint.Site) {
 	t.Helper()
 	mem, disk, dir := faultEnginePair(t)
-	boom := errors.New("injected: " + site)
+	boom := errors.New("injected: " + site.String())
 	faultpoint.SetError(site, boom)
 
 	err := disk.Flush()
@@ -60,7 +60,7 @@ func flushFaultContract(t *testing.T, site string) {
 		t.Fatalf("failed flush advanced persisted to %d", tbl.persisted)
 	}
 	// Queries still serve from the resident chunks while the disk is "down".
-	expectParity(t, site+"-armed", mem, disk)
+	expectParity(t, site.String()+"-armed", mem, disk)
 
 	faultpoint.Clear(site)
 	if err := disk.Flush(); err != nil {
@@ -70,7 +70,7 @@ func flushFaultContract(t *testing.T, site string) {
 		t.Fatalf("retry persisted %d chunks, want 5", tbl.persisted)
 	}
 	disk.DropChunkCache()
-	expectParity(t, site+"-cleared", mem, disk)
+	expectParity(t, site.String()+"-cleared", mem, disk)
 
 	// The retried flush must not have double-referenced any chunks: a fresh
 	// open of the directory sees exactly the original row count.
@@ -86,7 +86,7 @@ func flushFaultContract(t *testing.T, site string) {
 	if rep.Rows != persistTotal || len(rep.Quarantined) != 0 {
 		t.Fatalf("reopen after retried flush: %+v", rep)
 	}
-	expectParity(t, site+"-reopen", mem, re)
+	expectParity(t, site.String()+"-reopen", mem, re)
 }
 
 func TestFaultSegmentWriteFlush(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"verdictdb/internal/storage"
 )
@@ -125,6 +126,23 @@ func TestPersistFlushAndScanParity(t *testing.T) {
 	expectParity(t, "cold", mem, disk)
 	if st := disk.ChunkCache(); st.Misses == 0 {
 		t.Fatalf("cold scans never touched the cache: %+v", st)
+	}
+}
+
+// TestLastFlushErrorDuringBackgroundFlush reads the background flusher's
+// last error through one of its cycles: a healthy directory reports nil, and
+// under -race this checks the error's locking.
+func TestLastFlushErrorDuringBackgroundFlush(t *testing.T) {
+	ownDataDir(t)
+	e := newPersistEngine(t, persistTotal)
+	if _, err := e.AttachDataDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for end := time.Now().Add(flushInterval * 3 / 2); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		if err := e.LastFlushError(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -69,7 +69,7 @@ func (r *relation) buildIndex() {
 	}
 	r.qualified = make(map[string]int, len(r.names))
 	r.bare = make(map[string]int, len(r.names))
-	//verdict:nocharge name index: one entry per schema column, not row-scale
+	// name index: one entry per schema column, not row-scale
 	for i, n := range r.names {
 		low := strings.ToLower(n)
 		if q := r.qualifiers[i]; q != "" {

@@ -97,7 +97,7 @@ func (t *Table) ColIndex(name string) int {
 // and Query, plus bulk-load helpers for test and workload data.
 type Engine struct {
 	mu     sync.RWMutex
-	tables map[string]*Table //verdict:guardedby mu
+	tables map[string]*Table // guarded by mu
 
 	rngMu sync.Mutex
 	rng   rngSource
@@ -372,6 +372,6 @@ func (e *Engine) storeResultLocked(qc *queryCtx, name string, cols []Column, rs 
 	if err := qc.pollAbort(); err != nil {
 		return err
 	}
-	e.tables[key] = t //verdict:nocharge catalog entry: result rows were charged by the query that produced them
+	e.tables[key] = t // catalog entry: result rows were charged by the query that produced them
 	return nil
 }

@@ -43,18 +43,18 @@ func buildVecPlan(p *scanPlan) *vecPlan {
 		if n == nil {
 			return nil
 		}
-		vp.keys = append(vp.keys, n) //verdict:nocharge plan-size: one vnode per GROUP BY expression
+		vp.keys = append(vp.keys, n) // plan-size: one vnode per GROUP BY expression
 	}
 	for _, sp := range p.specs {
 		if sp.fc.Star {
-			vp.args = append(vp.args, nil) //verdict:nocharge plan-size: one vnode slot per aggregate call
+			vp.args = append(vp.args, nil) // plan-size: one vnode slot per aggregate call
 			continue
 		}
 		n := c.lower(sp.fc.Args[0])
 		if n == nil {
 			return nil
 		}
-		vp.args = append(vp.args, n) //verdict:nocharge plan-size: one vnode slot per aggregate call
+		vp.args = append(vp.args, n) // plan-size: one vnode slot per aggregate call
 	}
 	vp.nbuf = c.nbuf
 	return vp
@@ -249,7 +249,7 @@ func buildVecSelect(scope *env, outCols []outCol, whereAST sqlparser.Expr) *vecS
 			return nil
 		}
 	}
-	//verdict:nocharge plan-size: one vnode per projected output column
+	// plan-size: one vnode per projected output column
 	for _, oc := range outCols {
 		ci, n := oc.idx, vnode(nil)
 		if oc.expr != nil {
@@ -261,8 +261,8 @@ func buildVecSelect(scope *env, outCols []outCol, whereAST sqlparser.Expr) *vecS
 				ci, n = cn.col, nil // explicit column reference: late-materialize too
 			}
 		}
-		vs.items = append(vs.items, n)        //verdict:nocharge plan-size
-		vs.itemCols = append(vs.itemCols, ci) //verdict:nocharge plan-size
+		vs.items = append(vs.items, n)
+		vs.itemCols = append(vs.itemCols, ci)
 	}
 	vs.nbuf = c.nbuf
 	return vs

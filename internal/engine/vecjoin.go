@@ -185,7 +185,7 @@ type vecJoin struct {
 // chunkStarts returns each chunk's flat row offset followed by the total.
 func chunkStarts[S chunkSlot](chunks []S) []int {
 	starts := make([]int, len(chunks)+1)
-	//verdict:nopoll plan-time prefix sum: O(1) per chunk
+	// plan-time prefix sum: O(1) per chunk
 	for i, ch := range chunks {
 		starts[i+1] = starts[i] + ch.slotRows()
 	}
@@ -254,7 +254,7 @@ func (vj *vecJoin) run() (*colSource, error) {
 		return nil, err
 	}
 	src := &colSource{sealed: slots, probes: true}
-	//verdict:nopoll plan-time row estimate: O(1) per slot
+	// plan-time row estimate: O(1) per slot
 	for _, sl := range slots {
 		src.nrows += sl.slotRows()
 	}

@@ -439,7 +439,7 @@ func pruneChunks(src *colSource, preds []rangePred) *colSource {
 	}
 	var keep []bool
 	for _, p := range preds {
-		//verdict:nopoll zone-map metadata only: O(1) min/max check per chunk, no row work
+		// zone-map metadata only: O(1) min/max check per chunk, no row work
 		for i, sl := range src.sealed {
 			if keep != nil && !keep[i] {
 				continue

@@ -1,76 +1,76 @@
 // Site registry: the catalog of fault-injection sites compiled into the
-// engine and middleware. This file carries no build tag — both the armed
-// (faultinject) and no-op implementations share it, and verdictlint's
-// faultsite analyzer checks every Hit/Set*/Clear/Count call site against
-// these constants, so a misspelled site name is a build-time diagnostic
-// instead of a test that silently tests nothing.
+// engine and middleware. A site is a Site constant, not a string, so a
+// misspelled site does not compile; VERDICT_FAULTPOINTS names are looked up
+// in siteNames.
 package faultpoint
 
-import "sort"
+// Site is one registered fault-injection site.
+type Site uint8
 
 // Registered fault-injection sites. Naming: <layer>.<operator>.<step>.
 const (
 	// SiteEngineQuery fires once per query at the top of engine execution.
-	SiteEngineQuery = "engine.query"
+	SiteEngineQuery Site = iota
 	// SiteEngineScanChunk fires per chunk on the vectorized scan path.
-	SiteEngineScanChunk = "engine.scan.chunk"
+	SiteEngineScanChunk
 	// SiteEngineScanRows fires per morsel on the row-fallback scan path.
-	SiteEngineScanRows = "engine.scan.rows"
+	SiteEngineScanRows
 	// SiteEngineJoinBuild fires per chunk of the input the join hashes.
-	SiteEngineJoinBuild = "engine.join.build"
+	SiteEngineJoinBuild
 	// SiteEngineJoinProbe fires per chunk of the input the join scans.
-	SiteEngineJoinProbe = "engine.join.probe"
+	SiteEngineJoinProbe
 	// SiteCoreProgressivePrefix fires per block-prefix in the progressive
 	// (online-aggregation) answer loop.
-	SiteCoreProgressivePrefix = "core.progressive.prefix"
+	SiteCoreProgressivePrefix
 	// SiteCoreMergePrefix fires while merging per-block partial answers
 	// into a prefix answer.
-	SiteCoreMergePrefix = "core.merge.prefix"
+	SiteCoreMergePrefix
 	// SiteStorageSegmentWrite fires before a segment file is created/written.
-	SiteStorageSegmentWrite = "storage.segment.write"
+	SiteStorageSegmentWrite
 	// SiteStorageSegmentFsync fires before a written segment is fsynced.
-	SiteStorageSegmentFsync = "storage.segment.fsync"
+	SiteStorageSegmentFsync
 	// SiteStorageSegmentRead fires per chunk load from a segment file.
-	SiteStorageSegmentRead = "storage.segment.read"
+	SiteStorageSegmentRead
 	// SiteStorageSegmentChecksum fires at chunk checksum verification; an
 	// injected error is reported as corruption (quarantine path).
-	SiteStorageSegmentChecksum = "storage.segment.checksum"
+	SiteStorageSegmentChecksum
 	// SiteStorageManifestWrite fires before a manifest save commits.
-	SiteStorageManifestWrite = "storage.manifest.write"
+	SiteStorageManifestWrite
+
+	// NumSites is the number of registered sites: every Site is below it.
+	NumSites
 )
 
-// sites is the lookup form of the catalog above.
-var sites = map[string]bool{
-	SiteEngineQuery:            true,
-	SiteEngineScanChunk:        true,
-	SiteEngineScanRows:         true,
-	SiteEngineJoinBuild:        true,
-	SiteEngineJoinProbe:        true,
-	SiteCoreProgressivePrefix:  true,
-	SiteCoreMergePrefix:        true,
-	SiteStorageSegmentWrite:    true,
-	SiteStorageSegmentFsync:    true,
-	SiteStorageSegmentRead:     true,
-	SiteStorageSegmentChecksum: true,
-	SiteStorageManifestWrite:   true,
+var siteNames = [NumSites]string{
+	SiteEngineQuery:            "engine.query",
+	SiteEngineScanChunk:        "engine.scan.chunk",
+	SiteEngineScanRows:         "engine.scan.rows",
+	SiteEngineJoinBuild:        "engine.join.build",
+	SiteEngineJoinProbe:        "engine.join.probe",
+	SiteCoreProgressivePrefix:  "core.progressive.prefix",
+	SiteCoreMergePrefix:        "core.merge.prefix",
+	SiteStorageSegmentWrite:    "storage.segment.write",
+	SiteStorageSegmentFsync:    "storage.segment.fsync",
+	SiteStorageSegmentRead:     "storage.segment.read",
+	SiteStorageSegmentChecksum: "storage.segment.checksum",
+	SiteStorageManifestWrite:   "storage.manifest.write",
 }
 
-// IsSite reports whether name is a registered fault-injection site.
-func IsSite(name string) bool { return sites[name] }
+// String returns the site's registered name.
+func (s Site) String() string { return siteNames[s] }
 
-// Sites returns the registered site names in sorted order.
-func Sites() []string {
-	out := make([]string, 0, len(sites))
-	for s := range sites {
-		out = append(out, s)
+// siteNamed returns the site registered under name.
+func siteNamed(name string) (Site, bool) {
+	for s, n := range siteNames {
+		if n == name {
+			return Site(s), true
+		}
 	}
-	sort.Strings(out)
-	return out
+	return 0, false
 }
 
 // PanicValue is the value injected panics carry, so recovery boundaries
-// (and tests) can recognize a synthetic crash. It lives in this untagged
-// file so both build configurations expose it.
-type PanicValue struct{ Site string }
+// (and tests) can recognize a synthetic crash.
+type PanicValue struct{ Site Site }
 
-func (p PanicValue) String() string { return "faultpoint: injected panic at " + p.Site }
+func (p PanicValue) String() string { return "faultpoint: injected panic at " + p.Site.String() }

@@ -85,10 +85,15 @@ func namedOrPointee(t types.Type) *types.Named {
 	return n
 }
 
-// methodOf returns the method with the given name on t (through a pointer
-// receiver), or nil. pkg is needed so unexported names resolve.
-func methodOf(t types.Type, pkg *types.Package, name string) *types.Func {
-	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, pkg, name)
-	fn, _ := obj.(*types.Func)
-	return fn
+// fieldOf resolves a selector to the struct field it selects, or nil.
+func fieldOf(pass *Pass, sel *ast.SelectorExpr) *types.Var {
+	selection, ok := pass.Info.Selections[sel]
+	if !ok {
+		return nil
+	}
+	fv, ok := selection.Obj().(*types.Var)
+	if !ok || !fv.IsField() {
+		return nil
+	}
+	return fv
 }

@@ -16,23 +16,16 @@ import (
 // ErrMemoryBudget instead of the OOM killer.
 //
 // "Charges" is a transitive property: a local fixpoint propagates it
-// through same-package call chains, and the chargesFnFact exports it into
-// the .vetx file so helpers charging in one package satisfy growth sites
-// in another. Growth that is genuinely bounded (fixed-size ring, value
+// through same-package call chains. The rule binds internal/engine only,
+// and nothing engine imports is in its scope, so no charging helper lives
+// in another package. Growth that is genuinely bounded (fixed-size ring, value
 // overwritten in place, state charged by the single caller) is annotated
 // //verdict:nocharge <why>.
 var BudgetCharge = &Analyzer{
-	Name:      "budgetcharge",
-	Doc:       "unbounded growth on engine exec paths must charge the query memory budget, directly or via a charging helper (suppress: //verdict:nocharge)",
-	Run:       runBudgetCharge,
-	FactTypes: []Fact{(*chargesFnFact)(nil)},
+	Name: "budgetcharge",
+	Doc:  "unbounded growth on engine exec paths must charge the query memory budget, directly or via a charging helper (suppress: //verdict:nocharge)",
+	Run:  runBudgetCharge,
 }
-
-// chargesFnFact marks a function that charges the query memory budget,
-// directly or through its callees.
-type chargesFnFact struct{}
-
-func (*chargesFnFact) AFact() {}
 
 func runBudgetCharge(pass *Pass) error {
 	if !pass.InModule() {
@@ -58,8 +51,8 @@ func runBudgetCharge(pass *Pass) error {
 		}
 	}
 
-	// Seed: functions that charge directly (or via an imported helper whose
-	// fact says it charges), plus the local call graph for the fixpoint.
+	// Seed: functions that charge directly, plus the local call graph for
+	// the fixpoint.
 	charges := map[*types.Func]bool{}
 	callees := map[*types.Func][]*types.Func{}
 	for fn, fd := range decls {
@@ -78,8 +71,6 @@ func runBudgetCharge(pass *Pass) error {
 			}
 			if _, local := decls[callee]; local {
 				callees[fn] = append(callees[fn], callee)
-			} else if pass.ImportObjectFact(callee, new(chargesFnFact)) {
-				charges[fn] = true
 			}
 			return true
 		})
@@ -100,9 +91,6 @@ func runBudgetCharge(pass *Pass) error {
 				}
 			}
 		}
-	}
-	for fn := range charges {
-		pass.ExportObjectFact(fn, &chargesFnFact{})
 	}
 
 	// Every growth site inside a non-charging function is unaccounted.

@@ -7,9 +7,8 @@ import (
 	"verdictdb/internal/lint/linttest"
 )
 
-// TestBudgetCharge covers direct charges, the local fixpoint, the
-// //verdict:nocharge suppression, and — via the internal/engine/bdep
-// dependency — the charges fact crossing the package boundary.
+// TestBudgetCharge covers direct charges, the local fixpoint and the
+// //verdict:nocharge suppression.
 func TestBudgetCharge(t *testing.T) {
 	linttest.Run(t, "internal/engine/bcharge", lint.BudgetCharge)
 }

@@ -31,11 +31,7 @@ import (
 //   - `tool pkg.cfg`  → diagnostics on stderr, non-zero exit when any fired,
 //     and a .vetx output file so the go command can cache the run.
 //
-// The .vetx files carry the suite's cross-package facts (facts.go): before
-// analyzing a package the driver decodes the .vetx of every dependency the
-// go command staged (vetConfig.PackageVetx), and afterwards it re-encodes
-// the union of imported and newly exported facts, so facts reach transitive
-// dependents even though the go command stages direct dependencies only.
+// No analyzer exports facts, so every .vetx file is empty.
 //
 // Invoked with package patterns instead of a .cfg file, the driver re-execs
 // itself through `go vet -vettool=<self>`, so `verdictlint ./...` works
@@ -50,11 +46,9 @@ type vetConfig struct {
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	IgnoredFiles              []string
 	ModulePath                string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	PackageVetx               map[string]string // dependency import path → .vetx fact file
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -64,7 +58,6 @@ type vetConfig struct {
 func Main(analyzers []*Analyzer) {
 	log.SetFlags(0)
 	log.SetPrefix("verdictlint: ")
-	registerFactTypes(analyzers)
 
 	enabled := map[string]*bool{}
 	for _, a := range analyzers {
@@ -174,9 +167,11 @@ func runConfig(cfgFile string, analyzers []*Analyzer) {
 		log.Fatalf("cannot decode vet config %s: %v", cfgFile, err)
 	}
 
-	facts := newFactSet()
-	if err := importDepFacts(facts, cfg); err != nil {
-		log.Fatalf("decoding dependency facts for %s: %v", cfg.ImportPath, err)
+	// A dependency is vetted only for the facts it would export, and there
+	// are none: its empty .vetx is the whole answer.
+	writeVetx(cfg)
+	if cfg.VetxOnly {
+		os.Exit(0)
 	}
 
 	fset := token.NewFileSet()
@@ -200,24 +195,20 @@ func runConfig(cfgFile string, analyzers []*Analyzer) {
 		// The go command sets SucceedOnTypecheckFailure when the compiler
 		// itself will report the errors; duplicate noise helps nobody.
 		if cfg.SucceedOnTypecheckFailure {
-			writeVetx(cfg, facts)
 			os.Exit(0)
 		}
 		log.Fatalf("typechecking %s failed: %v", cfg.ImportPath, err)
 	}
 
 	diags := runAnalyzers(analyzers, &Pass{
-		Fset:         fset,
-		Files:        files,
-		Pkg:          pkg,
-		Info:         info,
-		Module:       cfg.ModulePath,
-		IgnoredFiles: cfg.IgnoredFiles,
-		facts:        facts,
+		Fset:   fset,
+		Files:  files,
+		Pkg:    pkg,
+		Info:   info,
+		Module: cfg.ModulePath,
 	})
 
-	writeVetx(cfg, facts)
-	if cfg.VetxOnly || len(diags) == 0 {
+	if len(diags) == 0 {
 		os.Exit(0)
 	}
 	for _, d := range diags {
@@ -227,38 +218,12 @@ func runConfig(cfgFile string, analyzers []*Analyzer) {
 	os.Exit(2)
 }
 
-// importDepFacts decodes every dependency .vetx the go command staged into
-// the run's fact set. Deterministic order: later decodes overwrite earlier
-// slots, and while distinct packages cannot collide on a fact key, sorting
-// keeps the run reproducible byte-for-byte regardless.
-func importDepFacts(facts *factSet, cfg *vetConfig) error {
-	paths := make([]string, 0, len(cfg.PackageVetx))
-	for p := range cfg.PackageVetx {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		data, err := os.ReadFile(cfg.PackageVetx[p])
-		if err != nil {
-			// A missing dependency vetx means the dep was built by a tool
-			// without facts (or never analyzed); treat as fact-free.
-			continue
-		}
-		if err := facts.decodeInto(data); err != nil {
-			return fmt.Errorf("%s: %w", cfg.PackageVetx[p], err)
-		}
-	}
-	return nil
-}
-
 // runAnalyzers runs every analyzer over the pass and returns the combined
-// diagnostics in file/position order. Each analyzer runs with its own fact
-// namespace installed on the shared pass.
+// diagnostics in file/position order.
 func runAnalyzers(analyzers []*Analyzer, pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	pass.Report = func(d Diagnostic) { diags = append(diags, d) }
 	for _, a := range analyzers {
-		pass.analyzer = a.Name
 		if err := a.Run(pass); err != nil {
 			log.Fatalf("analyzer %s: %v", a.Name, err)
 		}
@@ -311,22 +276,13 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// writeVetx emits the analysis output the go command caches for dependency
-// runs: the gob-encoded union of imported and newly exported facts (see
-// facts.go). Written even when no facts exist — an empty fact file is what
-// dependents expect to find.
-func writeVetx(cfg *vetConfig, facts *factSet) {
+// writeVetx writes the empty analysis output the go command expects for
+// every package it vets (dependents would otherwise find no .vetx file).
+func writeVetx(cfg *vetConfig) {
 	if cfg.VetxOutput == "" {
 		return
 	}
-	var data []byte
-	if facts != nil && len(facts.m) > 0 {
-		var err error
-		if data, err = facts.encode(); err != nil {
-			log.Fatalf("encoding facts for %s: %v", cfg.ImportPath, err)
-		}
-	}
-	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
+	if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -11,12 +11,15 @@
 //   - detmaprange: no map iteration in order-sensitive engine/core code
 //   - ctxpoll: chunk/row loops poll the lifecycle hooks; no stray
 //     context.Background outside delegation shims
-//   - mergecomplete: accumulator implementations are complete (merge plus
-//     matched typed entry points)
+//   - budgetcharge: per-query growth on engine paths charges the budget
 //   - errwrapis: sentinels wrap with %w and compare with errors.Is
 //   - purekernel: compiled closures and vector kernels stay deterministic
-//   - faultsite: faultpoint call sites use registered site constants, and
-//     the on/off build-tag implementations expose identical APIs
+//   - hotalloc: vector kernels and per-row closures do not allocate
+//
+// What the compiler or `go test -race` already enforces is left to them:
+// typed atomics, accumulator merges, fault-site names (a faultpoint.Site
+// type) and mutex discipline have no analyzer. Every analyzer reads one
+// package at a time; none needs facts from its dependencies.
 //
 // A rule is suppressed at one site with a `//verdict:<token>` comment on the
 // flagged line or the line directly above it (each analyzer documents its
@@ -37,12 +40,6 @@ type Analyzer struct {
 	Name string // short lowercase identifier, also the CLI flag name
 	Doc  string // one-line contract description
 	Run  func(*Pass) error
-
-	// FactTypes lists the analyzer's cross-package fact prototypes (one
-	// zero value per concrete type; must be gob-encodable pointers). An
-	// analyzer with facts sees its own exports from dependency packages
-	// through Pass.ImportObjectFact; see facts.go.
-	FactTypes []Fact
 }
 
 // Diagnostic is one finding, positioned in the analyzed package.
@@ -65,23 +62,10 @@ type Pass struct {
 	// a `go vet -vettool` run over stdlib dependencies stays quiet.
 	Module string
 
-	// IgnoredFiles lists build-constrained files of the package directory
-	// that are excluded from this build configuration (e.g. the armed
-	// faultpoint implementation when the faultinject tag is off). faultsite
-	// parses them to check cross-tag API parity.
-	IgnoredFiles []string
-
 	// Report receives diagnostics; the driver owns ordering and output.
 	Report func(Diagnostic)
 
-	// facts is the cross-package fact store shared by the whole run;
-	// analyzer is the name of the analyzer currently running, namespacing
-	// its fact reads and writes. Both are owned by the driver (and the
-	// linttest harness).
-	facts    *factSet
-	analyzer string
-
-	annots map[*ast.File]map[int]map[string]string
+	annots map[*ast.File]map[int]map[string]bool
 }
 
 // Reportf reports a diagnostic at pos unless a `//verdict:<suppress>`
@@ -107,34 +91,7 @@ func (p *Pass) Suppressed(pos token.Pos, token string) bool {
 	}
 	lines := p.annotations(file)
 	line := p.Fset.Position(pos).Line
-	_, same := lines[line][token]
-	_, above := lines[line-1][token]
-	return same || above
-}
-
-// AnnotationArg returns the first word following a `//verdict:token`
-// annotation covering pos (same line or the line above) — e.g. the mutex
-// name of `//verdict:guardedby mu caller-facing note`. ok is false when no
-// such annotation covers the line.
-func (p *Pass) AnnotationArg(pos token.Pos, token string) (arg string, ok bool) {
-	if !pos.IsValid() {
-		return "", false
-	}
-	file := p.fileOf(pos)
-	if file == nil {
-		return "", false
-	}
-	lines := p.annotations(file)
-	line := p.Fset.Position(pos).Line
-	rest, ok := lines[line][token]
-	if !ok {
-		rest, ok = lines[line-1][token]
-	}
-	if !ok {
-		return "", false
-	}
-	arg, _, _ = strings.Cut(strings.TrimSpace(rest), " ")
-	return arg, true
+	return lines[line][token] || lines[line-1][token]
 }
 
 func (p *Pass) fileOf(pos token.Pos) *ast.File {
@@ -146,16 +103,15 @@ func (p *Pass) fileOf(pos token.Pos) *ast.File {
 	return nil
 }
 
-// annotations lazily indexes a file's `//verdict:` comments by line,
-// mapping each token to the text following it (arguments + justification).
-func (p *Pass) annotations(f *ast.File) map[int]map[string]string {
+// annotations lazily indexes a file's `//verdict:` tokens by line.
+func (p *Pass) annotations(f *ast.File) map[int]map[string]bool {
 	if p.annots == nil {
-		p.annots = map[*ast.File]map[int]map[string]string{}
+		p.annots = map[*ast.File]map[int]map[string]bool{}
 	}
 	if m, ok := p.annots[f]; ok {
 		return m
 	}
-	m := map[int]map[string]string{}
+	m := map[int]map[string]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text, ok := strings.CutPrefix(c.Text, "//verdict:")
@@ -163,18 +119,16 @@ func (p *Pass) annotations(f *ast.File) map[int]map[string]string {
 				continue
 			}
 			// The token ends at the first space; what follows is the
-			// argument (when the rule takes one) and the human-readable
-			// justification.
-			tok, rest, _ := strings.Cut(text, " ")
-			tok = strings.TrimSpace(tok)
-			if tok == "" {
+			// human-readable justification.
+			tok, _, _ := strings.Cut(text, " ")
+			if tok = strings.TrimSpace(tok); tok == "" {
 				continue
 			}
 			line := p.Fset.Position(c.Pos()).Line
 			if m[line] == nil {
-				m[line] = map[string]string{}
+				m[line] = map[string]bool{}
 			}
-			m[line][tok] = rest
+			m[line][tok] = true
 		}
 	}
 	p.annots[f] = m
@@ -221,15 +175,11 @@ func implementsError(t types.Type) bool {
 // All returns the full verdictlint suite in deterministic order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicField,
 		BudgetCharge,
 		CtxPoll,
 		DetMapRange,
 		ErrWrapIs,
-		FaultSite,
 		HotAlloc,
-		LockGuard,
-		MergeComplete,
 		PureKernel,
 	}
 }

@@ -15,7 +15,6 @@ package linttest
 import (
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -32,81 +31,30 @@ import (
 
 // Run loads the fixture package at testdata/src/<pkgPath> (relative to the
 // calling test's working directory), runs the analyzer over it, and checks
-// the diagnostics against the fixture's `// want` expectations.
-//
-// For analyzers with FactTypes, the harness mirrors the real driver's
-// cross-package flow: the analyzer first runs over every fixture dependency
-// (in dependency order), the accumulated facts are serialized through the
-// same gob encoding the .vetx files use and decoded back — so a fixture
-// test fails if fact serialization or import is broken, not just the
-// analyzer logic — and `// want` expectations are checked across all
-// fixture packages involved.
+// the diagnostics against the fixture's `// want` expectations. Fixtures
+// import only the standard library.
 func Run(t *testing.T, pkgPath string, a *lint.Analyzer) {
 	t.Helper()
-	ld := &loader{
-		fset:   token.NewFileSet(),
-		root:   filepath.Join("testdata", "src"),
-		pkgs:   map[string]*types.Package{},
-		source: importer.ForCompiler(token.NewFileSet(), "source", nil),
-	}
-	pkg, files, ignored, err := ld.loadFixture(pkgPath)
+	fset := token.NewFileSet()
+	pkg, files, info, err := loadFixture(fset, filepath.Join("testdata", "src", pkgPath), pkgPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkgPath, err)
 	}
 
 	var diags []lint.Diagnostic
-	report := func(d lint.Diagnostic) { diags = append(diags, d) }
-
-	allFiles := files
-	var facts *lint.FactCarrier
-	if len(a.FactTypes) > 0 {
-		facts = lint.NewFactCarrier([]*lint.Analyzer{a})
-		// Dependency fixtures finished loading before their dependents
-		// (loadFixture registers a package only after its imports resolve),
-		// so ld.order is already a valid analysis order.
-		for _, dep := range ld.order {
-			if dep == pkgPath {
-				continue
-			}
-			pass := &lint.Pass{
-				Fset:         ld.fset,
-				Files:        ld.files[dep],
-				Pkg:          ld.pkgs[dep],
-				Info:         ld.infos[dep],
-				Module:       "",
-				IgnoredFiles: ld.ignored[dep],
-				Report:       report,
-			}
-			facts.Install(pass, a.Name)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("analyzer %s on dependency %s: %v", a.Name, dep, err)
-			}
-			// Round-trip through the .vetx wire encoding between packages,
-			// exactly as the unitchecker protocol would.
-			if err := facts.RoundTrip(); err != nil {
-				t.Fatalf("fact round-trip after %s: %v", dep, err)
-			}
-			allFiles = append(allFiles, ld.files[dep]...)
-		}
-	}
-
 	pass := &lint.Pass{
-		Fset:         ld.fset,
-		Files:        files,
-		Pkg:          pkg,
-		Info:         ld.infos[pkgPath],
-		Module:       "", // fixtures are module-agnostic; module-scoped rules stay active
-		IgnoredFiles: ignored,
-		Report:       report,
-	}
-	if facts != nil {
-		facts.Install(pass, a.Name)
+		Fset:   fset,
+		Files:  files,
+		Pkg:    pkg,
+		Info:   info,
+		Module: "", // fixtures are module-agnostic; module-scoped rules stay active
+		Report: func(d lint.Diagnostic) { diags = append(diags, d) },
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("analyzer %s: %v", a.Name, err)
 	}
 
-	checkExpectations(t, ld.fset, allFiles, diags)
+	checkExpectations(t, fset, files, diags)
 }
 
 // expectation is one `// want "re"` entry, keyed by file:line.
@@ -166,54 +114,22 @@ func checkExpectations(t *testing.T, fset *token.FileSet, files []*ast.File, dia
 	}
 }
 
-// loader typechecks fixture packages, resolving fixture-to-fixture imports
-// under testdata/src and everything else from GOROOT source.
-type loader struct {
-	fset    *token.FileSet
-	root    string
-	pkgs    map[string]*types.Package
-	infos   map[string]*types.Info
-	files   map[string][]*ast.File
-	ignored map[string][]string
-	order   []string // fixture packages in completion (= dependency) order
-	source  types.Importer
-}
-
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if pkg, ok := ld.pkgs[path]; ok {
-		return pkg, nil
-	}
-	if dir := filepath.Join(ld.root, path); dirExists(dir) {
-		pkg, _, _, err := ld.loadFixture(path)
-		return pkg, err
-	}
-	return ld.source.Import(path)
-}
-
-func (ld *loader) loadFixture(pkgPath string) (*types.Package, []*ast.File, []string, error) {
-	dir := filepath.Join(ld.root, pkgPath)
+// loadFixture parses and type-checks the fixture package in dir, resolving
+// its imports from GOROOT source.
+func loadFixture(fset *token.FileSet, dir, pkgPath string) (*types.Package, []*ast.File, *types.Info, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	var files []*ast.File
-	var ignored []string
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") {
 			continue
 		}
-		// Honor build constraints the same way the go command does, so
-		// tagged fixture twins (faultpoint_on.go) land in IgnoredFiles.
-		if ok, merr := build.Default.MatchFile(dir, name); merr != nil {
-			return nil, nil, nil, merr
-		} else if !ok {
-			ignored = append(ignored, filepath.Join(dir, name))
-			continue
-		}
-		f, perr := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if perr != nil {
-			return nil, nil, nil, perr
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, nil, err
 		}
 		files = append(files, f)
 	}
@@ -226,27 +142,10 @@ func (ld *loader) loadFixture(pkgPath string) (*types.Package, []*ast.File, []st
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	if ld.infos == nil {
-		ld.infos = map[string]*types.Info{}
-	}
-	ld.infos[pkgPath] = info
-	tc := &types.Config{Importer: ld}
-	pkg, err := tc.Check(pkgPath, ld.fset, files, info)
+	tc := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	pkg, err := tc.Check(pkgPath, fset, files, info)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("typecheck: %w", err)
 	}
-	ld.pkgs[pkgPath] = pkg
-	if ld.files == nil {
-		ld.files = map[string][]*ast.File{}
-		ld.ignored = map[string][]string{}
-	}
-	ld.files[pkgPath] = files
-	ld.ignored[pkgPath] = ignored
-	ld.order = append(ld.order, pkgPath)
-	return pkg, files, ignored, nil
-}
-
-func dirExists(dir string) bool {
-	st, err := os.Stat(dir)
-	return err == nil && st.IsDir()
+	return pkg, files, info, nil
 }

@@ -1,14 +1,14 @@
 // Golden cases for the budgetcharge analyzer: growth sites must reach a
-// charge primitive in-function, through a local helper (fixpoint), or
-// through an imported helper whose charges fact crossed the package
-// boundary.
+// charge primitive in-function or through a local helper (fixpoint).
 package bcharge
-
-import "internal/engine/bdep"
 
 type queryCtx struct{ used int64 }
 
 func (qc *queryCtx) chargeMem(n int64) { qc.used += n }
+
+type memGauge struct{ used int64 }
+
+func (g *memGauge) add(n int64) { g.used += n }
 
 type groupTable struct {
 	order []string
@@ -30,21 +30,15 @@ func (t *groupTable) putCharged(qc *queryCtx, k string, v int) {
 }
 
 // putViaHelper never charges directly: the local fixpoint sees the hop
-// through charge, which reaches the budget via the imported helper.
-func (t *groupTable) putViaHelper(qc *bdep.QueryCtx, k string) {
-	t.charge(qc, k)
+// through charge and chargeRows to the memGauge.add primitive.
+func (t *groupTable) putViaHelper(g *memGauge, k string) {
+	t.charge(g, k)
 	t.order = append(t.order, k)
 }
 
-func (t *groupTable) charge(qc *bdep.QueryCtx, k string) {
-	bdep.ChargeRows(qc, int64(len(k)))
-}
+func (t *groupTable) charge(g *memGauge, k string) { chargeRows(g, int64(len(k))) }
 
-// putImported charges through the cross-package fact alone.
-func (t *groupTable) putImported(qc *bdep.QueryCtx, k string, v int) {
-	bdep.ChargeRows(qc, 16)
-	t.m[k] = append(t.m[k], v)
-}
+func chargeRows(g *memGauge, n int64) { g.add(n) }
 
 func (t *groupTable) putAnnotated(k string) {
 	t.order = append(t.order, k) //verdict:nocharge golden fixture: bounded by plan size

@@ -103,7 +103,7 @@ type Catalog struct {
 	db drivers.DB
 
 	mu    sync.Mutex                   // serializes writers (Register/Drop/Reload)
-	state atomic.Pointer[catalogState] //verdict:guardedby mu:write lock-free reads via Load; Store only under mu
+	state atomic.Pointer[catalogState] // lock-free reads via Load; Store only under mu
 }
 
 // Open returns a catalog bound to db, creating the metadata table if absent
@@ -122,7 +122,7 @@ func Open(db drivers.DB) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.state.Store(&catalogState{version: 1, infos: infos}) //verdict:unguarded construction: c is not shared until Open returns
+	c.state.Store(&catalogState{version: 1, infos: infos})
 	return c, nil
 }
 
@@ -305,8 +305,6 @@ func (c *Catalog) Reload() error {
 // removals rewrite the catalog table wholesale — metadata is tiny. If the
 // rewrite fails partway, the snapshot is resynced from whatever durable
 // state remains (under a bumped version) so memory and SQL never diverge.
-//
-//verdict:locked mu
 func (c *Catalog) commitLocked(version int64, infos []SampleInfo) error {
 	persist := func() error {
 		if err := c.db.ExecContext(context.Background(), "drop table if exists "+MetaTable); err != nil {

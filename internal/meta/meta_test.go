@@ -1,6 +1,8 @@
 package meta
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"verdictdb/internal/drivers"
@@ -218,6 +220,41 @@ func TestCatalogConcurrentReadersAndWriters(t *testing.T) {
 		_ = infos
 	}
 	<-done
+}
+
+// TestCatalogConcurrentRegisters registers distinct samples from several
+// goroutines at once. Each Register reads the snapshot, adds its entry and
+// rewrites the catalog table, so unless writers serialize, entries are lost
+// from the snapshot or from the table.
+func TestCatalogConcurrentRegisters(t *testing.T) {
+	cat, _ := newCatalog(t)
+	const writers, each = 8, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				err := cat.Register(SampleInfo{
+					SampleTable: fmt.Sprintf("s%d_%d", w, i), BaseTable: "t", Type: sqlparser.UniformSample,
+					Ratio: 0.01, SampleRows: 10, BaseRows: 1000, Subsamples: 4,
+				})
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if infos, _ := cat.Snapshot(); len(infos) != writers*each {
+		t.Fatalf("snapshot holds %d samples after %d concurrent registers", len(infos), writers*each)
+	}
+	if err := cat.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if infos, _ := cat.Snapshot(); len(infos) != writers*each {
+		t.Fatalf("catalog table holds %d samples after %d concurrent registers", len(infos), writers*each)
+	}
 }
 
 func TestEscapedNames(t *testing.T) {

@@ -56,21 +56,21 @@ type Builder struct {
 
 	// Delta is the per-stratum failure probability of Lemma 1 (default
 	// 0.001, the paper's default).
-	Delta float64 //verdict:guardedby mu
+	Delta float64 // guarded by mu
 	// MinStratumRows floors the per-stratum minimum m (Equation 1's
 	// |T| tau / d can be tiny for many-strata tables).
-	MinStratumRows int64 //verdict:guardedby mu
+	MinStratumRows int64 // guarded by mu
 	// StaircaseLevels is the number of CASE rungs (default 16).
-	StaircaseLevels int //verdict:guardedby mu
+	StaircaseLevels int // guarded by mu
 	// AutoTargetRows drives the default sampling parameter of Appendix F:
 	// tau = AutoTargetRows / |T| (paper default: 10M rows; scaled deployments
 	// lower it).
-	AutoTargetRows int64 //verdict:guardedby mu
+	AutoTargetRows int64 // guarded by mu
 	// BlockRows is the target rows per scramble block (the block size knob
 	// of the progressive executor). Samples are partitioned into
 	// ceil(rows/BlockRows) blocks at build time; <= 0 disables block
 	// partitioning.
-	BlockRows int64 //verdict:guardedby mu
+	BlockRows int64 // guarded by mu
 }
 
 // NewBuilder returns a Builder with the paper's defaults.
@@ -138,8 +138,7 @@ func subsampleCount(expectedRows float64) int64 {
 }
 
 // blockCount picks the number of scramble blocks for an expected sample size.
-//
-//verdict:locked mu
+// The caller holds b.mu.
 func (b *Builder) blockCount(expectedRows float64) int64 {
 	if b.BlockRows <= 0 {
 		return 1
@@ -167,7 +166,7 @@ func (b *Builder) CreateUniform(table string, tau float64) (meta.SampleInfo, err
 	return b.createUniform(table, tau)
 }
 
-//verdict:locked mu
+// createUniform is CreateUniform with b.mu held.
 func (b *Builder) createUniform(table string, tau float64) (meta.SampleInfo, error) {
 	if tau <= 0 || tau > 1 {
 		return meta.SampleInfo{}, fmt.Errorf("sampling: tau %v out of (0,1]", tau)
@@ -219,7 +218,7 @@ func (b *Builder) CreateHashed(table, column string, tau float64) (meta.SampleIn
 	return b.createHashed(table, column, tau)
 }
 
-//verdict:locked mu
+// createHashed is CreateHashed with b.mu held.
 func (b *Builder) createHashed(table, column string, tau float64) (meta.SampleInfo, error) {
 	if tau <= 0 || tau > 1 {
 		return meta.SampleInfo{}, fmt.Errorf("sampling: tau %v out of (0,1]", tau)
@@ -277,7 +276,7 @@ func (b *Builder) CreateStratified(table string, columns []string, tau float64) 
 	return b.createStratified(table, columns, tau)
 }
 
-//verdict:locked mu
+// createStratified is CreateStratified with b.mu held.
 func (b *Builder) createStratified(table string, columns []string, tau float64) (meta.SampleInfo, error) {
 	if len(columns) == 0 {
 		return meta.SampleInfo{}, fmt.Errorf("sampling: stratified sample needs ON columns")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"verdictdb/internal/drivers"
@@ -69,6 +70,38 @@ func TestCreateUniform(t *testing.T) {
 	}
 	if hi, _ := engine.ToInt(rs.Rows[0][3]); hi > si.Subsamples {
 		t.Errorf("sid hi %v > b %v", hi, si.Subsamples)
+	}
+}
+
+// TestConcurrentCreateSameSample builds the same uniform sample from several
+// goroutines at once. Creation drops, rebuilds and registers one table, so
+// the builder must serialize it: every call succeeds, and the catalog's row
+// count is the table's.
+func TestConcurrentCreateSameSample(t *testing.T) {
+	db, b := newTestDB(t, drivers.NewGeneric)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if _, err := b.CreateUniform("sales", 0.1); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	sis, err := b.cat.List()
+	if err != nil || len(sis) != 1 {
+		t.Fatalf("catalog after concurrent creates: %v, %v", sis, err)
+	}
+	rs, err := db.Query("select count(*) from " + sis[0].SampleTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := engine.ToInt(rs.Rows[0][0]); n != sis[0].SampleRows {
+		t.Fatalf("catalog records %d sample rows, the table holds %d", sis[0].SampleRows, n)
 	}
 }
 

@@ -47,7 +47,7 @@ type dsnInstance struct {
 	// target is the DSN's progressive-execution target relative error;
 	// 0 means plain single-shot Query.
 	target float64
-	refs   int //verdict:guardedby sqlDriver.mu
+	refs   int // guarded by sqlDriver.mu
 }
 
 type sqlDriver struct {

@@ -2,6 +2,7 @@ package verdictdb
 
 import (
 	"database/sql"
+	"sync"
 	"testing"
 )
 
@@ -186,6 +187,48 @@ func TestSQLDriverSharedDSNRefcount(t *testing.T) {
 	db2.Close()
 	if got := theDriver.openDSNs(); got != baseline {
 		t.Fatalf("instance not released after both closed: %d, want %d", got, baseline)
+	}
+}
+
+// TestSQLDriverConcurrentOpenClose opens and closes handles on one DSN from
+// many goroutines while another handle pins it: each driver connection takes
+// and drops one reference, so the instance lives until the pinning handle
+// closes. Under -race this checks the reference count's locking.
+func TestSQLDriverConcurrentOpenClose(t *testing.T) {
+	const dsn = "dataset=none;seed=104"
+	baseline := theDriver.openDSNs()
+	hold, err := sql.Open("verdictdb", dsn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := hold.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				db, err := sql.Open("verdictdb", dsn)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := db.Ping(); err != nil {
+					t.Error(err)
+				}
+				db.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := theDriver.openDSNs(); got != baseline+1 {
+		t.Fatalf("instances while pinned: %d, want %d", got, baseline+1)
+	}
+	hold.Close()
+	if got := theDriver.openDSNs(); got != baseline {
+		t.Fatalf("instances after the last close: %d, want %d", got, baseline)
 	}
 }
 
