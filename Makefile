@@ -13,8 +13,8 @@ test: build
 # parallel≡serial tests use several workers, with -count=1 because go test's
 # cache does not key on GOMAXPROCS (the runtime reads it, not the test): after
 # a plain `go test ./...` it would replay that run's results; faultinject
-# fires the internal/faultpoint sites; force-encodings dict/RLE/delta/decimal-
-# encodes every sealed chunk; the spill rows flush every sealed chunk to segment files.
+# fires the internal/faultpoint sites; force-encodings dict/delta/decimal-
+# encodes every sealed chunk-column it can; the spill rows flush every sealed chunk to segment files.
 # `make modes` runs every row in order, printing its name, and stops at the
 # first failure; `make modes ONLY=race` runs one. A new mode is a new row.
 define MODES

@@ -98,14 +98,9 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 	case cv.kind == TString && cv.inBlock():
 		hdrs = make([]string, len(idx))
 	}
-	r := 0
 	for k, x := range idx {
-		i, slot := int(x), int(x)
-		if cv.enc == encRLE {
-			r = cv.runFrom(r, i)
-			slot = r
-		}
-		if len(cv.nulls) > 0 && cv.nulls[slot] {
+		i := int(x)
+		if len(cv.nulls) > 0 && cv.nulls[i] {
 			continue
 		}
 		s := k * stride
@@ -121,16 +116,16 @@ func boxColLanes(dst []Value, stride int, cv *colVec, idx []int32) {
 			decFloats[k] = cv.decAt(i)
 			eb[s].data, eb[s].typ = unsafe.Pointer(&decFloats[k]), float64TypeWord
 		case cv.kind == TInt:
-			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.ints[slot]), int64TypeWord
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.ints[i]), int64TypeWord
 		case cv.kind == TFloat:
-			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.floats[slot]), float64TypeWord
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.floats[i]), float64TypeWord
 		case hdrs != nil:
-			hdrs[k] = cv.slotStr(slot)
+			hdrs[k] = cv.slotStr(i)
 			eb[s].data, eb[s].typ = unsafe.Pointer(&hdrs[k]), stringTypeWord
 		case cv.kind == TString:
-			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.strs[slot]), stringTypeWord
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.strs[i]), stringTypeWord
 		default:
-			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.bools[slot]), boolTypeWord
+			eb[s].data, eb[s].typ = unsafe.Pointer(&cv.bools[i]), boolTypeWord
 		}
 	}
 }

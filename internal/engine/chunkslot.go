@@ -43,23 +43,22 @@ func (c *chunk) slotZone(int) *storage.Zone { panic("engine: a resolved chunk is
 func (c *chunk) load(*queryCtx, *probeBuf) (*chunk, error) { return c, nil }
 
 // storedCol is one column of a sealed chunk as it stays in memory: a typed
-// header over a payload of pointer-free vectors — the null flags, run ends,
-// string offsets and one vector of lanes (typed values, dictionary codes,
-// packed words or a string block), each as the seal or the segment decoder
-// made it. The only pointers in the payload are a dictionary's string
-// headers and a boxed column's boxes (refs). Lengths follow from the header:
-// slots values (rows, or runs under encRLE), slots+1 offsets, nref
-// dictionary entries. A kernel reads the column through a view (view).
+// header over a payload of pointer-free vectors — the null flags, string
+// offsets and one vector of lanes (typed values, dictionary codes, packed
+// words or a string block), each as the seal or the segment decoder made it.
+// The only pointers in the payload are a dictionary's string headers and a
+// boxed column's boxes (refs). Lengths follow from the chunk's row count n
+// and the header: n values, n+1 offsets, nref dictionary entries. A kernel
+// reads the column through a view (view).
 type storedCol struct {
 	zone        storage.Zone
 	base        int64
 	kind        uint8 // a ColType
 	enc         colEnc
 	width, exp  uint8
-	sw          uint32
-	slots, nref uint32
-	nulls, ends unsafe.Pointer // *bool, *int32
-	offs, lanes unsafe.Pointer // *uint32, the lanes' element type
+	sw, nref    uint32
+	nulls, offs unsafe.Pointer // *bool, *uint32
+	lanes       unsafe.Pointer // the lanes' element type
 	refs        unsafe.Pointer // *string (encDict) or *Value (TAny)
 }
 
@@ -77,13 +76,11 @@ func payloadOf[T any](p unsafe.Pointer, n int) []T {
 // fromStorage makes s the header of a stored column of n rows, its payload
 // c's vectors.
 func (s *storedCol) fromStorage(c *storage.Col, n int) {
-	slots := n
-	if colEnc(c.Enc) == encRLE {
-		slots = len(c.RunEnds)
+	if c.Enc == storage.EncRLE {
+		expandRuns(c, n)
 	}
 	*s = storedCol{zone: c.Zone, base: c.Base, kind: c.Kind, enc: colEnc(c.Enc), width: c.Width, exp: c.Exp,
-		sw: c.StrWidth, slots: uint32(slots), nref: uint32(len(c.Dict)),
-		nulls: sliceData(c.Nulls), ends: sliceData(c.RunEnds), offs: sliceData(c.StrOffs)}
+		sw: c.StrWidth, nref: uint32(len(c.Dict)), nulls: sliceData(c.Nulls), offs: sliceData(c.StrOffs)}
 	switch {
 	case s.enc == encDict:
 		s.lanes, s.refs = sliceData(c.Codes), sliceData(c.Dict)
@@ -102,29 +99,69 @@ func (s *storedCol) fromStorage(c *storage.Col, n int) {
 	}
 }
 
+// expandRuns makes c, a run-length column of n rows, the raw column of the
+// same lanes: one slot, and one NULL flag, per row. Segments written by
+// earlier versions of the engine hold such columns, and compaction copies
+// them as they are, so this is where each one becomes a stored column.
+func expandRuns(c *storage.Col, n int) {
+	run := make([]int32, n) // run[i] is the run holding row i
+	for r, i := 0, 0; i < n; i++ {
+		for int(c.RunEnds[r]) <= i {
+			r++
+		}
+		run[i] = int32(r)
+	}
+	c.Nulls, c.Ints, c.Floats, c.Bools = perRow(c.Nulls, run), perRow(c.Ints, run), perRow(c.Floats, run), perRow(c.Bools, run)
+	if c.Kind == storage.KindString {
+		size := 0
+		for _, r := range run {
+			size += int(c.StrOffs[r+1] - c.StrOffs[r])
+		}
+		blk, offs := make([]byte, 0, size), make([]uint32, n+1)
+		for i, r := range run {
+			blk = append(blk, c.StrBytes[c.StrOffs[r]:c.StrOffs[r+1]]...)
+			offs[i+1] = uint32(len(blk))
+		}
+		c.StrBytes, c.StrOffs = blk, offs
+	}
+	c.Enc, c.RunEnds = storage.EncNone, nil
+}
+
+// perRow is one value of slots per row, row i's that of its run run[i] (nil
+// for nil).
+func perRow[T any](slots []T, run []int32) []T {
+	if slots == nil {
+		return nil
+	}
+	out := make([]T, len(run))
+	for i, r := range run {
+		out[i] = slots[r]
+	}
+	return out
+}
+
 // view makes cv the kernel form of the column, n rows: every vector a view
 // of the payload, so filling one allocates nothing and whatever a kernel or a
 // box takes from it points into the payload, never into cv.
 func (s *storedCol) view(cv *colVec, n int) {
-	slots := int(s.slots)
 	*cv = colVec{kind: ColType(s.kind), enc: s.enc, sw: s.sw, base: s.base, width: s.width, exp: s.exp,
-		nulls: payloadOf[bool](s.nulls, slots), runEnds: payloadOf[int32](s.ends, slots)}
+		nulls: payloadOf[bool](s.nulls, n)}
 	switch {
 	case s.enc == encDict:
 		cv.codes, cv.dict = payloadOf[uint8](s.lanes, n), payloadOf[string](s.refs, int(s.nref))
 	case s.enc == encDelta || s.enc == encDecimal:
 		cv.packed = payloadOf[uint64](s.lanes, (n*int(s.width)+63)/64)
 	case cv.kind == TInt:
-		cv.ints = payloadOf[int64](s.lanes, slots)
+		cv.ints = payloadOf[int64](s.lanes, n)
 	case cv.kind == TFloat:
-		cv.floats = payloadOf[float64](s.lanes, slots)
+		cv.floats = payloadOf[float64](s.lanes, n)
 	case cv.kind == TBool:
-		cv.bools = payloadOf[bool](s.lanes, slots)
+		cv.bools = payloadOf[bool](s.lanes, n)
 	case cv.kind == TString:
-		size := int(s.sw) * slots
+		size := int(s.sw) * n
 		if s.offs != nil {
-			cv.soffs = payloadOf[uint32](s.offs, slots+1)
-			size = int(cv.soffs[slots])
+			cv.soffs = payloadOf[uint32](s.offs, n+1)
+			size = int(cv.soffs[n])
 		}
 		cv.sbytes = payloadOf[byte](s.lanes, size)
 	default:
@@ -138,7 +175,7 @@ func (s *storedCol) bytes(n int) int64 {
 	var v colVec
 	s.view(&v, n)
 	b := int64(len(v.nulls)+len(v.bools)+len(v.codes)+len(v.sbytes)) +
-		4*int64(len(v.runEnds)+len(v.soffs)) + 8*int64(len(v.ints)+len(v.floats)+len(v.packed)) +
+		4*int64(len(v.soffs)) + 8*int64(len(v.ints)+len(v.floats)+len(v.packed)) +
 		int64(len(v.anys))*bytesPerValue
 	for _, e := range v.dict {
 		b += int64(len(e)) + 16
@@ -458,8 +495,8 @@ type segFill struct {
 }
 
 // chunkCache is the data directory's LRU over segment chunks, bounded by
-// what they hold: an entry starts at its chunk's header array and grows by
-// each column's payload as it is decoded. Its resident bytes are
+// what they hold: an entry starts at its chunk's pointer per column and grows
+// by each column's header and payload as it is decoded. Its resident bytes are
 // accounted on the same memGauge type the per-query budget uses, but the policy
 // differs deliberately: going over capacity evicts the least-recently-used
 // chunks instead of aborting anything — eviction is always possible because
@@ -640,7 +677,7 @@ func (c *colVec) mirror(z storage.Zone) storage.Col {
 		Kind: uint8(c.kind), Enc: uint8(c.enc), Nulls: c.nulls, Zone: z,
 		Ints: c.ints, Floats: c.floats, StrBytes: c.sbytes, StrOffs: c.soffs, StrWidth: c.sw,
 		Bools: c.bools, Anys: c.anys,
-		Dict: c.dict, Codes: c.codes, RunEnds: c.runEnds,
+		Dict: c.dict, Codes: c.codes,
 		Base: c.base, Width: c.width, Exp: c.exp, Packed: c.packed,
 	}
 }

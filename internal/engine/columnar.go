@@ -45,7 +45,7 @@ type colEnc uint8
 const (
 	encNone    colEnc = iota // raw typed vector (or boxed TAny)
 	encDict                  // sorted per-chunk dictionary + one-byte codes (strings)
-	encRLE                   // run-length: run end offsets + one value slot per run
+	_                        // storage.EncRLE: segments may hold it; fromStorage expands it
 	encDelta                 // int64 offsets from the chunk minimum, bit-packed
 	encDecimal               // floats as encDelta's integers over a power of ten
 )
@@ -68,23 +68,21 @@ type colVec struct {
 	bools  []bool
 	anys   []Value
 
-	// sbytes and soffs are a stored string column's slots — one per row, or
-	// per run under encRLE: slot s is sbytes[soffs[s]:soffs[s+1]], and soffs
-	// holds slots+1 offsets from 0 to len(sbytes). That is the segment
-	// payload itself, so a flush writes the two slices and a cold load copies
-	// them. A string read out of the column is a view of sbytes; stored
-	// blocks are never written after seal. A NULL slot is empty. A raw column
-	// whose slots all have one length sw > 0 (dates, codes, flags) has no
-	// offsets: slot s is sbytes[s*sw:(s+1)*sw], a NULL slot sw bytes of zero
-	// padding.
+	// sbytes and soffs are a stored string column's slots, one per row: slot
+	// s is sbytes[soffs[s]:soffs[s+1]], and soffs holds n+1 offsets from 0 to
+	// len(sbytes). That is the segment payload itself, so a flush writes the
+	// two slices and a cold load copies them. A string read out of the column
+	// is a view of sbytes; stored blocks are never written after seal. A NULL
+	// slot is empty. A raw column whose slots all have one length sw > 0
+	// (dates, codes, flags) has no offsets: slot s is sbytes[s*sw:(s+1)*sw], a
+	// NULL slot sw bytes of zero padding.
 	sbytes []byte
 	soffs  []uint32
 
 	// nulls flags NULL rows; empty when the column has no NULLs. Null slots
 	// of a stored column's typed vectors hold zero values; a reset vector's
-	// hold whatever its storage held. Under encRLE the flags are per RUN, not
-	// per row (a null-flag change always starts a new run, so runs are
-	// uniformly null or non-null); every other encoding keeps per-row flags.
+	// hold whatever its storage held. Every vector of every encoding has one
+	// slot per row: slot i is row i.
 	nulls []bool
 
 	// enc selects which of the encoding field groups below is live.
@@ -100,10 +98,6 @@ type colVec struct {
 	// are no string slots (strs, sbytes, soffs).
 	dict  []string
 	codes []uint8
-
-	// encRLE: runEnds[r] is the exclusive end row of run r; run r's value
-	// lives in slot r of the typed vector (truncated to one slot per run).
-	runEnds []int32
 
 	// encDelta: row i decodes as base + the width-bit little-endian field
 	// starting at bit i*width of packed. NULL rows pack zero. width 0 means
@@ -122,38 +116,7 @@ func (c *colVec) isNull(i int) bool {
 	if len(c.nulls) == 0 {
 		return c.kind == TAny && c.anys[i] == nil
 	}
-	if c.enc == encRLE {
-		i = c.runIdx(i)
-	}
 	return c.nulls[i]
-}
-
-// runFrom returns the run holding row i of an encRLE column, walking forward
-// from run r, the previous row's: O(rows + runs) over ascending rows, a binary
-// search when i is behind run r.
-func (c *colVec) runFrom(r, i int) int {
-	if r > 0 && int(c.runEnds[r-1]) > i {
-		return c.runIdx(i)
-	}
-	for int(c.runEnds[r]) <= i {
-		r++
-	}
-	return r
-}
-
-// runIdx returns the run holding row i of an encRLE column: the first run
-// whose (exclusive) end offset is past i.
-func (c *colVec) runIdx(i int) int {
-	lo, hi := 0, len(c.runEnds)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(c.runEnds[mid]) > i {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // deltaAt decodes row i of an encDelta column. The uint64 round trip is
@@ -194,11 +157,8 @@ func (c *colVec) decAt(i int) float64 {
 // strAt reads string row i through the encoding (callers have excluded NULL
 // rows and checked the kind).
 func (c *colVec) strAt(i int) string {
-	switch c.enc {
-	case encDict:
+	if c.enc == encDict {
 		return c.dict[c.codes[i]]
-	case encRLE:
-		return c.slotStr(c.runIdx(i))
 	}
 	return c.slotStr(i)
 }
@@ -239,12 +199,8 @@ func (c *colVec) value(i int) Value {
 	if c.kind == TAny {
 		return c.anys[i]
 	}
-	slot := i // a run-length column keeps one slot, and one flag, per run
-	if c.enc == encRLE {
-		slot = c.runIdx(i)
-	}
 	switch {
-	case len(c.nulls) > 0 && c.nulls[slot]:
+	case len(c.nulls) > 0 && c.nulls[i]:
 		return nil
 	case c.enc == encDict:
 		return boxStr(&c.dict[c.codes[i]])
@@ -253,13 +209,13 @@ func (c *colVec) value(i int) Value {
 	case c.enc == encDecimal:
 		return c.decAt(i)
 	case c.kind == TInt:
-		return c.ints[slot]
+		return c.ints[i]
 	case c.kind == TFloat:
-		return c.floats[slot]
+		return c.floats[i]
 	case c.kind == TString:
-		return c.slotStr(slot)
+		return c.slotStr(i)
 	}
-	return c.bools[slot]
+	return c.bools[i]
 }
 
 // reset makes cv n raw lanes of kind, no NULLs, over the storage its previous
@@ -579,54 +535,20 @@ func (col *colVec) storeStrs(strs []string) {
 // pass commits to it, because a bad bet is paid on every scan until the
 // table dies.
 const (
-	rleMaxRunsDiv  = 8  // RLE when runs <= n/rleMaxRunsDiv (mean run length >= 8)
 	dictMaxCardDiv = 2  // dict when distinct strings <= n/dictMaxCardDiv
 	deltaMaxWidth  = 32 // delta when the packed field fits 32 bits
 )
 
 // forceEncodingsEnv is a test knob: when set (non-empty), every sealed
-// chunk-column takes some encoding regardless of the thresholds — strings
-// dictionary-encode, ints delta-encode (RLE when the range needs >= 64
-// bits), floats take the decimal form wherever it is exact (RLE elsewhere),
-// and bools run-length-encode even with run length 1. CI runs the workload
-// parity suite once under it so the encoded kernel paths cannot rot behind
-// cardinality heuristics.
+// chunk-column takes the encoding its kind has, wherever it is exact,
+// regardless of the thresholds — strings dictionary-encode, ints delta-encode
+// when their range fits 63 bits, floats take the decimal form wherever every
+// lane is an exact decimal; bools, boxed columns and whatever else does not
+// fit stay raw. CI runs the workload parity suite once under it so the
+// encoded kernel paths cannot rot behind cardinality heuristics.
 const forceEncodingsEnv = "ENGINE_FORCE_ENCODINGS"
 
 func forceEncodings() bool { return os.Getenv(forceEncodingsEnv) != "" }
-
-// laneEq reports whether raw (pre-encoding) rows a and b of the column hold
-// the same value for run detection. Floats compare by bit pattern: -0.0 and
-// 0.0 (or two NaN payloads) must not collapse into one run, or decode would
-// not be byte-identical.
-func (c *colVec) laneEq(a, b int) bool {
-	an := c.nulls != nil && c.nulls[a]
-	bn := c.nulls != nil && c.nulls[b]
-	if an || bn {
-		return an == bn
-	}
-	switch c.kind {
-	case TInt:
-		return c.ints[a] == c.ints[b]
-	case TFloat:
-		return math.Float64bits(c.floats[a]) == math.Float64bits(c.floats[b])
-	case TString:
-		return c.slotStr(a) == c.slotStr(b)
-	}
-	return c.bools[a] == c.bools[b]
-}
-
-// countRuns counts maximal constant runs (laneEq equivalence) in rows [0,n),
-// stopping at stop+1: past stop the count decides nothing.
-func (c *colVec) countRuns(n, stop int) int {
-	runs := 1
-	for i := 1; i < n && runs <= stop; i++ {
-		if !c.laneEq(i-1, i) {
-			runs++
-		}
-	}
-	return runs
-}
 
 // sealChunk gives each column of a table's new chunk — packed from the tail's
 // boxed rows (buildChunk) or gathered from a SELECT's typed lanes (gatherCol)
@@ -646,11 +568,7 @@ func sealChunk(ch *chunk, qc *queryCtx) *storedChunk {
 		}
 		bytes += encodeCol(c, ch.n, force, &dp, &z)
 		if c.kind == TString { // views of the final block or dictionary
-			slots := ch.n
-			if c.enc == encRLE {
-				slots = len(c.runEnds)
-			}
-			z = c.zone(slots)
+			z = c.zone(ch.n)
 		}
 		col := c.mirror(z)
 		sc.cols[j].fromStorage(&col, ch.n)
@@ -659,21 +577,21 @@ func sealChunk(ch *chunk, qc *queryCtx) *storedChunk {
 	return sc
 }
 
-// zone returns the zone summary of a column from its first slots slots: min
-// and max over the non-NULL ones in Compare's order, in one typed pass.
+// zone returns the zone summary of a column's first n rows: min and max over
+// the non-NULL ones in Compare's order, in one typed pass.
 // Integer bounds are exact (Compare would round them through float64, which
 // orders the same way, so pruning against either is sound), a string
 // column's are views of its own block or dictionary (whose ends are its
 // bounds), and a boxed column's its own values.
-func (c *colVec) zone(slots int) (z storage.Zone) {
+func (c *colVec) zone(n int) (z storage.Zone) {
 	kind := uint8(c.kind)
 	switch c.kind {
 	case TInt:
-		if lo, hi, ok := orderedZone(c.ints[:slots], c.nulls); ok {
+		if lo, hi, ok := orderedZone(c.ints[:n], c.nulls); ok {
 			z.Kinds, z.Num = [2]uint8{kind, kind}, [2]uint64{uint64(lo), uint64(hi)}
 		}
 	case TFloat:
-		if lo, hi, ok := orderedZone(c.floats[:slots], c.nulls); ok {
+		if lo, hi, ok := orderedZone(c.floats[:n], c.nulls); ok {
 			z.Kinds, z.Num = [2]uint8{kind, kind}, [2]uint64{math.Float64bits(lo), math.Float64bits(hi)}
 		}
 	case TString:
@@ -683,7 +601,7 @@ func (c *colVec) zone(slots int) (z storage.Zone) {
 			break
 		}
 		lo, hi, seen := "", "", false
-		for s := 0; s < slots; s++ {
+		for s := 0; s < n; s++ {
 			if len(c.nulls) > 0 && c.nulls[s] {
 				continue
 			}
@@ -703,7 +621,7 @@ func (c *colVec) zone(slots int) (z storage.Zone) {
 		}
 	case TBool:
 		lo, hi := true, false // false < true
-		for s, b := range c.bools[:slots] {
+		for s, b := range c.bools[:n] {
 			if len(c.nulls) == 0 || !c.nulls[s] {
 				lo, hi = lo && b, hi || b
 			}
@@ -714,7 +632,7 @@ func (c *colVec) zone(slots int) (z storage.Zone) {
 		}
 	default:
 		var lo, hi Value
-		for _, v := range c.anys[:slots] {
+		for _, v := range c.anys[:n] {
 			if v == nil {
 				continue
 			}
@@ -757,36 +675,22 @@ func encodeCol(c *colVec, n int, force bool, dp *dictProber, z *storage.Zone) in
 	if c.kind == TAny || n == 0 {
 		return 0
 	}
+	cardDiv, maxWidth := dictMaxCardDiv, deltaMaxWidth
 	if force {
-		switch c.kind {
-		case TString:
-			return c.encodeDict(dp.probe(c, n, n))
-		case TInt:
-			if w := deltaWidth(z); w < 64 {
-				return c.encodeDelta(n, w, z)
-			}
-		case TFloat:
-			if b, ok := c.encodeDecimal(n, 64); ok {
-				return b
-			}
-		}
-		return c.encodeRLE(n, c.countRuns(n, n))
-	}
-	if runs := c.countRuns(n, n/rleMaxRunsDiv); runs <= n/rleMaxRunsDiv {
-		return c.encodeRLE(n, runs)
+		cardDiv, maxWidth = 1, 63 // a 64-bit field would save nothing
 	}
 	switch c.kind {
 	case TString:
-		if dict, codes := dp.probe(c, n, n/dictMaxCardDiv); dict != nil {
+		if dict, codes := dp.probe(c, n, n/cardDiv); dict != nil {
 			return c.encodeDict(dict, codes)
 		}
 		return c.fixWidth(n)
 	case TInt:
-		if w := deltaWidth(z); w <= deltaMaxWidth {
+		if w := deltaWidth(z); w <= maxWidth {
 			return c.encodeDelta(n, w, z)
 		}
 	case TFloat:
-		if b, ok := c.encodeDecimal(n, deltaMaxWidth); ok {
+		if b, ok := c.encodeDecimal(n, maxWidth); ok {
 			return b
 		}
 	}
@@ -876,83 +780,6 @@ func (c *colVec) encodeDict(dict []string, codes []uint8) int64 {
 	c.sbytes, c.soffs = nil, nil
 	c.enc = encDict
 	return int64(size) + int64(len(dict))*16 + int64(n)
-}
-
-func (c *colVec) encodeRLE(n, runs int) int64 {
-	ends := make([]int32, 0, runs)
-	for i := 1; i <= n; i++ {
-		if i == n || !c.laneEq(i-1, i) {
-			ends = append(ends, int32(i))
-		}
-	}
-	var runNulls []bool
-	markNull := func(r int) {
-		if runNulls == nil {
-			runNulls = make([]bool, len(ends))
-		}
-		runNulls[r] = true
-	}
-	elem, extra := int64(8), int64(0)
-	prev := 0
-	switch c.kind {
-	case TInt:
-		vals := make([]int64, len(ends))
-		for r, e := range ends {
-			if c.nulls != nil && c.nulls[prev] {
-				markNull(r)
-			} else {
-				vals[r] = c.ints[prev]
-			}
-			prev = int(e)
-		}
-		c.ints = vals
-	case TFloat:
-		vals := make([]float64, len(ends))
-		for r, e := range ends {
-			if c.nulls != nil && c.nulls[prev] {
-				markNull(r)
-			} else {
-				vals[r] = c.floats[prev]
-			}
-			prev = int(e)
-		}
-		c.floats = vals
-	case TString:
-		// Two passes over the run starts: the block's size, then its bytes.
-		size := 0
-		for _, e := range ends {
-			size += int(c.soffs[prev+1] - c.soffs[prev]) // a NULL slot is empty
-			prev = int(e)
-		}
-		blk, offs := make([]byte, 0, size), make([]uint32, len(ends)+1)
-		prev = 0
-		for r, e := range ends {
-			if c.nulls != nil && c.nulls[prev] {
-				markNull(r)
-			}
-			blk = append(blk, c.sbytes[c.soffs[prev]:c.soffs[prev+1]]...)
-			offs[r+1] = uint32(len(blk))
-			prev = int(e)
-		}
-		c.sbytes, c.soffs = blk, offs
-		elem, extra = 4, int64(4+size) // an offset per run; the first offset and the bytes
-	case TBool:
-		elem = 1
-		vals := make([]bool, len(ends))
-		for r, e := range ends {
-			if c.nulls != nil && c.nulls[prev] {
-				markNull(r)
-			} else {
-				vals[r] = c.bools[prev]
-			}
-			prev = int(e)
-		}
-		c.bools = vals
-	}
-	c.nulls = runNulls
-	c.runEnds = ends
-	c.enc = encRLE
-	return int64(len(ends))*(4+elem) + extra
 }
 
 // deltaWidth returns the bit width needed to pack an int column with zone z

@@ -13,7 +13,7 @@ import (
 )
 
 // Tests for the compact stored forms: one-byte dictionary codes, fixed-width
-// string blocks and decimal floats, next to raw, run-length and delta columns.
+// string blocks and decimal floats, next to raw and delta columns.
 
 // compactCol is one generated column: its lanes (nil = NULL) and, when the
 // seal must pick one form for them, a check of it.
@@ -297,13 +297,16 @@ func vecBytes(t *testing.T, cv *colVec) int64 {
 
 // A stored column is charged the bytes its vectors hold, in every stored
 // form, and a chunk loaded from a segment is charged what its sealed twin is
-// — its headers, at most 128 bytes a column, and those payloads — plus a
-// pointer to each header.
+// — its headers, 96 bytes a column, and those payloads — plus a pointer to
+// each header. A view of a column, colVec, is 296 bytes.
 func TestCompactFormsAccounting(t *testing.T) {
 	ownDataDir(t)
 	t.Setenv(forceEncodingsEnv, "")
-	if size := unsafe.Sizeof(storedCol{}); size > 128 {
-		t.Errorf("storedCol is %d bytes, want at most 128", size)
+	if size := unsafe.Sizeof(storedCol{}); size != 96 {
+		t.Errorf("storedCol is %d bytes, want 96", size)
+	}
+	if size := unsafe.Sizeof(colVec{}); size != 296 {
+		t.Errorf("colVec is %d bytes, want 296", size)
 	}
 	forms := []struct {
 		name string
@@ -316,8 +319,6 @@ func TestCompactFormsAccounting(t *testing.T) {
 		{"raw floats", TFloat, encNone, func(i int) Value { return math.Sqrt(float64(i)) }, 0},
 		{"raw strings", TString, encNone, func(i int) Value { return fmt.Sprintf("v%d", i*7919%1000) }, 0},
 		{"raw bools", TBool, encNone, func(i int) Value { return i*7%3 == 0 }, 0},
-		{"RLE ints", TInt, encRLE, func(i int) Value { return int64(i / 64) }, 0},
-		{"RLE strings", TString, encRLE, func(i int) Value { return fmt.Sprintf("run%d", i/32) }, 0},
 		{"dictionary", TString, encDict, func(i int) Value { return []string{"low", "mid", "top"}[i%3] }, 0},
 		{"delta", TInt, encDelta, func(i int) Value { return int64(i*37%200) - 100 }, 0},
 		{"decimal", TFloat, encDecimal, func(i int) Value { return float64(i*7919%10000) / 100 }, 0},
@@ -331,7 +332,7 @@ func TestCompactFormsAccounting(t *testing.T) {
 	for i := range rows {
 		rows[i] = make([]Value, len(forms))
 		for j, f := range forms {
-			if i%11 != 5 || f.enc == encRLE {
+			if i%11 != 5 {
 				rows[i][j] = f.gen(i)
 			}
 		}

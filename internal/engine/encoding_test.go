@@ -93,7 +93,7 @@ func TestSealPicksEncodings(t *testing.T) {
 	e := NewSeeded(1)
 	if err := e.CreateTable("t", []Column{
 		{Name: "s", Type: TString}, // 3 distinct, alternating -> dict
-		{Name: "r", Type: TInt},    // constant 64-runs -> RLE
+		{Name: "r", Type: TInt},    // constant 64-runs -> delta, width 2
 		{Name: "d", Type: TInt},    // range 200 -> delta, width 8
 		{Name: "f", Type: TFloat},  // two-decimal floats -> decimal, exponent 2
 		{Name: "g", Type: TFloat},  // high-entropy floats -> raw
@@ -124,11 +124,8 @@ func TestSealPicksEncodings(t *testing.T) {
 	if z := tbl.sealed[0].slotZone(0); z.Bound(0) != "low" || z.Bound(1) != "top" {
 		t.Fatalf("s zones: %v..%v", z.Bound(0), z.Bound(1))
 	}
-	if got := ch.cols[1].enc; got != encRLE {
-		t.Fatalf("r: enc %d, want RLE", got)
-	}
-	if runs := len(ch.cols[1].runEnds); runs != chunkRows/64 {
-		t.Fatalf("r: %d runs", runs)
+	if cv := &ch.cols[1]; cv.enc != encDelta || cv.width != 2 {
+		t.Fatalf("r: enc %d width %d, want delta at width 2", cv.enc, cv.width)
 	}
 	if got := ch.cols[2].enc; got != encDelta {
 		t.Fatalf("d: enc %d, want delta", got)
@@ -222,43 +219,6 @@ func TestBoxedColumnsNeverEncode(t *testing.T) {
 	}
 	if rs.Rows[0][0].(int64) != chunkRows || rs.Rows[0][1].(int64) != 0 || rs.Rows[0][2].(int64) != chunkRows {
 		t.Fatalf("boxed counts: %v", rs.Rows[0])
-	}
-}
-
-// Selection vectors that keep every other lane cut across each 32-row run:
-// the run-pointer merge walks in the RLE kernels must resolve each selected
-// lane to its run, not its lane index.
-func TestRLERunsAcrossSelectionBoundaries(t *testing.T) {
-	total := 3*chunkRows + 50
-	rows := make([][]Value, total)
-	for i := range rows {
-		y := 0.25
-		if i%2 == 1 {
-			y = 0.75
-		}
-		rows[i] = []Value{int64(i / 32), y}
-	}
-	vec, row := twinEngines(t, []Column{
-		{Name: "r", Type: TInt}, {Name: "y", Type: TFloat},
-	}, rows)
-	if cv := mustSealed(t, vec, "t").cols[0]; cv.enc != encRLE {
-		t.Fatalf("r: enc %d, want RLE", cv.enc)
-	}
-	for _, q := range []string{
-		"select count(*), sum(r), min(r), max(r) from t where t.y < 0.5",
-		"select r, count(*), sum(y) from t where t.y < 0.5 group by r order by r",
-		"select r, y from t where t.y < 0.5 and t.r >= 5",
-		"select count(*) from t where t.r = 3 and t.y > 0.5",
-	} {
-		rsV, err := vec.Query(q)
-		if err != nil {
-			t.Fatalf("vec %s: %v", q, err)
-		}
-		rsR, err := row.Query(q)
-		if err != nil {
-			t.Fatalf("row %s: %v", q, err)
-		}
-		encRowsEqual(t, q, rsR, rsV)
 	}
 }
 
@@ -363,8 +323,8 @@ func TestDictKernelsMatchRowPath(t *testing.T) {
 
 // TestTypedKernelsMatchRowPath pins the kernels' typed loops — literal
 // comparisons, IN, BETWEEN, AND/OR and + - * — to the row closures over raw
-// int, raw float, stored string block, dictionary, run-length and delta
-// columns, each read by a plain scan, over a join's output (as the probe side
+// int, raw float, stored string block, dictionary and delta columns (one of
+// them in 32-row runs of one value, whole runs NULL), each read by a plain scan, over a join's output (as the probe side
 // and as the build side) and as a pre-filtered join input, with and without
 // NULLs. The values hold NaN, ±0, ±Inf, 2^53+1 (which equals the float 2^53
 // under Compare) and "", and the literals every kind, one of the other kind
@@ -442,7 +402,7 @@ func TestTypedKernelsMatchRowPath(t *testing.T) {
 			func(i int) []Value { return []Value{int64(i % 200), int64(i)} })
 		if !forceEncodings() {
 			ch := mustSealed(t, e, "t")
-			for j, want := range []colEnc{2: encNone, 3: encNone, 4: encNone, 5: encDict, 6: encRLE, 7: encDelta} {
+			for j, want := range []colEnc{2: encNone, 3: encNone, 4: encNone, 5: encDict, 6: encDelta, 7: encDelta} {
 				if j >= 2 && ch.cols[j].enc != want {
 					t.Fatalf("column %d: encoding %d, want %d", j, ch.cols[j].enc, want)
 				}
@@ -705,8 +665,8 @@ func TestForcedEncodingsParity(t *testing.T) {
 			fmt.Sprintf("u%04d", i), // high-card strings: forced dict
 			int64(i * 37),           // wide ints: forced delta
 			float64(i) * 1.5,        // decimal floats: forced decimal
-			i%2 == 0,                // bools: forced RLE
-			math.Sqrt(float64(i)),   // other floats: forced RLE
+			i%2 == 0,                // bools: raw, forced or not
+			math.Sqrt(float64(i)),   // other floats: no exact decimal, raw
 		}
 	}
 	vec, row := twinEngines(t, []Column{
@@ -715,7 +675,7 @@ func TestForcedEncodingsParity(t *testing.T) {
 	}, rows)
 	ch := mustSealed(t, vec, "t")
 	if ch.cols[0].enc != encDict || ch.cols[1].enc != encDelta ||
-		ch.cols[2].enc != encDecimal || ch.cols[3].enc != encRLE || ch.cols[4].enc != encRLE {
+		ch.cols[2].enc != encDecimal || ch.cols[3].enc != encNone || ch.cols[4].enc != encNone {
 		t.Fatalf("forced encodings: %d %d %d %d %d",
 			ch.cols[0].enc, ch.cols[1].enc, ch.cols[2].enc, ch.cols[3].enc, ch.cols[4].enc)
 	}

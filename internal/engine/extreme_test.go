@@ -9,8 +9,8 @@ import (
 // float64, so an accumulator that compares through float64 cannot tell which
 // of them is the larger. Checked in the open tail, then once the rows are
 // sealed into chunks (several, so parallel scans merge per-worker
-// accumulators) — run-length encoded as the seal picks, and delta-encoded as
-// forced — on the kernels and on the row closures, at parallelism 1, 2 and 4.
+// accumulators) — delta-encoded at width 1, as the seal picks and as forced —
+// on the kernels and on the row closures, at parallelism 1, 2 and 4.
 func TestIntegerExtremesExact(t *testing.T) {
 	for _, force := range []bool{false, true} {
 		t.Run(fmt.Sprintf("force=%v", force), func(t *testing.T) {
@@ -86,12 +86,8 @@ func testIntegerExtremes(t *testing.T) {
 	if len(tbl.sealed) != 17 || len(tbl.tail) != 0 {
 		t.Fatalf("%d sealed chunks and %d tail rows, want 17 and 0", len(tbl.sealed), len(tbl.tail))
 	}
-	want := encRLE // two runs
-	if forceEncodings() {
-		want = encDelta
-	}
-	if cv := &sealedChunk(t, tbl, 0).cols[1]; cv.enc != want || want == encDelta && cv.width != 1 {
-		t.Fatalf("v: enc %d width %d, want %d", cv.enc, cv.width, want)
+	if cv := &sealedChunk(t, tbl, 0).cols[1]; cv.enc != encDelta || cv.width != 1 {
+		t.Fatalf("v: enc %d width %d, want delta at width 1", cv.enc, cv.width)
 	}
 	check("sealed")
 }

@@ -185,8 +185,9 @@ func laneReadersMixedBuild(t *testing.T, n int) {
 
 // laneChunk is one n-row chunk holding one column in encoding enc (the kind
 // follows: raw floats, integers and strings, fixed-width and dictionary
-// strings, run-length integers and strings, delta integers, decimal floats,
-// mixed boxes), with no, some or all rows NULL. seed varies the values between
+// strings, integers and strings read from the run-length form older segments
+// hold (runLength, expanded by storedCol.fromStorage), delta integers,
+// decimal floats, mixed boxes), with no, some or all rows NULL. seed varies the values between
 // the build chunks.
 func laneChunk(enc, nulls string, n, seed int) *chunk {
 	rows := make([][]Value, n)
@@ -229,7 +230,13 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 	case "dict":
 		cv.encodeDict(new(dictProber).probe(cv, n, n))
 	case "rle", "rlestr":
-		cv.encodeRLE(n, cv.countRuns(n, n))
+		vals := make([]Value, n)
+		for i := range vals {
+			vals[i] = cv.value(i)
+		}
+		col, s := runLength(cv.kind, vals, z), new(storedCol)
+		s.fromStorage(&col, n)
+		s.view(cv, n)
 	case "delta":
 		cv.encodeDelta(n, deltaWidth(&z), &z)
 	case "decimal":
@@ -243,11 +250,7 @@ func laneChunk(enc, nulls string, n, seed int) *chunk {
 	}
 	if nulls == "all" && enc != "any" {
 		// A typed column of NULLs (a gathered one can be): every flag set.
-		slots := n
-		if cv.enc == encRLE {
-			slots = len(cv.runEnds)
-		}
-		cv.nulls = make([]bool, slots)
+		cv.nulls = make([]bool, n)
 		for i := range cv.nulls {
 			cv.nulls[i] = true
 		}

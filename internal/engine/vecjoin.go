@@ -993,10 +993,9 @@ func loadLanes[T any](s *gatherSrc, cv *colVec, dst []T, bj int, refs []int64, v
 }
 
 // readLanes is fillBuild's loop over lanes [k0, len(refs)): lane k is row
-// refs[k] read through its chunk's encoding — a run-length slot found by
-// binary search, delta integers and decimal floats unpacked, dictionary
-// strings materialized — and NULL flags, or boxed when the chunks disagree on
-// the column's kind.
+// refs[k] read through its chunk's encoding — delta integers and decimal
+// floats unpacked, dictionary strings materialized — and NULL flags, or boxed
+// when the chunks disagree on the column's kind.
 func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 	n := len(refs)
 	for k := k0; k < n; k++ {
@@ -1006,29 +1005,25 @@ func (s *gatherSrc) readLanes(cv *colVec, bj int, refs []int64, k0 int) {
 			continue
 		}
 		scv, i := s.buildCol(bj, r>>32), int(uint32(r))
-		slot := i
-		if scv.enc == encRLE {
-			slot = scv.runIdx(i)
-		}
 		switch {
 		case cv.kind == TAny:
 			cv.anys[k] = scv.value(i)
-		case len(scv.nulls) > 0 && scv.nulls[slot]:
+		case len(scv.nulls) > 0 && scv.nulls[i]:
 			cv.setNull(k, n)
 		case cv.kind == TInt && scv.enc == encDelta:
 			cv.ints[k] = scv.deltaAt(i)
 		case cv.kind == TInt:
-			cv.ints[k] = scv.ints[slot]
+			cv.ints[k] = scv.ints[i]
 		case cv.kind == TFloat && scv.enc == encDecimal:
 			cv.floats[k] = scv.decAt(i)
 		case cv.kind == TFloat:
-			cv.floats[k] = scv.floats[slot]
+			cv.floats[k] = scv.floats[i]
 		case cv.kind == TBool:
-			cv.bools[k] = scv.bools[slot]
+			cv.bools[k] = scv.bools[i]
 		case scv.enc == encDict:
 			cv.strs[k] = scv.dict[scv.codes[i]]
 		default:
-			cv.strs[k] = scv.slotStr(slot)
+			cv.strs[k] = scv.slotStr(i)
 		}
 	}
 }
@@ -1058,84 +1053,40 @@ func gatherRaw[T any](dst, src []T, idx []int32) {
 
 // gatherLanes copies rows idx of scv, a source column of cv's kind, into cv's
 // lanes, decoding: dictionary strings are materialized, stored strings viewed
-// out of their block, delta integers and decimal floats unpacked, and
-// run-length slots read by a forward walk over the runs. The loop is picked
-// once per call; raw vectors without NULLs — every gathered column — are flat
-// copies.
+// out of their block, delta integers and decimal floats unpacked. The loop is
+// picked once per call; raw vectors without NULLs — every gathered column —
+// are flat copies.
 func gatherLanes(cv, scv *colVec, idx []int32) {
-	switch cv.kind {
-	case TInt:
-		if scv.enc != encDelta {
-			gatherSlots(cv, cv.ints, scv.ints, scv, idx)
-			return
-		}
+	switch {
+	case cv.kind == TInt && scv.enc == encDelta:
 		for k, i := range idx {
 			cv.ints[k] = scv.deltaAt(int(i))
 		}
-		nullLanes(cv, scv, idx)
-	case TFloat:
-		if scv.enc != encDecimal {
-			gatherSlots(cv, cv.floats, scv.floats, scv, idx)
-			return
-		}
+	case cv.kind == TInt:
+		gatherRaw(cv.ints, scv.ints, idx)
+	case cv.kind == TFloat && scv.enc == encDecimal:
 		p := pow10[scv.exp]
 		for k, i := range idx {
 			cv.floats[k] = float64(scv.deltaAt(int(i))) / p
 		}
-		nullLanes(cv, scv, idx)
-	case TString:
-		switch {
-		case scv.enc == encDict:
-			for k, i := range idx {
-				cv.strs[k] = scv.dict[scv.codes[i]]
-			}
-			nullLanes(cv, scv, idx)
-		case !scv.inBlock():
-			gatherSlots(cv, cv.strs, scv.strs, scv, idx)
-		default:
-			gatherBlock(cv, scv, idx)
+	case cv.kind == TFloat:
+		gatherRaw(cv.floats, scv.floats, idx)
+	case cv.kind == TString && scv.enc == encDict:
+		for k, i := range idx {
+			cv.strs[k] = scv.dict[scv.codes[i]]
 		}
-	case TBool:
-		gatherSlots(cv, cv.bools, scv.bools, scv, idx)
+	case cv.kind == TString && scv.inBlock():
+		for k, i := range idx {
+			cv.strs[k] = scv.slotStr(int(i))
+		}
+	case cv.kind == TString:
+		gatherRaw(cv.strs, scv.strs, idx)
+	case cv.kind == TBool:
+		gatherRaw(cv.bools, scv.bools, idx)
 	default:
 		gatherRaw(cv.anys, scv.anys, idx)
 	}
-}
-
-// gatherSlots is gatherLanes from vals, the typed slots of a raw or
-// run-length column scv.
-func gatherSlots[T any](cv *colVec, dst, vals []T, scv *colVec, idx []int32) {
-	if scv.enc != encRLE {
-		gatherRaw(dst, vals, idx)
-		nullLanes(cv, scv, idx)
-		return
-	}
-	r := 0
-	for k, i := range idx {
-		if r = scv.runFrom(r, int(i)); len(scv.nulls) > 0 && scv.nulls[r] {
-			cv.setNull(k, len(idx))
-		} else {
-			dst[k] = vals[r]
-		}
-	}
-}
-
-// gatherBlock is gatherLanes from a stored string column: each lane a view of
-// its slot in scv's block.
-func gatherBlock(cv, scv *colVec, idx []int32) {
-	r := 0
-	for k, i := range idx {
-		slot := int(i)
-		if scv.enc == encRLE {
-			r = scv.runFrom(r, slot)
-			slot = r
-		}
-		if len(scv.nulls) > 0 && scv.nulls[slot] {
-			cv.setNull(k, len(idx))
-		} else {
-			cv.strs[k] = scv.slotStr(slot)
-		}
-	}
+	nullLanes(cv, scv, idx)
 }
 
 // kindOf reports a column's storage kind without gathering it.

@@ -16,7 +16,7 @@ import (
 // values. A kernel's input and output are the one lane vector the engine has,
 // colVec (columnar.go): a column reference hands a raw or dictionary column
 // over as it is stored, and every kernel output is raw or dictionary-coded —
-// run-length and delta columns are decoded by the same gather a join uses
+// delta and decimal columns are decoded by the same gather a join uses
 // (gatherLanes, vecjoin.go). WHERE predicates produce a selection vector;
 // GROUP BY keys render straight from typed lanes into the reusable key buffer;
 // aggregate arguments feed accumulators through typed entry points (agg.go).
@@ -225,8 +225,8 @@ type vnCol struct {
 
 // eval hands a raw or dictionary column over as it is when every lane is
 // read. Otherwise it gathers the selected lanes into its buffer — codes only
-// for a dictionary column, which keeps its dictionary — and decodes
-// run-length and delta columns, with the gather a join uses.
+// for a dictionary column, which keeps its dictionary — and decodes delta
+// and decimal columns, with the gather a join uses.
 func (n *vnCol) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	// col() gathers the column first on join-output chunks — the point
 	// where late materialization actually copies values, and only for
@@ -501,9 +501,8 @@ func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 // vnCmpLit is a column-vs-literal comparison with one typed loop per chunk,
 // picked from the column's encoding and kind. Numbers compare in float64
 // through cmpFloat64, as Compare does (NaN compares equal to everything), and
-// strings bytewise; delta and decimal columns fuse decode and compare, RLE
-// columns compare once per run, and dictionary columns probe the sorted dict
-// once per chunk and compare codes. Boxed columns and pairings whose
+// strings bytewise; delta and decimal columns fuse decode and compare, and
+// dictionary columns probe the sorted dict once per chunk and compare codes. Boxed columns and pairings whose
 // comparison is not the plain typed one (a string column against a number)
 // delegate to the embedded generic node, which replicates row-path semantics
 // for every case.
@@ -527,17 +526,12 @@ func (n *vnCmpLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 		if s, ok := n.lit.(string); ok {
 			return n.evalDict(vc, cv, idx, s), nil
 		}
-	case encRLE:
-		if ov, ok := n.evalRLE(vc, cv, idx); ok {
-			return ov, nil
-		}
 	}
 	return n.fb.eval(vc, ch, sel)
 }
 
-// evalRaw is the loop over a raw, delta or decimal column: rows idx, or, of a
-// run-length column, its run slots. ok is false (delegate) for a boxed column
-// and for a literal of another kind.
+// evalRaw is the loop over rows idx of a raw, delta or decimal column. ok is
+// false (delegate) for a boxed column and for a literal of another kind.
 func (n *vnCmpLit) evalRaw(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) {
 	f, num := numeric(n.lit)
 	s, str := n.lit.(string)
@@ -578,8 +572,7 @@ func (n *vnCmpLit) evalRaw(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) 
 	return ov, true
 }
 
-// nullLanes flags the lanes of ov whose rows idx of cv, a column with per-row
-// flags, are NULL.
+// nullLanes flags the lanes of ov whose rows idx of cv are NULL.
 func nullLanes(ov, cv *colVec, idx []int32) {
 	if len(cv.nulls) > 0 {
 		for k, i := range idx {
@@ -630,38 +623,6 @@ func (n *vnCmpLit) evalDict(vc *vecCtx, cv *colVec, idx []int32, s string) *colV
 	return ov
 }
 
-// evalRLE evaluates the comparison once per run, evalRaw over the run slots —
-// O(runs + lanes) however long the runs are.
-func (n *vnCmpLit) evalRLE(vc *vecCtx, cv *colVec, idx []int32) (*colVec, bool) {
-	rv, ok := n.evalRaw(vc, cv, allLanes[:len(cv.runEnds)])
-	if !ok {
-		return nil, false
-	}
-	// Per-run verdicts, copied out of the buffer the lanes go to: 0 false, 1
-	// true, 2 NULL. Storage chunks hold at most chunkRows rows, so runs fit a
-	// stack array.
-	var rres [chunkRows]uint8
-	for r, b := range rv.bools {
-		switch {
-		case rv.isNull(r):
-			rres[r] = 2
-		case b:
-			rres[r] = 1
-		}
-	}
-	lanes := len(idx)
-	ov := vc.out(n.id, TBool, lanes)
-	r := 0
-	for k, i := range idx {
-		r = cv.runFrom(r, int(i))
-		if rres[r] == 2 {
-			ov.setNull(k, lanes)
-		}
-		ov.bools[k] = rres[r] == 1
-	}
-	return ov, true
-}
-
 // cmpBools orders bools like Compare: false < true.
 func cmpBools(a, b bool) int {
 	switch {
@@ -691,7 +652,7 @@ type vnInLit struct {
 
 func (n *vnInLit) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 	cv := ch.col(n.col)
-	if cv.enc == encRLE || cv.enc == encDelta || cv.kind == TAny || cv.kind == TBool {
+	if cv.enc == encDelta || cv.kind == TAny || cv.kind == TBool {
 		return n.fb.eval(vc, ch, sel)
 	}
 	idx := vc.lanesOf(ch, sel)

@@ -1,8 +1,9 @@
 // Package storage is the on-disk persistence layer for the engine's sealed
 // columnar chunks: immutable segment files holding encoded chunks exactly as
-// they live in memory (PR 9's dict/RLE/delta layouts serialize as-is), plus
-// a crash-safe versioned manifest recording which segments make up each
-// table.
+// they live in memory (the dictionary, delta and decimal layouts serialize
+// as-is; run-length columns, which earlier engines wrote, are still read and
+// copied), plus a crash-safe versioned manifest recording which segments make
+// up each table.
 //
 // The package is deliberately engine-agnostic: it speaks in neutral mirror
 // types (Chunk, Col) whose slices the engine aliases directly — converting a
@@ -52,7 +53,8 @@ const (
 	KindString
 )
 
-// Column encodings, mirroring the engine's colEnc by value.
+// Column encodings, mirroring the engine's colEnc by value. The engine no
+// longer makes EncRLE columns; it expands the ones segments hold on load.
 const (
 	EncNone uint8 = iota
 	EncDict
@@ -104,7 +106,8 @@ type Chunk struct {
 //   - EncDict: Dict (sorted distinct strings, at most 256) + one-byte Codes;
 //     strings live only in the dictionary.
 //   - EncRLE: RunEnds + one value slot per run in the typed vector (for
-//     strings, one StrOffs span per run); Nulls is per RUN.
+//     strings, one StrOffs span per run); Nulls is per RUN. Only segments
+//     written by earlier engines hold it.
 //   - EncDelta: Base + Width + Packed words; Ints is nil.
 //   - EncDecimal (KindFloat): EncDelta's Base + Width + Packed, plus Exp: row
 //     i is float64(Base + field i) / 10^Exp, bit for bit; Floats is nil.
