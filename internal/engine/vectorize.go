@@ -502,10 +502,10 @@ func (n *vnCmp) eval(vc *vecCtx, ch *chunk, sel []int32) (*colVec, error) {
 // picked from the column's encoding and kind. Numbers compare in float64
 // through cmpFloat64, as Compare does (NaN compares equal to everything), and
 // strings bytewise; delta and decimal columns fuse decode and compare, and
-// dictionary columns probe the sorted dict once per chunk and compare codes. Boxed columns and pairings whose
-// comparison is not the plain typed one (a string column against a number)
-// delegate to the embedded generic node, which replicates row-path semantics
-// for every case.
+// dictionary columns probe the sorted dict once per chunk and compare codes.
+// Boxed columns and pairings whose comparison is not the plain typed one (a
+// string column against a number) delegate to the embedded generic node,
+// which replicates row-path semantics for every case.
 type vnCmpLit struct {
 	id  int
 	col int
@@ -640,7 +640,7 @@ func cmpBools(a, b bool) int {
 // string column looks its lanes up among the string literals, a raw numeric
 // one — or a decimal one, decoded in the loop — among the numeric literals in
 // float64, with lanesEqual's rules. Compare never equates a string with any
-// other type, so the literals of the other kind cannot match. Other encodings
+// other type, so the literals of the other kind cannot match. Delta, boolean
 // and boxed columns delegate to the embedded generic vnIn.
 type vnInLit struct {
 	id   int
