@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,11 +48,8 @@ func runLength(kind ColType, vals []Value, z storage.Zone) storage.Col {
 			c.StrOffs = append(c.StrOffs, uint32(len(c.StrBytes)))
 		}
 	}
-	for _, null := range nulls {
-		if null {
-			c.Nulls = nulls
-			break
-		}
+	if slices.Contains(nulls, true) {
+		c.Nulls = nulls
 	}
 	return c
 }
@@ -106,8 +104,9 @@ func legacyCols() []Column {
 	return cols
 }
 
+// legacyName names t's column of kind and NULL pattern: i_some, s_all, …
 func legacyName(kind ColType, nulls string) string {
-	return fmt.Sprintf("%c_%s", "abifs"[kind], nulls)
+	return fmt.Sprintf("%c_%s", "abifs"[kind], nulls) // TAny, TBool, TInt, TFloat, TString
 }
 
 // rewriteRunLength rewrites every segment in dir with each of t's legacy
