@@ -1,10 +1,13 @@
 // Command benchgate compares a freshly measured benchmark report against
-// the committed BENCH_*.json baseline and exits nonzero when a metric
-// regressed past its variance-aware threshold. `make bench-gate` wires it
-// up: re-measure the engine suite, then gate against the checked-in
-// numbers.
+// the committed baseline and exits nonzero when a metric regressed past its
+// variance-aware threshold. `make bench-gate` wires it up: run the engine
+// suite (internal/engine's BenchmarkE1*, three rounds of `go test -bench`
+// at GOMAXPROCS=1) into a file, then gate it against BENCH_engine.txt, the
+// same command's committed output. Each benchmark is judged by its median
+// over the runs.
 //
-//	benchgate -kind engine -base BENCH_engine.json -cand /tmp/engine.json
+//	benchgate -kind engine -base BENCH_engine.txt -cand /tmp/engine.txt
+//	benchgate -kind progressive -base BENCH_progressive.json -cand <file>
 //
 // Thresholds default to bench.DefaultGateConfig and can be loosened or
 // tightened per run with the -max-* flags (0 keeps the default).
@@ -21,7 +24,7 @@ import (
 func main() {
 	var (
 		kind      = flag.String("kind", "engine", "report kind: engine or progressive")
-		basePath  = flag.String("base", "BENCH_engine.json", "committed baseline report")
+		basePath  = flag.String("base", "BENCH_engine.txt", "committed baseline report")
 		candPath  = flag.String("cand", "", "candidate report from a fresh run (required)")
 		maxNs     = flag.Float64("max-ns", 0, "override ns/op ratio limit (0 = default)")
 		maxAllocs = flag.Float64("max-allocs", 0, "override allocs/op ratio limit (0 = default)")

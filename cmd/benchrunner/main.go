@@ -4,27 +4,24 @@
 // Usage:
 //
 //	benchrunner -exp all
-//	benchrunner -exp speedup -engine redshift
 //	benchrunner -exp correctness -tpch 0.05 -insta 0.05 -trials 2
 //
 // Experiments:
 //
-//	speedup      Figures 4, 9, 10 (per-query speedups and errors; -engine
-//	             picks the SQL dialect, all over the same in-memory engine)
 //	correctness  Figure 8 on answers: each method's 95 % intervals scored
 //	             against BYPASS over -trials scramble seeds of the 33
 //	             shapes through Conn.Query; writes BENCH_coverage.json
 //	             (-covout)
-//	engine       engine hot-path microbenchmarks; writes BENCH_engine.json
-//	             (-benchout) so successive PRs can diff perf
 //	progressive  accuracy-driven progressive execution over block-partitioned
 //	             scrambles: time-to-accuracy curves and early-termination
 //	             rates per target relative error; writes
 //	             BENCH_progressive.json (-progout)
-//	all          every experiment above, in that order
+//	all          both experiments above, in that order
 //
-// Any other -exp or -engine value prints the valid names and exits with
-// status 2.
+// Any other -exp value prints the valid names and exits with status 2. The
+// engine microbenchmarks are internal/engine's BenchmarkE1* (`make bench`,
+// `make bench-gate`); the dialect drivers' answer parity is
+// internal/bench's TestDialectParity.
 package main
 
 import (
@@ -38,14 +35,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: speedup|correctness|engine|progressive|all (see doc comment)")
-	engineName := flag.String("engine", "all", "SQL dialect for speedup, each over the same in-memory engine: impala|sparksql|redshift|generic|all (all = the first three)")
+	exp := flag.String("exp", "all", "experiment to run: correctness|progressive|all (see doc comment)")
 	tpchScale := flag.Float64("tpch", 0, "TPC-H scale override (1.0 = 600k lineitem)")
 	instaScale := flag.Float64("insta", 0, "insta scale override (1.0 = 1M order_products)")
 	trials := flag.Int("trials", 50, "scramble seeds for -exp correctness")
 	covOut := flag.String("covout", "BENCH_coverage.json", "correctness experiment JSON output (empty to skip)")
 	seed := flag.Int64("seed", 42, "random seed")
-	benchOut := flag.String("benchout", "BENCH_engine.json", "engine microbenchmark JSON output (empty to skip)")
 	progOut := flag.String("progout", "BENCH_progressive.json", "progressive experiment JSON output (empty to skip)")
 	progTargets := flag.String("progtargets", "0.01,0.02,0.05,0.1", "comma-separated target relative errors for -exp progressive")
 	progBlockRows := flag.Int64("progblockrows", 0, "scramble block size for -exp progressive (0 = experiment default)")
@@ -65,25 +60,8 @@ func main() {
 		name string
 		run  func() error
 	}{
-		{"speedup", func() error {
-			engines := []string{"redshift", "sparksql", "impala"}
-			if *engineName != "all" {
-				engines = []string{*engineName}
-			}
-			for _, e := range engines {
-				if _, err := bench.SpeedupExperiment(w, cfg, e); err != nil {
-					return err
-				}
-				fmt.Fprintln(w)
-			}
-			return nil
-		}},
 		{"correctness", func() error {
 			_, err := bench.CorrectnessExperiment(w, cfg, *trials, *covOut)
-			return err
-		}},
-		{"engine", func() error {
-			_, err := bench.EngineBench(w, *benchOut, 5)
 			return err
 		}},
 		{"progressive", func() error {
@@ -114,10 +92,6 @@ func main() {
 	}
 	if !known {
 		fmt.Fprintf(os.Stderr, "benchrunner: unknown -exp %q; valid: %s\n", *exp, strings.Join(append(names, "all"), ", "))
-		os.Exit(2)
-	}
-	if _, err := bench.DriverByName(*engineName); err != nil && *engineName != "all" {
-		fmt.Fprintf(os.Stderr, "benchrunner: -engine: %v, all\n", err)
 		os.Exit(2)
 	}
 	for _, e := range experiments {

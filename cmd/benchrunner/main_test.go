@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// An unknown -exp or -engine is refused before anything loads: exit status
+// An unknown -exp is refused before anything loads: exit status
 // 2, and the valid names on stderr.
 func TestUnknownNamesExit2(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "benchrunner")
@@ -19,8 +19,7 @@ func TestUnknownNamesExit2(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-exp", "bogus"}, "valid: speedup, correctness, engine, progressive, all"},
-		{[]string{"-exp", "speedup", "-engine", "bogus"}, "valid: impala, sparksql, redshift, generic, all"},
+		{[]string{"-exp", "bogus"}, "valid: correctness, progressive, all"},
 	} {
 		var stderr strings.Builder
 		cmd := exec.Command(bin, c.args...)

@@ -1,22 +1,30 @@
 package bench
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // This file is the benchmark regression gate: it compares a freshly
-// measured report against the committed BENCH_*.json baseline and turns
-// "the numbers moved" into a pass/fail decision CI can act on.
+// measured report against the committed baseline (BENCH_engine.txt or
+// BENCH_progressive.json) and turns "the numbers moved" into a pass/fail
+// decision CI can act on.
 //
-// The thresholds are variance-aware, not exact-match. Single-run wall-clock
-// numbers on shared CI hardware jitter by tens of percent, so per-benchmark
-// time ratios get a generous limit, while allocation counts — which are
-// near-deterministic — get a tight one. The progressive suite measures
+// The thresholds are variance-aware, not exact-match. The engine suite is
+// internal/engine's BenchmarkE1* run several times with `go test -bench`,
+// and each benchmark is judged by its median over the runs. Wall-clock
+// numbers on shared CI hardware still jitter by tens of percent, so
+// per-benchmark time ratios get a generous limit, while allocation counts —
+// which are near-deterministic — get a tight one. The progressive suite measures
 // dozens of per-query latencies whose individual jitter is worse still;
 // those are judged by the median of per-entry ratios, which one noisy
 // query cannot move. An engine metric whose baseline sits below an absolute
@@ -55,7 +63,94 @@ func DefaultGateConfig() GateConfig {
 
 // ErrProcsMismatch refuses an engine comparison: the two reports were
 // measured at different GOMAXPROCS.
-var ErrProcsMismatch = errors.New("reports were measured at different go_max_procs")
+var ErrProcsMismatch = errors.New("reports were measured at different GOMAXPROCS")
+
+// EngineResult is one benchmark of an engine report: the median of each
+// metric over the runs of it in the output.
+type EngineResult struct {
+	Name        string // without the Benchmark prefix and the -N suffix
+	NsPerOp     float64
+	AllocsPerOp float64
+	BytesPerOp  float64
+}
+
+// EngineReport is the parsed output of one or more `go test -bench
+// -benchmem` runs.
+type EngineReport struct {
+	// GoMaxProcs is read from the -N suffix go test gives each benchmark
+	// name; it leaves the suffix off at GOMAXPROCS=1.
+	GoMaxProcs int
+	Benchmarks []EngineResult // in order of first appearance
+}
+
+// ParseEngineBench reads `go test -bench -benchmem` output and reduces each
+// benchmark to its median per metric. Lines that are not benchmark results
+// (the goos/pkg/cpu header, PASS, ok) are skipped. A result without B/op or
+// allocs/op (a run without -benchmem), names with two different -N suffixes
+// and an output with no results at all are errors: each would let a
+// regression through unjudged.
+func ParseEngineBench(r io.Reader) (*EngineReport, error) {
+	type samples struct{ ns, allocs, bytes []float64 }
+	byName := map[string]*samples{}
+	var order []string
+	procs := 0
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") || len(f)%2 != 0 {
+			continue
+		}
+		if _, err := strconv.Atoi(f[1]); err != nil {
+			continue
+		}
+		name, p := strings.TrimPrefix(f[0], "Benchmark"), 1
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if n, err := strconv.Atoi(name[i+1:]); err == nil && n > 0 {
+				name, p = name[:i], n
+			}
+		}
+		if procs != 0 && p != procs {
+			return nil, fmt.Errorf("%s was measured at GOMAXPROCS=%d, earlier results at %d", f[0], p, procs)
+		}
+		procs = p
+		units := map[string]float64{}
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("%s: bad value %q", f[0], f[i])
+			}
+			units[f[i+1]] = v
+		}
+		ns, okNs := units["ns/op"]
+		bytes, okBytes := units["B/op"]
+		allocs, okAllocs := units["allocs/op"]
+		if !okNs || !okBytes || !okAllocs {
+			return nil, fmt.Errorf("%s lacks ns/op, B/op or allocs/op (run go test with -benchmem)", f[0])
+		}
+		s := byName[name]
+		if s == nil {
+			s = &samples{}
+			byName[name] = s
+			order = append(order, name)
+		}
+		s.ns, s.bytes, s.allocs = append(s.ns, ns), append(s.bytes, bytes), append(s.allocs, allocs)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if len(order) == 0 {
+		return nil, errors.New("no benchmark results")
+	}
+	rep := &EngineReport{GoMaxProcs: procs}
+	for _, name := range order {
+		s := byName[name]
+		rep.Benchmarks = append(rep.Benchmarks, EngineResult{
+			Name:    name,
+			NsPerOp: median(s.ns), AllocsPerOp: median(s.allocs), BytesPerOp: median(s.bytes),
+		})
+	}
+	return rep, nil
+}
 
 // Violation is one metric that moved past its threshold (or disappeared
 // from the candidate run, which hides regressions and fails too).
@@ -94,10 +189,10 @@ func missingViolation(metric string, base float64, out []Violation) []Violation 
 }
 
 // GateEngine compares the engine microbenchmark suite benchmark-by-
-// benchmark: each is a multi-iteration average over a fixed dataset, so
+// benchmark: each is a median over several runs on a fixed dataset, so
 // per-benchmark ratios are trustworthy enough to judge individually.
-func GateEngine(base, cand *EngineBenchReport, cfg GateConfig) []Violation {
-	byName := make(map[string]EngineBenchResult, len(cand.Benchmarks))
+func GateEngine(base, cand *EngineReport, cfg GateConfig) []Violation {
+	byName := make(map[string]EngineResult, len(cand.Benchmarks))
 	for _, b := range cand.Benchmarks {
 		byName[b.Name] = b
 	}
@@ -168,8 +263,9 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// LoadGateReport reads one BENCH_*.json into the matching report type:
-// kind is "engine" or "progressive".
+// LoadGateReport reads one report into the matching type: kind "engine" is
+// `go test -bench` output (BENCH_engine.txt), "progressive" is
+// BENCH_progressive.json.
 func LoadGateReport(kind, path string) (any, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -178,13 +274,14 @@ func LoadGateReport(kind, path string) (any, error) {
 	var rep any
 	switch kind {
 	case "engine":
-		rep = &EngineBenchReport{}
+		rep, err = ParseEngineBench(bytes.NewReader(data))
 	case "progressive":
 		rep = &ProgressiveReport{}
+		err = json.Unmarshal(data, rep)
 	default:
 		return nil, fmt.Errorf("benchgate: unknown report kind %q", kind)
 	}
-	if err := json.Unmarshal(data, rep); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("benchgate: parsing %s: %w", path, err)
 	}
 	return rep, nil
@@ -195,7 +292,7 @@ func LoadGateReport(kind, path string) (any, error) {
 func Gate(kind string, base, cand any, cfg GateConfig) ([]Violation, error) {
 	switch kind {
 	case "engine":
-		b, c := base.(*EngineBenchReport), cand.(*EngineBenchReport)
+		b, c := base.(*EngineReport), cand.(*EngineReport)
 		// Allocations (one set of buffers per morsel worker) and wall time
 		// both depend on the worker count: reports measured at different
 		// GOMAXPROCS are not comparable, so refuse rather than misjudge.

@@ -1,14 +1,16 @@
-// Package bench is the experiment harness regenerating every table and
-// figure of the paper's evaluation (Section 6 and Appendix B). Each
-// experiment prints paper-shaped rows; cmd/benchrunner and the root
-// bench_test.go both drive it.
+// Package bench holds the paper-scale environments (both datasets with the
+// paper's sample set, under any dialect driver), two experiments and the
+// benchmark regression gate. The correctness experiment scores each
+// method's confidence intervals against BYPASS answers (Figure 8); the
+// progressive experiment measures time-to-accuracy over block-partitioned
+// scrambles. cmd/benchrunner runs both, cmd/benchgate runs the gate, and the
+// root bench_test.go builds its profiling data with the environments.
 package bench
 
 import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	verdictdb "verdictdb"
 	"verdictdb/internal/drivers"
@@ -104,58 +106,6 @@ func NewInstaEnv(cfg Config, mkDriver func(*engine.Engine) *drivers.Driver) (*En
 		}
 	}
 	return &Env{Eng: eng, Conn: conn, DB: db}, nil
-}
-
-// QueryResult is one measured query execution pair.
-type QueryResult struct {
-	ID          string
-	ExactTime   time.Duration
-	ApproxTime  time.Duration
-	Speedup     float64
-	Approximate bool
-	// MaxRelErrTrue is the worst observed relative error of aggregate
-	// cells vs the exact answer (Figure 10's metric).
-	MaxRelErrTrue float64
-}
-
-// RunQueryPair measures the exact and approximate execution of one query
-// the same way: each side runs once untimed (allocator and cache warm-up;
-// the approximate side's also fills the plan cache), then once under the
-// caller's wall clock.
-func RunQueryPair(env *Env, q workload.Query) (QueryResult, error) {
-	exact, exactDur, err := timeQuery(env.Conn, "bypass "+q.SQL)
-	if err != nil {
-		return QueryResult{}, fmt.Errorf("%s exact: %w", q.ID, err)
-	}
-	approx, approxDur, err := timeQuery(env.Conn, q.SQL)
-	if err != nil {
-		return QueryResult{}, fmt.Errorf("%s approx: %w", q.ID, err)
-	}
-	res := QueryResult{
-		ID:          q.ID,
-		ExactTime:   exactDur,
-		ApproxTime:  approxDur,
-		Speedup:     float64(exactDur) / float64(approxDur),
-		Approximate: approx.Approximate,
-	}
-	if approx.Approximate {
-		m, err := matchAnswers(q, exact, approx)
-		if err != nil {
-			return QueryResult{}, err
-		}
-		res.MaxRelErrTrue = m.maxRelErr()
-	}
-	return res, nil
-}
-
-// timeQuery runs sql once untimed, then once timed by the wall clock.
-func timeQuery(conn *verdictdb.Conn, sql string) (*verdictdb.Answer, time.Duration, error) {
-	if _, err := conn.Query(sql); err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	a, err := conn.Query(sql)
-	return a, time.Since(start), err
 }
 
 // cellMatch is one aggregate cell of an approximate answer beside the exact

@@ -146,7 +146,7 @@ func ProgressiveExperiment(w io.Writer, cfg Config, outPath string, targets []fl
 					RowsScanned:   a.RowsScanned,
 					FullRows:      full.RowsScanned,
 					ElapsedMs:     float64(a.ElapsedNanos) / 1e6,
-					EstRelErr:     a.MaxRelativeError(),
+					EstRelErr:     finiteRelErr(a),
 					TrueRelErr:    m.maxRelErr(),
 					Curve:         curve,
 				}

@@ -10,7 +10,7 @@ import (
 // compiled row closures (func([]Value) (Value, error)), and selection-
 // vector loops (`for ... range sel` over []int32) that the morsel workers
 // drive once per surviving lane. An allocation there is multiplied by the
-// row count and shows up directly in BENCH_engine.json allocs_per_op —
+// row count and shows up directly in BENCH_engine.txt allocs/op —
 // the per-batch amortization the vectorized design exists to buy.
 //
 // Inside a per-lane loop the analyzer flags:
