@@ -131,8 +131,8 @@ profile-disk:
 		-cpuprofile .build/disk.cpu -memprofile .build/disk.mem .
 
 # The engine suite as the gate measures it: every BenchmarkE1* at
-# GOMAXPROCS=1, in three rounds of the whole suite. `-count 3` would run each
-# benchmark's three times back to back, and one slow minute on a shared
+# GOMAXPROCS=1, in three rounds of the whole suite. `-count 3` would run a
+# benchmark's three runs back to back, and one slow minute on a shared
 # machine then slows all three; rounds put them ≈ 45 s apart, so the median
 # the gate takes leaves such a minute out. Allocations scale with the worker
 # count, and benchgate refuses to compare outputs whose names carry

@@ -42,7 +42,7 @@ func benchOutput(rows []benchRow, suffix string) string {
 
 func parseBench(t *testing.T, out string) *EngineReport {
 	t.Helper()
-	rep, err := ParseEngineBench(strings.NewReader(out))
+	rep, err := parseEngineBench(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestParseEngineBenchRefuses(t *testing.T) {
 	mixed := benchOutput(e1Rows(1)[:1], "") + benchOutput(e1Rows(1)[1:], "-2")
 	noMem := "BenchmarkE1GroupedAgg \t 50\t 16000000 ns/op\n"
 	for name, out := range map[string]string{"mixed suffixes": mixed, "no -benchmem": noMem, "empty": "PASS\n"} {
-		if rep, err := ParseEngineBench(strings.NewReader(out)); err == nil {
+		if rep, err := parseEngineBench(strings.NewReader(out)); err == nil {
 			t.Errorf("%s: parsed %+v, want an error", name, rep)
 		}
 	}
