@@ -83,13 +83,13 @@ type EngineReport struct {
 	Benchmarks []EngineResult // in order of first appearance
 }
 
-// parseEngineBench reads `go test -bench -benchmem` output and reduces each
+// parseBenchOutput reads `go test -bench -benchmem` output and reduces each
 // benchmark to its median per metric. Lines that are not benchmark results
 // (the goos/pkg/cpu header, PASS, ok) are skipped. A result without B/op or
 // allocs/op (a run without -benchmem), names with two different -N suffixes
 // and an output with no results at all are errors: each would let a
 // regression through unjudged.
-func parseEngineBench(r io.Reader) (*EngineReport, error) {
+func parseBenchOutput(r io.Reader) (*EngineReport, error) {
 	type samples struct{ ns, allocs, bytes []float64 }
 	byName := map[string]*samples{}
 	var order []string
@@ -274,7 +274,7 @@ func LoadGateReport(kind, path string) (any, error) {
 	var rep any
 	switch kind {
 	case "engine":
-		rep, err = parseEngineBench(bytes.NewReader(data))
+		rep, err = parseBenchOutput(bytes.NewReader(data))
 	case "progressive":
 		rep = &ProgressiveReport{}
 		err = json.Unmarshal(data, rep)

@@ -42,7 +42,7 @@ func benchOutput(rows []benchRow, suffix string) string {
 
 func parseBench(t *testing.T, out string) *EngineReport {
 	t.Helper()
-	rep, err := parseEngineBench(strings.NewReader(out))
+	rep, err := parseBenchOutput(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func engineReport(t *testing.T, scale float64) *EngineReport {
 	return parseBench(t, benchOutput(e1Rows(scale), ""))
 }
 
-// TestParseEngineBenchMedian: each benchmark is its median over the runs,
+// TestParseBenchOutputMedian: each benchmark is its median over the runs,
 // so one slow run of three moves nothing; the Benchmark prefix goes, and no
 // -N suffix means GOMAXPROCS=1.
-func TestParseEngineBenchMedian(t *testing.T) {
+func TestParseBenchOutputMedian(t *testing.T) {
 	out := benchOutput(e1Rows(1), "")
 	out = strings.Replace(out, " 16000000 ns/op\t 110000 B/op\t 2400 allocs/op",
 		" 99000000 ns/op\t 990000 B/op\t 9900 allocs/op", 1)
@@ -73,13 +73,13 @@ func TestParseEngineBenchMedian(t *testing.T) {
 	}
 }
 
-// TestParseEngineBenchRefuses: input the gate cannot judge in full is an
+// TestParseBenchOutputRefuses: input the gate cannot judge in full is an
 // error, not a pass.
-func TestParseEngineBenchRefuses(t *testing.T) {
+func TestParseBenchOutputRefuses(t *testing.T) {
 	mixed := benchOutput(e1Rows(1)[:1], "") + benchOutput(e1Rows(1)[1:], "-2")
 	noMem := "BenchmarkE1GroupedAgg \t 50\t 16000000 ns/op\n"
 	for name, out := range map[string]string{"mixed suffixes": mixed, "no -benchmem": noMem, "empty": "PASS\n"} {
-		if rep, err := parseEngineBench(strings.NewReader(out)); err == nil {
+		if rep, err := parseBenchOutput(strings.NewReader(out)); err == nil {
 			t.Errorf("%s: parsed %+v, want an error", name, rep)
 		}
 	}
